@@ -24,7 +24,7 @@ BENCH_THRESHOLD ?= 100
 STATICCHECK_MOD ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: test race build vet lint lint-external bench bench-smoke fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke load-smoke
+.PHONY: test race flake build vet lint lint-external bench bench-smoke bench-harness fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,30 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# flake makes nondeterministic failures structurally visible: the
+# wall-clock packages — the ones whose tests race real timers, sockets and
+# the scheduler — run FLAKE_COUNT times each, with one pass-rate line per
+# package and a non-zero exit if any run of any package failed. A flake
+# is a bug with a root cause, not noise to retry past.
+FLAKE_COUNT ?= 20
+FLAKE_PKGS  ?= ./internal/msemu ./internal/anonnet ./internal/tcpnet ./internal/netchaos ./internal/rounddriver
+flake:
+	@status=0; for pkg in $(FLAKE_PKGS); do \
+		out=$$($(GO) test -count=$(FLAKE_COUNT) -v $$pkg 2>&1) || status=1; \
+		pass=$$(grep -c '^--- PASS' <<<"$$out" || true); \
+		fail=$$(grep -c '^--- FAIL' <<<"$$out" || true); \
+		echo "flake: $$pkg: $$pass/$$((pass+fail)) test runs passed (count=$(FLAKE_COUNT))"; \
+		grep '^--- FAIL' <<<"$$out" | cut -d' ' -f3 | sort | uniq -c || true; \
+	done; exit $$status
+
+# bench-harness vets and tests the repo benchmark (benchmark/, its own
+# module compiled against internal/...): a change to a package the harness
+# builds on breaks it here, not in the driver's post-merge run. It edits
+# nothing under benchmark/.
+bench-harness:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
 # bench runs the T1–T10/F1–F3 experiment suite plus the hot-path
 # micro-benchmarks with allocation stats and appends a labelled run to the
 # benchmark trajectory file (see PERFORMANCE.md).
@@ -74,7 +98,9 @@ bench-smoke:
 
 # fuzz-smoke gives each native fuzz target a short budget; CI runs it on
 # every push so codec and framing regressions surface before a long fuzz
-# campaign would.
+# campaign would. Both wire envelope targets drive the one frame codec
+# (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
+# round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and epoch peek.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values

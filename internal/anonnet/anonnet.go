@@ -19,6 +19,7 @@ import (
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/values"
 )
 
@@ -206,83 +207,38 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// maxQuietBeats bounds the round-pacing gate in runProcess: after this
-// many consecutive timer beats below the inbound-envelope threshold, a
-// round runs anyway. It trades sole-survivor latency (each round then
-// takes this many beats) for a much wider starvation window before a
-// loaded box could let ES decide against a stale or solo view — see the
-// pacing comment in runProcess.
-const maxQuietBeats = 8
-
-// runProcess is one process's event loop.
+// runProcess drives one process on the shared round loop (package
+// rounddriver). There is no join grace here: every process starts inside
+// Run, so nobody attaches late.
 func (nw *network) runProcess(id int) ProcResult {
 	aut := nw.cfg.Automaton(id)
-	proc := giraf.NewProc(aut)
 	crashAfter := nw.cfg.CrashAfterRounds[id]
 	if sc, ok := nw.cfg.Scenario.CrashRound(id); ok && (crashAfter == 0 || sc < crashAfter) {
 		crashAfter = sc
 	}
 	ticker := time.NewTicker(nw.cfg.Interval)
 	defer ticker.Stop()
-
-	// Round pacing: on a loaded box the round timer can outpace delivery —
-	// a process that runs two beats while its peers' envelopes sit in the
-	// link queues sees only its own value and can satisfy the ES decide
-	// guard against that starved view, breaking agreement. broadcast never
-	// fans out to the sender, so inbound envelopes are a true peer-traffic
-	// signal: a beat only executes a round once roughly one envelope per
-	// peer arrived since the previous round (each peer broadcasts once per
-	// round), with a bounded silent-beat escape (maxQuietBeats) so crashed
-	// or halted peers cannot stall a survivor forever. Round 1 is exempt
-	// (inbound starts satisfied): nobody has broadcast yet, and the decide
-	// guards cannot fire against an empty WRITTENOLD. Same discipline as
-	// the multiplexed TCP plane (tcpnet.RunInstance).
-	need := nw.cfg.N - 1
-	if need < 1 {
-		need = 1
+	cfg := rounddriver.Config{
+		Automaton:  aut,
+		Peers:      nw.cfg.N,
+		CrashAfter: crashAfter,
+		Beat:       ticker.C,
+		Inbox:      nw.in[id],
+		Send: func(env giraf.Envelope) error {
+			nw.broadcast(id, env)
+			return nil
+		},
 	}
-	inbound := need // satisfied: round 1 fires on the first beat
-	quiet := 0
-
-	var res ProcResult
-	for {
-		select {
-		case <-nw.ctx.Done():
-			res.Rounds = proc.CurrentRound()
-			return res
-		case env := <-nw.in[id]:
-			proc.Receive(env)
-			inbound++
-		case <-ticker.C:
-			if inbound < need {
-				if quiet++; quiet < maxQuietBeats {
-					continue // pace rounds to peer traffic (see above)
-				}
-			}
-			inbound = 0
-			quiet = 0
-			if crashAfter > 0 && proc.CurrentRound() >= crashAfter {
-				res.Crashed = true
-				res.Rounds = proc.CurrentRound()
-				return res
-			}
-			computing := proc.CurrentRound()
-			if nw.cfg.OnRound != nil {
-				nw.cfg.OnRound(id, computing, aut)
-			}
-			env, ok := proc.EndOfRound()
-			if proc.Halted() {
-				d := proc.Decision()
-				res.Decided = true
-				res.Decision = d.Value
-				res.DecidedRound = computing
-				res.Rounds = proc.CurrentRound()
-				return res
-			}
-			if ok {
-				nw.broadcast(id, env)
-			}
-		}
+	if nw.cfg.OnRound != nil {
+		cfg.OnRound = func(round int) { nw.cfg.OnRound(id, round, aut) }
+	}
+	out := rounddriver.Run(nw.ctx, cfg)
+	return ProcResult{
+		Decided:      out.Decided,
+		Decision:     out.Decision,
+		DecidedRound: out.DecidedRound,
+		Rounds:       out.Rounds,
+		Crashed:      out.Crashed,
 	}
 }
 

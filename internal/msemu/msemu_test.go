@@ -109,10 +109,14 @@ func TestEmulationOverRegisterStack(t *testing.T) {
 	// This is the constructive content of "registers emulate MS", which
 	// imports FLP into the MS environment.
 	const n = 3
-	cluster := register.NewABD(5)
-	defer cluster.Close()
+	// One ABD cluster per slot: a cluster is ONE register, and Prop. 2
+	// needs n single-writer registers. Handing out n Writer handles onto
+	// one cluster makes each Add clobber its peers' sets — the
+	// anonymous-writer failure §5 introduces the weak-set to avoid.
 	slots := make([]weakset.Slot, n)
 	for i := range slots {
+		cluster := register.NewABD(5)
+		defer cluster.Close()
 		slots[i] = cluster.Writer(i + 1)
 	}
 	// Each emulated process must add through its own SWMR handle.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/wire"
 )
 
@@ -21,17 +22,20 @@ import (
 // uplink, one ResolveTable per epoch on the downlink — so streams of
 // different instances never resolve against each other.
 //
-// Connection losses are survived with the same resumable-session
-// machinery as RunNode: the node redials with the configured backoff,
-// resumes its session by token, and the hub replays the frames it
-// missed (epoch tags included, so replay demultiplexes like live
-// traffic). Every delta tracker resets on reconnect — frames in flight
-// at the loss may never have reached the hub, and a delta reference must
-// only point at the previous frame of its own stream.
+// Connection losses are survived by resuming the hub session: the reader
+// redials with the configured backoff, presents its token and receive
+// cursor, and the hub replays exactly the frames it missed (epoch tags
+// included, so replay demultiplexes like live traffic). Every delta
+// tracker resets on reconnect — frames in flight at the loss may never
+// have reached the hub, and a delta reference must only point at the
+// previous frame of its own stream.
 //
 // A MuxNode whose reconnect budget is exhausted is dead: RunInstance
 // calls return an error wrapping ErrHubLost, which callers treat as a
 // crash of this node (for every epoch it carried), not of the hub.
+//
+// MuxNode is the only TCP client in the tree: RunNode is a MuxNode that
+// carries one fixed epoch.
 type MuxNode struct {
 	cfg MuxConfig
 
@@ -84,8 +88,9 @@ type MuxConfig struct {
 // MuxStats counts a MuxNode's robustness events, cumulative since
 // DialMux.
 type MuxStats struct {
-	// Reconnects / ReplayedFrames / FailedDials / HeartbeatsAcked mirror
-	// NodeResult's session-resumption counters for the shared connection.
+	// Reconnects / ReplayedFrames / FailedDials / HeartbeatsAcked are the
+	// shared connection's session-resumption counters (RunNode copies them
+	// into its NodeResult).
 	Reconnects      int
 	ReplayedFrames  int
 	FailedDials     int
@@ -102,6 +107,16 @@ type MuxStats struct {
 // DialMux attaches to the hub and starts the demultiplexing reader. The
 // returned node is ready for Register/RunInstance; Close detaches.
 func DialMux(ctx context.Context, cfg MuxConfig) (*MuxNode, error) {
+	return dialMux(ctx, cfg)
+}
+
+// dialMux is DialMux with epochs registered before the reader starts. A
+// fresh session's first inbound frames are the hub's log replay, and the
+// reader counts frames for unregistered epochs as unknown and drops them
+// — harmless for a pooled slot whose epochs do not exist yet, wrong for a
+// node joining an epoch already under way (late counts as asynchronous,
+// lost would break the model; see Hub).
+func dialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, error) {
 	if cfg.HubAddr == "" {
 		return nil, errors.New("tcpnet: mux: empty hub address")
 	}
@@ -119,6 +134,12 @@ func DialMux(ctx context.Context, cfg MuxConfig) (*MuxNode, error) {
 		stop:       make(chan struct{}),
 		dead:       make(chan struct{}),
 		readerDone: make(chan struct{}),
+	}
+	for _, epoch := range epochs {
+		if err := m.Register(epoch); err != nil {
+			_ = conn.Close()
+			return nil, err
+		}
 	}
 	m.lifeCtx, m.lifeCancel = context.WithCancel(context.Background())
 	//detlint:goroutine the reader lives exactly as long as the MuxNode: Close joins it via readerDone
@@ -174,33 +195,23 @@ type InstanceRun struct {
 	// Timeout bounds the run; defaults to 30s.
 	Timeout time.Duration
 	// JoinGrace delays the first end-of-round so replayed/early traffic
-	// is consumed first; defaults to 3×Interval (see NodeConfig).
+	// is consumed first; defaults to 3×Interval (see
+	// rounddriver.Config.Grace).
 	JoinGrace time.Duration
 	// CrashAfterRounds stops the node after that many end-of-rounds
 	// (simulated crash). Zero means never.
 	CrashAfterRounds int
-	// Peers is the instance's process count n. When set (> 1), rounds
-	// after the first are paced to peer traffic: a timer beat only
-	// executes a round once ~n−1 envelopes arrived since the previous
-	// round (each peer broadcasts once per round), with a maxQuietBeats
-	// escape so crashed or halted peers cannot stall a survivor forever.
-	// Zero or one keeps the minimal gate (any one envelope).
+	// Peers is the instance's process count n, which sets the round
+	// driver's pacing gate (rounddriver.Config.Peers). Zero or one keeps
+	// the minimal gate (any one envelope).
 	Peers int
 }
-
-// maxQuietBeats bounds the round-pacing gate in RunInstance: after this
-// many consecutive timer beats below the inbound-envelope threshold, a
-// round runs anyway. It trades sole-survivor latency (each round then
-// takes this many beats) for a much wider starvation window before a
-// loaded box could let ES decide against a stale or solo view — see the
-// pacing comment in RunInstance.
-const maxQuietBeats = 8
 
 // RunInstance drives cfg.Automaton on the given registered epoch until
 // it decides, the timeout expires, or the shared session is lost
 // (ErrHubLost). Many RunInstance calls proceed concurrently on one
 // MuxNode, one per epoch; all of them share the node's single hub
-// connection.
+// connection. The round loop itself is package rounddriver's.
 func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun) (*NodeResult, error) {
 	if cfg.Automaton == nil {
 		return nil, errors.New("tcpnet: nil automaton")
@@ -221,95 +232,40 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-
-	proc := giraf.NewProc(cfg.Automaton)
-	res := &NodeResult{}
 	grace := cfg.JoinGrace
 	if grace <= 0 {
 		grace = 3 * interval
 	}
 	graceOver := time.After(grace)
-	started := false
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	// Round pacing: on a multi-tenant box dozens of instances share the
-	// scheduler, and wall-clock rounds outpacing delivery violates the ES
-	// premise the automatons' safety rests on — a process that runs two
-	// beats while a peer's frames are in flight can satisfy the decide
-	// guard prematurely, or let a decided subset leave a straggler locked
-	// on a stale value. The hub never echoes a sender's own frames, so
-	// inbound envelopes are a true peer-traffic signal: a beat only
-	// executes a round once roughly one envelope per peer arrived since
-	// the previous round (each peer broadcasts once per round), with a
-	// bounded silent-beat escape (maxQuietBeats) so crashed or halted
-	// peers cannot stall a survivor forever. Round 1 is exempt (inbound
-	// starts satisfied): nobody has broadcast yet, and the decide guards
-	// cannot fire against an empty WRITTENOLD.
-	need := cfg.Peers - 1
-	if need < 1 {
-		need = 1
+	out := rounddriver.Run(ctx, rounddriver.Config{
+		Automaton:  cfg.Automaton,
+		Peers:      cfg.Peers,
+		CrashAfter: cfg.CrashAfterRounds,
+		Beat:       ticker.C,
+		Inbox:      ep.inbox,
+		Grace:      graceOver,
+		Lost:       m.dead,
+		// While the shared connection is down the reader is redialing;
+		// the driver executes no round until it is back.
+		Attached: m.attached,
+		// A failed send means the connection is churning; the reader
+		// reconnects (or declares the node dead). send dropped this
+		// epoch's tracker, so the next broadcast travels in full.
+		Send: func(env giraf.Envelope) error { return m.send(epoch, env) },
+	})
+	res := &NodeResult{
+		Decided:  out.Decided,
+		Decision: out.Decision,
+		Round:    out.DecidedRound,
+		Rounds:   out.Rounds,
+		Crashed:  out.Crashed,
 	}
-	inbound := need // satisfied: round 1 fires on the first beat
-	quiet := 0
-	for {
-		select {
-		case <-ctx.Done():
-			res.Rounds = proc.CurrentRound()
-			return res, nil
-		case <-m.dead:
-			res.Rounds = proc.CurrentRound()
-			return res, m.deadErr
-		case env := <-ep.inbox:
-			proc.Receive(env)
-			inbound++
-		case <-graceOver:
-			started = true
-		case <-ticker.C:
-			if !started {
-				continue // still consuming replayed / early traffic
-			}
-			if !m.attached() {
-				// The shared connection is down and the reader is
-				// redialing. Do not execute rounds solo: a node that
-				// hears only itself cannot distinguish "alone" from
-				// "cut off", and deciding on that view would break
-				// agreement. RunNode gets this for free by blocking in
-				// lose(); the mux equivalent is skipping beats.
-				continue
-			}
-			if inbound < need {
-				if quiet++; quiet < maxQuietBeats {
-					continue // pace rounds to peer traffic (see above)
-				}
-			}
-			inbound = 0
-			quiet = 0
-			if cfg.CrashAfterRounds > 0 && proc.CurrentRound() >= cfg.CrashAfterRounds {
-				res.Crashed = true
-				res.Rounds = proc.CurrentRound()
-				return res, nil
-			}
-			computing := proc.CurrentRound()
-			env, ok := proc.EndOfRound()
-			if proc.Halted() {
-				d := proc.Decision()
-				res.Decided = true
-				res.Decision = d.Value
-				res.Round = computing
-				res.Rounds = proc.CurrentRound()
-				return res, nil
-			}
-			if !ok {
-				continue
-			}
-			// A failed send means the connection is churning; the reader
-			// reconnects (or declares the node dead, which the m.dead arm
-			// notices). The lost broadcast costs an asynchronous round —
-			// the next one re-carries the cumulative state in full,
-			// because send dropped this epoch's tracker.
-			_ = m.send(epoch, env)
-		}
+	if out.Lost {
+		return res, m.deadErr
 	}
+	return res, nil
 }
 
 // send delta-compresses env against its epoch's uplink stream and writes
@@ -351,9 +307,9 @@ func (m *MuxNode) readerLoop(conn net.Conn) {
 		frame, err := wire.ReadFrame(conn)
 		if err != nil {
 			// Detach before redialing: a nil conn makes writers fail fast
-			// and pauses every RunInstance's round execution (see the
-			// attached() gate) — a disconnected node must not run rounds
-			// solo, for the same reason RunNode blocks inside lose().
+			// and pauses every RunInstance's round execution (the round
+			// driver's Attached rule) — a disconnected node must not run
+			// rounds solo.
 			m.writeMu.Lock()
 			if m.conn != nil {
 				_ = m.conn.Close()
@@ -447,6 +403,9 @@ func (m *MuxNode) redial() (net.Conn, error) {
 			m.mu.Unlock()
 			continue
 		}
+		// The hub's resume position is authoritative: the node's own
+		// cursor for a clean resumption, 0 when the session is fresh
+		// (a restarted hub no longer knows the token).
 		m.token = welcome.Token
 		m.cursor = welcome.ResumeFrom
 		m.writeMu.Lock()

@@ -139,17 +139,22 @@ func TestMuxSequentialEpochsReuseSession(t *testing.T) {
 	}
 }
 
-// epochFrame builds one self-contained epoch-tagged data frame.
-func epochFrame(t *testing.T, epoch uint64, round int) []byte {
-	t.Helper()
+// setEnvelope builds a full-form one-payload envelope for the round.
+func setEnvelope(round int) giraf.Envelope {
 	p := core.SetPayload{Proposed: values.NewSet(values.Num(int64(round)))}
 	var h values.Hasher
 	h.WriteFingerprint(p.PayloadFingerprint())
-	data, err := wire.EncodeDeltaEnvelopeEpoch(giraf.Envelope{
+	return giraf.Envelope{
 		Round:          round,
 		Payloads:       []giraf.Payload{p},
 		SetFingerprint: h.Sum(),
-	}, epoch)
+	}
+}
+
+// epochFrame builds one self-contained epoch-tagged data frame.
+func epochFrame(t *testing.T, epoch uint64, round int) []byte {
+	t.Helper()
+	data, err := wire.EncodeDeltaEnvelopeEpoch(setEnvelope(round), epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +219,13 @@ func TestRetireEpochScopesReplay(t *testing.T) {
 
 	// A late joiner registered only for epoch 2 must see exactly epoch
 	// 2's three frames — retired traffic is gone from the replay.
-	late, err := DialMux(context.Background(), MuxConfig{HubAddr: hub.Addr()})
+	// (Registered before its reader starts: the replay is already on the
+	// socket when the dial returns.)
+	late, err := dialMux(context.Background(), MuxConfig{HubAddr: hub.Addr()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer late.Close()
-	if err := late.Register(2); err != nil {
-		t.Fatal(err)
-	}
 	late.mu.Lock()
 	inbox := late.epochs[2].inbox
 	late.mu.Unlock()

@@ -1,6 +1,8 @@
 // Package tcpnet runs anonymous consensus across real network connections:
-// a broadcast Hub relays frames between TCP connections and Nodes drive
-// GIRAF automata against it.
+// a broadcast Hub relays frames between TCP connections and one client,
+// MuxNode, drives GIRAF automata against it — many instances as epochs
+// over one connection, or, through RunNode, a single one. The round loop
+// both run is package rounddriver's.
 //
 // Anonymity is preserved end to end: frames (package wire) carry no sender
 // identifier, the hub relays bytes verbatim without annotating origin, and
@@ -36,7 +38,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"anonconsensus/internal/giraf"
@@ -752,16 +753,16 @@ type NodeConfig struct {
 	// aborts a hung dial earlier); defaults to 5s.
 	DialTimeout time.Duration
 	// JoinGrace delays the node's first end-of-round so the hub's replay
-	// of earlier broadcasts is consumed first; defaults to 3×Interval.
-	// With unknown participation a node cannot distinguish "I am alone"
-	// from "my peers' messages are still in flight" — the grace period is
-	// the pragmatic stand-in for the model's premise that all of Π is
-	// present from round 1.
+	// of earlier broadcasts is consumed first; defaults to 3×Interval
+	// (see rounddriver.Config.Grace).
 	JoinGrace time.Duration
 	// CrashAfterRounds stops the node after it executed that many
 	// end-of-rounds (simulated crash, mirroring anonnet's crash schedule).
 	// Zero means never.
 	CrashAfterRounds int
+	// Peers is the process count n when the caller knows it (see
+	// InstanceRun.Peers); zero keeps the minimal pacing gate.
+	Peers int
 	// Reconnect governs recovery from a lost hub connection; the zero
 	// policy keeps the historical fail-fast behavior.
 	Reconnect ReconnectPolicy
@@ -788,29 +789,9 @@ type NodeResult struct {
 	HeartbeatsAcked int
 }
 
-// nodeConn is one live hub attachment plus the goroutine pumping it.
-type nodeConn struct {
-	conn net.Conn
-	done chan struct{} // closed when the read pump exits
-}
-
-// nodeSession is the cross-connection state of one RunNode call: the
-// session identity, the receive cursor, and the decode table that delta
-// references resolve against (the resumed stream is a seamless
-// continuation, so the table must survive reconnects).
-type nodeSession struct {
-	cfg    NodeConfig
-	token  uint64
-	cursor atomic.Uint64 // data frames received on the session
-	table  *giraf.ResolveTable
-	inbox  chan giraf.Envelope
-	acks   chan uint64
-}
-
 // dialHub establishes one hub connection: DialContext with a deadline,
 // then the Hello/Welcome handshake with the given session token and
-// replay cursor (0, 0 for a fresh session). Shared by RunNode's
-// per-instance sessions and MuxNode's persistent ones.
+// replay cursor (0, 0 for a fresh session).
 func dialHub(ctx context.Context, addr string, dialTimeout time.Duration, token, cursor uint64) (net.Conn, wire.Welcome, error) {
 	if dialTimeout <= 0 {
 		dialTimeout = 5 * time.Second
@@ -856,231 +837,42 @@ func dialHub(ctx context.Context, addr string, dialTimeout time.Duration, token,
 	return conn, welcome, nil
 }
 
-// dial establishes one connection via dialHub. On success the session
-// token and cursor are synchronized with the hub.
-func (s *nodeSession) dial(ctx context.Context) (net.Conn, *wire.Welcome, error) {
-	conn, welcome, err := dialHub(ctx, s.cfg.HubAddr, s.cfg.DialTimeout, s.token, s.cursor.Load())
-	if err != nil {
-		return nil, nil, err
-	}
-	s.token = welcome.Token
-	// The hub's resume position is authoritative: it is the node's cursor
-	// for a clean resumption and 0 when the session is fresh (including
-	// "resumed" into a restarted hub that no longer knows the token).
-	s.cursor.Store(welcome.ResumeFrom)
-	return conn, &welcome, nil
-}
-
-// startReader pumps one connection: data frames advance the cursor and
-// resolve into the inbox; heartbeats queue acks. The returned done
-// channel closes when the connection dies.
-func (s *nodeSession) startReader(ctx context.Context, conn net.Conn) *nodeConn {
-	nc := &nodeConn{conn: conn, done: make(chan struct{})}
-	go func() {
-		defer close(nc.done)
-		for {
-			frame, err := wire.ReadFrame(conn)
-			if err != nil {
-				return
-			}
-			if kind, ok := wire.ControlKind(frame); ok {
-				if kind == wire.ControlHeartbeat {
-					if hb, err := wire.DecodeHeartbeat(frame); err == nil {
-						select {
-						case s.acks <- hb.Seq:
-						default: // ack queue full: the next probe re-triggers
-						}
-					}
-				}
-				continue
-			}
-			// Every data frame occupies one slot of the session stream, so
-			// the cursor advances even for frames that fail to decode —
-			// otherwise a resumption would replay the garbage forever.
-			s.cursor.Add(1)
-			delta, err := wire.DecodeDeltaEnvelope(frame)
-			if err != nil {
-				continue // corrupt frame from a byzantine-ish peer: skip
-			}
-			env, err := s.table.Resolve(delta)
-			if err != nil {
-				continue // dangling reference (sender's frame was lost): skip
-			}
-			select {
-			case s.inbox <- env:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return nc
-}
-
-// reconnect redials with the policy's backoff schedule until a session is
-// re-established, attempts run out (ErrHubLost), or ctx dies.
-func (s *nodeSession) reconnect(ctx context.Context, res *NodeResult) (net.Conn, error) {
-	if !s.cfg.Reconnect.enabled() {
-		return nil, ErrHubLost
-	}
-	var lastErr error
-	for attempt := 0; attempt < s.cfg.Reconnect.MaxAttempts; attempt++ {
-		wait := time.NewTimer(s.cfg.Reconnect.backoff(attempt))
-		select {
-		case <-ctx.Done():
-			wait.Stop()
-			return nil, ctx.Err()
-		case <-wait.C:
-		}
-		conn, welcome, err := s.dial(ctx)
-		if err != nil {
-			res.FailedDials++
-			lastErr = err
-			continue
-		}
-		res.Reconnects++
-		res.ReplayedFrames += int(welcome.Pending)
-		return conn, nil
-	}
-	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %d attempts exhausted, last: %v", ErrHubLost, s.cfg.Reconnect.MaxAttempts, lastErr)
-	}
-	return nil, ErrHubLost
-}
+// nodeEpoch is the one epoch a RunNode session carries. Every RunNode on
+// a hub uses the same value — that is what makes them one instance.
+const nodeEpoch = 1
 
 // RunNode connects to the hub and drives the automaton until it decides or
-// the timeout expires. Connection losses are survived per the config's
+// the timeout expires: a private MuxNode carrying the single epoch
+// nodeEpoch. Connection losses are survived per the config's
 // ReconnectPolicy; a node that exhausts its reconnect budget returns its
 // partial result alongside an error wrapping ErrHubLost.
 func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 	if cfg.Automaton == nil {
 		return nil, errors.New("tcpnet: nil automaton")
 	}
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	sess := &nodeSession{
-		cfg:   cfg,
-		table: giraf.NewResolveTable(),
-		inbox: make(chan giraf.Envelope, 1024),
-		acks:  make(chan uint64, 16),
-	}
-	conn, _, err := sess.dial(ctx)
+	m, err := dialMux(ctx, MuxConfig{
+		HubAddr:     cfg.HubAddr,
+		DialTimeout: cfg.DialTimeout,
+		Reconnect:   cfg.Reconnect,
+	}, nodeEpoch)
 	if err != nil {
-		return nil, fmt.Errorf("tcpnet: dialing hub: %w", err)
+		return nil, err
 	}
-	defer func() { _ = conn.Close() }()
-
-	proc := giraf.NewProc(cfg.Automaton)
-	res := &NodeResult{}
-	reader := sess.startReader(ctx, conn)
-
-	// lose tears the current connection down and either resumes the
-	// session or reports the run dead (ErrHubLost / ctx expiry).
-	lose := func() error {
-		_ = conn.Close()
-		<-reader.done
-		// Stale probe acks belong to the dead connection.
-		for {
-			select {
-			case <-sess.acks:
-				continue
-			default:
-			}
-			break
-		}
-		next, rerr := sess.reconnect(ctx, res)
-		if rerr != nil {
-			return rerr
-		}
-		conn = next
-		reader = sess.startReader(ctx, conn)
-		return nil
+	defer m.Close()
+	res, err := m.RunInstance(ctx, nodeEpoch, InstanceRun{
+		Automaton:        cfg.Automaton,
+		Interval:         cfg.Interval,
+		Timeout:          cfg.Timeout,
+		JoinGrace:        cfg.JoinGrace,
+		CrashAfterRounds: cfg.CrashAfterRounds,
+		Peers:            cfg.Peers,
+	})
+	if res != nil {
+		st := m.Stats()
+		res.Reconnects = st.Reconnects
+		res.ReplayedFrames = st.ReplayedFrames
+		res.FailedDials = st.FailedDials
+		res.HeartbeatsAcked = st.HeartbeatsAcked
 	}
-
-	grace := cfg.JoinGrace
-	if grace <= 0 {
-		grace = 3 * interval
-	}
-	graceOver := time.After(grace)
-	started := false
-
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	// Writer with per-connection delta state: each payload crosses this
-	// node's uplink in full exactly once per connection; rebroadcasts of
-	// it are 16-byte fingerprint references. The tracker must reset with
-	// every reconnect — a reference may only point at the previous frame
-	// of the same stream, and frames in flight when the link died may
-	// never have reached the hub.
-	writer := wire.NewEnvelopeWriter(conn)
-	for {
-		select {
-		case <-ctx.Done():
-			res.Rounds = proc.CurrentRound()
-			return res, nil
-		case <-reader.done:
-			if err := lose(); err != nil {
-				res.Rounds = proc.CurrentRound()
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return res, nil // the run's own timeout: a normal undecided exit
-				}
-				return res, err
-			}
-			writer = wire.NewEnvelopeWriter(conn)
-		case seq := <-sess.acks:
-			if err := wire.WriteFrame(conn, wire.EncodeHeartbeatAck(wire.Heartbeat{Seq: seq})); err == nil {
-				res.HeartbeatsAcked++
-			}
-			// A failed ack write means the connection is dying; the read
-			// pump notices and the reader.done arm recovers.
-		case env := <-sess.inbox:
-			proc.Receive(env)
-		case <-graceOver:
-			started = true
-		case <-ticker.C:
-			if !started {
-				continue // still consuming the hub replay
-			}
-			if cfg.CrashAfterRounds > 0 && proc.CurrentRound() >= cfg.CrashAfterRounds {
-				res.Crashed = true
-				res.Rounds = proc.CurrentRound()
-				return res, nil
-			}
-			computing := proc.CurrentRound()
-			env, ok := proc.EndOfRound()
-			if proc.Halted() {
-				d := proc.Decision()
-				res.Decided = true
-				res.Decision = d.Value
-				res.Round = computing
-				res.Rounds = proc.CurrentRound()
-				return res, nil
-			}
-			if !ok {
-				continue
-			}
-			if werr := writer.WriteEnvelope(env); werr != nil {
-				// The broadcast did not leave this machine; the next round
-				// rebroadcasts the full state, so recovery loses nothing
-				// the model is not already allowed to lose (an
-				// asynchronous round).
-				if err := lose(); err != nil {
-					res.Rounds = proc.CurrentRound()
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						return res, nil
-					}
-					return res, err
-				}
-				writer = wire.NewEnvelopeWriter(conn)
-			}
-		}
-	}
+	return res, err
 }

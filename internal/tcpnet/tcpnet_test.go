@@ -194,6 +194,100 @@ func TestTCPLateJoinerStillAgrees(t *testing.T) {
 	}
 }
 
+// TestRunNodeLateJoinerReplayReachesInbox pins the hub contract on the
+// folded client: a node that attaches after its peers broadcast must
+// receive every logged frame (late counts as asynchronous, lost would
+// break the model). The hub queues the replay before the dial even
+// returns, so RunNode's epoch has to be registered before its reader
+// starts — otherwise the replay is demultiplexed as unknown-epoch and
+// dropped.
+func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	ctx := context.Background()
+
+	const rounds = 5
+	for i := 0; i < 2; i++ {
+		early, err := dialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer early.Close()
+		for round := 1; round <= rounds; round++ {
+			if err := early.send(nodeEpoch, setEnvelope(round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const logged = 2 * rounds
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		hub.mu.Lock()
+		n := len(hub.log)
+		hub.mu.Unlock()
+		if n == logged {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hub logged %d frames, want %d", n, logged)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The third node takes RunNode's dial path.
+	late, err := dialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	late.mu.Lock()
+	inbox := late.epochs[nodeEpoch].inbox
+	late.mu.Unlock()
+	for got := 0; got < logged; got++ {
+		select {
+		case <-inbox:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("late joiner received %d of %d replayed frames (stats %+v)", got, logged, late.Stats())
+		}
+	}
+	if s := late.Stats(); s.UnknownEpochFrames != 0 || s.InboxDrops != 0 {
+		t.Fatalf("late joiner lost replay frames: %+v", s)
+	}
+}
+
+// TestRunNodeSilentPeersWaitForEscape pins that the plain TCP plane runs
+// under the round driver's pacing gate: a node told it has two peers, and
+// hearing from neither, executes round 1 and then holds round 2 for the
+// silent-beat escape instead of running a round per beat against its own
+// solo view (the exposure RunNode carried until it was folded into the
+// mux client).
+func TestRunNodeSilentPeersWaitForEscape(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	const interval = 20 * time.Millisecond
+	res, err := RunNode(context.Background(), NodeConfig{
+		HubAddr:   hub.Addr(),
+		Automaton: core.NewES(values.Num(1)),
+		Interval:  interval,
+		Peers:     3,
+		// Three beats of join grace, then five more: round 1 fits, the
+		// eight quiet beats before round 2 do not.
+		Timeout: 8 * interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 1 || res.Decided {
+		t.Fatalf("silent peers: executed %d rounds (decided=%v), want exactly round 1", res.Rounds, res.Decided)
+	}
+}
+
 func TestTCPNodeCrashSchedule(t *testing.T) {
 	// One node crashes after two rounds; the survivors still agree and the
 	// crashed node reports Crashed rather than an error (crash-fault model).

@@ -16,11 +16,10 @@ import (
 // untouched: a control frame describes one connection's bookkeeping, not
 // any process's identity or state.
 //
-// Layout: [controlMagic][controlVersion][kind][uvarint fields…]. Like
-// deltaMagic, controlMagic is chosen so a well-formed envelope frame from
-// our own encoders cannot start with it (a v1 frame leads with the round
-// uvarint, a delta frame with 0xD5); both decoders reject the other's
-// frames loudly rather than misparse.
+// Layout: [controlMagic][controlVersion][kind][uvarint fields…]. A
+// well-formed envelope frame from our own encoders cannot start with
+// controlMagic (a delta frame leads with 0xD5 or 0xD6); both decoders
+// reject the other's frames loudly rather than misparse.
 const (
 	controlMagic   byte = 0xC7
 	controlVersion byte = 1

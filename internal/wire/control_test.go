@@ -51,7 +51,7 @@ func TestControlKindDetection(t *testing.T) {
 	}
 	// Envelope frames must never look like control frames.
 	for _, data := range [][]byte{
-		{0x01, 0x00},       // v1 envelope: round 1, zero payloads
+		{0x01, 0x00},       // neither magic: a bare uvarint pair
 		{deltaMagic, 0x01}, // delta envelope prefix
 		{},                 // empty
 		{controlMagic},     // magic alone, too short
@@ -86,7 +86,7 @@ func TestControlDecodeRejects(t *testing.T) {
 // must be rejected by the delta decoder and vice versa, loudly rather
 // than misparsed.
 func TestControlDistinctFromDelta(t *testing.T) {
-	if _, err := DecodeDeltaEnvelope(EncodeHeartbeat(Heartbeat{Seq: 9})); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := DecodeDeltaEnvelopeEpoch(EncodeHeartbeat(Heartbeat{Seq: 9})); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("delta decoder accepted a control frame: %v", err)
 	}
 	if IsControlFrame([]byte{deltaMagic, controlVersion, ControlHello}) {

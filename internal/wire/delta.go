@@ -11,12 +11,9 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// deltaMagic tags a delta-framed envelope body. The stateless v1 body
-// (EncodeEnvelope) starts with a uvarint round whose first byte is the
-// round's low bits; rounds are far below 2^28 in practice, so 0xD5 as a
-// leading byte cannot be confused with a well-formed v1 frame from our own
-// encoders — and both decoders reject the other's frames loudly rather
-// than misparse.
+// deltaMagic tags an untagged (epoch-0) delta envelope body. No client in
+// the tree writes this form any more — every node speaks 0xD6 — but the
+// hub still relays and logs it for raw legacy connections.
 const deltaMagic byte = 0xD5
 
 // epochMagic tags an epoch-tagged delta envelope body: the frame form of
@@ -58,33 +55,24 @@ func readFingerprint(r *bytes.Reader) (values.Fingerprint, error) {
 	}, nil
 }
 
-// EncodeDeltaEnvelope serializes an envelope already in delta form
-// (giraf.DeltaTracker.Shrink output): new payloads travel tagged and in
-// full, previously-sent payloads travel as 16-byte fingerprint references,
-// and the whole-set fingerprint rides along so receivers can skip
-// re-merging identical sets.
-func EncodeDeltaEnvelope(env giraf.Envelope) ([]byte, error) {
-	var w bytes.Buffer
-	w.WriteByte(deltaMagic)
-	if err := encodeDeltaBody(&w, env); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
-}
-
-// EncodeDeltaEnvelopeEpoch serializes a delta-form envelope tagged with
-// an instance epoch. Epoch 0 produces the legacy 0xD5 frame (the two
-// forms biject; see epochMagic); epoch ≥ 1 produces a 0xD6 frame.
+// EncodeDeltaEnvelopeEpoch serializes an envelope already in delta form
+// (giraf.DeltaTracker.Shrink output), tagged with an instance epoch: new
+// payloads travel tagged and in full, previously-sent payloads travel as
+// 16-byte fingerprint references, and the whole-set fingerprint rides
+// along so receivers can skip re-merging identical sets. Epoch 0 produces
+// the legacy 0xD5 frame (the two forms biject; see epochMagic); epoch ≥ 1
+// produces a 0xD6 frame.
 func EncodeDeltaEnvelopeEpoch(env giraf.Envelope, epoch uint64) ([]byte, error) {
-	if epoch == 0 {
-		return EncodeDeltaEnvelope(env)
-	}
 	if epoch > MaxEpoch {
 		return nil, fmt.Errorf("wire: epoch %d exceeds limit %d", epoch, MaxEpoch)
 	}
 	var w bytes.Buffer
-	w.WriteByte(epochMagic)
-	writeUvarint(&w, epoch)
+	if epoch == 0 {
+		w.WriteByte(deltaMagic)
+	} else {
+		w.WriteByte(epochMagic)
+		writeUvarint(&w, epoch)
+	}
 	if err := encodeDeltaBody(&w, env); err != nil {
 		return nil, err
 	}
@@ -109,20 +97,10 @@ func encodeDeltaBody(w *bytes.Buffer, env giraf.Envelope) error {
 	return nil
 }
 
-// DecodeDeltaEnvelope parses a frame produced by EncodeDeltaEnvelope. The
-// result is still in delta form; resolve it with a giraf.ResolveTable.
-func DecodeDeltaEnvelope(data []byte) (giraf.Envelope, error) {
-	r := bytes.NewReader(data)
-	magic, err := r.ReadByte()
-	if err != nil || magic != deltaMagic {
-		return giraf.Envelope{}, fmt.Errorf("%w: not a delta envelope (leading byte %#x)", ErrBadFrame, magic)
-	}
-	return decodeDeltaBody(r)
-}
-
 // DecodeDeltaEnvelopeEpoch parses either delta frame form and returns
 // the envelope alongside its instance epoch: 0 for a legacy 0xD5 frame,
-// the tagged epoch (≥ 1) for a 0xD6 frame.
+// the tagged epoch (≥ 1) for a 0xD6 frame. The result is still in delta
+// form; resolve it with a giraf.ResolveTable.
 func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
 	r := bytes.NewReader(data)
 	magic, err := r.ReadByte()
@@ -147,8 +125,8 @@ func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
 
 // DataFrameEpoch peeks a frame's instance epoch without decoding its
 // body: 0 for a legacy 0xD5 frame, the tag for a 0xD6 frame. ok is false
-// when the frame is neither delta form (control frames, v1 stateless
-// envelopes) or the epoch tag itself is malformed. Hubs use this to
+// when the frame is neither delta form (control frames, garbage) or the
+// epoch tag itself is malformed. Hubs use this to
 // epoch-scope their replay log without paying for a full decode.
 func DataFrameEpoch(frame []byte) (epoch uint64, ok bool) {
 	if len(frame) == 0 {
@@ -241,14 +219,8 @@ type EnvelopeWriter struct {
 	PayloadsElided int
 }
 
-// NewEnvelopeWriter returns a writer with empty delta state, emitting
-// legacy (epoch-0) 0xD5 frames.
-func NewEnvelopeWriter(w io.Writer) *EnvelopeWriter {
-	return &EnvelopeWriter{w: w, tracker: giraf.NewDeltaTracker()}
-}
-
-// NewEnvelopeWriterEpoch returns a writer whose frames carry the given
-// instance epoch (0 behaves exactly like NewEnvelopeWriter). Each epoch
+// NewEnvelopeWriterEpoch returns a writer with empty delta state whose
+// frames carry the given instance epoch (0 emits 0xD5 frames). Each epoch
 // is its own delta stream: the writer's tracker spans only this epoch's
 // frames, matching the per-epoch ResolveTable on the receiving side.
 func NewEnvelopeWriterEpoch(w io.Writer, epoch uint64) *EnvelopeWriter {
@@ -267,37 +239,4 @@ func (ew *EnvelopeWriter) WriteEnvelope(env giraf.Envelope) error {
 	ew.BytesOut += len(data)
 	ew.PayloadsElided += len(delta.Refs)
 	return WriteFrame(ew.w, data)
-}
-
-// EnvelopeReader reads delta-compressed envelope frames from one reliable
-// FIFO stream and resolves them to full envelopes. Not safe for
-// concurrent use.
-type EnvelopeReader struct {
-	r     io.Reader
-	table *giraf.ResolveTable
-}
-
-// NewEnvelopeReader returns a reader with empty resolve state.
-func NewEnvelopeReader(r io.Reader) *EnvelopeReader {
-	return &EnvelopeReader{r: r, table: giraf.NewResolveTable()}
-}
-
-// ReadEnvelope reads one frame and returns the resolved full envelope.
-// Content-level failures are reported wrapped in ErrBadFrame (the caller
-// should skip the frame and keep reading); transport errors (including
-// io.EOF) pass through unchanged.
-func (er *EnvelopeReader) ReadEnvelope() (giraf.Envelope, error) {
-	frame, err := ReadFrame(er.r)
-	if err != nil {
-		return giraf.Envelope{}, err
-	}
-	delta, err := DecodeDeltaEnvelope(frame)
-	if err != nil {
-		return giraf.Envelope{}, err
-	}
-	full, err := er.table.Resolve(delta)
-	if err != nil {
-		return giraf.Envelope{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	return full, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -23,6 +24,25 @@ func fullEnvelope(round int, sets ...values.Set) giraf.Envelope {
 	return env
 }
 
+// readEnvelope reads one frame off a single-epoch stream and resolves it
+// against table, the way a node's reader does. Content-level failures
+// come back wrapped in ErrBadFrame; transport errors (io.EOF) unchanged.
+func readEnvelope(r io.Reader, table *giraf.ResolveTable) (giraf.Envelope, error) {
+	frame, err := ReadFrame(r)
+	if err != nil {
+		return giraf.Envelope{}, err
+	}
+	delta, _, err := DecodeDeltaEnvelopeEpoch(frame)
+	if err != nil {
+		return giraf.Envelope{}, err
+	}
+	full, err := table.Resolve(delta)
+	if err != nil {
+		return giraf.Envelope{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
+	return full, nil
+}
+
 // TestEnvelopeStreamRoundTrip drives a writer/reader pair over an
 // in-memory stream: every envelope must come back structurally identical
 // (same round, same payload keys in the same canonical order) even when
@@ -37,7 +57,7 @@ func TestEnvelopeStreamRoundTrip(t *testing.T) {
 	}
 
 	var stream bytes.Buffer
-	w := NewEnvelopeWriter(&stream)
+	w := NewEnvelopeWriterEpoch(&stream, 1)
 	for _, env := range envs {
 		if err := w.WriteEnvelope(env); err != nil {
 			t.Fatal(err)
@@ -47,9 +67,9 @@ func TestEnvelopeStreamRoundTrip(t *testing.T) {
 		t.Errorf("PayloadsElided = %d, want 3", w.PayloadsElided)
 	}
 
-	r := NewEnvelopeReader(&stream)
+	table := giraf.NewResolveTable()
 	for _, want := range envs {
-		got, err := r.ReadEnvelope()
+		got, err := readEnvelope(&stream, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +85,7 @@ func TestEnvelopeStreamRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := r.ReadEnvelope(); err != io.EOF {
+	if _, err := readEnvelope(&stream, table); err != io.EOF {
 		t.Fatalf("want EOF at stream end, got %v", err)
 	}
 }
@@ -78,7 +98,7 @@ func TestDeltaShrinksWire(t *testing.T) {
 		big.Add(values.Num(i))
 	}
 	env := fullEnvelope(1, big)
-	full, err := EncodeEnvelope(env)
+	full, err := EncodeDeltaEnvelopeEpoch(env, 1) // first send: everything in full
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +106,7 @@ func TestDeltaShrinksWire(t *testing.T) {
 	tracker := giraf.NewDeltaTracker()
 	_ = tracker.Shrink(env) // first send: payload now known
 	repeat := tracker.Shrink(fullEnvelope(2, big))
-	delta, err := EncodeDeltaEnvelope(repeat)
+	delta, err := EncodeDeltaEnvelopeEpoch(repeat, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +121,7 @@ func TestDeltaShrinksWire(t *testing.T) {
 func TestLateJoinerReplay(t *testing.T) {
 	s := values.NewSet(values.Num(5))
 	var stream bytes.Buffer
-	w := NewEnvelopeWriter(&stream)
+	w := NewEnvelopeWriterEpoch(&stream, 1)
 	for round := 1; round <= 5; round++ {
 		if err := w.WriteEnvelope(fullEnvelope(round, s)); err != nil {
 			t.Fatal(err)
@@ -110,9 +130,9 @@ func TestLateJoinerReplay(t *testing.T) {
 	log := stream.Bytes()
 
 	// A late joiner replays the whole log in order: every ref resolves.
-	r := NewEnvelopeReader(bytes.NewReader(log))
+	replay, table := bytes.NewReader(log), giraf.NewResolveTable()
 	for round := 1; round <= 5; round++ {
-		env, err := r.ReadEnvelope()
+		env, err := readEnvelope(replay, table)
 		if err != nil {
 			t.Fatalf("late joiner failed at round %d: %v", round, err)
 		}
@@ -124,41 +144,38 @@ func TestLateJoinerReplay(t *testing.T) {
 	// A reader that skips the prefix hits an unresolvable reference and
 	// reports it as a bad frame (not a crash, not silent corruption).
 	var tail bytes.Buffer
-	tailReader := NewEnvelopeReader(&tail)
 	// Find the second frame boundary by re-reading with framing only.
 	first, err := ReadFrame(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tail.Write(log[4+len(first):])
-	if _, err := tailReader.ReadEnvelope(); !errors.Is(err, ErrBadFrame) {
+	if _, err := readEnvelope(&tail, giraf.NewResolveTable()); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("want ErrBadFrame for unresolvable tail, got %v", err)
 	}
 }
 
-// TestDeltaRejectsStatelessFrames: the two framings must not misparse each
-// other.
+// TestDeltaRejectsStatelessFrames: a body with neither magic — the shape
+// of the retired stateless v1 envelope (round uvarint, payload count,
+// tagged payloads) — must be rejected loudly, not misparsed.
 func TestDeltaRejectsStatelessFrames(t *testing.T) {
-	env := fullEnvelope(1, values.NewSet(values.Num(1)))
-	v1, err := EncodeEnvelope(env)
-	if err != nil {
+	var v1 bytes.Buffer
+	writeUvarint(&v1, 1) // round
+	writeUvarint(&v1, 1) // payload count
+	if err := encodePayload(&v1, core.SetPayload{Proposed: values.NewSet(values.Num(1))}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeDeltaEnvelope(v1); err == nil {
-		t.Error("delta decoder accepted a stateless v1 body")
+	if _, _, err := DecodeDeltaEnvelopeEpoch(v1.Bytes()); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("delta decoder accepted a stateless v1 body: %v", err)
 	}
-	v2, err := EncodeDeltaEnvelope(giraf.NewDeltaTracker().Shrink(env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeEnvelope(v2); err == nil {
-		t.Error("stateless decoder accepted a delta body")
+	if _, ok := DataFrameEpoch(v1.Bytes()); ok {
+		t.Error("DataFrameEpoch accepted a stateless v1 body")
 	}
 }
 
 // TestEpochEnvelopeRoundTrip pins the 0xD6 frame form: epoch-tagged
 // frames round-trip envelope and epoch, and epoch 0 collapses to the
-// legacy 0xD5 encoding byte-for-byte (the two forms biject).
+// legacy 0xD5 encoding (the two forms biject).
 func TestEpochEnvelopeRoundTrip(t *testing.T) {
 	env := fullEnvelope(3, values.NewSet(values.Num(1), values.Num(2)))
 	for _, epoch := range []uint64{1, 2, 7, 1 << 20, MaxEpoch} {
@@ -179,23 +196,14 @@ func TestEpochEnvelopeRoundTrip(t *testing.T) {
 		if peeked, ok := DataFrameEpoch(data); !ok || peeked != epoch {
 			t.Fatalf("DataFrameEpoch = (%d, %v), want (%d, true)", peeked, ok, epoch)
 		}
-		// The tagged form must be rejected by the legacy decoder: an
-		// unmultiplexed reader never silently misparses mux traffic.
-		if _, err := DecodeDeltaEnvelope(data); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("legacy decoder accepted a 0xD6 frame: %v", err)
-		}
 	}
 
-	legacy, err := EncodeDeltaEnvelope(env)
+	legacy, err := EncodeDeltaEnvelopeEpoch(env, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaEpoch0, err := EncodeDeltaEnvelopeEpoch(env, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy, viaEpoch0) {
-		t.Fatal("epoch 0 must encode as the legacy 0xD5 frame")
+	if legacy[0] != deltaMagic {
+		t.Fatalf("epoch 0 must encode as the legacy 0xD5 frame, got leading byte %#x", legacy[0])
 	}
 	if _, gotEpoch, err := DecodeDeltaEnvelopeEpoch(legacy); err != nil || gotEpoch != 0 {
 		t.Fatalf("legacy frame via epoch decoder = (epoch %d, %v), want (0, nil)", gotEpoch, err)
@@ -213,7 +221,7 @@ func TestEpochEnvelopeRejects(t *testing.T) {
 	}
 	// A hand-built 0xD6 frame carrying epoch 0: the canonical form for
 	// epoch 0 is 0xD5, so this must be rejected, not aliased.
-	legacy, err := EncodeDeltaEnvelope(env)
+	legacy, err := EncodeDeltaEnvelopeEpoch(env, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

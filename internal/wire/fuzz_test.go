@@ -9,30 +9,31 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// FuzzDecodeEnvelope: arbitrary bytes must never panic the stateless
-// decoder, and anything it accepts must re-encode/decode to identical
-// canonical keys (round-trip stability).
+// FuzzDecodeEnvelope: arbitrary bytes must never panic the payload codec
+// behind the frame decoder, and anything it accepts must
+// re-encode/decode to identical canonical payload keys (round-trip
+// stability).
 func FuzzDecodeEnvelope(f *testing.F) {
-	seed, _ := EncodeEnvelope(giraf.Envelope{
+	seed, _ := EncodeDeltaEnvelopeEpoch(giraf.Envelope{
 		Round: 3,
 		Payloads: []giraf.Payload{
 			core.SetPayload{Proposed: values.NewSet(values.Num(1), values.Num(2))},
 			core.MakeESSPayload(values.NewSet(values.Num(1)), values.NewHistory(values.Num(1)), values.NewCounters()),
 		},
-	})
+	}, 1)
 	f.Add(seed)
 	f.Add([]byte{})
-	f.Add([]byte{0x01})
+	f.Add([]byte{epochMagic, 0x01, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeEnvelope(data)
+		env, epoch, err := DecodeDeltaEnvelopeEpoch(data)
 		if err != nil {
 			return
 		}
-		re, err := EncodeEnvelope(env)
+		re, err := EncodeDeltaEnvelopeEpoch(env, epoch)
 		if err != nil {
 			t.Fatalf("re-encoding accepted envelope failed: %v", err)
 		}
-		env2, err := DecodeEnvelope(re)
+		env2, _, err := DecodeDeltaEnvelopeEpoch(re)
 		if err != nil {
 			t.Fatalf("decoding re-encoded envelope failed: %v", err)
 		}
@@ -47,8 +48,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDeltaEnvelope: the delta decoder must never panic, and
-// accepted frames must round-trip with stable refs and fingerprints.
+// FuzzDecodeDeltaEnvelope: the delta decoder and the cheap epoch peek
+// must never panic and must agree on whatever they accept, and accepted
+// frames must round-trip with stable epoch, refs and fingerprints.
 func FuzzDecodeDeltaEnvelope(f *testing.F) {
 	full := giraf.Envelope{
 		Round: 2,
@@ -58,8 +60,8 @@ func FuzzDecodeDeltaEnvelope(f *testing.F) {
 		SetFingerprint: values.FingerprintString("E"),
 	}
 	tracker := giraf.NewDeltaTracker()
-	first, _ := EncodeDeltaEnvelope(tracker.Shrink(full))
-	second, _ := EncodeDeltaEnvelope(tracker.Shrink(full)) // all refs now
+	first, _ := EncodeDeltaEnvelopeEpoch(tracker.Shrink(full), 0)
+	second, _ := EncodeDeltaEnvelopeEpoch(tracker.Shrink(full), 0) // all refs now
 	epochTagged, _ := EncodeDeltaEnvelopeEpoch(giraf.Envelope{
 		Round:          3,
 		Payloads:       []giraf.Payload{core.SetPayload{Proposed: values.NewSet(values.Num(9))}},
@@ -71,32 +73,21 @@ func FuzzDecodeDeltaEnvelope(f *testing.F) {
 	f.Add(epochTagged)
 	f.Add([]byte{epochMagic, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The epoch decoder and the cheap epoch peek must never panic, and
-		// must agree on whatever they accept.
-		if env, epoch, err := DecodeDeltaEnvelopeEpoch(data); err == nil {
-			peeked, ok := DataFrameEpoch(data)
-			if !ok || peeked != epoch {
-				t.Fatalf("DataFrameEpoch = (%d, %v), decoder said epoch %d", peeked, ok, epoch)
-			}
-			re, err := EncodeDeltaEnvelopeEpoch(env, epoch)
-			if err != nil {
-				t.Fatalf("re-encoding accepted epoch envelope failed: %v", err)
-			}
-			if _, epoch2, err := DecodeDeltaEnvelopeEpoch(re); err != nil || epoch2 != epoch {
-				t.Fatalf("epoch round-trip failed: epoch %d → %d, err %v", epoch, epoch2, err)
-			}
-		}
-		env, err := DecodeDeltaEnvelope(data)
+		env, epoch, err := DecodeDeltaEnvelopeEpoch(data)
 		if err != nil {
 			return
 		}
-		re, err := EncodeDeltaEnvelope(env)
+		peeked, ok := DataFrameEpoch(data)
+		if !ok || peeked != epoch {
+			t.Fatalf("DataFrameEpoch = (%d, %v), decoder said epoch %d", peeked, ok, epoch)
+		}
+		re, err := EncodeDeltaEnvelopeEpoch(env, epoch)
 		if err != nil {
 			t.Fatalf("re-encoding accepted delta envelope failed: %v", err)
 		}
-		env2, err := DecodeDeltaEnvelope(re)
-		if err != nil {
-			t.Fatalf("decoding re-encoded delta envelope failed: %v", err)
+		env2, epoch2, err := DecodeDeltaEnvelopeEpoch(re)
+		if err != nil || epoch2 != epoch {
+			t.Fatalf("epoch round-trip failed: epoch %d → %d, err %v", epoch, epoch2, err)
 		}
 		if env2.Round != env.Round || len(env2.Refs) != len(env.Refs) ||
 			len(env2.Payloads) != len(env.Payloads) || env2.SetFingerprint != env.SetFingerprint {

@@ -207,44 +207,6 @@ func decodePayload(r *bytes.Reader) (giraf.Payload, error) {
 	}
 }
 
-// EncodeEnvelope serializes ⟨M, k⟩.
-func EncodeEnvelope(env giraf.Envelope) ([]byte, error) {
-	var w bytes.Buffer
-	writeUvarint(&w, uint64(env.Round))
-	writeUvarint(&w, uint64(len(env.Payloads)))
-	for _, p := range env.Payloads {
-		if err := encodePayload(&w, p); err != nil {
-			return nil, err
-		}
-	}
-	return w.Bytes(), nil
-}
-
-// DecodeEnvelope parses a frame produced by EncodeEnvelope.
-func DecodeEnvelope(data []byte) (giraf.Envelope, error) {
-	r := bytes.NewReader(data)
-	round, err := readRound(r)
-	if err != nil {
-		return giraf.Envelope{}, err
-	}
-	count, err := readUvarint(r)
-	if err != nil {
-		return giraf.Envelope{}, err
-	}
-	env := giraf.Envelope{Round: int(round)}
-	for i := uint64(0); i < count; i++ {
-		p, err := decodePayload(r)
-		if err != nil {
-			return giraf.Envelope{}, err
-		}
-		env.Payloads = append(env.Payloads, p)
-	}
-	if r.Len() != 0 {
-		return giraf.Envelope{}, fmt.Errorf("wire: %d trailing bytes after envelope", r.Len())
-	}
-	return env, nil
-}
-
 // WriteFrame writes a length-prefixed frame to w.
 func WriteFrame(w io.Writer, data []byte) error {
 	if len(data) > MaxElement {

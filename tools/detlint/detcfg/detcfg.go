@@ -50,6 +50,11 @@ var deterministic = map[string]bool{
 	"wire":     true,
 	"ordered":  true,
 	"workload": true,
+	// rounddriver is the live planes' shared round loop, but it reads no
+	// clock and starts no goroutine itself: beats and envelopes arrive on
+	// caller-supplied channels, which is what keeps its step machine
+	// testable on scripted schedules. The contract holds it to that.
+	"rounddriver": true,
 }
 
 // liveExempt names the live network planes: real sockets and wall-clock

@@ -15,6 +15,7 @@ func TestClassification(t *testing.T) {
 		{"anonconsensus/internal/sim", true, false, true},
 		{"anonconsensus/internal/values", true, false, true},
 		{"anonconsensus/internal/ordered", true, false, true},
+		{"anonconsensus/internal/rounddriver", true, false, true},
 		{"anonconsensus/internal/anonnet", false, true, true},
 		{"anonconsensus/internal/tcpnet", false, true, true},
 		{"anonconsensus/internal/netchaos", false, true, true},

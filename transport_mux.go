@@ -2,7 +2,6 @@ package anonconsensus
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -136,60 +135,25 @@ func (t *tcpMuxTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, 
 	}()
 
 	factory := automatonFactory(spec.Env, spec.Proposals)
-	results := make([]*tcpnet.NodeResult, n)
-	errs := make([]error, n)
-	// Same abort split as the plain tcp transport: infrastructure errors
-	// abort the siblings, a slot that lost the hub for good (ErrHubLost)
-	// is crash-equivalent and the siblings keep running.
-	runCtx, abort := context.WithCancel(ctx)
-	defer abort()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := slots[i].RunInstance(runCtx, epoch, tcpnet.InstanceRun{
-				Automaton:        factory(i),
-				Interval:         interval,
-				Timeout:          spec.timeout(),
-				CrashAfterRounds: spec.Crashes[i],
-				Peers:            n,
-			})
-			if err != nil && errors.Is(err, tcpnet.ErrHubLost) && res != nil {
-				results[i] = res
-				return
-			}
-			results[i], errs[i] = res, err
-			if err != nil {
-				abort()
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("anonconsensus: tcp-mux run cancelled: %w", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("anonconsensus: tcp-mux node %d: %w", i, err)
-		}
-	}
-	out := &Result{Elapsed: time.Since(start)}
-	for i, r := range results {
-		out.Decisions = append(out.Decisions, Decision{
-			Proc:    i,
-			Decided: r.Decided,
-			Value:   Value(r.Decision),
-			Round:   r.Round,
-			Crashed: r.Crashed,
+	out, err := runTCPProcs(ctx, t.Name(), n, func(ctx context.Context, i int) (*tcpnet.NodeResult, error) {
+		return slots[i].RunInstance(ctx, epoch, tcpnet.InstanceRun{
+			Automaton:        factory(i),
+			Interval:         interval,
+			Timeout:          spec.timeout(),
+			CrashAfterRounds: spec.Crashes[i],
+			Peers:            n,
 		})
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Robustness counters stay zero here by design: reconnects, replays
-	// and heartbeats belong to the transport's persistent connections,
-	// which outlive and span instances, so charging them to the one Run
-	// that happened to observe them would misattribute. The hub's and
-	// slots' cumulative counters remain available on their own handles.
+	out.Elapsed = time.Since(start)
+	// Robustness counters stay zero here by design (RunInstance reports
+	// none): reconnects, replays and heartbeats belong to the transport's
+	// persistent connections, which outlive and span instances, so
+	// charging them to the one Run that happened to observe them would
+	// misattribute. The hub's and slots' cumulative counters remain
+	// available on their own handles.
 	return out, nil
 }
 

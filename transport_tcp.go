@@ -16,11 +16,13 @@ import (
 // Transport interface: every instance gets a fresh anonymous broadcast hub
 // on the loopback interface and one TCP connection per process.
 //
-// A fresh hub per instance is load-bearing here: this transport's frames
-// carry no instance tag, so reusing a hub would deliver instance k's
-// envelopes into instance k+1. NewTCPMuxTransport is the multiplexed
-// alternative — epoch-tagged frames, one shared hub, persistent
-// connections — for sustained many-instance traffic.
+// A fresh hub per instance is load-bearing here: every node rides the
+// same fixed epoch (tcpnet.RunNode), so reusing a hub would deliver
+// instance k's envelopes into instance k+1 — and the GST delay and link
+// faults below are hub options, which fault every connection of the hub
+// they are set on. NewTCPMuxTransport is the multiplexed alternative —
+// one epoch per instance, one shared hub, persistent connections — for
+// sustained many-instance traffic.
 type tcpTransport struct {
 	listenAddr string
 	closed     atomic.Bool
@@ -104,44 +106,64 @@ func (t *tcpTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, err
 	}
 	defer hub.Close()
 
-	factory := automatonFactory(spec.Env, spec.Proposals)
-	results := make([]*tcpnet.NodeResult, n)
-	errs := make([]error, n)
-	// A node failing on real infrastructure (encode error, dial failure at
-	// start) aborts the siblings immediately instead of letting them run
-	// out the full timeout. A node that established its session and then
-	// lost the hub for good (ErrHubLost, after the reconnect path was
-	// exhausted) is different: in the crash-fault model it is
-	// indistinguishable from a crashed process, so the siblings keep
-	// running — the severed minority is charged against the crash budget
-	// the algorithms already tolerate.
-	runCtx, abort := context.WithCancel(ctx)
-	defer abort()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		nodeAddr := hub.Addr()
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = hub.Addr()
 		if t.dialVia != nil {
-			addr, cleanup := t.dialVia(i, nodeAddr)
-			nodeAddr = addr
+			addr, cleanup := t.dialVia(i, addrs[i])
+			addrs[i] = addr
 			if cleanup != nil {
 				defer cleanup()
 			}
 		}
+	}
+	factory := automatonFactory(spec.Env, spec.Proposals)
+	out, err := runTCPProcs(ctx, t.Name(), n, func(ctx context.Context, i int) (*tcpnet.NodeResult, error) {
+		return tcpnet.RunNode(ctx, tcpnet.NodeConfig{
+			HubAddr:          addrs[i],
+			Automaton:        factory(i),
+			Interval:         interval,
+			Timeout:          spec.timeout(),
+			CrashAfterRounds: spec.Crashes[i],
+			Peers:            n,
+			Reconnect:        resolveReconnect(spec.Reconnect, interval, spec.Seed, i),
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Elapsed = time.Since(start)
+	hs := hub.Stats()
+	out.Robustness.HeartbeatMisses = hs.HeartbeatMisses
+	out.Robustness.DroppedConns = hs.DroppedConns
+	out.Robustness.OverwhelmedDrops = hs.OverwhelmedDrops
+	return out, nil
+}
+
+// runTCPProcs runs one goroutine per process on a TCP plane and folds the
+// node results into a Result (decisions plus the node-side robustness
+// counters; Elapsed and hub-side counters are the caller's).
+//
+// A node failing on real infrastructure (encode error, dial failure at
+// start) aborts the siblings immediately instead of letting them run out
+// the full timeout. A node that established its session and then lost the
+// hub for good (ErrHubLost, after the reconnect path was exhausted) is
+// different: in the crash-fault model it is indistinguishable from a
+// crashed process, so the siblings keep running — the severed minority is
+// charged against the crash budget the algorithms already tolerate — and
+// its partial result is kept (its counters record the outage).
+func runTCPProcs(ctx context.Context, plane string, n int, run func(ctx context.Context, i int) (*tcpnet.NodeResult, error)) (*Result, error) {
+	results := make([]*tcpnet.NodeResult, n)
+	errs := make([]error, n)
+	runCtx, abort := context.WithCancel(ctx)
+	defer abort()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := tcpnet.RunNode(runCtx, tcpnet.NodeConfig{
-				HubAddr:          nodeAddr,
-				Automaton:        factory(i),
-				Interval:         interval,
-				Timeout:          spec.timeout(),
-				CrashAfterRounds: spec.Crashes[i],
-				Reconnect:        resolveReconnect(spec.Reconnect, interval, spec.Seed, i),
-			})
+			res, err := run(runCtx, i)
 			if err != nil && errors.Is(err, tcpnet.ErrHubLost) && res != nil {
-				// Crash-equivalent: keep the partial result (its counters
-				// record the outage) and let the siblings finish.
 				results[i] = res
 				return
 			}
@@ -153,14 +175,14 @@ func (t *tcpTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, err
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("anonconsensus: tcp run cancelled: %w", err)
+		return nil, fmt.Errorf("anonconsensus: %s run cancelled: %w", plane, err)
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("anonconsensus: tcp node %d: %w", i, err)
+			return nil, fmt.Errorf("anonconsensus: %s node %d: %w", plane, i, err)
 		}
 	}
-	out := &Result{Elapsed: time.Since(start)}
+	out := &Result{}
 	for i, r := range results {
 		out.Decisions = append(out.Decisions, Decision{
 			Proc:    i,
@@ -173,10 +195,6 @@ func (t *tcpTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, err
 		out.Robustness.ReplayedFrames += r.ReplayedFrames
 		out.Robustness.FailedDials += r.FailedDials
 	}
-	hs := hub.Stats()
-	out.Robustness.HeartbeatMisses = hs.HeartbeatMisses
-	out.Robustness.DroppedConns = hs.DroppedConns
-	out.Robustness.OverwhelmedDrops = hs.OverwhelmedDrops
 	return out, nil
 }
 
