@@ -120,12 +120,13 @@ scenarios-smoke:
 # chaos-smoke is the live plane's resilience pass, run by CI on every
 # push: the netchaos package (seeded sever/stall/half-close/blackout
 # schedules plus the chaos consensus property test), the tcpnet
-# reconnect / session-resumption / heartbeat / hub kill+restart tests,
-# and the root-level chaos tests that cut one node's link mid-run — all
-# under the race detector, in short mode, well under a minute.
+# reconnect / session-resumption / heartbeat / hub kill+restart /
+# Hello-only admission tests, and the root-level chaos tests that cut one
+# node's link mid-run on both TCP shapes — all under the race detector,
+# in short mode, well under a minute.
 chaos-smoke:
 	$(GO) test -race -short -count=1 ./internal/netchaos
-	$(GO) test -race -short -count=1 -run 'Reconnect|HubRestart|NeverHeals|Heartbeat|Overwhelm' ./internal/tcpnet
+	$(GO) test -race -short -count=1 -run 'Reconnect|HubRestart|NeverHeals|Heartbeat|Overwhelm|Hello|NonHello' ./internal/tcpnet
 	$(GO) test -race -short -count=1 -run 'TestTCPChaos' .
 
 # mux-smoke is the multi-tenant service plane's quick pass, run by CI on

@@ -219,8 +219,8 @@ type Result struct {
 	Rounds int
 	// Elapsed is the wall-clock duration (Solve) or 0 (Simulate).
 	Elapsed time.Duration
-	// Robustness reports the network-failure events the run survived (TCP
-	// transport only).
+	// Robustness reports the network-failure events the run survived
+	// (NewTCPTransport only: its hub and connections live exactly one Run).
 	Robustness Robustness
 }
 

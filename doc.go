@@ -60,7 +60,9 @@
 //
 //   - NewTCPTransport: real TCP through an anonymous broadcast hub;
 //     frames carry no sender identity and the hub relays without
-//     annotating origin. NewTCPHub and JoinTCP expose the same substrate
+//     annotating origin. NewTCPMuxTransport is the same plane kept for
+//     the transport's life: one hub, one connection per process, every
+//     instance an epoch. NewTCPHub and JoinTCP expose the same substrate
 //     for genuinely distributed deployments (see cmd/anonnode).
 //
 // # Compatibility policy

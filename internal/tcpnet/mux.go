@@ -106,17 +106,14 @@ type MuxStats struct {
 
 // DialMux attaches to the hub and starts the demultiplexing reader. The
 // returned node is ready for Register/RunInstance; Close detaches.
-func DialMux(ctx context.Context, cfg MuxConfig) (*MuxNode, error) {
-	return dialMux(ctx, cfg)
-}
-
-// dialMux is DialMux with epochs registered before the reader starts. A
-// fresh session's first inbound frames are the hub's log replay, and the
-// reader counts frames for unregistered epochs as unknown and drops them
-// — harmless for a pooled slot whose epochs do not exist yet, wrong for a
+//
+// The given epochs are registered before the reader starts. A fresh
+// session's first inbound frames are the hub's log replay, and the reader
+// counts frames for unregistered epochs as unknown and drops them —
+// harmless for a pooled slot whose epochs do not exist yet, wrong for a
 // node joining an epoch already under way (late counts as asynchronous,
 // lost would break the model; see Hub).
-func dialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, error) {
+func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, error) {
 	if cfg.HubAddr == "" {
 		return nil, errors.New("tcpnet: mux: empty hub address")
 	}
@@ -154,7 +151,7 @@ func dialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 // (asynchrony) but wasteful.
 func (m *MuxNode) Register(epoch uint64) error {
 	if epoch == 0 {
-		return errors.New("tcpnet: mux: epoch 0 is the unmultiplexed plane; epochs start at 1")
+		return errors.New("tcpnet: mux: epochs start at 1")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -438,6 +435,17 @@ func (m *MuxNode) die(err error) {
 	m.writeMu.Unlock()
 	m.deadErr = err
 	close(m.dead)
+}
+
+// Lost reports whether the session is permanently lost (see ErrHubLost):
+// the node will never carry another frame and its owner should replace it.
+func (m *MuxNode) Lost() bool {
+	select {
+	case <-m.dead:
+		return true
+	default:
+		return false
+	}
 }
 
 // attached reports whether the shared connection is currently up.

@@ -221,7 +221,7 @@ func TestRetireEpochScopesReplay(t *testing.T) {
 	// 2's three frames — retired traffic is gone from the replay.
 	// (Registered before its reader starts: the replay is already on the
 	// socket when the dial returns.)
-	late, err := dialMux(context.Background(), MuxConfig{HubAddr: hub.Addr()}, 2)
+	late, err := DialMux(context.Background(), MuxConfig{HubAddr: hub.Addr()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,10 +326,9 @@ func TestNoReconnectPolicyFailsFast(t *testing.T) {
 }
 
 func TestHubDropsHeartbeatDeadSession(t *testing.T) {
-	// A handshaken client that never acks heartbeats must be declared dead
-	// after the miss limit and dropped — with the misses and the drop
-	// visible in the stats. A raw legacy client on the same hub must be
-	// left alone (it cannot ack).
+	// A client that never acks heartbeats must be declared dead after the
+	// miss limit and dropped — with the misses and the drop visible in the
+	// stats.
 	hub, err := NewHub("127.0.0.1:0", WithHeartbeat(20*time.Millisecond, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -337,14 +336,7 @@ func TestHubDropsHeartbeatDeadSession(t *testing.T) {
 	defer hub.Close()
 
 	// Handshaken, then silent.
-	dead, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dead.Close()
-	if err := wire.WriteFrame(dead, wire.EncodeHello(wire.Hello{})); err != nil {
-		t.Fatal(err)
-	}
+	dead, _ := helloClient(t, hub, wire.Hello{})
 
 	// The hub should sever the connection: reads on our side hit EOF.
 	_ = dead.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -424,26 +416,15 @@ func TestHubOverwhelmGraceThenDrop(t *testing.T) {
 	// A consumer that stops reading gets the high-water grace window, then
 	// is dropped with OverwhelmedDrops accounting — not silently, not
 	// instantly.
-	hub, err := NewHub("127.0.0.1:0",
-		WithQueuePolicy(8, 50*time.Millisecond),
-		WithHandshakeWindow(20*time.Millisecond))
+	hub, err := NewHub("127.0.0.1:0", WithQueuePolicy(8, 50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
 
-	sender, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
+	sender, _ := helloClient(t, hub, wire.Hello{})
 	// The victim never reads: its queue lag only grows.
-	victim, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer victim.Close()
-	waitForConns(t, hub, 2)
+	helloClient(t, hub, wire.Hello{})
 
 	frame := make([]byte, 32<<10) // big frames defeat kernel socket buffering
 	deadline := time.Now().Add(10 * time.Second)

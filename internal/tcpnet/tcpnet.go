@@ -12,30 +12,28 @@
 // nodes.
 //
 // Timing realizes the environments physically: a node's round timer and
-// the hub's (optional) per-connection artificial delays determine which
+// the hub's (optional) per-session artificial delays determine which
 // links are timely, exactly as in the in-process runtime (anonnet).
 //
 // # Resilience
 //
 // The live plane survives real network weather. Connections are sessions:
-// a node's first frame is a wire.Hello handshake, the hub answers with a
+// a connection's first frame must be a wire.Hello (anything else, or
+// silence past the hello deadline, closes it), the hub answers with a
 // session token (wire.Welcome), and a node that loses its connection
 // redials with seeded exponential backoff and resumes the session from a
 // replay cursor — it receives exactly the frames it has not seen, not the
 // whole log, and keeps its delta-decoding state. The hub heartbeats every
-// handshaken connection and only declares a peer dead after a run of
+// attached connection and only declares a peer dead after a run of
 // missed acks; an overwhelmed consumer gets a high-water-mark grace
 // window to drain before it is disconnected (and, having a session, can
-// reconnect and resume with nothing lost). Raw legacy clients that never
-// send a Hello still work: after a short handshake window they get the
-// classic whole-log replay and channel semantics.
+// reconnect and resume with nothing lost).
 package tcpnet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -56,8 +54,7 @@ var ErrHubLost = errors.New("tcpnet: hub connection lost")
 // HubStats counts the hub's robustness events. All counters are
 // cumulative since the hub started.
 type HubStats struct {
-	// Sessions is the number of sessions ever established (legacy
-	// connections included).
+	// Sessions is the number of sessions ever established.
 	Sessions int
 	// Reconnects counts successful session resumptions.
 	Reconnects int
@@ -99,20 +96,17 @@ type Hub struct {
 	ln net.Listener
 
 	mu       sync.Mutex
-	sessions map[*session]struct{}
-	byToken  map[uint64]*session
-	pending  map[net.Conn]struct{} // accepted, still in the handshake window
+	sessions map[uint64]*session   // by token; detached ones stay resumable
+	pending  map[net.Conn]struct{} // accepted, Hello not yet read
 	log      [][]byte
 	// logEpochs runs parallel to log: each entry is the frame's instance
-	// epoch (0 for legacy unmultiplexed frames), so RetireEpoch can
+	// epoch (0 for bytes that are not a data frame), so RetireEpoch can
 	// compact the replay log per epoch without decoding frames.
 	logEpochs []uint64
 	retired   map[uint64]bool
 	closed    bool
 	serial    int
-	next      int // accept-order counter (delay/fault indexing)
 
-	tokenSeq  uint64
 	bootNonce uint64
 
 	stats HubStats
@@ -120,33 +114,32 @@ type Hub struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// Delay, if set, is applied before forwarding a frame to a connection
-	// (indexed by accept order), letting tests shape per-link timeliness.
-	delay func(connIndex int) time.Duration
-	// fault, if set, decides per (sender, receiver, frame serial) whether a
-	// forward is dropped or duplicated — the hub-level realization of a
-	// fault scenario's loss and duplication dimensions.
-	fault func(from, to, serial int) (drop, dup bool)
+	// Delay, if set, is applied before forwarding a frame to a session
+	// (indexed by creation order), letting tests shape per-link timeliness.
+	delay func(sessionIndex int) time.Duration
+	// fault, if set, yields each frame's epoch's link fault (nil: none) —
+	// the hub-level realization of a fault scenario's loss, duplication
+	// and partition dimensions.
+	fault func(epoch uint64) LinkFault
 
-	handshakeWindow time.Duration
-	highWater       int
-	graceWindow     time.Duration
-	hbInterval      time.Duration
-	hbMissLimit     int
+	helloDeadline time.Duration
+	highWater     int
+	graceWindow   time.Duration
+	hbInterval    time.Duration
+	hbMissLimit   int
 }
 
-// session is one logical consumer of the broadcast: a handshaken node
-// (resumable by token across connections) or a legacy raw connection
-// (token 0, dies with its connection).
+// session is one logical consumer of the broadcast, resumable by token
+// across connections.
 type session struct {
 	token uint64
+	index int      // creation-order index, stable across reconnects
 	sent  [][]byte // frames queued for this session, in order
 	cur   int      // next sent index the write loop will deliver
 	cond  *sync.Cond
 
-	conn  net.Conn // current attachment; nil while detached
-	order int      // accept-order index of the current connection
-	wmu   sync.Mutex
+	conn net.Conn // current attachment; nil while detached
+	wmu  sync.Mutex
 
 	hwmSince time.Time // when the queue lag first crossed the high-water mark
 
@@ -158,29 +151,36 @@ type session struct {
 // HubOption configures the hub.
 type HubOption func(*Hub)
 
-// WithForwardDelay delays every forward to the i-th accepted connection.
-func WithForwardDelay(f func(connIndex int) time.Duration) HubOption {
+// WithForwardDelay delays every forward to the i-th session (sessions
+// are numbered in creation order; a resumed session keeps its number).
+func WithForwardDelay(f func(sessionIndex int) time.Duration) HubOption {
 	return func(h *Hub) { h.delay = f }
 }
 
-// WithForwardFault injects loss and duplication at the relay: before
-// forwarding a frame from the from-th to the to-th accepted connection
-// (serial numbers frames in arrival order), f decides whether the forward
-// is suppressed or doubled. Dropped frames stay in the hub log — a late
-// joiner still receives them in the replay, mirroring the scenario
-// semantics that loss hits deliveries, not the broadcast itself. Crash and
-// partition dimensions are the caller's concern (crashes stop nodes, and
-// the caller can realize a partition by dropping all cross-block forwards).
-func WithForwardFault(f func(from, to, serial int) (drop, dup bool)) HubOption {
+// LinkFault decides whether the forward of one frame (serial numbers
+// frames in arrival order) from the from-th to the to-th session is
+// suppressed or doubled.
+type LinkFault func(from, to, serial int) (drop, dup bool)
+
+// WithForwardFault injects loss and duplication at the relay, scoped by
+// instance epoch: the hub asks f once per broadcast frame for the fault of
+// the frame's epoch (the one it already parses for RetireEpoch; nil means
+// fault-free) and consults that per receiver. Dropped frames stay in the
+// hub log — a late joiner still receives them in the replay, mirroring
+// the scenario semantics that loss hits deliveries, not the broadcast
+// itself. Crash and partition dimensions are the caller's concern (crashes
+// stop nodes, and the caller can realize a partition by dropping all
+// cross-block forwards). f runs under the hub lock: it must not block or
+// call back into the hub.
+func WithForwardFault(f func(epoch uint64) LinkFault) HubOption {
 	return func(h *Hub) { h.fault = f }
 }
 
-// WithHeartbeat sets the hub's liveness probing of handshaken
-// connections: a probe every interval, and a connection is declared dead
-// (and dropped) after missLimit consecutive intervals with the previous
-// probe unacknowledged — the threshold is what distinguishes a slow
-// consumer (misses a beat, acks late, recovers) from a dead one. Legacy
-// connections are never probed (they cannot ack).
+// WithHeartbeat sets the hub's liveness probing of attached sessions: a
+// probe every interval, and a connection is declared dead (and dropped)
+// after missLimit consecutive intervals with the previous probe
+// unacknowledged — the threshold is what distinguishes a slow consumer
+// (misses a beat, acks late, recovers) from a dead one.
 func WithHeartbeat(interval time.Duration, missLimit int) HubOption {
 	return func(h *Hub) {
 		h.hbInterval = interval
@@ -193,8 +193,8 @@ func WithHeartbeat(interval time.Duration, missLimit int) HubOption {
 // WithQueuePolicy bounds a session's outbound lag: once more than
 // highWater frames are queued undelivered, the consumer has the grace
 // window to drain below the mark before the hub disconnects it
-// (overwhelmed ⇒ crashed in the model; a handshaken node can reconnect
-// and resume, so for sessions the drop is flow control, not data loss).
+// (overwhelmed ⇒ crashed in the model; the node can reconnect and
+// resume, so the drop is flow control, not data loss).
 func WithQueuePolicy(highWater int, grace time.Duration) HubOption {
 	return func(h *Hub) {
 		if highWater > 0 {
@@ -202,16 +202,6 @@ func WithQueuePolicy(highWater int, grace time.Duration) HubOption {
 		}
 		if grace > 0 {
 			h.graceWindow = grace
-		}
-	}
-}
-
-// WithHandshakeWindow sets how long the hub waits for a new connection's
-// first frame before treating it as a legacy (non-handshaking) client.
-func WithHandshakeWindow(d time.Duration) HubOption {
-	return func(h *Hub) {
-		if d > 0 {
-			h.handshakeWindow = d
 		}
 	}
 }
@@ -225,20 +215,21 @@ func NewHub(addr string, opts ...HubOption) (*Hub, error) {
 	}
 	h := &Hub{
 		ln:       ln,
-		sessions: make(map[*session]struct{}),
-		byToken:  make(map[uint64]*session),
+		sessions: make(map[uint64]*session),
 		pending:  make(map[net.Conn]struct{}),
 		retired:  make(map[uint64]bool),
 		stop:     make(chan struct{}),
 		// The boot nonce keeps tokens from colliding across hub restarts
 		// on the same address: a node resuming into a restarted hub must
 		// never alias another node's fresh session.
-		bootNonce:       uint64(time.Now().UnixNano()) << 16,
-		handshakeWindow: 150 * time.Millisecond,
-		highWater:       4096,
-		graceWindow:     500 * time.Millisecond,
-		hbInterval:      2 * time.Second,
-		hbMissLimit:     3,
+		bootNonce: uint64(time.Now().UnixNano()) << 16,
+		// A dialer writes its Hello right after connecting (dialHub), so
+		// the deadline only ever expires on something that is not a node.
+		helloDeadline: 5 * time.Second,
+		highWater:     4096,
+		graceWindow:   500 * time.Millisecond,
+		hbInterval:    2 * time.Second,
+		hbMissLimit:   3,
 	}
 	for _, opt := range opts {
 		opt(h)
@@ -269,7 +260,7 @@ func (h *Hub) Stats() HubStats {
 // long-lived multiplexing hub's log proportional to the *in-flight*
 // instances rather than to everything it ever carried.
 //
-// Epoch 0 (the legacy unmultiplexed plane) cannot be retired; calls for
+// Epoch 0 (bytes that are not a data frame) cannot be retired; calls for
 // it are no-ops. Already-established sessions keep their private sent
 // logs untouched: those are cursor-indexed (the node's replay cursor
 // counts delivered frames), so compacting them would desynchronize
@@ -305,19 +296,6 @@ func (h *Hub) RetireEpoch(epoch uint64) {
 	h.logEpochs = keptEpochs
 }
 
-// attached reports how many sessions currently have a live connection.
-func (h *Hub) attached() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for s := range h.sessions {
-		if s.conn != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Close stops the hub and all its connections.
 func (h *Hub) Close() error {
 	h.mu.Lock()
@@ -327,7 +305,7 @@ func (h *Hub) Close() error {
 	}
 	h.closed = true
 	conns := make([]net.Conn, 0, len(h.sessions)+len(h.pending))
-	for s := range h.sessions {
+	for _, s := range h.sessions {
 		if s.conn != nil {
 			conns = append(conns, s.conn)
 		}
@@ -367,70 +345,29 @@ func (h *Hub) acceptLoop() {
 	}
 }
 
-// countingReader counts bytes consumed, so the handshake can tell a
-// clean deadline expiry (nothing read, the stream is intact) from a
-// partial frame cut off at the deadline (the stream is desynced and the
-// connection must be abandoned).
-type countingReader struct {
-	r io.Reader
-	n int
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += n
-	return n, err
-}
-
-// handshake classifies a new connection: a wire.Hello as the first frame
-// makes it a session (fresh or resumed); anything else — a data frame, or
-// silence for the handshake window — makes it a legacy connection with
-// the classic whole-log replay.
+// handshake admits a new connection: its first frame must be a
+// wire.Hello, which makes it a session (fresh or resumed). Anything else
+// — a data frame, another control frame, a transport error, silence past
+// the hello deadline — closes it.
 func (h *Hub) handshake(conn net.Conn) {
 	defer h.wg.Done()
-	_ = conn.SetReadDeadline(time.Now().Add(h.handshakeWindow))
-	cr := &countingReader{r: conn}
-	first, err := wire.ReadFrame(cr)
+	_ = conn.SetReadDeadline(time.Now().Add(h.helloDeadline))
+	first, err := wire.ReadFrame(conn)
 	_ = conn.SetReadDeadline(time.Time{})
-
-	var hello *wire.Hello
-	var firstData []byte
-	switch {
-	case err == nil:
-		if hm, herr := wire.DecodeHello(first); herr == nil {
-			hello = &hm
-		} else if !wire.IsControlFrame(first) {
-			firstData = first
-		}
-		// A non-Hello control frame before any handshake is a protocol
-		// slip; ignore it and treat the connection as legacy.
-	default:
-		var nerr net.Error
-		if !errors.As(err, &nerr) || !nerr.Timeout() || cr.n > 0 {
-			// EOF or transport failure before any frame — or a partial
-			// frame truncated at the deadline, which leaves the stream
-			// desynced: nothing to serve either way.
-			h.mu.Lock()
-			delete(h.pending, conn)
-			h.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		// Clean timeout: a legacy client that has nothing to say yet.
+	var hello wire.Hello
+	if err == nil {
+		hello, err = wire.DecodeHello(first)
 	}
 
 	h.mu.Lock()
 	delete(h.pending, conn)
-	if h.closed {
+	if err != nil || h.closed {
 		h.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
-	var s *session
 	var welcome wire.Welcome
-	if hello != nil && hello.Token != 0 {
-		s = h.byToken[hello.Token]
-	}
+	s := h.sessions[hello.Token] // token 0 is never issued
 	if s != nil {
 		// Resumption: kick any half-dead previous attachment, rewind the
 		// cursor to the node's receive count, and replay the difference.
@@ -439,9 +376,11 @@ func (h *Hub) handshake(conn net.Conn) {
 			s.cond.Broadcast()
 			_ = old.Close()
 		}
-		cur := int(hello.Cursor)
-		if cur > len(s.sent) {
-			cur = len(s.sent) // defensive: never replay past the log
+		// The cursor is the peer's claim: clamp it as a uint64, before it
+		// can turn into a negative index.
+		cur := len(s.sent)
+		if hello.Cursor < uint64(cur) {
+			cur = int(hello.Cursor)
 		}
 		s.cur = cur
 		h.stats.Reconnects++
@@ -455,49 +394,41 @@ func (h *Hub) handshake(conn net.Conn) {
 		// Fresh session (or a resume for a token this hub does not know —
 		// e.g. issued before a restart): the whole current log is the
 		// replay, exactly as for a late joiner.
-		s = &session{cond: sync.NewCond(&h.mu)}
-		s.sent = append([][]byte(nil), h.log...)
-		if hello != nil {
-			h.tokenSeq++
-			s.token = h.bootNonce + h.tokenSeq
-			h.byToken[s.token] = s
-			welcome = wire.Welcome{Token: s.token, Pending: uint64(len(s.sent))}
+		s = &session{
+			index: h.stats.Sessions,
+			sent:  append([][]byte(nil), h.log...),
+			cond:  sync.NewCond(&h.mu),
 		}
-		h.sessions[s] = struct{}{}
 		h.stats.Sessions++
+		s.token = h.bootNonce + uint64(h.stats.Sessions)
+		h.sessions[s.token] = s
+		welcome = wire.Welcome{Token: s.token, Pending: uint64(len(s.sent))}
 	}
 	s.conn = conn
-	s.order = h.next
-	h.next++
 	s.hwmSince = time.Time{}
 	s.hbSeq, s.hbAcked, s.misses = 0, 0, 0
 	h.mu.Unlock()
 
-	if hello != nil {
-		// The Welcome must precede every replayed frame; this connection's
-		// write loop starts only below, so a direct write is ordered.
-		s.wmu.Lock()
-		werr := wire.WriteFrame(conn, wire.EncodeWelcome(welcome))
-		s.wmu.Unlock()
-		if werr != nil {
-			h.detach(s, conn, false)
-			return
-		}
+	// The Welcome must precede every replayed frame; this connection's
+	// write loop starts only below, so a direct write is ordered.
+	s.wmu.Lock()
+	werr := wire.WriteFrame(conn, wire.EncodeWelcome(welcome))
+	s.wmu.Unlock()
+	if werr != nil {
+		h.detach(s, conn)
+		return
 	}
 
 	h.wg.Add(2)
 	go h.readLoop(s, conn)
 	go h.writeLoop(s, conn)
-	if firstData != nil {
-		h.broadcast(s, firstData)
-	}
 }
 
 // readLoop pulls frames off one connection: control frames are consumed,
 // data frames fan out.
 func (h *Hub) readLoop(s *session, conn net.Conn) {
 	defer h.wg.Done()
-	defer h.detach(s, conn, false)
+	defer h.detach(s, conn)
 	for {
 		frame, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -529,7 +460,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		conn net.Conn
 	}
 	var overwhelmed []victim
-	epoch, _ := wire.DataFrameEpoch(frame) // non-delta frames count as epoch 0
+	epoch, _ := wire.DataFrameEpoch(frame) // non-delta bytes count as epoch 0
 	h.mu.Lock()
 	if h.retired[epoch] {
 		// A straggler from a finished instance: suppress it entirely —
@@ -542,12 +473,16 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 	h.logEpochs = append(h.logEpochs, epoch)
 	h.serial++
 	serial := h.serial
-	for s := range h.sessions {
+	var fault LinkFault
+	if h.fault != nil {
+		fault = h.fault(epoch)
+	}
+	for _, s := range h.sessions {
 		if s == from {
 			continue // the sender's own payload is already in its inbox
 		}
-		if h.fault != nil {
-			drop, dup := h.fault(from.order, s.order, serial)
+		if fault != nil {
+			drop, dup := fault(from.index, s.index, serial)
 			if drop {
 				continue
 			}
@@ -562,8 +497,8 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		// never silently dropped. A consumer lagging past the high-water
 		// mark gets the grace window to drain; if it is still overwhelmed
 		// after that it is disconnected — in the crash-fault model a
-		// crashed process (which the algorithms tolerate), and for a
-		// handshaken session merely a forced reconnect with replay.
+		// crashed process (which the algorithms tolerate), and for a node
+		// with a reconnect budget merely a forced reconnect with replay.
 		if s.conn != nil && len(s.sent)-s.cur > h.highWater {
 			if s.hwmSince.IsZero() {
 				s.hwmSince = time.Now()
@@ -577,7 +512,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 	}
 	h.mu.Unlock()
 	for _, v := range overwhelmed {
-		h.detach(v.s, v.conn, true)
+		h.detach(v.s, v.conn)
 	}
 }
 
@@ -597,13 +532,12 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 		}
 		frame := s.sent[s.cur]
 		s.cur++
-		idx := s.order
 		if len(s.sent)-s.cur <= h.highWater {
 			s.hwmSince = time.Time{} // drained below the mark: lag forgiven
 		}
 		h.mu.Unlock()
 		if h.delay != nil {
-			if d := h.delay(idx); d > 0 {
+			if d := h.delay(s.index); d > 0 {
 				time.Sleep(d)
 			}
 		}
@@ -611,14 +545,14 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 		err := wire.WriteFrame(conn, frame)
 		s.wmu.Unlock()
 		if err != nil {
-			h.detach(s, conn, false)
+			h.detach(s, conn)
 			return
 		}
 	}
 }
 
-// heartbeatLoop probes every handshaken attached connection and drops the
-// ones that miss hbMissLimit probes in a row.
+// heartbeatLoop probes every attached connection and drops the ones that
+// miss hbMissLimit probes in a row.
 func (h *Hub) heartbeatLoop() {
 	defer h.wg.Done()
 	ticker := time.NewTicker(h.hbInterval)
@@ -641,9 +575,9 @@ func (h *Hub) heartbeatLoop() {
 			h.mu.Unlock()
 			return
 		}
-		for s := range h.sessions {
-			if s.conn == nil || s.token == 0 {
-				continue // detached, or legacy (cannot ack)
+		for _, s := range h.sessions {
+			if s.conn == nil {
+				continue // detached
 			}
 			if s.hbSeq > s.hbAcked {
 				s.misses++
@@ -659,31 +593,25 @@ func (h *Hub) heartbeatLoop() {
 		}
 		h.mu.Unlock()
 		for _, d := range dead {
-			h.detach(d.s, d.conn, true)
+			h.detach(d.s, d.conn)
 		}
 		for _, p := range probes {
 			p.s.wmu.Lock()
 			err := wire.WriteFrame(p.conn, wire.EncodeHeartbeat(wire.Heartbeat{Seq: p.seq}))
 			p.s.wmu.Unlock()
 			if err != nil {
-				h.detach(p.s, p.conn, false)
+				h.detach(p.s, p.conn)
 			}
 		}
 	}
 }
 
-// detach severs one attachment. A tokened session stays resumable (its
-// sent-log keeps accumulating); a legacy session dies with its
-// connection. hubInitiated marks drops the hub decided on (already
-// counted by the caller under mu).
-func (h *Hub) detach(s *session, conn net.Conn, hubInitiated bool) {
-	_ = hubInitiated // counted at the decision site; parameter documents intent
+// detach severs one attachment. The session stays resumable: its sent-log
+// keeps accumulating.
+func (h *Hub) detach(s *session, conn net.Conn) {
 	h.mu.Lock()
 	if s.conn == conn {
 		s.conn = nil
-		if s.token == 0 {
-			delete(h.sessions, s)
-		}
 		s.cond.Broadcast()
 	}
 	h.mu.Unlock()
@@ -850,7 +778,7 @@ func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 	if cfg.Automaton == nil {
 		return nil, errors.New("tcpnet: nil automaton")
 	}
-	m, err := dialMux(ctx, MuxConfig{
+	m, err := DialMux(ctx, MuxConfig{
 		HubAddr:     cfg.HubAddr,
 		DialTimeout: cfg.DialTimeout,
 		Reconnect:   cfg.Reconnect,

@@ -211,7 +211,7 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 
 	const rounds = 5
 	for i := 0; i < 2; i++ {
-		early, err := dialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
+		early, err := DialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 	}
 
 	// The third node takes RunNode's dial path.
-	late, err := dialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
+	late, err := DialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,24 +317,35 @@ func TestTCPNodeCrashSchedule(t *testing.T) {
 	}
 }
 
-// waitForConns blocks until the hub has n attached sessions: Dial returns
-// at the kernel handshake, before the hub's accept loop (and, for raw
-// clients, the handshake-window classification) runs, and frames forwarded
-// before registration reach late registrants only via the fault-free
-// replay path — exactly what these tests must not measure.
-func waitForConns(t *testing.T, h *Hub, n int) {
+// helloClient dials the hub as a bare session: the Hello/Welcome
+// handshake and nothing else, so the test owns every byte after it. The
+// session is attached hub-side before the Welcome is written, so frames
+// broadcast after this returns reach it live, not through the replay.
+func helloClient(t *testing.T, hub *Hub, hello wire.Hello) (net.Conn, wire.Welcome) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got := h.attached()
-		if got >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hub registered %d connections, want %d", got, n)
-		}
-		time.Sleep(time.Millisecond)
+	conn, welcome, err := dialHub(context.Background(), hub.Addr(), 5*time.Second, hello.Token, hello.Cursor)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = conn.Close() })
+	return conn, welcome
+}
+
+// readData returns the next data frame on conn, skipping the hub's
+// control frames (heartbeats).
+func readData(conn net.Conn, timeout time.Duration) ([]byte, error) {
+	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	for {
+		frame, err := wire.ReadFrame(conn)
+		if err != nil || !wire.IsControlFrame(frame) {
+			return frame, err
+		}
+	}
+}
+
+// withHelloDeadline shortens the hub's wait for a connection's Hello.
+func withHelloDeadline(d time.Duration) HubOption {
+	return func(h *Hub) { h.helloDeadline = d }
 }
 
 func TestHubForwardFaultDuplication(t *testing.T) {
@@ -342,33 +353,22 @@ func TestHubForwardFaultDuplication(t *testing.T) {
 	// twice at every peer — the hub-level realization of a scenario's
 	// duplication dimension (receivers dedup by set semantics, so this is
 	// safe for the algorithms; here we assert the raw relay behavior).
-	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(from, to, serial int) (bool, bool) {
-		return false, true
+	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(uint64) LinkFault {
+		return func(from, to, serial int) (bool, bool) { return false, true }
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
+	sender, _ := helloClient(t, hub, wire.Hello{})
+	receiver, _ := helloClient(t, hub, wire.Hello{})
 
-	sender, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	receiver, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer receiver.Close()
-
-	waitForConns(t, hub, 2)
 	frame := []byte("scenario-dup-frame")
 	if err := wire.WriteFrame(sender, frame); err != nil {
 		t.Fatal(err)
 	}
-	receiver.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for i := 0; i < 2; i++ {
-		got, err := wire.ReadFrame(receiver)
+		got, err := readData(receiver, 5*time.Second)
 		if err != nil {
 			t.Fatalf("copy %d: %v", i+1, err)
 		}
@@ -382,46 +382,185 @@ func TestHubForwardFaultLoss(t *testing.T) {
 	// A fault that drops every forward: peers receive nothing live. The
 	// frame still lands in the hub log, so a later joiner replays it —
 	// loss hits deliveries, not the broadcast itself.
-	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(from, to, serial int) (bool, bool) {
-		return true, false
+	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(uint64) LinkFault {
+		return func(from, to, serial int) (bool, bool) { return true, false }
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
+	sender, _ := helloClient(t, hub, wire.Hello{})
+	receiver, _ := helloClient(t, hub, wire.Hello{})
 
-	sender, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	receiver, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer receiver.Close()
-
-	waitForConns(t, hub, 2)
 	if err := wire.WriteFrame(sender, []byte("lost-frame")); err != nil {
 		t.Fatal(err)
 	}
-	receiver.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
-	if frame, err := wire.ReadFrame(receiver); err == nil {
+	if frame, err := readData(receiver, 150*time.Millisecond); err == nil {
 		t.Fatalf("dropped frame delivered anyway: %q", frame)
 	}
 
 	// The replay path is fault-free: a late joiner still catches up.
-	late, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
+	late, welcome := helloClient(t, hub, wire.Hello{})
+	if welcome.Pending != 1 {
+		t.Fatalf("late joiner's Welcome announces %d pending frames, want 1", welcome.Pending)
 	}
-	defer late.Close()
-	late.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := wire.ReadFrame(late)
+	got, err := readData(late, 5*time.Second)
 	if err != nil {
 		t.Fatalf("late joiner replay: %v", err)
 	}
 	if string(got) != "lost-frame" {
 		t.Fatalf("late joiner got %q", got)
+	}
+}
+
+// TestHubForwardFaultScopedByEpoch pins the hook's epoch argument: the hub
+// asks for the fault of the epoch each frame carries, so a fault installed
+// for one epoch leaves its co-tenants' forwards alone.
+func TestHubForwardFaultScopedByEpoch(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(epoch uint64) LinkFault {
+		if epoch != 2 {
+			return nil
+		}
+		return func(from, to, serial int) (bool, bool) { return true, false }
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	sender, _ := helloClient(t, hub, wire.Hello{})
+	receiver, _ := helloClient(t, hub, wire.Hello{})
+
+	// Epoch 2's frame goes first: if it were forwarded it would arrive first.
+	for _, epoch := range []uint64{2, 1} {
+		if err := wire.WriteFrame(sender, epochFrame(t, epoch, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := readData(receiver, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch, _ := wire.DataFrameEpoch(got); epoch != 1 {
+		t.Fatalf("first delivered frame carries epoch %d, want 1 (epoch 2 is dropped)", epoch)
+	}
+}
+
+// TestHubRejectsNonHelloFirstFrame pins the one admission path: a
+// connection whose first frame is not a wire.Hello — a data frame, some
+// other control frame, or nothing at all by the hello deadline — is
+// closed and never becomes a session.
+func TestHubRejectsNonHelloFirstFrame(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", withHelloDeadline(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	for name, first := range map[string][]byte{
+		"data frame":        epochFrame(t, 1, 1),
+		"non-Hello control": wire.EncodeHeartbeat(wire.Heartbeat{Seq: 1}),
+		"silence":           nil,
+	} {
+		conn, err := net.Dial("tcp", hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if first != nil {
+			if err := wire.WriteFrame(conn, first); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if frame, err := wire.ReadFrame(conn); err == nil {
+			t.Fatalf("%s: hub answered with a frame (% x), want the connection closed", name, frame)
+		} else if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
+			t.Fatalf("%s: connection still open after 5s", name)
+		}
+		if got := hub.Stats().Sessions; got != 0 {
+			t.Fatalf("%s: hub counts %d sessions, want 0", name, got)
+		}
+	}
+	// The hub is unharmed: a proper Hello is still admitted.
+	if _, welcome := helloClient(t, hub, wire.Hello{}); welcome.Token == 0 {
+		t.Fatal("Hello after the rejects got no session token")
+	}
+}
+
+// TestHubClampsHostileResumeCursor is the regression for a hub crash: a
+// resume Hello with a known token and Cursor ≥ 1<<63 used to become a
+// negative log index and panic the write loop — the whole hub. The cursor
+// must be clamped to the session's log length, and the hub must go on
+// relaying.
+func TestHubClampsHostileResumeCursor(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	victim, issued := helloClient(t, hub, wire.Hello{})
+	peer, _ := helloClient(t, hub, wire.Hello{})
+	for round := 1; round <= 2; round++ {
+		if err := wire.WriteFrame(peer, epochFrame(t, 1, round)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readData(victim, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resumed, welcome := helloClient(t, hub, wire.Hello{Token: issued.Token, Cursor: 1 << 63})
+	if welcome.Token != issued.Token || welcome.ResumeFrom != 2 || welcome.Pending != 0 {
+		t.Fatalf("Welcome = %+v, want the session resumed at its log length 2 with nothing pending", welcome)
+	}
+	third, _ := helloClient(t, hub, wire.Hello{})
+	if err := wire.WriteFrame(third, epochFrame(t, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readData(resumed, 5*time.Second); err != nil {
+		t.Fatalf("hub stopped relaying after the hostile Hello: %v", err)
+	}
+}
+
+// TestHubSessionIndexStableAcrossResume pins that a session's delay/fault
+// index is assigned once, at creation: a node that reconnects stays on its
+// side of every partition cut and on its own loss/jitter stream.
+func TestHubSessionIndexStableAcrossResume(t *testing.T) {
+	type link struct{ from, to int }
+	var mu sync.Mutex
+	var seen []link
+	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(uint64) LinkFault {
+		return func(from, to, serial int) (bool, bool) {
+			mu.Lock()
+			seen = append(seen, link{from, to})
+			mu.Unlock()
+			return false, false
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	sender, issued := helloClient(t, hub, wire.Hello{})
+	receiver, _ := helloClient(t, hub, wire.Hello{})
+
+	if err := wire.WriteFrame(sender, epochFrame(t, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readData(receiver, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Sever, then resume by token.
+	_ = sender.Close()
+	sender, _ = helloClient(t, hub, wire.Hello{Token: issued.Token})
+	if err := wire.WriteFrame(sender, epochFrame(t, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readData(receiver, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []link{{0, 1}, {0, 1}}; len(seen) != 2 || seen[0] != want[0] || seen[1] != want[1] {
+		t.Fatalf("fault hook saw links %v across a sever-and-resume, want %v", seen, want)
 	}
 }

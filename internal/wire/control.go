@@ -18,7 +18,7 @@ import (
 //
 // Layout: [controlMagic][controlVersion][kind][uvarint fields…]. A
 // well-formed envelope frame from our own encoders cannot start with
-// controlMagic (a delta frame leads with 0xD5 or 0xD6); both decoders
+// controlMagic (a delta frame leads with 0xD6); both decoders
 // reject the other's frames loudly rather than misparse.
 const (
 	controlMagic   byte = 0xC7

@@ -52,7 +52,7 @@ func TestControlKindDetection(t *testing.T) {
 	// Envelope frames must never look like control frames.
 	for _, data := range [][]byte{
 		{0x01, 0x00},       // neither magic: a bare uvarint pair
-		{deltaMagic, 0x01}, // delta envelope prefix
+		{epochMagic, 0x01}, // delta envelope prefix
 		{},                 // empty
 		{controlMagic},     // magic alone, too short
 	} {
@@ -89,7 +89,7 @@ func TestControlDistinctFromDelta(t *testing.T) {
 	if _, _, err := DecodeDeltaEnvelopeEpoch(EncodeHeartbeat(Heartbeat{Seq: 9})); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("delta decoder accepted a control frame: %v", err)
 	}
-	if IsControlFrame([]byte{deltaMagic, controlVersion, ControlHello}) {
+	if IsControlFrame([]byte{epochMagic, controlVersion, ControlHello}) {
 		t.Error("delta-magic frame misdetected as control")
 	}
 }

@@ -11,19 +11,12 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// deltaMagic tags an untagged (epoch-0) delta envelope body. No client in
-// the tree writes this form any more — every node speaks 0xD6 — but the
-// hub still relays and logs it for raw legacy connections.
-const deltaMagic byte = 0xD5
-
-// epochMagic tags an epoch-tagged delta envelope body: the frame form of
-// the multiplexed planes, where many in-flight instances share one hub
-// connection and each frame names its instance epoch. Layout: 0xD6, a
-// uvarint epoch (≥ 1), then exactly the 0xD5 body fields.
-// Epoch 0 is never encoded in this form — it IS the legacy 0xD5 frame —
-// so the two encodings biject and every decoder distinguishes them by
-// the leading byte. The control plane keeps its own magic (0xC7) and is
-// untouched.
+// epochMagic tags a delta envelope body, the one data-frame form on the
+// wire: many in-flight instances share one hub connection and each frame
+// names its instance epoch. Layout: 0xD6, a uvarint epoch (≥ 1), then
+// round, set fingerprint, references, new payloads. Any other leading
+// byte — the retired untagged 0xD5 form included — is ErrBadFrame. The
+// control plane keeps its own magic (0xC7) and is untouched.
 const epochMagic byte = 0xD6
 
 // MaxEpoch bounds instance epochs on the wire, for the same reason
@@ -56,149 +49,102 @@ func readFingerprint(r *bytes.Reader) (values.Fingerprint, error) {
 }
 
 // EncodeDeltaEnvelopeEpoch serializes an envelope already in delta form
-// (giraf.DeltaTracker.Shrink output), tagged with an instance epoch: new
-// payloads travel tagged and in full, previously-sent payloads travel as
-// 16-byte fingerprint references, and the whole-set fingerprint rides
-// along so receivers can skip re-merging identical sets. Epoch 0 produces
-// the legacy 0xD5 frame (the two forms biject; see epochMagic); epoch ≥ 1
-// produces a 0xD6 frame.
+// (giraf.DeltaTracker.Shrink output), tagged with an instance epoch in
+// [1, MaxEpoch]: new payloads travel tagged and in full, previously-sent
+// payloads travel as 16-byte fingerprint references, and the whole-set
+// fingerprint rides along so receivers can skip re-merging identical sets.
 func EncodeDeltaEnvelopeEpoch(env giraf.Envelope, epoch uint64) ([]byte, error) {
-	if epoch > MaxEpoch {
-		return nil, fmt.Errorf("wire: epoch %d exceeds limit %d", epoch, MaxEpoch)
+	if epoch == 0 || epoch > MaxEpoch {
+		return nil, fmt.Errorf("wire: epoch %d outside [1, %d]", epoch, MaxEpoch)
 	}
 	var w bytes.Buffer
-	if epoch == 0 {
-		w.WriteByte(deltaMagic)
-	} else {
-		w.WriteByte(epochMagic)
-		writeUvarint(&w, epoch)
+	w.WriteByte(epochMagic)
+	writeUvarint(&w, epoch)
+	writeUvarint(&w, uint64(env.Round))
+	writeFingerprint(&w, env.SetFingerprint)
+	writeUvarint(&w, uint64(len(env.Refs)))
+	for _, fp := range env.Refs {
+		writeFingerprint(&w, fp)
 	}
-	if err := encodeDeltaBody(&w, env); err != nil {
-		return nil, err
+	writeUvarint(&w, uint64(len(env.Payloads)))
+	for _, p := range env.Payloads {
+		if err := encodePayload(&w, p); err != nil {
+			return nil, err
+		}
 	}
 	return w.Bytes(), nil
 }
 
-// encodeDeltaBody writes the fields shared by the 0xD5 and 0xD6 frames:
-// round, set fingerprint, references, new payloads.
-func encodeDeltaBody(w *bytes.Buffer, env giraf.Envelope) error {
-	writeUvarint(w, uint64(env.Round))
-	writeFingerprint(w, env.SetFingerprint)
-	writeUvarint(w, uint64(len(env.Refs)))
-	for _, fp := range env.Refs {
-		writeFingerprint(w, fp)
-	}
-	writeUvarint(w, uint64(len(env.Payloads)))
-	for _, p := range env.Payloads {
-		if err := encodePayload(w, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeDeltaEnvelopeEpoch parses either delta frame form and returns
-// the envelope alongside its instance epoch: 0 for a legacy 0xD5 frame,
-// the tagged epoch (≥ 1) for a 0xD6 frame. The result is still in delta
-// form; resolve it with a giraf.ResolveTable.
+// DecodeDeltaEnvelopeEpoch parses a data frame and returns the envelope
+// alongside its instance epoch (≥ 1). The result is still in delta form;
+// resolve it with a giraf.ResolveTable.
 func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
-	r := bytes.NewReader(data)
-	magic, err := r.ReadByte()
+	if len(data) == 0 || data[0] != epochMagic {
+		return giraf.Envelope{}, 0, fmt.Errorf("%w: not a delta envelope", ErrBadFrame)
+	}
+	r := bytes.NewReader(data[1:])
+	epoch, err := readEpoch(r)
 	if err != nil {
-		return giraf.Envelope{}, 0, fmt.Errorf("%w: empty frame", ErrBadFrame)
+		return giraf.Envelope{}, 0, err
 	}
-	switch magic {
-	case deltaMagic:
-		env, err := decodeDeltaBody(r)
-		return env, 0, err
-	case epochMagic:
-		epoch, err := readEpoch(r)
-		if err != nil {
-			return giraf.Envelope{}, 0, err
-		}
-		env, err := decodeDeltaBody(r)
-		return env, epoch, err
-	default:
-		return giraf.Envelope{}, 0, fmt.Errorf("%w: not a delta envelope (leading byte %#x)", ErrBadFrame, magic)
-	}
-}
-
-// DataFrameEpoch peeks a frame's instance epoch without decoding its
-// body: 0 for a legacy 0xD5 frame, the tag for a 0xD6 frame. ok is false
-// when the frame is neither delta form (control frames, garbage) or the
-// epoch tag itself is malformed. Hubs use this to
-// epoch-scope their replay log without paying for a full decode.
-func DataFrameEpoch(frame []byte) (epoch uint64, ok bool) {
-	if len(frame) == 0 {
-		return 0, false
-	}
-	switch frame[0] {
-	case deltaMagic:
-		return 0, true
-	case epochMagic:
-		ep, err := readEpoch(bytes.NewReader(frame[1:]))
-		if err != nil {
-			return 0, false
-		}
-		return ep, true
-	default:
-		return 0, false
-	}
-}
-
-// readEpoch reads and bounds a 0xD6 frame's epoch tag. Epoch 0 is
-// rejected: the canonical encoding for epoch 0 is the 0xD5 frame.
-func readEpoch(r *bytes.Reader) (uint64, error) {
-	epoch, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: truncated epoch: %v", ErrBadFrame, err)
-	}
-	if epoch == 0 {
-		return 0, fmt.Errorf("%w: epoch 0 must use the legacy frame form", ErrBadFrame)
-	}
-	if epoch > MaxEpoch {
-		return 0, fmt.Errorf("%w: epoch %d exceeds limit %d", ErrBadFrame, epoch, MaxEpoch)
-	}
-	return epoch, nil
-}
-
-// decodeDeltaBody parses the fields shared by the 0xD5 and 0xD6 frames,
-// with the reader positioned just past the magic (and epoch, if any).
-func decodeDeltaBody(r *bytes.Reader) (giraf.Envelope, error) {
 	round, err := readRound(r)
 	if err != nil {
-		return giraf.Envelope{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	env := giraf.Envelope{Round: int(round)}
 	if env.SetFingerprint, err = readFingerprint(r); err != nil {
-		return giraf.Envelope{}, err
+		return giraf.Envelope{}, 0, err
 	}
 	nRefs, err := readUvarint(r)
 	if err != nil {
-		return giraf.Envelope{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	for i := uint64(0); i < nRefs; i++ {
 		fp, err := readFingerprint(r)
 		if err != nil {
-			return giraf.Envelope{}, err
+			return giraf.Envelope{}, 0, err
 		}
 		env.Refs = append(env.Refs, fp)
 	}
 	nNew, err := readUvarint(r)
 	if err != nil {
-		return giraf.Envelope{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	for i := uint64(0); i < nNew; i++ {
 		p, err := decodePayload(r)
 		if err != nil {
-			return giraf.Envelope{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+			return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		env.Payloads = append(env.Payloads, p)
 	}
 	if r.Len() != 0 {
-		return giraf.Envelope{}, fmt.Errorf("%w: %d trailing bytes after delta envelope", ErrBadFrame, r.Len())
+		return giraf.Envelope{}, 0, fmt.Errorf("%w: %d trailing bytes after delta envelope", ErrBadFrame, r.Len())
 	}
-	return env, nil
+	return env, epoch, nil
+}
+
+// DataFrameEpoch peeks a frame's instance epoch without decoding its
+// body. ok is false when the frame is not a data frame (control frames,
+// garbage) or its epoch tag is malformed. Hubs use this to epoch-scope
+// their replay log and fault hook without paying for a full decode.
+func DataFrameEpoch(frame []byte) (epoch uint64, ok bool) {
+	if len(frame) == 0 || frame[0] != epochMagic {
+		return 0, false
+	}
+	ep, err := readEpoch(bytes.NewReader(frame[1:]))
+	return ep, err == nil
+}
+
+// readEpoch reads and bounds a frame's epoch tag.
+func readEpoch(r *bytes.Reader) (uint64, error) {
+	epoch, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, fmt.Errorf("%w: truncated epoch: %v", ErrBadFrame, err)
+	}
+	if epoch == 0 || epoch > MaxEpoch {
+		return 0, fmt.Errorf("%w: epoch %d outside [1, %d]", ErrBadFrame, epoch, MaxEpoch)
+	}
+	return epoch, nil
 }
 
 // EnvelopeWriter writes delta-compressed envelope frames to one reliable
@@ -220,7 +166,7 @@ type EnvelopeWriter struct {
 }
 
 // NewEnvelopeWriterEpoch returns a writer with empty delta state whose
-// frames carry the given instance epoch (0 emits 0xD5 frames). Each epoch
+// frames carry the given instance epoch (≥ 1). Each epoch
 // is its own delta stream: the writer's tracker spans only this epoch's
 // frames, matching the per-epoch ResolveTable on the receiving side.
 func NewEnvelopeWriterEpoch(w io.Writer, epoch uint64) *EnvelopeWriter {

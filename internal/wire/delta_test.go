@@ -173,15 +173,17 @@ func TestDeltaRejectsStatelessFrames(t *testing.T) {
 	}
 }
 
-// TestEpochEnvelopeRoundTrip pins the 0xD6 frame form: epoch-tagged
-// frames round-trip envelope and epoch, and epoch 0 collapses to the
-// legacy 0xD5 encoding (the two forms biject).
+// TestEpochEnvelopeRoundTrip pins the one data-frame form: epoch-tagged
+// 0xD6 frames round-trip envelope and epoch, and the cheap peek agrees.
 func TestEpochEnvelopeRoundTrip(t *testing.T) {
 	env := fullEnvelope(3, values.NewSet(values.Num(1), values.Num(2)))
 	for _, epoch := range []uint64{1, 2, 7, 1 << 20, MaxEpoch} {
 		data, err := EncodeDeltaEnvelopeEpoch(env, epoch)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		if data[0] != epochMagic {
+			t.Fatalf("epoch %d: leading byte %#x, want %#x", epoch, data[0], epochMagic)
 		}
 		got, gotEpoch, err := DecodeDeltaEnvelopeEpoch(data)
 		if err != nil {
@@ -197,50 +199,38 @@ func TestEpochEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("DataFrameEpoch = (%d, %v), want (%d, true)", peeked, ok, epoch)
 		}
 	}
-
-	legacy, err := EncodeDeltaEnvelopeEpoch(env, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy[0] != deltaMagic {
-		t.Fatalf("epoch 0 must encode as the legacy 0xD5 frame, got leading byte %#x", legacy[0])
-	}
-	if _, gotEpoch, err := DecodeDeltaEnvelopeEpoch(legacy); err != nil || gotEpoch != 0 {
-		t.Fatalf("legacy frame via epoch decoder = (epoch %d, %v), want (0, nil)", gotEpoch, err)
-	}
-	if peeked, ok := DataFrameEpoch(legacy); !ok || peeked != 0 {
-		t.Fatalf("DataFrameEpoch(legacy) = (%d, %v), want (0, true)", peeked, ok)
-	}
 }
 
-// TestEpochEnvelopeRejects pins the malformed-epoch failure modes.
+// TestEpochEnvelopeRejects pins the malformed-epoch failure modes,
+// including both retired ways of saying "epoch 0": the encoder refuses
+// it, a 0xD6 frame tagged 0 is a bad frame, and so is the untagged 0xD5
+// form that once stood for it.
 func TestEpochEnvelopeRejects(t *testing.T) {
 	env := fullEnvelope(1, values.NewSet(values.Num(1)))
-	if _, err := EncodeDeltaEnvelopeEpoch(env, MaxEpoch+1); err == nil {
-		t.Fatal("encoder accepted an epoch beyond MaxEpoch")
+	for _, epoch := range []uint64{0, MaxEpoch + 1} {
+		if _, err := EncodeDeltaEnvelopeEpoch(env, epoch); err == nil {
+			t.Fatalf("encoder accepted epoch %d", epoch)
+		}
 	}
-	// A hand-built 0xD6 frame carrying epoch 0: the canonical form for
-	// epoch 0 is 0xD5, so this must be rejected, not aliased.
-	legacy, err := EncodeDeltaEnvelopeEpoch(env, 0)
+	good, err := EncodeDeltaEnvelopeEpoch(env, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bogus := append([]byte{epochMagic, 0}, legacy[1:]...)
-	if _, _, err := DecodeDeltaEnvelopeEpoch(bogus); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("decoder accepted a 0xD6 frame with epoch 0: %v", err)
-	}
-	if _, ok := DataFrameEpoch(bogus); ok {
-		t.Fatal("DataFrameEpoch accepted a 0xD6 frame with epoch 0")
-	}
-	if _, ok := DataFrameEpoch(nil); ok {
-		t.Fatal("DataFrameEpoch accepted an empty frame")
-	}
-	if _, ok := DataFrameEpoch([]byte{epochMagic}); ok {
-		t.Fatal("DataFrameEpoch accepted a truncated epoch tag")
-	}
-	// Control frames are not data frames.
-	if _, ok := DataFrameEpoch(EncodeHeartbeat(Heartbeat{Seq: 1})); ok {
-		t.Fatal("DataFrameEpoch accepted a control frame")
+	body := good[2:] // past the magic and the one-byte epoch tag
+	for name, frame := range map[string][]byte{
+		"0xD6 tagged epoch 0":   append([]byte{epochMagic, 0}, body...),
+		"untagged 0xD5 form":    append([]byte{0xD5}, body...),
+		"empty frame":           nil,
+		"truncated epoch tag":   {epochMagic},
+		"epoch beyond MaxEpoch": append([]byte{epochMagic, 0x81, 0x80, 0x80, 0x80, 0x80, 0x20}, body...),
+		"control frame":         EncodeHeartbeat(Heartbeat{Seq: 1}),
+	} {
+		if _, _, err := DecodeDeltaEnvelopeEpoch(frame); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: decoder returned %v, want ErrBadFrame", name, err)
+		}
+		if _, ok := DataFrameEpoch(frame); ok {
+			t.Errorf("%s: DataFrameEpoch accepted it", name)
+		}
 	}
 }
 

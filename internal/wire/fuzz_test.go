@@ -60,8 +60,8 @@ func FuzzDecodeDeltaEnvelope(f *testing.F) {
 		SetFingerprint: values.FingerprintString("E"),
 	}
 	tracker := giraf.NewDeltaTracker()
-	first, _ := EncodeDeltaEnvelopeEpoch(tracker.Shrink(full), 0)
-	second, _ := EncodeDeltaEnvelopeEpoch(tracker.Shrink(full), 0) // all refs now
+	first, _ := EncodeDeltaEnvelopeEpoch(tracker.Shrink(full), 1)
+	second, _ := EncodeDeltaEnvelopeEpoch(tracker.Shrink(full), 1) // all refs now
 	epochTagged, _ := EncodeDeltaEnvelopeEpoch(giraf.Envelope{
 		Round:          3,
 		Payloads:       []giraf.Payload{core.SetPayload{Proposed: values.NewSet(values.Num(9))}},
@@ -69,7 +69,7 @@ func FuzzDecodeDeltaEnvelope(f *testing.F) {
 	}, 42)
 	f.Add(first)
 	f.Add(second)
-	f.Add([]byte{deltaMagic})
+	f.Add(append([]byte{0xD5}, first[2:]...)) // the retired untagged form: rejected
 	f.Add(epochTagged)
 	f.Add([]byte{epochMagic, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -276,7 +276,7 @@ func TestNodeOverTCPTransport(t *testing.T) {
 	}
 }
 
-// TestTransportParity drives the identical spec through all three backends
+// TestTransportParity drives the identical spec through every backend
 // via the one Transport interface — the unification the redesign is for.
 func TestTransportParity(t *testing.T) {
 	if testing.Short() {
@@ -291,7 +291,7 @@ func TestTransportParity(t *testing.T) {
 		Interval:  6 * time.Millisecond,
 		Timeout:   30 * time.Second,
 	}
-	for _, transport := range []Transport{NewLiveTransport(), NewSimTransport(), NewTCPTransport()} {
+	for _, transport := range []Transport{NewLiveTransport(), NewSimTransport(), NewTCPTransport(), NewTCPMuxTransport()} {
 		t.Run(transport.Name(), func(t *testing.T) {
 			defer transport.Close()
 			res, err := transport.Run(context.Background(), spec)

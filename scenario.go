@@ -36,12 +36,10 @@ var ErrAllCrashed = errors.New("anonconsensus: crash schedule stops every proces
 // exists to demonstrate; see the README scenario cookbook.
 //
 // Backend fidelity: the simulator and the live transport cut exactly the
-// [0,Cut)/[Cut,n) process blocks by message round. The TCP transport can
-// only approximate — the hub indexes connections by accept order (nodes
-// dial concurrently, so conn index need not equal process index) and
-// estimates rounds by wall clock — so on TCP a partition separates the
-// right number of nodes for the right duration, but not necessarily the
-// exact block membership.
+// [0,Cut)/[Cut,n) process blocks by message round. The TCP transports cut
+// the same blocks (process i is the hub's i-th session) but the hub
+// relays opaque frames and estimates rounds by wall clock, so on TCP a
+// partition starts and heals within about a round of its bounds.
 type Partition struct {
 	// From is the first affected round (≥ 1).
 	From int

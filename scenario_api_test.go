@@ -267,26 +267,30 @@ func TestScenarioSweepBatchDeterministic(t *testing.T) {
 }
 
 // TestScenarioOverTCPTransport exercises the hub-level fault injection end
-// to end: 100% duplication doubles every forward, set-semantics dedup keeps
-// consensus intact.
+// to end on both shapes of the TCP plane: 100% duplication doubles every
+// forward, set-semantics dedup keeps consensus intact.
 func TestScenarioOverTCPTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP round trips in -short mode")
 	}
-	node, err := ac.NewNode(ac.NewTCPTransport(),
-		ac.WithEnv(ac.EnvES), ac.WithGST(2), ac.WithSeed(5),
-		ac.WithDuplication(100),
-		ac.WithInterval(8*time.Millisecond), ac.WithTimeout(30*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	res, err := node.Run(context.Background(), "tcp-dup", []ac.Value{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.Agreed(); !ok {
-		t.Fatalf("no agreement under duplication: %+v", res.Decisions)
+	for _, transport := range []ac.Transport{ac.NewTCPTransport(), ac.NewTCPMuxTransport()} {
+		t.Run(transport.Name(), func(t *testing.T) {
+			node, err := ac.NewNode(transport,
+				ac.WithEnv(ac.EnvES), ac.WithGST(2), ac.WithSeed(5),
+				ac.WithDuplication(100),
+				ac.WithInterval(8*time.Millisecond), ac.WithTimeout(30*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			res, err := node.Run(context.Background(), "tcp-dup", []ac.Value{"a", "b", "c"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := res.Agreed(); !ok {
+				t.Fatalf("no agreement under duplication: %+v", res.Decisions)
+			}
+		})
 	}
 }
 

@@ -453,20 +453,67 @@ func TestTCPMuxNodeService(t *testing.T) {
 	}
 }
 
-// TestTCPMuxRejectsLinkFaults pins the documented limitation: fault
-// scenarios cannot be realized on shared connections and are refused
-// loudly, steering callers to NewTCPTransport.
-func TestTCPMuxRejectsLinkFaults(t *testing.T) {
+// TestTCPMuxLinkFaultsStayInTheirEpoch is the isolation pin for
+// epoch-scoped link faults: on ONE shared plane, an instance under a
+// never-healing partition and a fault-free instance run concurrently over
+// the same connections. The partition bites exactly its own epoch — each
+// block agrees on a proposal of its own and the blocks split, which only
+// a cut of that epoch's forwards can produce — while the co-tenant agrees
+// as one ensemble in its usual rounds.
+func TestTCPMuxLinkFaultsStayInTheirEpoch(t *testing.T) {
 	tr := NewTCPMuxTransport()
 	defer tr.Close()
-	node, err := NewNode(tr, WithEnv(EnvES), WithLoss(10))
+	clean := InstanceSpec{
+		ID: "clean", Proposals: props(1, 2, 3, 4), Env: EnvES,
+		Interval: 4 * time.Millisecond, Timeout: 20 * time.Second,
+	}
+	solo, err := tr.Run(context.Background(), clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
-	if err := node.Propose(context.Background(), "faulty", props(1, 2)); err == nil {
-		if _, werr := node.Wait(context.Background(), "faulty"); werr == nil {
-			t.Fatal("tcp-mux accepted a link-fault scenario")
+	if _, ok := solo.Agreed(); !ok {
+		t.Fatalf("solo baseline did not agree: %+v", solo.Decisions)
+	}
+	usual := 0
+	for _, d := range solo.Decisions {
+		usual = max(usual, d.Round)
+	}
+
+	faulted := clean
+	faulted.ID = "faulted"
+	faulted.Proposals = props(5, 5, 9, 9)
+	faulted.Scenario = Scenario{Partitions: []Partition{{From: 1, Cut: 2}}}
+	results := make([]*Result, 2)
+	var wg sync.WaitGroup
+	for i, spec := range []InstanceSpec{faulted, clean} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := tr.Run(context.Background(), spec)
+			if err != nil {
+				t.Errorf("%s: %v", spec.ID, err)
+				return
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for i, d := range results[0].Decisions {
+		if want := faulted.Proposals[i]; !d.Decided || d.Value != want {
+			t.Errorf("faulted process %d: decided=%v value=%q, want its block's own proposal %q (the cut at 2 must hold for this epoch)",
+				i, d.Decided, string(d.Value), string(want))
+		}
+	}
+	if v, ok := results[1].Agreed(); !ok || v != NumValue(4) {
+		t.Fatalf("fault-free co-tenant disturbed: agreed=%v value=%q: %+v", ok, string(v), results[1].Decisions)
+	}
+	for i, d := range results[1].Decisions {
+		if d.Round > usual+2 {
+			t.Errorf("fault-free process %d decided in round %d; alone on the plane it took %d", i, d.Round, usual)
 		}
 	}
 }

@@ -41,8 +41,10 @@ type InstanceSpec struct {
 	Timeout time.Duration
 	// MaxRounds bounds the run (sim transport).
 	MaxRounds int
-	// Reconnect governs connection-loss recovery (TCP transport only; the
-	// zero policy means the backend default — reconnection on).
+	// Reconnect governs connection-loss recovery on the TCP transports
+	// (the zero policy means the backend default — reconnection on).
+	// NewTCPTransport honours it per Run; NewTCPMuxTransport's connections
+	// outlive instances, so there it is fixed when a slot is first dialed.
 	Reconnect ReconnectPolicy
 }
 

@@ -12,26 +12,229 @@ import (
 	"anonconsensus/internal/tcpnet"
 )
 
-// tcpTransport adapts the real-TCP runtime (internal/tcpnet) to the
-// Transport interface: every instance gets a fresh anonymous broadcast hub
-// on the loopback interface and one TCP connection per process.
+// tcpPlane is the one TCP serving plane behind both TCP transports: an
+// anonymous broadcast hub on the loopback interface, a pool of resumable
+// hub sessions (one TCP connection per process slot), and every instance
+// riding those connections as a distinct epoch. Slots are dialed one at a
+// time under mu, so slot i is the hub's i-th session — the index the
+// hub's forward delays and link faults are keyed by. (A slot re-dialed
+// after its session was lost for good is a new session and takes the next
+// free index instead.)
 //
-// A fresh hub per instance is load-bearing here: every node rides the
-// same fixed epoch (tcpnet.RunNode), so reusing a hub would deliver
-// instance k's envelopes into instance k+1 — and the GST delay and link
-// faults below are hub options, which fault every connection of the hub
-// they are set on. NewTCPMuxTransport is the multiplexed alternative —
-// one epoch per instance, one shared hub, persistent connections — for
-// sustained many-instance traffic.
-type tcpTransport struct {
-	listenAddr string
-	closed     atomic.Bool
+// NewTCPMuxTransport keeps one plane for its lifetime; NewTCPTransport
+// builds and closes one per Run.
+type tcpPlane struct {
+	name string
+	// hubOpts are the hub options beyond the plane's own fault hook.
+	hubOpts []tcpnet.HubOption
+	// dialVia, when set, reroutes one slot's hub dial — the seam the chaos
+	// tests use to interpose a netchaos proxy on selected slots. It
+	// returns the address the slot should dial and a cleanup run when the
+	// plane closes; returning hubAddr unchanged means "direct".
+	dialVia func(slot int, hubAddr string) (addr string, cleanup func())
 
-	// dialVia, when set, reroutes one node's hub dial — the seam the chaos
-	// tests use to interpose a netchaos proxy on selected nodes. It
-	// returns the address the node should dial and a cleanup run when the
-	// instance finishes; returning hubAddr unchanged means "direct".
-	dialVia func(node int, hubAddr string) (addr string, cleanup func())
+	// faults maps each in-flight epoch under a link-fault scenario to its
+	// tcpnet.LinkFault; fault-free epochs have no entry.
+	faults sync.Map
+
+	mu       sync.Mutex
+	hub      *tcpnet.Hub // set once, by the first lease
+	slots    []*tcpnet.MuxNode
+	cleanups []func()
+	epoch    uint64
+	closed   bool
+}
+
+// faultOf is the hub's fault hook: one table lookup per broadcast frame.
+func (p *tcpPlane) faultOf(epoch uint64) tcpnet.LinkFault {
+	f, _ := p.faults.Load(epoch)
+	fault, _ := f.(tcpnet.LinkFault)
+	return fault
+}
+
+// linkFault realizes a scenario's link dimensions at the hub. The hub
+// relays opaque frames and never learns rounds, so partitions activate by
+// wall clock (round ≈ elapsed/interval, the same approximation the GST
+// chaos uses) and the loss/duplication draws hash the frame serial instead
+// of the round — per-forward faults that are deterministic in the spec
+// seed for a fixed frame order.
+func linkFault(sc *env.Scenario, start time.Time, interval time.Duration) tcpnet.LinkFault {
+	draws := &env.Scenario{Seed: sc.Seed, LossPct: sc.LossPct, DupPct: sc.DupPct}
+	return func(from, to, serial int) (drop, dup bool) {
+		round := int(time.Since(start)/interval) + 1
+		if sc.Partitioned(round, from, to) {
+			return true, false
+		}
+		return draws.Drops(serial, from, to), draws.Duplicates(serial, from, to)
+	}
+}
+
+// lease returns the plane's first n slots, registered on a fresh epoch.
+// It starts the hub on first need, dials the slots the pool lacks, and
+// re-dials any whose session is permanently lost (instances still in
+// flight on the old node see ErrHubLost: crash-equivalent). Registration
+// happens here, under mu, so no slot discards a sibling's first broadcast
+// as unknown-epoch and no slot is replaced between lease and Register.
+func (p *tcpPlane) lease(ctx context.Context, spec *InstanceSpec, interval time.Duration) ([]*tcpnet.MuxNode, uint64, error) {
+	n := spec.N()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil, 0, fmt.Errorf("anonconsensus: %s transport is closed", p.name)
+	}
+	if p.hub == nil {
+		hub, err := tcpnet.NewHub("127.0.0.1:0", append(p.hubOpts, tcpnet.WithForwardFault(p.faultOf))...)
+		if err != nil {
+			return nil, 0, err
+		}
+		p.hub = hub
+	}
+	for i := 0; i < n; i++ {
+		if i < len(p.slots) && !p.slots[i].Lost() {
+			continue
+		}
+		addr := p.hub.Addr()
+		if p.dialVia != nil {
+			var cleanup func()
+			if addr, cleanup = p.dialVia(i, addr); cleanup != nil {
+				p.cleanups = append(p.cleanups, cleanup)
+			}
+		}
+		m, err := tcpnet.DialMux(ctx, tcpnet.MuxConfig{
+			HubAddr:   addr,
+			Reconnect: resolveReconnect(spec.Reconnect, interval, spec.Seed, i),
+		})
+		if err != nil {
+			return nil, 0, fmt.Errorf("anonconsensus: %s slot %d: %w", p.name, i, err)
+		}
+		if i == len(p.slots) {
+			p.slots = append(p.slots, m)
+		} else {
+			_ = p.slots[i].Close()
+			p.slots[i] = m
+		}
+	}
+	p.epoch++
+	// A copy: instances in flight keep reading theirs while a later lease
+	// replaces a lost slot.
+	slots := append([]*tcpnet.MuxNode(nil), p.slots[:n]...)
+	for i, m := range slots {
+		if err := m.Register(p.epoch); err != nil {
+			for _, reg := range slots[:i] {
+				reg.Unregister(p.epoch)
+			}
+			return nil, 0, fmt.Errorf("anonconsensus: %s node %d: %w", p.name, i, err)
+		}
+	}
+	return slots, p.epoch, nil
+}
+
+// run executes one instance on the plane: lease the slots and an epoch,
+// install the spec's link faults for that epoch, run one goroutine per
+// process over the shared connections, and retire the epoch — so the hub's
+// replay log stays proportional to the instances in flight, not to
+// everything it ever carried.
+func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	interval := spec.interval(10 * time.Millisecond)
+	start := time.Now()
+	slots, epoch, err := p.lease(ctx, &spec, interval)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for _, m := range slots {
+			m.Unregister(epoch)
+		}
+		p.faults.Delete(epoch)
+		p.hub.RetireEpoch(epoch)
+	}()
+	if sc := spec.linkFaults(); sc != nil {
+		p.faults.Store(epoch, linkFault(sc, start, interval))
+	}
+
+	// A node failing on real infrastructure (an encode error, say) aborts
+	// the siblings immediately instead of letting them run out the full
+	// timeout. A node that lost the hub for good (ErrHubLost, after the
+	// reconnect path was exhausted) is different: in the crash-fault model
+	// it is indistinguishable from a crashed process, so the siblings keep
+	// running — the severed minority is charged against the crash budget
+	// the algorithms already tolerate — and its partial result is kept.
+	factory := automatonFactory(spec.Env, spec.Proposals)
+	results := make([]*tcpnet.NodeResult, len(slots))
+	errs := make([]error, len(slots))
+	runCtx, abort := context.WithCancel(ctx)
+	defer abort()
+	var wg sync.WaitGroup
+	for i, m := range slots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := m.RunInstance(runCtx, epoch, tcpnet.InstanceRun{
+				Automaton:        factory(i),
+				Interval:         interval,
+				Timeout:          spec.timeout(),
+				CrashAfterRounds: spec.Crashes[i],
+				Peers:            len(slots),
+			})
+			if errors.Is(err, tcpnet.ErrHubLost) && res != nil {
+				err = nil
+			}
+			results[i], errs[i] = res, err
+			if err != nil {
+				abort()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("anonconsensus: %s run cancelled: %w", p.name, err)
+	}
+	out := &Result{Elapsed: time.Since(start)}
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("anonconsensus: %s node %d: %w", p.name, i, errs[i])
+		}
+		out.Decisions = append(out.Decisions, Decision{
+			Proc:    i,
+			Decided: r.Decided,
+			Value:   Value(r.Decision),
+			Round:   r.Round,
+			Crashed: r.Crashed,
+		})
+	}
+	return out, nil
+}
+
+// close detaches every slot and stops the hub. Idempotent.
+func (p *tcpPlane) close() error {
+	p.mu.Lock()
+	wasClosed := p.closed
+	p.closed = true
+	p.mu.Unlock()
+	if wasClosed || p.hub == nil {
+		return nil
+	}
+	for _, m := range p.slots {
+		_ = m.Close()
+	}
+	for _, cleanup := range p.cleanups {
+		cleanup()
+	}
+	return p.hub.Close()
+}
+
+// tcpTransport is the per-instance shape of the TCP plane: every Run
+// builds a private tcpPlane — fresh hub, n fresh connections, one epoch —
+// and closes it. What the private hub buys is hub-wide options that would
+// fault co-tenants on a shared one: the pre-GST forward jitter below.
+type tcpTransport struct {
+	closed atomic.Bool
+
+	// dialVia is handed to every Run's plane (see tcpPlane.dialVia).
+	dialVia func(slot int, hubAddr string) (addr string, cleanup func())
 }
 
 // NewTCPTransport returns the real-TCP backend: an anonymous broadcast hub
@@ -39,8 +242,11 @@ type tcpTransport struct {
 // runs as a TCP client node. GST and Seed shape a wall-clock analogue of
 // the pre-stabilization chaos: until GST×Interval has elapsed, frame
 // forwards are jittered by 1.5–3.5 round intervals; afterwards they are
-// immediate, so both ES and ESS hold physically.
-func NewTCPTransport() Transport { return &tcpTransport{listenAddr: "127.0.0.1:0"} }
+// immediate, so both ES and ESS hold physically. Result.Robustness
+// reports the run's own hub and connections, and InstanceSpec.Reconnect
+// is honoured per Run. NewTCPMuxTransport is the long-lived alternative
+// for sustained many-instance traffic.
+func NewTCPTransport() Transport { return &tcpTransport{} }
 
 // Name implements Transport.
 func (t *tcpTransport) Name() string { return "tcp" }
@@ -67,134 +273,36 @@ func (t *tcpTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, err
 	if t.closed.Load() {
 		return nil, fmt.Errorf("anonconsensus: tcp transport is closed")
 	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	n := spec.N()
 	interval := spec.interval(10 * time.Millisecond)
-	start := time.Now()
-	chaosUntil := start.Add(time.Duration(spec.GST) * interval)
-
+	chaosUntil := time.Now().Add(time.Duration(spec.GST) * interval)
 	var serial atomic.Int64
-	delay := func(connIndex int) time.Duration {
+	delay := func(sessionIndex int) time.Duration {
 		if !time.Now().Before(chaosUntil) {
 			return 0
 		}
-		j := tcpJitter(spec.Seed, connIndex, int(serial.Add(1)))
+		j := tcpJitter(spec.Seed, sessionIndex, int(serial.Add(1)))
 		return 3*interval/2 + time.Duration(j%2000)*interval/1000
 	}
-	hubOpts := []tcpnet.HubOption{tcpnet.WithForwardDelay(delay)}
-	if sc := spec.linkFaults(); sc != nil {
-		// The hub relays opaque frames and never learns rounds, so the
-		// scenario is realized physically: partitions activate by wall
-		// clock (round ≈ elapsed/interval, the same approximation the GST
-		// chaos uses) and the loss/duplication draws hash the frame serial
-		// instead of the round — per-forward faults that are deterministic
-		// in the spec seed for a fixed frame order.
-		draws := &env.Scenario{Seed: sc.Seed, LossPct: sc.LossPct, DupPct: sc.DupPct}
-		hubOpts = append(hubOpts, tcpnet.WithForwardFault(func(from, to, frameSerial int) (bool, bool) {
-			round := int(time.Since(start)/interval) + 1
-			if sc.Partitioned(round, from, to) {
-				return true, false
-			}
-			return draws.Drops(frameSerial, from, to), draws.Duplicates(frameSerial, from, to)
-		}))
+	p := &tcpPlane{
+		name:    t.Name(),
+		hubOpts: []tcpnet.HubOption{tcpnet.WithForwardDelay(delay)},
+		dialVia: t.dialVia,
 	}
-	hub, err := tcpnet.NewHub(t.listenAddr, hubOpts...)
+	defer p.close()
+	out, err := p.run(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	defer hub.Close()
-
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = hub.Addr()
-		if t.dialVia != nil {
-			addr, cleanup := t.dialVia(i, addrs[i])
-			addrs[i] = addr
-			if cleanup != nil {
-				defer cleanup()
-			}
-		}
+	for _, m := range p.slots {
+		ms := m.Stats()
+		out.Robustness.Reconnects += ms.Reconnects
+		out.Robustness.ReplayedFrames += ms.ReplayedFrames
+		out.Robustness.FailedDials += ms.FailedDials
 	}
-	factory := automatonFactory(spec.Env, spec.Proposals)
-	out, err := runTCPProcs(ctx, t.Name(), n, func(ctx context.Context, i int) (*tcpnet.NodeResult, error) {
-		return tcpnet.RunNode(ctx, tcpnet.NodeConfig{
-			HubAddr:          addrs[i],
-			Automaton:        factory(i),
-			Interval:         interval,
-			Timeout:          spec.timeout(),
-			CrashAfterRounds: spec.Crashes[i],
-			Peers:            n,
-			Reconnect:        resolveReconnect(spec.Reconnect, interval, spec.Seed, i),
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Elapsed = time.Since(start)
-	hs := hub.Stats()
+	hs := p.hub.Stats()
 	out.Robustness.HeartbeatMisses = hs.HeartbeatMisses
 	out.Robustness.DroppedConns = hs.DroppedConns
 	out.Robustness.OverwhelmedDrops = hs.OverwhelmedDrops
-	return out, nil
-}
-
-// runTCPProcs runs one goroutine per process on a TCP plane and folds the
-// node results into a Result (decisions plus the node-side robustness
-// counters; Elapsed and hub-side counters are the caller's).
-//
-// A node failing on real infrastructure (encode error, dial failure at
-// start) aborts the siblings immediately instead of letting them run out
-// the full timeout. A node that established its session and then lost the
-// hub for good (ErrHubLost, after the reconnect path was exhausted) is
-// different: in the crash-fault model it is indistinguishable from a
-// crashed process, so the siblings keep running — the severed minority is
-// charged against the crash budget the algorithms already tolerate — and
-// its partial result is kept (its counters record the outage).
-func runTCPProcs(ctx context.Context, plane string, n int, run func(ctx context.Context, i int) (*tcpnet.NodeResult, error)) (*Result, error) {
-	results := make([]*tcpnet.NodeResult, n)
-	errs := make([]error, n)
-	runCtx, abort := context.WithCancel(ctx)
-	defer abort()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := run(runCtx, i)
-			if err != nil && errors.Is(err, tcpnet.ErrHubLost) && res != nil {
-				results[i] = res
-				return
-			}
-			results[i], errs[i] = res, err
-			if err != nil {
-				abort()
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("anonconsensus: %s run cancelled: %w", plane, err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("anonconsensus: %s node %d: %w", plane, i, err)
-		}
-	}
-	out := &Result{}
-	for i, r := range results {
-		out.Decisions = append(out.Decisions, Decision{
-			Proc:    i,
-			Decided: r.Decided,
-			Value:   Value(r.Decision),
-			Round:   r.Round,
-			Crashed: r.Crashed,
-		})
-		out.Robustness.Reconnects += r.Reconnects
-		out.Robustness.ReplayedFrames += r.ReplayedFrames
-		out.Robustness.FailedDials += r.FailedDials
-	}
 	return out, nil
 }
 
