@@ -79,19 +79,27 @@ bench-harness:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# bench runs the T1–T10/F1–F3 experiment suite plus the hot-path
-# micro-benchmarks with allocation stats and appends a labelled run to the
-# benchmark trajectory file (see PERFORMANCE.md).
+# bench runs the T1–T10/F1–F3 experiment suite, the hot-path
+# micro-benchmarks and the per-layer benchmarks that live beside their code
+# (internal/giraf, internal/env, internal/sim — the ladder of ROADMAP item
+# 4a) with allocation stats and appends a labelled run to the benchmark
+# trajectory file (see PERFORMANCE.md). go test runs the packages' benchmarks
+# one after another; benchjson files each result under its package.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
 		| tee /dev/stderr \
 		| $(GO) run ./tools/benchjson -label "$(or $(LABEL),local $(shell git rev-parse --short HEAD 2>/dev/null))" -out $(BENCHOUT)
 
-# bench-smoke measures the suite into a scratch trajectory and fails if
-# any benchmark regressed more than BENCH_THRESHOLD% against the last run
-# recorded in $(BENCHOUT). It never modifies $(BENCHOUT).
+# bench-smoke measures the root suite into a scratch trajectory and fails if
+# any of its benchmarks regressed more than BENCH_THRESHOLD% against the last
+# run recorded in $(BENCHOUT). The layer benchmarks under internal/ ride
+# along at one iteration each, so they cannot rot; the compare reports their
+# ns/op and allocs/op beside the recorded ones and gates neither (one
+# iteration is a sample, not a measurement; an allocs/op gate is ROADMAP
+# item 4b). It never modifies $(BENCHOUT).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(SMOKE_BENCHTIME) . \
+	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime $(SMOKE_BENCHTIME) . && \
+		$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/... ; } \
 		| $(GO) run ./tools/benchjson -label "bench-smoke" -out $(BENCHOUT).smoke.json
 	status=0; $(GO) run ./tools/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCHOUT) $(BENCHOUT).smoke.json || status=$$?; \
 		rm -f $(BENCHOUT).smoke.json; exit $$status

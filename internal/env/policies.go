@@ -43,6 +43,27 @@ func (s *sourceLog) Source(round int) (int, bool) {
 	return pid, ok
 }
 
+// delayMatrix is one round's pre-drawn delays, row-major by sender: n×n
+// int32s in one allocation. Rows of processes that did not broadcast stay
+// zero. Pre-drawing keeps DelayFn pure, so the engine may probe a pair
+// twice.
+type delayMatrix struct {
+	n int
+	d []int32
+}
+
+func newDelayMatrix(n int) delayMatrix {
+	return delayMatrix{n: n, d: make([]int32, n*n)}
+}
+
+// row returns sender s's delays, indexed by receiver.
+func (m delayMatrix) row(s int) []int32 { return m.d[s*m.n : (s+1)*m.n] }
+
+// delay is the matrix as a DelayFn.
+func (m delayMatrix) delay(sender, receiver int) int {
+	return int(m.d[sender*m.n+receiver])
+}
+
 // ---------------------------------------------------------------------------
 // Synchronous
 
@@ -135,22 +156,23 @@ func (m *MS) Schedule(round int, senders []int, n int) DelayFn {
 	}
 	m.note(round, src)
 	md := m.maxDelay()
-	// Pre-draw a delay matrix so DelayFn is pure.
-	delays := make(map[[2]int]int, len(senders)*n)
+	// The draw order — senders as given, receivers ascending, the timely
+	// draw before the delay draw, nothing for the source's row — is part of
+	// the determinism contract (TestPolicyDelayGolden).
+	delays := newDelayMatrix(n)
 	for _, s := range senders {
-		for r := 0; r < n; r++ {
-			if s == src {
-				delays[[2]int{s, r}] = 0
-				continue
-			}
+		if s == src {
+			continue
+		}
+		row := delays.row(s)
+		for r := range row {
 			if m.ExtraTimelyPct > 0 && m.rng.Intn(100) < m.ExtraTimelyPct {
-				delays[[2]int{s, r}] = 0
 				continue
 			}
-			delays[[2]int{s, r}] = 1 + m.rng.Intn(md)
+			row[r] = int32(1 + m.rng.Intn(md))
 		}
 	}
-	return func(sender, receiver int) int { return delays[[2]int{sender, receiver}] }
+	return delays.delay
 }
 
 // ---------------------------------------------------------------------------
@@ -218,20 +240,20 @@ func (e *ESS) Schedule(round int, senders []int, n int) DelayFn {
 	}
 	e.Pre.note(round, src)
 	md := e.Pre.maxDelay()
-	delays := make(map[[2]int]int, len(senders)*n)
+	delays := newDelayMatrix(n) // drawn in MS.Schedule's order
 	for _, s := range senders {
-		for r := 0; r < n; r++ {
-			switch {
-			case s == src:
-				delays[[2]int{s, r}] = 0
-			case e.PostTimelyPct > 0 && e.post.Intn(100) < e.PostTimelyPct:
-				delays[[2]int{s, r}] = 0
-			default:
-				delays[[2]int{s, r}] = 1 + e.post.Intn(md)
+		if s == src {
+			continue
+		}
+		row := delays.row(s)
+		for r := range row {
+			if e.PostTimelyPct > 0 && e.post.Intn(100) < e.PostTimelyPct {
+				continue
 			}
+			row[r] = int32(1 + e.post.Intn(md))
 		}
 	}
-	return func(sender, receiver int) int { return delays[[2]int{sender, receiver}] }
+	return delays.delay
 }
 
 // Source implements SourceReporter.
@@ -264,13 +286,14 @@ func (a *Async) Schedule(round int, senders []int, n int) DelayFn {
 	if lo > hi {
 		panic(fmt.Sprintf("env: Async MinDelay %d > MaxDelay %d", lo, hi))
 	}
-	delays := make(map[[2]int]int, len(senders)*n)
+	delays := newDelayMatrix(n)
 	for _, s := range senders {
-		for r := 0; r < n; r++ {
-			delays[[2]int{s, r}] = lo + a.rng.Intn(hi-lo+1)
+		row := delays.row(s)
+		for r := range row {
+			row[r] = int32(lo + a.rng.Intn(hi-lo+1))
 		}
 	}
-	return func(sender, receiver int) int { return delays[[2]int{sender, receiver}] }
+	return delays.delay
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package giraf
 
 import (
+	"fmt"
 	"testing"
 
 	"anonconsensus/internal/values"
@@ -77,5 +78,46 @@ func TestDominanceSkipViaBroadcastCache(t *testing.T) {
 	}
 	if p.Delivered() != before {
 		t.Error("skipped deliveries must not change the Delivered count")
+	}
+}
+
+// TestReceiveNewAllocsWarm pins the warmed merge path of a big round: a
+// recycled Proc receiving 64 single-payload envelopes, every payload new,
+// into one round — past the scan threshold, so the index table is built
+// and doubled on the way — allocates nothing. The round's slices, its index
+// table and the Fresh buffer all grew in the previous run and are reused;
+// what Reset + the initialization end-of-round allocate by themselves is
+// measured separately and subtracted.
+func TestReceiveNewAllocsWarm(t *testing.T) {
+	aut := &staticAut{pay: benchPayloads(1<<30, 1)[0]}
+	var envs []Envelope
+	for i, pay := range benchPayloads(0, 64) {
+		envs = append(envs, Envelope{
+			Round:          1,
+			Payloads:       []Payload{pay},
+			SetFingerprint: values.FingerprintString(fmt.Sprint("single-", i)),
+		})
+	}
+	p := NewProc(aut)
+	rearm := func() {
+		p.Reset(aut)
+		p.EndOfRound()
+	}
+	run := func() {
+		rearm()
+		for _, env := range envs {
+			p.Receive(env)
+		}
+	}
+	run() // pays the growth once
+	if got := p.InboxSize(1); got != 65 {
+		t.Fatalf("round 1 holds %d payloads, want 65", got)
+	}
+	if len(p.Fresh()) != 65 {
+		t.Fatalf("Fresh has %d payloads, want 65 (own + 64 delivered)", len(p.Fresh()))
+	}
+	base := testing.AllocsPerRun(50, rearm)
+	if n := testing.AllocsPerRun(50, run); n != base {
+		t.Errorf("64 new single-payload deliveries into a warmed round: %v allocs/run, want %v (what rearming alone costs)", n, base)
 	}
 }

@@ -27,6 +27,7 @@ package giraf
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"anonconsensus/internal/values"
@@ -57,11 +58,14 @@ type PayloadSizer interface {
 	PayloadEncodedSize() int
 }
 
-// payloadCanon returns the canonical key and fingerprint of p, using the
-// payload's cache when it has one.
+// payloadCanon returns the fingerprint of p and, only when computing the
+// fingerprint had to build it, the canonical key ("" otherwise). A payload
+// that caches its fingerprint is identified without materializing its key:
+// membership is decided on the fingerprint alone, and a duplicate — most
+// payloads of most deliveries — never needs the key at all.
 func payloadCanon(p Payload) (string, values.Fingerprint) {
 	if f, ok := p.(Fingerprinted); ok {
-		return p.PayloadKey(), f.PayloadFingerprint()
+		return "", f.PayloadFingerprint()
 	}
 	k := p.PayloadKey()
 	return k, values.FingerprintString(k)
@@ -134,17 +138,28 @@ type Envelope struct {
 	SetFingerprint values.Fingerprint
 }
 
-// roundInbox is the per-round storage: fingerprint-keyed membership plus an
-// incrementally maintained canonical-key-sorted view. Membership is a
-// linear scan over the flat fingerprint slice while the round is small
+// roundInbox is the per-round storage: fingerprint-addressed membership
+// plus an incrementally maintained canonical-key-sorted view. Membership is
+// a linear scan over the flat fingerprint slice while the round is small
 // (the overwhelmingly common case: anonymous rounds hold one payload per
-// equivalence class); a map index is built only once the round outgrows
-// the scan threshold, so typical rounds never allocate map buckets.
+// equivalence class); once the round outgrows the scan threshold an
+// open-addressed table of positions into fps takes over, slotted by bits of
+// the fingerprint itself — a fingerprint already is a hash, so nothing is
+// hashed again and typical rounds never allocate a table.
 type roundInbox struct {
-	byFP map[values.Fingerprint]struct{} // nil until len(pays) > inboxScanMax
-	keys []string             // canonical keys, parallel to pays; ascending once settled
-	pays []Payload            // payloads, parallel to keys
-	fps  []values.Fingerprint // payload fingerprints, parallel to pays
+	// idx is the open-addressed index: a power-of-two table whose non-zero
+	// entries are 1-based positions into fps, probed linearly from
+	// slotOf(fp) masked to the table, load kept ≤ ½. It describes
+	// fps[:indexed]; the first lookup that finds indexed != len(fps) — the
+	// round just outgrew inboxScanMax, the table ran out of room, or
+	// ensureSorted permuted the positions — rebuilds it. The slot is a place
+	// to start looking, not an identity: a hit is always confirmed by
+	// comparing full fingerprints.
+	idx     []uint32
+	indexed int
+	keys    []string             // canonical keys, parallel to pays; ascending once settled
+	pays    []Payload            // payloads, parallel to keys
+	fps     []values.Fingerprint // payload fingerprints, parallel to pays
 	// dirty marks that an append broke ascending key order; the order
 	// consumers (snapshot, setFingerprint) re-establish it lazily, so a
 	// burst of insertions costs one sort instead of a memmove each.
@@ -167,8 +182,8 @@ type roundInbox struct {
 const roundInboxHint = 8
 
 // inboxScanMax is the round size up to which membership is a linear
-// fingerprint scan; beyond it the byFP map takes over. 16 entries × 16
-// bytes is two cache lines — cheaper to scan than to hash into a map.
+// fingerprint scan; beyond it the idx table takes over. 16 entries × 16
+// bytes is four cache lines read in order — cheaper than a probe sequence.
 const inboxScanMax = 16
 
 // seenCap bounds the per-round list of merged envelope fingerprints. At
@@ -185,11 +200,11 @@ func newRoundInbox() *roundInbox {
 }
 
 // recycle clears the storage for reuse by a later round (or run), keeping
-// the map buckets and slice capacity warm. Only the occupied prefix needs
+// the index table and slice capacity warm. Only the occupied prefix needs
 // clearing: entries past len were zeroed by the previous recycle and are
-// never written without growing len first.
+// never written without growing len first. The index table is not cleared
+// here — most rounds never grow into it; reindex clears it on first use.
 func (ri *roundInbox) recycle() {
-	clear(ri.byFP)
 	clear(ri.keys)
 	clear(ri.pays) // drop payload refs so reuse doesn't pin them
 	clear(ri.fps)
@@ -197,25 +212,71 @@ func (ri *roundInbox) recycle() {
 	ri.keys = ri.keys[:0]
 	ri.pays = ri.pays[:0]
 	ri.fps = ri.fps[:0]
+	ri.indexed = 0
 	ri.dirty = false
 	ri.seen = ri.seen[:0]
 	ri.view = nil
 	ri.envFP = values.Fingerprint{}
 }
 
-// contains reports whether a payload with fingerprint fp is already
-// stored: a flat scan while the round is small, the map index afterwards.
-func (ri *roundInbox) contains(fp values.Fingerprint) bool {
-	if ri.byFP != nil {
-		_, ok := ri.byFP[fp]
-		return ok
+// slotOf is where fp's probe sequence starts, before masking to the table
+// size. Fingerprints are FNV-1a outputs, whose low bits mix weakly; folding
+// the halves and keeping the upper half of a Fibonacci multiply spreads
+// them over any power-of-two table.
+func slotOf(fp values.Fingerprint) int {
+	return int(((fp.Hi ^ fp.Lo) * 0x9E3779B97F4A7C15) >> 32)
+}
+
+// reindex rebuilds idx over all of fps, in a table the round can double in
+// before the next rebuild (load just over ¼ now, ≤ ½ always). A recycled
+// table is reused at its full size, so a warmed inbox neither allocates nor
+// rebuilds on the way up. Stored fingerprints are pairwise distinct:
+// placing them needs free slots only, no comparisons.
+func (ri *roundInbox) reindex() {
+	if size := cap(ri.idx); 2*len(ri.fps) < size {
+		ri.idx = ri.idx[:size]
+		clear(ri.idx)
+	} else {
+		ri.idx = make([]uint32, 1<<bits.Len(uint(2*len(ri.fps))))
 	}
-	for _, f := range ri.fps {
-		if f == fp {
-			return true
+	mask := len(ri.idx) - 1
+	for pos, fp := range ri.fps {
+		i := slotOf(fp) & mask
+		for ri.idx[i] != 0 {
+			i = (i + 1) & mask
+		}
+		ri.idx[i] = uint32(pos + 1)
+	}
+	ri.indexed = len(ri.fps)
+}
+
+// find reports whether a payload with fingerprint fp is stored: a flat scan
+// while the round is small, one probe sequence afterwards. In the second
+// case slot is where the sequence ended — at fp's entry, or at the free
+// slot an insert of fp fills, so one probe serves both; it is -1 while the
+// round is scanned.
+func (ri *roundInbox) find(fp values.Fingerprint) (slot int, ok bool) {
+	if len(ri.fps) <= inboxScanMax {
+		for _, f := range ri.fps {
+			if f == fp {
+				return -1, true
+			}
+		}
+		return -1, false
+	}
+	if ri.indexed != len(ri.fps) {
+		ri.reindex()
+	}
+	mask := len(ri.idx) - 1
+	for i := slotOf(fp) & mask; ; i = (i + 1) & mask {
+		pos := ri.idx[i]
+		if pos == 0 {
+			return i, false
+		}
+		if ri.fps[pos-1] == fp {
+			return i, true
 		}
 	}
-	return false
 }
 
 // dominates reports whether an inbound envelope with the given non-zero
@@ -249,20 +310,17 @@ func (ri *roundInbox) recordMerged(setFP values.Fingerprint) {
 	ri.seen = append(ri.seen, setFP)
 }
 
-// insert adds a payload with the given canonical key and fingerprint,
-// keeping the key order; it reports whether the payload was new.
+// insert adds a payload with the given fingerprint, keeping the key order;
+// it reports whether the payload was new. key is the payload's canonical
+// key when the caller already has it; "" makes insert fetch it, which it
+// does only for a payload that is new.
 func (ri *roundInbox) insert(key string, fp values.Fingerprint, pay Payload) bool {
-	if ri.contains(fp) {
+	slot, ok := ri.find(fp)
+	if ok {
 		return false
 	}
-	if ri.byFP != nil {
-		ri.byFP[fp] = struct{}{}
-	} else if len(ri.fps) >= inboxScanMax {
-		ri.byFP = make(map[values.Fingerprint]struct{}, 2*inboxScanMax)
-		for _, f := range ri.fps {
-			ri.byFP[f] = struct{}{}
-		}
-		ri.byFP[fp] = struct{}{}
+	if key == "" {
+		key = pay.PayloadKey()
 	}
 	if n := len(ri.keys); n > 0 && key < ri.keys[n-1] {
 		ri.dirty = true
@@ -270,6 +328,12 @@ func (ri *roundInbox) insert(key string, fp values.Fingerprint, pay Payload) boo
 	ri.keys = append(ri.keys, key)
 	ri.pays = append(ri.pays, pay)
 	ri.fps = append(ri.fps, fp)
+	// The index follows while its table has room; otherwise it is left
+	// behind and the next find rebuilds it (larger, or for the first time).
+	if slot >= 0 && 2*len(ri.fps) <= len(ri.idx) {
+		ri.idx[slot] = uint32(len(ri.fps))
+		ri.indexed = len(ri.fps)
+	}
 	ri.view = nil
 	ri.envFP = values.Fingerprint{}
 	return true
@@ -291,11 +355,13 @@ func (s inboxByKey) Swap(i, j int) {
 	ri.fps[i], ri.fps[j] = ri.fps[j], ri.fps[i]
 }
 
-// ensureSorted re-establishes ascending key order after appends.
+// ensureSorted re-establishes ascending key order after appends. The sort
+// permutes fps, so the positions idx holds are stale afterwards.
 func (ri *roundInbox) ensureSorted() {
 	if ri.dirty {
 		sort.Sort(inboxByKey{ri})
 		ri.dirty = false
+		ri.indexed = 0
 	}
 }
 
@@ -334,9 +400,9 @@ func (ri *roundInbox) setFingerprint() values.Fingerprint {
 // probe. Slots are nil until the round first stores a payload; recycled
 // storage is drawn from the spare list.
 type Proc struct {
-	aut      Automaton
-	round    int // k_i: number of end-of-round invocations so far
-	inbox    []*roundInbox // indexed by round; nil slot = empty round
+	aut   Automaton
+	round int           // k_i: number of end-of-round invocations so far
+	inbox []*roundInbox // indexed by round; nil slot = empty round
 	// far holds rounds too distant from the dense window to index flat —
 	// only reachable via a transport delivering an absurd round number
 	// (see farRoundSlack); nil until first needed.
@@ -412,11 +478,13 @@ func (p *Proc) RoundSetFingerprint(k int) values.Fingerprint {
 
 // Fresh implements Inbox: payloads added to any round's set since the last
 // end-of-round. The returned slice aliases framework state: it is valid
-// until the next Deliver/EndOfRound and must be treated as read-only —
-// automata consume it within the round, so no copy is taken on this hot
+// until the next Receive/EndOfRound — a delivery appends to it, and the
+// end-of-round clears it and reuses its backing array for the next round —
+// and must be treated as read-only. Automata consume it inside Compute
+// (Algorithm 4's union, the only reader), so no copy is taken on this hot
 // path.
 //
-//detlint:aliased read-only view consumed within the round; copying would cost an alloc per delivery on the hot path
+//detlint:aliased read-only view consumed within Compute, its buffer reused by the next round; copying would cost an alloc per delivery on the hot path
 func (p *Proc) Fresh() []Payload { return p.fresh }
 
 // CurrentRound implements Inbox: the round the process is in (k_i).
@@ -561,7 +629,10 @@ func (p *Proc) EndOfRound() (Envelope, bool) {
 	if pay == nil {
 		panic(fmt.Sprintf("giraf: automaton %T returned nil payload in round %d", p.aut, p.round))
 	}
-	p.fresh = nil // consumed by the Compute call that just ran
+	// Consumed by the Compute call that just ran; the buffer is reused, as
+	// Fresh's contract allows.
+	clear(p.fresh)
+	p.fresh = p.fresh[:0]
 	p.lastOwn = pay
 	ri := p.merge(p.round+1, []Payload{pay})
 	p.round++
@@ -635,7 +706,8 @@ func (p *Proc) CompactBefore(k int) {
 func (p *Proc) Reset(aut Automaton) {
 	p.aut = aut
 	p.round = 0
-	p.fresh = nil
+	clear(p.fresh)
+	p.fresh = p.fresh[:0]
 	p.halted = false
 	p.decision = Decision{}
 	p.lastOwn = nil

@@ -18,6 +18,14 @@
 // wires it against BENCH_consensus.json so the trajectory cannot silently
 // regress; pick the threshold with the noise of the comparison machine in
 // mind.
+//
+// A benchmark that lives beside its layer's code (`make bench` walks ./...)
+// is recorded with that package as its layer, from the `pkg:` line go test
+// prints. Compare mode shows allocs/op movement beside ns/op for every
+// benchmark that recorded it, and reports layer benchmarks without gating
+// them: bench-smoke runs each of those once (-benchtime 1x), so their ns/op
+// is a single sample. Their allocs/op is taken on warmed state and does
+// compare; a gate on it is ROADMAP item 4(b).
 package main
 
 import (
@@ -37,7 +45,10 @@ import (
 
 // BenchResult is one benchmark line.
 type BenchResult struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Layer is the package the benchmark lives in, relative to the module
+	// root ("internal/giraf"); empty for the root package's suite.
+	Layer       string  `json:"layer,omitempty"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
@@ -62,6 +73,15 @@ type File struct {
 	Suite string     `json:"suite"`
 	Note  string     `json:"note"`
 	Runs  []BenchRun `json:"runs"`
+}
+
+// key identifies a benchmark within a run: its name, qualified by its
+// layer when it has one, so two packages may both have a BenchmarkX.
+func (r BenchResult) key() string {
+	if r.Layer == "" {
+		return r.Name
+	}
+	return r.Layer + "." + r.Name
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.+)$`)
@@ -144,20 +164,7 @@ func main() {
 		GoOS:   runtime.GOOS,
 		GoArch: runtime.GOARCH,
 	}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		line := sc.Text()
-		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
-			run.CPU = strings.TrimSpace(cpu)
-			continue
-		}
-		res, ok := parseBenchLine(line)
-		if !ok {
-			continue
-		}
-		run.Results = append(run.Results, res)
-	}
-	if err := sc.Err(); err != nil {
+	if err := parseRun(os.Stdin, &run); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: reading stdin:", err)
 		os.Exit(1)
 	}
@@ -187,6 +194,33 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchjson: appended %d results to %s (run %q)\n", len(run.Results), *out, *label)
+}
+
+// parseRun reads `go test -bench` output — of one package or of several —
+// into run: the cpu line, and every result line under the layer its
+// package's `pkg:` line names (the path below the module root, whose own
+// path is a single element).
+func parseRun(r io.Reader, run *BenchRun) error {
+	layer := ""
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			run.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		if pkg, ok := strings.CutPrefix(line, "pkg: "); ok {
+			_, layer, _ = strings.Cut(strings.TrimSpace(pkg), "/")
+			continue
+		}
+		res, ok := parseBenchLine(line)
+		if !ok {
+			continue
+		}
+		res.Layer = layer
+		run.Results = append(run.Results, res)
+	}
+	return sc.Err()
 }
 
 // runCompare implements `-compare old.json new.json [-threshold pct]`. It
@@ -258,21 +292,23 @@ func runCompare(args []string) int {
 }
 
 // compareRuns reports the benchmark-by-benchmark ns/op delta of two runs
-// to w. Benchmarks present on only one side are reported as ADDED or
-// REMOVED and counted separately from regressions — a renamed benchmark
-// shows up as one of each and never fails the gate.
+// to w, with the allocs/op movement beside it where either side recorded
+// one (never gated). Benchmarks present on only one side are reported as
+// ADDED or REMOVED and counted separately from regressions — a renamed
+// benchmark shows up as one of each and never fails the gate. Layer
+// benchmarks are reported and not gated (see the package comment).
 func compareRuns(w io.Writer, oldRun, newRun BenchRun, threshold float64) (regressions, added, removed int) {
 	oldBy := make(map[string]BenchResult, len(oldRun.Results))
 	for _, r := range oldRun.Results {
-		oldBy[r.Name] = r
+		oldBy[r.key()] = r
 	}
 	seen := make(map[string]bool, len(newRun.Results))
 	for _, nr := range newRun.Results {
-		seen[nr.Name] = true
-		or, ok := oldBy[nr.Name]
+		seen[nr.key()] = true
+		or, ok := oldBy[nr.key()]
 		if !ok {
 			added++
-			fmt.Fprintf(w, "  %-40s ADDED (%.0f ns/op, no baseline)\n", nr.Name, nr.NsPerOp)
+			fmt.Fprintf(w, "  %-40s ADDED (%.0f ns/op, no baseline)\n", nr.key(), nr.NsPerOp)
 			continue
 		}
 		if or.NsPerOp <= 0 {
@@ -280,11 +316,21 @@ func compareRuns(w io.Writer, oldRun, newRun BenchRun, threshold float64) (regre
 		}
 		delta := (nr.NsPerOp - or.NsPerOp) / or.NsPerOp * 100
 		verdict := "ok"
-		if delta > threshold {
+		switch {
+		case nr.Layer != "":
+			verdict = "layer, not gated"
+		case delta > threshold:
 			verdict = "REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "  %-40s %12.0f → %12.0f ns/op  %+6.1f%%  %s\n", nr.Name, or.NsPerOp, nr.NsPerOp, delta, verdict)
+		allocs := ""
+		if or.AllocsPerOp != 0 || nr.AllocsPerOp != 0 {
+			allocs = fmt.Sprintf("  allocs/op %d → %d", or.AllocsPerOp, nr.AllocsPerOp)
+			if or.AllocsPerOp != 0 {
+				allocs += fmt.Sprintf(" (%+.1f%%)", float64(nr.AllocsPerOp-or.AllocsPerOp)/float64(or.AllocsPerOp)*100)
+			}
+		}
+		fmt.Fprintf(w, "  %-40s %12.0f → %12.0f ns/op  %+6.1f%%  %s%s\n", nr.key(), or.NsPerOp, nr.NsPerOp, delta, verdict, allocs)
 		// Custom metrics (b.ReportMetric units such as p99_ms) are shown
 		// for context but never gated: whether up is good depends on the
 		// unit, and only ns/op has a universally safe direction.
@@ -299,9 +345,9 @@ func compareRuns(w io.Writer, oldRun, newRun BenchRun, threshold float64) (regre
 		}
 	}
 	for _, or := range oldRun.Results {
-		if !seen[or.Name] {
+		if !seen[or.key()] {
 			removed++
-			fmt.Fprintf(w, "  %-40s REMOVED (was %.0f ns/op)\n", or.Name, or.NsPerOp)
+			fmt.Fprintf(w, "  %-40s REMOVED (was %.0f ns/op)\n", or.key(), or.NsPerOp)
 		}
 	}
 	return regressions, added, removed

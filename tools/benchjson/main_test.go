@@ -212,3 +212,89 @@ func TestCompareUsageErrors(t *testing.T) {
 		t.Error("empty trajectory accepted")
 	}
 }
+
+// TestParseRunRecordsLayer pins that a multi-package `go test -bench ./...`
+// stream files every result under the package its `pkg:` line names,
+// relative to the module root, and leaves the root suite layer-less (as
+// every run recorded before the ladder existed is).
+func TestParseRunRecordsLayer(t *testing.T) {
+	const out = `goos: linux
+goarch: amd64
+pkg: anonconsensus
+cpu: Some CPU @ 2.10GHz
+BenchmarkT1ESDecision-2   	      10	    673993 ns/op	  288080 B/op	    3285 allocs/op
+PASS
+ok  	anonconsensus	1.2s
+?   	anonconsensus/examples/quickstart	[no test files]
+pkg: anonconsensus/internal/giraf
+BenchmarkReceiveNew/round=256-2   	  134982	        93.96 ns/op	      66 B/op	       1 allocs/op
+pkg: anonconsensus/internal/sim
+BenchmarkESPooledGST2/n=256-2     	       5	  29408616 ns/op	 7661216 B/op	   17613 allocs/op
+`
+	var run BenchRun
+	if err := parseRun(strings.NewReader(out), &run); err != nil {
+		t.Fatal(err)
+	}
+	if run.CPU != "Some CPU @ 2.10GHz" {
+		t.Errorf("cpu = %q", run.CPU)
+	}
+	want := []string{"T1ESDecision", "internal/giraf.ReceiveNew/round=256", "internal/sim.ESPooledGST2/n=256"}
+	if len(run.Results) != len(want) {
+		t.Fatalf("parsed %d results, want %d: %+v", len(run.Results), len(want), run.Results)
+	}
+	for i, r := range run.Results {
+		if r.key() != want[i] {
+			t.Errorf("result %d: key %q, want %q", i, r.key(), want[i])
+		}
+	}
+	if r := run.Results[1]; r.NsPerOp != 93.96 || r.AllocsPerOp != 1 {
+		t.Errorf("layer result columns: %+v", r)
+	}
+}
+
+// TestCompareAllocsAndLayers pins compare mode's two report-only additions:
+// allocs/op movement is printed beside ns/op, and a layer benchmark is
+// never gated on ns/op (bench-smoke runs it once), while a root benchmark
+// with the same slowdown is.
+func TestCompareAllocsAndLayers(t *testing.T) {
+	oldRun := BenchRun{Results: []BenchResult{
+		{Name: "Root", NsPerOp: 100, AllocsPerOp: 10},
+		{Name: "ReceiveNew/round=256", Layer: "internal/giraf", NsPerOp: 100, AllocsPerOp: 10},
+		{Name: "NoMem", NsPerOp: 100},
+	}}
+	newRun := BenchRun{Results: []BenchResult{
+		{Name: "Root", NsPerOp: 300, AllocsPerOp: 15},
+		{Name: "ReceiveNew/round=256", Layer: "internal/giraf", NsPerOp: 300, AllocsPerOp: 1},
+		{Name: "NoMem", NsPerOp: 100},
+	}}
+	var b strings.Builder
+	regressions, added, removed := compareRuns(&b, oldRun, newRun, 20)
+	if regressions != 1 || added != 0 || removed != 0 {
+		t.Errorf("regressions=%d added=%d removed=%d, want 1 (the root one), 0, 0\n%s", regressions, added, removed, b.String())
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want 3 report lines:\n%s", b.String())
+	}
+	for i, want := range [][]string{
+		{"Root", "REGRESSION", "allocs/op 10 → 15 (+50.0%)"},
+		{"internal/giraf.ReceiveNew/round=256", "layer, not gated", "allocs/op 10 → 1 (-90.0%)"},
+		{"NoMem", "ok"},
+	} {
+		for _, frag := range want {
+			if !strings.Contains(lines[i], frag) {
+				t.Errorf("line %d lacks %q: %s", i, frag, lines[i])
+			}
+		}
+	}
+	if strings.Contains(lines[2], "allocs/op") {
+		t.Errorf("a benchmark recorded without -benchmem grew an allocs column: %s", lines[2])
+	}
+	// Same name, different layer: distinct benchmarks, not a match.
+	_, added, removed = compareRuns(&b,
+		BenchRun{Results: []BenchResult{{Name: "X", Layer: "internal/env", NsPerOp: 1}}},
+		BenchRun{Results: []BenchResult{{Name: "X", Layer: "internal/sim", NsPerOp: 1}}}, 20)
+	if added != 1 || removed != 1 {
+		t.Errorf("same name in two layers matched: added=%d removed=%d", added, removed)
+	}
+}
