@@ -90,89 +90,6 @@ func ParseEnvironment(name string) (Environment, error) {
 	}
 }
 
-// Config describes a consensus run for the Solve and Simulate
-// compatibility wrappers.
-//
-// Deprecated: new code should create a Node over an explicit Transport and
-// configure it with functional options (WithEnv, WithGST, WithSeed,
-// WithCrashes, WithStableSource, WithInterval, WithTimeout,
-// WithMaxRounds). Config remains fully functional — Solve and Simulate are
-// kept as thin wrappers over a single-instance Node — but new knobs are
-// added to the options API only.
-type Config struct {
-	// Proposals holds one initial value per process (length = #processes).
-	// Every value must be non-empty.
-	Proposals []Value
-	// Env is the synchrony assumption; defaults to EnvES.
-	Env Environment
-	// GST is the stabilization round (0 = stable from the start).
-	GST int
-	// StableSource is the process that is the eventual source (EnvESS
-	// only). It must not be listed in Crashes.
-	StableSource int
-	// Seed drives the pre-stabilization adversary.
-	Seed int64
-	// Crashes maps process index to the round at which it crashes.
-	Crashes map[int]int
-
-	// Interval is the live round-timer period (Solve only); defaults to
-	// 5ms.
-	Interval time.Duration
-	// Timeout bounds a live run (Solve only); defaults to 30s.
-	Timeout time.Duration
-	// MaxRounds bounds a simulated run (Simulate only); defaults to
-	// 10·n+200.
-	MaxRounds int
-}
-
-func (c *Config) validate() error {
-	if len(c.Proposals) == 0 {
-		return fmt.Errorf("anonconsensus: no proposals")
-	}
-	for i, p := range c.Proposals {
-		if !values.Value(p).Valid() {
-			return fmt.Errorf("anonconsensus: proposal %d is invalid (%q)", i, string(p))
-		}
-	}
-	switch c.Env {
-	case EnvES, EnvESS:
-	case 0:
-	default:
-		return fmt.Errorf("anonconsensus: unknown environment %d", int(c.Env))
-	}
-	if c.Env == EnvESS {
-		if c.StableSource < 0 || c.StableSource >= len(c.Proposals) {
-			return fmt.Errorf("anonconsensus: stable source %d outside [0,%d)", c.StableSource, len(c.Proposals))
-		}
-		if _, crashed := c.Crashes[c.StableSource]; crashed {
-			return fmt.Errorf("anonconsensus: the stable source must stay correct")
-		}
-	}
-	return nil
-}
-
-func (c *Config) env() Environment {
-	if c.Env == 0 {
-		return EnvES
-	}
-	return c.Env
-}
-
-// session converts the legacy Config into the resolved option set used by
-// Node sessions.
-func (c *Config) session() options {
-	return options{
-		env:          c.env(),
-		gst:          c.GST,
-		stableSource: c.StableSource,
-		seed:         c.Seed,
-		scenario:     Scenario{Crashes: c.Crashes},
-		interval:     c.Interval,
-		timeout:      c.Timeout,
-		maxRounds:    c.MaxRounds,
-	}
-}
-
 // Decision is one process's outcome.
 type Decision struct {
 	// Proc is the process index (a runner-level handle; the processes
@@ -212,12 +129,13 @@ type Robustness struct {
 	OverwhelmedDrops int
 }
 
-// Result is the outcome of Solve or Simulate.
+// Result is the outcome of one consensus instance.
 type Result struct {
 	Decisions []Decision
-	// Rounds is the number of rounds executed (Simulate) or 0 (Solve).
+	// Rounds is the number of rounds executed (sim transport; 0 on the
+	// real-time ones).
 	Rounds int
-	// Elapsed is the wall-clock duration (Solve) or 0 (Simulate).
+	// Elapsed is the wall-clock duration (real-time transports; 0 on sim).
 	Elapsed time.Duration
 	// Robustness reports the network-failure events the run survived
 	// (NewTCPTransport only: its hub and connections live exactly one Run).
@@ -245,38 +163,6 @@ func (r *Result) Agreed() (v Value, ok bool) {
 	return v, found
 }
 
-// Solve runs consensus over a live in-process network (one goroutine per
-// process, channel broadcast, real-time rounds). It returns when every
-// correct process decided or the timeout expired; individual Decisions
-// report who decided what.
-//
-// Solve is a compatibility wrapper over a Node running a single instance
-// on NewLiveTransport; long-lived callers should use Node directly.
-func Solve(cfg Config) (*Result, error) {
-	return runCompat(NewLiveTransport(), cfg)
-}
-
-// Simulate runs consensus on the deterministic lockstep simulator with a
-// seeded adversarial schedule. Identical configs produce identical runs.
-//
-// Simulate is a compatibility wrapper over a Node running a single
-// instance on NewSimTransport; long-lived callers should use Node
-// directly.
-func Simulate(cfg Config) (*Result, error) {
-	return runCompat(NewSimTransport(), cfg)
-}
-
-// runCompat executes one legacy Config as a single-instance Node session.
-func runCompat(t Transport, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		t.Close()
-		return nil, err
-	}
-	node := newNode(t, cfg.session())
-	defer node.Close()
-	return node.Run(context.Background(), "config", cfg.Proposals)
-}
-
 // BatchItem describes one instance of a RunBatch fan-out: its proposals
 // plus per-item option overrides (a different seed per item is the
 // typical use).
@@ -288,8 +174,8 @@ type BatchItem struct {
 // RunBatch runs independent consensus instances on the deterministic
 // simulator, fanned across a bounded worker pool, and returns their
 // results in submission order. results[i] is byte-identical to what
-// Simulate would produce for the same proposals and options, at any
-// parallelism — instances share nothing, and ordering is restored at
+// Node.Run on NewSimTransport would produce for the same proposals and
+// options, at any parallelism — instances share nothing, and ordering is restored at
 // collection. opts apply to every item (WithParallelism bounds the pool;
 // the default is GOMAXPROCS); item Opts override per instance.
 //
@@ -471,6 +357,7 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 		MaxDelay:      cfg.MaxDelay,
 		Depth:         cfg.Depth,
 		ScenarioPct:   cfg.ScenarioPct,
+		Scenario:      cfg.Scenario.toEnv(cfg.Seed),
 		Parallelism:   cfg.Parallelism,
 		DisableShrink: cfg.DisableShrink,
 	}
@@ -489,9 +376,6 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 		inner.Mode = explore.ModeRandom
 	default:
 		return nil, fmt.Errorf("anonconsensus: unknown exploration mode %d", int(cfg.Mode))
-	}
-	if sc := cfg.Scenario.toEnv(cfg.Seed); !sc.Empty() {
-		inner.Scenario = sc
 	}
 	rep, err := explore.Run(inner)
 	if err != nil {

@@ -6,12 +6,8 @@ import (
 )
 
 func TestSimulateES(t *testing.T) {
-	res, err := Simulate(Config{
-		Proposals: []Value{NumValue(1), NumValue(2), NumValue(3)},
-		Env:       EnvES,
-		GST:       6,
-		Seed:      1,
-	})
+	res, err := RunOnceForTest(NewSimTransport(), []Value{NumValue(1), NumValue(2), NumValue(3)},
+		WithEnv(EnvES), WithGST(6), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +21,8 @@ func TestSimulateES(t *testing.T) {
 }
 
 func TestSimulateESS(t *testing.T) {
-	res, err := Simulate(Config{
-		Proposals:    []Value{NumValue(5), NumValue(6), NumValue(7), NumValue(8)},
-		Env:          EnvESS,
-		GST:          8,
-		StableSource: 2,
-		Seed:         3,
-		MaxRounds:    600,
-	})
+	res, err := RunOnceForTest(NewSimTransport(), []Value{NumValue(5), NumValue(6), NumValue(7), NumValue(8)},
+		WithEnv(EnvESS), WithGST(8), WithStableSource(2), WithSeed(3), WithMaxRounds(600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +32,8 @@ func TestSimulateESS(t *testing.T) {
 }
 
 func TestSimulateWithCrashes(t *testing.T) {
-	res, err := Simulate(Config{
-		Proposals: []Value{NumValue(1), NumValue(2), NumValue(3), NumValue(4)},
-		Env:       EnvES,
-		GST:       8,
-		Crashes:   map[int]int{0: 3},
-	})
+	res, err := RunOnceForTest(NewSimTransport(), []Value{NumValue(1), NumValue(2), NumValue(3), NumValue(4)},
+		WithEnv(EnvES), WithGST(8), WithCrashes(map[int]int{0: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +46,15 @@ func TestSimulateWithCrashes(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	cfg := Config{
-		Proposals: []Value{NumValue(1), NumValue(2), NumValue(3)},
-		Env:       EnvES,
-		GST:       10,
-		Seed:      42,
+	run := func() (*Result, error) {
+		return RunOnceForTest(NewSimTransport(), []Value{NumValue(1), NumValue(2), NumValue(3)},
+			WithEnv(EnvES), WithGST(10), WithSeed(42))
 	}
-	a, err := Simulate(cfg)
+	a, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(cfg)
+	b, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +66,8 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestSolveLiveES(t *testing.T) {
-	res, err := Solve(Config{
-		Proposals: []Value{NumValue(10), NumValue(20), NumValue(30)},
-		Env:       EnvES,
-		GST:       4,
-		Interval:  5 * time.Millisecond,
-		Timeout:   15 * time.Second,
-	})
+	res, err := RunOnceForTest(NewLiveTransport(), []Value{NumValue(10), NumValue(20), NumValue(30)},
+		WithEnv(EnvES), WithGST(4), WithInterval(5*time.Millisecond), WithTimeout(15*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,29 +77,32 @@ func TestSolveLiveES(t *testing.T) {
 	if res.Elapsed <= 0 {
 		t.Error("elapsed not recorded")
 	}
+	if len(res.Decisions) != 3 {
+		t.Errorf("want one Decision per process (3), got %d", len(res.Decisions))
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
-		name string
-		cfg  Config
+		name      string
+		proposals []Value
+		opts      []Option
 	}{
-		{"no proposals", Config{}},
-		{"empty proposal", Config{Proposals: []Value{""}}},
-		{"bad env", Config{Proposals: []Value{"a"}, Env: Environment(9)}},
-		{"bad source", Config{Proposals: []Value{"a"}, Env: EnvESS, StableSource: 5}},
-		{"crashed source", Config{
-			Proposals: []Value{"a", "b"}, Env: EnvESS, StableSource: 0,
-			Crashes: map[int]int{0: 1},
+		{"no proposals", nil, nil},
+		{"empty proposal", []Value{""}, nil},
+		{"bad env", []Value{"a"}, []Option{WithEnv(Environment(9))}},
+		{"bad source", []Value{"a"}, []Option{WithEnv(EnvESS), WithStableSource(5)}},
+		{"crashed source", []Value{"a", "b"}, []Option{
+			WithEnv(EnvESS), WithStableSource(0), WithCrashes(map[int]int{0: 1}),
 		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Simulate(tt.cfg); err == nil {
-				t.Error("invalid config accepted by Simulate")
+			if _, err := RunOnceForTest(NewSimTransport(), tt.proposals, tt.opts...); err == nil {
+				t.Error("invalid config accepted on the sim transport")
 			}
-			if _, err := Solve(tt.cfg); err == nil {
-				t.Error("invalid config accepted by Solve")
+			if _, err := RunOnceForTest(NewLiveTransport(), tt.proposals, tt.opts...); err == nil {
+				t.Error("invalid config accepted on the live transport")
 			}
 		})
 	}
@@ -222,14 +204,8 @@ func TestOFConsensusAPI(t *testing.T) {
 }
 
 func TestSolveLiveESS(t *testing.T) {
-	res, err := Solve(Config{
-		Proposals:    []Value{NumValue(1), NumValue(2), NumValue(3)},
-		Env:          EnvESS,
-		GST:          4,
-		StableSource: 1,
-		Interval:     5 * time.Millisecond,
-		Timeout:      30 * time.Second,
-	})
+	res, err := RunOnceForTest(NewLiveTransport(), []Value{NumValue(1), NumValue(2), NumValue(3)},
+		WithEnv(EnvESS), WithGST(4), WithStableSource(1), WithInterval(5*time.Millisecond), WithTimeout(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,8 @@ func TestRunBatchMatchesSimulate(t *testing.T) {
 	items := batchItems()
 	want := make([]*anonconsensus.Result, len(items))
 	for i, item := range items {
-		res, err := anonconsensus.Simulate(anonconsensus.Config{
-			Proposals: item.Proposals, Env: anonconsensus.EnvES, GST: 6, Seed: int64(i),
-		})
+		res, err := anonconsensus.RunOnceForTest(anonconsensus.NewSimTransport(), item.Proposals,
+			anonconsensus.WithEnv(anonconsensus.EnvES), anonconsensus.WithGST(6), anonconsensus.WithSeed(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +48,7 @@ func TestRunBatchMatchesSimulate(t *testing.T) {
 		}
 		for i := range want {
 			if !reflect.DeepEqual(got[i].Decisions, want[i].Decisions) || got[i].Rounds != want[i].Rounds {
-				t.Errorf("parallelism %d item %d: batch result diverged from Simulate:\n got %+v\nwant %+v",
+				t.Errorf("parallelism %d item %d: batch result diverged from Node.Run on the sim transport:\n got %+v\nwant %+v",
 					par, i, got[i], want[i])
 			}
 		}

@@ -63,7 +63,7 @@ func BenchmarkESConsensusRound(b *testing.B) {
 			props := core.DistinctProposals(n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunES(props, core.RunOpts{Policy: sim.Synchronous{}})
+				res, err := core.RunES(props, core.RunOpts{Policy: env.Synchronous{}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func BenchmarkESConsensus(b *testing.B) {
 			}
 			props := core.DistinctProposals(n)
 			mk := func() sim.Config {
-				return core.ConfigES(props, core.RunOpts{Policy: sim.Synchronous{}})
+				return core.ConfigES(props, core.RunOpts{Policy: env.Synchronous{}})
 			}
 			eng, err := sim.New(mk())
 			if err != nil {
@@ -123,7 +123,7 @@ func BenchmarkESConsensusLossy(b *testing.B) {
 			rounds := 0
 			for i := 0; i < b.N; i++ {
 				res, err := core.RunES(props, core.RunOpts{
-					Policy:   &sim.ES{GST: 6, Pre: sim.MS{Seed: int64(i)}},
+					Policy:   &env.ES{GST: 6, Pre: env.MS{Seed: int64(i)}},
 					Scenario: &env.Scenario{Seed: int64(i), LossPct: 10, DupPct: 10},
 				})
 				if err != nil {
@@ -145,7 +145,7 @@ func BenchmarkESSConsensusRound(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := core.RunESS(props, core.RunOpts{
-					Policy:    &sim.ESS{GST: 6, StableSource: 0, Pre: sim.MS{Seed: int64(i)}},
+					Policy:    &env.ESS{GST: 6, StableSource: 0, Pre: env.MS{Seed: int64(i)}},
 					MaxRounds: 400,
 				})
 				if err != nil {
@@ -163,7 +163,7 @@ func BenchmarkWeakSetAddLatency(b *testing.B) {
 	ops := []weakset.ScheduledOp{{Proc: 0, Round: 1, Kind: weakset.OpAdd, Value: values.Num(1)}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := weakset.RunMS(5, ops, &sim.MS{Seed: int64(i), MaxDelay: 3}, 60, nil)
+		res, err := weakset.RunMS(5, ops, &env.MS{Seed: int64(i), MaxDelay: 3}, 60, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,13 +255,9 @@ func BenchmarkLiveSolve(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := anonconsensus.Solve(anonconsensus.Config{
-			Proposals: props,
-			Env:       anonconsensus.EnvES,
-			GST:       2,
-			Interval:  10 * time.Millisecond,
-			Timeout:   60 * time.Second,
-		})
+		res, err := anonconsensus.RunOnceForTest(anonconsensus.NewLiveTransport(), props,
+			anonconsensus.WithEnv(anonconsensus.EnvES), anonconsensus.WithGST(2),
+			anonconsensus.WithInterval(10*time.Millisecond), anonconsensus.WithTimeout(60*time.Second))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -297,7 +293,7 @@ func esBatchConfigs(runs, n int) []sim.Config {
 	props := core.DistinctProposals(n)
 	for i := range cfgs {
 		cfgs[i] = core.ConfigES(props, core.RunOpts{
-			Policy: &sim.ES{GST: 8, Pre: sim.MS{Seed: int64(i), MaxDelay: 3}},
+			Policy: &env.ES{GST: 8, Pre: env.MS{Seed: int64(i), MaxDelay: 3}},
 		})
 	}
 	return cfgs
@@ -311,7 +307,7 @@ func BenchmarkESEngineReuse(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			props := core.DistinctProposals(n)
 			mk := func() sim.Config {
-				return core.ConfigES(props, core.RunOpts{Policy: sim.Synchronous{}})
+				return core.ConfigES(props, core.RunOpts{Policy: env.Synchronous{}})
 			}
 			eng, err := sim.New(mk())
 			if err != nil {

@@ -36,8 +36,8 @@ import (
 
 	"anonconsensus"
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/expt"
-	"anonconsensus/internal/sim"
 )
 
 // cliOpts carries the parsed command line.
@@ -202,7 +202,7 @@ func runSingleES(n, workers int) error {
 	props := core.DistinctProposals(n)
 	start := time.Now()
 	res, err := core.RunES(props, core.RunOpts{
-		Policy:         sim.Synchronous{},
+		Policy:         env.Synchronous{},
 		DeliverWorkers: workers,
 	})
 	if err != nil {

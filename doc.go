@@ -65,19 +65,6 @@
 //     instance an epoch. NewTCPHub and JoinTCP expose the same substrate
 //     for genuinely distributed deployments (see cmd/anonnode).
 //
-// # Compatibility policy
-//
-// The original one-shot entry points are kept as thin wrappers over a
-// single-instance Node: Solve (live network) and Simulate (deterministic
-// simulator), both driven by the legacy Config struct. Config is
-// deprecated but remains fully functional and behavior-preserving —
-// Simulate produces results identical to earlier releases on fixed seeds.
-// One deliberate exception: a Config.Crashes entry naming a process
-// outside the ensemble is now rejected by Solve as well (Simulate always
-// rejected it); earlier releases' Solve silently ignored such entries.
-// New knobs are added to the functional options only; new code should use
-// NewNode with an explicit Transport.
-//
 // # Shared memory side
 //
 // NewWeakSet / NewRegister expose the paper's shared-memory results: the
@@ -91,11 +78,7 @@
 // wall-clock latency profiles and fault scenarios — one model shared by
 // all backends), internal/weakset, internal/register, internal/msemu and
 // internal/fd for the substrate results, and DESIGN.md for the full
-// inventory. Constructing environments through the internal/sim and
-// internal/anonnet names (sim.Policy implementations, anonnet latency
-// profiles) is deprecated: those are compatibility aliases over
-// internal/env, which is where new environments and fault dimensions are
-// added.
+// inventory.
 //
 // # Verification
 //

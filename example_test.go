@@ -1,24 +1,29 @@
 package anonconsensus_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"anonconsensus"
 )
 
-// ExampleSimulate runs a deterministic seeded simulation: same config,
-// same run, every time.
-func ExampleSimulate() {
-	res, err := anonconsensus.Simulate(anonconsensus.Config{
-		Proposals: []anonconsensus.Value{
-			anonconsensus.NumValue(3),
-			anonconsensus.NumValue(1),
-			anonconsensus.NumValue(2),
-		},
-		Env:  anonconsensus.EnvES,
-		GST:  0, // synchronous from the start
-		Seed: 1,
+// ExampleNode_Run runs a deterministic seeded simulation: same proposals
+// and options, same run, every time.
+func ExampleNode_Run() {
+	node, err := anonconsensus.NewNode(anonconsensus.NewSimTransport(),
+		anonconsensus.WithEnv(anonconsensus.EnvES),
+		anonconsensus.WithGST(0), // synchronous from the start
+		anonconsensus.WithSeed(1),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer node.Close()
+	res, err := node.Run(context.Background(), "example", []anonconsensus.Value{
+		anonconsensus.NumValue(3),
+		anonconsensus.NumValue(1),
+		anonconsensus.NumValue(2),
 	})
 	if err != nil {
 		log.Fatal(err)

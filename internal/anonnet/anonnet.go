@@ -23,12 +23,6 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// LatencyModel assigns each (round, sender, receiver) link a delay.
-// Implementations must be safe for concurrent use; the provided profiles
-// are stateless hash-based so they need no locks. It is an alias for
-// env.LatencyModel — the model is shared with the other backends.
-type LatencyModel = env.LatencyModel
-
 // Config describes a live run.
 type Config struct {
 	// N is the number of processes.
@@ -38,20 +32,19 @@ type Config struct {
 	// Interval is the local round-timer period. Keep it ≥ 2ms so timely
 	// links are reliably timely under scheduler noise.
 	Interval time.Duration
-	// Latency is the link latency profile.
-	Latency LatencyModel
+	// Latency is the link latency profile; it must be safe for concurrent
+	// use (internal/env's profiles are stateless hashes).
+	Latency env.LatencyModel
 	// Timeout bounds the whole run.
 	Timeout time.Duration
-	// CrashAfterRounds stops process i after it executed that many
-	// end-of-rounds (simulated crash). Zero/absent means never.
-	CrashAfterRounds map[int]int
-	// Scenario, when non-nil, overlays link faults on the broadcast fan-out:
-	// envelopes whose (round, sender, receiver) the scenario drops — loss
-	// draw or active partition — are never queued, and duplicated ones are
-	// queued twice (the copy half an interval later), exercising inbox
-	// deduplication. The scenario's crash schedule is honored in addition
-	// to CrashAfterRounds. Fault decisions are deterministic in the
-	// scenario seed, the same decisions the lockstep simulator makes.
+	// Scenario is the run's fault description; nil means fault-free. A
+	// process with crash round r stops after it executed r end-of-rounds.
+	// Link faults act on the broadcast fan-out: envelopes whose (round,
+	// sender, receiver) the scenario drops — loss draw or active partition —
+	// are never queued, and duplicated ones are queued twice (the copy half
+	// an interval later), exercising inbox deduplication. Fault decisions
+	// are deterministic in the scenario seed, the same decisions the
+	// lockstep simulator makes.
 	Scenario *env.Scenario
 	// OnRound, if non-nil, runs in process i's own goroutine immediately
 	// before each end-of-round, with the automaton it is about to step.
@@ -79,21 +72,10 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// ProcResult is one process's outcome.
-type ProcResult struct {
-	Decided  bool
-	Decision values.Value
-	// DecidedRound is the round the process computed when deciding.
-	DecidedRound int
-	// Rounds is the number of end-of-rounds the process executed.
-	Rounds int
-	// Crashed reports whether the crash schedule stopped it.
-	Crashed bool
-}
-
 // Result is the outcome of a live run.
 type Result struct {
-	Procs   []ProcResult
+	// Procs holds every process's outcome, process i at index i.
+	Procs   []rounddriver.Outcome
 	Elapsed time.Duration
 	// Dropped counts deliveries lost to the scenario's loss rate or an
 	// active partition; Duplicated counts the extra deliveries its
@@ -170,7 +152,7 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 	}
 
 	start := time.Now()
-	results := make([]ProcResult, cfg.N)
+	results := make([]rounddriver.Outcome, cfg.N)
 	var procWG sync.WaitGroup
 	for i := 0; i < cfg.N; i++ {
 		i := i
@@ -210,12 +192,9 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 // runProcess drives one process on the shared round loop (package
 // rounddriver). There is no join grace here: every process starts inside
 // Run, so nobody attaches late.
-func (nw *network) runProcess(id int) ProcResult {
+func (nw *network) runProcess(id int) rounddriver.Outcome {
 	aut := nw.cfg.Automaton(id)
-	crashAfter := nw.cfg.CrashAfterRounds[id]
-	if sc, ok := nw.cfg.Scenario.CrashRound(id); ok && (crashAfter == 0 || sc < crashAfter) {
-		crashAfter = sc
-	}
+	crashAfter, _ := nw.cfg.Scenario.CrashRound(id) // 0 = never (rounds are ≥ 1)
 	ticker := time.NewTicker(nw.cfg.Interval)
 	defer ticker.Stop()
 	cfg := rounddriver.Config{
@@ -232,14 +211,7 @@ func (nw *network) runProcess(id int) ProcResult {
 	if nw.cfg.OnRound != nil {
 		cfg.OnRound = func(round int) { nw.cfg.OnRound(id, round, aut) }
 	}
-	out := rounddriver.Run(nw.ctx, cfg)
-	return ProcResult{
-		Decided:      out.Decided,
-		Decision:     out.Decision,
-		DecidedRound: out.DecidedRound,
-		Rounds:       out.Rounds,
-		Crashed:      out.Crashed,
-	}
+	return rounddriver.Run(nw.ctx, cfg)
 }
 
 // broadcast fans the envelope out to every peer with per-link delays.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/values"
 )
@@ -46,7 +47,7 @@ func TestLiveESSynchronous(t *testing.T) {
 		N:         4,
 		Automaton: esFactory(props),
 		Interval:  liveInterval,
-		Latency:   Sync{Interval: liveInterval},
+		Latency:   env.Sync{Interval: liveInterval},
 		Timeout:   10 * time.Second,
 	})
 	if err != nil {
@@ -61,7 +62,7 @@ func TestLiveESEventualSynchrony(t *testing.T) {
 		N:         3,
 		Automaton: esFactory(props),
 		Interval:  liveInterval,
-		Latency:   ESProfile{N: 3, Interval: liveInterval, Seed: 1, GST: 6},
+		Latency:   env.ESProfile{N: 3, Interval: liveInterval, Seed: 1, GST: 6},
 		Timeout:   20 * time.Second,
 	})
 	if err != nil {
@@ -76,7 +77,7 @@ func TestLiveESSStableSource(t *testing.T) {
 		N:         3,
 		Automaton: essFactory(props),
 		Interval:  liveInterval,
-		Latency:   ESSProfile{N: 3, Interval: liveInterval, Seed: 2, GST: 4, Source: 1},
+		Latency:   env.ESSProfile{N: 3, Interval: liveInterval, Seed: 2, GST: 4, Source: 1},
 		Timeout:   30 * time.Second,
 	})
 	if err != nil {
@@ -88,12 +89,12 @@ func TestLiveESSStableSource(t *testing.T) {
 func TestLiveESWithCrash(t *testing.T) {
 	props := core.DistinctProposals(4)
 	res, err := Run(context.Background(), Config{
-		N:                4,
-		Automaton:        esFactory(props),
-		Interval:         liveInterval,
-		Latency:          Sync{Interval: liveInterval},
-		Timeout:          15 * time.Second,
-		CrashAfterRounds: map[int]int{0: 2},
+		N:         4,
+		Automaton: esFactory(props),
+		Interval:  liveInterval,
+		Latency:   env.Sync{Interval: liveInterval},
+		Timeout:   15 * time.Second,
+		Scenario:  &env.Scenario{Crashes: map[int]int{0: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestLiveMSSafetyOnly(t *testing.T) {
 		N:         3,
 		Automaton: esFactory(props),
 		Interval:  2 * time.Millisecond,
-		Latency:   MSProfile{N: 3, Interval: 2 * time.Millisecond, Seed: 3},
+		Latency:   env.MSProfile{N: 3, Interval: 2 * time.Millisecond, Seed: 3},
 		Timeout:   500 * time.Millisecond,
 	})
 	if err != nil {
@@ -131,7 +132,7 @@ func TestLiveRoundsDrift(t *testing.T) {
 		N:         3,
 		Automaton: esFactory(props),
 		Interval:  2 * time.Millisecond,
-		Latency:   MSProfile{N: 3, Interval: 2 * time.Millisecond, Seed: 5},
+		Latency:   env.MSProfile{N: 3, Interval: 2 * time.Millisecond, Seed: 5},
 		Timeout:   300 * time.Millisecond,
 	})
 	if err != nil {
@@ -150,7 +151,7 @@ func TestLiveConfigValidation(t *testing.T) {
 			N:         2,
 			Automaton: esFactory(core.DistinctProposals(2)),
 			Interval:  time.Millisecond,
-			Latency:   Sync{Interval: time.Millisecond},
+			Latency:   env.Sync{Interval: time.Millisecond},
 			Timeout:   time.Second,
 		}
 	}
@@ -172,7 +173,7 @@ func TestLiveConfigValidation(t *testing.T) {
 }
 
 func TestProfilesDeterministic(t *testing.T) {
-	p := MSProfile{N: 4, Interval: time.Millisecond, Seed: 9}
+	p := env.MSProfile{N: 4, Interval: time.Millisecond, Seed: 9}
 	src := 3 % p.N // round-robin source of round 3 (Period defaults to 1)
 	if p.Delay(3, 1, 2) != p.Delay(3, 1, 2) {
 		t.Error("profile must be deterministic")
@@ -195,7 +196,7 @@ func TestLiveAsyncProfileCanBreakAgreement(t *testing.T) {
 		N:         3,
 		Automaton: esFactory(props),
 		Interval:  2 * time.Millisecond,
-		Latency:   AsyncProfile{Interval: 2 * time.Millisecond, Seed: 8},
+		Latency:   env.AsyncProfile{Interval: 2 * time.Millisecond, Seed: 8},
 		Timeout:   400 * time.Millisecond,
 	})
 	if err != nil {
@@ -220,7 +221,7 @@ func TestOnRoundHookRunsInProcessGoroutine(t *testing.T) {
 		N:         3,
 		Automaton: esFactory(props),
 		Interval:  2 * time.Millisecond,
-		Latency:   Sync{Interval: 2 * time.Millisecond},
+		Latency:   env.Sync{Interval: 2 * time.Millisecond},
 		Timeout:   5 * time.Second,
 		OnRound: func(proc, round int, aut giraf.Automaton) {
 			if _, ok := aut.(*core.ES); !ok {
@@ -259,7 +260,7 @@ func TestRunParentContextCancellation(t *testing.T) {
 		N:         3,
 		Automaton: esFactory(props),
 		Interval:  500 * time.Millisecond,
-		Latency:   Sync{Interval: 500 * time.Millisecond},
+		Latency:   env.Sync{Interval: 500 * time.Millisecond},
 		Timeout:   5 * time.Minute,
 	})
 	if !errors.Is(err, context.Canceled) {

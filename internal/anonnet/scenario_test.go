@@ -20,7 +20,7 @@ func TestLiveScenarioDuplicationHarmless(t *testing.T) {
 		N:         4,
 		Automaton: esFactory(props),
 		Interval:  liveInterval,
-		Latency:   Sync{Interval: liveInterval},
+		Latency:   env.Sync{Interval: liveInterval},
 		Timeout:   10 * time.Second,
 		Scenario:  &env.Scenario{Seed: 1, DupPct: 100},
 	})
@@ -42,7 +42,7 @@ func TestLiveScenarioTotalLossIsolatesProcesses(t *testing.T) {
 		N:         2,
 		Automaton: esFactory(props),
 		Interval:  liveInterval,
-		Latency:   Sync{Interval: liveInterval},
+		Latency:   env.Sync{Interval: liveInterval},
 		Timeout:   10 * time.Second,
 		Scenario:  &env.Scenario{Seed: 2, LossPct: 100},
 	})
@@ -69,7 +69,7 @@ func TestLiveScenarioPartitionSplitsBrain(t *testing.T) {
 		N:         4,
 		Automaton: esFactory(props),
 		Interval:  liveInterval,
-		Latency:   Sync{Interval: liveInterval},
+		Latency:   env.Sync{Interval: liveInterval},
 		Timeout:   10 * time.Second,
 		Scenario:  &env.Scenario{Partitions: []env.Partition{{From: 1, Until: 0, Cut: 2}}},
 	})
@@ -85,13 +85,14 @@ func TestLiveScenarioPartitionSplitsBrain(t *testing.T) {
 }
 
 func TestLiveScenarioCrashSchedule(t *testing.T) {
-	// A scenario crash schedule behaves like CrashAfterRounds.
+	// A crash at round 1: the process stops before it ever broadcasts more
+	// than its initial state.
 	props := core.DistinctProposals(3)
 	res, err := Run(context.Background(), Config{
 		N:         3,
 		Automaton: esFactory(props),
 		Interval:  liveInterval,
-		Latency:   Sync{Interval: liveInterval},
+		Latency:   env.Sync{Interval: liveInterval},
 		Timeout:   10 * time.Second,
 		Scenario:  &env.Scenario{Crashes: map[int]int{2: 1}},
 	})
@@ -109,7 +110,7 @@ func TestLiveScenarioValidation(t *testing.T) {
 		N:         2,
 		Automaton: esFactory(core.DistinctProposals(2)),
 		Interval:  liveInterval,
-		Latency:   Sync{Interval: liveInterval},
+		Latency:   env.Sync{Interval: liveInterval},
 		Timeout:   time.Second,
 		Scenario:  &env.Scenario{Partitions: []env.Partition{{From: 1, Until: 0, Cut: 2}}}, // cut ≥ n
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
@@ -13,7 +14,7 @@ import (
 // preprint demonstrably breaks Agreement (stale WRITTENOLD) and Termination
 // (the all-⊥ deadlock).
 
-func runLiteralESS(t *testing.T, props []values.Value, pol sim.Policy, maxRounds int) *sim.Result {
+func runLiteralESS(t *testing.T, props []values.Value, pol env.Policy, maxRounds int) *sim.Result {
 	t.Helper()
 	res, err := sim.Run(sim.Config{
 		N:         len(props),
@@ -32,13 +33,13 @@ func TestESSLiteralViolatesAgreement(t *testing.T) {
 	// variant's WRITTENOLD^k = WRITTEN^(k−2) lets one process decide on
 	// two-round-old evidence while the rest move on to another value.
 	props := SplitProposals(5, 2)
-	res := runLiteralESS(t, props, &sim.MS{Seed: 93, MaxDelay: 3, ExtraTimelyPct: 93 % 40}, 80)
+	res := runLiteralESS(t, props, &env.MS{Seed: 93, MaxDelay: 3, ExtraTimelyPct: 93 % 40}, 80)
 	if res.Decisions().Len() <= 1 {
 		t.Skip("pinned schedule no longer violates agreement (engine change?); re-pin a seed")
 	}
 	// The corrected automaton must handle the same schedule safely.
 	fixed, err := RunESS(props, RunOpts{
-		Policy:    &sim.MS{Seed: 93, MaxDelay: 3, ExtraTimelyPct: 93 % 40},
+		Policy:    &env.MS{Seed: 93, MaxDelay: 3, ExtraTimelyPct: 93 % 40},
 		MaxRounds: 80,
 	})
 	if err != nil {
@@ -55,14 +56,14 @@ func TestESSLiteralDeadlocksAllBot(t *testing.T) {
 	// stuck proposing ⊥ forever because the leader-proposal lines never run
 	// when WRITTEN \ {⊥} = ∅.
 	props := DistinctProposals(5)
-	pol := &sim.ESS{GST: 1, StableSource: 4, Pre: sim.MS{Seed: 4}}
+	pol := &env.ESS{GST: 1, StableSource: 4, Pre: env.MS{Seed: 4}}
 	res := runLiteralESS(t, props, pol, 300)
 	if res.AllCorrectDecided() {
 		t.Skip("pinned schedule no longer deadlocks (engine change?); re-pin")
 	}
 	// The corrected automaton terminates on the identical schedule.
 	fixed, err := RunESS(props, RunOpts{
-		Policy:    &sim.ESS{GST: 1, StableSource: 4, Pre: sim.MS{Seed: 4}},
+		Policy:    &env.ESS{GST: 1, StableSource: 4, Pre: env.MS{Seed: 4}},
 		MaxRounds: 300,
 	})
 	if err != nil {
@@ -81,7 +82,7 @@ func TestESLiteralStaleWrittenOld(t *testing.T) {
 	// deterministic, so this test is stable.
 	for seed := int64(0); seed < 400; seed++ {
 		props := SplitProposals(5, 2)
-		pol := &sim.MS{Seed: seed, MaxDelay: 3, ExtraTimelyPct: int(seed % 40)}
+		pol := &env.MS{Seed: seed, MaxDelay: 3, ExtraTimelyPct: int(seed % 40)}
 		res, err := sim.Run(sim.Config{
 			N:         len(props),
 			Automaton: func(i int) giraf.Automaton { return NewESLiteral(props[i]) },
@@ -93,7 +94,7 @@ func TestESLiteralStaleWrittenOld(t *testing.T) {
 		}
 		if res.Decisions().Len() > 1 {
 			fixed, err := RunES(props, RunOpts{
-				Policy:    &sim.MS{Seed: seed, MaxDelay: 3, ExtraTimelyPct: int(seed % 40)},
+				Policy:    &env.MS{Seed: seed, MaxDelay: 3, ExtraTimelyPct: int(seed % 40)},
 				MaxRounds: 80,
 			})
 			if err != nil {

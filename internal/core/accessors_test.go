@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
@@ -53,8 +54,8 @@ func TestESSStableSourceCrashesAfterGST(t *testing.T) {
 	// letter of the environment definition.
 	props := DistinctProposals(5)
 	res, err := RunESS(props, RunOpts{
-		Policy:    &sim.ESS{GST: 6, StableSource: 2, Pre: sim.MS{Seed: 31, Alternate: true}},
-		Crashes:   map[int]int{2: 9}, // source dies three rounds after GST
+		Policy:    &env.ESS{GST: 6, StableSource: 2, Pre: env.MS{Seed: 31, Alternate: true}},
+		Scenario:  &env.Scenario{Crashes: map[int]int{2: 9}}, // source dies three rounds after GST
 		MaxRounds: 600,
 	})
 	if err != nil {
@@ -66,7 +67,7 @@ func TestESSStableSourceCrashesAfterGST(t *testing.T) {
 func TestESDecisionsRecordedInTrace(t *testing.T) {
 	props := DistinctProposals(3)
 	res, err := RunES(props, RunOpts{
-		Policy:      sim.Synchronous{},
+		Policy:      env.Synchronous{},
 		RecordTrace: true,
 	})
 	if err != nil {
@@ -84,7 +85,7 @@ func TestESLateMessagesAfterDecisionHarmless(t *testing.T) {
 	props := DistinctProposals(3)
 	var decidedProc *giraf.Proc
 	res, err := RunES(props, RunOpts{
-		Policy:    &sim.ES{GST: 4, Pre: sim.MS{Seed: 1, MaxDelay: 6}},
+		Policy:    &env.ES{GST: 4, Pre: env.MS{Seed: 1, MaxDelay: 6}},
 		MaxRounds: 100,
 		OnRound: func(r int, e *sim.Engine) {
 			if decidedProc == nil {

@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"anonconsensus/internal/sim"
+	"anonconsensus/internal/env"
 )
 
 // TestSimStepAllocBudget pins the allocation cost of one full simulated
@@ -16,7 +16,7 @@ import (
 func TestSimStepAllocBudget(t *testing.T) {
 	props := DistinctProposals(4)
 	run := func() {
-		res, err := RunES(props, RunOpts{Policy: sim.Synchronous{}})
+		res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})
 		if err != nil || !res.AllCorrectDecided() {
 			t.Fatalf("run failed: %v", err)
 		}

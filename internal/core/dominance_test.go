@@ -50,21 +50,23 @@ func TestDominanceSkipStructurallyIdentical(t *testing.T) {
 	cases := []struct {
 		name     string
 		config   func(opts RunOpts) sim.Config
-		policy   func() sim.Policy
+		policy   func() env.Policy
 		scenario *env.Scenario
 	}{
 		{"ES synchronous", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() sim.Policy { return sim.Synchronous{} }, nil},
+			func() env.Policy { return env.Synchronous{} }, nil},
 		{"ES under MS", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() sim.Policy { return &sim.MS{Seed: 21, MaxDelay: 3} }, nil},
+			func() env.Policy { return &env.MS{Seed: 21, MaxDelay: 3} }, nil},
 		{"ES under ES policy lossy", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() sim.Policy { return &sim.ES{GST: 10, Pre: sim.MS{Seed: 4, MaxDelay: 2}} }, lossy},
+			func() env.Policy { return &env.ES{GST: 10, Pre: env.MS{Seed: 4, MaxDelay: 2}} }, lossy},
 		{"ES duplicating", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() sim.Policy { return sim.Synchronous{} }, duppy},
+			func() env.Policy { return env.Synchronous{} }, duppy},
 		{"ESS under MS", func(o RunOpts) sim.Config { return ConfigESS(props, o) },
-			func() sim.Policy { return &sim.ESS{GST: 8, StableSource: n - 1, Pre: sim.MS{Seed: 13, Alternate: true}} }, nil},
+			func() env.Policy {
+				return &env.ESS{GST: 8, StableSource: n - 1, Pre: env.MS{Seed: 13, Alternate: true}}
+			}, nil},
 		{"ESS lossy duplicating", func(o RunOpts) sim.Config { return ConfigESS(props, o) },
-			func() sim.Policy { return &sim.ESS{GST: 8, StableSource: 0, Pre: sim.MS{Seed: 2, MaxDelay: 2}} },
+			func() env.Policy { return &env.ESS{GST: 8, StableSource: 0, Pre: env.MS{Seed: 2, MaxDelay: 2}} },
 			&env.Scenario{Seed: 1, LossPct: 10, DupPct: 25}},
 	}
 	for _, tc := range cases {
@@ -124,7 +126,7 @@ func TestDominanceSkipStructurallyIdentical(t *testing.T) {
 // deliveries must skip their merges.
 func TestDominanceSkipEngages(t *testing.T) {
 	props := SplitProposals(16, 2)
-	res, err := RunES(props, RunOpts{Policy: sim.Synchronous{}})
+	res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 )
@@ -37,7 +38,7 @@ func requireSafety(t *testing.T, res *sim.Result, proposals []values.Value) {
 func TestESSynchronousFromStart(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 16} {
 		props := DistinctProposals(n)
-		res, err := RunES(props, RunOpts{Policy: sim.Synchronous{}})
+		res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestESSynchronousFromStart(t *testing.T) {
 
 func TestESIdenticalProposals(t *testing.T) {
 	props := []values.Value{values.Num(7), values.Num(7), values.Num(7)}
-	res, err := RunES(props, RunOpts{Policy: sim.Synchronous{}})
+	res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestESLateGST(t *testing.T) {
 	for _, gst := range []int{4, 10, 25} {
 		props := DistinctProposals(5)
 		res, err := RunES(props, RunOpts{
-			Policy: &sim.ES{GST: gst, Pre: sim.MS{Seed: int64(gst), MaxDelay: 3}},
+			Policy: &env.ES{GST: gst, Pre: env.MS{Seed: int64(gst), MaxDelay: 3}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -83,8 +84,8 @@ func TestESWithCrashes(t *testing.T) {
 	// 3 of 7 processes crash at different times; the rest must decide.
 	props := DistinctProposals(7)
 	res, err := RunES(props, RunOpts{
-		Policy:  &sim.ES{GST: 8, Pre: sim.MS{Seed: 1}},
-		Crashes: map[int]int{0: 2, 3: 6, 6: 11},
+		Policy:   &env.ES{GST: 8, Pre: env.MS{Seed: 1}},
+		Scenario: &env.Scenario{Crashes: map[int]int{0: 2, 3: 6, 6: 11}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +102,8 @@ func TestESAllButOneCrash(t *testing.T) {
 		crashes[i] = i + 1 // staggered crashes from step 1
 	}
 	res, err := RunES(props, RunOpts{
-		Policy:  &sim.ES{GST: 10, Pre: sim.MS{Seed: 3}},
-		Crashes: crashes,
+		Policy:   &env.ES{GST: 10, Pre: env.MS{Seed: 3}},
+		Scenario: &env.Scenario{Crashes: crashes},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func TestESSafetyUnderRandomMS(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		props := SplitProposals(5, 3)
 		res, err := RunES(props, RunOpts{
-			Policy:    &sim.MS{Seed: seed, MaxDelay: 4, Shuffle: seed%2 == 0, ExtraTimelyPct: int(seed % 50)},
+			Policy:    &env.MS{Seed: seed, MaxDelay: 4, Shuffle: seed%2 == 0, ExtraTimelyPct: int(seed % 50)},
 			MaxRounds: 80,
 		})
 		if err != nil {
@@ -141,7 +142,7 @@ func TestESAgreementNeedsMS(t *testing.T) {
 	// assumption is not decorative.
 	props := SplitProposals(5, 3)
 	res, err := RunES(props, RunOpts{
-		Policy:    &sim.Async{Seed: 0, MaxDelay: 4},
+		Policy:    &env.Async{Seed: 0, MaxDelay: 4},
 		MaxRounds: 60,
 	})
 	if err != nil {
@@ -163,8 +164,8 @@ func TestESSafetyUnderRandomCrashes(t *testing.T) {
 			int((seed + 2) % 6): int(seed%11) + 1,
 		}
 		res, err := RunES(props, RunOpts{
-			Policy:    &sim.ES{GST: int(seed%15) + 1, Pre: sim.MS{Seed: seed}},
-			Crashes:   crashes,
+			Policy:    &env.ES{GST: int(seed%15) + 1, Pre: env.MS{Seed: seed}},
+			Scenario:  &env.Scenario{Crashes: crashes},
 			MaxRounds: 200,
 		})
 		if err != nil {
@@ -184,7 +185,7 @@ func TestESUndecidedForeverInMS(t *testing.T) {
 	// as we care to run it, while the trace provably satisfies MS.
 	props := []values.Value{values.Num(1), values.Num(2)}
 	res, err := RunES(props, RunOpts{
-		Policy:      &sim.AlternatingMS{},
+		Policy:      &env.AlternatingMS{},
 		MaxRounds:   500,
 		RecordTrace: true,
 	})
@@ -202,7 +203,7 @@ func TestESUndecidedForeverInMS(t *testing.T) {
 func TestESUndecidedForeverInMSLargerN(t *testing.T) {
 	props := SplitProposals(6, 2) // two camps of identical values
 	res, err := RunES(props, RunOpts{
-		Policy:      &sim.AlternatingMS{A: 0, B: 5},
+		Policy:      &env.AlternatingMS{A: 0, B: 5},
 		MaxRounds:   300,
 		RecordTrace: true,
 	})
@@ -221,7 +222,7 @@ func TestESDecisionValueIsMaxUnderSynchrony(t *testing.T) {
 	// Under synchrony from round 1, everybody sees all values and adopts
 	// the maximum.
 	props := []values.Value{values.Num(3), values.Num(9), values.Num(5)}
-	res, err := RunES(props, RunOpts{Policy: sim.Synchronous{}})
+	res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 )
@@ -10,7 +11,7 @@ import (
 func TestESSSynchronousFromStart(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		props := DistinctProposals(n)
-		res, err := RunESS(props, RunOpts{Policy: sim.Synchronous{}})
+		res, err := RunESS(props, RunOpts{Policy: env.Synchronous{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,7 +24,7 @@ func TestESSSynchronousFromStart(t *testing.T) {
 
 func TestESSIdenticalProposals(t *testing.T) {
 	props := []values.Value{values.Num(4), values.Num(4), values.Num(4), values.Num(4)}
-	res, err := RunESS(props, RunOpts{Policy: sim.Synchronous{}})
+	res, err := RunESS(props, RunOpts{Policy: env.Synchronous{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestESSStableSourceOnly(t *testing.T) {
 	} {
 		props := DistinctProposals(tc.n)
 		res, err := RunESS(props, RunOpts{
-			Policy:    &sim.ESS{GST: tc.gst, StableSource: tc.src, Pre: sim.MS{Seed: tc.seed}},
+			Policy:    &env.ESS{GST: tc.gst, StableSource: tc.src, Pre: env.MS{Seed: tc.seed}},
 			MaxRounds: 400,
 		})
 		if err != nil {
@@ -61,9 +62,9 @@ func TestESSWithPartialPostTimeliness(t *testing.T) {
 	// Some non-source links are timely after GST; still ESS, still decides.
 	props := DistinctProposals(6)
 	res, err := RunESS(props, RunOpts{
-		Policy: &sim.ESS{
+		Policy: &env.ESS{
 			GST: 8, StableSource: 3,
-			Pre:           sim.MS{Seed: 9},
+			Pre:           env.MS{Seed: 9},
 			PostTimelyPct: 40,
 		},
 		MaxRounds: 400,
@@ -78,8 +79,8 @@ func TestESSWithCrashes(t *testing.T) {
 	// Crashing processes (not the stable source) must not block decisions.
 	props := DistinctProposals(6)
 	res, err := RunESS(props, RunOpts{
-		Policy:    &sim.ESS{GST: 10, StableSource: 4, Pre: sim.MS{Seed: 11}},
-		Crashes:   map[int]int{0: 3, 1: 7, 2: 14},
+		Policy:    &env.ESS{GST: 10, StableSource: 4, Pre: env.MS{Seed: 11}},
+		Scenario:  &env.Scenario{Crashes: map[int]int{0: 3, 1: 7, 2: 14}},
 		MaxRounds: 400,
 	})
 	if err != nil {
@@ -93,8 +94,8 @@ func TestESSSourceCrashPreGST(t *testing.T) {
 	// source takes over at GST.
 	props := DistinctProposals(5)
 	res, err := RunESS(props, RunOpts{
-		Policy:    &sim.ESS{GST: 12, StableSource: 4, Pre: sim.MS{Seed: 13}},
-		Crashes:   map[int]int{0: 6, 1: 9},
+		Policy:    &env.ESS{GST: 12, StableSource: 4, Pre: env.MS{Seed: 13}},
+		Scenario:  &env.Scenario{Crashes: map[int]int{0: 6, 1: 9}},
 		MaxRounds: 400,
 	})
 	if err != nil {
@@ -109,7 +110,7 @@ func TestESSSafetyUnderRandomMS(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		props := SplitProposals(5, 2)
 		res, err := RunESS(props, RunOpts{
-			Policy:    &sim.MS{Seed: seed, MaxDelay: 3, Shuffle: seed%3 == 0, ExtraTimelyPct: int(seed % 40)},
+			Policy:    &env.MS{Seed: seed, MaxDelay: 3, Shuffle: seed%3 == 0, ExtraTimelyPct: int(seed % 40)},
 			MaxRounds: 80,
 		})
 		if err != nil {
@@ -130,8 +131,8 @@ func TestESSSafetyUnderRandomESSSchedules(t *testing.T) {
 			crashes[victim] = int(seed%9) + 1
 		}
 		res, err := RunESS(props, RunOpts{
-			Policy:    &sim.ESS{GST: int(seed%16) + 1, StableSource: src, Pre: sim.MS{Seed: seed}},
-			Crashes:   crashes,
+			Policy:    &env.ESS{GST: int(seed%16) + 1, StableSource: src, Pre: env.MS{Seed: seed}},
+			Scenario:  &env.Scenario{Crashes: crashes},
 			MaxRounds: 500,
 		})
 		if err != nil {
@@ -150,7 +151,7 @@ func TestESSLeaderSetConverges(t *testing.T) {
 	props := DistinctProposals(n)
 	leadersPerRound := make(map[int][]int)
 	res, err := RunESS(props, RunOpts{
-		Policy:    &sim.ESS{GST: gst, StableSource: src, Pre: sim.MS{Seed: 21}},
+		Policy:    &env.ESS{GST: gst, StableSource: src, Pre: env.MS{Seed: 21}},
 		MaxRounds: 400,
 		OnRound: func(r int, e *sim.Engine) {
 			var leaders []int
@@ -195,7 +196,7 @@ func TestESSUndecidedOnAlternatingMS(t *testing.T) {
 	// undecided, while safety holds throughout.
 	props := []values.Value{values.Num(1), values.Num(2)}
 	res, err := RunESS(props, RunOpts{
-		Policy:      &sim.AlternatingMS{},
+		Policy:      &env.AlternatingMS{},
 		MaxRounds:   300,
 		RecordTrace: true,
 	})
@@ -212,7 +213,7 @@ func TestESSHistoryGrowsOnePerRound(t *testing.T) {
 	props := DistinctProposals(3)
 	var h values.History
 	_, err := RunESS(props, RunOpts{
-		Policy:    sim.Synchronous{},
+		Policy:    env.Synchronous{},
 		MaxRounds: 10,
 		OnRound: func(r int, e *sim.Engine) {
 			if a, ok := e.Automaton(0).(*ESS); ok && !e.Proc(0).Halted() {

@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"anonconsensus/internal/sim"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/values"
 )
 
@@ -12,7 +12,7 @@ func TestOmegaConsensusWithAccurateOracle(t *testing.T) {
 	for _, n := range []int{2, 4, 7} {
 		props := DistinctProposals(n)
 		res, err := RunOmega(props, EventualOracle(0, 0), RunOpts{
-			Policy:    &sim.ESS{GST: 1, StableSource: 0, Pre: sim.MS{Seed: int64(n)}},
+			Policy:    &env.ESS{GST: 1, StableSource: 0, Pre: env.MS{Seed: int64(n)}},
 			MaxRounds: 300,
 		})
 		if err != nil {
@@ -27,7 +27,7 @@ func TestOmegaConsensusLateOracle(t *testing.T) {
 	// process 2 which is also the eventual source.
 	props := DistinctProposals(5)
 	res, err := RunOmega(props, EventualOracle(2, 12), RunOpts{
-		Policy:    &sim.ESS{GST: 12, StableSource: 2, Pre: sim.MS{Seed: 5}},
+		Policy:    &env.ESS{GST: 12, StableSource: 2, Pre: env.MS{Seed: 5}},
 		MaxRounds: 400,
 	})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestOmegaConsensusSafetyWithWrongOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		props := SplitProposals(4, 2)
 		res, err := RunOmega(props, always, RunOpts{
-			Policy:    &sim.MS{Seed: seed, MaxDelay: 3},
+			Policy:    &env.MS{Seed: seed, MaxDelay: 3},
 			MaxRounds: 60,
 		})
 		if err != nil {
@@ -55,7 +55,7 @@ func TestOmegaConsensusSafetyWithWrongOracle(t *testing.T) {
 
 func TestOmegaConsensusSynchronous(t *testing.T) {
 	props := DistinctProposals(4)
-	res, err := RunOmega(props, EventualOracle(1, 0), RunOpts{Policy: sim.Synchronous{}})
+	res, err := RunOmega(props, EventualOracle(1, 0), RunOpts{Policy: env.Synchronous{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestOmegaPayloadsAreLean(t *testing.T) {
 	// The whole point of the baseline: its payloads carry no history or
 	// counter baggage. Compare max envelope sizes on the same workload.
 	props := DistinctProposals(6)
-	pol := func() sim.Policy {
-		return &sim.ESS{GST: 10, StableSource: 0, Pre: sim.MS{Seed: 77}}
+	pol := func() env.Policy {
+		return &env.ESS{GST: 10, StableSource: 0, Pre: env.MS{Seed: 77}}
 	}
 	omega, err := RunOmega(props, EventualOracle(0, 10), RunOpts{Policy: pol(), MaxRounds: 300})
 	if err != nil {

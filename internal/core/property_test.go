@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"anonconsensus/internal/sim"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/values"
 )
 
@@ -44,8 +44,8 @@ func TestQuickESFullConsensusUnderES(t *testing.T) {
 			crashes[in.crashPid] = in.crashAt
 		}
 		res, err := RunES(props, RunOpts{
-			Policy:    &sim.ES{GST: in.gst, Pre: sim.MS{Seed: in.seed, Alternate: in.seed%2 == 0}},
-			Crashes:   crashes,
+			Policy:    &env.ES{GST: in.gst, Pre: env.MS{Seed: in.seed, Alternate: in.seed%2 == 0}},
+			Scenario:  &env.Scenario{Crashes: crashes},
 			MaxRounds: 400,
 		})
 		if err != nil {
@@ -71,8 +71,8 @@ func TestQuickESSFullConsensusUnderESS(t *testing.T) {
 			crashes[in.crashPid] = in.crashAt
 		}
 		res, err := RunESS(props, RunOpts{
-			Policy:    &sim.ESS{GST: in.gst, StableSource: src, Pre: sim.MS{Seed: in.seed, Alternate: in.seed%2 == 0}},
-			Crashes:   crashes,
+			Policy:    &env.ESS{GST: in.gst, StableSource: src, Pre: env.MS{Seed: in.seed, Alternate: in.seed%2 == 0}},
+			Scenario:  &env.Scenario{Crashes: crashes},
 			MaxRounds: 700,
 		})
 		if err != nil {
@@ -97,7 +97,7 @@ func TestQuickESSafetyUnderArbitraryMS(t *testing.T) {
 		n := 2 + int(nRaw%5)
 		props := SplitProposals(n, 1+int(distinctRaw)%n)
 		res, err := RunES(props, RunOpts{
-			Policy: &sim.MS{
+			Policy: &env.MS{
 				Seed:           int64(seed),
 				MaxDelay:       1 + int(periodRaw%5),
 				RotationPeriod: 1 + int(periodRaw%3),
@@ -126,7 +126,7 @@ func TestQuickESSSafetyUnderArbitraryMS(t *testing.T) {
 		n := 2 + int(nRaw%5)
 		props := SplitProposals(n, 1+int(distinctRaw)%n)
 		res, err := RunESS(props, RunOpts{
-			Policy: &sim.MS{
+			Policy: &env.MS{
 				Seed:           int64(seed),
 				MaxDelay:       1 + int(periodRaw%5),
 				RotationPeriod: 1 + int(periodRaw%3),
@@ -165,7 +165,7 @@ func TestQuickDecisionIsStableMaximum(t *testing.T) {
 				max = props[i]
 			}
 		}
-		res, err := RunES(props, RunOpts{Policy: sim.Synchronous{}})
+		res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})
 		if err != nil || !res.AllCorrectDecided() {
 			return false
 		}

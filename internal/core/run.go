@@ -13,15 +13,13 @@ import (
 // automata.
 type RunOpts struct {
 	// Policy is the environment; required.
-	Policy sim.Policy
+	Policy env.Policy
 	// Ctx, when non-nil, cancels the run between global steps (the public
 	// Node API threads its per-instance context through here). Nil means
 	// run to completion.
 	Ctx context.Context
-	// Crashes is the sim crash schedule (may be nil).
-	Crashes map[int]int
-	// Scenario overlays composable faults (loss, duplication, partitions,
-	// extra crashes) on the run; nil means fault-free.
+	// Scenario is the run's fault description (crash schedule, loss,
+	// duplication, partitions); nil means fault-free.
 	Scenario *env.Scenario
 	// MaxRounds bounds the run; 0 defaults to 10·n + 200.
 	MaxRounds int
@@ -54,7 +52,6 @@ func (o RunOpts) config(n int, aut func(i int) giraf.Automaton) sim.Config {
 		N:              n,
 		Automaton:      aut,
 		Policy:         o.Policy,
-		Crashes:        o.Crashes,
 		Scenario:       o.Scenario,
 		MaxRounds:      o.maxRounds(n),
 		RecordTrace:    o.RecordTrace,

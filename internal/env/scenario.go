@@ -94,11 +94,18 @@ const (
 )
 
 // Empty reports whether the scenario injects no faults at all (the nil and
-// zero scenarios). Callers that want the scenario-free fast path — the
-// backends key it off a nil *Scenario — can use it to normalize a zero
-// scenario to nil before configuring a run.
+// zero scenarios); callers normalize a zero scenario to nil with it.
 func (s *Scenario) Empty() bool {
-	return s == nil || (len(s.Crashes) == 0 && s.LossPct == 0 && s.DupPct == 0 && len(s.Partitions) == 0)
+	return s == nil || (len(s.Crashes) == 0 && !s.HasLinkFaults())
+}
+
+// HasLinkFaults reports whether the scenario can lose, duplicate or
+// partition a delivery — false for the nil scenario and for one that only
+// crashes processes. Backends pick their per-delivery fault path from it
+// once per run: without link faults no delivery needs a Drops or
+// Duplicates draw.
+func (s *Scenario) HasLinkFaults() bool {
+	return s != nil && (s.LossPct != 0 || s.DupPct != 0 || len(s.Partitions) != 0)
 }
 
 // LinkFaultFree reports whether the scenario never suppresses a delivery:

@@ -440,9 +440,9 @@ type schedulePolicy struct {
 	syncSteady bool
 }
 
-var _ sim.Policy = (*schedulePolicy)(nil)
+var _ env.Policy = (*schedulePolicy)(nil)
 
-func (p *schedulePolicy) Schedule(round int, senders []int, n int) sim.DelayFn {
+func (p *schedulePolicy) Schedule(round int, senders []int, n int) env.DelayFn {
 	idx := round - 1
 	if idx >= len(p.matrices) {
 		if p.syncSteady {
@@ -595,16 +595,17 @@ func runSchedules(cfg Config, mats []matrix, maxRounds, tail int, proposals valu
 		}
 	}
 	for _, cp := range crashPlans {
-		var crashes map[int]int
-		if cp.pid >= 0 {
-			crashes = map[int]int{cp.pid: cp.at}
+		sc := mergeCrash(cfg.Scenario, cp.pid, cp.at)
+		if errors.Is(sc.Validate(len(cfg.Proposals)), env.ErrAllCrashed) {
+			// The placement stops the last correct process: as vacuous as
+			// the all-crashed scenario Config.validate rejects.
+			continue
 		}
 		res, err := sim.Run(sim.Config{
 			N:           len(cfg.Proposals),
 			Automaton:   cfg.automaton(),
 			Policy:      &schedulePolicy{matrices: mats},
-			Crashes:     crashes,
-			Scenario:    cfg.Scenario,
+			Scenario:    sc,
 			MaxRounds:   maxRounds,
 			RecordTrace: true,
 		})
@@ -632,9 +633,9 @@ func runSchedules(cfg Config, mats []matrix, maxRounds, tail int, proposals valu
 				Proposals: cfg.Proposals,
 				Tail:      tail,
 				Schedule:  cloneSchedule(mats),
-				Scenario:  mergeCrash(cfg.Scenario, cp.pid, cp.at),
+				Scenario:  sc,
 			}
-			if tr.validate() == nil { // e.g. a merged all-crash plan is not replayable
+			if tr.validate() == nil { // e.g. proposals the trace form cannot encode
 				report.Counterexamples = append(report.Counterexamples,
 					buildCounterexample(&cfg, tr, -1, vs[0]))
 			}

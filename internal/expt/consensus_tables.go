@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/fd"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
@@ -33,10 +34,10 @@ func runT1(w io.Writer, quick bool) error {
 	var cfgs []sim.Config
 	for _, n := range ns {
 		props := core.DistinctProposals(n)
-		cfgs = append(cfgs, core.ConfigES(props, core.RunOpts{Policy: sim.Synchronous{}}))
+		cfgs = append(cfgs, core.ConfigES(props, core.RunOpts{Policy: env.Synchronous{}}))
 		for _, seed := range seeds {
 			cfgs = append(cfgs, core.ConfigES(props, core.RunOpts{
-				Policy: &sim.ES{GST: 10, Pre: sim.MS{Seed: seed, MaxDelay: 3}},
+				Policy: &env.ES{GST: 10, Pre: env.MS{Seed: seed, MaxDelay: 3}},
 			}))
 		}
 	}
@@ -84,7 +85,7 @@ func runT2(w io.Writer, quick bool) error {
 			cfgs = append(cfgs, core.ConfigES(core.DistinctProposals(n), core.RunOpts{
 				// Alternating pre-GST sources keep the system undecided
 				// until stabilization, so GST is actually load-bearing.
-				Policy: &sim.ES{GST: gst, Pre: sim.MS{Seed: seed, Alternate: true}},
+				Policy: &env.ES{GST: gst, Pre: env.MS{Seed: seed, Alternate: true}},
 			}))
 		}
 	}
@@ -126,7 +127,7 @@ func runT3(w io.Writer, quick bool) error {
 			props := core.DistinctProposals(n)
 			hist := &hists[ni*len(seeds)+si]
 			cfgs = append(cfgs, core.ConfigESS(props, core.RunOpts{
-				Policy:    &sim.ESS{GST: gst, StableSource: int(seed) % n, Pre: sim.MS{Seed: seed, Alternate: true}},
+				Policy:    &env.ESS{GST: gst, StableSource: int(seed) % n, Pre: env.MS{Seed: seed, Alternate: true}},
 				MaxRounds: 600,
 				// Runs on the worker executing this one config; *hist is
 				// owned by this run until the batch returns.
@@ -231,7 +232,7 @@ func leaderStableTrial(n, distinct, gst, src int, seed int64) (sim.Config, func(
 	}
 	var samples []sample
 	cfg := core.ConfigESS(props, core.RunOpts{
-		Policy:    &sim.ESS{GST: gst, StableSource: src, Pre: sim.MS{Seed: seed, Alternate: true}},
+		Policy:    &env.ESS{GST: gst, StableSource: src, Pre: env.MS{Seed: seed, Alternate: true}},
 		MaxRounds: 600,
 		OnRound: func(r int, e *sim.Engine) {
 			key := ""
@@ -276,7 +277,7 @@ func omegaStableTrial(n, gst, src int, seed int64) (sim.Config, func(*sim.Result
 			trackers[i] = fd.NewOmegaTracker(i)
 			return trackers[i]
 		},
-		Policy:    &sim.ESS{GST: gst, StableSource: src, Pre: sim.MS{Seed: seed, Alternate: true}},
+		Policy:    &env.ESS{GST: gst, StableSource: src, Pre: env.MS{Seed: seed, Alternate: true}},
 		MaxRounds: rounds,
 		OnRound: func(r int, e *sim.Engine) {
 			for _, tr := range trackers {
@@ -307,20 +308,20 @@ func runT5(w io.Writer, quick bool) error {
 	var cfgs []sim.Config
 	for _, f := range crashCounts {
 		for _, seed := range seeds {
-			crashes := make(map[int]int)
+			crashes := &env.Scenario{Crashes: make(map[int]int)}
 			for i := 0; i < f; i++ {
-				crashes[i] = 2*i + 1 // staggered crashes
+				crashes.Crashes[i] = 2*i + 1 // staggered crashes
 			}
 			props := core.DistinctProposals(n)
 			cfgs = append(cfgs, core.ConfigES(props, core.RunOpts{
-				Policy:  &sim.ES{GST: 10, Pre: sim.MS{Seed: seed}},
-				Crashes: crashes,
+				Policy:   &env.ES{GST: 10, Pre: env.MS{Seed: seed}},
+				Scenario: crashes,
 			}))
 			// The stable source must survive: use the highest index (never
 			// crashed in the staggered schedule).
 			cfgs = append(cfgs, core.ConfigESS(props, core.RunOpts{
-				Policy:    &sim.ESS{GST: 10, StableSource: n - 1, Pre: sim.MS{Seed: seed}},
-				Crashes:   crashes,
+				Policy:    &env.ESS{GST: 10, StableSource: n - 1, Pre: env.MS{Seed: seed}},
+				Scenario:  crashes,
 				MaxRounds: 600,
 			}))
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/fd"
 	"anonconsensus/internal/sim"
 )
@@ -67,12 +68,12 @@ func runF1(w io.Writer, quick bool) error {
 	cfgs := make([]sim.Config, 0, 2*seeds)
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		cfgs = append(cfgs, core.ConfigES(core.DistinctProposals(n), core.RunOpts{
-			Policy: &sim.ES{GST: gst, Pre: sim.MS{Seed: seed, MaxDelay: 4, Alternate: seed%2 == 0}},
+			Policy: &env.ES{GST: gst, Pre: env.MS{Seed: seed, MaxDelay: 4, Alternate: seed%2 == 0}},
 		}))
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		cfgs = append(cfgs, core.ConfigESS(core.DistinctProposals(n), core.RunOpts{
-			Policy:    &sim.ESS{GST: gst, StableSource: int(seed) % n, Pre: sim.MS{Seed: seed, Alternate: seed%2 == 0}},
+			Policy:    &env.ESS{GST: gst, StableSource: int(seed) % n, Pre: env.MS{Seed: seed, Alternate: seed%2 == 0}},
 			MaxRounds: 800,
 		}))
 	}
@@ -115,7 +116,7 @@ func runF2(w io.Writer, quick bool) error {
 	}
 	counts := make(map[int]int)
 	res, err := core.RunESS(core.DistinctProposals(n), core.RunOpts{
-		Policy:    &sim.ESS{GST: gst, StableSource: src, Pre: sim.MS{Seed: 3}},
+		Policy:    &env.ESS{GST: gst, StableSource: src, Pre: env.MS{Seed: 3}},
 		MaxRounds: 600,
 		OnRound: func(r int, e *sim.Engine) {
 			c := 0
@@ -161,7 +162,7 @@ func runF3(w io.Writer, quick bool) error {
 	cfgs := make([]sim.Config, len(horizons))
 	for i, h := range horizons {
 		cfgs[i] = core.ConfigES(core.SplitProposals(4, 2), core.RunOpts{
-			Policy:      &sim.AlternatingMS{A: 0, B: 3},
+			Policy:      &env.AlternatingMS{A: 0, B: 3},
 			MaxRounds:   h,
 			RecordTrace: true,
 		})

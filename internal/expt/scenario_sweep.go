@@ -58,10 +58,8 @@ func runS1(w io.Writer, quick bool) error {
 	var cfgs []sim.Config
 	for _, pt := range grid {
 		for _, seed := range seeds {
-			// The scenario's crash schedule rides Scenario itself — the
-			// engine merges it with Config.Crashes on its own.
 			cfgs = append(cfgs, core.ConfigES(core.DistinctProposals(n), core.RunOpts{
-				Policy:   &sim.ES{GST: gst, Pre: sim.MS{Seed: seed}},
+				Policy:   &env.ES{GST: gst, Pre: env.MS{Seed: seed}},
 				Scenario: pt.scenario(seed),
 			}))
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/msemu"
 	"anonconsensus/internal/register"
@@ -22,14 +23,14 @@ func runT6(w io.Writer, quick bool) error {
 	if quick {
 		gst = 8
 	}
-	pol := func(seed int64) *sim.ESS {
-		return &sim.ESS{GST: gst, StableSource: 0, Pre: sim.MS{Seed: seed}}
+	pol := func(seed int64) *env.ESS {
+		return &env.ESS{GST: gst, StableSource: 0, Pre: env.MS{Seed: seed}}
 	}
 	t := newTable("algorithm", "rounds", "total payload bytes", "max envelope bytes", "bytes/broadcast")
 
 	props := core.DistinctProposals(n)
 	results, err := runConfigs([]sim.Config{
-		core.ConfigES(props, core.RunOpts{Policy: &sim.ES{GST: gst, Pre: sim.MS{Seed: 1}}}),
+		core.ConfigES(props, core.RunOpts{Policy: &env.ES{GST: gst, Pre: env.MS{Seed: 1}}}),
 		core.ConfigESS(props, core.RunOpts{Policy: pol(1), MaxRounds: 600}),
 		core.ConfigOmega(props, core.EventualOracle(0, gst), core.RunOpts{Policy: pol(1), MaxRounds: 600}),
 	})
@@ -88,7 +89,7 @@ func runT7(w io.Writer, quick bool) error {
 			{Proc: 0, Round: 1, Kind: weakset.OpAdd, Value: values.Num(1)},
 			{Proc: 2, Round: 2, Kind: weakset.OpAdd, Value: values.Num(2)},
 		}
-		res, err := weakset.RunMS(5, ops, &sim.MS{Seed: tr.seed, MaxDelay: tr.d, RotationPeriod: tr.rot}, 60+20*tr.d, nil)
+		res, err := weakset.RunMS(5, ops, &env.MS{Seed: tr.seed, MaxDelay: tr.d, RotationPeriod: tr.rot}, 60+20*tr.d, nil)
 		if err != nil {
 			return err
 		}

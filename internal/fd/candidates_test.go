@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
 )
@@ -117,7 +118,7 @@ func containsID(xs []int, x int) bool {
 
 // runOmegaTrackers runs n trackers under pol with the given crash schedule
 // and returns them.
-func runOmegaTrackers(t *testing.T, n, rounds int, pol sim.Policy, crashes map[int]int) []*OmegaTracker {
+func runOmegaTrackers(t *testing.T, n, rounds int, pol env.Policy, crashes map[int]int) []*OmegaTracker {
 	t.Helper()
 	trackers := make([]*OmegaTracker, n)
 	_, err := sim.Run(sim.Config{
@@ -127,7 +128,7 @@ func runOmegaTrackers(t *testing.T, n, rounds int, pol sim.Policy, crashes map[i
 			return trackers[i]
 		},
 		Policy:    pol,
-		Crashes:   crashes,
+		Scenario:  &env.Scenario{Crashes: crashes},
 		MaxRounds: rounds,
 	})
 	if err != nil {
@@ -154,7 +155,7 @@ func TestOmegaTrackerCrashPatternTable(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			trackers := runOmegaTrackers(t, tt.n, 150,
-				&sim.ESS{GST: tt.gst, StableSource: tt.src, Pre: sim.MS{Seed: 13}}, tt.crashes)
+				&env.ESS{GST: tt.gst, StableSource: tt.src, Pre: env.MS{Seed: 13}}, tt.crashes)
 			leader := -1
 			for i, tr := range trackers {
 				if _, crashed := tt.crashes[i]; crashed {

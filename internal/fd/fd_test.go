@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
 )
@@ -92,7 +93,7 @@ func TestOmegaTrackerStabilizesOnSource(t *testing.T) {
 			trackers[i] = NewOmegaTracker(i)
 			return trackers[i]
 		},
-		Policy:    &sim.ESS{GST: gst, StableSource: src, Pre: sim.MS{Seed: 7}},
+		Policy:    &env.ESS{GST: gst, StableSource: src, Pre: env.MS{Seed: 7}},
 		MaxRounds: 150,
 	})
 	if err != nil {
@@ -119,7 +120,7 @@ func TestOmegaTrackerAgreesUnderSynchrony(t *testing.T) {
 			trackers[i] = NewOmegaTracker(i)
 			return trackers[i]
 		},
-		Policy:    sim.Synchronous{},
+		Policy:    env.Synchronous{},
 		MaxRounds: 20,
 	})
 	if err != nil {
@@ -147,7 +148,7 @@ func TestOmegaConvergenceRound(t *testing.T) {
 			trackers[i] = NewOmegaTracker(i)
 			return trackers[i]
 		},
-		Policy:    &sim.ESS{GST: gst, StableSource: src, Pre: sim.MS{Seed: 11}},
+		Policy:    &env.ESS{GST: gst, StableSource: src, Pre: env.MS{Seed: 11}},
 		MaxRounds: 200,
 		OnRound: func(r int, e *sim.Engine) {
 			all := true
@@ -180,7 +181,7 @@ func TestOmegaTrackerCount(t *testing.T) {
 			trackers[i] = NewOmegaTracker(i)
 			return trackers[i]
 		},
-		Policy:    sim.Synchronous{},
+		Policy:    env.Synchronous{},
 		MaxRounds: 5,
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/tcpnet"
 	"anonconsensus/internal/values"
 )
@@ -212,7 +213,11 @@ func TestChaosConsensusProperty(t *testing.T) {
 			defer proxy.Close()
 
 			props := core.DistinctProposals(n)
-			results := make([]*tcpnet.NodeResult, n)
+			// Every process is a private connection carrying the one epoch,
+			// registered at dial so the hub's replay reaches its inbox.
+			const epoch = 1
+			results := make([]rounddriver.Outcome, n)
+			reconnects := make([]int, n)
 			errs := make([]error, n)
 			var wg sync.WaitGroup
 			for i := 0; i < n; i++ {
@@ -220,18 +225,26 @@ func TestChaosConsensusProperty(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					results[i], errs[i] = tcpnet.RunNode(t.Context(), tcpnet.NodeConfig{
-						HubAddr:   proxy.Addr(),
-						Automaton: core.NewES(props[i]),
-						Interval:  12 * time.Millisecond,
-						Timeout:   30 * time.Second,
+					m, err := tcpnet.DialMux(t.Context(), tcpnet.MuxConfig{
+						HubAddr: proxy.Addr(),
 						Reconnect: tcpnet.ReconnectPolicy{
 							MaxAttempts: 20,
 							BaseDelay:   5 * time.Millisecond,
 							MaxDelay:    100 * time.Millisecond,
 							Seed:        seed ^ int64(i),
 						},
+					}, epoch)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					defer m.Close()
+					results[i], errs[i] = m.RunInstance(t.Context(), epoch, tcpnet.InstanceRun{
+						Automaton: core.NewES(props[i]),
+						Interval:  12 * time.Millisecond,
+						Timeout:   30 * time.Second,
 					})
+					reconnects[i] = m.Stats().Reconnects
 				}()
 			}
 			wg.Wait()
@@ -245,7 +258,7 @@ func TestChaosConsensusProperty(t *testing.T) {
 			for i, r := range results {
 				if !r.Decided {
 					t.Fatalf("termination violated: node %d undecided after %d rounds (reconnects=%d, schedule %+v)",
-						i, r.Rounds, r.Reconnects, sched)
+						i, r.Rounds, reconnects[i], sched)
 				}
 				decided.Add(r.Decision)
 			}

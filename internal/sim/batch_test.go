@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/values"
 )
@@ -59,16 +60,16 @@ func trialConfigs() []Config {
 		n := 3 + int(seed)
 		cfgs = append(cfgs, Config{
 			N: n, Automaton: aut(n), MaxRounds: 200,
-			Policy: &ES{GST: 8, Pre: MS{Seed: seed, MaxDelay: 3}},
+			Policy: &env.ES{GST: 8, Pre: env.MS{Seed: seed, MaxDelay: 3}},
 		})
 		cfgs = append(cfgs, Config{
 			N: n, Automaton: aut(n), MaxRounds: 400,
-			Policy:  &ESS{GST: 6, StableSource: n - 1, Pre: MS{Seed: seed, Alternate: true}},
-			Crashes: map[int]int{0: 5},
+			Policy:   &env.ESS{GST: 6, StableSource: n - 1, Pre: env.MS{Seed: seed, Alternate: true}},
+			Scenario: &env.Scenario{Crashes: map[int]int{0: 5}},
 		})
 		cfgs = append(cfgs, Config{
 			N: n, Automaton: aut(n), MaxRounds: 300,
-			Policy: &Async{Seed: seed, MaxDelay: 5},
+			Policy: &env.Async{Seed: seed, MaxDelay: 5},
 		})
 	}
 	return cfgs
@@ -198,7 +199,7 @@ func TestRingGrowsUnderLongDelays(t *testing.T) {
 		return Config{
 			N:         4,
 			Automaton: func(i int) giraf.Automaton { return &batchAutomaton{v: values.Num(int64(i))} },
-			Policy: &Scripted{Default: 0, Delays: map[int]map[int]map[int]int{
+			Policy: &env.Scripted{Default: 0, Delays: map[int]map[int]map[int]int{
 				1: {0: {1: 40, 2: 41, 3: 97}},
 				2: {1: {0: 25}},
 			}},
@@ -223,7 +224,7 @@ func TestRingGrowsUnderLongDelays(t *testing.T) {
 	// And the same schedule on a reused engine stays identical.
 	eng, err := New(Config{
 		N: 2, Automaton: func(i int) giraf.Automaton { return &batchAutomaton{v: values.Num(int64(i))} },
-		Policy: Synchronous{}, MaxRounds: 50,
+		Policy: env.Synchronous{}, MaxRounds: 50,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,10 @@
 // arrives d rounds late — still reliably, just not on time.
 //
 // The three environments of the paper (MS, ES, ESS) plus fully synchronous,
-// fully asynchronous and adversarial policies live in internal/env and are
-// re-exported here as aliases (policy.go). Composable fault scenarios —
-// loss, duplication, round-ranged partitions, crash schedules — come from
-// the same package via Config.Scenario. A recorded Trace can be validated
+// fully asynchronous and adversarial policies live in internal/env, and so
+// does the run's fault description: Config.Scenario carries the crash
+// schedule and the composable link faults (loss, duplication, round-ranged
+// partitions). A recorded Trace can be validated
 // against the formal environment definitions by the checkers in checker.go,
 // so tests never have to trust a policy's self-description.
 package sim
@@ -24,7 +24,6 @@ import (
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
-	"anonconsensus/internal/ordered"
 	"anonconsensus/internal/values"
 )
 
@@ -37,18 +36,13 @@ type Config struct {
 	// payloads.
 	Automaton func(i int) giraf.Automaton
 	// Policy is the environment: it schedules delivery delays.
-	Policy Policy
-	// Crashes maps process index to the global step at which it crashes:
-	// the process does not execute its end-of-round at that step or later.
-	// Crash step 0 means the process never even initializes.
-	Crashes map[int]int
-	// Scenario, when non-nil, overlays composable faults on the run: its
-	// crash schedule is honored in addition to Crashes, and its loss,
-	// duplication and partition dimensions are applied at delivery time
-	// (lost envelopes never reach the receiver; duplicated ones are
-	// delivered again one step later, exercising inbox deduplication). A
-	// nil or empty Scenario leaves the run byte-identical to the
-	// pre-scenario engine.
+	Policy env.Policy
+	// Scenario is the run's fault description; nil means fault-free. A
+	// process with crash round r (≥ 1) does not execute its end-of-round at
+	// global step r or later. Loss, duplication and partitions are applied
+	// at delivery time: lost envelopes never reach the receiver, duplicated
+	// ones are delivered again one step later, exercising inbox
+	// deduplication.
 	Scenario *env.Scenario
 	// MaxRounds bounds the run; the engine stops after this many global
 	// steps even if processes are still undecided.
@@ -88,16 +82,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxRounds <= 0 {
 		return fmt.Errorf("sim: MaxRounds = %d, must be positive", c.MaxRounds)
-	}
-	// Sorted view so the reported entry is deterministic when several are
-	// invalid.
-	for _, pid := range ordered.Keys(c.Crashes) {
-		if pid < 0 || pid >= c.N {
-			return fmt.Errorf("sim: crash schedule names process %d outside [0,%d)", pid, c.N)
-		}
-		if step := c.Crashes[pid]; step < 0 {
-			return fmt.Errorf("sim: crash step %d for process %d is negative", step, pid)
-		}
 	}
 	if c.DeliverWorkers < 0 {
 		return fmt.Errorf("sim: DeliverWorkers = %d, must be non-negative", c.DeliverWorkers)
@@ -222,8 +206,8 @@ func (r *Result) CheckValidity(proposals values.Set) error {
 
 // pendingDelivery is an envelope scheduled for a future step. A receiver
 // of fanOutAll means "every process except the sender": uniform-delay
-// broadcasts in scenario-free runs collapse to one ring entry instead of
-// n-1, and deliverDue expands them in ascending receiver order — exactly
+// broadcasts in runs without link faults collapse to one ring entry instead
+// of n-1, and deliverDue expands them in ascending receiver order — exactly
 // the order the per-receiver entries would have been queued in, so the
 // collapse is invisible to delivery order and byte-identity pins.
 type pendingDelivery struct {
@@ -263,11 +247,17 @@ type Engine struct {
 	stepNum int
 	metrics Metrics
 	trace   *Trace
-	// crash is the flattened crash schedule: crash[i] is the earliest step
-	// at which process i crashes, crashNever if it never does. Built once
-	// per Reset so the hot loops test a slice element instead of probing
-	// the Crashes map and the scenario per call.
+	// crash is the flattened crash schedule: crash[i] is the step at which
+	// process i crashes, crashNever if it never does. Built once per Reset
+	// so the hot loops test a slice element instead of probing the
+	// scenario's map per call.
 	crash []int
+	// linkFaults is the scenario when it can lose, duplicate or partition a
+	// delivery, nil otherwise (no scenario, or crashes only). Computed once
+	// per Reset, it selects the delivery path: nil means uniform-delay
+	// broadcasts collapse to fanOutAll entries and no delivery consults
+	// Drops.
+	linkFaults *env.Scenario
 	// outs and senders are step's scratch buffers, reused across steps.
 	outs    []outMsg
 	senders []int
@@ -345,14 +335,15 @@ func (e *Engine) Reset(cfg Config) error {
 		e.crash = make([]int, cfg.N)
 	}
 	for i := range e.crash {
-		cs, ok := cfg.Crashes[i]
-		if ss, sok := cfg.Scenario.CrashRound(i); sok && (!ok || ss < cs) {
-			cs, ok = ss, true
-		}
+		cs, ok := cfg.Scenario.CrashRound(i)
 		if !ok {
 			cs = crashNever
 		}
 		e.crash[i] = cs
+	}
+	e.linkFaults = nil
+	if cfg.Scenario.HasLinkFaults() {
+		e.linkFaults = cfg.Scenario
 	}
 	e.stepNum = 0
 	e.metrics = Metrics{}
@@ -410,14 +401,6 @@ func (e *Engine) Automaton(i int) giraf.Automaton { return e.auts[i] }
 // N returns the number of processes.
 func (e *Engine) N() int { return e.cfg.N }
 
-// crashStep returns the earliest scheduled crash step for pid across
-// Config.Crashes and the scenario's crash schedule, or ok=false. The
-// schedule is flattened into e.crash by Reset.
-func (e *Engine) crashStep(pid int) (int, bool) {
-	cs := e.crash[pid]
-	return cs, cs != crashNever
-}
-
 // Run executes the simulation and returns the result. Run must be called
 // once per New or Reset.
 func (e *Engine) Run() *Result {
@@ -467,7 +450,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			st.Decided = true
 			st.Decision = d.Value
 		}
-		if cs, ok := e.crashStep(i); ok && cs <= rounds {
+		if cs := e.crash[i]; cs <= rounds {
 			st.Crashed = true
 			st.CrashedAt = cs
 		}
@@ -575,7 +558,7 @@ func (e *Engine) deliverSharded(step int, q []pendingDelivery, workers int) {
 // receivers congruent to wid modulo workers. It is the single delivery
 // loop both the sequential path (wid=0, workers=1) and every shard run.
 func (e *Engine) deliverShard(step int, q []pendingDelivery, wid, workers int) (delivered, dropped int) {
-	sc := e.cfg.Scenario
+	sc := e.linkFaults
 	for _, d := range q {
 		if d.receiver != fanOutAll {
 			r := d.receiver
@@ -600,7 +583,7 @@ func (e *Engine) deliverShard(step int, q []pendingDelivery, wid, workers int) (
 		}
 		// Collapsed uniform-delay broadcast: expand to every receiver in
 		// ascending order (r starts at wid, which is 0 on the sequential
-		// path). Fan-out entries are only scheduled when Scenario == nil,
+		// path). Fan-out entries are only scheduled when linkFaults == nil,
 		// so no drop check is needed.
 		for r := wid; r < e.cfg.N; r += workers {
 			if r == d.sender || step >= e.crash[r] {
@@ -668,13 +651,13 @@ func (e *Engine) step(step int) {
 		if size > e.metrics.MaxEnvelopeBytes {
 			e.metrics.MaxEnvelopeBytes = size
 		}
-		// Fan-out collapse: in scenario-free runs, if the policy assigned
+		// Fan-out collapse: in runs without link faults, if the policy assigned
 		// every receiver of this sender the same delay (the overwhelmingly
 		// common case — Synchronous and post-GST ES are uniformly 0),
 		// schedule one fanOutAll entry instead of n-1 per-receiver ones.
 		// DelayFn is pure per round (policies pre-draw their delay
 		// matrices), so probing it twice is safe.
-		if e.cfg.Scenario == nil && e.cfg.N > 1 {
+		if e.linkFaults == nil && e.cfg.N > 1 {
 			if d0, uniform := uniformDelay(delay, o.sender, e.cfg.N); uniform {
 				if d0 < 0 {
 					panic(fmt.Sprintf("sim: policy returned negative delay %d", d0))
@@ -698,7 +681,7 @@ func (e *Engine) step(step int) {
 			// exercised by a genuinely late duplicate. A delivery the
 			// scenario also drops stays dropped (no point queueing copies
 			// deliverDue would discard again).
-			if sc := e.cfg.Scenario; sc != nil &&
+			if sc := e.linkFaults; sc != nil &&
 				sc.Duplicates(round, o.sender, r) && !sc.Drops(round, o.sender, r) {
 				e.metrics.Duplicated++
 				e.schedule(at+1, pendingDelivery{receiver: r, sender: o.sender, env: o.env})
@@ -706,7 +689,7 @@ func (e *Engine) step(step int) {
 		}
 	}
 	if e.trace != nil {
-		if sp, ok := e.cfg.Policy.(SourceReporter); ok {
+		if sp, ok := e.cfg.Policy.(env.SourceReporter); ok {
 			if s, ok := sp.Source(round); ok {
 				e.trace.recordClaimedSource(round, s)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/values"
 )
@@ -47,7 +48,7 @@ func floodFactory(quorum int) func(i int) giraf.Automaton {
 
 func TestConfigValidation(t *testing.T) {
 	base := func() Config {
-		return Config{N: 3, Automaton: floodFactory(3), Policy: Synchronous{}, MaxRounds: 10}
+		return Config{N: 3, Automaton: floodFactory(3), Policy: env.Synchronous{}, MaxRounds: 10}
 	}
 	tests := []struct {
 		name   string
@@ -57,8 +58,9 @@ func TestConfigValidation(t *testing.T) {
 		{"nil automaton", func(c *Config) { c.Automaton = nil }},
 		{"nil policy", func(c *Config) { c.Policy = nil }},
 		{"zero MaxRounds", func(c *Config) { c.MaxRounds = 0 }},
-		{"crash pid out of range", func(c *Config) { c.Crashes = map[int]int{7: 1} }},
-		{"negative crash step", func(c *Config) { c.Crashes = map[int]int{0: -1} }},
+		{"crash pid out of range", func(c *Config) { c.Scenario = &env.Scenario{Crashes: map[int]int{7: 1}} }},
+		{"negative crash step", func(c *Config) { c.Scenario = &env.Scenario{Crashes: map[int]int{0: -1}} }},
+		{"crash round zero", func(c *Config) { c.Scenario = &env.Scenario{Crashes: map[int]int{0: 0}} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -78,7 +80,7 @@ func TestSynchronousFloodDecides(t *testing.T) {
 	res, err := Run(Config{
 		N:         4,
 		Automaton: floodFactory(4),
-		Policy:    Synchronous{},
+		Policy:    env.Synchronous{},
 		MaxRounds: 10,
 	})
 	if err != nil {
@@ -102,8 +104,8 @@ func TestCrashedProcessStopsParticipating(t *testing.T) {
 	res, err := Run(Config{
 		N:         4,
 		Automaton: floodFactory(0), // never decides; we inspect rounds only
-		Policy:    Synchronous{},
-		Crashes:   map[int]int{2: 3},
+		Policy:    env.Synchronous{},
+		Scenario:  &env.Scenario{Crashes: map[int]int{2: 3}},
 		MaxRounds: 6,
 	})
 	if err != nil {
@@ -124,34 +126,13 @@ func TestCrashedProcessStopsParticipating(t *testing.T) {
 	}
 }
 
-func TestCrashAtStepZeroNeverInitializes(t *testing.T) {
-	res, err := Run(Config{
-		N:         3,
-		Automaton: floodFactory(3), // quorum 3 unreachable: only 2 values circulate
-		Policy:    Synchronous{},
-		Crashes:   map[int]int{0: 0},
-		MaxRounds: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Statuses[0].LastRound != 0 {
-		t.Errorf("crashed-at-0 process reached round %d", res.Statuses[0].LastRound)
-	}
-	for i := 1; i < 3; i++ {
-		if res.Statuses[i].Decided {
-			t.Errorf("process %d decided despite missing value", i)
-		}
-	}
-}
-
 func TestDelayedDeliveryArrivesLate(t *testing.T) {
 	// Isolate process 0 in both directions for rounds 1–3 (all its links
 	// 2 rounds late), then let everything be timely: its value is invisible
 	// early but spreads once links recover. The reverse delays keep process
 	// 0 undecided (it would otherwise decide in round 1 and halt before its
 	// value was ever delivered timely).
-	pol := &Scripted{Delays: map[int]map[int]map[int]int{}, Default: 0}
+	pol := &env.Scripted{Delays: map[int]map[int]map[int]int{}, Default: 0}
 	for r := 1; r <= 3; r++ {
 		pol.Delays[r] = map[int]map[int]int{
 			0: {1: 2, 2: 2},
@@ -184,7 +165,7 @@ func TestPermanentlyLatePayloadsAreInvisibleToRoundReads(t *testing.T) {
 	// to anyone's round-k inbox at compute time: a round-reading automaton
 	// never learns its value (GIRAF semantics; Algorithm 4 instead reads
 	// Fresh() across rounds precisely to catch such stragglers).
-	pol := &Scripted{Delays: map[int]map[int]map[int]int{}, Default: 0}
+	pol := &env.Scripted{Delays: map[int]map[int]map[int]int{}, Default: 0}
 	for r := 1; r <= 12; r++ {
 		pol.Delays[r] = map[int]map[int]int{0: {1: 1, 2: 1}}
 	}
@@ -208,7 +189,7 @@ func TestMetricsCounting(t *testing.T) {
 	res, err := Run(Config{
 		N:         3,
 		Automaton: floodFactory(0),
-		Policy:    Synchronous{},
+		Policy:    env.Synchronous{},
 		MaxRounds: 4,
 	})
 	if err != nil {
@@ -229,7 +210,7 @@ func TestOnRoundHook(t *testing.T) {
 	_, err := Run(Config{
 		N:         2,
 		Automaton: floodFactory(0),
-		Policy:    Synchronous{},
+		Policy:    env.Synchronous{},
 		MaxRounds: 3,
 		OnRound:   func(r int, e *Engine) { rounds = append(rounds, r) },
 	})
@@ -246,7 +227,7 @@ func TestDeterminismSameSeedSameResult(t *testing.T) {
 		res, err := Run(Config{
 			N:         5,
 			Automaton: floodFactory(5),
-			Policy:    &MS{Seed: 42, MaxDelay: 2},
+			Policy:    &env.MS{Seed: 42, MaxDelay: 2},
 			MaxRounds: 50,
 		})
 		if err != nil {
@@ -267,7 +248,7 @@ func TestResultAccessorsAndChecks(t *testing.T) {
 	res, err := Run(Config{
 		N:           3,
 		Automaton:   floodFactory(3),
-		Policy:      Synchronous{},
+		Policy:      env.Synchronous{},
 		MaxRounds:   10,
 		RecordTrace: true,
 	})
@@ -290,7 +271,7 @@ func TestResultAccessorsAndChecks(t *testing.T) {
 }
 
 func TestEngineAccessors(t *testing.T) {
-	e, err := New(Config{N: 2, Automaton: floodFactory(0), Policy: Synchronous{}, MaxRounds: 3})
+	e, err := New(Config{N: 2, Automaton: floodFactory(0), Policy: env.Synchronous{}, MaxRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +286,7 @@ func TestCompactInboxesKeepsMemoryFlat(t *testing.T) {
 		res, err := Run(Config{
 			N:              3,
 			Automaton:      floodFactory(0),
-			Policy:         Synchronous{},
+			Policy:         env.Synchronous{},
 			MaxRounds:      40,
 			CompactInboxes: compact,
 			OnRound: func(r int, e *Engine) {
@@ -341,7 +322,7 @@ func TestCompactInboxesPreservesConsensusBehaviour(t *testing.T) {
 		res, err := Run(Config{
 			N:              4,
 			Automaton:      floodFactory(4),
-			Policy:         &MS{Seed: 5, MaxDelay: 2},
+			Policy:         &env.MS{Seed: 5, MaxDelay: 2},
 			MaxRounds:      60,
 			CompactInboxes: compact,
 		})
@@ -366,7 +347,7 @@ func TestRunContextCancellation(t *testing.T) {
 	_, err := RunContext(ctx, Config{
 		N:         3,
 		Automaton: floodFactory(0), // never decides
-		Policy:    Synchronous{},
+		Policy:    env.Synchronous{},
 		MaxRounds: 1_000_000,
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -4,19 +4,21 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"anonconsensus/internal/env"
 )
 
 // Property tests over machine-generated schedules: every MS-family policy
 // must produce runs that its own checker accepts, and the checkers must be
 // consistent with each other (ES ⊆ ESS ⊆ MS as guarantees).
 
-func tracedRun(t *testing.T, n, rounds int, pol Policy, crashes map[int]int) *Trace {
+func tracedRun(t *testing.T, n, rounds int, pol env.Policy, crashes map[int]int) *Trace {
 	t.Helper()
 	res, err := Run(Config{
 		N:           n,
 		Automaton:   floodFactory(0),
 		Policy:      pol,
-		Crashes:     crashes,
+		Scenario:    &env.Scenario{Crashes: crashes},
 		MaxRounds:   rounds,
 		RecordTrace: true,
 	})
@@ -33,7 +35,7 @@ func TestQuickMSPolicyAlwaysSatisfiesMS(t *testing.T) {
 		if n > 1 {
 			crashes[int(crashRaw)%n] = 1 + int(crashRaw%9)
 		}
-		tr := tracedRun(t, n, 25, &MS{
+		tr := tracedRun(t, n, 25, &env.MS{
 			Seed:           int64(seed),
 			MaxDelay:       1 + int(delayRaw%5),
 			RotationPeriod: int(rotRaw % 4),
@@ -53,7 +55,7 @@ func TestQuickESPolicyAlwaysSatisfiesES(t *testing.T) {
 	f := func(seed uint32, nRaw, gstRaw uint8) bool {
 		n := 1 + int(nRaw%6)
 		gst := int(gstRaw % 16)
-		tr := tracedRun(t, n, 30, &ES{GST: gst, Pre: MS{Seed: int64(seed)}}, nil)
+		tr := tracedRun(t, n, 30, &env.ES{GST: gst, Pre: env.MS{Seed: int64(seed)}}, nil)
 		return tr.CheckES(gst) == nil
 	}
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(22))}
@@ -67,10 +69,10 @@ func TestQuickESSPolicyAlwaysSatisfiesESS(t *testing.T) {
 		n := 1 + int(nRaw%6)
 		gst := int(gstRaw % 16)
 		src := int(seed) % n
-		tr := tracedRun(t, n, 30, &ESS{
+		tr := tracedRun(t, n, 30, &env.ESS{
 			GST:           gst,
 			StableSource:  src,
-			Pre:           MS{Seed: int64(seed)},
+			Pre:           env.MS{Seed: int64(seed)},
 			PostTimelyPct: int(postRaw % 70),
 		}, nil)
 		return tr.CheckESS(gst, src) == nil
@@ -86,7 +88,7 @@ func TestQuickCheckerHierarchy(t *testing.T) {
 	f := func(seed uint32, nRaw, gstRaw uint8) bool {
 		n := 2 + int(nRaw%4)
 		gst := int(gstRaw % 10)
-		tr := tracedRun(t, n, 25, &ES{GST: gst, Pre: MS{Seed: int64(seed)}}, nil)
+		tr := tracedRun(t, n, 25, &env.ES{GST: gst, Pre: env.MS{Seed: int64(seed)}}, nil)
 		if tr.CheckES(gst) != nil {
 			return false
 		}
@@ -113,7 +115,7 @@ func TestQuickSynchronousAlwaysEverything(t *testing.T) {
 		if n > 2 {
 			crashes[int(crashRaw)%n] = 1 + int(crashRaw%5)
 		}
-		tr := tracedRun(t, n, 15, Synchronous{}, crashes)
+		tr := tracedRun(t, n, 15, env.Synchronous{}, crashes)
 		if tr.CheckMS() != nil || tr.CheckES(1) != nil {
 			return false
 		}

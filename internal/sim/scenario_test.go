@@ -48,7 +48,7 @@ func countingConfig(n, rounds int, sc *env.Scenario) Config {
 		Automaton: func(i int) giraf.Automaton {
 			return &countingAut{val: values.Num(int64(i)), limit: rounds}
 		},
-		Policy:    Synchronous{},
+		Policy:    env.Synchronous{},
 		Scenario:  sc,
 		MaxRounds: rounds + 5,
 	}
@@ -129,23 +129,61 @@ func TestScenarioPartitionCutsExactlyTheCrossLinks(t *testing.T) {
 	}
 }
 
-func TestScenarioCrashScheduleMergedWithConfigCrashes(t *testing.T) {
-	// A crash listed only in the scenario behaves exactly like one in
-	// Config.Crashes, and the earlier of the two wins.
-	cfg := countingConfig(3, 10, &env.Scenario{Crashes: map[int]int{1: 2, 2: 9}})
-	cfg.Crashes = map[int]int{2: 4}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestCrashOnlyScenarioKeepsFanOutCollapse pins the engine's delivery-path
+// selection: a scenario that only crashes processes has no link faults, so
+// under env.Synchronous every live sender's broadcast is one fanOutAll ring
+// entry per step — and any loss, duplication or partition switches the run
+// to per-receiver entries (each delivery then needs its own fault draw).
+func TestCrashOnlyScenarioKeepsFanOutCollapse(t *testing.T) {
+	const n = 4
+	// queued runs steps 0 and 1 by hand and returns, per step, how many
+	// collapsed and how many per-receiver entries the step scheduled.
+	queued := func(sc *env.Scenario) (collapsed, perReceiver [2]int) {
+		t.Helper()
+		e, err := New(countingConfig(n, 10, sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 2; step++ {
+			e.stepNum = step
+			e.deliverDue(step)
+			e.step(step)
+			for _, d := range e.due[(step+1)%len(e.due)] {
+				if d.receiver == fanOutAll {
+					collapsed[step]++
+				} else {
+					perReceiver[step]++
+				}
+			}
+		}
+		return collapsed, perReceiver
 	}
-	if !res.Statuses[1].Crashed || res.Statuses[1].CrashedAt != 2 {
-		t.Errorf("proc 1: %+v, want crashed at 2 (scenario schedule)", res.Statuses[1])
+
+	crash := map[int]int{2: 1} // process 2 runs step 0 only
+	for _, sc := range []*env.Scenario{nil, {Crashes: crash}} {
+		collapsed, perReceiver := queued(sc)
+		live1 := n
+		if sc != nil {
+			live1 = n - 1
+		}
+		if collapsed != [2]int{n, live1} || perReceiver != [2]int{} {
+			t.Errorf("scenario %+v: collapsed %v per-receiver %v, want one fanOutAll entry per live sender (%d, %d) and nothing else",
+				sc, collapsed, perReceiver, n, live1)
+		}
 	}
-	if !res.Statuses[2].Crashed || res.Statuses[2].CrashedAt != 4 {
-		t.Errorf("proc 2: %+v, want crashed at 4 (earlier of 4 and 9)", res.Statuses[2])
-	}
-	if res.Statuses[0].Crashed {
-		t.Error("proc 0 must not crash")
+	for name, sc := range map[string]*env.Scenario{
+		"loss":      {Crashes: crash, LossPct: 1},
+		"dup":       {Crashes: crash, DupPct: 1},
+		"partition": {Crashes: crash, Partitions: []env.Partition{{From: 5, Until: 6, Cut: 1}}},
+	} {
+		collapsed, perReceiver := queued(sc)
+		if collapsed != [2]int{} {
+			t.Errorf("%s: %v collapsed entries scheduled; link faults need per-receiver entries", name, collapsed)
+		}
+		// n−1 entries per live sender (a duplicate may add one more).
+		if perReceiver[0] < n*(n-1) || perReceiver[1] < (n-1)*(n-1) {
+			t.Errorf("%s: per-receiver entries %v, want ≥ (%d, %d)", name, perReceiver, n*(n-1), (n-1)*(n-1))
+		}
 	}
 }
 

@@ -20,20 +20,20 @@ func TestDeliverShardingByteIdentical(t *testing.T) {
 	configs := map[string]func(workers int) Config{
 		"sync flood": func(w int) Config {
 			return Config{
-				N: n, Automaton: floodFactory(n), Policy: Synchronous{},
+				N: n, Automaton: floodFactory(n), Policy: env.Synchronous{},
 				MaxRounds: 4 * n, DeliverWorkers: w,
 			}
 		},
 		"MS flood with crashes": func(w int) Config {
 			return Config{
-				N: n, Automaton: floodFactory(n - 2), Policy: &MS{Seed: 11, MaxDelay: 3},
-				Crashes:   map[int]int{3: 2, 17: 5},
+				N: n, Automaton: floodFactory(n - 2), Policy: &env.MS{Seed: 11, MaxDelay: 3},
+				Scenario:  &env.Scenario{Crashes: map[int]int{3: 2, 17: 5}},
 				MaxRounds: 4 * n, DeliverWorkers: w,
 			}
 		},
 		"async lossy duplicating": func(w int) Config {
 			return Config{
-				N: n, Automaton: floodFactory(0), Policy: &Async{Seed: 7, MaxDelay: 2},
+				N: n, Automaton: floodFactory(0), Policy: &env.Async{Seed: 7, MaxDelay: 2},
 				Scenario:  &env.Scenario{Seed: 3, LossPct: 15, DupPct: 20},
 				MaxRounds: 30, DeliverWorkers: w,
 			}
@@ -62,7 +62,7 @@ func TestDeliverShardingByteIdentical(t *testing.T) {
 // TestDeliverWorkersValidation pins rejection of negative worker counts.
 func TestDeliverWorkersValidation(t *testing.T) {
 	_, err := New(Config{
-		N: 2, Automaton: floodFactory(2), Policy: Synchronous{},
+		N: 2, Automaton: floodFactory(2), Policy: env.Synchronous{},
 		MaxRounds: 5, DeliverWorkers: -1,
 	})
 	if err == nil {
@@ -75,10 +75,10 @@ func TestDeliverWorkersValidation(t *testing.T) {
 // invisible in the metrics: per-receiver accounting must match a run in
 // which collapsing is impossible because delays are non-uniform.
 func TestFanOutCollapsePreservesMetrics(t *testing.T) {
-	// Same flood workload under Synchronous (collapsible: all delays 0)
+	// Same flood workload under env.Synchronous (collapsible: all delays 0)
 	// twice; the second run records a trace, which pins per-delivery
 	// recording through the expansion path too.
-	cfg := Config{N: 9, Automaton: floodFactory(9), Policy: Synchronous{}, MaxRounds: 40}
+	cfg := Config{N: 9, Automaton: floodFactory(9), Policy: env.Synchronous{}, MaxRounds: 40}
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestFanOutCollapsePreservesMetrics(t *testing.T) {
 	if plain.Metrics != traced.Metrics {
 		t.Errorf("traced run metrics differ: %+v vs %+v", plain.Metrics, traced.Metrics)
 	}
-	// Every broadcast reaches all n-1 receivers under Synchronous with no
+	// Every broadcast reaches all n-1 receivers under env.Synchronous with no
 	// crashes, so the delivery count is exactly (n-1)·Broadcasts minus the
 	// final round's envelopes (delivered at a step past the last executed
 	// one, if the run ends by decision). At minimum the expansion must
@@ -99,7 +99,7 @@ func TestFanOutCollapsePreservesMetrics(t *testing.T) {
 	if plain.Metrics.Deliveries == 0 || plain.Metrics.Broadcasts == 0 {
 		t.Fatalf("degenerate run: %+v", plain.Metrics)
 	}
-	// Synchronous is ES with GST 0: every delivery timely from round 1 on.
+	// env.Synchronous is ES with GST 0: every delivery timely from round 1 on.
 	if err := traced.Trace.CheckES(0); err != nil {
 		t.Errorf("fan-out expansion broke the synchronous delivery pattern: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestFanOutCollapsePreservesMetrics(t *testing.T) {
 // threshold arithmetic (fan-out entries count as n-1 units) stays honest.
 func TestShardWorkHeuristic(t *testing.T) {
 	e, err := New(Config{
-		N: 64, Automaton: floodFactory(0), Policy: Synchronous{},
+		N: 64, Automaton: floodFactory(0), Policy: env.Synchronous{},
 		MaxRounds: 5, DeliverWorkers: 4,
 	})
 	if err != nil {

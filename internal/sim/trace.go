@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"anonconsensus/internal/ordered"
 	"anonconsensus/internal/values"
@@ -192,7 +193,7 @@ func (t *Trace) CheckES(gst int) error {
 		// Sorted view so a violation report names the smallest offending
 		// sender, not a map-order-dependent one.
 		for _, sender := range ordered.Keys(t.senders[r]) {
-			if !contains(timely, sender) {
+			if !slices.Contains(timely, sender) {
 				return fmt.Errorf("ES violated in round %d (≥ GST %d): sender %d not timely to all of %v", r, gst, sender, receivers)
 			}
 		}
@@ -218,7 +219,7 @@ func (t *Trace) CheckESS(gst, source int) error {
 		if len(receivers) == 0 {
 			continue
 		}
-		if !contains(t.TimelySources(r, receivers), source) {
+		if !slices.Contains(t.TimelySources(r, receivers), source) {
 			return fmt.Errorf("ESS violated in round %d (≥ GST %d): stable source %d not timely to all of %v", r, gst, source, receivers)
 		}
 	}

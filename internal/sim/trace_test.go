@@ -1,19 +1,22 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"anonconsensus/internal/env"
 )
 
 // runTraced runs the flood automaton (never deciding) under pol and returns
 // the trace.
-func runTraced(t *testing.T, n, rounds int, pol Policy, crashes map[int]int) *Trace {
+func runTraced(t *testing.T, n, rounds int, pol env.Policy, crashes map[int]int) *Trace {
 	t.Helper()
 	res, err := Run(Config{
 		N:           n,
 		Automaton:   floodFactory(0),
 		Policy:      pol,
-		Crashes:     crashes,
+		Scenario:    &env.Scenario{Crashes: crashes},
 		MaxRounds:   rounds,
 		RecordTrace: true,
 	})
@@ -27,7 +30,7 @@ func runTraced(t *testing.T, n, rounds int, pol Policy, crashes map[int]int) *Tr
 }
 
 func TestSynchronousSatisfiesAllEnvironments(t *testing.T) {
-	tr := runTraced(t, 4, 12, Synchronous{}, nil)
+	tr := runTraced(t, 4, 12, env.Synchronous{}, nil)
 	if err := tr.CheckMS(); err != nil {
 		t.Errorf("CheckMS: %v", err)
 	}
@@ -41,7 +44,7 @@ func TestSynchronousSatisfiesAllEnvironments(t *testing.T) {
 
 func TestMSPolicySatisfiesMS(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 99} {
-		tr := runTraced(t, 5, 30, &MS{Seed: seed, MaxDelay: 4}, nil)
+		tr := runTraced(t, 5, 30, &env.MS{Seed: seed, MaxDelay: 4}, nil)
 		if err := tr.CheckMS(); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
@@ -49,14 +52,14 @@ func TestMSPolicySatisfiesMS(t *testing.T) {
 }
 
 func TestMSPolicyWithShuffleSatisfiesMS(t *testing.T) {
-	tr := runTraced(t, 6, 30, &MS{Seed: 7, Shuffle: true}, nil)
+	tr := runTraced(t, 6, 30, &env.MS{Seed: 7, Shuffle: true}, nil)
 	if err := tr.CheckMS(); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestMSPolicySurvivesCrashes(t *testing.T) {
-	tr := runTraced(t, 5, 30, &MS{Seed: 5}, map[int]int{0: 4, 1: 9})
+	tr := runTraced(t, 5, 30, &env.MS{Seed: 5}, map[int]int{0: 4, 1: 9})
 	if err := tr.CheckMS(); err != nil {
 		t.Error(err)
 	}
@@ -65,7 +68,7 @@ func TestMSPolicySurvivesCrashes(t *testing.T) {
 func TestMSPolicyIsNotES(t *testing.T) {
 	// With non-source delays always ≥ 1 and several processes, pre-GST MS
 	// chaos must violate the all-timely requirement of ES.
-	tr := runTraced(t, 4, 30, &MS{Seed: 3}, nil)
+	tr := runTraced(t, 4, 30, &env.MS{Seed: 3}, nil)
 	if err := tr.CheckES(1); err == nil {
 		t.Error("MS run unexpectedly satisfies ES from round 1")
 	}
@@ -73,7 +76,7 @@ func TestMSPolicyIsNotES(t *testing.T) {
 
 func TestESPolicySatisfiesES(t *testing.T) {
 	gst := 10
-	tr := runTraced(t, 5, 30, &ES{GST: gst, Pre: MS{Seed: 11}}, nil)
+	tr := runTraced(t, 5, 30, &env.ES{GST: gst, Pre: env.MS{Seed: 11}}, nil)
 	if err := tr.CheckES(gst); err != nil {
 		t.Errorf("CheckES: %v", err)
 	}
@@ -84,21 +87,21 @@ func TestESPolicySatisfiesES(t *testing.T) {
 
 func TestESSPolicySatisfiesESS(t *testing.T) {
 	gst, src := 8, 2
-	tr := runTraced(t, 5, 40, &ESS{GST: gst, StableSource: src, Pre: MS{Seed: 13}}, nil)
+	tr := runTraced(t, 5, 40, &env.ESS{GST: gst, StableSource: src, Pre: env.MS{Seed: 13}}, nil)
 	if err := tr.CheckESS(gst, src); err != nil {
 		t.Errorf("CheckESS: %v", err)
 	}
 }
 
 func TestESSIsNotESWhenLinksStaySlow(t *testing.T) {
-	tr := runTraced(t, 4, 40, &ESS{GST: 5, StableSource: 1, Pre: MS{Seed: 17}}, nil)
+	tr := runTraced(t, 4, 40, &env.ESS{GST: 5, StableSource: 1, Pre: env.MS{Seed: 17}}, nil)
 	if err := tr.CheckES(5); err == nil {
 		t.Error("ESS run with slow non-source links unexpectedly satisfies ES")
 	}
 }
 
 func TestAsyncWithMinDelayViolatesMS(t *testing.T) {
-	tr := runTraced(t, 4, 20, &Async{Seed: 23, MinDelay: 1, MaxDelay: 3}, nil)
+	tr := runTraced(t, 4, 20, &env.Async{Seed: 23, MinDelay: 1, MaxDelay: 3}, nil)
 	err := tr.CheckMS()
 	if err == nil {
 		t.Fatal("async run with all-late deliveries must violate MS")
@@ -109,7 +112,7 @@ func TestAsyncWithMinDelayViolatesMS(t *testing.T) {
 }
 
 func TestAlternatingMSSatisfiesMS(t *testing.T) {
-	tr := runTraced(t, 4, 40, &AlternatingMS{}, nil)
+	tr := runTraced(t, 4, 40, &env.AlternatingMS{}, nil)
 	if err := tr.CheckMS(); err != nil {
 		t.Error(err)
 	}
@@ -125,7 +128,7 @@ func TestAlternatingMSSatisfiesMS(t *testing.T) {
 
 func TestScriptedViolationDetected(t *testing.T) {
 	// Round 2: everybody's envelope late to somebody → no source → MS broken.
-	pol := &Scripted{Default: 0, Delays: map[int]map[int]map[int]int{
+	pol := &env.Scripted{Default: 0, Delays: map[int]map[int]map[int]int{
 		2: {
 			0: {1: 1},
 			1: {2: 1},
@@ -143,7 +146,7 @@ func TestScriptedViolationDetected(t *testing.T) {
 }
 
 func TestClaimedSourceIsTimely(t *testing.T) {
-	tr := runTraced(t, 5, 25, &MS{Seed: 31}, nil)
+	tr := runTraced(t, 5, 25, &env.MS{Seed: 31}, nil)
 	for r := 1; r <= 20; r++ {
 		src, ok := tr.ClaimedSource(r)
 		if !ok {
@@ -153,7 +156,7 @@ func TestClaimedSourceIsTimely(t *testing.T) {
 		if len(receivers) == 0 {
 			continue
 		}
-		if !contains(tr.TimelySources(r, receivers), src) {
+		if !slices.Contains(tr.TimelySources(r, receivers), src) {
 			t.Errorf("round %d: claimed source %d not actually timely", r, src)
 		}
 	}
@@ -161,7 +164,7 @@ func TestClaimedSourceIsTimely(t *testing.T) {
 
 func TestTimelySourcesSenderCountsItself(t *testing.T) {
 	// n=1: the only process is trivially a source every round.
-	tr := runTraced(t, 1, 5, &MS{Seed: 1}, nil)
+	tr := runTraced(t, 1, 5, &env.MS{Seed: 1}, nil)
 	if err := tr.CheckMS(); err != nil {
 		t.Errorf("single-process run must satisfy MS: %v", err)
 	}
@@ -173,7 +176,7 @@ func TestCheckIrrevocabilityCleanRun(t *testing.T) {
 	res, err := Run(Config{
 		N:           3,
 		Automaton:   floodFactory(3),
-		Policy:      Synchronous{},
+		Policy:      env.Synchronous{},
 		MaxRounds:   10,
 		RecordTrace: true,
 	})
@@ -189,7 +192,7 @@ func TestCheckIrrevocabilityCleanRun(t *testing.T) {
 }
 
 func TestCheckIrrevocabilityUndecidedRun(t *testing.T) {
-	tr := runTraced(t, 3, 8, Synchronous{}, nil)
+	tr := runTraced(t, 3, 8, env.Synchronous{}, nil)
 	statuses := make([]ProcStatus, 3)
 	if err := tr.CheckIrrevocability(statuses); err != nil {
 		t.Errorf("undecided run flagged: %v", err)

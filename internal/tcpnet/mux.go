@@ -34,8 +34,7 @@ import (
 // calls return an error wrapping ErrHubLost, which callers treat as a
 // crash of this node (for every epoch it carried), not of the hub.
 //
-// MuxNode is the only TCP client in the tree: RunNode is a MuxNode that
-// carries one fixed epoch.
+// MuxNode is the only TCP client in the tree.
 type MuxNode struct {
 	cfg MuxConfig
 
@@ -89,8 +88,7 @@ type MuxConfig struct {
 // DialMux.
 type MuxStats struct {
 	// Reconnects / ReplayedFrames / FailedDials / HeartbeatsAcked are the
-	// shared connection's session-resumption counters (RunNode copies them
-	// into its NodeResult).
+	// shared connection's session-resumption counters.
 	Reconnects      int
 	ReplayedFrames  int
 	FailedDials     int
@@ -205,19 +203,20 @@ type InstanceRun struct {
 }
 
 // RunInstance drives cfg.Automaton on the given registered epoch until
-// it decides, the timeout expires, or the shared session is lost
-// (ErrHubLost). Many RunInstance calls proceed concurrently on one
-// MuxNode, one per epoch; all of them share the node's single hub
-// connection. The round loop itself is package rounddriver's.
-func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun) (*NodeResult, error) {
+// it decides, the timeout expires, or the shared session is lost — then
+// the partial Outcome (Lost set) comes back alongside an error wrapping
+// ErrHubLost. Many RunInstance calls proceed concurrently on one MuxNode,
+// one per epoch; all of them share the node's single hub connection. The
+// round loop itself is package rounddriver's.
+func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun) (rounddriver.Outcome, error) {
 	if cfg.Automaton == nil {
-		return nil, errors.New("tcpnet: nil automaton")
+		return rounddriver.Outcome{}, errors.New("tcpnet: nil automaton")
 	}
 	m.mu.Lock()
 	ep := m.epochs[epoch]
 	m.mu.Unlock()
 	if ep == nil {
-		return nil, fmt.Errorf("tcpnet: mux: epoch %d not registered", epoch)
+		return rounddriver.Outcome{}, fmt.Errorf("tcpnet: mux: epoch %d not registered", epoch)
 	}
 	interval := cfg.Interval
 	if interval <= 0 {
@@ -252,17 +251,10 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 		// epoch's tracker, so the next broadcast travels in full.
 		Send: func(env giraf.Envelope) error { return m.send(epoch, env) },
 	})
-	res := &NodeResult{
-		Decided:  out.Decided,
-		Decision: out.Decision,
-		Round:    out.DecidedRound,
-		Rounds:   out.Rounds,
-		Crashed:  out.Crashed,
-	}
 	if out.Lost {
-		return res, m.deadErr
+		return out, m.deadErr
 	}
-	return res, nil
+	return out, nil
 }
 
 // send delta-compresses env against its epoch's uplink stream and writes

@@ -8,6 +8,7 @@ import (
 
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/wire"
 )
@@ -42,7 +43,7 @@ func runMuxInstance(t *testing.T, nodes []*MuxNode, epoch uint64, interval time.
 			m.Unregister(epoch)
 		}
 	}()
-	results := make([]*NodeResult, len(nodes))
+	results := make([]rounddriver.Outcome, len(nodes))
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, m := range nodes {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/wire"
 )
@@ -112,25 +113,27 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 	proxy := newFlakyProxy(t, hub.Addr())
 
 	props := core.DistinctProposals(3)
-	results := make([]*NodeResult, 3)
+	results := make([]rounddriver.Outcome, 3)
+	stats := make([]MuxStats, 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		i := i
-		cfg := NodeConfig{
+		mux := MuxConfig{
 			HubAddr:   hub.Addr(),
-			Automaton: core.NewES(props[i]),
-			Interval:  10 * time.Millisecond,
-			Timeout:   30 * time.Second,
 			Reconnect: ReconnectPolicy{MaxAttempts: 10, BaseDelay: 5 * time.Millisecond, Seed: int64(i)},
 		}
 		if i == 1 {
-			cfg.HubAddr = proxy.addr()
+			mux.HubAddr = proxy.addr()
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = RunNode(context.Background(), cfg)
+			results[i], stats[i], errs[i] = runSolo(context.Background(), mux, InstanceRun{
+				Automaton: core.NewES(props[i]),
+				Interval:  10 * time.Millisecond,
+				Timeout:   30 * time.Second,
+			})
 		}()
 	}
 	// Cut node 1's link just as rounds begin (JoinGrace is 3×10ms) and
@@ -148,7 +151,7 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 	decided := values.NewSet()
 	for i, r := range results {
 		if !r.Decided {
-			t.Fatalf("node %d undecided after %d rounds (reconnects=%d)", i, r.Rounds, r.Reconnects)
+			t.Fatalf("node %d undecided after %d rounds (reconnects=%d)", i, r.Rounds, stats[i].Reconnects)
 		}
 		decided.Add(r.Decision)
 	}
@@ -158,15 +161,14 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 	if v, _ := decided.Max(); !core.ProposalSet(props).Contains(v) {
 		t.Fatalf("validity violated: %v", v)
 	}
-	if results[1].Reconnects < 1 {
-		t.Errorf("severed node reports %d reconnects, want ≥ 1", results[1].Reconnects)
+	if stats[1].Reconnects < 1 {
+		t.Errorf("severed node reports %d reconnects, want ≥ 1", stats[1].Reconnects)
 	}
-	if results[1].ReplayedFrames == 0 {
+	if stats[1].ReplayedFrames == 0 {
 		t.Error("severed node reports no replayed frames; resumption should have replayed the gap")
 	}
-	stats := hub.Stats()
-	if stats.Reconnects < 1 {
-		t.Errorf("hub reports %d reconnects, want ≥ 1", stats.Reconnects)
+	if hs := hub.Stats(); hs.Reconnects < 1 {
+		t.Errorf("hub reports %d reconnects, want ≥ 1", hs.Reconnects)
 	}
 }
 
@@ -183,7 +185,8 @@ func TestNodeSurvivesHubRestart(t *testing.T) {
 	addr := hub.Addr()
 
 	props := core.DistinctProposals(3)
-	results := make([]*NodeResult, 3)
+	results := make([]rounddriver.Outcome, 3)
+	stats := make([]MuxStats, 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -191,14 +194,15 @@ func TestNodeSurvivesHubRestart(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = RunNode(context.Background(), NodeConfig{
-				HubAddr:   addr,
-				Automaton: core.NewES(props[i]),
-				Interval:  15 * time.Millisecond,
-				Timeout:   30 * time.Second,
+			results[i], stats[i], errs[i] = runSolo(context.Background(), MuxConfig{
+				HubAddr: addr,
 				// Generous backoff budget: all three nodes must outlive the
 				// restart gap.
 				Reconnect: ReconnectPolicy{MaxAttempts: 20, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Seed: int64(i)},
+			}, InstanceRun{
+				Automaton: core.NewES(props[i]),
+				Interval:  15 * time.Millisecond,
+				Timeout:   30 * time.Second,
 			})
 		}()
 	}
@@ -229,7 +233,7 @@ func TestNodeSurvivesHubRestart(t *testing.T) {
 			t.Fatalf("node %d undecided after hub restart (%d rounds)", i, r.Rounds)
 		}
 		decided.Add(r.Decision)
-		reconnects += r.Reconnects
+		reconnects += stats[i].Reconnects
 	}
 	if decided.Len() != 1 {
 		t.Fatalf("agreement violated across hub restart: %v", decided)
@@ -251,19 +255,21 @@ func TestNodeNeverHealsReportsHubLost(t *testing.T) {
 	proxy := newFlakyProxy(t, hub.Addr())
 
 	done := make(chan struct{})
-	var res *NodeResult
+	var res rounddriver.Outcome
+	var stats MuxStats
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = RunNode(context.Background(), NodeConfig{
+		res, stats, runErr = runSolo(context.Background(), MuxConfig{
 			HubAddr:   proxy.addr(),
+			Reconnect: ReconnectPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 42},
+		}, InstanceRun{
 			Automaton: core.NewES(values.Num(7)),
 			Interval:  10 * time.Millisecond,
 			// The long grace parks the node consuming (nothing): the
 			// blackout, not a solo decision, is what it experiences.
 			JoinGrace: 5 * time.Second,
 			Timeout:   20 * time.Second,
-			Reconnect: ReconnectPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 42},
 		})
 	}()
 	time.Sleep(80 * time.Millisecond)
@@ -280,14 +286,14 @@ func TestNodeNeverHealsReportsHubLost(t *testing.T) {
 	if !errors.Is(runErr, ErrHubLost) {
 		t.Fatalf("error does not wrap ErrHubLost: %v", runErr)
 	}
-	if res == nil {
-		t.Fatal("no partial result alongside ErrHubLost")
+	if !res.Lost {
+		t.Fatal("no partial outcome (Lost) alongside ErrHubLost")
 	}
 	if res.Decided {
 		t.Error("cut-off node claims a decision")
 	}
-	if res.FailedDials < 3 {
-		t.Errorf("FailedDials = %d, want ≥ 3 (every attempt hit the blackout)", res.FailedDials)
+	if stats.FailedDials < 3 {
+		t.Errorf("FailedDials = %d, want ≥ 3 (every attempt hit the blackout)", stats.FailedDials)
 	}
 }
 
@@ -305,8 +311,7 @@ func TestNoReconnectPolicyFailsFast(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		_, runErr = RunNode(context.Background(), NodeConfig{
-			HubAddr:   proxy.addr(),
+		_, _, runErr = runSolo(context.Background(), MuxConfig{HubAddr: proxy.addr()}, InstanceRun{
 			Automaton: core.NewES(values.Num(3)),
 			Interval:  10 * time.Millisecond,
 			JoinGrace: 5 * time.Second, // park: the loss must hit a live conn
@@ -357,7 +362,7 @@ func TestHubDropsHeartbeatDeadSession(t *testing.T) {
 }
 
 func TestHeartbeatAckKeepsSessionAlive(t *testing.T) {
-	// A live node (RunNode acks heartbeats) must never be declared dead,
+	// A live node (its MuxNode acks heartbeats) must never be declared dead,
 	// even with an aggressive probe schedule.
 	hub, err := NewHub("127.0.0.1:0", WithHeartbeat(15*time.Millisecond, 2))
 	if err != nil {
@@ -366,50 +371,25 @@ func TestHeartbeatAckKeepsSessionAlive(t *testing.T) {
 	defer hub.Close()
 
 	props := core.DistinctProposals(2)
-	results := runClusterAt(t, hub, 2, func(i int) NodeConfig {
-		return NodeConfig{
-			Automaton: core.NewES(props[i]),
-			Interval:  10 * time.Millisecond,
-			Timeout:   30 * time.Second,
-			Reconnect: ReconnectPolicy{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond},
-		}
+	results, stats := runClusterAt(t, hub, 2, func(i int) (MuxConfig, InstanceRun) {
+		return MuxConfig{Reconnect: ReconnectPolicy{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond}},
+			InstanceRun{
+				Automaton: core.NewES(props[i]),
+				Interval:  10 * time.Millisecond,
+				Timeout:   30 * time.Second,
+			}
 	})
 	for i, r := range results {
 		if !r.Decided {
 			t.Fatalf("node %d undecided", i)
 		}
-		if r.HeartbeatsAcked == 0 {
+		if stats[i].HeartbeatsAcked == 0 {
 			t.Errorf("node %d acked no heartbeats under a 15ms probe schedule", i)
 		}
 	}
-	if stats := hub.Stats(); stats.DroppedConns != 0 {
-		t.Errorf("hub dropped %d conns; live acking nodes should never be declared dead", stats.DroppedConns)
+	if hs := hub.Stats(); hs.DroppedConns != 0 {
+		t.Errorf("hub dropped %d conns; live acking nodes should never be declared dead", hs.DroppedConns)
 	}
-}
-
-// runClusterAt is runCluster against an existing hub.
-func runClusterAt(t *testing.T, hub *Hub, n int, mkCfg func(i int) NodeConfig) []*NodeResult {
-	t.Helper()
-	results := make([]*NodeResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		cfg := mkCfg(i)
-		cfg.HubAddr = hub.Addr()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = RunNode(context.Background(), cfg)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	return results
 }
 
 func TestHubOverwhelmGraceThenDrop(t *testing.T) {

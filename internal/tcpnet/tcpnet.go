@@ -1,8 +1,7 @@
 // Package tcpnet runs anonymous consensus across real network connections:
 // a broadcast Hub relays frames between TCP connections and one client,
-// MuxNode, drives GIRAF automata against it — many instances as epochs
-// over one connection, or, through RunNode, a single one. The round loop
-// both run is package rounddriver's.
+// MuxNode, drives GIRAF automata against it — any number of instances as
+// epochs over one connection. The round loop is package rounddriver's.
 //
 // Anonymity is preserved end to end: frames (package wire) carry no sender
 // identifier, the hub relays bytes verbatim without annotating origin, and
@@ -38,8 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"anonconsensus/internal/giraf"
-	"anonconsensus/internal/values"
 	"anonconsensus/internal/wire"
 )
 
@@ -667,56 +664,6 @@ func (p ReconnectPolicy) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(j%uint64(d))
 }
 
-// NodeConfig drives one consensus node against a hub.
-type NodeConfig struct {
-	// HubAddr is the hub's TCP address.
-	HubAddr string
-	// Automaton is the GIRAF automaton to run.
-	Automaton giraf.Automaton
-	// Interval is the local round-timer period; defaults to 10ms.
-	Interval time.Duration
-	// Timeout bounds the run; defaults to 30s.
-	Timeout time.Duration
-	// DialTimeout bounds each dial + handshake (context cancellation
-	// aborts a hung dial earlier); defaults to 5s.
-	DialTimeout time.Duration
-	// JoinGrace delays the node's first end-of-round so the hub's replay
-	// of earlier broadcasts is consumed first; defaults to 3×Interval
-	// (see rounddriver.Config.Grace).
-	JoinGrace time.Duration
-	// CrashAfterRounds stops the node after it executed that many
-	// end-of-rounds (simulated crash, mirroring anonnet's crash schedule).
-	// Zero means never.
-	CrashAfterRounds int
-	// Peers is the process count n when the caller knows it (see
-	// InstanceRun.Peers); zero keeps the minimal pacing gate.
-	Peers int
-	// Reconnect governs recovery from a lost hub connection; the zero
-	// policy keeps the historical fail-fast behavior.
-	Reconnect ReconnectPolicy
-}
-
-// NodeResult is a node's outcome.
-type NodeResult struct {
-	Decided  bool
-	Decision values.Value
-	Round    int
-	// Rounds is the number of end-of-rounds executed.
-	Rounds int
-	// Crashed reports whether the crash schedule stopped the node.
-	Crashed bool
-
-	// Reconnects counts hub connections re-established after a loss.
-	Reconnects int
-	// ReplayedFrames counts frames the hub re-sent from the session log
-	// on resumption (as announced in each Welcome).
-	ReplayedFrames int
-	// FailedDials counts redial attempts that did not produce a session.
-	FailedDials int
-	// HeartbeatsAcked counts hub liveness probes this node answered.
-	HeartbeatsAcked int
-}
-
 // dialHub establishes one hub connection: DialContext with a deadline,
 // then the Hello/Welcome handshake with the given session token and
 // replay cursor (0, 0 for a fresh session).
@@ -763,44 +710,4 @@ func dialHub(ctx context.Context, addr string, dialTimeout time.Duration, token,
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	return conn, welcome, nil
-}
-
-// nodeEpoch is the one epoch a RunNode session carries. Every RunNode on
-// a hub uses the same value — that is what makes them one instance.
-const nodeEpoch = 1
-
-// RunNode connects to the hub and drives the automaton until it decides or
-// the timeout expires: a private MuxNode carrying the single epoch
-// nodeEpoch. Connection losses are survived per the config's
-// ReconnectPolicy; a node that exhausts its reconnect budget returns its
-// partial result alongside an error wrapping ErrHubLost.
-func RunNode(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
-	if cfg.Automaton == nil {
-		return nil, errors.New("tcpnet: nil automaton")
-	}
-	m, err := DialMux(ctx, MuxConfig{
-		HubAddr:     cfg.HubAddr,
-		DialTimeout: cfg.DialTimeout,
-		Reconnect:   cfg.Reconnect,
-	}, nodeEpoch)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	res, err := m.RunInstance(ctx, nodeEpoch, InstanceRun{
-		Automaton:        cfg.Automaton,
-		Interval:         cfg.Interval,
-		Timeout:          cfg.Timeout,
-		JoinGrace:        cfg.JoinGrace,
-		CrashAfterRounds: cfg.CrashAfterRounds,
-		Peers:            cfg.Peers,
-	})
-	if res != nil {
-		st := m.Stats()
-		res.Reconnects = st.Reconnects
-		res.ReplayedFrames = st.ReplayedFrames
-		res.FailedDials = st.FailedDials
-		res.HeartbeatsAcked = st.HeartbeatsAcked
-	}
-	return res, err
 }

@@ -8,33 +8,45 @@ import (
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/wire"
 )
 
-// runCluster starts a hub and n concurrent nodes, returning their results.
-func runCluster(t *testing.T, n int, interval time.Duration, mkAut func(i int) NodeConfig, opts ...HubOption) []*NodeResult {
-	t.Helper()
-	hub, err := NewHub("127.0.0.1:0", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+// testEpoch is the one epoch every runSolo process rides; sharing it is
+// what makes the processes on a hub one instance.
+const testEpoch = 1
 
-	results := make([]*NodeResult, n)
+// runSolo is one single-instance process: a private MuxNode dialed with
+// testEpoch registered (so the hub's replay reaches its inbox), one
+// RunInstance on it, and the connection's counters beside the outcome —
+// DialMux + RunInstance, the way JoinTCP drives them.
+func runSolo(ctx context.Context, mux MuxConfig, run InstanceRun) (rounddriver.Outcome, MuxStats, error) {
+	m, err := DialMux(ctx, mux, testEpoch)
+	if err != nil {
+		return rounddriver.Outcome{}, MuxStats{}, err
+	}
+	defer m.Close()
+	out, err := m.RunInstance(ctx, testEpoch, run)
+	return out, m.Stats(), err
+}
+
+// runClusterAt runs n concurrent solo processes against hub and returns
+// their outcomes and connection counters; mk's MuxConfig needs no HubAddr.
+func runClusterAt(t *testing.T, hub *Hub, n int, mk func(i int) (MuxConfig, InstanceRun)) ([]rounddriver.Outcome, []MuxStats) {
+	t.Helper()
+	results := make([]rounddriver.Outcome, n)
+	stats := make([]MuxStats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		i := i
-		cfg := mkAut(i)
-		cfg.HubAddr = hub.Addr()
-		if cfg.Interval == 0 {
-			cfg.Interval = interval
-		}
+		mux, run := mk(i)
+		mux.HubAddr = hub.Addr()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = RunNode(context.Background(), cfg)
+			results[i], stats[i], errs[i] = runSolo(context.Background(), mux, run)
 		}()
 	}
 	wg.Wait()
@@ -43,14 +55,27 @@ func runCluster(t *testing.T, n int, interval time.Duration, mkAut func(i int) N
 			t.Fatalf("node %d: %v", i, err)
 		}
 	}
+	return results, stats
+}
+
+// runCluster starts a hub and n concurrent nodes, returning their results.
+func runCluster(t *testing.T, n int, mk func(i int) InstanceRun, opts ...HubOption) []rounddriver.Outcome {
+	t.Helper()
+	hub, err := NewHub("127.0.0.1:0", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	results, _ := runClusterAt(t, hub, n, func(i int) (MuxConfig, InstanceRun) { return MuxConfig{}, mk(i) })
 	return results
 }
 
 func TestTCPConsensusES(t *testing.T) {
 	props := core.DistinctProposals(4)
-	results := runCluster(t, 4, 8*time.Millisecond, func(i int) NodeConfig {
-		return NodeConfig{
+	results := runCluster(t, 4, func(i int) InstanceRun {
+		return InstanceRun{
 			Automaton: core.NewES(props[i]),
+			Interval:  8 * time.Millisecond,
 			Timeout:   30 * time.Second,
 		}
 	})
@@ -71,9 +96,10 @@ func TestTCPConsensusES(t *testing.T) {
 
 func TestTCPConsensusESS(t *testing.T) {
 	props := core.DistinctProposals(3)
-	results := runCluster(t, 3, 8*time.Millisecond, func(i int) NodeConfig {
-		return NodeConfig{
+	results := runCluster(t, 3, func(i int) InstanceRun {
+		return InstanceRun{
 			Automaton: core.NewESS(props[i]),
+			Interval:  8 * time.Millisecond,
 			Timeout:   40 * time.Second,
 		}
 	})
@@ -100,9 +126,10 @@ func TestTCPConsensusWithForwardDelays(t *testing.T) {
 		}
 		return 0
 	}
-	results := runCluster(t, 3, 10*time.Millisecond, func(i int) NodeConfig {
-		return NodeConfig{
+	results := runCluster(t, 3, func(i int) InstanceRun {
+		return InstanceRun{
 			Automaton: core.NewES(props[i]),
+			Interval:  10 * time.Millisecond,
 			Timeout:   40 * time.Second,
 		}
 	}, WithForwardDelay(slow))
@@ -119,14 +146,18 @@ func TestTCPConsensusWithForwardDelays(t *testing.T) {
 }
 
 func TestTCPNodeValidation(t *testing.T) {
-	if _, err := RunNode(context.Background(), NodeConfig{}); err == nil {
+	hub, err := NewHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if _, _, err := runSolo(context.Background(), MuxConfig{HubAddr: hub.Addr()}, InstanceRun{}); err == nil {
 		t.Error("nil automaton accepted")
 	}
-	if _, err := RunNode(context.Background(), NodeConfig{
-		HubAddr:   "127.0.0.1:1", // nothing listens here
-		Automaton: core.NewES(values.Num(1)),
-		Timeout:   time.Second,
-	}); err == nil {
+	if _, _, err := runSolo(context.Background(),
+		MuxConfig{HubAddr: "127.0.0.1:1"}, // nothing listens here
+		InstanceRun{Automaton: core.NewES(values.Num(1)), Timeout: time.Second},
+	); err == nil {
 		t.Error("dial failure not reported")
 	}
 }
@@ -165,8 +196,7 @@ func TestTCPLateJoinerStillAgrees(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			time.Sleep(delay)
-			res, err := RunNode(context.Background(), NodeConfig{
-				HubAddr:   hub.Addr(),
+			res, _, err := runSolo(context.Background(), MuxConfig{HubAddr: hub.Addr()}, InstanceRun{
 				Automaton: core.NewES(props[i]),
 				Interval:  8 * time.Millisecond,
 				Timeout:   30 * time.Second,
@@ -194,13 +224,13 @@ func TestTCPLateJoinerStillAgrees(t *testing.T) {
 	}
 }
 
-// TestRunNodeLateJoinerReplayReachesInbox pins the hub contract on the
-// folded client: a node that attaches after its peers broadcast must
-// receive every logged frame (late counts as asynchronous, lost would
-// break the model). The hub queues the replay before the dial even
-// returns, so RunNode's epoch has to be registered before its reader
-// starts — otherwise the replay is demultiplexed as unknown-epoch and
-// dropped.
+// TestRunNodeLateJoinerReplayReachesInbox pins the hub contract on a
+// single-instance node (runSolo here, JoinTCP in the root package): a node
+// that attaches after its peers broadcast must receive every logged frame
+// (late counts as asynchronous, lost would break the model). The hub queues
+// the replay before the dial even returns, so the node's epoch has to be
+// registered at dial, before its reader starts — otherwise the replay is
+// demultiplexed as unknown-epoch and dropped.
 func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 	hub, err := NewHub("127.0.0.1:0")
 	if err != nil {
@@ -211,13 +241,13 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 
 	const rounds = 5
 	for i := 0; i < 2; i++ {
-		early, err := DialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
+		early, err := DialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, testEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer early.Close()
 		for round := 1; round <= rounds; round++ {
-			if err := early.send(nodeEpoch, setEnvelope(round)); err != nil {
+			if err := early.send(testEpoch, setEnvelope(round)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -237,14 +267,14 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The third node takes RunNode's dial path.
-	late, err := DialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, nodeEpoch)
+	// The third node takes runSolo's dial path.
+	late, err := DialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer late.Close()
 	late.mu.Lock()
-	inbox := late.epochs[nodeEpoch].inbox
+	inbox := late.epochs[testEpoch].inbox
 	late.mu.Unlock()
 	for got := 0; got < logged; got++ {
 		select {
@@ -262,8 +292,7 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 // under the round driver's pacing gate: a node told it has two peers, and
 // hearing from neither, executes round 1 and then holds round 2 for the
 // silent-beat escape instead of running a round per beat against its own
-// solo view (the exposure RunNode carried until it was folded into the
-// mux client).
+// solo view.
 func TestRunNodeSilentPeersWaitForEscape(t *testing.T) {
 	hub, err := NewHub("127.0.0.1:0")
 	if err != nil {
@@ -271,8 +300,7 @@ func TestRunNodeSilentPeersWaitForEscape(t *testing.T) {
 	}
 	defer hub.Close()
 	const interval = 20 * time.Millisecond
-	res, err := RunNode(context.Background(), NodeConfig{
-		HubAddr:   hub.Addr(),
+	res, _, err := runSolo(context.Background(), MuxConfig{HubAddr: hub.Addr()}, InstanceRun{
 		Automaton: core.NewES(values.Num(1)),
 		Interval:  interval,
 		Peers:     3,
@@ -292,9 +320,10 @@ func TestTCPNodeCrashSchedule(t *testing.T) {
 	// One node crashes after two rounds; the survivors still agree and the
 	// crashed node reports Crashed rather than an error (crash-fault model).
 	props := core.DistinctProposals(3)
-	results := runCluster(t, 3, 8*time.Millisecond, func(i int) NodeConfig {
-		cfg := NodeConfig{
+	results := runCluster(t, 3, func(i int) InstanceRun {
+		cfg := InstanceRun{
 			Automaton: core.NewES(props[i]),
+			Interval:  8 * time.Millisecond,
 			Timeout:   30 * time.Second,
 		}
 		if i == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
@@ -40,9 +41,10 @@ type SimResult struct {
 	Records []AddRecord
 }
 
-// RunMS simulates Algorithm 4 with n processes under the given policy,
-// injecting the scheduled operations, and returns the recorded history.
-func RunMS(n int, ops []ScheduledOp, pol sim.Policy, maxRounds int, crashes map[int]int) (*SimResult, error) {
+// RunMS simulates Algorithm 4 with n processes under the given policy and
+// fault scenario (nil = fault-free), injecting the scheduled operations,
+// and returns the recorded history.
+func RunMS(n int, ops []ScheduledOp, pol env.Policy, maxRounds int, sc *env.Scenario) (*SimResult, error) {
 	for _, op := range ops {
 		if op.Proc < 0 || op.Proc >= n {
 			return nil, fmt.Errorf("weakset: op names process %d outside [0,%d)", op.Proc, n)
@@ -60,7 +62,7 @@ func RunMS(n int, ops []ScheduledOp, pol sim.Policy, maxRounds int, crashes map[
 			return procs[i]
 		},
 		Policy:    pol,
-		Crashes:   crashes,
+		Scenario:  sc,
 		MaxRounds: maxRounds,
 		OnRound: func(r int, e *sim.Engine) {
 			for _, op := range ops {

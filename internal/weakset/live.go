@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/anonnet"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/values"
 )
@@ -25,7 +26,7 @@ type LiveConfig struct {
 	Interval time.Duration
 	// Latency is the link profile; defaults to an MS profile (the weakest
 	// environment Algorithm 4 is proved for).
-	Latency anonnet.LatencyModel
+	Latency env.LatencyModel
 	// Duration is how long to run; defaults to 2s.
 	Duration time.Duration
 }
@@ -78,7 +79,7 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	}
 	latency := cfg.Latency
 	if latency == nil {
-		latency = anonnet.MSProfile{N: cfg.N, Interval: interval, Seed: 1}
+		latency = env.MSProfile{N: cfg.N, Interval: interval, Seed: 1}
 	}
 
 	var (

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"anonconsensus/internal/anonnet"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/values"
 )
 
@@ -22,7 +22,7 @@ func TestLiveWeakSetSynchronousProfile(t *testing.T) {
 			{Proc: 3, Round: 30, Kind: OpGet},
 		},
 		Interval: interval,
-		Latency:  anonnet.Sync{Interval: interval},
+		Latency:  env.Sync{Interval: interval},
 		Duration: 3 * time.Second,
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestLiveWeakSetUnderMSProfile(t *testing.T) {
 			{Proc: 2, Round: 60, Kind: OpGet},
 		},
 		Interval: interval,
-		Latency:  anonnet.MSProfile{N: 3, Interval: interval, Seed: 5},
+		Latency:  env.MSProfile{N: 3, Interval: interval, Seed: 5},
 		Duration: 5 * time.Second,
 	})
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"anonconsensus/internal/sim"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/values"
 )
 
@@ -32,7 +32,7 @@ func TestQuickMSWeakSetSpecUnderRandomSchedules(t *testing.T) {
 			}
 			ops = append(ops, op)
 		}
-		res, err := RunMS(n, ops, &sim.MS{
+		res, err := RunMS(n, ops, &env.MS{
 			Seed:           int64(seed),
 			MaxDelay:       1 + int(seed%4),
 			Shuffle:        seed%2 == 0,
@@ -59,8 +59,8 @@ func TestQuickMSWeakSetAddsComplete(t *testing.T) {
 		ops := []ScheduledOp{
 			{Proc: adder, Round: 1, Kind: OpAdd, Value: values.Num(9)},
 		}
-		crashes := map[int]int{victim: 1 + int(crashRaw%8)}
-		res, err := RunMS(n, ops, &sim.MS{Seed: int64(seed), MaxDelay: 3}, 80, crashes)
+		crashes := &env.Scenario{Crashes: map[int]int{victim: 1 + int(crashRaw%8)}}
+		res, err := RunMS(n, ops, &env.MS{Seed: int64(seed), MaxDelay: 3}, 80, crashes)
 		if err != nil {
 			return false
 		}

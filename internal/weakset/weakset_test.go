@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
-	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 )
 
@@ -93,7 +93,7 @@ func TestMSWeakSetSynchronous(t *testing.T) {
 		{Proc: 1, Round: 10, Kind: OpGet},
 		{Proc: 2, Round: 10, Kind: OpGet},
 	}
-	res, err := RunMS(3, ops, sim.Synchronous{}, 20, nil)
+	res, err := RunMS(3, ops, env.Synchronous{}, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMSWeakSetUnderMS(t *testing.T) {
 			{Proc: 3, Round: 30, Kind: OpGet},
 			{Proc: 0, Round: 35, Kind: OpGet},
 		}
-		res, err := RunMS(4, ops, &sim.MS{Seed: seed, MaxDelay: 3}, 60, nil)
+		res, err := RunMS(4, ops, &env.MS{Seed: seed, MaxDelay: 3}, 60, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestMSWeakSetQueuedAddsSameProcess(t *testing.T) {
 		{Proc: 0, Round: 2, Kind: OpAdd, Value: values.Num(3)},
 		{Proc: 1, Round: 40, Kind: OpGet},
 	}
-	res, err := RunMS(3, ops, &sim.MS{Seed: 9, MaxDelay: 2}, 60, nil)
+	res, err := RunMS(3, ops, &env.MS{Seed: 9, MaxDelay: 2}, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMSWeakSetCrashedAdderMayNotComplete(t *testing.T) {
 		{Proc: 1, Round: 2, Kind: OpAdd, Value: values.Num(2)},
 		{Proc: 2, Round: 30, Kind: OpGet},
 	}
-	res, err := RunMS(3, ops, &sim.MS{Seed: 3, MaxDelay: 2}, 50, map[int]int{0: 2})
+	res, err := RunMS(3, ops, &env.MS{Seed: 3, MaxDelay: 2}, 50, &env.Scenario{Crashes: map[int]int{0: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMSWeakSetCrashedAdderMayNotComplete(t *testing.T) {
 func TestMSWeakSetAddLatencyBounded(t *testing.T) {
 	// Under synchrony an add completes two rounds after it starts.
 	ops := []ScheduledOp{{Proc: 0, Round: 1, Kind: OpAdd, Value: values.Num(5)}}
-	res, err := RunMS(4, ops, sim.Synchronous{}, 20, nil)
+	res, err := RunMS(4, ops, env.Synchronous{}, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMSWeakSetManyProcessesManyOps(t *testing.T) {
 		ops = append(ops, ScheduledOp{Proc: i, Round: 1 + i, Kind: OpAdd, Value: values.Num(int64(100 + i))})
 		ops = append(ops, ScheduledOp{Proc: i, Round: 60, Kind: OpGet})
 	}
-	res, err := RunMS(n, ops, &sim.MS{Seed: 17, MaxDelay: 4, Shuffle: true}, 80, nil)
+	res, err := RunMS(n, ops, &env.MS{Seed: 17, MaxDelay: 4, Shuffle: true}, 80, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +233,10 @@ func TestMSWeakSetManyProcessesManyOps(t *testing.T) {
 }
 
 func TestRunMSValidation(t *testing.T) {
-	if _, err := RunMS(2, []ScheduledOp{{Proc: 5, Round: 1, Kind: OpGet}}, sim.Synchronous{}, 10, nil); err == nil {
+	if _, err := RunMS(2, []ScheduledOp{{Proc: 5, Round: 1, Kind: OpGet}}, env.Synchronous{}, 10, nil); err == nil {
 		t.Error("out-of-range proc must be rejected")
 	}
-	if _, err := RunMS(2, []ScheduledOp{{Proc: 0, Round: 1, Kind: OpAdd, Value: values.Bot}}, sim.Synchronous{}, 10, nil); err == nil {
+	if _, err := RunMS(2, []ScheduledOp{{Proc: 0, Round: 1, Kind: OpAdd, Value: values.Bot}}, env.Synchronous{}, 10, nil); err == nil {
 		t.Error("adding ⊥ must be rejected")
 	}
 }
@@ -247,7 +247,7 @@ func TestMSWeakSetLatencyGrowsWithDelay(t *testing.T) {
 		total := 0
 		for seed := int64(0); seed < 10; seed++ {
 			ops := []ScheduledOp{{Proc: 0, Round: 1, Kind: OpAdd, Value: values.Num(1)}}
-			res, err := RunMS(5, ops, &sim.MS{Seed: seed, MaxDelay: maxDelay}, 40+10*maxDelay, nil)
+			res, err := RunMS(5, ops, &env.MS{Seed: seed, MaxDelay: maxDelay}, 40+10*maxDelay, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func TestMSProcBlockedFlag(t *testing.T) {
 	blockedSeen := false
 	procs := make([]*MSProc, 1)
 	// Drive manually through the sim driver; inspect via records instead:
-	res, err := RunMS(1, ops, sim.Synchronous{}, 10, nil)
+	res, err := RunMS(1, ops, env.Synchronous{}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/sim"
 )
 
@@ -188,11 +189,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 // instanceConfig builds one proposal's simulator configuration.
 func instanceConfig(c *Class, seed int64) sim.Config {
-	var policy sim.Policy
+	var policy env.Policy
 	if c.Alg == ESS {
-		policy = &sim.ESS{GST: c.GST, StableSource: c.StableSource, Pre: sim.MS{Seed: seed}}
+		policy = &env.ESS{GST: c.GST, StableSource: c.StableSource, Pre: env.MS{Seed: seed}}
 	} else {
-		policy = &sim.ES{GST: c.GST, Pre: sim.MS{Seed: seed}}
+		policy = &env.ES{GST: c.GST, Pre: env.MS{Seed: seed}}
 	}
 	opts := core.RunOpts{Policy: policy, MaxRounds: c.MaxRounds}
 	if c.Scenario != nil {

@@ -93,12 +93,6 @@ func NewNode(transport Transport, opts ...Option) (*Node, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return newNode(transport, o), nil
-}
-
-// newNode starts a session from an already-resolved option set (the
-// compatibility wrappers enter here with a validated legacy Config).
-func newNode(transport Transport, o options) *Node {
 	workers := o.maxInFlight
 	if workers < 1 {
 		workers = 1
@@ -127,7 +121,7 @@ func newNode(transport Transport, o options) *Node {
 	}
 	n.pumpWG.Add(1)
 	go n.pump()
-	return n
+	return n, nil
 }
 
 // Transport returns the session's transport (for logging / inspection).
@@ -404,7 +398,6 @@ func (o *options) spec(id string, proposals []Value) (InstanceSpec, error) {
 		GST:          o.gst,
 		StableSource: o.stableSource,
 		Seed:         o.seed,
-		Crashes:      o.scenario.Crashes,
 		Scenario:     o.scenario,
 		Interval:     o.interval,
 		Timeout:      o.timeout,

@@ -2,13 +2,13 @@ package anonconsensus
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 )
 
 // options is the resolved knob set shared by Node sessions and individual
-// instances. Zero values mean "use the backend's default" so that the
-// compatibility wrappers reproduce the historical Config semantics
-// byte-for-byte.
+// instances. Zero values mean "use the backend's default".
 type options struct {
 	env          Environment
 	gst          int
@@ -128,22 +128,22 @@ func WithStableSource(proc int) Option {
 // Validation is eager: process indexes must be ≥ 0 and rounds ≥ 1, checked
 // here; that every index fits the ensemble — and that at least one process
 // survives (see ErrAllCrashed) — is checked when the instance spec is
-// built, before anything runs. Round 0 is rejected because the backends
-// disagree on its meaning (the simulator reads it as "never initialized",
-// the real-time transports as "never crashes"); requiring ≥ 1 keeps one
-// spec portable across every Transport. The map is copied.
+// built, before anything runs. The map is copied.
 func WithCrashes(crashes map[int]int) Option {
+	return editScenario(func(s *Scenario) { s.Crashes = maps.Clone(crashes) })
+}
+
+// editScenario is the scenario options' shared body: apply edit to a copy of
+// the configured scenario and keep it only if the one scenario validator
+// accepts its n-independent structure.
+func editScenario(edit func(*Scenario)) Option {
 	return func(o *options) error {
-		o.scenario.Crashes = make(map[int]int, len(crashes))
-		for pid, round := range crashes {
-			if pid < 0 {
-				return fmt.Errorf("anonconsensus: crash schedule names negative process %d", pid)
-			}
-			if round < 1 {
-				return fmt.Errorf("anonconsensus: crash round %d for process %d (must be ≥ 1)", round, pid)
-			}
-			o.scenario.Crashes[pid] = round
+		s := o.scenario
+		edit(&s)
+		if err := s.validate(0); err != nil {
+			return err
 		}
+		o.scenario = s
 		return nil
 	}
 }
@@ -156,17 +156,13 @@ func WithCrashes(crashes map[int]int) Option {
 // produce identical fault schedules on every backend. The scenario is
 // copied; n-independent structure is validated eagerly.
 func WithScenario(s Scenario) Option {
-	return func(o *options) error {
-		if err := s.validate(); err != nil {
-			return err
-		}
+	return editScenario(func(cur *Scenario) {
 		c := s.clone()
 		if c.Crashes == nil {
-			c.Crashes = o.scenario.Crashes
+			c.Crashes = cur.Crashes
 		}
-		o.scenario = c
-		return nil
-	}
+		*cur = c
+	})
 }
 
 // WithLoss sets the scenario's link-loss percentage (0–100): that fraction
@@ -174,26 +170,14 @@ func WithScenario(s Scenario) Option {
 // sender, receiver), never arrives. Loss deliberately breaks the model's
 // reliable-broadcast assumption.
 func WithLoss(pct int) Option {
-	return func(o *options) error {
-		if pct < 0 || pct > 100 {
-			return fmt.Errorf("anonconsensus: loss percentage %d outside [0,100]", pct)
-		}
-		o.scenario.LossPct = pct
-		return nil
-	}
+	return editScenario(func(s *Scenario) { s.LossPct = pct })
 }
 
 // WithDuplication sets the scenario's link-duplication percentage (0–100):
 // that fraction of deliveries arrives twice, exercising the framework's
 // set-semantics deduplication.
 func WithDuplication(pct int) Option {
-	return func(o *options) error {
-		if pct < 0 || pct > 100 {
-			return fmt.Errorf("anonconsensus: duplication percentage %d outside [0,100]", pct)
-		}
-		o.scenario.DupPct = pct
-		return nil
-	}
+	return editScenario(func(s *Scenario) { s.DupPct = pct })
 }
 
 // WithPartition appends a round-ranged partition to the scenario: for
@@ -202,16 +186,9 @@ func WithDuplication(pct int) Option {
 // heals. Partitions compose with each other and with WithLoss /
 // WithDuplication / WithCrashes.
 func WithPartition(from, until, cut int) Option {
-	return func(o *options) error {
-		p := Partition{From: from, Until: until, Cut: cut}
-		s := o.scenario
-		s.Partitions = append(append([]Partition(nil), s.Partitions...), p)
-		if err := s.validate(); err != nil {
-			return err
-		}
-		o.scenario = s
-		return nil
-	}
+	return editScenario(func(s *Scenario) {
+		s.Partitions = append(slices.Clone(s.Partitions), Partition{From: from, Until: until, Cut: cut})
+	})
 }
 
 // WithInterval sets the round-timer period of the real-time transports

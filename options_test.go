@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/sim"
 )
 
@@ -69,48 +70,67 @@ func TestOptionValidationAtPropose(t *testing.T) {
 	}
 }
 
-// TestSimulateWrapperMatchesSeedBehavior pins the compatibility promise:
-// the Simulate wrapper must produce results identical to the seed's direct
-// core/sim code path, field for field, on fixed seeds.
-func TestSimulateWrapperMatchesSeedBehavior(t *testing.T) {
-	configs := []Config{
-		{Proposals: props(1, 2, 3), Env: EnvES, GST: 6, Seed: 1},
-		{Proposals: props(5, 6, 7, 8), Env: EnvESS, GST: 8, StableSource: 2, Seed: 3, MaxRounds: 600},
-		{Proposals: props(1, 2, 3, 4), Env: EnvES, GST: 8, Seed: 42, Crashes: map[int]int{0: 3}},
+// TestSimTransportMatchesDirectCorePath is the reference the public path is
+// held to: Node.Run on NewSimTransport must produce results identical to
+// driving core.RunES/RunESS directly, field for field, on fixed seeds.
+func TestSimTransportMatchesDirectCorePath(t *testing.T) {
+	cases := []directCase{
+		{proposals: props(1, 2, 3), env: EnvES, gst: 6, seed: 1},
+		{proposals: props(5, 6, 7, 8), env: EnvESS, gst: 8, stableSource: 2, seed: 3, maxRounds: 600},
+		{proposals: props(1, 2, 3, 4), env: EnvES, gst: 8, seed: 42, crashes: map[int]int{0: 3}},
 	}
-	for _, cfg := range configs {
-		got, err := Simulate(cfg)
+	for _, c := range cases {
+		opts := []Option{WithEnv(c.env), WithGST(c.gst), WithStableSource(c.stableSource), WithSeed(c.seed), WithCrashes(c.crashes)}
+		if c.maxRounds > 0 {
+			opts = append(opts, WithMaxRounds(c.maxRounds))
+		}
+		got, err := RunOnceForTest(NewSimTransport(), c.proposals, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := seedSimulate(cfg)
+		want, err := directCoreRun(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("wrapper diverged from seed path:\n got %+v\nwant %+v", got, want)
+			t.Errorf("sim transport diverged from the direct core path:\n got %+v\nwant %+v", got, want)
 		}
 	}
 }
 
-// seedSimulate reproduces the seed release's Simulate body verbatim (the
-// reference the wrapper is held to).
-func seedSimulate(cfg Config) (*Result, error) {
-	var policy sim.Policy
-	if cfg.env() == EnvESS {
-		policy = &sim.ESS{GST: cfg.GST, StableSource: cfg.StableSource, Pre: sim.MS{Seed: cfg.Seed}}
+// directCase is one fixed-seed run description for directCoreRun.
+type directCase struct {
+	proposals    []Value
+	env          Environment
+	gst          int
+	stableSource int
+	seed         int64
+	crashes      map[int]int
+	maxRounds    int
+}
+
+// directCoreRun drives internal/core directly — policy, RunES/RunESS and
+// the status-to-Decision mapping written out by hand — bypassing Node,
+// options, InstanceSpec and the sim transport.
+func directCoreRun(c directCase) (*Result, error) {
+	var policy env.Policy
+	if c.env == EnvESS {
+		policy = &env.ESS{GST: c.gst, StableSource: c.stableSource, Pre: env.MS{Seed: c.seed}}
 	} else {
-		policy = &sim.ES{GST: cfg.GST, Pre: sim.MS{Seed: cfg.Seed}}
+		policy = &env.ES{GST: c.gst, Pre: env.MS{Seed: c.seed}}
 	}
-	opts := core.RunOpts{Policy: policy, Crashes: cfg.Crashes, MaxRounds: cfg.MaxRounds}
+	opts := core.RunOpts{Policy: policy, MaxRounds: c.maxRounds}
+	if len(c.crashes) > 0 {
+		opts.Scenario = &env.Scenario{Crashes: c.crashes}
+	}
 	var (
 		res *sim.Result
 		err error
 	)
-	if cfg.env() == EnvESS {
-		res, err = core.RunESS(toValues(cfg.Proposals), opts)
+	if c.env == EnvESS {
+		res, err = core.RunESS(toValues(c.proposals), opts)
 	} else {
-		res, err = core.RunES(toValues(cfg.Proposals), opts)
+		res, err = core.RunES(toValues(c.proposals), opts)
 	}
 	if err != nil {
 		return nil, err
@@ -126,31 +146,4 @@ func seedSimulate(cfg Config) (*Result, error) {
 		})
 	}
 	return out, nil
-}
-
-// TestSolveWrapperKeepsSeedShape checks the live wrapper end to end: same
-// Config surface, agreement reached, Elapsed populated — the seed
-// contract (live runs are wall-clock, so byte-identity is checked on the
-// deterministic backend above).
-func TestSolveWrapperKeepsSeedShape(t *testing.T) {
-	res, err := Solve(Config{
-		Proposals: props(10, 20, 30),
-		Env:       EnvES,
-		GST:       3,
-		Seed:      2,
-		Interval:  4 * time.Millisecond,
-		Timeout:   20 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.Agreed(); !ok {
-		t.Fatalf("no agreement: %+v", res.Decisions)
-	}
-	if res.Elapsed <= 0 {
-		t.Error("Elapsed not recorded")
-	}
-	if len(res.Decisions) != 3 {
-		t.Errorf("want 3 decisions, got %d", len(res.Decisions))
-	}
 }

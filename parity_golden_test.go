@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/weakset"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/parity_golden.txt from the current implementation")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens (parity_golden.txt, api_surface.txt) from the current implementation")
 
 // TestParityGolden pins deterministic fixed-seed behavior byte for byte
 // against testdata/parity_golden.txt, which was generated from the
@@ -74,30 +75,30 @@ func parityReport() string {
 	for _, seed := range []int64{1, 3, 7, 42} {
 		props := core.DistinctProposals(5)
 		res, err := core.RunES(props, core.RunOpts{
-			Policy: &sim.ES{GST: 6, Pre: sim.MS{Seed: seed}},
+			Policy: &env.ES{GST: 6, Pre: env.MS{Seed: seed}},
 		})
 		dump(fmt.Sprintf("ES n=5 gst=6 seed=%d", seed), res, err)
 	}
 	for _, seed := range []int64{1, 3, 9} {
 		props := core.DistinctProposals(6)
 		res, err := core.RunESS(props, core.RunOpts{
-			Policy:    &sim.ESS{GST: 8, StableSource: 2, Pre: sim.MS{Seed: seed}},
+			Policy:    &env.ESS{GST: 8, StableSource: 2, Pre: env.MS{Seed: seed}},
 			MaxRounds: 600,
 		})
 		dump(fmt.Sprintf("ESS n=6 gst=8 src=2 seed=%d", seed), res, err)
 	}
 	res, err := core.RunES(core.DistinctProposals(4), core.RunOpts{
-		Policy:  &sim.ES{GST: 8, Pre: sim.MS{Seed: 42}},
-		Crashes: map[int]int{0: 3},
+		Policy:   &env.ES{GST: 8, Pre: env.MS{Seed: 42}},
+		Scenario: &env.Scenario{Crashes: map[int]int{0: 3}},
 	})
 	dump("ES n=4 crash0@3 seed=42", res, err)
 	res, err = core.RunES(core.DistinctProposals(32), core.RunOpts{
-		Policy: &sim.ES{GST: 4, Pre: sim.MS{Seed: 5}},
+		Policy: &env.ES{GST: 4, Pre: env.MS{Seed: 5}},
 	})
 	dump("ES n=32 gst=4 seed=5", res, err)
 	res, err = core.RunOmega(core.DistinctProposals(5), func(i int) core.LeaderOracle {
 		return func(round int) bool { return i == 0 }
-	}, core.RunOpts{Policy: &sim.ESS{GST: 6, StableSource: 0, Pre: sim.MS{Seed: 11}}})
+	}, core.RunOpts{Policy: &env.ESS{GST: 6, StableSource: 0, Pre: env.MS{Seed: 11}}})
 	dump("Omega n=5 seed=11", res, err)
 
 	ops := []weakset.ScheduledOp{
@@ -105,7 +106,7 @@ func parityReport() string {
 		{Proc: 2, Round: 3, Kind: weakset.OpAdd, Value: values.Num(2)},
 		{Proc: 1, Round: 5, Kind: weakset.OpGet},
 	}
-	wres, err := weakset.RunMS(5, ops, &sim.MS{Seed: 4, MaxDelay: 3}, 80, nil)
+	wres, err := weakset.RunMS(5, ops, &env.MS{Seed: 4, MaxDelay: 3}, 80, nil)
 	if err != nil {
 		fmt.Fprintln(&b, "weakset ERR", err)
 	} else {
@@ -118,7 +119,7 @@ func parityReport() string {
 	props5 := core.DistinctProposals(5)
 	cres, err := sim.Run(sim.Config{
 		N: 5, Automaton: func(i int) giraf.Automaton { return core.NewES(props5[i]) },
-		Policy: &sim.ES{GST: 6, Pre: sim.MS{Seed: 1}}, MaxRounds: 250, CompactInboxes: true,
+		Policy: &env.ES{GST: 6, Pre: env.MS{Seed: 1}}, MaxRounds: 250, CompactInboxes: true,
 	})
 	dump("ES n=5 compact seed=1", cres, err)
 	return b.String()

@@ -3,6 +3,8 @@ package anonconsensus
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"anonconsensus/internal/env"
@@ -73,53 +75,50 @@ type Scenario struct {
 
 // clone deep-copies the scenario.
 func (s Scenario) clone() Scenario {
-	out := s
-	if s.Crashes != nil {
-		out.Crashes = make(map[int]int, len(s.Crashes))
-		for pid, r := range s.Crashes {
-			out.Crashes[pid] = r
-		}
-	}
-	if s.Partitions != nil {
-		out.Partitions = append([]Partition(nil), s.Partitions...)
-	}
-	return out
+	s.Crashes = maps.Clone(s.Crashes)
+	s.Partitions = slices.Clone(s.Partitions)
+	return s
 }
 
 // toEnv converts the scenario to the internal representation, seeded with
-// the run seed. The one conversion point: validation and fault injection
-// both go through it, so a new dimension cannot reach one and miss the
-// other.
+// the run seed; the fault-free scenario converts to nil. The one conversion
+// point: validation and every backend's fault injection go through it, so a
+// new dimension cannot reach one and miss the other. scenarioFromEnv is its
+// inverse; no other code knows both field lists.
 func (s Scenario) toEnv(seed int64) *env.Scenario {
 	out := &env.Scenario{Seed: seed, Crashes: s.Crashes, LossPct: s.LossPct, DupPct: s.DupPct}
 	for _, p := range s.Partitions {
 		out.Partitions = append(out.Partitions, env.Partition{From: p.From, Until: p.Until, Cut: p.Cut})
 	}
-	return out
-}
-
-// linkFaults converts the scenario's per-link dimensions (loss,
-// duplication, partitions — not crashes, which ride InstanceSpec.Crashes)
-// to the internal representation, seeded with the run seed. It returns nil
-// when no link fault is configured, which keeps scenario-free runs on the
-// backends' historical byte-identical paths.
-func (s Scenario) linkFaults(seed int64) *env.Scenario {
-	if s.LossPct == 0 && s.DupPct == 0 && len(s.Partitions) == 0 {
+	if out.Empty() {
 		return nil
 	}
-	out := s.toEnv(seed)
-	out.Crashes = nil
 	return out
 }
 
-// validate checks the n-independent structure (option-application time; the
-// ensemble-dependent checks run in InstanceSpec.validate). The rules live
-// in env.Scenario.Validate — this just converts and re-prefixes errors.
-func (s Scenario) validate() error {
-	if err := s.toEnv(0).Validate(0); err != nil {
-		return fmt.Errorf("anonconsensus: %s", strings.TrimPrefix(err.Error(), "env: "))
+// scenarioFromEnv converts an internal scenario to the public form (a deep
+// copy; the seed stays behind — the public scenario takes the run's).
+func scenarioFromEnv(s *env.Scenario) Scenario {
+	out := Scenario{Crashes: s.Crashes, LossPct: s.LossPct, DupPct: s.DupPct}
+	for _, p := range s.Partitions {
+		out.Partitions = append(out.Partitions, Partition{From: p.From, Until: p.Until, Cut: p.Cut})
 	}
-	return nil
+	return out.clone()
+}
+
+// validate checks the scenario against an ensemble of n processes; n = 0
+// checks only the n-independent structure (option-application time). The
+// rules live in env.Scenario.Validate — this converts, re-prefixes errors
+// and translates the all-crashed sentinel to the public one.
+func (s Scenario) validate(n int) error {
+	err := s.toEnv(0).Validate(n)
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, env.ErrAllCrashed) {
+		return ErrAllCrashed
+	}
+	return fmt.Errorf("anonconsensus: %s", strings.TrimPrefix(err.Error(), "env: "))
 }
 
 // RandomScenario derives a reproducible worst-case-ish scenario for an
@@ -129,10 +128,5 @@ func (s Scenario) validate() error {
 // (seed, n) yield identical scenarios — a seeded random adversary for
 // scenario sweeps, not a source of nondeterminism.
 func RandomScenario(seed int64, n int) Scenario {
-	raw := env.RandomAdversary(seed, n)
-	out := Scenario{Crashes: raw.Crashes, LossPct: raw.LossPct, DupPct: raw.DupPct}
-	for _, p := range raw.Partitions {
-		out.Partitions = append(out.Partitions, Partition{From: p.From, Until: p.Until, Cut: p.Cut})
-	}
-	return out
+	return scenarioFromEnv(env.RandomAdversary(seed, n))
 }

@@ -65,9 +65,7 @@ func TestPartitionPreventsConsensusUntilHealed(t *testing.T) {
 func TestLossyESStillDecidesAtLowRates(t *testing.T) {
 	// Mild loss delays convergence but the ES run still terminates; the
 	// run is deterministic, so this is a pinned behavior, not a flake.
-	res, err := ac.Simulate(ac.Config{
-		Proposals: []ac.Value{"x", "y", "z"}, GST: 6, Seed: 1,
-	})
+	res, err := ac.RunOnceForTest(ac.NewSimTransport(), []ac.Value{"x", "y", "z"}, ac.WithGST(6), ac.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +143,10 @@ func TestAllCrashedRejected(t *testing.T) {
 	if !errors.Is(err, ac.ErrAllCrashed) {
 		t.Errorf("err = %v, want ErrAllCrashed", err)
 	}
-	// The legacy Config path gets the same protection.
-	_, err = ac.Simulate(ac.Config{Proposals: []ac.Value{"a"}, Crashes: map[int]int{0: 1}})
+	// The smallest doomed ensemble: one process, crashed.
+	_, err = ac.RunOnceForTest(ac.NewSimTransport(), []ac.Value{"a"}, ac.WithCrashes(map[int]int{0: 1}))
 	if !errors.Is(err, ac.ErrAllCrashed) {
-		t.Errorf("Simulate err = %v, want ErrAllCrashed", err)
+		t.Errorf("n=1 err = %v, want ErrAllCrashed", err)
 	}
 }
 
@@ -317,38 +315,9 @@ func TestScenarioOverLiveTransport(t *testing.T) {
 	}
 }
 
-// TestLegacyConfigCrashRoundZeroStillRuns pins the deprecated Config
-// contract: a crash round of 0 ("never initializes" on the simulator) is
-// still accepted on the legacy path even though the options API requires
-// rounds ≥ 1.
-func TestLegacyConfigCrashRoundZeroStillRuns(t *testing.T) {
-	res, err := ac.Simulate(ac.Config{
-		Proposals: []ac.Value{"a", "b", "c"},
-		GST:       4,
-		Crashes:   map[int]int{1: 0},
-	})
-	if err != nil {
-		t.Fatalf("legacy round-0 crash rejected: %v", err)
-	}
-	if !res.Decisions[1].Crashed {
-		t.Errorf("process 1 should report crashed: %+v", res.Decisions[1])
-	}
-	if _, ok := res.Agreed(); !ok {
-		t.Errorf("survivors should agree: %+v", res.Decisions)
-	}
-	// Round-0 entries mean "never crashes" on the real-time backends, so
-	// they must not count toward the all-crash fail-fast either.
-	if _, err := ac.Simulate(ac.Config{
-		Proposals: []ac.Value{"x", "y"}, GST: 4, Crashes: map[int]int{0: 0, 1: 0},
-	}); err != nil {
-		t.Errorf("legacy all-round-0 schedule rejected: %v", err)
-	}
-}
-
-// TestHandBuiltSpecScenarioCrashesHonored pins the normalization for specs
-// built by hand (not via the options API, which mirrors the schedule into
-// Crashes itself): a crash listed only in Scenario.Crashes must reach the
-// backend.
+// TestHandBuiltSpecScenarioCrashesHonored pins that a spec built by hand
+// (not via the options API) carries its crash schedule in Scenario.Crashes
+// — the only place there is — and that it reaches the backend.
 func TestHandBuiltSpecScenarioCrashesHonored(t *testing.T) {
 	transport := ac.NewSimTransport()
 	defer transport.Close()
@@ -368,5 +337,57 @@ func TestHandBuiltSpecScenarioCrashesHonored(t *testing.T) {
 	}
 	if _, ok := res.Agreed(); !ok {
 		t.Errorf("survivors should agree: %+v", res.Decisions)
+	}
+}
+
+// TestHandBuiltSpecScenarioValidated pins the one validation every
+// transport applies to a hand-built spec's fault description: the same
+// malformed crash schedule is rejected, with the same message, on the
+// simulator, the live plane and the TCP mux — nothing backend-specific is
+// left to disagree about (round 0 used to mean three different things).
+func TestHandBuiltSpecScenarioValidated(t *testing.T) {
+	cases := []struct {
+		name    string
+		env     ac.Environment
+		crashes map[int]int
+		wantErr string // substring; "" means errors.Is(err, ErrAllCrashed)
+	}{
+		{"round zero", ac.EnvES, map[int]int{1: 0}, "crash round 0 for process 1 (must be ≥ 1)"},
+		{"negative pid", ac.EnvES, map[int]int{-1: 2}, "crash schedule names negative process -1"},
+		{"pid out of range", ac.EnvES, map[int]int{3: 2}, "crash schedule names process 3 outside [0,3)"},
+		{"all crashed", ac.EnvES, map[int]int{0: 1, 1: 2, 2: 3}, ""},
+		{"crashed stable source", ac.EnvESS, map[int]int{0: 2}, "the stable source must stay correct"},
+	}
+	transports := []func() ac.Transport{ac.NewSimTransport, ac.NewLiveTransport, ac.NewTCPMuxTransport}
+	for _, tc := range cases {
+		var first string
+		for _, mk := range transports {
+			transport := mk()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			_, err := transport.Run(ctx, ac.InstanceSpec{
+				ID:        "hand-built",
+				Proposals: []ac.Value{"a", "b", "c"},
+				Env:       tc.env,
+				Interval:  time.Second, // nothing may start, let alone decide
+				Scenario:  ac.Scenario{Crashes: tc.crashes},
+			})
+			cancel()
+			name := transport.Name()
+			_ = transport.Close()
+			switch {
+			case err == nil:
+				t.Errorf("%s on %s: accepted", tc.name, name)
+				continue
+			case tc.wantErr == "" && !errors.Is(err, ac.ErrAllCrashed):
+				t.Errorf("%s on %s: err = %v, want ErrAllCrashed", tc.name, name, err)
+			case !strings.Contains(err.Error(), tc.wantErr):
+				t.Errorf("%s on %s: err = %v, want it to mention %q", tc.name, name, err, tc.wantErr)
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("%s: %s says %q, the first transport said %q", tc.name, name, err, first)
+			}
+		}
 	}
 }

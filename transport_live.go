@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"anonconsensus/internal/anonnet"
+	"anonconsensus/internal/env"
+	"anonconsensus/internal/rounddriver"
 )
 
 // liveTransport adapts the in-process goroutine runtime (internal/anonnet)
@@ -39,33 +41,39 @@ func (t *liveTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, er
 	}
 	n := spec.N()
 	interval := spec.interval(5 * time.Millisecond)
-	var latency anonnet.LatencyModel
+	var latency env.LatencyModel
 	if spec.Env == EnvESS {
-		latency = anonnet.ESSProfile{N: n, Interval: interval, Seed: spec.Seed, GST: spec.GST, Source: spec.StableSource}
+		latency = env.ESSProfile{N: n, Interval: interval, Seed: spec.Seed, GST: spec.GST, Source: spec.StableSource}
 	} else {
-		latency = anonnet.ESProfile{N: n, Interval: interval, Seed: spec.Seed, GST: spec.GST}
+		latency = env.ESProfile{N: n, Interval: interval, Seed: spec.Seed, GST: spec.GST}
 	}
 	res, err := anonnet.Run(ctx, anonnet.Config{
-		N:                n,
-		Automaton:        automatonFactory(spec.Env, spec.Proposals),
-		Interval:         interval,
-		Latency:          latency,
-		Timeout:          spec.timeout(),
-		CrashAfterRounds: spec.Crashes,
-		Scenario:         spec.linkFaults(),
+		N:         n,
+		Automaton: automatonFactory(spec.Env, spec.Proposals),
+		Interval:  interval,
+		Latency:   latency,
+		Timeout:   spec.timeout(),
+		Scenario:  spec.Scenario.toEnv(spec.Seed),
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Elapsed: res.Elapsed}
-	for i, p := range res.Procs {
-		out.Decisions = append(out.Decisions, Decision{
+	return &Result{Decisions: outcomeDecisions(res.Procs), Elapsed: res.Elapsed}, nil
+}
+
+// outcomeDecisions converts the wall-clock planes' per-process outcomes
+// into the public form, process i at index i (the one place a Decision is
+// built from a rounddriver.Outcome).
+func outcomeDecisions(outs []rounddriver.Outcome) []Decision {
+	ds := make([]Decision, len(outs))
+	for i, o := range outs {
+		ds[i] = Decision{
 			Proc:    i,
-			Decided: p.Decided,
-			Value:   Value(p.Decision),
-			Round:   p.DecidedRound,
-			Crashed: p.Crashed,
-		})
+			Decided: o.Decided,
+			Value:   Value(o.Decision),
+			Round:   o.DecidedRound,
+			Crashed: o.Crashed,
+		}
 	}
-	return out, nil
+	return ds
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/sim"
 )
 
@@ -123,16 +124,15 @@ func (t *simTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, err
 // the sim transport runs: the policy (and automata) it builds belong to
 // this one run.
 func simConfig(spec InstanceSpec) sim.Config {
-	var policy sim.Policy
+	var policy env.Policy
 	if spec.Env == EnvESS {
-		policy = &sim.ESS{GST: spec.GST, StableSource: spec.StableSource, Pre: sim.MS{Seed: spec.Seed}}
+		policy = &env.ESS{GST: spec.GST, StableSource: spec.StableSource, Pre: env.MS{Seed: spec.Seed}}
 	} else {
-		policy = &sim.ES{GST: spec.GST, Pre: sim.MS{Seed: spec.Seed}}
+		policy = &env.ES{GST: spec.GST, Pre: env.MS{Seed: spec.Seed}}
 	}
 	opts := core.RunOpts{
 		Policy:    policy,
-		Crashes:   spec.Crashes,
-		Scenario:  spec.linkFaults(),
+		Scenario:  spec.Scenario.toEnv(spec.Seed),
 		MaxRounds: spec.MaxRounds,
 	}
 	if spec.Env == EnvESS {
@@ -141,7 +141,8 @@ func simConfig(spec InstanceSpec) sim.Config {
 	return core.ConfigES(toValues(spec.Proposals), opts)
 }
 
-// simResult converts a simulator result into the public form.
+// simResult converts a simulator result into the public form (the one
+// place a Decision is built from a sim.ProcStatus).
 func simResult(res *sim.Result) *Result {
 	out := &Result{Rounds: res.Rounds}
 	for i, st := range res.Statuses {

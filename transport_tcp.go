@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/env"
+	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/tcpnet"
 )
 
@@ -151,7 +152,8 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 		p.faults.Delete(epoch)
 		p.hub.RetireEpoch(epoch)
 	}()
-	if sc := spec.linkFaults(); sc != nil {
+	sc := spec.Scenario.toEnv(spec.Seed)
+	if sc.HasLinkFaults() {
 		p.faults.Store(epoch, linkFault(sc, start, interval))
 	}
 
@@ -163,7 +165,7 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 	// running — the severed minority is charged against the crash budget
 	// the algorithms already tolerate — and its partial result is kept.
 	factory := automatonFactory(spec.Env, spec.Proposals)
-	results := make([]*tcpnet.NodeResult, len(slots))
+	results := make([]rounddriver.Outcome, len(slots))
 	errs := make([]error, len(slots))
 	runCtx, abort := context.WithCancel(ctx)
 	defer abort()
@@ -172,14 +174,15 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			crashAfter, _ := sc.CrashRound(i)
 			res, err := m.RunInstance(runCtx, epoch, tcpnet.InstanceRun{
 				Automaton:        factory(i),
 				Interval:         interval,
 				Timeout:          spec.timeout(),
-				CrashAfterRounds: spec.Crashes[i],
+				CrashAfterRounds: crashAfter,
 				Peers:            len(slots),
 			})
-			if errors.Is(err, tcpnet.ErrHubLost) && res != nil {
+			if errors.Is(err, tcpnet.ErrHubLost) {
 				err = nil
 			}
 			results[i], errs[i] = res, err
@@ -192,20 +195,12 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("anonconsensus: %s run cancelled: %w", p.name, err)
 	}
-	out := &Result{Elapsed: time.Since(start)}
-	for i, r := range results {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("anonconsensus: %s node %d: %w", p.name, i, errs[i])
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("anonconsensus: %s node %d: %w", p.name, i, err)
 		}
-		out.Decisions = append(out.Decisions, Decision{
-			Proc:    i,
-			Decided: r.Decided,
-			Value:   Value(r.Decision),
-			Round:   r.Round,
-			Crashed: r.Crashed,
-		})
 	}
-	return out, nil
+	return &Result{Decisions: outcomeDecisions(results), Elapsed: time.Since(start)}, nil
 }
 
 // close detaches every slot and stops the hub. Idempotent.
@@ -367,11 +362,15 @@ type HubStats = tcpnet.HubStats
 // Stats snapshots the hub's robustness counters.
 func (h *TCPHub) Stats() HubStats { return h.inner.Stats() }
 
+// joinEpoch is the one epoch every JoinTCP process rides; sharing it is
+// what makes the processes joined to a hub one instance.
+const joinEpoch = 1
+
 // JoinTCP joins the hub at hubAddr as one anonymous process proposing
 // proposal, and blocks until that process decides, the run times out, or
-// ctx is cancelled. The relevant options are WithEnv, WithInterval and
-// WithTimeout; the returned Decision's Proc is always 0 (the process is
-// anonymous — there is no meaningful index).
+// ctx is cancelled. The relevant options are WithEnv, WithInterval,
+// WithTimeout and WithReconnect; the returned Decision's Proc is always 0
+// (the process is anonymous — there is no meaningful index).
 func JoinTCP(ctx context.Context, hubAddr string, proposal Value, opts ...Option) (Decision, error) {
 	var o options
 	if err := o.apply(opts); err != nil {
@@ -390,13 +389,20 @@ func JoinTCP(ctx context.Context, hubAddr string, proposal Value, opts ...Option
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
-	factory := automatonFactory(o.resolvedEnv(), []Value{proposal})
-	res, err := tcpnet.RunNode(ctx, tcpnet.NodeConfig{
+	// The epoch is registered at dial, before the reader starts, so the
+	// hub's replay of an instance already under way reaches the inbox.
+	m, err := tcpnet.DialMux(ctx, tcpnet.MuxConfig{
 		HubAddr:   hubAddr,
-		Automaton: factory(0),
-		Interval:  o.interval,
-		Timeout:   o.timeout,
 		Reconnect: resolveReconnect(o.reconnect, interval, o.seed, 0),
+	}, joinEpoch)
+	if err != nil {
+		return Decision{}, err
+	}
+	defer m.Close()
+	out, err := m.RunInstance(ctx, joinEpoch, tcpnet.InstanceRun{
+		Automaton: automatonFactory(o.resolvedEnv(), []Value{proposal})(0),
+		Interval:  interval,
+		Timeout:   o.timeout,
 	})
 	if err != nil {
 		return Decision{}, err
@@ -404,10 +410,5 @@ func JoinTCP(ctx context.Context, hubAddr string, proposal Value, opts ...Option
 	if err := ctx.Err(); err != nil {
 		return Decision{}, fmt.Errorf("anonconsensus: tcp join cancelled: %w", err)
 	}
-	return Decision{
-		Decided: res.Decided,
-		Value:   Value(res.Decision),
-		Round:   res.Round,
-		Crashed: res.Crashed,
-	}, nil
+	return outcomeDecisions([]rounddriver.Outcome{out})[0], nil
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"anonconsensus/internal/env"
 	"anonconsensus/internal/workload"
 )
 
@@ -130,9 +129,7 @@ func (s WorkloadSpec) internal() (workload.Spec, error) {
 		}
 		// The class scenario is a template: its seed is overridden per
 		// proposal, so the zero seed here never reaches an instance.
-		if sc := c.Scenario.toEnv(0); !sc.Empty() {
-			ic.Scenario = sc
-		}
+		ic.Scenario = c.Scenario.toEnv(0)
 		out.Classes = append(out.Classes, ic)
 	}
 	return out, nil
@@ -351,20 +348,4 @@ func runLiveOp(ctx context.Context, node *Node, c *workload.Class, rec *workload
 		}
 	}
 	rec.Agreed = agreed && rec.DecidedProcs > 0
-}
-
-// scenarioFromEnv converts an internal scenario template back to the
-// public form (the workload plane stores class scenarios internally).
-func scenarioFromEnv(s *env.Scenario) Scenario {
-	out := Scenario{LossPct: s.LossPct, DupPct: s.DupPct}
-	if len(s.Crashes) > 0 {
-		out.Crashes = make(map[int]int, len(s.Crashes))
-		for pid, r := range s.Crashes {
-			out.Crashes[pid] = r
-		}
-	}
-	for _, p := range s.Partitions {
-		out.Partitions = append(out.Partitions, Partition{From: p.From, Until: p.Until, Cut: p.Cut})
-	}
-	return out
 }
