@@ -1,30 +1,19 @@
 # Developer entry points. CI runs the same targets.
 
-# bash + pipefail so a failing `go test -bench` fails the bench pipeline
-# instead of being masked by the benchjson stage.
+# bash for the recipes' here-strings; pipefail so a failing stage of a
+# recipe's pipeline fails the target instead of being masked by the last one.
 SHELL       := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 GO        ?= go
-BENCHTIME ?= 10x
-BENCHOUT  ?= BENCH_consensus.json
 FUZZTIME  ?= 10s
-# bench-smoke measures with a time-based benchtime: microsecond-scale
-# benchmarks then run thousands of iterations, which keeps their ns/op
-# stable where a fixed 10x sample can swing several-fold on a loaded box.
-SMOKE_BENCHTIME ?= 1s
-# bench-smoke regression threshold in percent. Generous by default: the
-# committed trajectory and the smoke run usually come from different
-# machines, so the gate is for 2×-plus regressions, not noise. Tighten it
-# (e.g. BENCH_THRESHOLD=30) when measuring on quiet, comparable hardware.
-BENCH_THRESHOLD ?= 100
 
 # Pinned external lint tools, installed on demand via `go run mod@version`
 # (requires network/module-proxy access; the hermetic `make lint` does not).
 STATICCHECK_MOD ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: test race flake build vet lint lint-external bench bench-smoke bench-harness fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke load-smoke
+.PHONY: test race flake build vet lint lint-external bench bench-harness perf fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -79,30 +68,21 @@ bench-harness:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# bench runs the T1–T10/F1–F3 experiment suite, the hot-path
-# micro-benchmarks and the per-layer benchmarks that live beside their code
-# (internal/giraf, internal/env, internal/sim — the ladder of ROADMAP item
-# 4a) with allocation stats and appends a labelled run to the benchmark
-# trajectory file (see PERFORMANCE.md). go test runs the packages' benchmarks
-# one after another; benchjson files each result under its package.
+# bench prints the in-package layer benchmarks (the ones beside their code
+# under internal/) for a developer looking at one layer. Nothing records or
+# gates their output: time belongs to the benchmark/ harness (make perf),
+# allocations to the testing.AllocsPerRun pins inside `go test ./...`.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
-		| tee /dev/stderr \
-		| $(GO) run ./tools/benchjson -label "$(or $(LABEL),local $(shell git rev-parse --short HEAD 2>/dev/null))" -out $(BENCHOUT)
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
-# bench-smoke measures the root suite into a scratch trajectory and fails if
-# any of its benchmarks regressed more than BENCH_THRESHOLD% against the last
-# run recorded in $(BENCHOUT). The layer benchmarks under internal/ ride
-# along at one iteration each, so they cannot rot; the compare reports their
-# ns/op and allocs/op beside the recorded ones and gates neither (one
-# iteration is a sample, not a measurement; an allocs/op gate is ROADMAP
-# item 4b). It never modifies $(BENCHOUT).
-bench-smoke:
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime $(SMOKE_BENCHTIME) . && \
-		$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/... ; } \
-		| $(GO) run ./tools/benchjson -label "bench-smoke" -out $(BENCHOUT).smoke.json
-	status=0; $(GO) run ./tools/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCHOUT) $(BENCHOUT).smoke.json || status=$$?; \
-		rm -f $(BENCHOUT).smoke.json; exit $$status
+# perf regenerates every number PERFORMANCE.md quotes: the whole repo
+# benchmark with five interleaved run sets (header with commit, Go version,
+# CPU and nproc; the end-to-end runs; the layer probes at full length; one
+# traced run per workload), then the recording compared with itself, which
+# prints each workload's medians and IQRs. About a quarter of an hour.
+perf:
+	bash benchmark/run.sh -sets 5 -out .bench_build/perf.json
+	bash benchmark/run.sh -compare .bench_build/perf.json .bench_build/perf.json
 
 # fuzz-smoke gives each native fuzz target a short budget; CI runs it on
 # every push so codec and framing regressions surface before a long fuzz

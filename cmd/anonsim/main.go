@@ -13,6 +13,7 @@
 //	anonsim -all -quick      shrunken grids (seconds instead of minutes)
 //	anonsim -all -parallel 4 fan trials across 4 workers (same bytes out)
 //	anonsim -session 3       run N consensus instances over one Node session
+//	anonsim -es 256 -cpuprofile cpu.out  profile one synchronous ES run
 //
 //	anonsim -explore                        randomized schedule search
 //	anonsim -explore -n 8 -trials 10000     ... at chosen size and budget
@@ -58,7 +59,6 @@ type cliOpts struct {
 	replay      string
 
 	singleES   int
-	workers    int
 	cpuprofile string
 	memprofile string
 }
@@ -78,8 +78,7 @@ func main() {
 	flag.StringVar(&o.envName, "env", "es", "exploration: algorithm under test (es or ess)")
 	flag.IntVar(&o.scenarioPct, "scenarios", 50, "exploration: percentage of trials that overlay a random fault scenario")
 	flag.StringVar(&o.replay, "replay", "", "replay a canonical exploration trace and report its violations")
-	flag.IntVar(&o.singleES, "es", 0, "run one synchronous ES consensus at this size and print metrics (the big-n profiling workload; see -cpuprofile, -workers)")
-	flag.IntVar(&o.workers, "workers", 0, "intra-run delivery workers for -es (0/1 = sequential; results are byte-identical at any setting)")
+	flag.IntVar(&o.singleES, "es", 0, "run one synchronous ES consensus at this size and print metrics (the big-n profiling workload; see -cpuprofile)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 	flag.Parse()
@@ -133,7 +132,7 @@ func run(o cliOpts) error {
 	case o.replay != "":
 		return runReplay(o.replay)
 	case o.singleES > 0:
-		return runSingleES(o.singleES, o.workers)
+		return runSingleES(o.singleES)
 	case o.explore:
 		return runExplore(o)
 	case o.session > 0:
@@ -196,15 +195,11 @@ func runExplore(o cliOpts) error {
 
 // runSingleES executes one synchronous ES consensus with n distinct
 // proposals and prints the run's metrics: the canonical big-n workload for
-// -cpuprofile/-memprofile sessions (it is also what BenchmarkESConsensus
-// measures, so profiles line up with the benchmark trajectory).
-func runSingleES(n, workers int) error {
+// -cpuprofile/-memprofile sessions.
+func runSingleES(n int) error {
 	props := core.DistinctProposals(n)
 	start := time.Now()
-	res, err := core.RunES(props, core.RunOpts{
-		Policy:         env.Synchronous{},
-		DeliverWorkers: workers,
-	})
+	res, err := core.RunES(props, core.RunOpts{Policy: env.Synchronous{}})
 	if err != nil {
 		return err
 	}
@@ -213,8 +208,8 @@ func runSingleES(n, workers int) error {
 		return fmt.Errorf("-es %d: run did not decide within the round bound", n)
 	}
 	m := res.Metrics
-	fmt.Printf("ES n=%d synchronous: decided in %d rounds (%s wall, %d workers)\n",
-		n, res.Rounds, elapsed.Round(time.Microsecond), workers)
+	fmt.Printf("ES n=%d synchronous: decided in %d rounds (%s wall)\n",
+		n, res.Rounds, elapsed.Round(time.Microsecond))
 	fmt.Printf("  broadcasts=%d deliveries=%d merges-skipped=%d dropped=%d\n",
 		m.Broadcasts, m.Deliveries, m.MergesSkipped, m.Dropped)
 	fmt.Printf("  payload-bytes=%d max-envelope=%d\n", m.PayloadBytes, m.MaxEnvelopeBytes)

@@ -2,13 +2,8 @@ package anonconsensus
 
 import "context"
 
-// Test-only exports for the external bench/test package
+// Test-only exports for the external test package
 // (anonconsensus_test), which cannot reach unexported identifiers.
-
-// NewSimTransportUnpooledForTest exposes the pre-pooling sim transport —
-// a fresh engine allocation per Run — as the baseline the engine-pool
-// benchmarks measure against.
-func NewSimTransportUnpooledForTest() Transport { return newSimTransportUnpooled() }
 
 // RunOnceForTest is the suites' one-shot entry: a fresh Node over transport
 // with opts as the session options, one Run, and the node (and with it the

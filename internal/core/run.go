@@ -27,9 +27,6 @@ type RunOpts struct {
 	RecordTrace bool
 	// OnRound forwards sim.Config.OnRound.
 	OnRound func(round int, e *sim.Engine)
-	// DeliverWorkers forwards sim.Config.DeliverWorkers: intra-run sharding
-	// of each step's delivery fan-out (byte-identical at any setting).
-	DeliverWorkers int
 }
 
 func (o RunOpts) maxRounds(n int) int {
@@ -49,14 +46,13 @@ func (o RunOpts) ctx() context.Context {
 // config assembles the sim.Config shared by every consensus runner.
 func (o RunOpts) config(n int, aut func(i int) giraf.Automaton) sim.Config {
 	return sim.Config{
-		N:              n,
-		Automaton:      aut,
-		Policy:         o.Policy,
-		Scenario:       o.Scenario,
-		MaxRounds:      o.maxRounds(n),
-		RecordTrace:    o.RecordTrace,
-		OnRound:        o.OnRound,
-		DeliverWorkers: o.DeliverWorkers,
+		N:           n,
+		Automaton:   aut,
+		Policy:      o.Policy,
+		Scenario:    o.Scenario,
+		MaxRounds:   o.maxRounds(n),
+		RecordTrace: o.RecordTrace,
+		OnRound:     o.OnRound,
 	}
 }
 

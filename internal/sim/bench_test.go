@@ -55,3 +55,69 @@ func BenchmarkESPooledGST2(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkESConsensusLossy is an ES run with the scenario plane's link
+// faults dialed in (10% loss, 10% duplication): it measures what the
+// per-delivery fault draws and the extra duplicate deliveries cost on the
+// hot path. Termination is not asserted — loss deliberately voids the
+// guarantee; the run bound caps the work instead.
+func BenchmarkESConsensusLossy(b *testing.B) {
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			props := core.DistinctProposals(n)
+			b.ReportAllocs()
+			rounds := 0
+			for i := 0; i < b.N; i++ {
+				res, err := core.RunES(props, core.RunOpts{
+					Policy:   &env.ES{GST: 6, Pre: env.MS{Seed: int64(i)}},
+					Scenario: &env.Scenario{Seed: int64(i), LossPct: 10, DupPct: 10},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds += res.Rounds
+			}
+			if rounds == 0 {
+				b.Fatal("no rounds executed")
+			}
+		})
+	}
+}
+
+// esBatchConfigs builds one ES trial grid (fresh policies every call).
+func esBatchConfigs(runs, n int) []sim.Config {
+	cfgs := make([]sim.Config, runs)
+	props := core.DistinctProposals(n)
+	for i := range cfgs {
+		cfgs[i] = core.ConfigES(props, core.RunOpts{
+			Policy: &env.ES{GST: 8, Pre: env.MS{Seed: int64(i), MaxDelay: 3}},
+		})
+	}
+	return cfgs
+}
+
+// BenchmarkBatchES measures a 64-run ES trial grid through RunBatch,
+// sequentially and at full parallelism; the gap is the multicore speedup
+// of the trial plane (identical bytes out either way).
+func BenchmarkBatchES(b *testing.B) {
+	for _, par := range []int{1, 0} {
+		name := fmt.Sprintf("parallel=%d", par)
+		if par == 0 {
+			name = "parallel=max"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				results, err := sim.RunBatch(context.Background(), esBatchConfigs(64, 8), sim.BatchOpts{Parallelism: par})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, res := range results {
+					if !res.AllCorrectDecided() {
+						b.Fatal("undecided")
+					}
+				}
+			}
+		})
+	}
+}

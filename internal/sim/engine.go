@@ -20,7 +20,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
@@ -52,17 +51,6 @@ type Config struct {
 	// OnRound, if non-nil, runs after every global step with the step
 	// number; use it to sample custom per-round metrics.
 	OnRound func(round int, e *Engine)
-	// DeliverWorkers shards each step's due-delivery fan-out across this
-	// many goroutines, partitioned by receiver index with a barrier per
-	// step — the intra-run parallelism a single big-n run needs where
-	// RunBatch (which parallelizes across runs) cannot help. 0 and 1 mean
-	// sequential. Output is byte-identical at any setting: receivers are
-	// partitioned disjointly (workers never share a Proc), every worker
-	// scans the step's queue in order so per-receiver delivery order is
-	// unchanged, and counters are summed over the fixed worker index
-	// order. Runs that record a trace deliver sequentially regardless
-	// (trace recording appends to one shared log).
-	DeliverWorkers int
 	// CompactInboxes drops inbox rounds older than the previous round after
 	// every step, keeping memory flat on long runs. Only valid for automata
 	// that read just the current round (Algorithms 2 and 3 — not
@@ -82,9 +70,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxRounds <= 0 {
 		return fmt.Errorf("sim: MaxRounds = %d, must be positive", c.MaxRounds)
-	}
-	if c.DeliverWorkers < 0 {
-		return fmt.Errorf("sim: DeliverWorkers = %d, must be non-negative", c.DeliverWorkers)
 	}
 	if err := c.Scenario.Validate(c.N); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -261,23 +246,12 @@ type Engine struct {
 	// outs and senders are step's scratch buffers, reused across steps.
 	outs    []outMsg
 	senders []int
-	// workerCnt holds per-worker delivery/drop counters for the sharded
-	// delivery path, reused across steps.
-	workerCnt []workerCounters
 }
 
 // outMsg is one process's broadcast for the step being executed.
 type outMsg struct {
 	sender int
 	env    giraf.Envelope
-}
-
-// workerCounters is one delivery worker's share of the step metrics.
-type workerCounters struct {
-	delivered int
-	dropped   int
-	// pad keeps adjacent workers' counters off the same cache line.
-	_ [6]uint64
 }
 
 // crashNever marks a process with no scheduled crash.
@@ -471,100 +445,25 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // deliverDue merges all envelopes scheduled for this step into receivers
-// and recycles the ring slot for step+len(due). When Config.DeliverWorkers
-// asks for intra-run parallelism (and no trace is being recorded), the
-// queue is sharded by receiver index across workers with a barrier before
-// returning; sharding is output-identical to the sequential path, so it is
-// gated only by a cost heuristic.
+// and recycles the ring slot for step+len(due).
 func (e *Engine) deliverDue(step int) {
 	slot := step % len(e.due)
 	q := e.due[slot]
 	if len(q) == 0 {
 		return
 	}
-	if w := e.deliverWorkers(q); w > 1 {
-		e.deliverSharded(step, q, w)
-	} else {
-		delivered, dropped := e.deliverShard(step, q, 0, 1)
-		e.metrics.Deliveries += delivered
-		e.metrics.Dropped += dropped
-	}
-	e.due[slot] = truncatePending(e.due[slot])
+	e.deliver(step, q)
+	e.due[slot] = truncatePending(q)
 }
 
-// shardMinWork is the expanded-delivery count below which sharding isn't
-// worth a barrier. Output is identical either way; this is purely a cost
-// threshold.
-const shardMinWork = 256
-
-// deliverWorkers resolves the worker count for one step's queue.
-func (e *Engine) deliverWorkers(q []pendingDelivery) int {
-	w := e.cfg.DeliverWorkers
-	if w <= 1 || e.trace != nil {
-		// Trace recording appends to one shared log in delivery order;
-		// keep it on the sequential path.
-		return 1
-	}
-	work := 0
-	for _, d := range q {
-		if d.receiver == fanOutAll {
-			work += e.cfg.N - 1
-		} else {
-			work++
-		}
-	}
-	if work < shardMinWork {
-		return 1
-	}
-	if w > e.cfg.N {
-		w = e.cfg.N
-	}
-	return w
-}
-
-// deliverSharded fans one step's queue across workers partitioned by
-// receiver index (receiver r belongs to worker r % workers). Workers never
-// share a Proc, every worker scans the queue in order so per-receiver
-// delivery order matches the sequential path, and the per-worker counters
-// are folded into the metrics in worker-index order — three properties
-// that together make the sharded path byte-identical to the sequential
-// one.
-func (e *Engine) deliverSharded(step int, q []pendingDelivery, workers int) {
-	if cap(e.workerCnt) >= workers {
-		e.workerCnt = e.workerCnt[:workers]
-	} else {
-		e.workerCnt = make([]workerCounters, workers)
-	}
-	var wg sync.WaitGroup
-	for wid := 1; wid < workers; wid++ {
-		wg.Add(1)
-		//detlint:goroutine bounded per-step delivery shard; receiver-partitioned disjoint state, barrier via wg.Wait before deliverDue returns
-		go func(wid int) {
-			defer wg.Done()
-			delivered, dropped := e.deliverShard(step, q, wid, workers)
-			e.workerCnt[wid] = workerCounters{delivered: delivered, dropped: dropped}
-		}(wid)
-	}
-	delivered, dropped := e.deliverShard(step, q, 0, workers)
-	e.workerCnt[0] = workerCounters{delivered: delivered, dropped: dropped}
-	wg.Wait()
-	for i := range e.workerCnt {
-		e.metrics.Deliveries += e.workerCnt[i].delivered
-		e.metrics.Dropped += e.workerCnt[i].dropped
-	}
-}
-
-// deliverShard performs worker wid's share of one step's deliveries:
-// receivers congruent to wid modulo workers. It is the single delivery
-// loop both the sequential path (wid=0, workers=1) and every shard run.
-func (e *Engine) deliverShard(step int, q []pendingDelivery, wid, workers int) (delivered, dropped int) {
+// deliver performs one step's deliveries in queue order: the engine's
+// single delivery loop.
+func (e *Engine) deliver(step int, q []pendingDelivery) {
 	sc := e.linkFaults
+	delivered, dropped := 0, 0
 	for _, d := range q {
 		if d.receiver != fanOutAll {
 			r := d.receiver
-			if workers > 1 && r%workers != wid {
-				continue
-			}
 			if step >= e.crash[r] {
 				continue
 			}
@@ -582,10 +481,9 @@ func (e *Engine) deliverShard(step int, q []pendingDelivery, wid, workers int) (
 			continue
 		}
 		// Collapsed uniform-delay broadcast: expand to every receiver in
-		// ascending order (r starts at wid, which is 0 on the sequential
-		// path). Fan-out entries are only scheduled when linkFaults == nil,
-		// so no drop check is needed.
-		for r := wid; r < e.cfg.N; r += workers {
+		// ascending order. Fan-out entries are only scheduled when
+		// linkFaults == nil, so no drop check is needed.
+		for r := 0; r < e.cfg.N; r++ {
 			if r == d.sender || step >= e.crash[r] {
 				continue
 			}
@@ -596,7 +494,8 @@ func (e *Engine) deliverShard(step int, q []pendingDelivery, wid, workers int) (
 			}
 		}
 	}
-	return delivered, dropped
+	e.metrics.Deliveries += delivered
+	e.metrics.Dropped += dropped
 }
 
 // step runs the end-of-round for every live process and schedules the

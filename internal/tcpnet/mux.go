@@ -72,17 +72,16 @@ type muxEpoch struct {
 type MuxConfig struct {
 	// HubAddr is the hub's TCP address.
 	HubAddr string
-	// DialTimeout bounds each dial + handshake; defaults to 5s.
-	DialTimeout time.Duration
 	// Reconnect governs recovery from a lost hub connection; the zero
 	// policy fails fast (the first loss kills every epoch).
 	Reconnect ReconnectPolicy
-	// InboxDepth is each epoch's demux buffer; defaults to 1024. A full
-	// inbox drops the frame (counted in MuxStats.InboxDrops) — safe, as
-	// the model already allows asynchronous rounds, and the next
-	// broadcast carries the sender's cumulative state anyway.
-	InboxDepth int
 }
+
+// inboxDepth is each epoch's demux buffer. A full inbox drops the frame
+// (counted in MuxStats.InboxDrops) — safe, as the model already allows
+// asynchronous rounds, and the next broadcast carries the sender's
+// cumulative state anyway.
+const inboxDepth = 1024
 
 // MuxStats counts a MuxNode's robustness events, cumulative since
 // DialMux.
@@ -115,7 +114,7 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 	if cfg.HubAddr == "" {
 		return nil, errors.New("tcpnet: mux: empty hub address")
 	}
-	conn, welcome, err := dialHub(ctx, cfg.HubAddr, cfg.DialTimeout, 0, 0)
+	conn, welcome, err := dialHub(ctx, cfg.HubAddr, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: mux: dialing hub: %w", err)
 	}
@@ -159,12 +158,8 @@ func (m *MuxNode) Register(epoch uint64) error {
 	if _, dup := m.epochs[epoch]; dup {
 		return fmt.Errorf("tcpnet: mux: epoch %d already registered", epoch)
 	}
-	depth := m.cfg.InboxDepth
-	if depth <= 0 {
-		depth = 1024
-	}
 	m.epochs[epoch] = &muxEpoch{
-		inbox: make(chan giraf.Envelope, depth),
+		inbox: make(chan giraf.Envelope, inboxDepth),
 		table: giraf.NewResolveTable(),
 	}
 	return nil
@@ -384,7 +379,7 @@ func (m *MuxNode) redial() (net.Conn, error) {
 			return nil, ErrHubLost
 		case <-wait.C:
 		}
-		conn, welcome, err := dialHub(m.lifeCtx, m.cfg.HubAddr, m.cfg.DialTimeout, m.token, m.cursor)
+		conn, welcome, err := dialHub(m.lifeCtx, m.cfg.HubAddr, m.token, m.cursor)
 		if err != nil {
 			lastErr = err
 			m.mu.Lock()

@@ -664,13 +664,13 @@ func (p ReconnectPolicy) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(j%uint64(d))
 }
 
+// dialTimeout bounds each dial + handshake.
+const dialTimeout = 5 * time.Second
+
 // dialHub establishes one hub connection: DialContext with a deadline,
 // then the Hello/Welcome handshake with the given session token and
 // replay cursor (0, 0 for a fresh session).
-func dialHub(ctx context.Context, addr string, dialTimeout time.Duration, token, cursor uint64) (net.Conn, wire.Welcome, error) {
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
+func dialHub(ctx context.Context, addr string, token, cursor uint64) (net.Conn, wire.Welcome, error) {
 	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	var d net.Dialer

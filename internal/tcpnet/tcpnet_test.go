@@ -352,7 +352,7 @@ func TestTCPNodeCrashSchedule(t *testing.T) {
 // broadcast after this returns reach it live, not through the replay.
 func helloClient(t *testing.T, hub *Hub, hello wire.Hello) (net.Conn, wire.Welcome) {
 	t.Helper()
-	conn, welcome, err := dialHub(context.Background(), hub.Addr(), 5*time.Second, hello.Token, hello.Cursor)
+	conn, welcome, err := dialHub(context.Background(), hub.Addr(), hello.Token, hello.Cursor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,17 +41,26 @@ type SimResult struct {
 	Records []AddRecord
 }
 
+// validateOps rejects a schedule that names a process outside [0,n) or adds
+// an invalid value (shared by RunMS and RunLive).
+func validateOps(n int, ops []ScheduledOp) error {
+	for _, op := range ops {
+		if op.Proc < 0 || op.Proc >= n {
+			return fmt.Errorf("weakset: op names process %d outside [0,%d)", op.Proc, n)
+		}
+		if op.Kind == OpAdd && !op.Value.Valid() {
+			return fmt.Errorf("weakset: invalid value %q in add", string(op.Value))
+		}
+	}
+	return nil
+}
+
 // RunMS simulates Algorithm 4 with n processes under the given policy and
 // fault scenario (nil = fault-free), injecting the scheduled operations,
 // and returns the recorded history.
 func RunMS(n int, ops []ScheduledOp, pol env.Policy, maxRounds int, sc *env.Scenario) (*SimResult, error) {
-	for _, op := range ops {
-		if op.Proc < 0 || op.Proc >= n {
-			return nil, fmt.Errorf("weakset: op names process %d outside [0,%d)", op.Proc, n)
-		}
-		if op.Kind == OpAdd && !op.Value.Valid() {
-			return nil, fmt.Errorf("weakset: invalid value %q in add", string(op.Value))
-		}
+	if err := validateOps(n, ops); err != nil {
+		return nil, err
 	}
 	procs := make([]*MSProc, n)
 	out := &SimResult{Checker: &Checker{}}

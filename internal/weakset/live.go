@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anonconsensus/internal/anonnet"
@@ -27,7 +28,8 @@ type LiveConfig struct {
 	// Latency is the link profile; defaults to an MS profile (the weakest
 	// environment Algorithm 4 is proved for).
 	Latency env.LatencyModel
-	// Duration is how long to run; defaults to 2s.
+	// Duration is the ceiling on the run's length (a run ends earlier,
+	// once all of Ops are done); defaults to 2s.
 	Duration time.Duration
 }
 
@@ -56,18 +58,16 @@ func (r *LiveResult) CompletedAdds() []AddRecord {
 	return out
 }
 
-// RunLive executes Algorithm 4 on the live network.
+// RunLive executes Algorithm 4 on the live network. Algorithm 4's
+// automaton never halts, so the run ends as soon as every scheduled op has
+// executed and every enqueued add has completed; Duration is the ceiling
+// for runs whose adds cannot complete.
 func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("weakset: live N = %d", cfg.N)
 	}
-	for _, op := range cfg.Ops {
-		if op.Proc < 0 || op.Proc >= cfg.N {
-			return nil, fmt.Errorf("weakset: live op names process %d outside [0,%d)", op.Proc, cfg.N)
-		}
-		if op.Kind == OpAdd && !op.Value.Valid() {
-			return nil, fmt.Errorf("weakset: invalid value %q in live add", string(op.Value))
-		}
+	if err := validateOps(cfg.N, cfg.Ops); err != nil {
+		return nil, err
 	}
 	interval := cfg.Interval
 	if interval <= 0 {
@@ -81,13 +81,24 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	if latency == nil {
 		latency = env.MSProfile{N: cfg.N, Interval: interval, Seed: 1}
 	}
+	// lastOp[i] is the round of process i's last scheduled op: from that
+	// round on, process i is finished once it has no add in progress.
+	lastOp := make([]int, cfg.N)
+	for _, op := range cfg.Ops {
+		lastOp[op.Proc] = max(lastOp[op.Proc], op.Round)
+	}
 
 	var (
-		mu    sync.Mutex
-		procs = make([]*MSProc, cfg.N)
-		out   = &LiveResult{Checker: &Checker{}}
+		mu       sync.Mutex
+		procs    = make([]*MSProc, cfg.N)
+		out      = &LiveResult{Checker: &Checker{}}
+		finished = make([]bool, cfg.N) // finished[i] belongs to process i's goroutine
+		running  atomic.Int64
 	)
-	_, err := anonnet.Run(context.Background(), anonnet.Config{
+	running.Store(int64(cfg.N))
+	ctx, allFinished := context.WithCancel(context.Background())
+	defer allFinished()
+	_, err := anonnet.Run(ctx, anonnet.Config{
 		N: cfg.N,
 		Automaton: func(i int) giraf.Automaton {
 			procs[i] = NewMSProc()
@@ -113,9 +124,17 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 					mu.Unlock()
 				}
 			}
+			if !finished[proc] && round >= lastOp[proc] && p.idle() {
+				finished[proc] = true
+				if running.Add(-1) == 0 {
+					allFinished()
+				}
+			}
 		},
 	})
-	if err != nil {
+	// anonnet reports a cancelled parent as an error; this parent is
+	// cancelled only by the run's own completion.
+	if err != nil && ctx.Err() == nil {
 		return nil, err
 	}
 	for _, p := range procs {

@@ -85,6 +85,9 @@ func (p *MSProc) Records() []AddRecord { return p.records }
 // Blocked reports whether an add is in progress.
 func (p *MSProc) Blocked() bool { return p.block }
 
+// idle reports whether every enqueued add has completed.
+func (p *MSProc) idle() bool { return !p.block && len(p.queue) == 0 }
+
 // Initialize implements giraf.Automaton (Algorithm 4 lines 1–4).
 func (p *MSProc) Initialize() giraf.Payload {
 	return setPayload{proposed: p.proposed.Clone()}

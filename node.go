@@ -47,9 +47,13 @@ type Node struct {
 
 	workers int            // pool size (WithMaxInFlight, default 1)
 	queue   chan *instance // capacity set by WithQueueDepth (default 64)
-	stop    chan struct{}  // closed by Close: cancels running work, stops the workers
 	admit   *tokenBucket   // nil without WithAdmission
 	wait    bool           // WithAdmissionWait: block for tokens instead of rejecting
+
+	// life is the node-lifetime context: Close cancels it, which cancels
+	// running work and stops the workers.
+	life      context.Context
+	closeLife context.CancelFunc
 
 	mu        sync.Mutex
 	closed    bool
@@ -64,17 +68,15 @@ type Node struct {
 	peakInFlight int
 	queueWait    time.Duration
 
-	// Event feed: emitters append to evBuf (never blocking consensus
-	// work); the pump goroutine forwards to the events channel.
+	// Event feed: the events channel is the whole backlog. Emitters send
+	// under evMu without blocking, discarding the oldest event when it is
+	// full; evEnd marks the channel closed.
 	evMu      sync.Mutex
-	evCond    *sync.Cond
-	evBuf     []Event
 	evEnd     bool
 	evDropped int64
 	events    chan Event
 
 	workerWG sync.WaitGroup
-	pumpWG   sync.WaitGroup
 }
 
 // NewNode starts a session over transport. The options become the
@@ -106,21 +108,18 @@ func NewNode(transport Transport, opts ...Option) (*Node, error) {
 		session:   o,
 		workers:   workers,
 		queue:     make(chan *instance, depth),
-		stop:      make(chan struct{}),
 		instances: make(map[string]*instance),
-		events:    make(chan Event, 128),
+		events:    make(chan Event, maxBufferedEvents),
 	}
+	n.life, n.closeLife = context.WithCancel(context.Background())
 	if o.admitRate > 0 {
 		n.admit = newTokenBucket(o.admitRate, o.admitBurst)
 		n.wait = o.admitWait
 	}
-	n.evCond = sync.NewCond(&n.evMu)
 	n.workerWG.Add(workers)
 	for i := 0; i < workers; i++ {
 		go n.worker()
 	}
-	n.pumpWG.Add(1)
-	go n.pump()
 	return n, nil
 }
 
@@ -157,7 +156,7 @@ func (n *Node) Propose(ctx context.Context, instanceID string, proposals []Value
 	// trace: no instance, no events, and the ID stays free.
 	if n.admit != nil {
 		if n.wait {
-			if err := n.admit.take(ctx, n.stop); err != nil {
+			if err := n.admit.take(ctx, n.life.Done()); err != nil {
 				if err == ErrNodeClosed {
 					return ErrNodeClosed
 				}
@@ -212,7 +211,7 @@ func (n *Node) Propose(ctx context.Context, instanceID string, proposals []Value
 			n.rejected++
 			n.statMu.Unlock()
 			return err
-		case <-n.stop:
+		case <-n.life.Done():
 			n.finish(inst, nil, ErrNodeClosed)
 			n.unregister(instanceID, inst)
 			n.statMu.Lock()
@@ -342,14 +341,17 @@ func (n *Node) Forget(instanceID string) bool {
 // The feed is lossy by contract: it is best-effort buffered and never
 // blocks consensus work. Without a consumer the oldest undelivered
 // events are dropped beyond a bounded backlog — each drop is counted in
-// Stats().EventsDropped — and Close terminates the feed (undelivered
-// events are then dropped). Callers that need an instance's
+// Stats().EventsDropped. Close closes the channel; events still buffered
+// at that moment stay readable, so a consumer that ranges over the feed
+// sees them before the range ends. Callers that need an instance's
 // authoritative outcome should use Wait, which never loses one.
 func (n *Node) Decisions() <-chan Event { return n.events }
 
 // Close shuts the session down: running work is cancelled, queued
-// instances fail with ErrNodeClosed, the Decisions feed is closed, and the
-// transport is closed. Close is idempotent.
+// instances fail with ErrNodeClosed, the Decisions feed is closed (its
+// buffered events remain readable; an event emitted after the close is
+// counted in Stats().EventsDropped), and the transport is closed. Close is
+// idempotent.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -359,7 +361,7 @@ func (n *Node) Close() error {
 	n.closed = true
 	n.mu.Unlock()
 
-	close(n.stop)
+	n.closeLife()
 	n.workerWG.Wait()
 	// The workers are gone: fail whatever is still queued.
 	for {
@@ -368,7 +370,6 @@ func (n *Node) Close() error {
 			n.finish(inst, nil, ErrNodeClosed)
 		default:
 			n.endEvents()
-			n.pumpWG.Wait()
 			return n.transport.Close()
 		}
 	}
@@ -420,12 +421,12 @@ func (n *Node) worker() {
 	defer n.workerWG.Done()
 	for {
 		select {
-		case <-n.stop:
+		case <-n.life.Done():
 			return
 		default:
 		}
 		select {
-		case <-n.stop:
+		case <-n.life.Done():
 			return
 		case inst := <-n.queue:
 			n.runInstance(inst)
@@ -452,7 +453,7 @@ func (n *Node) runInstance(inst *instance) {
 		n.statMu.Unlock()
 	}()
 	select {
-	case <-n.stop:
+	case <-n.life.Done():
 		// Close won the race for this queued instance: fail it with the
 		// documented shutdown error, not a context-cancellation one.
 		n.finish(inst, nil, ErrNodeClosed)
@@ -464,17 +465,10 @@ func (n *Node) runInstance(inst *instance) {
 		return
 	}
 	runCtx, cancel := context.WithCancel(inst.ctx)
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-n.stop:
-			cancel()
-		case <-watchDone:
-		}
-	}()
+	unwatch := context.AfterFunc(n.life, cancel)
 	n.emit(Event{Instance: inst.spec.ID, Kind: EventInstanceStarted})
 	res, err := n.transport.Run(runCtx, inst.spec)
-	close(watchDone)
+	unwatch()
 	cancel()
 	if err != nil {
 		n.finish(inst, nil, fmt.Errorf("anonconsensus: instance %q: %w", inst.spec.ID, err))
@@ -502,83 +496,41 @@ func (n *Node) finish(inst *instance, res *Result, err error) {
 // Decisions(), the oldest undelivered events are dropped beyond this.
 const maxBufferedEvents = 1024
 
-// emit appends to the event buffer; it never blocks, and it never lets an
-// absent consumer grow the buffer without bound. Every event the overflow
-// policy discards is counted (Stats().EventsDropped), so an operator can
-// tell a quiet feed from a lossy one.
+// emit queues an event on the feed; it never blocks, and it never lets an
+// absent consumer grow the backlog without bound: when the channel is
+// full the oldest event makes room. Every discarded event is counted
+// (Stats().EventsDropped), so an operator can tell a quiet feed from a
+// lossy one. Sends happen under evMu, so they are ordered and none can
+// race endEvents' close.
 func (n *Node) emit(ev Event) {
 	n.evMu.Lock()
+	defer n.evMu.Unlock()
 	if n.evEnd {
 		// The feed already ended (Close raced a late finish): the event
 		// cannot be delivered, and a discarded event is a counted event.
 		n.evDropped++
-	} else {
-		if len(n.evBuf) >= maxBufferedEvents {
-			n.evBuf = n.evBuf[1:]
-			n.evDropped++
-		}
-		n.evBuf = append(n.evBuf, ev)
-		n.evCond.Signal()
+		return
 	}
-	n.evMu.Unlock()
+	for {
+		select {
+		case n.events <- ev:
+			return
+		default:
+		}
+		select {
+		case <-n.events:
+			n.evDropped++
+		default:
+			// A consumer drained the channel in between: just retry.
+		}
+	}
 }
 
-// endEvents stops the feed; the pump drains what it can and closes the
-// channel.
+// endEvents ends the feed: no further event is accepted, and what is
+// buffered stays readable until the consumer reaches the close.
 func (n *Node) endEvents() {
 	n.evMu.Lock()
 	n.evEnd = true
-	n.evCond.Signal()
-	n.evMu.Unlock()
-}
-
-// pump forwards buffered events to the (buffered) events channel so that
-// a slow or absent consumer never stalls the worker.
-func (n *Node) pump() {
-	defer n.pumpWG.Done()
-	for {
-		n.evMu.Lock()
-		for len(n.evBuf) == 0 && !n.evEnd {
-			n.evCond.Wait()
-		}
-		if len(n.evBuf) == 0 {
-			n.evMu.Unlock()
-			close(n.events)
-			return
-		}
-		ev := n.evBuf[0]
-		n.evBuf = n.evBuf[1:]
-		ended := n.evEnd
-		n.evMu.Unlock()
-		if ended {
-			// Closing down: deliver only what fits without blocking, and
-			// count what does not fit — every discarded event is counted.
-			select {
-			case n.events <- ev:
-			default:
-				n.countDrop()
-			}
-			continue
-		}
-		select {
-		case n.events <- ev:
-		case <-n.stop:
-			// Node closing: deliver what fits in the buffer, drop (and
-			// count) the rest.
-			select {
-			case n.events <- ev:
-			default:
-				n.countDrop()
-			}
-		}
-	}
-}
-
-// countDrop counts one event the pump had to discard. Drops are tallied
-// under evMu together with emit's overflow drops, so EventsDropped is the
-// single authoritative count of undelivered events.
-func (n *Node) countDrop() {
-	n.evMu.Lock()
-	n.evDropped++
+	close(n.events)
 	n.evMu.Unlock()
 }

@@ -361,3 +361,45 @@ func TestNodeFailedProposeReleasesID(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// cannedTransport decides instantly: every process "decides" the first
+// proposal in round 1 — the harness's nullTransport, so a Node.Run over it
+// costs the Node's own work plus the two allocations of the Result.
+type cannedTransport struct{}
+
+func (cannedTransport) Name() string { return "canned" }
+func (cannedTransport) Close() error { return nil }
+func (cannedTransport) Run(_ context.Context, spec InstanceSpec) (*Result, error) {
+	res := &Result{Rounds: 1, Decisions: make([]Decision, len(spec.Proposals))}
+	for i := range res.Decisions {
+		res.Decisions[i] = Decision{Proc: i, Decided: true, Value: spec.Proposals[0], Round: 1}
+	}
+	return res, nil
+}
+
+// TestNodeRoundTripAllocBudget pins the Node's per-instance fixed cost —
+// spec, instance, run context, feed events, wake-up — in allocations: the
+// deterministic twin of the harness's node.null_roundtrip_us probe
+// (11 allocs/op measured).
+func TestNodeRoundTripAllocBudget(t *testing.T) {
+	node, err := NewNode(cannedTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	proposals := props(1, 2, 3)
+	run := func() {
+		if _, err := node.Run(context.Background(), "null", proposals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm past the feed's backlog, so the steady state — a full feed
+	// nobody reads — is what gets measured.
+	for i := 0; i < maxBufferedEvents; i++ {
+		run()
+	}
+	const budget = 12
+	if n := testing.AllocsPerRun(200, run); n > budget {
+		t.Errorf("Node.Run over a canned transport: %v allocs/op, budget %d", n, budget)
+	}
+}

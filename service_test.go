@@ -350,8 +350,8 @@ func TestEventDropCounting(t *testing.T) {
 
 // TestSimPoolDeterminism pins that the sim transport's engine pool never
 // leaks state into results: a pooled transport run hot (engines recycled across
-// many concurrent instances) produces byte-identical decisions to the
-// unpooled fresh-engine baseline for every spec.
+// many concurrent instances) produces byte-identical decisions to a fresh
+// NewSimTransport() per spec, whose pool is empty.
 func TestSimPoolDeterminism(t *testing.T) {
 	specs := make([]InstanceSpec, 40)
 	for i := range specs {
@@ -363,11 +363,11 @@ func TestSimPoolDeterminism(t *testing.T) {
 			Seed:      int64(i * 13),
 		}
 	}
-	baseline := newSimTransportUnpooled()
-	defer baseline.Close()
 	want := make([]*Result, len(specs))
 	for i, spec := range specs {
-		res, err := baseline.Run(context.Background(), spec)
+		fresh := NewSimTransport()
+		res, err := fresh.Run(context.Background(), spec)
+		fresh.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,6 @@ import (
 // by the spec and seed alone.
 type simTransport struct {
 	closed atomic.Bool
-	pool   bool
 
 	mu   sync.Mutex
 	free []*sim.Engine
@@ -36,12 +35,7 @@ const maxPooledEngines = 32
 // identical Results. Interval and Timeout are ignored; MaxRounds bounds
 // the run. Run is safe for concurrent use; overlapping runs recycle a
 // per-transport engine pool.
-func NewSimTransport() Transport { return &simTransport{pool: true} }
-
-// newSimTransportUnpooled is the pre-pooling behavior — a fresh engine
-// allocation per Run — kept as the benchmark baseline the engine pool is
-// measured against.
-func newSimTransportUnpooled() Transport { return &simTransport{} }
+func NewSimTransport() Transport { return &simTransport{} }
 
 // Name implements Transport.
 func (t *simTransport) Name() string { return "sim" }
@@ -58,9 +52,6 @@ func (t *simTransport) Close() error {
 // acquire pops an idle engine, or returns nil when the caller should
 // allocate a fresh one.
 func (t *simTransport) acquire() *sim.Engine {
-	if !t.pool {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if n := len(t.free); n > 0 {
@@ -77,9 +68,6 @@ func (t *simTransport) acquire() *sim.Engine {
 // Reset rebuilds all run state (the same contract sim.RunBatch relies
 // on).
 func (t *simTransport) release(e *sim.Engine) {
-	if !t.pool || e == nil {
-		return
-	}
 	t.mu.Lock()
 	if len(t.free) < maxPooledEngines && !t.closed.Load() {
 		t.free = append(t.free, e)
