@@ -1,20 +1,20 @@
-// Command anonload drives the open-loop workload plane: it generates
-// seeded traffic (Poisson, Gamma or Weibull arrivals, multi-class mixes)
-// against a consensus backend and prints the SLO report — p50/p95/p99
-// decision latency, throughput, shed rate and per-class fairness.
+// Command anonload drives a consensus Node with seeded open-loop traffic
+// (Poisson, Gamma or Weibull arrivals, multi-class mixes) and prints the
+// SLO report — p50/p95/p99 decision latency, throughput, shed rate,
+// agreement and per-class fairness.
 //
 // Usage:
 //
-//	anonload -ops 200 -rate 400                     # virtual plane (deterministic)
-//	anonload -backend sim -servers 4 -admit 300:16  # drive a real Node (sim backend)
-//	anonload -backend live -interval 2ms            # drive a real Node (live network)
-//	anonload -ops 200 -trace run.trace              # record the canonical trace
-//	anonload -replay run.trace                      # re-execute and verify a trace
+//	anonload -ops 200 -rate 400                                  # sim backend
+//	anonload -servers 4 -admit 300:16                            # pool + token bucket
+//	anonload -backend live -classes es:4:1 -ops 3                # live in-process network
+//	anonload -backend live -classes ess:5:1 -gst 4 -crash 0:2 -ops 3
+//	anonload -backend live -classes es:5:1 -ops 12 -servers 6 -admit 100:8
 //
-// The default virtual backend is fully deterministic: the same flags
-// produce a byte-identical trace and report on every machine at any
-// -parallel setting, and `-replay` re-executes a recorded trace and
-// rejects one whose records contradict its own schedule.
+// -servers is the Node's worker pool, -queue its backlog and -admit
+// rate:burst its token bucket: proposals the Node sheds are counted in the
+// report, not fatal. -crash pid:round (repeatable) crashes that process in
+// every instance of every class.
 package main
 
 import (
@@ -30,33 +30,46 @@ import (
 	"anonconsensus"
 )
 
+// crashFlags collects repeated -crash pid:round flags.
+type crashFlags map[int]int
+
+func (c crashFlags) String() string { return fmt.Sprint(map[int]int(c)) }
+
+func (c crashFlags) Set(s string) error {
+	parts := strings.SplitN(s, ":", 2)
+	if len(parts) != 2 {
+		return fmt.Errorf("want pid:round, got %q", s)
+	}
+	pid, err := strconv.Atoi(parts[0])
+	if err != nil {
+		return fmt.Errorf("bad pid in %q: %w", s, err)
+	}
+	round, err := strconv.Atoi(parts[1])
+	if err != nil {
+		return fmt.Errorf("bad round in %q: %w", s, err)
+	}
+	c[pid] = round
+	return nil
+}
+
 func main() {
-	var (
-		backend  = flag.String("backend", "virtual", "virtual (deterministic model), sim or live (drive a real Node)")
-		seed     = flag.Int64("seed", 1, "workload seed (fixes arrivals, class mix and adversary seeds)")
-		ops      = flag.Int("ops", 200, "number of proposals")
-		rate     = flag.Float64("rate", 400, "mean arrival rate, proposals/sec")
-		arrival  = flag.String("arrival", "poisson", "arrival process: poisson, gamma or weibull")
-		shape    = flag.Float64("shape", 2, "gamma/weibull shape parameter")
-		classes  = flag.String("classes", "es:4:3,ess:3:1", "client mix: comma-separated alg:n:weight")
-		gst      = flag.Int("gst", 2, "stabilization round for every class")
-		servers  = flag.Int("servers", 4, "virtual servers / node worker pool size")
-		queue    = flag.Int("queue", 64, "queue depth")
-		admit    = flag.String("admit", "", "admission token bucket, rate:burst (empty = off)")
-		roundDur = flag.Duration("round", 5*time.Millisecond, "virtual cost of one consensus round")
-		interval = flag.Duration("interval", 2*time.Millisecond, "live backend round interval")
-		parallel = flag.Int("parallel", 0, "virtual-plane sim parallelism (0 = GOMAXPROCS)")
-		traceOut = flag.String("trace", "", "write the canonical trace to this file")
-		replayIn = flag.String("replay", "", "replay a recorded trace instead of running")
-	)
+	o := options{crashes: crashFlags{}}
+	flag.StringVar(&o.backend, "backend", "sim", "node backend: sim (deterministic simulator) or live (in-process network)")
+	flag.Int64Var(&o.seed, "seed", 1, "workload seed (fixes arrivals, class mix and adversary seeds)")
+	flag.IntVar(&o.ops, "ops", 200, "number of proposals")
+	flag.Float64Var(&o.rate, "rate", 400, "mean arrival rate, proposals/sec")
+	flag.StringVar(&o.arrival, "arrival", "poisson", "arrival process: poisson, gamma or weibull")
+	flag.Float64Var(&o.shape, "shape", 2, "gamma/weibull shape parameter")
+	flag.StringVar(&o.classes, "classes", "es:4:3,ess:3:1", "client mix: comma-separated alg:n:weight")
+	flag.IntVar(&o.gst, "gst", 2, "stabilization round for every class")
+	flag.IntVar(&o.servers, "servers", 4, "node worker pool size (instances in flight)")
+	flag.IntVar(&o.queue, "queue", 64, "node queue depth")
+	flag.StringVar(&o.admit, "admit", "", "admission token bucket, rate:burst (empty = off)")
+	flag.DurationVar(&o.interval, "interval", 0,
+		"live round interval (0 = the transport's default; benchmark/README.md records Agreement violations at 2ms beats)")
+	flag.Var(o.crashes, "crash", "crash schedule pid:round for every instance (repeatable)")
 	flag.Parse()
-	if err := run(os.Stdout, options{
-		backend: *backend, seed: *seed, ops: *ops, rate: *rate,
-		arrival: *arrival, shape: *shape, classes: *classes, gst: *gst,
-		servers: *servers, queue: *queue, admit: *admit,
-		round: *roundDur, interval: *interval, parallel: *parallel,
-		traceOut: *traceOut, replayIn: *replayIn,
-	}); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "anonload:", err)
 		os.Exit(1)
 	}
@@ -76,11 +89,8 @@ type options struct {
 	servers  int
 	queue    int
 	admit    string
-	round    time.Duration
 	interval time.Duration
-	parallel int
-	traceOut string
-	replayIn string
+	crashes  crashFlags
 }
 
 // parseArrival maps the flag token to the public enum.
@@ -98,9 +108,10 @@ func parseArrival(s string) (anonconsensus.ArrivalProcess, error) {
 }
 
 // parseClasses parses the -classes mix: comma-separated alg:n:weight
-// entries, e.g. "es:4:3,ess:3:1". Class names are derived ("c0-es"); the
-// ESS stable source defaults to process 0.
-func parseClasses(s string, gst int) ([]anonconsensus.WorkloadClass, error) {
+// entries, e.g. "es:4:3,ess:3:1". Class names are derived ("c0-es"). Every
+// class carries the crash schedule, and an ESS class's eventual source is
+// the lowest process the schedule spares, since the source must be correct.
+func parseClasses(s string, gst int, crashes crashFlags) ([]anonconsensus.WorkloadClass, error) {
 	if s == "" {
 		return nil, fmt.Errorf("empty -classes")
 	}
@@ -129,6 +140,12 @@ func parseClasses(s string, gst int) ([]anonconsensus.WorkloadClass, error) {
 		}
 		c.N, c.Weight = n, w
 		c.Name = fmt.Sprintf("c%d-%s", i, parts[0])
+		if len(crashes) > 0 {
+			c.Scenario.Crashes = crashes
+		}
+		for c.Env == anonconsensus.EnvESS && c.StableSource < n-1 && crashes[c.StableSource] > 0 {
+			c.StableSource++
+		}
 		out = append(out, c)
 	}
 	return out, nil
@@ -155,86 +172,50 @@ func parseAdmit(s string) (rate float64, burst int, err error) {
 }
 
 func run(w io.Writer, o options) error {
-	if o.replayIn != "" {
-		data, err := os.ReadFile(o.replayIn)
-		if err != nil {
-			return err
-		}
-		res, err := anonconsensus.ReplayWorkload(string(data))
-		if err != nil {
-			return fmt.Errorf("replay %s: %w", o.replayIn, err)
-		}
-		fmt.Fprintf(w, "replayed %s: trace verifies\n", o.replayIn)
-		return finish(w, res, o.traceOut)
-	}
-
 	arrival, err := parseArrival(o.arrival)
 	if err != nil {
 		return err
 	}
-	classList, err := parseClasses(o.classes, o.gst)
+	classList, err := parseClasses(o.classes, o.gst, o.crashes)
 	if err != nil {
 		return err
 	}
 	admitRate, admitBurst, err := parseAdmit(o.admit)
 	if err != nil {
+		return fmt.Errorf("-admit: %w", err)
+	}
+	var transport anonconsensus.Transport
+	switch o.backend {
+	case "sim":
+		transport = anonconsensus.NewSimTransport()
+	case "live":
+		transport = anonconsensus.NewLiveTransport()
+	default:
+		return fmt.Errorf("unknown backend %q (want sim or live)", o.backend)
+	}
+	nodeOpts := []anonconsensus.Option{
+		anonconsensus.WithMaxInFlight(o.servers),
+		anonconsensus.WithQueueDepth(o.queue),
+	}
+	if o.interval != 0 {
+		nodeOpts = append(nodeOpts, anonconsensus.WithInterval(o.interval))
+	}
+	if admitRate > 0 {
+		nodeOpts = append(nodeOpts, anonconsensus.WithAdmission(admitRate, admitBurst))
+	}
+	node, err := anonconsensus.NewNode(transport, nodeOpts...)
+	if err != nil {
 		return err
 	}
-	spec := anonconsensus.WorkloadSpec{
+	res, err := anonconsensus.RunWorkload(context.Background(), node, anonconsensus.WorkloadSpec{
 		Seed: o.seed, Ops: o.ops, Rate: o.rate,
 		Arrival: arrival, Shape: o.shape, Classes: classList,
-		Servers: o.servers, QueueDepth: o.queue,
-		AdmitRate: admitRate, AdmitBurst: admitBurst,
-		RoundMicros: o.round.Microseconds(), Parallelism: o.parallel,
-	}
-
-	var res *anonconsensus.WorkloadResult
-	switch o.backend {
-	case "virtual":
-		res, err = anonconsensus.SimulateWorkload(context.Background(), spec)
-	case "sim", "live":
-		var transport anonconsensus.Transport
-		if o.backend == "sim" {
-			transport = anonconsensus.NewSimTransport()
-		} else {
-			transport = anonconsensus.NewLiveTransport()
-		}
-		nodeOpts := []anonconsensus.Option{
-			anonconsensus.WithMaxInFlight(o.servers),
-			anonconsensus.WithQueueDepth(o.queue),
-			anonconsensus.WithInterval(o.interval),
-		}
-		if admitRate > 0 {
-			nodeOpts = append(nodeOpts, anonconsensus.WithAdmission(admitRate, admitBurst))
-		}
-		var node *anonconsensus.Node
-		node, err = anonconsensus.NewNode(transport, nodeOpts...)
-		if err != nil {
-			return err
-		}
-		res, err = anonconsensus.RunWorkload(context.Background(), node, spec)
-		if cerr := node.Close(); err == nil {
-			err = cerr
-		}
-	default:
-		return fmt.Errorf("unknown backend %q (want virtual, sim or live)", o.backend)
+	})
+	if cerr := node.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return err
 	}
-	return finish(w, res, o.traceOut)
-}
-
-// finish renders the report and optionally records the trace.
-func finish(w io.Writer, res *anonconsensus.WorkloadResult, traceOut string) error {
-	if err := res.WriteReport(w); err != nil {
-		return err
-	}
-	if traceOut != "" {
-		if err := os.WriteFile(traceOut, []byte(res.EncodeTrace()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace written to %s\n", traceOut)
-	}
-	return nil
+	return res.WriteReport(w)
 }

@@ -7,10 +7,10 @@ import (
 
 var benchSink int
 
-// BenchmarkMSSchedule is the env layer of the benchmark ladder (ROADMAP
-// item 4a): one pre-GST round as the simulator pays for it — MS.Schedule
-// drawing the round's delay matrix for n broadcasters, then the engine's
-// n² DelayFn reads.
+// BenchmarkMSSchedule is the env layer of the benchmark ladder: one
+// pre-GST round as the simulator pays for it — MS.Schedule drawing the
+// round's delay matrix for n broadcasters, then the engine's n² DelayFn
+// reads.
 func BenchmarkMSSchedule(b *testing.B) {
 	for _, n := range []int{16, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -46,7 +46,6 @@ func All() []Experiment {
 		{ID: "X2", Title: "Randomized schedule search: PCT-style sampling under fault scenarios", Run: runX2},
 		{ID: "T11", Title: "Obstruction-free anonymous consensus under contention (related work [9])", Run: runT11},
 		{ID: "S1", Title: "Scenario sweep: termination/agreement vs loss, duplication, partitions", Run: runS1},
-		{ID: "W1", Title: "Open-loop workload: SLO percentiles, throughput, shed and fairness vs arrival process and rate", Run: runW1},
 	}
 }
 

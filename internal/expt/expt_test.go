@@ -107,7 +107,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 // deterministicIDs are the experiments whose rendered output is a pure
 // function of their seeds — no wall-clock columns (T8, T9) and no real
 // goroutine contention (T11).
-var deterministicIDs = []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T10", "F1", "F2", "F3", "X1", "X2", "S1", "W1"}
+var deterministicIDs = []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T10", "F1", "F2", "F3", "X1", "X2", "S1"}
 
 func TestTablesByteIdenticalAcrossParallelism(t *testing.T) {
 	if testing.Short() {

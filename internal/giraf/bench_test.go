@@ -9,11 +9,11 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// The giraf layer of the benchmark ladder (ROADMAP item 4a): what one
-// delivery and one end-of-round cost in the framework alone, at the round
-// sizes a big-n run reaches. Payloads are fingerprint-caching value sets
-// (what the core algorithms broadcast), warmed before timing, so the
-// numbers are inbox work, not hashing.
+// The giraf layer of the benchmark ladder: what one delivery and one
+// end-of-round cost in the framework alone, at the round sizes a big-n run
+// reaches. Payloads are fingerprint-caching value sets (what the core
+// algorithms broadcast), warmed before timing, so the numbers are inbox
+// work, not hashing.
 
 // fpPayload is a value-set payload that serves its cached fingerprint, as
 // core.SetPayload does.

@@ -10,10 +10,10 @@ import (
 	"anonconsensus/internal/sim"
 )
 
-// BenchmarkESPooledGST2 is the sim layer of the benchmark ladder (ROADMAP
-// item 4a): whole Algorithm 2 runs with distinct proposals, stable from
-// round 2, on one engine re-armed per run — what the sim transport's pool
-// does per instance, and at n=256 the repo benchmark's sim_bign instance.
+// BenchmarkESPooledGST2 is the sim layer of the benchmark ladder: whole
+// Algorithm 2 runs with distinct proposals, stable from round 2, on one
+// engine re-armed per run — what the sim transport's pool does per
+// instance, and at n=256 the repo benchmark's sim_bign instance.
 // Unlike a synchronous run (where three deliveries in four are dominated
 // and skipped) the pre-GST round leaves half of all deliveries to merge.
 func BenchmarkESPooledGST2(b *testing.B) {

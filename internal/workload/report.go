@@ -7,6 +7,43 @@ import (
 	"strings"
 )
 
+// Outcome classifies what the Node did with one proposal.
+type Outcome int
+
+// Proposal outcomes.
+const (
+	// OK: the proposal was admitted and its instance ran to completion.
+	OK Outcome = iota + 1
+	// Shed: the Node fast-rejected the proposal with ErrOverloaded — its
+	// admission bucket was empty or its queue full (the Node does not say
+	// which). The open-loop client never blocks, so either is a shed.
+	Shed
+	// Errored: the proposal was neither served nor shed — its Propose or
+	// Wait failed, or a cancelled run never issued it.
+	Errored
+)
+
+// Record is one proposal's fate: its arrival, the Node's outcome, and —
+// for served proposals — its decision latency and agreement.
+type Record struct {
+	Arrival
+	// Outcome is what the Node did with the proposal.
+	Outcome Outcome
+	// LatUS is the decision latency, Propose to Wait's return, in
+	// microseconds (0 unless OK).
+	LatUS int64
+	// Agreed reports that at least one process decided and every decider
+	// decided the same value (false unless OK).
+	Agreed bool
+}
+
+// Result is one executed workload: its spec and every proposal's record,
+// in arrival order.
+type Result struct {
+	Spec    Spec
+	Records []Record
+}
+
 // ClassStats aggregates one class's (or the whole run's) records.
 type ClassStats struct {
 	// Name is the class name ("all" for the run-level row); Weight its
@@ -14,13 +51,11 @@ type ClassStats struct {
 	Name   string
 	Weight int
 	// Ops counts the class's arrivals; Done the proposals served to
-	// completion; ShedAdmission/ShedQueue/Errored the other outcomes.
-	Ops, Done, ShedAdmission, ShedQueue, Errored int
+	// completion; Shed/Errored the other outcomes.
+	Ops, Done, Shed, Errored int
 	// P50US/P95US/P99US are nearest-rank decision-latency percentiles over
 	// the served proposals, in microseconds (0 when nothing was served).
 	P50US, P95US, P99US int64
-	// MeanWaitUS is the mean queue wait of served proposals.
-	MeanWaitUS int64
 	// Throughput is served proposals per second over the run's makespan.
 	Throughput float64
 	// AgreedPct is the percentage of served instances whose deciders all
@@ -33,18 +68,17 @@ func (c *ClassStats) shedPct() float64 {
 	if c.Ops == 0 {
 		return 0
 	}
-	return 100 * float64(c.ShedAdmission+c.ShedQueue) / float64(c.Ops)
+	return 100 * float64(c.Shed) / float64(c.Ops)
 }
 
 // Report is the SLO summary of one workload Result: run-level totals, one
 // row per class, and the weight-normalized fairness index.
 type Report struct {
-	Mode  Mode
 	Total ClassStats
 	// PerClass has one entry per Spec.Classes, in spec order.
 	PerClass []ClassStats
-	// MakespanUS is the virtual (or measured) instant the last served
-	// proposal completed.
+	// MakespanUS is the measured instant the last served proposal
+	// completed.
 	MakespanUS int64
 	// Fairness is Jain's fairness index over the classes'
 	// weight-normalized completion counts: 1 means every class got
@@ -55,7 +89,7 @@ type Report struct {
 
 // Report aggregates the result's records into the SLO summary.
 func (r *Result) Report() *Report {
-	rep := &Report{Mode: r.Mode}
+	rep := &Report{}
 	rep.PerClass = make([]ClassStats, len(r.Spec.Classes))
 	for i := range r.Spec.Classes {
 		rep.PerClass[i].Name = r.Spec.Classes[i].Name
@@ -73,7 +107,6 @@ func (r *Result) Report() *Report {
 	lats := make([]int64, 0, len(r.Records))
 	fill := func(cs *ClassStats, match func(*Record) bool) {
 		lats = lats[:0]
-		var waitSum int64
 		agreed := 0
 		for i := range r.Records {
 			rec := &r.Records[i]
@@ -85,14 +118,11 @@ func (r *Result) Report() *Report {
 			case OK:
 				cs.Done++
 				lats = append(lats, rec.LatUS)
-				waitSum += rec.WaitUS
 				if rec.Agreed {
 					agreed++
 				}
-			case ShedAdmission:
-				cs.ShedAdmission++
-			case ShedQueue:
-				cs.ShedQueue++
+			case Shed:
+				cs.Shed++
 			case Errored:
 				cs.Errored++
 			}
@@ -101,7 +131,6 @@ func (r *Result) Report() *Report {
 			cs.P50US = percentileUS(lats, 50)
 			cs.P95US = percentileUS(lats, 95)
 			cs.P99US = percentileUS(lats, 99)
-			cs.MeanWaitUS = waitSum / int64(cs.Done)
 			cs.AgreedPct = 100 * agreed / cs.Done
 			if rep.MakespanUS > 0 {
 				cs.Throughput = float64(cs.Done) / (float64(rep.MakespanUS) / 1e6)
@@ -157,11 +186,10 @@ func percentileUS(xs []int64, p int) int64 {
 // ms renders a microsecond quantity as fixed-precision milliseconds.
 func ms(us int64) string { return fmt.Sprintf("%.2f", float64(us)/1000) }
 
-// Render writes the report as a fixed-width table: a pure function of the
-// report, byte-identical at any parallelism for a fixed spec (virtual
-// mode).
+// Render writes the report as a fixed-width table, a pure function of the
+// report.
 func (rep *Report) Render(w io.Writer) error {
-	header := []string{"class", "weight", "ops", "ok", "shed%", "thr/s", "p50ms", "p95ms", "p99ms", "wait-ms", "agree%"}
+	header := []string{"class", "weight", "ops", "ok", "shed%", "thr/s", "p50ms", "p95ms", "p99ms", "agree%"}
 	row := func(cs *ClassStats) []string {
 		weight := "-"
 		if cs.Weight > 0 {
@@ -170,7 +198,7 @@ func (rep *Report) Render(w io.Writer) error {
 		return []string{
 			cs.Name, weight, fmt.Sprint(cs.Ops), fmt.Sprint(cs.Done),
 			fmt.Sprintf("%.1f", cs.shedPct()), fmt.Sprintf("%.1f", cs.Throughput),
-			ms(cs.P50US), ms(cs.P95US), ms(cs.P99US), ms(cs.MeanWaitUS),
+			ms(cs.P50US), ms(cs.P95US), ms(cs.P99US),
 			fmt.Sprintf("%d", cs.AgreedPct),
 		}
 	}
@@ -211,7 +239,7 @@ func (rep *Report) Render(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "(mode=%s, makespan %.2fs, fairness %.3f — Jain's index over weight-normalized completions)\n",
-		rep.Mode, float64(rep.MakespanUS)/1e6, rep.Fairness)
+	_, err := fmt.Fprintf(w, "(makespan %.2fs, fairness %.3f — Jain's index over weight-normalized completions)\n",
+		float64(rep.MakespanUS)/1e6, rep.Fairness)
 	return err
 }

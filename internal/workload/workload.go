@@ -1,23 +1,15 @@
-// Package workload is the open-loop workload plane: it generates seeded
-// traffic against the consensus service and reports what sustained load
-// feels like — tail latency percentiles, throughput, shed rate and
-// per-class fairness — the axis the closed T1–T10/S1/X2 grids never
-// touch.
+// Package workload is the open-loop workload plane's generator and
+// report: it draws seeded traffic for the consensus service and
+// summarizes what sustained load felt like — tail latency percentiles,
+// throughput, shed rate and per-class fairness — the axis the closed
+// T1–T10/S1/X2 grids never touch.
 //
-// The package itself is fully deterministic (it is on detlint's
-// determinism list): arrivals are drawn from a seeded inter-arrival
-// process (Poisson, Gamma or Weibull), every proposal's consensus run
-// executes on the deterministic simulator via sim.RunBatch, and the
-// service plane — k servers, a bounded FIFO backlog, an optional
-// token-bucket admission controller — is modelled in virtual time, so a
-// whole workload run is a pure function of its Spec and byte-identical
-// at any parallelism. Wall-clock driving of a live Node lives in the
-// root package (RunWorkload), which reuses this package's generator and
-// report so the virtual and live planes measure the same way.
-//
-// Every run records a canonical Trace (Encode/Parse are a fixed point,
-// like env.Scenario and explore.Trace) that Replay re-executes
-// deterministically.
+// Arrivals come from a seeded inter-arrival process (Poisson, Gamma or
+// Weibull) and a weighted class mix, so a Spec fixes the whole schedule
+// and every proposal's adversary seed; the package is on detlint's
+// determinism list. Driving a real Node with that schedule is the root
+// package's RunWorkload, which records one Record per arrival and renders
+// them through Result.Report.
 package workload
 
 import (
@@ -47,35 +39,6 @@ const (
 	Weibull
 )
 
-// String implements fmt.Stringer (canonical lower-case form, the inverse
-// of ParseArrivalKind).
-func (k ArrivalKind) String() string {
-	switch k {
-	case Poisson:
-		return "poisson"
-	case Gamma:
-		return "gamma"
-	case Weibull:
-		return "weibull"
-	default:
-		return fmt.Sprintf("arrival(%d)", int(k))
-	}
-}
-
-// ParseArrivalKind is String's inverse.
-func ParseArrivalKind(name string) (ArrivalKind, error) {
-	switch name {
-	case "poisson":
-		return Poisson, nil
-	case "gamma":
-		return Gamma, nil
-	case "weibull":
-		return Weibull, nil
-	default:
-		return 0, fmt.Errorf("workload: unknown arrival process %q (want poisson, gamma or weibull)", name)
-	}
-}
-
 // Alg selects the consensus algorithm a class runs.
 type Alg int
 
@@ -87,37 +50,12 @@ const (
 	ESS
 )
 
-// String implements fmt.Stringer (canonical lower-case form).
-func (a Alg) String() string {
-	switch a {
-	case ES:
-		return "es"
-	case ESS:
-		return "ess"
-	default:
-		return fmt.Sprintf("alg(%d)", int(a))
-	}
-}
-
-// ParseAlg is String's inverse.
-func ParseAlg(name string) (Alg, error) {
-	switch name {
-	case "es":
-		return ES, nil
-	case "ess":
-		return ESS, nil
-	default:
-		return 0, fmt.Errorf("workload: unknown algorithm %q (want es or ess)", name)
-	}
-}
-
 // Class is one client population of the mix: every generated proposal
 // belongs to exactly one class, drawn with probability proportional to
 // Weight, and runs that class's consensus configuration.
 type Class struct {
-	// Name labels the class in traces and reports. It must be non-empty
-	// and contain no whitespace (it is a token of the canonical trace
-	// form).
+	// Name labels the class in reports. It must be non-empty and contain
+	// no whitespace (it is a cell of the report's fixed-width table).
 	Name string
 	// Weight is the class's relative share of the traffic (≥ 1).
 	Weight int
@@ -177,10 +115,9 @@ func (c *Class) validate(i int) error {
 	return nil
 }
 
-// Spec describes one open-loop workload: the arrival process, the client
-// mix, and the virtual service plane the arrivals queue into. The zero
-// value of optional knobs selects a default; Seed, Ops, Rate and Classes
-// are required.
+// Spec describes one open-loop workload: the arrival process and the
+// client mix. The zero value of optional knobs selects a default; Seed,
+// Ops, Rate and Classes are required.
 type Spec struct {
 	// Seed fixes everything: the arrival draws, the class mix draws, and
 	// every instance's adversary seed derive from it.
@@ -196,36 +133,10 @@ type Spec struct {
 	Shape float64
 	// Classes is the client mix (at least one).
 	Classes []Class
-
-	// Servers is the number of concurrent servers of the virtual service
-	// plane (the analogue of WithMaxInFlight); defaults to 1.
-	Servers int
-	// QueueDepth bounds the virtual backlog (the analogue of
-	// WithQueueDepth); defaults to 64. The open-loop client never blocks:
-	// an arrival that finds the backlog full is shed.
-	QueueDepth int
-	// AdmitRate/AdmitBurst put a virtual-time token bucket in front of the
-	// backlog (the analogue of WithAdmission fast-reject); AdmitRate 0
-	// disables admission control.
-	AdmitRate  float64
-	AdmitBurst int
-	// RoundUS is the virtual cost of one simulated consensus round in
-	// microseconds — the service-time model is rounds × RoundUS. Defaults
-	// to 5000 (the live plane's 5ms default round interval).
-	RoundUS int64
-
-	// Parallelism bounds the sim.RunBatch worker pool the per-proposal
-	// consensus runs fan across; 0 = GOMAXPROCS. The report and trace are
-	// byte-identical at any setting.
-	Parallelism int
 }
 
-// Defaults applied by normalize.
-const (
-	defaultShape      = 2.0
-	defaultQueueDepth = 64
-	defaultRoundUS    = 5000
-)
+// defaultShape is the Gamma/Weibull shape normalize applies.
+const defaultShape = 2.0
 
 // normalize returns a copy of s with defaults resolved.
 func (s Spec) normalize() Spec {
@@ -234,15 +145,6 @@ func (s Spec) normalize() Spec {
 	}
 	if s.Shape == 0 {
 		s.Shape = defaultShape
-	}
-	if s.Servers == 0 {
-		s.Servers = 1
-	}
-	if s.QueueDepth == 0 {
-		s.QueueDepth = defaultQueueDepth
-	}
-	if s.RoundUS == 0 {
-		s.RoundUS = defaultRoundUS
 	}
 	return s
 }
@@ -281,32 +183,14 @@ func (s *Spec) Validate() error {
 		}
 		names[s.Classes[i].Name] = true
 	}
-	if s.Servers < 0 {
-		return fmt.Errorf("workload: negative servers %d", s.Servers)
-	}
-	if s.QueueDepth < 0 {
-		return fmt.Errorf("workload: negative queue depth %d", s.QueueDepth)
-	}
-	if s.AdmitRate < 0 || math.IsInf(s.AdmitRate, 0) || math.IsNaN(s.AdmitRate) {
-		return fmt.Errorf("workload: admission rate %v (must be ≥ 0 and finite)", s.AdmitRate)
-	}
-	if s.AdmitRate > 0 && s.AdmitBurst < 1 {
-		return fmt.Errorf("workload: admission burst %d (must be ≥ 1 when a rate is set)", s.AdmitBurst)
-	}
-	if s.RoundUS < 0 {
-		return fmt.Errorf("workload: negative round cost %d", s.RoundUS)
-	}
-	if s.Parallelism < 0 {
-		return fmt.Errorf("workload: negative parallelism %d", s.Parallelism)
-	}
 	return nil
 }
 
 // Arrival is one generated proposal: when it arrives, which class it
 // belongs to, and the seed its instance's adversary draws from.
 type Arrival struct {
-	// TimeUS is the arrival instant in virtual microseconds from the start
-	// of the run. Arrivals are generated in non-decreasing time order.
+	// TimeUS is the arrival instant in microseconds from the start of the
+	// run. Arrivals are generated in non-decreasing time order.
 	TimeUS int64
 	// Class indexes Spec.Classes.
 	Class int

@@ -2,17 +2,15 @@ package workload
 
 import (
 	"bytes"
-	"context"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
 	"anonconsensus/internal/env"
 )
 
-// testSpec is a small mixed workload exercising both algorithms, a faulty
-// class, admission control and queueing pressure.
+// testSpec is a small mixed workload exercising both algorithms and a
+// faulty class.
 func testSpec() Spec {
 	return Spec{
 		Seed:    7,
@@ -24,20 +22,7 @@ func testSpec() Spec {
 			{Name: "ess-interactive", Weight: 2, Alg: ESS, N: 3, GST: 2, StableSource: 1},
 			{Name: "es-lossy", Weight: 1, Alg: ES, N: 4, GST: 2, Scenario: &env.Scenario{LossPct: 10}},
 		},
-		Servers:    4,
-		QueueDepth: 8,
-		AdmitRate:  350,
-		AdmitBurst: 16,
 	}
-}
-
-func mustRun(t *testing.T, spec Spec) *Result {
-	t.Helper()
-	res, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 func TestGenerateDeterministicAndSeeded(t *testing.T) {
@@ -112,120 +97,6 @@ func TestGenerateRate(t *testing.T) {
 	}
 }
 
-// TestRunByteIdenticalAcrossParallelism is the workload plane's
-// determinism pin: trace and rendered report are pure functions of the
-// spec at parallelism 1, 4 and NumCPU.
-func TestRunByteIdenticalAcrossParallelism(t *testing.T) {
-	render := func(par int) (string, string) {
-		spec := testSpec()
-		spec.Parallelism = par
-		res := mustRun(t, spec)
-		var buf bytes.Buffer
-		if err := res.Report().Render(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res.EncodeTrace(), buf.String()
-	}
-	wantTrace, wantReport := render(1)
-	for _, par := range []int{4, runtime.NumCPU()} {
-		gotTrace, gotReport := render(par)
-		if gotTrace != wantTrace {
-			t.Errorf("trace diverged between parallelism 1 and %d", par)
-		}
-		if gotReport != wantReport {
-			t.Errorf("report diverged between parallelism 1 and %d:\n%s\nvs\n%s", par, wantReport, gotReport)
-		}
-	}
-}
-
-func TestTraceFixedPointAndReplay(t *testing.T) {
-	res := mustRun(t, testSpec())
-	enc := res.EncodeTrace()
-	parsed, err := ParseTrace(enc)
-	if err != nil {
-		t.Fatalf("ParseTrace: %v\ntrace:\n%s", err, enc)
-	}
-	if got := parsed.EncodeTrace(); got != enc {
-		t.Errorf("Encode/Parse is not a fixed point")
-	}
-	replayed, err := Replay(enc)
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if got := replayed.EncodeTrace(); got != enc {
-		t.Errorf("replay did not reproduce the trace")
-	}
-	// The workload must actually exercise the interesting paths, or the
-	// assertions above are vacuous.
-	rep := res.Report()
-	if rep.Total.Done == 0 || rep.Total.ShedAdmission+rep.Total.ShedQueue == 0 {
-		t.Fatalf("test spec produced no mix of served and shed proposals: %+v", rep.Total)
-	}
-	if rep.Total.P50US <= 0 || rep.Total.P99US < rep.Total.P95US || rep.Total.P95US < rep.Total.P50US {
-		t.Errorf("implausible percentiles: %+v", rep.Total)
-	}
-}
-
-// TestReplayRejectsTamperedTrace pins that replay cross-checks the
-// recorded outcomes against the queueing model.
-func TestReplayRejectsTamperedTrace(t *testing.T) {
-	res := mustRun(t, testSpec())
-	enc := res.EncodeTrace()
-	tampered := strings.Replace(enc, "outcome=shed-queue", "outcome=ok", 1)
-	if tampered == enc {
-		tampered = strings.Replace(enc, "outcome=shed-admit", "outcome=ok", 1)
-	}
-	if tampered == enc {
-		t.Fatal("test spec shed nothing to tamper with")
-	}
-	if _, err := Replay(tampered); err == nil {
-		t.Error("replay accepted a trace whose outcome contradicts its schedule")
-	}
-}
-
-func TestQueueModelHandComputed(t *testing.T) {
-	// One server, 10ms service, queue depth 1: the op arriving while one
-	// is in service and one waits must be shed; the waiter's wait time is
-	// the remaining service.
-	spec := Spec{Servers: 1, QueueDepth: 1, RoundUS: 1}
-	mk := func(tus, svc int64) Record {
-		return Record{Arrival: Arrival{TimeUS: tus}, SvcUS: svc}
-	}
-	recs := []Record{mk(0, 10000), mk(1000, 10000), mk(2000, 10000), mk(11000, 10000)}
-	applyQueueing(spec, recs)
-	type want struct {
-		out  Outcome
-		wait int64
-	}
-	wants := []want{{OK, 0}, {OK, 9000}, {ShedQueue, 0}, {OK, 9000}}
-	for i, w := range wants {
-		if recs[i].Outcome != w.out || recs[i].WaitUS != w.wait {
-			t.Errorf("op %d: got (%v, wait %d), want (%v, wait %d)", i, recs[i].Outcome, recs[i].WaitUS, w.out, w.wait)
-		}
-	}
-	if recs[2].Rounds != 0 || recs[2].SvcUS != 0 {
-		t.Errorf("shed op kept run-derived fields: %+v", recs[2])
-	}
-}
-
-func TestAdmissionModelHandComputed(t *testing.T) {
-	// 1 token/sec, burst 1: the second proposal 100µs later finds an
-	// empty bucket; one a full second later is admitted again.
-	spec := Spec{AdmitRate: 1, AdmitBurst: 1}
-	recs := []Record{
-		{Arrival: Arrival{TimeUS: 0}},
-		{Arrival: Arrival{TimeUS: 100}},
-		{Arrival: Arrival{TimeUS: 1_000_100}},
-	}
-	admitted := applyAdmission(spec, recs)
-	if len(admitted) != 2 || admitted[0] != 0 || admitted[1] != 2 {
-		t.Fatalf("admitted = %v, want [0 2]", admitted)
-	}
-	if recs[1].Outcome != ShedAdmission {
-		t.Errorf("op 1 outcome = %v, want shed-admit", recs[1].Outcome)
-	}
-}
-
 func TestSpecValidation(t *testing.T) {
 	base := testSpec()
 	bad := []func(*Spec){
@@ -241,9 +112,6 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) { s.Classes[0].N = 0 },
 		func(s *Spec) { s.Classes[1].Name = s.Classes[0].Name },
 		func(s *Spec) { s.Classes[1].StableSource = 99 },
-		func(s *Spec) { s.AdmitRate = 10; s.AdmitBurst = 0 },
-		func(s *Spec) { s.Parallelism = -1 },
-		func(s *Spec) { s.RoundUS = -1 },
 		func(s *Spec) { s.Classes[0].Scenario = &env.Scenario{LossPct: 300} },
 	}
 	for i, mutate := range bad {
@@ -273,48 +141,40 @@ func TestFairness(t *testing.T) {
 	}
 }
 
-func TestLiveResultTraceRoundTrip(t *testing.T) {
+// TestReportHandBuiltRecords pins the report over one record of each
+// outcome: every outcome lands in its own column, percentiles and the
+// makespan come from the served record alone, and the table renders.
+func TestReportHandBuiltRecords(t *testing.T) {
 	spec := testSpec()
 	spec.Ops = 3
-	recs := []Record{
-		{Arrival: Arrival{TimeUS: 100, Class: 0, Seed: 1}, Outcome: OK, WaitUS: 50, SvcUS: 2000, LatUS: 2050, Rounds: 5, DecidedProcs: 4, Agreed: true},
-		{Arrival: Arrival{TimeUS: 200, Class: 1, Seed: 2}, Outcome: ShedAdmission},
+	res := &Result{Spec: spec, Records: []Record{
+		{Arrival: Arrival{TimeUS: 100, Class: 0, Seed: 1}, Outcome: OK, LatUS: 2050, Agreed: true},
+		{Arrival: Arrival{TimeUS: 200, Class: 1, Seed: 2}, Outcome: Shed},
 		{Arrival: Arrival{TimeUS: 300, Class: 2, Seed: 3}, Outcome: Errored},
+	}}
+	rep := res.Report()
+	if rep.Total.Ops != 3 || rep.Total.Done != 1 || rep.Total.Shed != 1 || rep.Total.Errored != 1 {
+		t.Errorf("report totals wrong: %+v", rep.Total)
 	}
-	res := LiveResult(spec, recs)
-	enc := res.EncodeTrace()
-	back, err := Replay(enc)
-	if err != nil {
-		t.Fatalf("Replay(live trace): %v", err)
+	if rep.Total.P50US != 2050 || rep.Total.P99US != 2050 || rep.Total.AgreedPct != 100 {
+		t.Errorf("served record's latency or agreement lost: %+v", rep.Total)
 	}
-	if back.Mode != Live {
-		t.Errorf("mode = %v, want live", back.Mode)
+	if rep.MakespanUS != 2150 {
+		t.Errorf("makespan = %d µs, want 2150", rep.MakespanUS)
 	}
-	if got := back.EncodeTrace(); got != enc {
-		t.Errorf("live trace round trip diverged:\n%s\nvs\n%s", enc, got)
+	for i, want := range []ClassStats{{Done: 1}, {Shed: 1}, {Errored: 1}} {
+		got := rep.PerClass[i]
+		if got.Ops != 1 || got.Done != want.Done || got.Shed != want.Shed || got.Errored != want.Errored {
+			t.Errorf("class %d: %+v, want one op with %+v", i, got, want)
+		}
 	}
-	rep := back.Report()
-	if rep.Total.Done != 1 || rep.Total.ShedAdmission != 1 || rep.Total.Errored != 1 {
-		t.Errorf("live report totals wrong: %+v", rep.Total)
+	var buf bytes.Buffer
+	if err := rep.Render(&buf); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestParseTraceRejectsGarbage(t *testing.T) {
-	res := mustRun(t, testSpec())
-	enc := res.EncodeTrace()
-	lines := strings.Split(strings.TrimRight(enc, "\n"), "\n")
-	bad := []string{
-		"",
-		"workload v2 mode=virtual",
-		strings.Replace(enc, "ops=160", "ops=161", 1),
-		strings.Replace(enc, "mode=virtual", "mode=warp", 1),
-		strings.Replace(enc, "outcome=ok", "outcome=maybe", 1),
-		strings.Join(append(append([]string{}, lines...), "op not-key-value"), "\n") + "\n",
-		strings.Replace(enc, "class=0", "class=99", 1),
-	}
-	for i, text := range bad {
-		if _, err := ParseTrace(text); err == nil {
-			t.Errorf("garbage trace %d accepted", i)
+	for _, col := range []string{"class", "shed%", "p99ms", "agree%", "es-lossy", "fairness"} {
+		if !strings.Contains(buf.String(), col) {
+			t.Errorf("report missing %q:\n%s", col, buf.String())
 		}
 	}
 }

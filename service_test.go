@@ -330,9 +330,8 @@ func TestEventDropCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	// Each instance emits ≥ 3 events (started, ≥1 decision, done) but the
-	// pump drains 128 into the channel buffer; overflow the 1024-slot
-	// backlog with margin.
+	// Each instance emits ≥ 3 events (started, ≥1 decision, done) into the
+	// one maxBufferedEvents-slot feed channel; overflow it with margin.
 	const instances = 600
 	for i := 0; i < instances; i++ {
 		id := fmt.Sprintf("i%d", i)

@@ -24,16 +24,16 @@ func countInstanceEvents(res *Result) int64 {
 
 // TestEventAccountingThroughClose pins the full event conservation law:
 // after Close and a complete drain of Decisions(), every event ever
-// emitted was either delivered or counted in EventsDropped. Before the
-// fix, the pump's shutdown paths discarded events without counting them,
-// so emitted > delivered + dropped.
+// emitted was either delivered or counted in EventsDropped: emit's
+// drop-oldest path and a send after the feed ended both count what they
+// discard.
 func TestEventAccountingThroughClose(t *testing.T) {
 	node, err := NewNode(NewSimTransport(), WithEnv(EnvES), WithGST(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No consumer while the instances run: the 128-slot channel and
-	// 1024-slot backlog fill, then Close's drain hits the lossy paths.
+	// No consumer while the instances run: the maxBufferedEvents-slot feed
+	// channel fills and emit drops the oldest events.
 	var emitted int64
 	const instances = 500
 	for i := 0; i < instances; i++ {
@@ -169,7 +169,7 @@ func TestEnqueueAbortCountedRejected(t *testing.T) {
 //   - event conservation: emitted == delivered + EventsDropped.
 //
 // Run under -race this also shakes out data races between Propose,
-// Wait, Stats, the workers and the event pump.
+// Wait, Stats, the workers and the event feed.
 func TestStatsInvariantsStress(t *testing.T) {
 	node, err := NewNode(NewSimTransport(), WithEnv(EnvES), WithGST(0),
 		WithMaxInFlight(4), WithQueueDepth(4), WithAdmission(1e6, 1e6))

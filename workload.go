@@ -32,8 +32,7 @@ const (
 // proposal belongs to exactly one class, drawn with probability
 // proportional to Weight, and runs that class's consensus configuration.
 type WorkloadClass struct {
-	// Name labels the class in traces and reports (non-empty,
-	// [A-Za-z0-9_-] only).
+	// Name labels the class in reports (non-empty, [A-Za-z0-9_-] only).
 	Name string
 	// Weight is the class's relative share of the traffic (≥ 1).
 	Weight int
@@ -54,10 +53,10 @@ type WorkloadClass struct {
 	MaxRounds int
 }
 
-// WorkloadSpec describes one open-loop workload: the arrival process, the
-// client mix, and — for SimulateWorkload — the virtual service plane the
-// arrivals queue into. Seed, Ops, Rate and Classes are required; the zero
-// value of every other knob selects a default.
+// WorkloadSpec describes one open-loop workload: the arrival process and
+// the client mix. Seed, Ops, Rate and Classes are required; the zero value
+// of every other knob selects a default. The Node the workload drives
+// brings its own pool, queue and admission configuration.
 type WorkloadSpec struct {
 	// Seed fixes everything the generator draws: arrival times, class
 	// picks, and every instance's adversary seed.
@@ -75,34 +74,11 @@ type WorkloadSpec struct {
 	Shape   float64
 	// Classes is the client mix (at least one).
 	Classes []WorkloadClass
-
-	// Servers, QueueDepth, AdmitRate and AdmitBurst describe the virtual
-	// service plane SimulateWorkload queues arrivals into — the analogues
-	// of WithMaxInFlight, WithQueueDepth and WithAdmission. RunWorkload
-	// ignores them: a live Node brings its own configuration.
-	Servers    int
-	QueueDepth int
-	AdmitRate  float64
-	AdmitBurst int
-	// RoundMicros is the virtual cost of one simulated consensus round in
-	// microseconds (default 5000, the live plane's default round
-	// interval). SimulateWorkload only.
-	RoundMicros int64
-	// Parallelism bounds the worker pool SimulateWorkload fans the
-	// per-proposal simulator runs across (0 = GOMAXPROCS). It trades
-	// wall-clock for cores, never output: results are byte-identical at
-	// any setting.
-	Parallelism int
 }
 
 // internal converts the public spec to the workload plane's form.
 func (s WorkloadSpec) internal() (workload.Spec, error) {
-	out := workload.Spec{
-		Seed: s.Seed, Ops: s.Ops, Rate: s.Rate, Shape: s.Shape,
-		Servers: s.Servers, QueueDepth: s.QueueDepth,
-		AdmitRate: s.AdmitRate, AdmitBurst: s.AdmitBurst,
-		RoundUS: s.RoundMicros, Parallelism: s.Parallelism,
-	}
+	out := workload.Spec{Seed: s.Seed, Ops: s.Ops, Rate: s.Rate, Shape: s.Shape}
 	switch s.Arrival {
 	case 0:
 	case PoissonArrivals:
@@ -135,34 +111,28 @@ func (s WorkloadSpec) internal() (workload.Spec, error) {
 	return out, nil
 }
 
-// WorkloadResult is one executed (or replayed) workload: every proposal's
-// admission outcome and decision latency, with the report and the
-// canonical replayable trace derived from it.
+// WorkloadResult is one executed workload: every proposal's outcome and
+// decision latency, with the report derived from them.
 type WorkloadResult struct {
 	inner *workload.Result
 }
 
-// EncodeTrace renders the result in the canonical trace form — one header
-// line, one line per class, one line per proposal. The form is a fixed
-// point of encode/parse, and ReplayWorkload re-executes it
-// deterministically.
-func (r *WorkloadResult) EncodeTrace() string { return r.inner.EncodeTrace() }
-
 // WriteReport renders the SLO table: per-class and total p50/p95/p99
-// decision latency, throughput, shed rate, and Jain's fairness index over
-// weight-normalized completions.
+// decision latency, throughput, shed rate, agreement, and Jain's fairness
+// index over weight-normalized completions.
 func (r *WorkloadResult) WriteReport(w io.Writer) error { return r.inner.Report().Render(w) }
 
 // WorkloadSummary is the run-level slice of the report, for callers that
 // want numbers rather than a rendered table.
 type WorkloadSummary struct {
 	// Ops counts all generated proposals; Done the ones served to
-	// completion; Shed the ones turned away (admission bucket or full
-	// queue); Errored the accepted ones whose run failed.
+	// completion; Shed the ones the node turned away with ErrOverloaded
+	// (admission bucket or full queue); Errored the rest, whose Propose or
+	// Wait failed.
 	Ops, Done, Shed, Errored int
 	// P50, P95, P99 are decision-latency percentiles over the served
-	// proposals; MeanWait the mean time served proposals spent queued.
-	P50, P95, P99, MeanWait time.Duration
+	// proposals.
+	P50, P95, P99 time.Duration
 	// Throughput is served proposals per second over the makespan.
 	Throughput float64
 	// ShedPct is the percentage of proposals shed.
@@ -178,69 +148,32 @@ type WorkloadSummary struct {
 func (r *WorkloadResult) Summary() WorkloadSummary {
 	rep := r.inner.Report()
 	tot := rep.Total
-	return WorkloadSummary{
-		Ops: tot.Ops, Done: tot.Done,
-		Shed:       tot.ShedAdmission + tot.ShedQueue,
-		Errored:    tot.Errored,
+	sum := WorkloadSummary{
+		Ops: tot.Ops, Done: tot.Done, Shed: tot.Shed, Errored: tot.Errored,
 		P50:        time.Duration(tot.P50US) * time.Microsecond,
 		P95:        time.Duration(tot.P95US) * time.Microsecond,
 		P99:        time.Duration(tot.P99US) * time.Microsecond,
-		MeanWait:   time.Duration(tot.MeanWaitUS) * time.Microsecond,
 		Throughput: tot.Throughput,
-		ShedPct: func() float64 {
-			if tot.Ops == 0 {
-				return 0
-			}
-			return 100 * float64(tot.ShedAdmission+tot.ShedQueue) / float64(tot.Ops)
-		}(),
-		Fairness: rep.Fairness,
-		Makespan: time.Duration(rep.MakespanUS) * time.Microsecond,
+		Fairness:   rep.Fairness,
+		Makespan:   time.Duration(rep.MakespanUS) * time.Microsecond,
 	}
-}
-
-// SimulateWorkload executes the workload on the deterministic virtual
-// plane: seeded arrivals, every proposal's consensus instance run on the
-// simulator, and the service plane (Servers, QueueDepth, admission)
-// modelled in virtual time. The result — trace and report — is a pure
-// function of the spec, byte-identical at any Parallelism.
-func SimulateWorkload(ctx context.Context, spec WorkloadSpec) (*WorkloadResult, error) {
-	ispec, err := spec.internal()
-	if err != nil {
-		return nil, err
+	if tot.Ops > 0 {
+		sum.ShedPct = 100 * float64(tot.Shed) / float64(tot.Ops)
 	}
-	res, err := workload.Run(ctx, ispec)
-	if err != nil {
-		return nil, err
-	}
-	return &WorkloadResult{inner: res}, nil
-}
-
-// ReplayWorkload re-executes a canonical trace. A virtual-mode trace is
-// re-run through the service model and every recorded outcome verified —
-// a trace whose records contradict its own schedule is rejected. A
-// live-mode trace holds wall-clock measurements; its report is recomputed
-// from the records.
-func ReplayWorkload(trace string) (*WorkloadResult, error) {
-	res, err := workload.Replay(trace)
-	if err != nil {
-		return nil, err
-	}
-	return &WorkloadResult{inner: res}, nil
+	return sum
 }
 
 // RunWorkload drives a running Node — any backend, including the TCP-mux
 // service — with the spec's open-loop traffic and measures real decision
-// latencies. The arrival schedule and per-proposal seeds are the same
-// ones SimulateWorkload uses (the generator is deterministic), but the
-// measurements are wall-clock, so the resulting live-mode trace records
-// what actually happened rather than a replayable model.
+// latencies. The arrival schedule and per-proposal seeds are a pure
+// function of the spec; the measurements are wall-clock.
 //
 // Each arrival is proposed at its scheduled instant regardless of how the
 // node is coping (open loop); a Propose shed with ErrOverloaded is
-// recorded as shed-admit (the node does not report which stage — bucket
-// or queue — shed it), any other failure as err. If ctx is cancelled the
-// remaining unissued proposals are recorded as err and the partial result
-// returned.
+// recorded as shed (the node does not report which stage — bucket or
+// queue — shed it), any other failure as errored. If ctx is cancelled the
+// remaining unissued proposals are recorded as errored and the partial
+// result returned.
 func RunWorkload(ctx context.Context, node *Node, spec WorkloadSpec) (*WorkloadResult, error) {
 	if node == nil {
 		return nil, fmt.Errorf("anonconsensus: RunWorkload: nil node")
@@ -256,7 +189,8 @@ func RunWorkload(ctx context.Context, node *Node, spec WorkloadSpec) (*WorkloadR
 	if err != nil {
 		return nil, err
 	}
-	records := make([]workload.Record, len(arrivals))
+	res := &WorkloadResult{inner: &workload.Result{Spec: ispec, Records: make([]workload.Record, len(arrivals))}}
+	records := res.inner.Records
 	for i, a := range arrivals {
 		records[i].Arrival = a
 	}
@@ -272,7 +206,7 @@ func RunWorkload(ctx context.Context, node *Node, spec WorkloadSpec) (*WorkloadR
 					records[j].Outcome = workload.Errored
 				}
 				wg.Wait()
-				return &WorkloadResult{inner: workload.LiveResult(ispec, records)}, nil
+				return res, nil
 			case <-t.C:
 			}
 		}
@@ -283,7 +217,7 @@ func RunWorkload(ctx context.Context, node *Node, spec WorkloadSpec) (*WorkloadR
 		}(i)
 	}
 	wg.Wait()
-	return &WorkloadResult{inner: workload.LiveResult(ispec, records)}, nil
+	return res, nil
 }
 
 // runLiveOp proposes one arrival to the node, waits for its outcome, and
@@ -310,7 +244,7 @@ func runLiveOp(ctx context.Context, node *Node, c *workload.Class, rec *workload
 	begin := time.Now()
 	if err := node.Propose(ctx, id, proposals, opts...); err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			rec.Outcome = workload.ShedAdmission
+			rec.Outcome = workload.Shed
 		} else {
 			rec.Outcome = workload.Errored
 		}
@@ -327,25 +261,19 @@ func runLiveOp(ctx context.Context, node *Node, c *workload.Class, rec *workload
 		return
 	}
 	rec.Outcome = workload.OK
-	// Wall-clock measurement cannot split queue wait from service; the
-	// whole decision latency is recorded as service time.
-	rec.SvcUS, rec.LatUS = lat, lat
-	rec.Rounds = res.Rounds
+	rec.LatUS = lat
 	var agreedVal Value
-	agreed := true
+	agreed, decided := true, 0
 	for _, d := range res.Decisions {
 		if !d.Decided {
 			continue
 		}
-		if rec.DecidedProcs == 0 {
+		if decided == 0 {
 			agreedVal = d.Value
 		} else if d.Value != agreedVal {
 			agreed = false
 		}
-		rec.DecidedProcs++
-		if d.Round > rec.Rounds {
-			rec.Rounds = d.Round
-		}
+		decided++
 	}
-	rec.Agreed = agreed && rec.DecidedProcs > 0
+	rec.Agreed = agreed && decided > 0
 }

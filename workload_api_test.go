@@ -17,45 +17,58 @@ func apiWorkloadSpec() WorkloadSpec {
 			{Name: "bulk", Weight: 3, Env: EnvES, N: 4, GST: 2},
 			{Name: "interactive", Weight: 1, Env: EnvESS, N: 3, GST: 2, StableSource: 0},
 		},
-		Servers:    4,
-		QueueDepth: 8,
-		AdmitRate:  400,
-		AdmitBurst: 8,
 	}
 }
 
-// TestSimulateWorkloadDeterministicAndReplayable pins the public virtual
-// plane: identical specs produce byte-identical traces and reports, and
-// the trace replays through the public API.
-func TestSimulateWorkloadDeterministicAndReplayable(t *testing.T) {
-	a, err := SimulateWorkload(context.Background(), apiWorkloadSpec())
+// runAgainstNode drives a real Node (sim backend service) open-loop with
+// the API spec at 4000 ops/s.
+func runAgainstNode(t *testing.T, ops int) (*WorkloadResult, NodeStats) {
+	t.Helper()
+	node, err := NewNode(NewSimTransport(), WithMaxInFlight(4), WithQueueDepth(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateWorkload(context.Background(), apiWorkloadSpec())
+	defer node.Close()
+	spec := apiWorkloadSpec()
+	spec.Ops = ops
+	spec.Rate = 4000
+	res, err := RunWorkload(context.Background(), node, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.EncodeTrace() != b.EncodeTrace() {
-		t.Fatal("identical specs produced different traces")
+	return res, node.Stats()
+}
+
+// TestRunWorkloadAgainstNode checks that every proposal is recorded and
+// the node admitted exactly the served ones.
+func TestRunWorkloadAgainstNode(t *testing.T) {
+	res, stats := runAgainstNode(t, 40)
+	sum := res.Summary()
+	if sum.Ops != 40 || sum.Done == 0 {
+		t.Fatalf("live run served nothing: %+v", sum)
 	}
-	replayed, err := ReplayWorkload(a.EncodeTrace())
-	if err != nil {
-		t.Fatal(err)
+	if sum.Errored > 0 {
+		t.Fatalf("unexpected errored proposals: %+v", sum)
 	}
-	if replayed.EncodeTrace() != a.EncodeTrace() {
-		t.Fatal("replay did not reproduce the trace")
+	if stats.Admitted != int64(sum.Done) {
+		t.Fatalf("node admitted %d, workload served %d", stats.Admitted, sum.Done)
 	}
+}
+
+// TestRunWorkloadReportAndSummary checks a real-Node run's report
+// columns, a summary that partitions the ops, and ordered percentiles.
+func TestRunWorkloadReportAndSummary(t *testing.T) {
+	res, _ := runAgainstNode(t, 80)
 	var buf bytes.Buffer
-	if err := a.WriteReport(&buf); err != nil {
+	if err := res.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range []string{"class", "p50ms", "p99ms", "fairness"} {
+	for _, col := range []string{"class", "p50ms", "p99ms", "agree%", "fairness"} {
 		if !strings.Contains(buf.String(), col) {
 			t.Errorf("report missing %q:\n%s", col, buf.String())
 		}
 	}
-	sum := a.Summary()
+	sum := res.Summary()
 	if sum.Ops != 80 || sum.Done == 0 || sum.Done+sum.Shed+sum.Errored != sum.Ops {
 		t.Fatalf("summary does not partition the ops: %+v", sum)
 	}
@@ -64,49 +77,8 @@ func TestSimulateWorkloadDeterministicAndReplayable(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadAgainstNode drives a real Node (sim backend service)
-// open-loop and checks the live-mode result: every proposal recorded,
-// measured latencies, and a trace that parses and replays as identity.
-func TestRunWorkloadAgainstNode(t *testing.T) {
-	node, err := NewNode(NewSimTransport(), WithMaxInFlight(4), WithQueueDepth(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	spec := apiWorkloadSpec()
-	spec.Ops = 40
-	spec.Rate = 4000 // ~10ms of schedule
-	res, err := RunWorkload(context.Background(), node, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := res.Summary()
-	if sum.Ops != 40 || sum.Done == 0 {
-		t.Fatalf("live run served nothing: %+v", sum)
-	}
-	if sum.Errored > 0 {
-		t.Fatalf("unexpected errored proposals: %+v", sum)
-	}
-	trace := res.EncodeTrace()
-	if !strings.Contains(trace, "mode=live") {
-		t.Fatalf("live trace mis-labelled:\n%s", strings.SplitN(trace, "\n", 2)[0])
-	}
-	back, err := ReplayWorkload(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.EncodeTrace() != trace {
-		t.Fatal("live trace did not round-trip")
-	}
-	// The same spec's virtual arrivals and the live run's arrivals are the
-	// same schedule: op lines agree on t/class/seed.
-	if s := node.Stats(); s.Admitted != int64(sum.Done) {
-		t.Fatalf("node admitted %d, workload served %d", s.Admitted, sum.Done)
-	}
-}
-
 // TestRunWorkloadShedsUnderAdmission pins the live shed path: a node with
-// a starved token bucket records shed-admit outcomes, not errors.
+// a starved token bucket records shed outcomes, not errors.
 func TestRunWorkloadShedsUnderAdmission(t *testing.T) {
 	node, err := NewNode(NewSimTransport(), WithMaxInFlight(2), WithAdmission(1.0/3600, 5))
 	if err != nil {
@@ -162,25 +134,27 @@ func TestRunWorkloadCancellation(t *testing.T) {
 
 // TestWorkloadSpecConversionErrors pins the public validation surface.
 func TestWorkloadSpecConversionErrors(t *testing.T) {
+	node, err := NewNode(NewSimTransport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
 	spec := apiWorkloadSpec()
 	spec.Arrival = ArrivalProcess(42)
-	if _, err := SimulateWorkload(context.Background(), spec); err == nil {
+	if _, err := RunWorkload(context.Background(), node, spec); err == nil {
 		t.Error("unknown arrival process accepted")
 	}
 	spec = apiWorkloadSpec()
 	spec.Classes[0].Env = Environment(9)
-	if _, err := SimulateWorkload(context.Background(), spec); err == nil {
+	if _, err := RunWorkload(context.Background(), node, spec); err == nil {
 		t.Error("unknown class environment accepted")
 	}
 	spec = apiWorkloadSpec()
 	spec.Ops = 0
-	if _, err := SimulateWorkload(context.Background(), spec); err == nil {
+	if _, err := RunWorkload(context.Background(), node, spec); err == nil {
 		t.Error("zero ops accepted")
 	}
 	if _, err := RunWorkload(context.Background(), nil, apiWorkloadSpec()); err == nil {
 		t.Error("nil node accepted")
-	}
-	if _, err := ReplayWorkload("not a trace"); err == nil {
-		t.Error("garbage trace accepted")
 	}
 }
