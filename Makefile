@@ -123,11 +123,14 @@ chaos-smoke:
 # (token bucket + queue overflow shed as ErrOverloaded), the TCP
 # multiplexing acceptance tests (many epochs over one hub and one
 # connection per process, epoch-scoped retirement and replay, reconnect
-# resumption), and the sustained-load scaling assertion — a k=8 pool must
-# beat the sequential session at least 2× on the timer-bound live
-# backend, which holds on any core count.
+# resumption, and where the join grace applies: a leased epoch runs round
+# 0 on its first beat, a DialMux-registered one sits out its grace), the
+# JoinTCP joiners (the one public path that keeps a join grace), and the
+# sustained-load scaling assertion — a k=8 pool must beat the sequential
+# session at least 2× on the timer-bound live backend, which holds on any
+# core count.
 mux-smoke:
-	$(GO) test -race -count=1 -run 'TestNodeStress|TestNodePool|TestNodeCloseMidFlight|TestSimPoolDeterminism|TestAdmission|TestEventDrop|TestTCPMux|TestServiceThroughputScales' .
+	$(GO) test -race -count=1 -run 'TestNodeStress|TestNodePool|TestNodeCloseMidFlight|TestSimPoolDeterminism|TestAdmission|TestEventDrop|TestTCPMux|TestJoinTCP|TestServiceThroughputScales' .
 	$(GO) test -race -short -count=1 -run 'TestMux|TestRetireEpoch|TestEpoch' ./internal/tcpnet ./internal/wire
 
 # load-smoke is the open-loop workload plane's quick pass, run by CI on

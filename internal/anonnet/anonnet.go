@@ -190,8 +190,9 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 }
 
 // runProcess drives one process on the shared round loop (package
-// rounddriver). There is no join grace here: every process starts inside
-// Run, so nobody attaches late.
+// rounddriver) with no join grace, for the reason a leased TCP epoch has
+// none: every process of the instance starts inside Run, so nobody
+// attaches late (rounddriver.Config.GraceBeats).
 func (nw *network) runProcess(id int) rounddriver.Outcome {
 	aut := nw.cfg.Automaton(id)
 	crashAfter, _ := nw.cfg.Scenario.CrashRound(id) // 0 = never (rounds are ≥ 1)

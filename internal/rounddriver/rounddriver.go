@@ -6,10 +6,10 @@
 // runs the loop the same way, so its policy — join grace, crash schedule,
 // round pacing, the detached rule — lives here exactly once.
 //
-// The package reads no clock and starts no goroutine: beats, envelopes,
-// grace expiry and session loss reach it on channels and funcs the caller
-// supplies, and the core is a step machine (driver) that the package's
-// tests drive on scripted schedules.
+// The package reads no clock and starts no goroutine: beats, envelopes and
+// session loss reach it on channels and funcs the caller supplies, the join
+// grace is a count of beats, and the core is a step machine (driver) that
+// the package's tests drive on scripted schedules.
 package rounddriver
 
 import (
@@ -47,12 +47,15 @@ type Config struct {
 	Beat <-chan time.Time
 	// Inbox delivers resolved, full-form envelopes from peers.
 	Inbox <-chan giraf.Envelope
-	// Grace, when non-nil, holds round 1 back until it fires, so replayed
-	// and early traffic is consumed first. With unknown participation a
-	// process cannot tell "I am alone" from "my peers' messages are still
-	// in flight"; the grace period is the pragmatic stand-in for the
-	// model's premise that all of Π is present from round 1.
-	Grace <-chan time.Time
+	// GraceBeats is the join grace: the first GraceBeats beats execute
+	// nothing, whatever arrives, so a process that may be joining an
+	// instance already under way consumes the replayed and early traffic
+	// before round 0 (Initialize). With unknown participation it cannot
+	// tell "I am alone" from "my peers' messages are still in flight"; the
+	// grace is the pragmatic stand-in for the model's premise that all of Π
+	// is present from round 1. Zero, for a process whose peers all start
+	// with it, runs round 0 on the first beat.
+	GraceBeats int
 	// Lost, when non-nil, closes once the session to the broadcast
 	// primitive is gone for good; Run then returns with Outcome.Lost set.
 	Lost <-chan struct{}
@@ -79,20 +82,21 @@ type Outcome struct {
 	Lost bool
 }
 
-// driver is the step machine under Run: receive, graceOver and beat are
-// the loop's three events.
+// driver is the step machine under Run: receive and beat are the loop's
+// two events.
 type driver struct {
-	cfg     Config
-	proc    *giraf.Proc
-	started bool
+	cfg  Config
+	proc *giraf.Proc
+	// grace is the join-grace beats still to sit out.
+	grace int
 	// need is the gate's threshold, inbound the envelopes received since
 	// the last executed round, quiet the consecutive beats the gate held.
 	need, inbound, quiet int
 	out                  Outcome
 }
 
-// newDriver returns a driver at round 0. Without a Grace channel it is
-// started; with one, beats execute nothing until graceOver.
+// newDriver returns a driver at round 0 whose first cfg.GraceBeats beats
+// execute nothing.
 func newDriver(cfg Config) *driver {
 	need := cfg.Peers - 1
 	if need < 1 {
@@ -101,9 +105,9 @@ func newDriver(cfg Config) *driver {
 	return &driver{
 		cfg:     cfg,
 		proc:    giraf.NewProc(cfg.Automaton),
-		started: cfg.Grace == nil,
+		grace:   cfg.GraceBeats,
 		need:    need,
-		inbound: need, // satisfied: round 1 fires on the first beat
+		inbound: need, // satisfied: round 0 runs on the first beat past the grace
 	}
 }
 
@@ -112,9 +116,6 @@ func (d *driver) receive(env giraf.Envelope) {
 	d.proc.Receive(env)
 	d.inbound++
 }
-
-// graceOver ends the join grace.
-func (d *driver) graceOver() { d.started = true }
 
 // beat handles one timer beat and reports whether the run is over
 // (decided or crashed).
@@ -133,7 +134,8 @@ func (d *driver) graceOver() { d.started = true }
 // satisfied): nobody has broadcast yet, and the decide guards cannot fire
 // against an empty WRITTENOLD.
 func (d *driver) beat() bool {
-	if !d.started {
+	if d.grace > 0 {
+		d.grace--
 		return false // still consuming replayed / early traffic
 	}
 	if d.cfg.Attached != nil && !d.cfg.Attached() {
@@ -192,8 +194,6 @@ func Run(ctx context.Context, cfg Config) Outcome {
 			return out
 		case env := <-cfg.Inbox:
 			d.receive(env)
-		case <-cfg.Grace:
-			d.graceOver()
 		case <-cfg.Beat:
 			if d.beat() {
 				return d.outcome()

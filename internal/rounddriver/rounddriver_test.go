@@ -98,13 +98,32 @@ func TestStarvationScheduleWaitsForEscape(t *testing.T) {
 // grace, however many envelopes arrive; the first beat after it runs
 // round 1.
 func TestRoundOneWaitsForGrace(t *testing.T) {
-	h := newHarness(t, Config{Peers: 3, Grace: make(chan time.Time)})
+	h := newHarness(t, Config{Peers: 3, GraceBeats: 2 * maxQuietBeats})
 	h.receive(5)
 	h.beats(2 * maxQuietBeats)
 	h.wantRounds(0)
-	h.d.graceOver()
 	h.beats(1)
 	h.wantRounds(1)
+}
+
+// TestGraceBeatsThenRoundZero: with GraceBeats 3, beats 1–3 execute
+// nothing and the 4th runs round 0 (Initialize), whatever arrives before
+// it — silence, one envelope per beat, or a replay burst.
+func TestGraceBeatsThenRoundZero(t *testing.T) {
+	for _, perBeat := range []int{0, 1, 20} {
+		h := newHarness(t, Config{Peers: 3, GraceBeats: 3})
+		for beat := 1; beat <= 3; beat++ {
+			h.receive(perBeat)
+			h.beats(1)
+			h.wantRounds(0)
+		}
+		h.receive(perBeat)
+		h.beats(1)
+		h.wantRounds(1)
+		if h.sent != 1 || len(h.onRound) != 1 || h.onRound[0] != 0 {
+			t.Fatalf("%d envelopes per beat: sent %d, OnRound %v; want round 0 alone on beat 4", perBeat, h.sent, h.onRound)
+		}
+	}
 }
 
 // TestNeedEnvelopesReleaseNextBeat: with n = 3 the gate wants two
@@ -215,12 +234,11 @@ func TestFailedSendDoesNotStopTheLoop(t *testing.T) {
 // the feeder's sends complete only as Run takes them, so the schedule is
 // exact without a clock.
 func TestRunMapsEventsToSteps(t *testing.T) {
-	beat, grace := make(chan time.Time), make(chan time.Time)
+	beat := make(chan time.Time)
 	inbox := make(chan giraf.Envelope)
 	peer := giraf.Envelope{Round: 1, Payloads: []giraf.Payload{pay("peer")}}
 	go func() {
-		beat <- time.Time{} // during grace: nothing
-		grace <- time.Time{}
+		beat <- time.Time{} // the one grace beat: nothing
 		beat <- time.Time{} // round 1
 		inbox <- peer
 		beat <- time.Time{} // round 2
@@ -229,11 +247,11 @@ func TestRunMapsEventsToSteps(t *testing.T) {
 	}()
 	sent := 0
 	out := Run(context.Background(), Config{
-		Automaton: &scripted{decideAt: 2},
-		Beat:      beat,
-		Inbox:     inbox,
-		Grace:     grace,
-		Send:      func(giraf.Envelope) error { sent++; return nil },
+		Automaton:  &scripted{decideAt: 2},
+		Beat:       beat,
+		Inbox:      inbox,
+		GraceBeats: 1,
+		Send:       func(giraf.Envelope) error { sent++; return nil },
 	})
 	want := Outcome{Decided: true, Decision: values.Num(7), DecidedRound: 2, Rounds: 2}
 	if out != want || sent != 2 {

@@ -62,10 +62,12 @@ type MuxNode struct {
 
 // muxEpoch is one registered instance stream: its demux inbox and the
 // resolve side of its delta family. The table is touched only by the
-// reader goroutine.
+// reader goroutine. joining marks an epoch registered at DialMux, whose
+// run keeps the join grace (see joinGraceBeats).
 type muxEpoch struct {
-	inbox chan giraf.Envelope
-	table *giraf.ResolveTable
+	inbox   chan giraf.Envelope
+	table   *giraf.ResolveTable
+	joining bool
 }
 
 // MuxConfig configures a MuxNode.
@@ -82,6 +84,14 @@ type MuxConfig struct {
 // asynchronous rounds, and the next broadcast carries the sender's
 // cumulative state anyway.
 const inboxDepth = 1024
+
+// joinGraceBeats is the join grace, in round beats, of an epoch registered
+// at DialMux (rounddriver.Config.GraceBeats). Such a node may be joining an
+// instance already under way, and the grace lets the hub's replay of it
+// land before round 0. An epoch opened by Register runs round 0 on its
+// first beat instead: its owner registered it on every participating node
+// before any automaton started, so nobody attaches late.
+const joinGraceBeats = 3
 
 // MuxStats counts a MuxNode's robustness events, cumulative since
 // DialMux.
@@ -109,7 +119,8 @@ type MuxStats struct {
 // counts frames for unregistered epochs as unknown and drops them —
 // harmless for a pooled slot whose epochs do not exist yet, wrong for a
 // node joining an epoch already under way (late counts as asynchronous,
-// lost would break the model; see Hub).
+// lost would break the model; see Hub). Because such an epoch may already
+// be under way, its run keeps the join grace (joinGraceBeats).
 func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, error) {
 	if cfg.HubAddr == "" {
 		return nil, errors.New("tcpnet: mux: empty hub address")
@@ -130,7 +141,7 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 		readerDone: make(chan struct{}),
 	}
 	for _, epoch := range epochs {
-		if err := m.Register(epoch); err != nil {
+		if err := m.register(epoch, true); err != nil {
 			_ = conn.Close()
 			return nil, err
 		}
@@ -145,8 +156,12 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 // tagged with it will demultiplex into the epoch's inbox. Register every
 // participating node's epoch before starting any of the instance's
 // automata — frames for unregistered epochs are dropped, which is legal
-// (asynchrony) but wasteful.
-func (m *MuxNode) Register(epoch uint64) error {
+// (asynchrony) but wasteful. Under that contract nobody joins the epoch
+// late, so its run has no join grace (joinGraceBeats).
+func (m *MuxNode) Register(epoch uint64) error { return m.register(epoch, false) }
+
+// register opens an epoch; joining marks it as registered at DialMux.
+func (m *MuxNode) register(epoch uint64, joining bool) error {
 	if epoch == 0 {
 		return errors.New("tcpnet: mux: epochs start at 1")
 	}
@@ -159,8 +174,9 @@ func (m *MuxNode) Register(epoch uint64) error {
 		return fmt.Errorf("tcpnet: mux: epoch %d already registered", epoch)
 	}
 	m.epochs[epoch] = &muxEpoch{
-		inbox: make(chan giraf.Envelope, inboxDepth),
-		table: giraf.NewResolveTable(),
+		inbox:   make(chan giraf.Envelope, inboxDepth),
+		table:   giraf.NewResolveTable(),
+		joining: joining,
 	}
 	return nil
 }
@@ -176,7 +192,9 @@ func (m *MuxNode) Unregister(epoch uint64) {
 	m.writeMu.Unlock()
 }
 
-// InstanceRun drives one instance over a registered epoch.
+// InstanceRun drives one instance over a registered epoch. Its join grace
+// is not a field: it follows from how the epoch was registered (DialMux or
+// Register).
 type InstanceRun struct {
 	// Automaton is the GIRAF automaton to run.
 	Automaton giraf.Automaton
@@ -184,10 +202,6 @@ type InstanceRun struct {
 	Interval time.Duration
 	// Timeout bounds the run; defaults to 30s.
 	Timeout time.Duration
-	// JoinGrace delays the first end-of-round so replayed/early traffic
-	// is consumed first; defaults to 3×Interval (see
-	// rounddriver.Config.Grace).
-	JoinGrace time.Duration
 	// CrashAfterRounds stops the node after that many end-of-rounds
 	// (simulated crash). Zero means never.
 	CrashAfterRounds int
@@ -223,11 +237,10 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	grace := cfg.JoinGrace
-	if grace <= 0 {
-		grace = 3 * interval
+	graceBeats := 0
+	if ep.joining {
+		graceBeats = joinGraceBeats
 	}
-	graceOver := time.After(grace)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	out := rounddriver.Run(ctx, rounddriver.Config{
@@ -236,7 +249,7 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 		CrashAfter: cfg.CrashAfterRounds,
 		Beat:       ticker.C,
 		Inbox:      ep.inbox,
-		Grace:      graceOver,
+		GraceBeats: graceBeats,
 		Lost:       m.dead,
 		// While the shared connection is down the reader is redialing;
 		// the driver executes no round until it is back.

@@ -136,9 +136,10 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 			})
 		}()
 	}
-	// Cut node 1's link just as rounds begin (JoinGrace is 3×10ms) and
-	// keep it down for several round-lengths so its peers' broadcasts pile
-	// up in the session log — the resumption must replay them.
+	// Cut node 1's link just as rounds begin (the join grace is 3 beats of
+	// 10ms; round 0 runs on the 4th) and keep it down for several
+	// round-lengths so its peers' broadcasts pile up in the session log —
+	// the resumption must replay them.
 	time.Sleep(30 * time.Millisecond)
 	proxy.downFor(60 * time.Millisecond)
 	wg.Wait()
@@ -207,8 +208,8 @@ func TestNodeSurvivesHubRestart(t *testing.T) {
 		}()
 	}
 
-	// Kill the hub just as rounds begin (JoinGrace is 3×15ms), before
-	// anyone can have decided.
+	// Kill the hub just as rounds begin (the join grace is 3 beats of 15ms;
+	// round 0 runs on the 4th), before anyone can have decided.
 	time.Sleep(60 * time.Millisecond)
 	if err := hub.Close(); err != nil {
 		t.Fatal(err)
@@ -265,11 +266,11 @@ func TestNodeNeverHealsReportsHubLost(t *testing.T) {
 			Reconnect: ReconnectPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 42},
 		}, InstanceRun{
 			Automaton: core.NewES(values.Num(7)),
-			Interval:  10 * time.Millisecond,
-			// The long grace parks the node consuming (nothing): the
-			// blackout, not a solo decision, is what it experiences.
-			JoinGrace: 5 * time.Second,
-			Timeout:   20 * time.Second,
+			// The long beat parks the node in its join grace, consuming
+			// (nothing): the blackout, not a solo decision, is what it
+			// experiences.
+			Interval: 5 * time.Second,
+			Timeout:  20 * time.Second,
 		})
 	}()
 	time.Sleep(80 * time.Millisecond)
@@ -313,8 +314,7 @@ func TestNoReconnectPolicyFailsFast(t *testing.T) {
 		defer close(done)
 		_, _, runErr = runSolo(context.Background(), MuxConfig{HubAddr: proxy.addr()}, InstanceRun{
 			Automaton: core.NewES(values.Num(3)),
-			Interval:  10 * time.Millisecond,
-			JoinGrace: 5 * time.Second, // park: the loss must hit a live conn
+			Interval:  5 * time.Second, // park: the loss must hit a live conn
 			Timeout:   20 * time.Second,
 		})
 	}()

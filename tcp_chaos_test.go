@@ -25,6 +25,13 @@ func viaProxyOnSlot1(t *testing.T, sched netchaos.Schedule) func(slot int, hubAd
 	}
 }
 
+// cutAt is when the chaos tests' blackouts begin, measured from the
+// proxy's start, which shortly precedes the run's first beat: one beat
+// after round 0 runs on the first 12ms beat (a leased epoch has no join
+// grace), and three beats before the earliest decision of an ES instance
+// with distinct proposals, round 4 on the 5th beat.
+const cutAt = 24 * time.Millisecond
+
 // TestTCPChaosSeveredNodeRecovers is the acceptance property for the
 // resilient live plane: one node's hub link is blacked out mid-run by a
 // seeded chaos proxy, and the instance still reaches Agreement and
@@ -38,7 +45,7 @@ func TestTCPChaosSeveredNodeRecovers(t *testing.T) {
 	// rounds begin and holds it down for several round-lengths, so the
 	// resumption has peer broadcasts to replay. Everyone else dials direct.
 	tr.dialVia = viaProxyOnSlot1(t, netchaos.Schedule{
-		{Kind: netchaos.Blackout, At: 40 * time.Millisecond, Dur: 100 * time.Millisecond},
+		{Kind: netchaos.Blackout, At: cutAt, Dur: 100 * time.Millisecond},
 	})
 
 	props := []Value{NumValue(11), NumValue(47), NumValue(23), NumValue(5)}
@@ -84,7 +91,7 @@ func TestTCPChaosMinorityCutOffDegradesGracefully(t *testing.T) {
 	defer tr.Close()
 
 	tr.dialVia = viaProxyOnSlot1(t, netchaos.Schedule{
-		{Kind: netchaos.Blackout, At: 40 * time.Millisecond}, // Dur 0: never heals
+		{Kind: netchaos.Blackout, At: cutAt}, // Dur 0: never heals
 	})
 
 	props := []Value{NumValue(1), NumValue(2), NumValue(3)}
@@ -128,7 +135,7 @@ func TestTCPChaosMinorityCutOffDegradesGracefully(t *testing.T) {
 func TestTCPChaosMuxSeveredSlotRecovers(t *testing.T) {
 	tr := NewTCPMuxTransport().(*tcpMuxTransport)
 	tr.plane.dialVia = viaProxyOnSlot1(t, netchaos.Schedule{
-		{Kind: netchaos.Blackout, At: 40 * time.Millisecond, Dur: 100 * time.Millisecond},
+		{Kind: netchaos.Blackout, At: cutAt, Dur: 100 * time.Millisecond},
 	})
 	node, err := NewNode(tr,
 		WithEnv(EnvES), WithInterval(12*time.Millisecond), WithTimeout(30*time.Second),
@@ -188,7 +195,7 @@ func TestTCPChaosMuxDeadSlotReplaced(t *testing.T) {
 	tr := NewTCPMuxTransport().(*tcpMuxTransport)
 	defer tr.Close()
 	neverHeals := viaProxyOnSlot1(t, netchaos.Schedule{
-		{Kind: netchaos.Blackout, At: 40 * time.Millisecond}, // Dur 0: never heals
+		{Kind: netchaos.Blackout, At: cutAt}, // Dur 0: never heals
 	})
 	dials := 0
 	tr.plane.dialVia = func(slot int, hubAddr string) (string, func()) {
