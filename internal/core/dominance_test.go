@@ -11,24 +11,37 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// roundViewLog captures, after every global step, the structural content
-// of every process's current-round inbox: the canonical payload keys in
-// iteration order. Two runs with equal logs agreed on every round view
-// every process ever computed from.
-func roundViewLog() (*[]string, func(round int, e *sim.Engine)) {
-	log := &[]string{}
-	return log, func(round int, e *sim.Engine) {
-		var b strings.Builder
-		fmt.Fprintf(&b, "r%d", round)
-		for i := 0; i < e.N(); i++ {
-			b.WriteString("|")
-			for _, p := range e.Proc(i).Round(round) {
-				b.WriteString(p.PayloadKey())
-				b.WriteByte(',')
-			}
-		}
-		*log = append(*log, b.String())
+// viewLogger wraps a round-local automaton and logs the structural content
+// of every round view it computes from: the canonical payload keys in
+// iteration order. It keeps the marker, so the process still recycles a
+// round once computed; the view is taken at compute time, the last moment
+// it exists. Two runs with equal logs agreed on every round view every
+// process ever computed from.
+type viewLogger struct {
+	giraf.Automaton
+	i   int
+	log *[]string
+}
+
+func (viewLogger) ReadsOnlyRound() {}
+
+func (v viewLogger) Compute(k int, in giraf.Inbox) (giraf.Payload, giraf.Decision) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "r%d p%d|", k, v.i)
+	for _, p := range in.Round(k) {
+		b.WriteString(p.PayloadKey())
+		b.WriteByte(',')
 	}
+	*v.log = append(*v.log, b.String())
+	return v.Automaton.Compute(k, in)
+}
+
+// logRoundViews wraps every automaton of cfg in a viewLogger.
+func logRoundViews(cfg sim.Config) (sim.Config, *[]string) {
+	log := &[]string{}
+	aut := cfg.Automaton
+	cfg.Automaton = func(i int) giraf.Automaton { return viewLogger{aut(i), i, log} }
+	return cfg, log
 }
 
 // TestDominanceSkipStructurallyIdentical is the property test for the
@@ -74,13 +87,12 @@ func TestDominanceSkipStructurallyIdentical(t *testing.T) {
 			run := func(forceFull bool) (*sim.Result, []string) {
 				prev := giraf.ForceFullMergeForTest(forceFull)
 				defer giraf.ForceFullMergeForTest(prev)
-				log, onRound := roundViewLog()
-				res, err := sim.Run(tc.config(RunOpts{
+				cfg, log := logRoundViews(tc.config(RunOpts{
 					Policy:    tc.policy(),
 					Scenario:  tc.scenario,
 					MaxRounds: 60,
-					OnRound:   onRound,
 				}))
+				res, err := sim.Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,12 +102,12 @@ func TestDominanceSkipStructurallyIdentical(t *testing.T) {
 			full, fullLog := run(true)
 
 			if len(skippedLog) != len(fullLog) {
-				t.Fatalf("round counts differ: %d vs %d", len(skippedLog), len(fullLog))
+				t.Fatalf("computed views differ in number: %d vs %d", len(skippedLog), len(fullLog))
 			}
 			for i := range skippedLog {
 				if skippedLog[i] != fullLog[i] {
-					t.Fatalf("round view diverged at step %d:\n skip: %s\n full: %s",
-						i+1, skippedLog[i], fullLog[i])
+					t.Fatalf("round view %d diverged:\n skip: %s\n full: %s",
+						i, skippedLog[i], fullLog[i])
 				}
 			}
 			if full.Metrics.MergesSkipped != 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/values"
@@ -56,7 +57,10 @@ type ES struct {
 	literalNesting bool
 }
 
-var _ giraf.Automaton = (*ES)(nil)
+var (
+	_ giraf.Automaton  = (*ES)(nil)
+	_ giraf.RoundLocal = (*ES)(nil)
+)
 
 // NewES returns a process automaton proposing v. It panics if v is not a
 // valid proposal (empty or the reserved ⊥).
@@ -82,6 +86,10 @@ func NewESLiteral(v values.Value) *ES {
 	return a
 }
 
+// ReadsOnlyRound implements giraf.RoundLocal: Compute(k) reads Round(k)
+// alone.
+func (*ES) ReadsOnlyRound() {}
+
 // Initialize implements giraf.Automaton (Algorithm 2 lines 1–4). The
 // returned payload carries {VAL}: the paper's text returns the empty
 // PROPOSED, under which no initial value could ever enter the system — see
@@ -99,52 +107,46 @@ func (a *ES) Initialize() giraf.Payload {
 // clone-everything version; it only removes copies of sets nobody will
 // write to.
 func (a *ES) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
-	msgs := inbox.Round(k)
-	sets := a.sets[:0]
-	for _, m := range msgs {
-		// Payloads of a foreign algorithm family (possible when a shared
-		// hub replays another run's frames) are ignored, not fatal:
-		// crash-fault model, a peer speaking another protocol is garbage.
-		if p, ok := m.(SetPayload); ok {
-			sets = append(sets, p.Proposed)
+	// Lines 6–7: WRITTEN := ∩_{m ∈ M_i[k]} m and the inbox union for
+	// PROPOSED. Both are pure functions of the round's payload set, so
+	// across the processes of one run — which see identical inboxes
+	// whenever delivery is uniform, e.g. every synchronous round — the
+	// first process computes them and its peers alias the memoized result
+	// without reading the round (sound: fingerprint equality ⇔ structural
+	// equality, and state sets are only ever reassigned, never mutated).
+	w, u, ok := a.memoLookup(k, inbox)
+	if !ok {
+		msgs := inbox.Round(k)
+		sets := a.sets[:0]
+		for _, m := range msgs {
+			// Payloads of a foreign algorithm family (possible when a shared
+			// hub replays another run's frames) are ignored, not fatal:
+			// crash-fault model, a peer speaking another protocol is garbage.
+			if p, ok := m.(SetPayload); ok {
+				sets = append(sets, p.Proposed)
+			}
 		}
-	}
-	a.sets = sets
-	if len(sets) > 0 && allSetsEqual(sets) {
-		// Steady-state fast path: every round-k message carries the same
-		// set S (one fingerprint comparison each), so WRITTEN = ∩ = S and
-		// ∪ = S; PROPOSED grows to S ∪ PROPOSED, which is S itself once
-		// PROPOSED ⊆ S (the converged case — no set is built at all).
-		s0 := sets[0]
-		a.written = s0
-		if a.proposed.SubsetOf(s0) {
-			a.proposed = s0
+		a.sets = sets
+		if len(sets) > 0 && allSetsEqual(sets) {
+			// Steady-state fast path: every round-k message carries the same
+			// set S (one fingerprint comparison each), so WRITTEN = ∩ = S and
+			// ∪ = S.
+			w, u = sets[0], sets[0]
 		} else {
-			a.proposed = s0.Union(a.proposed)
-		}
-	} else {
-		// Lines 6–7: WRITTEN := ∩_{m ∈ M_i[k]} m and the inbox union for
-		// PROPOSED. Both are pure functions of the round's payload set, so
-		// across the processes of one run — which see identical inboxes
-		// whenever delivery is uniform, e.g. every synchronous round — the
-		// first process computes them and its peers alias the memoized
-		// result (sound: fingerprint equality ⇔ structural equality, and
-		// state sets are only ever reassigned, never mutated).
-		w, u, ok := a.memoLookup(k, inbox)
-		if !ok {
 			w = values.IntersectAll(sets)
 			u = values.UnionAll(sets)
 			a.memoStore(k, inbox, w, u)
 		}
-		a.written = w
-		// The union is owned (or immutably shared), so when PROPOSED adds
-		// nothing to it — always the case in round 1, where our own inbox
-		// payload carries VAL — it is aliased rather than cloned again.
-		if a.proposed.SubsetOf(u) {
-			a.proposed = u
-		} else {
-			a.proposed = u.Union(a.proposed)
-		}
+	}
+	a.written = w
+	// The union is owned (or immutably shared), so when PROPOSED adds
+	// nothing to it — always the case in round 1, where our own inbox
+	// payload carries VAL, and in the converged case — it is aliased rather
+	// than cloned again.
+	if a.proposed.SubsetOf(u) {
+		a.proposed = u
+	} else {
+		a.proposed = u.Union(a.proposed)
 	}
 
 	if k%2 == 0 {
@@ -174,14 +176,22 @@ func (a *ES) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
 	return SetPayload{Proposed: a.proposed}, giraf.Decision{}
 }
 
-// esMemo caches one round-inbox's aggregate sets (intersection and union)
-// keyed by the inbox's set fingerprint, shared by every ES automaton of a
-// single run. A single slot suffices: the engine invokes end-of-round
-// compute sequentially across processes, so when inboxes coincide the
-// hits arrive back to back. The cached sets are immutable by convention —
-// ES state sets are reassigned, never mutated in place.
+// esMemo caches one round inbox's aggregate sets (intersection and union)
+// together with the fingerprints of the round's payloads, shared by every
+// ES automaton of a single run. A single slot suffices: the engine invokes
+// end-of-round compute sequentially across processes, so when inboxes
+// coincide the hits arrive back to back. The cached sets are immutable by
+// convention — ES state sets are reassigned, never mutated in place.
 type esMemo struct {
-	fp      values.Fingerprint
+	// n sizes the storage at the first store: a round holds at most one
+	// payload per process, so later stores of the run never allocate.
+	n int
+	// fps are the cached round's payload fingerprints, pairwise distinct;
+	// idx is an open-addressed table of 1-based positions into fps
+	// (power-of-two size, load ≤ ½, linear probing), the inbox index's
+	// layout (see giraf's roundInbox).
+	fps     []values.Fingerprint
+	idx     []uint32
 	written values.Set
 	union   values.Set
 }
@@ -189,27 +199,56 @@ type esMemo struct {
 // roundFingerprinter is the optional Inbox capability the memo keys on
 // (implemented by giraf.Proc).
 type roundFingerprinter interface {
-	RoundSetFingerprint(k int) values.Fingerprint
+	RoundFingerprints(k int) []values.Fingerprint
+}
+
+// memoSlot is where fp's probe sequence starts, before masking: the
+// fingerprint already is a hash, so its folded halves through one
+// Fibonacci multiply spread it over any power-of-two table.
+func memoSlot(fp values.Fingerprint) int {
+	return int(((fp.Hi ^ fp.Lo) * 0x9E3779B97F4A7C15) >> 32)
+}
+
+// contains reports whether fp is one of the cached round's fingerprints.
+func (m *esMemo) contains(fp values.Fingerprint) bool {
+	mask := len(m.idx) - 1
+	for i := memoSlot(fp) & mask; ; i = (i + 1) & mask {
+		pos := m.idx[i]
+		if pos == 0 {
+			return false
+		}
+		if m.fps[pos-1] == fp {
+			return true
+		}
+	}
 }
 
 // memoLookup returns the cached aggregates when the run-shared memo holds
-// this round's exact payload set.
+// this round's exact payload set: the same number of payloads, each of
+// them a member. Fingerprints within a round are pairwise distinct, so
+// that is set equality, confirmed without sorting or hashing the round.
 func (a *ES) memoLookup(k int, inbox giraf.Inbox) (written, union values.Set, ok bool) {
-	if a.memo == nil || a.memo.fp.IsZero() {
+	if a.memo == nil || len(a.memo.fps) == 0 {
 		return values.Set{}, values.Set{}, false
 	}
 	rf, can := inbox.(roundFingerprinter)
 	if !can {
 		return values.Set{}, values.Set{}, false
 	}
-	if fp := rf.RoundSetFingerprint(k); !fp.IsZero() && fp == a.memo.fp {
-		return a.memo.written, a.memo.union, true
+	fps := rf.RoundFingerprints(k)
+	if len(fps) != len(a.memo.fps) {
+		return values.Set{}, values.Set{}, false
 	}
-	return values.Set{}, values.Set{}, false
+	for _, fp := range fps {
+		if !a.memo.contains(fp) {
+			return values.Set{}, values.Set{}, false
+		}
+	}
+	return a.memo.written, a.memo.union, true
 }
 
-// memoStore records this round's aggregates for the peers that will see
-// the same inbox.
+// memoStore records this round's fingerprints and aggregates for the peers
+// that will see the same inbox, reusing the memo's storage.
 func (a *ES) memoStore(k int, inbox giraf.Inbox, written, union values.Set) {
 	if a.memo == nil {
 		return
@@ -218,9 +257,27 @@ func (a *ES) memoStore(k int, inbox giraf.Inbox, written, union values.Set) {
 	if !can {
 		return
 	}
-	if fp := rf.RoundSetFingerprint(k); !fp.IsZero() {
-		a.memo.fp, a.memo.written, a.memo.union = fp, written, union
+	fps := rf.RoundFingerprints(k)
+	if len(fps) == 0 {
+		return
 	}
+	m := a.memo
+	if size := 2 * max(len(fps), m.n); len(m.idx) < size {
+		m.fps = make([]values.Fingerprint, 0, size/2)
+		m.idx = make([]uint32, 1<<bits.Len(uint(size-1)))
+	} else {
+		clear(m.idx)
+	}
+	m.fps = append(m.fps[:0], fps...)
+	mask := len(m.idx) - 1
+	for pos, fp := range m.fps {
+		i := memoSlot(fp) & mask
+		for m.idx[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.idx[i] = uint32(pos + 1)
+	}
+	m.written, m.union = written, union
 }
 
 // allSetsEqual reports whether every set equals the first — a fingerprint

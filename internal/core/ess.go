@@ -105,7 +105,10 @@ type ESS struct {
 	literalNesting bool
 }
 
-var _ giraf.Automaton = (*ESS)(nil)
+var (
+	_ giraf.Automaton  = (*ESS)(nil)
+	_ giraf.RoundLocal = (*ESS)(nil)
+)
 
 // NewESS returns a process automaton proposing v. It panics if v is not a
 // valid proposal.
@@ -150,6 +153,10 @@ func (a *ESS) stepLeaderProposal() {
 		a.proposed = values.NewSet(values.Bot) // line 18
 	}
 }
+
+// ReadsOnlyRound implements giraf.RoundLocal: Compute(k) reads Round(k)
+// alone.
+func (*ESS) ReadsOnlyRound() {}
 
 // Initialize implements giraf.Automaton (Algorithm 3 lines 1–4). As in
 // Algorithm 2 the initial payload carries {VAL} (DESIGN.md §3 note 1).

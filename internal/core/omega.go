@@ -27,7 +27,10 @@ type OmegaConsensus struct {
 	proposed   values.Set
 }
 
-var _ giraf.Automaton = (*OmegaConsensus)(nil)
+var (
+	_ giraf.Automaton  = (*OmegaConsensus)(nil)
+	_ giraf.RoundLocal = (*OmegaConsensus)(nil)
+)
 
 // NewOmegaConsensus returns a process automaton proposing v with the given
 // Ω oracle. It panics on an invalid initial value or nil oracle.
@@ -46,6 +49,10 @@ func NewOmegaConsensus(v values.Value, oracle LeaderOracle) *OmegaConsensus {
 		proposed:   values.NewSet(),
 	}
 }
+
+// ReadsOnlyRound implements giraf.RoundLocal: Compute(k) reads Round(k)
+// alone.
+func (*OmegaConsensus) ReadsOnlyRound() {}
 
 // Initialize implements giraf.Automaton.
 func (a *OmegaConsensus) Initialize() giraf.Payload {

@@ -66,7 +66,7 @@ func ConfigES(proposals []values.Value, opts RunOpts) sim.Config {
 	// Policy): processes with identical round inboxes — every process, in
 	// a uniform-delivery round — share one aggregate computation instead
 	// of each re-deriving the same intersection and union.
-	memo := &esMemo{}
+	memo := &esMemo{n: len(proposals)}
 	return opts.config(len(proposals), func(i int) giraf.Automaton {
 		a := NewES(proposals[i])
 		a.memo = memo

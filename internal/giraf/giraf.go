@@ -58,6 +58,17 @@ type PayloadSizer interface {
 	PayloadEncodedSize() int
 }
 
+// RoundLocal is an optional Automaton extension for automata whose
+// Compute(k) reads nothing of the inbox but Round(k) — Algorithms 2 and 3
+// and the Ω baseline; not Algorithm 4, which reads Fresh. A payload for a
+// round such an automaton has already computed can never be read, so
+// Proc.Receive drops it and EndOfRound recycles a round's storage as soon
+// as it has computed the round.
+type RoundLocal interface {
+	// ReadsOnlyRound is a marker; the framework never calls it.
+	ReadsOnlyRound()
+}
+
 // payloadCanon returns the fingerprint of p and, only when computing the
 // fingerprint had to build it, the canonical key ("" otherwise). A payload
 // that caches its fingerprint is identified without materializing its key:
@@ -164,16 +175,24 @@ type roundInbox struct {
 	// consumers (snapshot, setFingerprint) re-establish it lazily, so a
 	// burst of insertions costs one sort instead of a memmove each.
 	dirty bool
-	// seen holds the set-fingerprints of envelopes already fully merged
-	// into this round (bounded; see dominates). Slots beyond seenCap are
-	// simply not recorded — the dominance check is an optimization, merges
-	// stay idempotent without it.
-	seen []values.Fingerprint
 	// view is the cached Round(k) snapshot; nil after an insertion.
 	view []Payload
-	// envFP is the cached fingerprint of the full payload set in key order;
-	// zero after an insertion.
+	dom  dominance
+}
+
+// dominance is what the merge-skip check (Proc.Receive) reads of a round.
+// A round-local process keeps it for every round it has computed, after
+// the round's payloads are recycled (see Proc.retire).
+type dominance struct {
+	// envFP is the cached fingerprint of the round's full payload set in key
+	// order; zero after an insertion.
 	envFP values.Fingerprint
+	// seen[:nseen] holds the set-fingerprints of envelopes already fully
+	// merged into the round. Envelopes beyond seenCap are simply not
+	// recorded — the dominance check is an optimization, merges stay
+	// idempotent without it.
+	seen  [seenCap]values.Fingerprint
+	nseen int
 }
 
 // roundInboxHint pre-sizes the per-round storage: typical rounds hold at
@@ -208,15 +227,13 @@ func (ri *roundInbox) recycle() {
 	clear(ri.keys)
 	clear(ri.pays) // drop payload refs so reuse doesn't pin them
 	clear(ri.fps)
-	clear(ri.seen)
 	ri.keys = ri.keys[:0]
 	ri.pays = ri.pays[:0]
 	ri.fps = ri.fps[:0]
 	ri.indexed = 0
 	ri.dirty = false
-	ri.seen = ri.seen[:0]
 	ri.view = nil
-	ri.envFP = values.Fingerprint{}
+	ri.dom = dominance{}
 }
 
 // slotOf is where fp's probe sequence starts, before masking to the table
@@ -289,11 +306,11 @@ func (ri *roundInbox) find(fp values.Fingerprint) (slot int, ok bool) {
 // the steady state): recomputing it here would cost a hash over the whole
 // round per delivery, turning convergence into O(n³) hashing. A stale
 // cache just means one redundant merge, which insert dedups anyway.
-func (ri *roundInbox) dominates(setFP values.Fingerprint) bool {
-	if !ri.envFP.IsZero() && ri.envFP == setFP {
+func (d *dominance) dominates(setFP values.Fingerprint) bool {
+	if !d.envFP.IsZero() && d.envFP == setFP {
 		return true
 	}
-	for _, f := range ri.seen {
+	for _, f := range d.seen[:d.nseen] {
 		if f == setFP {
 			return true
 		}
@@ -303,11 +320,27 @@ func (ri *roundInbox) dominates(setFP values.Fingerprint) bool {
 
 // recordMerged notes that an envelope with the given set-fingerprint has
 // been merged in full, so later identical envelopes can be skipped.
-func (ri *roundInbox) recordMerged(setFP values.Fingerprint) {
-	if setFP.IsZero() || len(ri.seen) >= seenCap {
+func (d *dominance) recordMerged(setFP values.Fingerprint) {
+	if setFP.IsZero() || d.nseen >= seenCap {
 		return
 	}
-	ri.seen = append(ri.seen, setFP)
+	d.seen[d.nseen] = setFP
+	d.nseen++
+}
+
+// dropStale stands in for the merge of an undominated envelope into a
+// computed round whose payloads are gone: the envelope is recorded as
+// merged, and the cached set fingerprint is dropped as an insertion would
+// drop it. On the simulator that keeps MergesSkipped exactly what it would
+// be had the round kept its payloads: a cached envFP means the round still
+// holds what it broadcast, which in lockstep is the process's own payload
+// alone, so an undominated envelope always carries something new. On the
+// wall-clock planes a round may have gathered more before its broadcast;
+// there a later envelope carrying exactly the broadcast set may count as
+// a drop rather than a skip.
+func (d *dominance) dropStale(setFP values.Fingerprint) {
+	d.envFP = values.Fingerprint{}
+	d.recordMerged(setFP)
 }
 
 // insert adds a payload with the given fingerprint, keeping the key order;
@@ -335,7 +368,7 @@ func (ri *roundInbox) insert(key string, fp values.Fingerprint, pay Payload) boo
 		ri.indexed = len(ri.fps)
 	}
 	ri.view = nil
-	ri.envFP = values.Fingerprint{}
+	ri.dom.envFP = values.Fingerprint{}
 	return true
 }
 
@@ -380,15 +413,15 @@ func (ri *roundInbox) snapshot() []Payload {
 // of the full payload set in key order.
 func (ri *roundInbox) setFingerprint() values.Fingerprint {
 	ri.ensureSorted()
-	if ri.envFP.IsZero() {
+	if ri.dom.envFP.IsZero() {
 		var h values.Hasher
 		h.WriteString("E")
 		for _, fp := range ri.fps {
 			h.WriteFingerprint(fp)
 		}
-		ri.envFP = h.Sum()
+		ri.dom.envFP = h.Sum()
 	}
-	return ri.envFP
+	return ri.dom.envFP
 }
 
 // Proc is the framework state of one process: its round number, inbox
@@ -412,8 +445,14 @@ type Proc struct {
 	decision Decision
 	lastOwn  Payload
 
-	// spare holds recycled round inboxes (from Reset and CompactBefore)
-	// that future merges reuse instead of allocating.
+	// roundLocal caches whether the automaton implements RoundLocal.
+	roundLocal bool
+	// retired[k] is the dominance state of computed round k, kept by a
+	// round-local process after it recycled the round's payloads.
+	retired []dominance
+
+	// spare holds recycled round inboxes (from Reset and retire) that
+	// future merges reuse instead of allocating.
 	spare []*roundInbox
 
 	// delivered counts payload-set merges that actually added something;
@@ -428,7 +467,8 @@ var _ Inbox = (*Proc)(nil)
 
 // NewProc wraps an automaton in framework state.
 func NewProc(aut Automaton) *Proc {
-	return &Proc{aut: aut}
+	_, local := aut.(RoundLocal)
+	return &Proc{aut: aut, roundLocal: local}
 }
 
 // farRoundSlack bounds how far past the dense window a round may grow the
@@ -463,17 +503,20 @@ func (p *Proc) Round(k int) []Payload {
 	return ri.snapshot()
 }
 
-// RoundSetFingerprint returns the fingerprint of round k's deduplicated
-// payload set in canonical order, or the zero fingerprint when the round
-// is empty. Two rounds share a fingerprint iff they hold structurally
-// identical payload sets (the canonical-form invariant), which lets
-// automata memoize pure functions of a round's contents across processes.
-func (p *Proc) RoundSetFingerprint(k int) values.Fingerprint {
+// RoundFingerprints returns the fingerprints of round k's payloads,
+// pairwise distinct and in no particular order, or nil when the round is
+// empty. Two rounds hold structurally identical payload sets iff they have
+// the same fingerprints (the canonical-form invariant), which lets
+// automata memoize pure functions of a round's contents across processes
+// without sorting or hashing the round. The slice aliases framework state:
+// it is valid until the next Receive/EndOfRound and must not be mutated.
+func (p *Proc) RoundFingerprints(k int) []values.Fingerprint {
 	ri := p.roundAt(k)
-	if ri == nil || len(ri.pays) == 0 {
-		return values.Fingerprint{}
+	if ri == nil {
+		return nil
 	}
-	return ri.setFingerprint()
+	//detlint:aliased read-only view consumed within Compute; a copy would cost an alloc per process per round on the memo's hit path
+	return ri.fps
 }
 
 // Fresh implements Inbox: payloads added to any round's set since the last
@@ -536,18 +579,47 @@ func ForceFullMergeForTest(on bool) (prev bool) {
 // cannot extend Fresh, and cannot change Delivered. At steady state
 // (every process broadcasting the same converged set) this turns the
 // common-case delivery into one fingerprint comparison.
+//
+// Stale-round skipping: a round-local process (see RoundLocal) drops an
+// envelope for a round it has already computed, since nothing reads that
+// round again. The drop comes after the dominance check, which reads the
+// round's retained dominance state, so MergesSkipped counts what it would
+// count had the envelope been merged.
 func (p *Proc) Receive(env Envelope) {
 	if p.halted {
 		return
 	}
+	stale := p.roundLocal && env.Round < p.round
 	if !env.SetFingerprint.IsZero() && !testForceFullMerge {
-		if ri := p.roundAt(env.Round); ri != nil && ri.dominates(env.SetFingerprint) {
+		if d := p.dominanceAt(env.Round, stale); d != nil && d.dominates(env.SetFingerprint) {
 			p.mergeSkips++
 			return
 		}
 	}
+	if stale {
+		if env.Round >= 0 {
+			p.retired[env.Round].dropStale(env.SetFingerprint)
+		}
+		return
+	}
 	ri := p.merge(env.Round, env.Payloads)
-	ri.recordMerged(env.SetFingerprint)
+	ri.dom.recordMerged(env.SetFingerprint)
+}
+
+// dominanceAt returns the dominance state of round k, or nil when the round
+// has none: a computed round's retained state for a stale envelope, the
+// round's storage otherwise.
+func (p *Proc) dominanceAt(k int, stale bool) *dominance {
+	if stale {
+		if k < 0 {
+			return nil
+		}
+		return &p.retired[k]
+	}
+	if ri := p.roundAt(k); ri != nil {
+		return &ri.dom
+	}
+	return nil
 }
 
 // takeRoundInbox returns a cleared round inbox, reusing recycled storage
@@ -614,17 +686,22 @@ func (p *Proc) EndOfRound() (Envelope, bool) {
 	if p.halted {
 		return Envelope{}, false
 	}
-	var pay Payload
+	var (
+		pay Payload
+		dec Decision
+	)
 	if p.round == 0 {
 		pay = p.aut.Initialize()
 	} else {
-		var dec Decision
 		pay, dec = p.aut.Compute(p.round, p)
-		if dec.Decided {
-			p.halted = true
-			p.decision = dec
-			return Envelope{}, false
-		}
+	}
+	if p.roundLocal {
+		p.retire(p.round)
+	}
+	if dec.Decided {
+		p.halted = true
+		p.decision = dec
+		return Envelope{}, false
 	}
 	if pay == nil {
 		panic(fmt.Sprintf("giraf: automaton %T returned nil payload in round %d", p.aut, p.round))
@@ -641,6 +718,22 @@ func (p *Proc) EndOfRound() (Envelope, bool) {
 		Payloads:       ri.snapshot(),
 		SetFingerprint: ri.setFingerprint(),
 	}, true
+}
+
+// retire recycles the storage of round k, which a round-local process has
+// just computed (round 0: initialized), keeping only its dominance state.
+// Rounds are computed in order, so retired[k] is appended here and
+// len(retired) == CurrentRound() after every end-of-round.
+func (p *Proc) retire(k int) {
+	var d dominance
+	if k < len(p.inbox) && p.inbox[k] != nil {
+		ri := p.inbox[k]
+		d = ri.dom
+		ri.recycle()
+		p.spare = append(p.spare, ri)
+		p.inbox[k] = nil
+	}
+	p.retired = append(p.retired, d)
 }
 
 // LastOwnPayload returns the payload the automaton produced at the most
@@ -670,34 +763,6 @@ func (p *Proc) InboxRounds() int {
 	return n
 }
 
-// CompactBefore drops all inbox rounds < k. Algorithms 2 and 3 only ever
-// read the current round, so drivers
-// of long runs can compact to keep memory flat. Late duplicate deliveries
-// for a compacted round are then indistinguishable from first deliveries
-// (they reappear in Fresh), which is harmless for union-style consumers
-// like Algorithm 4 but means compaction must not be combined with
-// exactly-once delivery accounting.
-func (p *Proc) CompactBefore(k int) {
-	if k > len(p.inbox) {
-		k = len(p.inbox)
-	}
-	for round := 0; round < k; round++ {
-		if ri := p.inbox[round]; ri != nil {
-			ri.recycle()
-			p.spare = append(p.spare, ri)
-			p.inbox[round] = nil
-		}
-	}
-	//detlint:ordered per-entry recycle+delete; spares are interchangeable (cleared before reuse, only warm capacity differs)
-	for round, ri := range p.far {
-		if round < k {
-			ri.recycle()
-			p.spare = append(p.spare, ri)
-			delete(p.far, round)
-		}
-	}
-}
-
 // Reset rearms the framework state around a fresh automaton so repeated
 // trial loops can reuse one Proc per slot instead of cold-allocating: the
 // flat inbox array keeps its capacity and every round inbox is recycled
@@ -705,6 +770,8 @@ func (p *Proc) CompactBefore(k int) {
 // indistinguishable from NewProc(aut) except for warm storage.
 func (p *Proc) Reset(aut Automaton) {
 	p.aut = aut
+	_, p.roundLocal = aut.(RoundLocal)
+	p.retired = p.retired[:0]
 	p.round = 0
 	clear(p.fresh)
 	p.fresh = p.fresh[:0]

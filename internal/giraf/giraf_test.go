@@ -229,16 +229,75 @@ func TestProcResetRecyclesInboxStorage(t *testing.T) {
 	}
 }
 
-func TestCompactBeforeRecycles(t *testing.T) {
-	p := NewProc(&echoAutomaton{v: values.Num(1)})
+// localEcho is echoAutomaton declared round-local: its Compute reads
+// Round(k) alone.
+type localEcho struct{ echoAutomaton }
+
+func (*localEcho) ReadsOnlyRound() {}
+
+func TestRetireRecyclesComputedRounds(t *testing.T) {
+	p := NewProc(&localEcho{echoAutomaton{v: values.Num(1)}})
+	p.EndOfRound() // round 1 holds the own payload
+	for r := 2; r <= 3; r++ {
+		p.Receive(Envelope{Round: r, Payloads: []Payload{sp(values.Num(int64(10 + r)))}})
+	}
 	p.EndOfRound()
-	p.EndOfRound()
-	p.EndOfRound() // rounds 1..3 populated
-	p.CompactBefore(3)
+	p.EndOfRound() // rounds 1..3 populated, 1 and 2 computed
 	if p.InboxRounds() != 1 {
-		t.Fatalf("rounds after compact = %d, want 1", p.InboxRounds())
+		t.Fatalf("rounds after computing 1 and 2 = %d, want 1", p.InboxRounds())
 	}
 	if len(p.spare) != 2 {
 		t.Errorf("spare inboxes = %d, want 2", len(p.spare))
+	}
+}
+
+// TestStaleEnvelopeDroppedOnlyByRoundLocal: an envelope for a computed
+// round changes nothing in a round-local process — not the round's size,
+// not Fresh, not Delivered — while a process without the marker still
+// merges it and reports it in Fresh, as Algorithm 4 needs. Both count the
+// envelope's second delivery as a dominance skip.
+func TestStaleEnvelopeDroppedOnlyByRoundLocal(t *testing.T) {
+	late := Envelope{
+		Round:          1,
+		Payloads:       []Payload{sp(values.Num(7))},
+		SetFingerprint: values.FingerprintString("late"),
+	}
+	type state struct{ size1, size2, fresh, delivered, skips int }
+	snap := func(p *Proc) state {
+		return state{p.InboxSize(1), p.InboxSize(2), len(p.Fresh()), p.Delivered(), p.MergeSkips()}
+	}
+	for _, tc := range []struct {
+		name  string
+		aut   Automaton
+		local bool
+	}{
+		{"round-local", &localEcho{echoAutomaton{v: values.Num(1)}}, true},
+		{"unmarked", &echoAutomaton{v: values.Num(1)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProc(tc.aut)
+			p.EndOfRound()
+			p.EndOfRound() // round 1 computed, now in round 2
+			before := snap(p)
+			p.Receive(late)
+			after := snap(p)
+			want := before
+			if !tc.local {
+				want.size1++
+				want.fresh++
+				want.delivered++
+				if got := p.Fresh()[len(p.Fresh())-1]; got.PayloadKey() != late.Payloads[0].PayloadKey() {
+					t.Errorf("Fresh ends with %v, want the late payload", got)
+				}
+			}
+			if after != want {
+				t.Errorf("after a stale envelope: %+v, want %+v", after, want)
+			}
+			p.Receive(late)
+			want.skips++
+			if got := snap(p); got != want {
+				t.Errorf("after its duplicate: %+v, want %+v", got, want)
+			}
+		})
 	}
 }

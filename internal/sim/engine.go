@@ -51,11 +51,6 @@ type Config struct {
 	// OnRound, if non-nil, runs after every global step with the step
 	// number; use it to sample custom per-round metrics.
 	OnRound func(round int, e *Engine)
-	// CompactInboxes drops inbox rounds older than the previous round after
-	// every step, keeping memory flat on long runs. Only valid for automata
-	// that read just the current round (Algorithms 2 and 3 — not
-	// Algorithm 4, whose Fresh-based union relies on per-round dedup).
-	CompactInboxes bool
 }
 
 func (c *Config) validate() error {
@@ -192,9 +187,10 @@ func (r *Result) CheckValidity(proposals values.Set) error {
 // pendingDelivery is an envelope scheduled for a future step. A receiver
 // of fanOutAll means "every process except the sender": uniform-delay
 // broadcasts in runs without link faults collapse to one ring entry instead
-// of n-1, and deliverDue expands them in ascending receiver order — exactly
-// the order the per-receiver entries would have been queued in, so the
-// collapse is invisible to delivery order and byte-identity pins.
+// of n-1, and deliver expands them so that every receiver takes the
+// envelope at its queue position — where a per-receiver entry would have
+// been queued — so the collapse is invisible to delivery order and
+// byte-identity pins.
 type pendingDelivery struct {
 	receiver int
 	sender   int
@@ -402,11 +398,6 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		if e.cfg.OnRound != nil {
 			e.cfg.OnRound(step, e)
 		}
-		if e.cfg.CompactInboxes {
-			for _, p := range e.procs {
-				p.CompactBefore(step - 1)
-			}
-		}
 		allDone = true
 		for i := range e.procs {
 			if step < e.crash[i] && !e.procs[i].Halted() {
@@ -456,42 +447,60 @@ func (e *Engine) deliverDue(step int) {
 	e.due[slot] = truncatePending(q)
 }
 
-// deliver performs one step's deliveries in queue order: the engine's
-// single delivery loop.
+// deliver performs one step's deliveries: the engine's single delivery
+// loop. Per-receiver entries are delivered in queue order. A run of
+// consecutive fan-out entries is delivered receiver by receiver, each
+// receiver taking the run's envelopes in queue order, so its inbox stays
+// hot while it merges them. Either way every receiver takes its envelopes
+// in exactly the queue order, and receivers share no state, so their
+// order among themselves is invisible to results.
 func (e *Engine) deliver(step int, q []pendingDelivery) {
 	sc := e.linkFaults
 	delivered, dropped := 0, 0
-	for _, d := range q {
-		if d.receiver != fanOutAll {
-			r := d.receiver
-			if step >= e.crash[r] {
-				continue
+	for len(q) > 0 {
+		if q[0].receiver == fanOutAll {
+			// Collapsed uniform-delay broadcasts. Fan-out entries are only
+			// scheduled when linkFaults == nil, so no drop check is needed.
+			run := 1
+			for run < len(q) && q[run].receiver == fanOutAll {
+				run++
 			}
-			// Scenario loss and partitions act at delivery time: the
-			// envelope was broadcast and scheduled, it just never arrives.
-			if sc != nil && sc.Drops(d.env.Round, d.sender, r) {
-				dropped++
-				continue
+			for r := 0; r < e.cfg.N; r++ {
+				if step >= e.crash[r] {
+					continue
+				}
+				p := e.procs[r]
+				for i := range q[:run] {
+					d := &q[i]
+					if d.sender == r {
+						continue
+					}
+					p.Receive(d.env)
+					delivered++
+					if e.trace != nil {
+						e.trace.recordDelivery(d.env.Round, d.sender, r, step)
+					}
+				}
 			}
-			e.procs[r].Receive(d.env)
-			delivered++
-			if e.trace != nil {
-				e.trace.recordDelivery(d.env.Round, d.sender, r, step)
-			}
+			q = q[run:]
 			continue
 		}
-		// Collapsed uniform-delay broadcast: expand to every receiver in
-		// ascending order. Fan-out entries are only scheduled when
-		// linkFaults == nil, so no drop check is needed.
-		for r := 0; r < e.cfg.N; r++ {
-			if r == d.sender || step >= e.crash[r] {
-				continue
-			}
-			e.procs[r].Receive(d.env)
-			delivered++
-			if e.trace != nil {
-				e.trace.recordDelivery(d.env.Round, d.sender, r, step)
-			}
+		d := &q[0]
+		q = q[1:]
+		r := d.receiver
+		if step >= e.crash[r] {
+			continue
+		}
+		// Scenario loss and partitions act at delivery time: the envelope
+		// was broadcast and scheduled, it just never arrives.
+		if sc != nil && sc.Drops(d.env.Round, d.sender, r) {
+			dropped++
+			continue
+		}
+		e.procs[r].Receive(d.env)
+		delivered++
+		if e.trace != nil {
+			e.trace.recordDelivery(d.env.Round, d.sender, r, step)
 		}
 	}
 	e.metrics.Deliveries += delivered

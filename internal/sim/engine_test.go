@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"anonconsensus/internal/env"
@@ -281,14 +282,30 @@ func TestEngineAccessors(t *testing.T) {
 	e.Run()
 }
 
-func TestCompactInboxesKeepsMemoryFlat(t *testing.T) {
-	runWith := func(compact bool) (maxRounds int, res *Result) {
+// localFlood is floodAutomaton declared round-local (giraf.RoundLocal): its
+// Compute reads Round(k) alone.
+type localFlood struct{ *floodAutomaton }
+
+func (localFlood) ReadsOnlyRound() {}
+
+// floodFactoryMarked is floodFactory with or without the round-local marker.
+func floodFactoryMarked(quorum int, local bool) func(i int) giraf.Automaton {
+	return func(i int) giraf.Automaton {
+		a := newFlood(values.Num(int64(i)), quorum)
+		if local {
+			return localFlood{a}
+		}
+		return a
+	}
+}
+
+func TestRoundLocalKeepsMemoryFlat(t *testing.T) {
+	runWith := func(local bool) (maxRounds int, res *Result) {
 		res, err := Run(Config{
-			N:              3,
-			Automaton:      floodFactory(0),
-			Policy:         env.Synchronous{},
-			MaxRounds:      40,
-			CompactInboxes: compact,
+			N:         3,
+			Automaton: floodFactoryMarked(0, local),
+			Policy:    env.Synchronous{},
+			MaxRounds: 40,
 			OnRound: func(r int, e *Engine) {
 				for i := 0; i < e.N(); i++ {
 					if got := e.Proc(i).InboxRounds(); got > maxRounds {
@@ -302,29 +319,28 @@ func TestCompactInboxesKeepsMemoryFlat(t *testing.T) {
 		}
 		return maxRounds, res
 	}
-	uncompacted, _ := runWith(false)
-	compacted, _ := runWith(true)
-	if compacted >= uncompacted {
-		t.Errorf("compaction ineffective: %d vs %d retained rounds", compacted, uncompacted)
+	unmarked, _ := runWith(false)
+	local, _ := runWith(true)
+	if local >= unmarked {
+		t.Errorf("recycling ineffective: %d vs %d retained rounds", local, unmarked)
 	}
-	// The OnRound sample runs before the step's compaction, so a process
-	// briefly holds rounds s−1, s and s+1 (own next payload), plus one
-	// early-delivered future round at most.
-	if compacted > 4 {
-		t.Errorf("compacted runs should retain ≤4 rounds, got %d", compacted)
+	// A round-local process recycles a round as it computes it, so after
+	// step s it holds round s+1 (own next payload) plus at most one
+	// early-delivered future round.
+	if local > 2 {
+		t.Errorf("round-local runs should retain ≤2 rounds, got %d", local)
 	}
 }
 
-func TestCompactInboxesPreservesConsensusBehaviour(t *testing.T) {
-	// The engines must produce identical decisions with and without
-	// compaction for round-reading automata.
-	run := func(compact bool) *Result {
+func TestRoundLocalPreservesConsensusBehaviour(t *testing.T) {
+	// The engines must produce identical decisions with and without the
+	// marker for round-reading automata.
+	run := func(local bool) *Result {
 		res, err := Run(Config{
-			N:              4,
-			Automaton:      floodFactory(4),
-			Policy:         &env.MS{Seed: 5, MaxDelay: 2},
-			MaxRounds:      60,
-			CompactInboxes: compact,
+			N:         4,
+			Automaton: floodFactoryMarked(4, local),
+			Policy:    &env.MS{Seed: 5, MaxDelay: 2},
+			MaxRounds: 60,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +352,7 @@ func TestCompactInboxesPreservesConsensusBehaviour(t *testing.T) {
 		if a.Statuses[i].Decided != b.Statuses[i].Decided ||
 			a.Statuses[i].Decision != b.Statuses[i].Decision ||
 			a.Statuses[i].DecidedAt != b.Statuses[i].DecidedAt {
-			t.Fatalf("compaction changed behaviour: %+v vs %+v", a.Statuses[i], b.Statuses[i])
+			t.Fatalf("the marker changed behaviour: %+v vs %+v", a.Statuses[i], b.Statuses[i])
 		}
 	}
 }
@@ -352,6 +368,69 @@ func TestRunContextCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
+	}
+}
+
+// arrivalAut broadcasts a payload naming itself and the round, and logs
+// the keys of Fresh — every payload new since its last end-of-round, in
+// arrival order — at each compute.
+type arrivalAut struct {
+	i   int
+	log *[]string
+}
+
+func (a arrivalAut) Initialize() giraf.Payload {
+	return floodPayload{values.NewSet(values.Num(int64(100*a.i + 1)))}
+}
+
+func (a arrivalAut) Compute(k int, in giraf.Inbox) (giraf.Payload, giraf.Decision) {
+	entry := fmt.Sprintf("p%d r%d:", a.i, k)
+	for _, p := range in.Fresh() {
+		entry += " " + p.PayloadKey()
+	}
+	*a.log = append(*a.log, entry)
+	return floodPayload{values.NewSet(values.Num(int64(100*a.i + k + 1)))}, giraf.Decision{}
+}
+
+// TestDeliveryKeepsQueueOrderPerReceiver: every receiver takes its
+// envelopes in queue order, however the step's queue mixes collapsed
+// fan-out entries and per-receiver ones. The reference run carries a
+// partition that never comes into force: a scenario with link faults
+// disables the collapse, so every envelope is its own queue entry.
+func TestDeliveryKeepsQueueOrderPerReceiver(t *testing.T) {
+	const n = 6
+	// Round 1: sender 0 is uniformly one round late (a fan-out entry due
+	// at step 2), sender 1 is one or two rounds late depending on the
+	// receiver (per-receiver entries), everybody else is timely; round 2 is
+	// timely everywhere, so step 2's queue interleaves both kinds.
+	delays := map[int]map[int]map[int]int{1: {0: {}, 1: {}}}
+	for r := 0; r < n; r++ {
+		delays[1][0][r] = 1
+		delays[1][1][r] = 1 + r%2
+	}
+	run := func(sc *env.Scenario) []string {
+		var log []string
+		_, err := Run(Config{
+			N:         n,
+			Automaton: func(i int) giraf.Automaton { return arrivalAut{i, &log} },
+			Policy:    &env.Scripted{Delays: delays},
+			Scenario:  sc,
+			MaxRounds: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	collapsed := run(nil)
+	perReceiver := run(&env.Scenario{Partitions: []env.Partition{{From: 100, Until: 101, Cut: 1}}})
+	if len(collapsed) != len(perReceiver) {
+		t.Fatalf("%d computes with collapse, %d without", len(collapsed), len(perReceiver))
+	}
+	for i := range collapsed {
+		if collapsed[i] != perReceiver[i] {
+			t.Fatalf("arrival order differs:\n collapsed:    %s\n per-receiver: %s", collapsed[i], perReceiver[i])
+		}
 	}
 }
 

@@ -38,9 +38,9 @@ func steadyDelta(t *testing.T) giraf.Envelope {
 // steady-state 16-reference envelope, the allocation twin of the
 // benchmark's wire.delta_encode_ns / wire.delta_decode_ns probes. The
 // budgets are the measured counts: encoding 4 allocs/op (the growth steps
-// of the 277-byte frame buffer), decoding 23 (the body reader, one scratch
-// array per fingerprint read — the set's and 16 references, each moved to
-// the heap by io.ReadFull — and five doublings of the references slice).
+// of the 277-byte frame buffer), decoding 6 (the body reader and five
+// doublings of the references slice; fingerprints are read straight out of
+// the frame).
 func TestDeltaEnvelopeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -50,7 +50,7 @@ func TestDeltaEnvelopeAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const encodeBudget, decodeBudget = 4, 23
+	const encodeBudget, decodeBudget = 4, 6
 	encode := testing.AllocsPerRun(200, func() {
 		if _, err := EncodeDeltaEnvelopeEpoch(delta, 1); err != nil {
 			t.Fatal(err)

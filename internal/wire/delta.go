@@ -37,14 +37,19 @@ func writeFingerprint(w *bytes.Buffer, fp values.Fingerprint) {
 	w.Write(buf[:])
 }
 
-func readFingerprint(r *bytes.Reader) (values.Fingerprint, error) {
-	var buf [16]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return values.Fingerprint{}, fmt.Errorf("%w: truncated fingerprint: %v", ErrBadFrame, err)
+// readFingerprint reads a fingerprint straight out of body, the slice r
+// reads, and advances r past it: no scratch buffer to move to the heap.
+func readFingerprint(body []byte, r *bytes.Reader) (values.Fingerprint, error) {
+	if r.Len() < 16 {
+		return values.Fingerprint{}, fmt.Errorf("%w: truncated fingerprint: %d bytes left", ErrBadFrame, r.Len())
+	}
+	b := body[len(body)-r.Len():]
+	if _, err := r.Seek(16, io.SeekCurrent); err != nil {
+		return values.Fingerprint{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	return values.Fingerprint{
-		Hi: binary.BigEndian.Uint64(buf[:8]),
-		Lo: binary.BigEndian.Uint64(buf[8:]),
+		Hi: binary.BigEndian.Uint64(b[:8]),
+		Lo: binary.BigEndian.Uint64(b[8:16]),
 	}, nil
 }
 
@@ -82,7 +87,8 @@ func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
 	if len(data) == 0 || data[0] != epochMagic {
 		return giraf.Envelope{}, 0, fmt.Errorf("%w: not a delta envelope", ErrBadFrame)
 	}
-	r := bytes.NewReader(data[1:])
+	body := data[1:]
+	r := bytes.NewReader(body)
 	epoch, err := readEpoch(r)
 	if err != nil {
 		return giraf.Envelope{}, 0, err
@@ -92,7 +98,7 @@ func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
 		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	env := giraf.Envelope{Round: int(round)}
-	if env.SetFingerprint, err = readFingerprint(r); err != nil {
+	if env.SetFingerprint, err = readFingerprint(body, r); err != nil {
 		return giraf.Envelope{}, 0, err
 	}
 	nRefs, err := readUvarint(r)
@@ -100,7 +106,7 @@ func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
 		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	for i := uint64(0); i < nRefs; i++ {
-		fp, err := readFingerprint(r)
+		fp, err := readFingerprint(body, r)
 		if err != nil {
 			return giraf.Envelope{}, 0, err
 		}

@@ -119,7 +119,7 @@ func parityReport() string {
 	props5 := core.DistinctProposals(5)
 	cres, err := sim.Run(sim.Config{
 		N: 5, Automaton: func(i int) giraf.Automaton { return core.NewES(props5[i]) },
-		Policy: &env.ES{GST: 6, Pre: env.MS{Seed: 1}}, MaxRounds: 250, CompactInboxes: true,
+		Policy: &env.ES{GST: 6, Pre: env.MS{Seed: 1}}, MaxRounds: 250,
 	})
 	dump("ES n=5 compact seed=1", cres, err)
 	return b.String()
