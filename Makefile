@@ -86,12 +86,14 @@ perf:
 
 # fuzz-smoke gives each native fuzz target a short budget; CI runs it on
 # every push so codec and framing regressions surface before a long fuzz
-# campaign would. Both wire envelope targets drive the one frame codec
+# campaign would. FuzzCounters checks the hash-consed histories and the
+# fingerprint-keyed counter table against the string-keyed reference model. Both wire envelope targets drive the one frame codec
 # (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
 # round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and epoch peek.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values
+	$(GO) test -run '^$$' -fuzz '^FuzzCounters$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeltaEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/wire

@@ -47,9 +47,9 @@ type ES struct {
 	// across rounds.
 	sets []values.Set
 
-	// memo, when non-nil, is shared by every ES automaton of one run (see
+	// memo, when non-nil, is shared by every automaton of one run (see
 	// ConfigES) and caches the round-aggregate sets by inbox fingerprint.
-	memo *esMemo
+	memo *roundMemo
 
 	// literalNesting reproduces the broken literal reading of the
 	// preprint's flat indentation (line 14 nested in the even-round
@@ -114,7 +114,8 @@ func (a *ES) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
 	// first process computes them and its peers alias the memoized result
 	// without reading the round (sound: fingerprint equality ⇔ structural
 	// equality, and state sets are only ever reassigned, never mutated).
-	w, u, ok := a.memoLookup(k, inbox)
+	agg, ok := a.memo.lookup(k, inbox)
+	w, u := agg.written, agg.union
 	if !ok {
 		msgs := inbox.Round(k)
 		sets := a.sets[:0]
@@ -135,7 +136,7 @@ func (a *ES) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
 		} else {
 			w = values.IntersectAll(sets)
 			u = values.UnionAll(sets)
-			a.memoStore(k, inbox, w, u)
+			a.memo.store(k, inbox, roundAgg{written: w, union: u})
 		}
 	}
 	a.written = w
@@ -176,13 +177,14 @@ func (a *ES) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
 	return SetPayload{Proposed: a.proposed}, giraf.Decision{}
 }
 
-// esMemo caches one round inbox's aggregate sets (intersection and union)
-// together with the fingerprints of the round's payloads, shared by every
-// ES automaton of a single run. A single slot suffices: the engine invokes
-// end-of-round compute sequentially across processes, so when inboxes
-// coincide the hits arrive back to back. The cached sets are immutable by
-// convention — ES state sets are reassigned, never mutated in place.
-type esMemo struct {
+// roundMemo caches one round inbox's aggregates together with the
+// fingerprints of the round's payloads, shared by every automaton of a
+// single run: ES and ESS alike (ConfigES, ConfigESS). A single slot
+// suffices: the engine invokes end-of-round compute sequentially across
+// processes, so when inboxes coincide the hits arrive back to back. The
+// cached aggregates are immutable by convention — state sets and counter
+// tables are reassigned, never mutated in place.
+type roundMemo struct {
 	// n sizes the storage at the first store: a round holds at most one
 	// payload per process, so later stores of the run never allocate.
 	n int
@@ -190,10 +192,19 @@ type esMemo struct {
 	// idx is an open-addressed table of 1-based positions into fps
 	// (power-of-two size, load ≤ ½, linear probing), the inbox index's
 	// layout (see giraf's roundInbox).
-	fps     []values.Fingerprint
-	idx     []uint32
-	written values.Set
-	union   values.Set
+	fps []values.Fingerprint
+	idx []uint32
+	agg roundAgg
+}
+
+// roundAgg is what a round's payload set alone determines, the same for
+// every process that receives exactly that set: WRITTEN (the intersection)
+// and the union of Algorithm 2's lines 6–7 and Algorithm 3's lines 6–7, and
+// for Algorithm 3 the counter table after lines 8–9.
+type roundAgg struct {
+	written  values.Set
+	union    values.Set
+	counters values.Counters
 }
 
 // roundFingerprinter is the optional Inbox capability the memo keys on
@@ -210,7 +221,7 @@ func memoSlot(fp values.Fingerprint) int {
 }
 
 // contains reports whether fp is one of the cached round's fingerprints.
-func (m *esMemo) contains(fp values.Fingerprint) bool {
+func (m *roundMemo) contains(fp values.Fingerprint) bool {
 	mask := len(m.idx) - 1
 	for i := memoSlot(fp) & mask; ; i = (i + 1) & mask {
 		pos := m.idx[i]
@@ -223,34 +234,36 @@ func (m *esMemo) contains(fp values.Fingerprint) bool {
 	}
 }
 
-// memoLookup returns the cached aggregates when the run-shared memo holds
-// this round's exact payload set: the same number of payloads, each of
-// them a member. Fingerprints within a round are pairwise distinct, so
-// that is set equality, confirmed without sorting or hashing the round.
-func (a *ES) memoLookup(k int, inbox giraf.Inbox) (written, union values.Set, ok bool) {
-	if a.memo == nil || len(a.memo.fps) == 0 {
-		return values.Set{}, values.Set{}, false
+// lookup returns the cached aggregates when the run-shared memo holds this
+// round's exact payload set: the same number of payloads, each of them a
+// member. Fingerprints within a round are pairwise distinct, so that is
+// set equality, confirmed without sorting or hashing the round. A nil memo
+// never hits.
+func (m *roundMemo) lookup(k int, inbox giraf.Inbox) (roundAgg, bool) {
+	if m == nil || len(m.fps) == 0 {
+		return roundAgg{}, false
 	}
 	rf, can := inbox.(roundFingerprinter)
 	if !can {
-		return values.Set{}, values.Set{}, false
+		return roundAgg{}, false
 	}
 	fps := rf.RoundFingerprints(k)
-	if len(fps) != len(a.memo.fps) {
-		return values.Set{}, values.Set{}, false
+	if len(fps) != len(m.fps) {
+		return roundAgg{}, false
 	}
 	for _, fp := range fps {
-		if !a.memo.contains(fp) {
-			return values.Set{}, values.Set{}, false
+		if !m.contains(fp) {
+			return roundAgg{}, false
 		}
 	}
-	return a.memo.written, a.memo.union, true
+	return m.agg, true
 }
 
-// memoStore records this round's fingerprints and aggregates for the peers
-// that will see the same inbox, reusing the memo's storage.
-func (a *ES) memoStore(k int, inbox giraf.Inbox, written, union values.Set) {
-	if a.memo == nil {
+// store records this round's fingerprints and aggregates for the peers
+// that will see the same inbox, reusing the memo's storage. A nil memo
+// stores nothing.
+func (m *roundMemo) store(k int, inbox giraf.Inbox, agg roundAgg) {
+	if m == nil {
 		return
 	}
 	rf, can := inbox.(roundFingerprinter)
@@ -261,7 +274,6 @@ func (a *ES) memoStore(k int, inbox giraf.Inbox, written, union values.Set) {
 	if len(fps) == 0 {
 		return
 	}
-	m := a.memo
 	if size := 2 * max(len(fps), m.n); len(m.idx) < size {
 		m.fps = make([]values.Fingerprint, 0, size/2)
 		m.idx = make([]uint32, 1<<bits.Len(uint(size-1)))
@@ -277,7 +289,7 @@ func (a *ES) memoStore(k int, inbox giraf.Inbox, written, union values.Set) {
 		}
 		m.idx[i] = uint32(pos + 1)
 	}
-	m.written, m.union = written, union
+	m.agg = agg
 }
 
 // allSetsEqual reports whether every set equals the first — a fingerprint

@@ -52,6 +52,21 @@ func TestESSynchronousFromStart(t *testing.T) {
 	}
 }
 
+// TestInitialPayloadCarriesVal pins DESIGN.md §3 note 1: both algorithms'
+// round-0 payload is {VAL}, not the text's empty PROPOSED. Under the empty
+// set no value ever enters Algorithm 2, and TestESSynchronousFromStart
+// fails; Algorithm 3's leaders still propose VAL at the first even round,
+// so only this test notices there.
+func TestInitialPayloadCarriesVal(t *testing.T) {
+	v := values.Num(7)
+	if p := NewES(v).Initialize().(SetPayload); !p.Proposed.IsExactly(v) {
+		t.Errorf("ES initial payload %v, want {%v}", p.Proposed, v)
+	}
+	if p := NewESS(v).Initialize().(ESSPayload); !p.Proposed.IsExactly(v) {
+		t.Errorf("ESS initial payload %v, want {%v}", p.Proposed, v)
+	}
+}
+
 func TestESIdenticalProposals(t *testing.T) {
 	props := []values.Value{values.Num(7), values.Num(7), values.Num(7)}
 	res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})

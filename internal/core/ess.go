@@ -53,12 +53,14 @@ func (p ESSPayload) form() *essForm {
 			return f
 		}
 	}
+	ps, hs, cs := p.Proposed.Key(), p.History.Key(), p.Counters.Key()
 	var b strings.Builder
-	b.WriteString(p.Proposed.Key())
+	b.Grow(len(ps) + len(hs) + len(cs) + 2)
+	b.WriteString(ps)
 	b.WriteByte('|')
-	b.WriteString(p.History.Key())
+	b.WriteString(hs)
 	b.WriteByte('|')
-	b.WriteString(p.Counters.Key())
+	b.WriteString(cs)
 	f := &essForm{key: b.String()}
 	f.fp = values.FingerprintString(f.key)
 	if p.canon != nil {
@@ -94,6 +96,16 @@ type ESS struct {
 	written    values.Set
 	writtenOld values.Set
 	proposed   values.Set
+
+	// sets, ctrs and hists are the round-k messages' components, Compute's
+	// scratch buffers reused across rounds.
+	sets  []values.Set
+	ctrs  []values.Counters
+	hists []values.History
+
+	// memo, when non-nil, is shared by every automaton of one run (see
+	// ConfigESS) and caches lines 6–9's aggregates by inbox fingerprint.
+	memo *roundMemo
 
 	// wasLeader records the outcome of the last leader check (line 15),
 	// for the convergence experiments (T4, F2).
@@ -147,7 +159,7 @@ func NewESSLiteral(v values.Value) *ESS {
 // proposes ⊥ so the current source's value still reaches everyone.
 func (a *ESS) stepLeaderProposal() {
 	a.wasLeader = a.counters.IsMaximal(a.history)
-	if a.wasLeader || a.proposed.SubsetOf(values.NewSet(a.val, values.Bot)) {
+	if a.wasLeader || a.proposedOnlyValOrBot() {
 		a.proposed = values.NewSet(a.val) // line 16
 	} else {
 		a.proposed = values.NewSet(values.Bot) // line 18
@@ -158,42 +170,81 @@ func (a *ESS) stepLeaderProposal() {
 // alone.
 func (*ESS) ReadsOnlyRound() {}
 
-// Initialize implements giraf.Automaton (Algorithm 3 lines 1–4). As in
-// Algorithm 2 the initial payload carries {VAL} (DESIGN.md §3 note 1).
-func (a *ESS) Initialize() giraf.Payload {
-	return MakeESSPayload(values.NewSet(a.val), a.history, a.counters.Clone())
+// proposedOnlyValOrBot reports PROPOSED ⊆ {VAL, ⊥} (lines 11 and 15)
+// without building the two-element set.
+func (a *ESS) proposedOnlyValOrBot() bool {
+	in := 0
+	if a.proposed.Contains(a.val) {
+		in++
+	}
+	if a.proposed.Contains(values.Bot) {
+		in++
+	}
+	return in == a.proposed.Len()
 }
 
-// Compute implements giraf.Automaton (Algorithm 3 lines 5–22).
-func (a *ESS) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
-	msgs := inbox.Round(k)
-	pays := make([]ESSPayload, 0, len(msgs))
-	sets := make([]values.Set, 0, len(msgs))
-	ctrs := make([]values.Counters, 0, len(msgs))
+// Initialize implements giraf.Automaton (Algorithm 3 lines 1–4). As in
+// Algorithm 2 the initial payload carries {VAL} (DESIGN.md §3 note 1).
+//
+// Payloads share the automaton's history and counter table: both are only
+// ever reassigned, never mutated in place once returned, as are the state
+// sets.
+func (a *ESS) Initialize() giraf.Payload {
+	return MakeESSPayload(values.NewSet(a.val), a.history, a.counters)
+}
+
+// aggregate computes lines 6–9's pure functions of the round's payload
+// set: WRITTEN, the union of the PROPOSED sets, and the counter table after
+// the merge and the bumps. Inbox order is canonical, so the bumps are
+// deterministic.
+func (a *ESS) aggregate(msgs []giraf.Payload) roundAgg {
+	a.sets, a.ctrs, a.hists = a.sets[:0], a.ctrs[:0], a.hists[:0]
 	for _, m := range msgs {
 		// Foreign-family payloads (a shared hub replaying another run) are
 		// ignored, not fatal: crash-fault model.
 		if p, ok := m.(ESSPayload); ok {
-			pays = append(pays, p)
-			sets = append(sets, p.Proposed)
-			ctrs = append(ctrs, p.Counters)
+			a.sets = append(a.sets, p.Proposed)
+			a.ctrs = append(a.ctrs, p.Counters)
+			a.hists = append(a.hists, p.History)
 		}
 	}
-	// Line 6: WRITTEN := ∩ m.PROPOSED.
-	a.written = values.IntersectAll(sets)
-	// Line 7: PROPOSED := (∪ m.PROPOSED) ∪ PROPOSED.
-	a.proposed = values.UnionAll(sets).Union(a.proposed)
-	// Line 8: ∀H, C[H] := min_m m.C[H].
-	a.counters = values.MinMerge(ctrs)
-	// Line 9: ∀m, C[m.HISTORY] := 1 + max{C[H] | H prefix of m.HISTORY}.
-	// Inbox order is canonical, so this is deterministic.
-	for _, p := range pays {
-		a.counters.Bump(p.History)
+	agg := roundAgg{
+		written:  values.IntersectAll(a.sets), // line 6
+		union:    values.UnionAll(a.sets),     // line 7's ∪ m.PROPOSED
+		counters: values.MinMerge(a.ctrs),     // line 8
 	}
+	// Line 9: ∀m, C[m.HISTORY] := 1 + max{C[H] | H prefix of m.HISTORY}.
+	for _, h := range a.hists {
+		agg.counters.Bump(h)
+	}
+	return agg
+}
+
+// Compute implements giraf.Automaton (Algorithm 3 lines 5–22).
+func (a *ESS) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
+	// Lines 6–9 depend on the round's payload set alone, so across the
+	// processes of one run that see identical inboxes the first computes
+	// them and its peers take the memoized result (see ES.Compute).
+	agg, ok := a.memo.lookup(k, inbox)
+	if !ok {
+		agg = a.aggregate(inbox.Round(k))
+		a.memo.store(k, inbox, agg)
+	}
+	// Line 6: WRITTEN := ∩ m.PROPOSED.
+	a.written = agg.written
+	// Line 7: PROPOSED := (∪ m.PROPOSED) ∪ PROPOSED, aliasing the union
+	// when PROPOSED adds nothing to it.
+	if a.proposed.SubsetOf(agg.union) {
+		a.proposed = agg.union
+	} else {
+		a.proposed = agg.union.Union(a.proposed)
+	}
+	// Lines 8–9.
+	a.counters = agg.counters
 
 	if k%2 == 0 {
 		// Line 11: if WRITTENOLD = {VAL} ∧ PROPOSED ⊆ {VAL, ⊥} then decide.
-		if a.writtenOld.IsExactly(a.val) && a.proposed.SubsetOf(values.NewSet(a.val, values.Bot)) {
+		if a.writtenOld.IsExactly(a.val) && a.proposedOnlyValOrBot() {
 			return nil, giraf.Decision{Decided: true, Value: a.val}
 		}
 		// Lines 13–14: adopt the maximum written value, if any.
@@ -203,7 +254,7 @@ func (a *ESS) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) 
 			if a.literalNesting {
 				// Broken flat reading: lines 15–19 nested under the else-if.
 				a.stepLeaderProposal()
-				a.writtenOld = a.written.Clone()
+				a.writtenOld = a.written
 			}
 		}
 		if !a.literalNesting {
@@ -220,22 +271,19 @@ func (a *ESS) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) 
 	// in the same odd round k−1") depends on it, and the even-round-only
 	// placement demonstrably violates Agreement (DESIGN.md §3 note 3).
 	if !a.literalNesting {
-		a.writtenOld = a.written.Clone() // line 19
-		a.written = a.proposed.Clone()   // line 20 (no observable effect; kept faithful)
+		a.writtenOld = a.written // line 19
+		a.written = a.proposed   // line 20 (no observable effect; kept faithful)
 	}
 	// Line 21: append VAL to HISTORY (every round).
 	a.history = a.history.Append(a.val)
 	// Line 22.
-	return MakeESSPayload(a.proposed.Clone(), a.history, a.counters.Clone()), giraf.Decision{}
+	return MakeESSPayload(a.proposed, a.history, a.counters), giraf.Decision{}
 }
 
 // Val returns the current estimate.
 func (a *ESS) Val() values.Value { return a.val }
 
-// History returns the process's proposal history (shared slice; treat as
-// read-only).
-//
-//detlint:aliased History is append-only and read-only by contract; sharing keeps the per-round leader check alloc-free
+// History returns the process's proposal history (an immutable chain).
 func (a *ESS) History() values.History { return a.history }
 
 // IsLeader reports whether the process considered itself a leader at its

@@ -23,11 +23,11 @@ func hideMarkers(cfg sim.Config) sim.Config {
 
 // TestRoundSkipsInvisible is the property test for the two ways a process
 // skips round work: dropping envelopes for rounds already computed (the
-// giraf.RoundLocal marker) and the ES memo answering before the round is
+// giraf.RoundLocal marker) and the round memo answering before the round is
 // read. Over the environments, faults, sizes and seeds below, a run must
 // match — statuses, rounds and every Metrics field, MergesSkipped included
-// — the same run with the marker hidden, and for ES also the run without
-// the memo (NewES automata) and the run with neither.
+// — the same run with the marker hidden, and for ES and ESS also the run
+// without the memo (NewES or NewESS automata) and the run with neither.
 func TestRoundSkipsInvisible(t *testing.T) {
 	policies := []struct {
 		name string
@@ -67,8 +67,14 @@ func TestRoundSkipsInvisible(t *testing.T) {
 				},
 			}},
 			{"ESS", map[string]func(RunOpts) sim.Config{
-				"marker":  func(o RunOpts) sim.Config { return ConfigESS(props, o) },
-				"neither": func(o RunOpts) sim.Config { return hideMarkers(ConfigESS(props, o)) },
+				"marker+memo": func(o RunOpts) sim.Config { return ConfigESS(props, o) },
+				"memo":        func(o RunOpts) sim.Config { return hideMarkers(ConfigESS(props, o)) },
+				"marker": func(o RunOpts) sim.Config {
+					return o.config(n, func(i int) giraf.Automaton { return NewESS(props[i]) })
+				},
+				"neither": func(o RunOpts) sim.Config {
+					return hideMarkers(o.config(n, func(i int) giraf.Automaton { return NewESS(props[i]) }))
+				},
 			}},
 			{"Omega", map[string]func(RunOpts) sim.Config{
 				"marker":  func(o RunOpts) sim.Config { return ConfigOmega(props, EventualOracle(n-1, 5), o) },
@@ -164,7 +170,7 @@ func TestESMemoHitsOnlyOnTheSameSet(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			memo := &esMemo{n: 4}
+			memo := &roundMemo{n: 4}
 			first := NewES(values.Num(1))
 			first.memo = memo
 			first.Compute(1, &memoInbox{pays: stored})

@@ -66,7 +66,7 @@ func ConfigES(proposals []values.Value, opts RunOpts) sim.Config {
 	// Policy): processes with identical round inboxes — every process, in
 	// a uniform-delivery round — share one aggregate computation instead
 	// of each re-deriving the same intersection and union.
-	memo := &esMemo{n: len(proposals)}
+	memo := &roundMemo{n: len(proposals)}
 	return opts.config(len(proposals), func(i int) giraf.Automaton {
 		a := NewES(proposals[i])
 		a.memo = memo
@@ -74,9 +74,16 @@ func ConfigES(proposals []values.Value, opts RunOpts) sim.Config {
 	})
 }
 
-// ConfigESS is ConfigES for Algorithm 3.
+// ConfigESS is ConfigES for Algorithm 3. The run-shared memo also carries
+// the counter table after lines 8–9, so a uniform round merges and bumps
+// once, not once per process.
 func ConfigESS(proposals []values.Value, opts RunOpts) sim.Config {
-	return opts.config(len(proposals), func(i int) giraf.Automaton { return NewESS(proposals[i]) })
+	memo := &roundMemo{n: len(proposals)}
+	return opts.config(len(proposals), func(i int) giraf.Automaton {
+		a := NewESS(proposals[i])
+		a.memo = memo
+		return a
+	})
 }
 
 // ConfigOmega is ConfigES for the Ω baseline. The oracle factory receives

@@ -36,14 +36,15 @@ import "math/rand"
 // rngFor derives a deterministic rand.Rand for a given policy seed and
 // stream label, so distinct policies never share streams. The stream labels
 // are part of the repository's determinism contract: fixed-seed goldens pin
-// the schedules they produce.
+// the schedules they produce. NewRand keeps math/rand's exact stream and
+// seeds only the words a policy's few draws read.
 func rngFor(seed int64, stream string) *rand.Rand {
 	h := int64(1469598103934665603)
 	for _, b := range []byte(stream) {
 		h ^= int64(b)
 		h *= 1099511628211
 	}
-	return rand.New(rand.NewSource(seed ^ h))
+	return NewRand(seed ^ h)
 }
 
 func contains(xs []int, x int) bool {

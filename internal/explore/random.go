@@ -78,7 +78,7 @@ func sampleSchedule(rng *rand.Rand, n, horizon, maxDelay, depth int, sc *env.Sce
 
 // sampleTrial draws the complete trace of one randomized trial.
 func sampleTrial(cfg *Config, trial int) Trace {
-	rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, trial)))
+	rng := env.NewRand(trialSeed(cfg.Seed, trial))
 	n := len(cfg.Proposals)
 	// Scenario draw first so the schedule stream is independent of whether
 	// the trial is faulted.

@@ -3,11 +3,11 @@ package expt
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
 
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/obstruction"
 	"anonconsensus/internal/values"
 )
@@ -73,7 +73,7 @@ func runOFTrial(p int, seed int64) (attempts int, agreed bool) {
 		//detlint:goroutine T11 measures real contention between racing proposers; its columns are excluded from the byte-identity pins
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(ofTrialSeed(seed, i)))
+			rng := env.NewRand(ofTrialSeed(seed, i))
 			for attempt := 1; ; attempt++ {
 				if v, ok := c.Decided(); ok {
 					mu.Lock()

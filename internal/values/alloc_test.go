@@ -37,3 +37,33 @@ func TestEncodedSizeNeedsNoKey(t *testing.T) {
 		t.Errorf("EncodedSize allocates as much as Key (%v >= %v): key string is being built", withoutKey, withKey)
 	}
 }
+
+// TestHistoryCountersAllocsWarm pins the Algorithm 3 tables' hot paths:
+// Append is one node, a settled history's Key and every read of a settled
+// counter table cost nothing, and Bump looks prefixes up without building
+// a key.
+func TestHistoryCountersAllocsWarm(t *testing.T) {
+	h := NewHistory(Num(1))
+	for i := 0; i < 16; i++ {
+		h = h.Append(Num(int64(i % 3)))
+	}
+	_ = h.Key() // settle
+	if n := testing.AllocsPerRun(100, func() { _ = h.Append(Bot) }); n != 1 {
+		t.Errorf("History.Append: %v allocs/op, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = h.Key() }); n != 0 {
+		t.Errorf("History.Key on settled history: %v allocs/op, want 0", n)
+	}
+	c := NewCounters()
+	c.Bump(h)
+	c.Bump(NewHistory(Num(2)))
+	_ = c.Key() // settle
+	if n := testing.AllocsPerRun(100, func() {
+		_, _, _ = c.Key(), c.EncodedSize(), c.IsMaximal(h)
+	}); n != 0 {
+		t.Errorf("Counters reads on settled table: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Bump(h) }); n != 0 {
+		t.Errorf("Counters.Bump of a stored history: %v allocs/op, want 0", n)
+	}
+}

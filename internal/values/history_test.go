@@ -23,13 +23,13 @@ func TestHistoryAppendImmutable(t *testing.T) {
 	if h.Len() != 1 {
 		t.Error("Append must not modify the receiver")
 	}
-	if g.Len() != 2 || g[1] != Num(2) {
+	if g.Len() != 2 || g.Values()[1] != Num(2) {
 		t.Errorf("Append result wrong: %v", g)
 	}
 	// Appending to the same base twice must not alias.
 	a := h.Append(Num(3))
 	b := h.Append(Num(4))
-	if a[1] == b[1] {
+	if a.Values()[1] == b.Values()[1] {
 		t.Error("two appends to same base aliased underlying storage")
 	}
 }
@@ -92,8 +92,8 @@ func TestHistoryKeyCanonical(t *testing.T) {
 
 func TestHistoryKeyUnambiguous(t *testing.T) {
 	// ["ab"] vs ["a","b"]
-	a := History{Value("ab")}
-	b := History{Value("a"), Value("b")}
+	a := NewHistory(Value("ab"))
+	b := NewHistory(Value("a")).Append(Value("b"))
 	if a.Key() == b.Key() {
 		t.Errorf("history key collision: %q", a.Key())
 	}

@@ -178,35 +178,35 @@ func (s Set) Union(t Set) Set {
 	return u
 }
 
-// Intersect returns a new set with the values present in both s and t.
-func (s Set) Intersect(t Set) Set {
-	small, large := s, t
-	if large.Len() < small.Len() {
-		small, large = large, small
-	}
-	out := NewSet()
-	//detlint:ordered membership filter into a set is commutative
-	for v := range small.m {
-		if large.Contains(v) {
-			out.Add(v)
-		}
-	}
-	return out
-}
-
 // IntersectAll intersects all given sets. Following the convention used by
 // the algorithms (WRITTEN := ∩_{m∈M_i[k]} m over a non-empty inbox), the
 // intersection of zero sets is defined as the empty set: with no evidence,
 // nothing counts as written.
+//
+// It walks the smallest set once and keeps the values every set contains,
+// building one output set instead of one per pairwise intersection.
 func IntersectAll(sets []Set) Set {
 	if len(sets) == 0 {
 		return NewSet()
 	}
-	out := sets[0].Clone()
+	small := sets[0]
 	for _, t := range sets[1:] {
-		out = out.Intersect(t)
-		if out.IsEmpty() {
-			return out
+		if t.Len() < small.Len() {
+			small = t
+		}
+	}
+	out := NewSet()
+	//detlint:ordered membership filter into a set is commutative
+	for v := range small.m {
+		in := true
+		for _, t := range sets {
+			if !t.Contains(v) {
+				in = false
+				break
+			}
+		}
+		if in {
+			out.m[v] = struct{}{}
 		}
 	}
 	return out

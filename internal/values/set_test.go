@@ -63,7 +63,7 @@ func TestSetUnionIntersect(t *testing.T) {
 	if u.Len() != 4 {
 		t.Errorf("union size = %d, want 4", u.Len())
 	}
-	i := a.Intersect(b)
+	i := IntersectAll([]Set{a, b})
 	if !i.Equal(NewSet(Num(2), Num(3))) {
 		t.Errorf("intersect = %v", i)
 	}
@@ -149,7 +149,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 	t.Run("intersection subset of both", func(t *testing.T) {
 		f := func(x, y []byte) bool {
 			a, b := randSet(x), randSet(y)
-			i := a.Intersect(b)
+			i := IntersectAll([]Set{a, b})
 			return i.SubsetOf(a) && i.SubsetOf(b)
 		}
 		if err := quick.Check(f, cfg); err != nil {

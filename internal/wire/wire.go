@@ -108,8 +108,8 @@ func readSet(r *bytes.Reader) (values.Set, error) {
 }
 
 func writeHistory(w *bytes.Buffer, h values.History) {
-	writeUvarint(w, uint64(len(h)))
-	for _, v := range h {
+	writeUvarint(w, uint64(h.Len()))
+	for _, v := range h.Values() {
 		writeValue(w, v)
 	}
 }
@@ -117,15 +117,15 @@ func writeHistory(w *bytes.Buffer, h values.History) {
 func readHistory(r *bytes.Reader) (values.History, error) {
 	n, err := readUvarint(r)
 	if err != nil {
-		return nil, err
+		return values.History{}, err
 	}
-	out := make(values.History, 0, n)
+	var out values.History
 	for i := uint64(0); i < n; i++ {
 		v, err := readValue(r)
 		if err != nil {
-			return nil, err
+			return values.History{}, err
 		}
-		out = append(out, v)
+		out = out.Append(v)
 	}
 	return out, nil
 }
