@@ -86,7 +86,8 @@ perf:
 
 # fuzz-smoke gives each native fuzz target a short budget; CI runs it on
 # every push so codec and framing regressions surface before a long fuzz
-# campaign would. FuzzCounters checks the hash-consed histories and the
+# campaign would. FuzzReadFrames reads frame streams through a 16-byte
+# bufio.Reader, the way the hub and the mux read their connections. FuzzCounters checks the hash-consed histories and the
 # fingerprint-keyed counter table against the string-keyed reference model. Both wire envelope targets drive the one frame codec
 # (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
 # round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and epoch peek.
@@ -97,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeltaEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME) ./internal/env
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime $(FUZZTIME) ./internal/explore
 
@@ -127,13 +129,15 @@ chaos-smoke:
 # connection per process, epoch-scoped retirement and replay, reconnect
 # resumption, and where the join grace applies: a leased epoch runs round
 # 0 on its first beat, a DialMux-registered one sits out its grace), the
+# hub's batched byte path (its fan-out allocation pin, batches that stay
+# whole and in order between heartbeats, no bytes lost behind a Welcome), the
 # JoinTCP joiners (the one public path that keeps a join grace), and the
 # sustained-load scaling assertion — a k=8 pool must beat the sequential
 # session at least 2× on the timer-bound live backend, which holds on any
 # core count.
 mux-smoke:
 	$(GO) test -race -count=1 -run 'TestNodeStress|TestNodePool|TestNodeCloseMidFlight|TestSimPoolDeterminism|TestAdmission|TestEventDrop|TestTCPMux|TestJoinTCP|TestServiceThroughputScales' .
-	$(GO) test -race -short -count=1 -run 'TestMux|TestRetireEpoch|TestEpoch' ./internal/tcpnet ./internal/wire
+	$(GO) test -race -short -count=1 -run 'TestMux|TestRetireEpoch|TestEpoch|TestHubFanOut|TestHubWriteLoop' ./internal/tcpnet ./internal/wire
 
 # load-smoke is the open-loop workload plane's quick pass, run by CI on
 # every push: the workload package (generator, report) and the public

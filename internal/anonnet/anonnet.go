@@ -107,17 +107,18 @@ func (r *Result) Decisions() values.Set {
 
 // network carries the shared state of one run.
 type network struct {
-	cfg  Config
-	in   []chan giraf.Envelope
-	ctx  context.Context
-	wg   sync.WaitGroup // delivery goroutines
-	done chan int       // process indexes that finished (decided/crashed/cancelled)
-
-	// links[from*N+to] is the lazily started delivery queue of one
-	// directed link; one goroutine per link drains it in deadline order,
-	// bounding the run at O(n²) delivery goroutines total (previously one
-	// goroutine per envelope per link: O(rounds·n²)).
-	links []*linkQueue
+	cfg Config
+	// in[i] is process i's inbox, sized by inboxDepth. Only queues[i]'s
+	// goroutine sends on it, so a full inbox parks that one goroutine
+	// (until the process reads or the run ends) and never a sender:
+	// broadcast only pushes onto queues.
+	in []chan giraf.Envelope
+	// queues[i] holds every envelope on its way to process i, in deadline
+	// order, and one goroutine per receiver delivers them.
+	queues []*linkQueue
+	ctx    context.Context
+	wg     sync.WaitGroup // delivery goroutines
+	done   chan int       // process indexes that finished (decided/crashed/cancelled)
 
 	dropped    atomic.Int64
 	duplicated atomic.Int64
@@ -139,16 +140,20 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 	defer cancel()
 
 	nw := &network{
-		cfg:   cfg,
-		in:    make([]chan giraf.Envelope, cfg.N),
-		ctx:   ctx,
-		done:  make(chan int, cfg.N),
-		links: make([]*linkQueue, cfg.N*cfg.N),
+		cfg:    cfg,
+		in:     make([]chan giraf.Envelope, cfg.N),
+		queues: make([]*linkQueue, cfg.N),
+		ctx:    ctx,
+		done:   make(chan int, cfg.N),
 	}
 	for i := range nw.in {
-		// Generous buffering: a halted process stops reading and late
-		// deliveries must not block senders.
-		nw.in[i] = make(chan giraf.Envelope, 4096)
+		nw.in[i] = make(chan giraf.Envelope, inboxDepth(cfg.N))
+		nw.queues[i] = newLinkQueue()
+		nw.wg.Add(1)
+		go func() {
+			defer nw.wg.Done()
+			nw.queues[i].run(ctx, nw.in[i])
+		}()
 	}
 
 	start := time.Now()
@@ -188,6 +193,12 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 		Duplicated: int(nw.duplicated.Load()),
 	}, nil
 }
+
+// inboxDepth sizes a process inbox from the process count: a few rounds of
+// envelopes from every peer, which a running process drains as they
+// arrive. A halted process stops reading; what reaches it after its inbox
+// fills waits in its delivery queue instead.
+func inboxDepth(n int) int { return max(16, 4*n) }
 
 // runProcess drives one process on the shared round loop (package
 // rounddriver) with no join grace, for the reason a leased TCP epoch has
@@ -232,28 +243,10 @@ func (nw *network) broadcast(from int, envl giraf.Envelope) {
 			continue
 		}
 		delay := nw.cfg.Latency.Delay(envl.Round, from, to)
-		nw.link(from, to).push(now.Add(delay), envl)
+		nw.queues[to].push(now.Add(delay), envl)
 		if sc != nil && sc.Duplicates(envl.Round, from, to) {
 			nw.duplicated.Add(1)
-			nw.link(from, to).push(now.Add(delay+nw.cfg.Interval/2), envl)
+			nw.queues[to].push(now.Add(delay+nw.cfg.Interval/2), envl)
 		}
 	}
-}
-
-// link returns (starting if needed) the delivery queue of the from→to
-// link. Only the sender's goroutine touches a given from-row, so lazy
-// initialization needs no lock.
-func (nw *network) link(from, to int) *linkQueue {
-	idx := from*nw.cfg.N + to
-	lq := nw.links[idx]
-	if lq == nil {
-		lq = newLinkQueue()
-		nw.links[idx] = lq
-		nw.wg.Add(1)
-		go func() {
-			defer nw.wg.Done()
-			lq.run(nw.ctx, nw.in[to])
-		}()
-	}
-	return lq
 }

@@ -8,12 +8,18 @@ import (
 	"anonconsensus/internal/giraf"
 )
 
-// linkQueue is the delivery queue of one directed link: envelopes wait in
-// a deadline-ordered min-heap and a single goroutine (run) delivers each
-// when its deadline passes. Latency profiles vary per round, so a later
-// envelope may legitimately overtake an earlier one — exactly the
-// reordering the old goroutine-per-envelope scheme produced, minus the
-// goroutine explosion.
+// linkQueue is the delivery queue of one receiver, shared by every link
+// into it: envelopes from all senders wait in one deadline-ordered
+// min-heap and a single goroutine (run) hands each to the receiver's inbox
+// when its deadline passes. Latency profiles vary per round and per link,
+// so a later envelope may legitimately overtake an earlier one. Equal
+// deadlines leave in push order, and one sender pushes its envelopes in
+// send order, so each link's own order is what a queue per link would
+// give.
+//
+// Senders never block: push only appends to the heap. When the receiver's
+// inbox is full, run parks on the send — holding back only this receiver's
+// deliveries — until the receiver reads again or the run ends.
 type linkQueue struct {
 	mu   sync.Mutex
 	heap []queuedEnvelope
@@ -47,30 +53,25 @@ func (lq *linkQueue) push(at time.Time, env giraf.Envelope) {
 	}
 }
 
-// head returns the earliest deadline, or ok=false for an empty queue.
-func (lq *linkQueue) head() (time.Time, bool) {
+// popDue removes and returns the earliest envelope if its deadline is at
+// or before now. Otherwise it returns how long until that deadline, or
+// ok=false for an empty queue.
+func (lq *linkQueue) popDue(now time.Time) (env giraf.Envelope, wait time.Duration, ok bool) {
 	lq.mu.Lock()
 	defer lq.mu.Unlock()
 	if len(lq.heap) == 0 {
-		return time.Time{}, false
+		return giraf.Envelope{}, 0, false
 	}
-	return lq.heap[0].at, true
-}
-
-// pop removes and returns the earliest entry; ok=false when empty.
-func (lq *linkQueue) pop() (queuedEnvelope, bool) {
-	lq.mu.Lock()
-	defer lq.mu.Unlock()
-	if len(lq.heap) == 0 {
-		return queuedEnvelope{}, false
+	if wait := lq.heap[0].at.Sub(now); wait > 0 {
+		return giraf.Envelope{}, wait, true
 	}
-	top := lq.heap[0]
+	env = lq.heap[0].env
 	last := len(lq.heap) - 1
 	lq.heap[0] = lq.heap[last]
 	lq.heap[last] = queuedEnvelope{} // release the payload reference
 	lq.heap = lq.heap[:last]
 	lq.siftDown(0)
-	return top, true
+	return env, 0, true
 }
 
 func (lq *linkQueue) less(i, j int) bool {
@@ -109,17 +110,16 @@ func (lq *linkQueue) siftDown(i int) {
 	}
 }
 
-// run is the link's delivery loop: sleep until the head deadline (or a
-// push installs an earlier one), then hand the envelope to the receiver's
-// inbox channel. A receiver that stopped reading only stalls this one
-// link; the sender never blocks on push.
+// run is the receiver's delivery loop: sleep until the head deadline (or
+// a push installs an earlier one), then hand the envelope to the
+// receiver's inbox channel, parking there while the inbox is full. Reset
+// discards any expiry left over from an earlier wait (Go 1.23 timers), so
+// the timer is never drained.
 func (lq *linkQueue) run(ctx context.Context, out chan<- giraf.Envelope) {
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	timer.Stop()
 	for {
-		at, ok := lq.head()
+		env, wait, ok := lq.popDue(time.Now())
 		if !ok {
 			select {
 			case <-ctx.Done():
@@ -128,29 +128,18 @@ func (lq *linkQueue) run(ctx context.Context, out chan<- giraf.Envelope) {
 				continue
 			}
 		}
-		if wait := time.Until(at); wait > 0 {
+		if wait > 0 {
 			timer.Reset(wait)
 			select {
 			case <-ctx.Done():
-				if !timer.Stop() {
-					<-timer.C
-				}
 				return
-			case <-lq.wake:
-				// A new envelope may have an earlier deadline; re-evaluate.
-				if !timer.Stop() {
-					<-timer.C
-				}
-				continue
+			case <-lq.wake: // a new envelope may have an earlier deadline
 			case <-timer.C:
 			}
-		}
-		qe, ok := lq.pop()
-		if !ok {
 			continue
 		}
 		select {
-		case out <- qe.env:
+		case out <- env:
 		case <-ctx.Done():
 			return
 		}

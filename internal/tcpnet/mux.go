@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -125,7 +126,7 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 	if cfg.HubAddr == "" {
 		return nil, errors.New("tcpnet: mux: empty hub address")
 	}
-	conn, welcome, err := dialHub(ctx, cfg.HubAddr, 0, 0)
+	conn, br, welcome, err := dialHub(ctx, cfg.HubAddr, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: mux: dialing hub: %w", err)
 	}
@@ -148,7 +149,7 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 	}
 	m.lifeCtx, m.lifeCancel = context.WithCancel(context.Background())
 	//detlint:goroutine the reader lives exactly as long as the MuxNode: Close joins it via readerDone
-	go m.readerLoop(conn)
+	go m.readerLoop(conn, br)
 	return m, nil
 }
 
@@ -294,14 +295,14 @@ func (m *MuxNode) send(epoch uint64, env giraf.Envelope) error {
 }
 
 // readerLoop is the node's single demultiplexer: it pumps the shared
-// connection, answers heartbeats, advances the session cursor, and
-// routes data frames to their epoch's inbox. On a connection loss it
-// owns recovery — redial, session resume, tracker reset — so writers
-// never race it for the dial.
-func (m *MuxNode) readerLoop(conn net.Conn) {
+// connection through the reader dialHub handed back with it, answers
+// heartbeats, advances the session cursor, and routes data frames to their
+// epoch's inbox. On a connection loss it owns recovery — redial, session
+// resume, tracker reset — so writers never race it for the dial.
+func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 	defer close(m.readerDone)
 	for {
-		frame, err := wire.ReadFrame(conn)
+		frame, err := wire.ReadFrame(br)
 		if err != nil {
 			// Detach before redialing: a nil conn makes writers fail fast
 			// and pauses every RunInstance's round execution (the round
@@ -322,12 +323,12 @@ func (m *MuxNode) readerLoop(conn net.Conn) {
 				return
 			default:
 			}
-			next, rerr := m.redial()
+			next, nextBr, rerr := m.redial()
 			if rerr != nil {
 				m.die(rerr)
 				return
 			}
-			conn = next
+			conn, br = next, nextBr
 			continue
 		}
 		if kind, ok := wire.ControlKind(frame); ok {
@@ -378,10 +379,11 @@ func (m *MuxNode) readerLoop(conn net.Conn) {
 
 // redial re-establishes the shared connection with the policy's backoff
 // schedule, resuming the hub session by token, and swaps it in under
-// writeMu (resetting every uplink delta tracker).
-func (m *MuxNode) redial() (net.Conn, error) {
+// writeMu (resetting every uplink delta tracker). It returns the new
+// connection's reader with it (see dialHub).
+func (m *MuxNode) redial() (net.Conn, *bufio.Reader, error) {
 	if !m.cfg.Reconnect.enabled() {
-		return nil, ErrHubLost
+		return nil, nil, ErrHubLost
 	}
 	var lastErr error
 	for attempt := 0; attempt < m.cfg.Reconnect.MaxAttempts; attempt++ {
@@ -389,10 +391,10 @@ func (m *MuxNode) redial() (net.Conn, error) {
 		select {
 		case <-m.stop:
 			wait.Stop()
-			return nil, ErrHubLost
+			return nil, nil, ErrHubLost
 		case <-wait.C:
 		}
-		conn, welcome, err := dialHub(m.lifeCtx, m.cfg.HubAddr, m.token, m.cursor)
+		conn, br, welcome, err := dialHub(m.lifeCtx, m.cfg.HubAddr, m.token, m.cursor)
 		if err != nil {
 			lastErr = err
 			m.mu.Lock()
@@ -416,12 +418,12 @@ func (m *MuxNode) redial() (net.Conn, error) {
 		m.stats.Reconnects++
 		m.stats.ReplayedFrames += int(welcome.Pending)
 		m.mu.Unlock()
-		return conn, nil
+		return conn, br, nil
 	}
 	if lastErr != nil {
-		return nil, fmt.Errorf("%w (last dial error: %v)", ErrHubLost, lastErr)
+		return nil, nil, fmt.Errorf("%w (last dial error: %v)", ErrHubLost, lastErr)
 	}
-	return nil, ErrHubLost
+	return nil, nil, ErrHubLost
 }
 
 // die marks the session permanently lost: every current and future

@@ -30,6 +30,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -345,11 +346,15 @@ func (h *Hub) acceptLoop() {
 // handshake admits a new connection: its first frame must be a
 // wire.Hello, which makes it a session (fresh or resumed). Anything else
 // — a data frame, another control frame, a transport error, silence past
-// the hello deadline — closes it.
+// the hello deadline — closes it. The connection is read through one
+// buffered reader for its whole life: the one the Hello came through is
+// the one readLoop continues on, so bytes the node sent right behind its
+// Hello are never stranded.
 func (h *Hub) handshake(conn net.Conn) {
 	defer h.wg.Done()
+	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(h.helloDeadline))
-	first, err := wire.ReadFrame(conn)
+	first, err := wire.ReadFrame(br)
 	_ = conn.SetReadDeadline(time.Time{})
 	var hello wire.Hello
 	if err == nil {
@@ -408,26 +413,23 @@ func (h *Hub) handshake(conn net.Conn) {
 
 	// The Welcome must precede every replayed frame; this connection's
 	// write loop starts only below, so a direct write is ordered.
-	s.wmu.Lock()
-	werr := wire.WriteFrame(conn, wire.EncodeWelcome(welcome))
-	s.wmu.Unlock()
-	if werr != nil {
+	if err := s.write(conn, wire.EncodeWelcome(welcome)); err != nil {
 		h.detach(s, conn)
 		return
 	}
 
 	h.wg.Add(2)
-	go h.readLoop(s, conn)
+	go h.readLoop(s, conn, br)
 	go h.writeLoop(s, conn)
 }
 
-// readLoop pulls frames off one connection: control frames are consumed,
-// data frames fan out.
-func (h *Hub) readLoop(s *session, conn net.Conn) {
+// readLoop pulls frames off one connection through its handshake reader:
+// control frames are consumed, data frames fan out.
+func (h *Hub) readLoop(s *session, conn net.Conn, br *bufio.Reader) {
 	defer h.wg.Done()
 	defer h.detach(s, conn)
 	for {
-		frame, err := wire.ReadFrame(conn)
+		frame, err := wire.ReadFrame(br)
 		if err != nil {
 			return // EOF or broken pipe: the node left
 		}
@@ -513,9 +515,15 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 	}
 }
 
+// maxBatch caps the frames one writeLoop pass takes off its session's
+// queue: one writev of at most 2·maxBatch vectors (a header and a body per
+// frame), far below the kernel's IOV_MAX.
+const maxBatch = 64
+
 // writeLoop delivers a session's sent-log to its current connection,
-// advancing the shared cursor. It exits when the connection is replaced,
-// fails, or the hub closes.
+// advancing the shared cursor: every pending frame, up to maxBatch, under
+// one lock and in one write (see writeBatch). It exits when the connection
+// is replaced, fails, or the hub closes.
 func (h *Hub) writeLoop(s *session, conn net.Conn) {
 	defer h.wg.Done()
 	for {
@@ -527,25 +535,52 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 			h.mu.Unlock()
 			return
 		}
-		frame := s.sent[s.cur]
-		s.cur++
+		// broadcast only appends, so the entries below len(s.sent) are
+		// never rewritten and the batch is read outside the lock.
+		end := min(len(s.sent), s.cur+maxBatch)
+		batch := s.sent[s.cur:end]
+		s.cur = end
 		if len(s.sent)-s.cur <= h.highWater {
 			s.hwmSince = time.Time{} // drained below the mark: lag forgiven
 		}
 		h.mu.Unlock()
-		if h.delay != nil {
-			if d := h.delay(s.index); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		s.wmu.Lock()
-		err := wire.WriteFrame(conn, frame)
-		s.wmu.Unlock()
-		if err != nil {
+		if err := h.writeBatch(s, conn, batch); err != nil {
 			h.detach(s, conn)
 			return
 		}
 	}
+}
+
+// writeBatch writes frames in order with as few writes as the forward
+// delay allows. The delay function is asked once per frame, in order, as
+// it was when every frame had its own write; a frame with a positive delay
+// is written after its own sleep, so it closes the run of frames before it,
+// which go out together first.
+func (h *Hub) writeBatch(s *session, conn net.Conn, frames [][]byte) error {
+	start := 0
+	if h.delay != nil {
+		for i := range frames {
+			if d := h.delay(s.index); d > 0 {
+				if err := s.write(conn, frames[start:i]...); err != nil {
+					return err
+				}
+				time.Sleep(d)
+				start = i
+			}
+		}
+	}
+	return s.write(conn, frames[start:]...)
+}
+
+// write writes frames to conn in one vectored write, serialized with the
+// session's other writers (the handshake's Welcome, heartbeats).
+func (s *session) write(conn net.Conn, frames ...[]byte) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return wire.WriteFrame(conn, frames...)
 }
 
 // heartbeatLoop probes every attached connection and drops the ones that
@@ -593,10 +628,7 @@ func (h *Hub) heartbeatLoop() {
 			h.detach(d.s, d.conn)
 		}
 		for _, p := range probes {
-			p.s.wmu.Lock()
-			err := wire.WriteFrame(p.conn, wire.EncodeHeartbeat(wire.Heartbeat{Seq: p.seq}))
-			p.s.wmu.Unlock()
-			if err != nil {
+			if err := p.s.write(p.conn, wire.EncodeHeartbeat(wire.Heartbeat{Seq: p.seq})); err != nil {
 				h.detach(p.s, p.conn)
 			}
 		}
@@ -669,45 +701,48 @@ const dialTimeout = 5 * time.Second
 
 // dialHub establishes one hub connection: DialContext with a deadline,
 // then the Hello/Welcome handshake with the given session token and
-// replay cursor (0, 0 for a fresh session).
-func dialHub(ctx context.Context, addr string, token, cursor uint64) (net.Conn, wire.Welcome, error) {
+// replay cursor (0, 0 for a fresh session). The connection must be read
+// through the returned reader for the rest of its life: the hub writes
+// the replay right behind the Welcome, so the reader may already hold
+// frames.
+func dialHub(ctx context.Context, addr string, token, cursor uint64) (net.Conn, *bufio.Reader, wire.Welcome, error) {
 	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	var d net.Dialer
 	conn, err := d.DialContext(dctx, "tcp", addr)
 	if err != nil {
-		return nil, wire.Welcome{}, err
+		return nil, nil, wire.Welcome{}, err
+	}
+	fail := func(err error) (net.Conn, *bufio.Reader, wire.Welcome, error) {
+		_ = conn.Close()
+		return nil, nil, wire.Welcome{}, err
 	}
 	if err := wire.WriteFrame(conn, wire.EncodeHello(wire.Hello{
 		Token:  token,
 		Cursor: cursor,
 	})); err != nil {
-		_ = conn.Close()
-		return nil, wire.Welcome{}, err
+		return fail(err)
 	}
+	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	var welcome wire.Welcome
 	for {
-		frame, err := wire.ReadFrame(conn)
+		frame, err := wire.ReadFrame(br)
 		if err != nil {
-			_ = conn.Close()
-			return nil, wire.Welcome{}, fmt.Errorf("awaiting welcome: %w", err)
+			return fail(fmt.Errorf("awaiting welcome: %w", err))
 		}
 		kind, ok := wire.ControlKind(frame)
 		if !ok {
-			_ = conn.Close()
-			return nil, wire.Welcome{}, fmt.Errorf("awaiting welcome: got a data frame")
+			return fail(fmt.Errorf("awaiting welcome: got a data frame"))
 		}
 		if kind != wire.ControlWelcome {
 			continue // e.g. a heartbeat that raced the handshake
 		}
-		welcome, err = wire.DecodeWelcome(frame)
-		if err != nil {
-			_ = conn.Close()
-			return nil, wire.Welcome{}, fmt.Errorf("awaiting welcome: %w", err)
+		if welcome, err = wire.DecodeWelcome(frame); err != nil {
+			return fail(fmt.Errorf("awaiting welcome: %w", err))
 		}
 		break
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	return conn, welcome, nil
+	return conn, br, welcome, nil
 }

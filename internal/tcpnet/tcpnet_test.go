@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"sync"
@@ -350,15 +351,25 @@ func TestTCPNodeCrashSchedule(t *testing.T) {
 // handshake and nothing else, so the test owns every byte after it. The
 // session is attached hub-side before the Welcome is written, so frames
 // broadcast after this returns reach it live, not through the replay.
+// The returned connection reads through dialHub's reader, which may
+// already hold the first of those frames.
 func helloClient(t *testing.T, hub *Hub, hello wire.Hello) (net.Conn, wire.Welcome) {
 	t.Helper()
-	conn, welcome, err := dialHub(context.Background(), hub.Addr(), hello.Token, hello.Cursor)
+	conn, br, welcome, err := dialHub(context.Background(), hub.Addr(), hello.Token, hello.Cursor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	return conn, welcome
+	return bufferedConn{conn, br}, welcome
 }
+
+// bufferedConn is a connection whose reads go through its buffered reader.
+type bufferedConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+func (c bufferedConn) Read(p []byte) (int, error) { return c.br.Read(p) }
 
 // readData returns the next data frame on conn, skipping the hub's
 // control frames (heartbeats).

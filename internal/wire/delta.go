@@ -137,8 +137,8 @@ func DataFrameEpoch(frame []byte) (epoch uint64, ok bool) {
 	if len(frame) == 0 || frame[0] != epochMagic {
 		return 0, false
 	}
-	ep, err := readEpoch(bytes.NewReader(frame[1:]))
-	return ep, err == nil
+	ep, n := binary.Uvarint(frame[1:])
+	return ep, n > 0 && ep != 0 && ep <= MaxEpoch
 }
 
 // readEpoch reads and bounds a frame's epoch tag.

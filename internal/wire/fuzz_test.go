@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/giraf"
@@ -117,6 +121,54 @@ func FuzzReadFrame(f *testing.F) {
 		var out bytes.Buffer
 		if err := WriteFrame(&out, body); err != nil {
 			t.Fatalf("re-framing accepted body failed: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatal("re-framing is not byte-identical to the accepted prefix")
+		}
+	})
+}
+
+// readFrames reads frames off r until the first error.
+func readFrames(r io.Reader) ([][]byte, error) {
+	var frames [][]byte
+	for {
+		frame, err := ReadFrame(r)
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, frame)
+	}
+}
+
+// FuzzReadFrames: a stream of concatenated frames read through one
+// 16-byte bufio.Reader over a source that returns half of each request —
+// so buffer refills land mid-header and mid-body — yields the frames, and
+// the ending (clean EOF or not), that reading the bytes straight from
+// memory yields; and the frames re-frame into the stream's accepted
+// prefix.
+func FuzzReadFrames(f *testing.F) {
+	var stream bytes.Buffer
+	_ = WriteFrame(&stream, []byte("hello"), nil, bytes.Repeat([]byte("longer than the reader's buffer "), 3), []byte{0xD6, 1, 1})
+	f.Add(stream.Bytes())
+	f.Add(append(append([]byte(nil), stream.Bytes()...), 0, 0)) // a truncated header at the end
+	f.Add([]byte{0, 0, 0, 9, 1, 2})                             // a truncated body
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := readFrames(bytes.NewReader(data))
+		got, gotErr := readFrames(bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(data)), 16))
+		if len(got) != len(want) {
+			t.Fatalf("buffered read got %d frames, direct read %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d differs: % x, want % x", i, got[i], want[i])
+			}
+		}
+		if (gotErr == io.EOF) != (wantErr == io.EOF) || errors.Is(gotErr, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) {
+			t.Fatalf("buffered read ended with %v, direct read with %v", gotErr, wantErr)
+		}
+		var out bytes.Buffer
+		if err := WriteFrame(&out, got...); err != nil {
+			t.Fatalf("re-framing accepted frames failed: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
 			t.Fatal("re-framing is not byte-identical to the accepted prefix")

@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/giraf"
@@ -207,18 +209,43 @@ func decodePayload(r *bytes.Reader) (giraf.Payload, error) {
 	}
 }
 
-// WriteFrame writes a length-prefixed frame to w.
-func WriteFrame(w io.Writer, data []byte) error {
-	if len(data) > MaxElement {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(data), MaxElement)
+// frameVec is WriteFrame's scratch: the frames' length headers, the
+// vector that interleaves them with the bodies, and out, the copy of the
+// vector's slice header that the vectored write consumes (so vec keeps its
+// backing array). Pooled, so a write costs no allocation once the pool is
+// warm.
+type frameVec struct {
+	hdrs []byte
+	vec  net.Buffers
+	out  net.Buffers
+}
+
+var frameVecs = sync.Pool{New: func() any { return new(frameVec) }}
+
+// WriteFrame writes each of frames to w as one length-prefixed frame, all
+// of them with one vectored write: a single writev when w is a net.Conn,
+// one Write per header and body otherwise. With no frames it writes
+// nothing.
+func WriteFrame(w io.Writer, frames ...[]byte) error {
+	fv := frameVecs.Get().(*frameVec)
+	defer frameVecs.Put(fv)
+	fv.hdrs = fv.hdrs[:0]
+	for _, data := range frames {
+		if len(data) > MaxElement {
+			return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(data), MaxElement)
+		}
+		fv.hdrs = binary.BigEndian.AppendUint32(fv.hdrs, uint32(len(data)))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
+	// Slice the headers only once all are appended: an append may move them.
+	fv.vec = fv.vec[:0]
+	for i, data := range frames {
+		fv.vec = append(fv.vec, fv.hdrs[4*i:4*i+4], data)
 	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("wire: writing frame body: %w", err)
+	fv.out = fv.vec
+	_, err := fv.out.WriteTo(w)
+	clear(fv.vec) // drop the bodies: the pool must not pin them
+	if err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
