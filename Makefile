@@ -91,6 +91,8 @@ perf:
 # fingerprint-keyed counter table against the string-keyed reference model. Both wire envelope targets drive the one frame codec
 # (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
 # round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and epoch peek.
+# FuzzSharedRoundParity runs small simulated configurations against a
+# reference run that delivers every envelope by its own Receive call.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values
@@ -101,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME) ./internal/env
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime $(FUZZTIME) ./internal/explore
+	$(GO) test -run '^$$' -fuzz '^FuzzSharedRoundParity$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # scenarios-smoke renders the S1 scenario sweep on the shrunken grid: a
 # fast end-to-end pass over the fault plane (loss, duplication, partitions,

@@ -25,6 +25,15 @@ type SourceReporter interface {
 	Source(round int) (pid int, ok bool)
 }
 
+// UniformReporter is implemented by policies that know, without probing
+// every link, that a round gives every (sender, receiver) pair the same
+// delay; the engine then schedules each broadcast once for all of its
+// receivers. UniformDelay is consulted after Schedule(round, …) and must
+// agree with the DelayFn that call returned.
+type UniformReporter interface {
+	UniformDelay(round int) (delay int, ok bool)
+}
+
 // sourceLog is embedded by policies to implement SourceReporter.
 type sourceLog struct {
 	src map[int]int
@@ -75,6 +84,9 @@ type Synchronous struct{}
 func (Synchronous) Schedule(round int, senders []int, n int) DelayFn {
 	return func(sender, receiver int) int { return 0 }
 }
+
+// UniformDelay implements UniformReporter: every round is timely.
+func (Synchronous) UniformDelay(int) (int, bool) { return 0, true }
 
 // ---------------------------------------------------------------------------
 // Moving source (MS)
@@ -199,6 +211,10 @@ func (e *ES) Schedule(round int, senders []int, n int) DelayFn {
 
 // Source implements SourceReporter.
 func (e *ES) Source(round int) (int, bool) { return e.Pre.Source(round) }
+
+// UniformDelay implements UniformReporter: every round from GST on is
+// timely.
+func (e *ES) UniformDelay(round int) (int, bool) { return 0, round >= e.GST }
 
 // ---------------------------------------------------------------------------
 // Eventually stable source (ESS)

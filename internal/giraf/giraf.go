@@ -64,6 +64,12 @@ type PayloadSizer interface {
 // round such an automaton has already computed can never be read, so
 // Proc.Receive drops it and EndOfRound recycles a round's storage as soon
 // as it has computed the round.
+//
+// The marker also admits a process to a SharedRound: it adopts a round
+// inbox built once for every receiver instead of merging each envelope
+// itself. An adopted round's payloads never enter the process's Fresh, so
+// Fresh misses them until the next end-of-round clears it; only the
+// marker's promise that Compute never reads Fresh makes that sound.
 type RoundLocal interface {
 	// ReadsOnlyRound is a marker; the framework never calls it.
 	ReadsOnlyRound()
@@ -178,6 +184,9 @@ type roundInbox struct {
 	// view is the cached Round(k) snapshot; nil after an insertion.
 	view []Payload
 	dom  dominance
+	// adopters counts the processes holding this inbox as an adopted round
+	// (see SharedRound); storage with adopters is never written again.
+	adopters int
 }
 
 // dominance is what the merge-skip check (Proc.Receive) reads of a round.
@@ -455,6 +464,14 @@ type Proc struct {
 	// future merges reuse instead of allocating.
 	spare []*roundInbox
 
+	// shared is the SharedRound union the process adopted for round
+	// sharedRound (inbox[sharedRound] points to it), nil when it holds none;
+	// sharedDom is its private dominance state for that round. The union's
+	// own dom field is unused.
+	shared      *roundInbox
+	sharedRound int
+	sharedDom   dominance
+
 	// delivered counts payload-set merges that actually added something;
 	// exposed for metrics.
 	delivered int
@@ -585,11 +602,17 @@ func ForceFullMergeForTest(on bool) (prev bool) {
 // round again. The drop comes after the dominance check, which reads the
 // round's retained dominance state, so MergesSkipped counts what it would
 // count had the envelope been merged.
+//
+// An envelope for a round the process adopted from a SharedRound first
+// copies that round into the process's own storage.
 func (p *Proc) Receive(env Envelope) {
 	if p.halted {
 		return
 	}
 	stale := p.roundLocal && env.Round < p.round
+	if p.shared != nil && !stale && env.Round == p.sharedRound {
+		p.privatize()
+	}
 	if !env.SetFingerprint.IsZero() && !testForceFullMerge {
 		if d := p.dominanceAt(env.Round, stale); d != nil && d.dominates(env.SetFingerprint) {
 			p.mergeSkips++
@@ -728,9 +751,14 @@ func (p *Proc) retire(k int) {
 	var d dominance
 	if k < len(p.inbox) && p.inbox[k] != nil {
 		ri := p.inbox[k]
-		d = ri.dom
-		ri.recycle()
-		p.spare = append(p.spare, ri)
+		if ri == p.shared {
+			d = p.sharedDom
+			p.release()
+		} else {
+			d = ri.dom
+			ri.recycle()
+			p.spare = append(p.spare, ri)
+		}
 		p.inbox[k] = nil
 	}
 	p.retired = append(p.retired, d)
@@ -780,6 +808,10 @@ func (p *Proc) Reset(aut Automaton) {
 	p.lastOwn = nil
 	p.delivered = 0
 	p.mergeSkips = 0
+	if p.shared != nil {
+		p.inbox[p.sharedRound] = nil
+		p.release()
+	}
 	for round, ri := range p.inbox {
 		if ri != nil {
 			ri.recycle()

@@ -1,0 +1,192 @@
+package giraf
+
+import (
+	"cmp"
+	"slices"
+
+	"anonconsensus/internal/values"
+)
+
+// SharedRound delivers one round's envelopes to many round-local processes
+// at once. Inboxes are sets and hold no sender ids, so when every receiver
+// takes the same envelopes — a round in which every broadcast is timely —
+// every receiver ends the round with the same set, and building it once
+// replaces n−1 Receive calls per receiver. Two shapes of round have an
+// outcome that is the same for every receiver and exact in every counter:
+//
+//   - uniform: every envelope carries the same set. Each one is dominated
+//     at every receiver, so a receiver only counts its skips.
+//   - distinct: the envelopes' set fingerprints are pairwise distinct.
+//     None is dominated anywhere, so the union is merged once into a sealed
+//     (sorted) inbox that each receiver adopts read-only, with Delivered and
+//     its own dominance state set to what its merges would have left.
+//
+// An adopted round is never written: a later Receive into it first copies
+// it into the process's own storage, and retire and Reset drop the
+// reference instead of recycling it. A SharedRound is reusable; its
+// storage is rewritten only once no process holds it.
+type SharedRound struct {
+	ri *roundInbox
+	// sorted is scratch for the distinctness test: the envelopes' set
+	// fingerprints, ascending.
+	sorted []values.Fingerprint
+}
+
+// Deliver applies the round-k envelopes envs, in that order, to every
+// process of receivers as if each had called Receive on every envelope but
+// the one it broadcast itself, and reports true. Every non-halted receiver
+// must be the sender of one of envs; halted ones are skipped, as Receive
+// skips them. When the round has neither shape above, or some receiver is
+// not in the state a timely round starts from (see sharedStart), Deliver
+// changes nothing and reports false, and the caller delivers envelope by
+// envelope.
+func (s *SharedRound) Deliver(k int, envs []*Envelope, receivers []*Proc) bool {
+	if len(envs) == 0 || testForceFullMerge {
+		return false
+	}
+	first := envs[0].SetFingerprint
+	uniform := true
+	sorted := s.sorted[:0]
+	for _, env := range envs {
+		fp := env.SetFingerprint
+		if env.Round != k || fp.IsZero() {
+			return false
+		}
+		uniform = uniform && fp == first
+		sorted = append(sorted, fp)
+	}
+	s.sorted = sorted
+	if !uniform {
+		slices.SortFunc(sorted, compareFP)
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i] == sorted[i-1] {
+				return false
+			}
+		}
+	}
+	for _, p := range receivers {
+		if p.halted {
+			continue
+		}
+		// The receiver's own set must be one of the envelopes'.
+		ri := p.sharedStart(k)
+		if ri == nil {
+			return false
+		}
+		own := ri.dom.envFP
+		if uniform {
+			if own != first {
+				return false
+			}
+		} else if _, found := slices.BinarySearchFunc(sorted, own, compareFP); !found {
+			return false
+		}
+	}
+	var union *roundInbox
+	if !uniform {
+		union = s.build(envs)
+	}
+	for _, p := range receivers {
+		switch {
+		case p.halted:
+		case uniform:
+			p.mergeSkips += len(envs) - 1
+		default:
+			p.adopt(k, union, envs)
+		}
+	}
+	return true
+}
+
+// build merges the union of envs into the SharedRound's storage and seals
+// it: sorted, with its snapshot cached, so adopters only ever read it.
+func (s *SharedRound) build(envs []*Envelope) *roundInbox {
+	if s.ri == nil || s.ri.adopters > 0 {
+		s.ri = newRoundInbox()
+	} else {
+		s.ri.recycle()
+	}
+	ri := s.ri
+	for _, env := range envs {
+		for _, pay := range env.Payloads {
+			key, fp := payloadCanon(pay)
+			ri.insert(key, fp, pay)
+		}
+	}
+	ri.snapshot()
+	return ri
+}
+
+// sharedStart returns p's storage for round k when the round is in the
+// state a timely round's delivery starts from, nil otherwise: p is
+// round-local and holds no adopted round, k is not a computed round, and
+// round k is p's own storage holding exactly the set p broadcast — its set
+// fingerprint still cached, no envelope merged into it yet.
+func (p *Proc) sharedStart(k int) *roundInbox {
+	if !p.roundLocal || p.shared != nil || k < p.round || k >= len(p.inbox) {
+		return nil
+	}
+	ri := p.inbox[k]
+	if ri == nil || ri.dom.nseen != 0 || ri.dom.envFP.IsZero() {
+		return nil
+	}
+	return ri
+}
+
+// adopt makes the sealed union of envs p's round k, in place of p's own
+// storage, which holds the set p broadcast. The envelopes' set
+// fingerprints are pairwise distinct, p's own among them, so each of the
+// others would have been merged in full, in order: Delivered grows by the
+// payloads the union adds, the first seenCap of them are recorded as
+// merged, and the cached set fingerprint survives only if nothing was
+// added.
+func (p *Proc) adopt(k int, union *roundInbox, envs []*Envelope) {
+	own := p.inbox[k]
+	var d dominance
+	if len(union.pays) == len(own.pays) {
+		d.envFP = own.dom.envFP
+	}
+	for _, env := range envs {
+		if d.nseen == seenCap {
+			break
+		}
+		if fp := env.SetFingerprint; fp != own.dom.envFP {
+			d.recordMerged(fp)
+		}
+	}
+	p.delivered += len(union.pays) - len(own.pays)
+	own.recycle()
+	p.spare = append(p.spare, own)
+	p.inbox[k] = union
+	p.shared, p.sharedRound, p.sharedDom = union, k, d
+	union.adopters++
+}
+
+// privatize copies the adopted round into p's own storage, carrying p's
+// dominance state for it, so the round can be written.
+func (p *Proc) privatize() {
+	src := p.shared
+	ri := p.takeRoundInbox()
+	ri.keys = append(ri.keys, src.keys...)
+	ri.pays = append(ri.pays, src.pays...)
+	ri.fps = append(ri.fps, src.fps...)
+	ri.dom = p.sharedDom
+	p.inbox[p.sharedRound] = ri
+	p.release()
+}
+
+// release drops p's hold on its adopted round; the caller has already
+// replaced or cleared the inbox slot that pointed to it.
+func (p *Proc) release() {
+	p.shared.adopters--
+	p.shared = nil
+	p.sharedDom = dominance{}
+}
+
+// compareFP orders fingerprints (Hi, then Lo) for the distinctness test.
+func compareFP(a, b values.Fingerprint) int {
+	if c := cmp.Compare(a.Hi, b.Hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Lo, b.Lo)
+}

@@ -14,8 +14,11 @@ import (
 // Algorithm 2 runs with distinct proposals, stable from round 2, on one
 // engine re-armed per run — what the sim transport's pool does per
 // instance, and at n=256 the repo benchmark's sim_bign instance.
-// Unlike a synchronous run (where three deliveries in four are dominated
-// and skipped) the pre-GST round leaves half of all deliveries to merge.
+// A run has four rounds. The pre-GST round 1 is delivered envelope by
+// envelope, late envelopes included. Round 2 is timely and its sets are
+// pairwise distinct: their union is merged once and shared. Rounds 3 and
+// 4 carry one set, so every delivery is dominated and only counted. Half
+// of all deliveries are dominated (a synchronous run: three in four).
 func BenchmarkESPooledGST2(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -13,13 +13,14 @@
 // does the run's fault description: Config.Scenario carries the crash
 // schedule and the composable link faults (loss, duplication, round-ranged
 // partitions). A recorded Trace can be validated
-// against the formal environment definitions by the checkers in checker.go,
+// against the formal environment definitions by the checkers in trace.go,
 // so tests never have to trust a policy's self-description.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
@@ -184,21 +185,24 @@ func (r *Result) CheckValidity(proposals values.Set) error {
 	return nil
 }
 
-// pendingDelivery is an envelope scheduled for a future step. A receiver
-// of fanOutAll means "every process except the sender": uniform-delay
-// broadcasts in runs without link faults collapse to one ring entry instead
-// of n-1, and deliver expands them so that every receiver takes the
-// envelope at its queue position — where a per-receiver entry would have
-// been queued — so the collapse is invisible to delivery order and
-// byte-identity pins.
+// pendingDelivery is an envelope scheduled for a future step. env points
+// into the array of envelopes its step broadcast (one allocation per step),
+// so an entry is three words however many receivers share the envelope. A
+// receiver of fanOutAll means "every process except the sender":
+// uniform-delay broadcasts in runs without link faults collapse to one ring
+// entry instead of n-1, and deliver expands them so that every receiver
+// takes the envelope at its queue position — where a per-receiver entry
+// would have been queued — so the collapse is invisible to delivery order
+// and byte-identity pins.
 type pendingDelivery struct {
 	receiver int
 	sender   int
-	env      giraf.Envelope
+	env      *giraf.Envelope
 }
 
 // fanOutAll is the pendingDelivery.receiver sentinel for a collapsed
-// uniform-delay broadcast entry.
+// uniform-delay broadcast entry: one entry, pointing at the one envelope,
+// stands for the sender's n-1 deliveries.
 const fanOutAll = -1
 
 // dueRingHint is the initial delivery-ring window. Policy delays are
@@ -239,15 +243,22 @@ type Engine struct {
 	// broadcasts collapse to fanOutAll entries and no delivery consults
 	// Drops.
 	linkFaults *env.Scenario
-	// outs and senders are step's scratch buffers, reused across steps.
-	outs    []outMsg
+	// uniform is the policy's declaration of uniform rounds when it makes
+	// one and linkFaults is nil, nil otherwise: a declared round's
+	// broadcasts collapse without probing the DelayFn per receiver.
+	uniform env.UniformReporter
+	// outs and senders are step's scratch buffers (the envelopes broadcast
+	// and their senders, in process order), reused across steps.
+	outs    []giraf.Envelope
 	senders []int
-}
-
-// outMsg is one process's broadcast for the step being executed.
-type outMsg struct {
-	sender int
-	env    giraf.Envelope
+	// shared serves deliverShared; sharedEnvs and receivers are its
+	// scratch argument lists.
+	shared     giraf.SharedRound
+	sharedEnvs []*giraf.Envelope
+	receivers  []*giraf.Proc
+	// sharedAt is the last step whose round deliverShared delivered, 0 if
+	// none; the white-box tests read it to see the shared path engage.
+	sharedAt int
 }
 
 // crashNever marks a process with no scheduled crash.
@@ -315,7 +326,12 @@ func (e *Engine) Reset(cfg Config) error {
 	if cfg.Scenario.HasLinkFaults() {
 		e.linkFaults = cfg.Scenario
 	}
+	e.uniform = nil
+	if u, ok := cfg.Policy.(env.UniformReporter); ok && e.linkFaults == nil {
+		e.uniform = u
+	}
 	e.stepNum = 0
+	e.sharedAt = 0
 	e.metrics = Metrics{}
 	e.trace = nil
 	if cfg.RecordTrace {
@@ -447,16 +463,18 @@ func (e *Engine) deliverDue(step int) {
 	e.due[slot] = truncatePending(q)
 }
 
-// deliver performs one step's deliveries: the engine's single delivery
-// loop. Per-receiver entries are delivered in queue order. A run of
-// consecutive fan-out entries is delivered receiver by receiver, each
+// deliver performs one step's deliveries. A timely round goes to every
+// receiver at once (deliverShared); what remains goes through the engine's
+// delivery loop. Per-receiver entries are delivered in queue order. A run
+// of consecutive fan-out entries is delivered receiver by receiver, each
 // receiver taking the run's envelopes in queue order, so its inbox stays
 // hot while it merges them. Either way every receiver takes its envelopes
 // in exactly the queue order, and receivers share no state, so their
 // order among themselves is invisible to results.
 func (e *Engine) deliver(step int, q []pendingDelivery) {
 	sc := e.linkFaults
-	delivered, dropped := 0, 0
+	q, delivered := e.deliverShared(step, q)
+	dropped := 0
 	for len(q) > 0 {
 		if q[0].receiver == fanOutAll {
 			// Collapsed uniform-delay broadcasts. Fan-out entries are only
@@ -475,7 +493,7 @@ func (e *Engine) deliver(step int, q []pendingDelivery) {
 					if d.sender == r {
 						continue
 					}
-					p.Receive(d.env)
+					p.Receive(*d.env)
 					delivered++
 					if e.trace != nil {
 						e.trace.recordDelivery(d.env.Round, d.sender, r, step)
@@ -497,7 +515,7 @@ func (e *Engine) deliver(step int, q []pendingDelivery) {
 			dropped++
 			continue
 		}
-		e.procs[r].Receive(d.env)
+		e.procs[r].Receive(*d.env)
 		delivered++
 		if e.trace != nil {
 			e.trace.recordDelivery(d.env.Round, d.sender, r, step)
@@ -507,10 +525,91 @@ func (e *Engine) deliver(step int, q []pendingDelivery) {
 	e.metrics.Dropped += dropped
 }
 
+// deliverShared delivers step's timely round in one piece when the queue
+// allows it: every round-step entry is a fan-out entry, and every live,
+// non-halted process is one of their senders. Then every receiver takes the
+// same envelopes in the same order (its own excepted), and
+// giraf.SharedRound applies them to all receivers at once. Entries of
+// earlier rounds touch only computed rounds' state, so taking the round's
+// entries out of the queue changes nothing they do. It returns the queue
+// without the entries it delivered and the number of deliveries made, or
+// q and 0 when the round is not shared.
+func (e *Engine) deliverShared(step int, q []pendingDelivery) ([]pendingDelivery, int) {
+	envs, recv, ok := e.sharedArgs(step, q)
+	ok = ok && e.shared.Deliver(step, envs, recv)
+	clear(envs) // the envelope arrays must not outlive their queue entries
+	e.sharedEnvs, e.receivers = envs[:0], recv[:0]
+	if !ok {
+		return q, 0
+	}
+	// Every live receiver takes every envelope but its own, and only the
+	// non-halted ones sent one.
+	delivered := 0
+	for r, p := range e.procs {
+		if step >= e.crash[r] {
+			continue
+		}
+		delivered += len(envs)
+		if !p.Halted() {
+			delivered--
+		}
+		if e.trace != nil {
+			for i := range q {
+				if d := &q[i]; d.receiver == fanOutAll && d.env.Round == step && d.sender != r {
+					e.trace.recordDelivery(step, d.sender, r, step)
+				}
+			}
+		}
+	}
+	e.sharedAt = step
+	rest := q[:0]
+	for _, d := range q {
+		if d.receiver != fanOutAll || d.env.Round != step {
+			rest = append(rest, d)
+		}
+	}
+	return rest, delivered
+}
+
+// sharedArgs collects deliverShared's arguments: the round-step envelopes
+// in queue order and the live receivers. ok is false when some round-step
+// entry is per-receiver, there is none, or some live, non-halted process
+// sent none of them.
+func (e *Engine) sharedArgs(step int, q []pendingDelivery) (envs []*giraf.Envelope, recv []*giraf.Proc, ok bool) {
+	envs, recv = e.sharedEnvs[:0], e.receivers[:0]
+	senders, active := 0, 0 // live senders, live non-halted processes
+	for i := range q {
+		d := &q[i]
+		if d.env.Round != step {
+			continue
+		}
+		if d.receiver != fanOutAll {
+			return envs, recv, false
+		}
+		envs = append(envs, d.env)
+		if step < e.crash[d.sender] {
+			senders++
+		}
+	}
+	for r, p := range e.procs {
+		if step < e.crash[r] {
+			recv = append(recv, p)
+			if !p.Halted() {
+				active++
+			}
+		}
+	}
+	// A round-step sender ran its end-of-round at step-1 without halting,
+	// so a live one is still non-halted: the senders include every live,
+	// non-halted process exactly when the two counts match.
+	return envs, recv, len(envs) > 0 && senders == active
+}
+
 // step runs the end-of-round for every live process and schedules the
 // resulting broadcasts with policy-chosen delays.
 func (e *Engine) step(step int) {
 	outs := e.outs[:0]
+	senders := e.senders[:0]
 	for i, p := range e.procs {
 		if step >= e.crash[i] || p.Halted() {
 			continue
@@ -536,63 +635,73 @@ func (e *Engine) step(step int) {
 		if !ok {
 			continue
 		}
-		outs = append(outs, outMsg{sender: i, env: env})
+		outs = append(outs, env)
+		senders = append(senders, i)
 	}
-	e.outs = outs // keep grown capacity for the next step
+	// Keep grown capacity for the next step.
+	e.outs, e.senders = outs, senders
 	if len(outs) == 0 {
 		return
 	}
-	round := outs[0].env.Round // == step+1 for all senders (lockstep)
-	senders := e.senders[:0]
-	for _, o := range outs {
-		senders = append(senders, o.sender)
-	}
-	e.senders = senders
+	// The queue entries point into envs, which lives as long as they do;
+	// the scratch copies are dropped so they do not pin payloads.
+	envs := slices.Clone(outs)
+	clear(outs)
+	round := envs[0].Round // == step+1 for all senders (lockstep)
 	delay := e.cfg.Policy.Schedule(round, senders, e.cfg.N)
-	for _, o := range outs {
+	d0, declared := 0, false
+	if e.uniform != nil {
+		d0, declared = e.uniform.UniformDelay(round)
+	}
+	for i, sender := range senders {
+		env := &envs[i]
 		if e.trace != nil {
-			e.trace.recordBroadcast(round, o.sender)
+			e.trace.recordBroadcast(round, sender)
 		}
-		size := envelopeBytes(o.env)
+		size := envelopeBytes(env)
 		e.metrics.Broadcasts++
 		e.metrics.PayloadBytes += size
 		if size > e.metrics.MaxEnvelopeBytes {
 			e.metrics.MaxEnvelopeBytes = size
 		}
-		// Fan-out collapse: in runs without link faults, if the policy assigned
-		// every receiver of this sender the same delay (the overwhelmingly
-		// common case — Synchronous and post-GST ES are uniformly 0),
-		// schedule one fanOutAll entry instead of n-1 per-receiver ones.
-		// DelayFn is pure per round (policies pre-draw their delay
-		// matrices), so probing it twice is safe.
+		// Fan-out collapse: in runs without link faults, if every receiver of
+		// this sender has the same delay, schedule one fanOutAll entry
+		// instead of n-1 per-receiver ones. A round the policy declares
+		// uniform (Synchronous, ES from GST on) needs no probe; otherwise the
+		// DelayFn is probed per receiver — it is pure per round (policies
+		// pre-draw their delay matrices), so probing it twice is safe.
 		if e.linkFaults == nil && e.cfg.N > 1 {
-			if d0, uniform := uniformDelay(delay, o.sender, e.cfg.N); uniform {
-				if d0 < 0 {
-					panic(fmt.Sprintf("sim: policy returned negative delay %d", d0))
+			d, uniform := d0, declared
+			if !uniform {
+				d, uniform = uniformDelay(delay, sender, e.cfg.N)
+			}
+			if uniform {
+				if d < 0 {
+					panic(fmt.Sprintf("sim: policy returned negative delay %d", d))
 				}
-				e.schedule(round+d0, pendingDelivery{receiver: fanOutAll, sender: o.sender, env: o.env})
+				e.schedule(round+d, pendingDelivery{receiver: fanOutAll, sender: sender, env: env})
 				continue
 			}
 		}
 		for r := 0; r < e.cfg.N; r++ {
-			if r == o.sender {
+			if r == sender {
 				continue // own payload is already in own inbox (Alg. 1 line 10)
 			}
-			d := delay(o.sender, r)
+			d := delay(sender, r)
 			if d < 0 {
 				panic(fmt.Sprintf("sim: policy returned negative delay %d", d))
 			}
 			at := round + d
-			e.schedule(at, pendingDelivery{receiver: r, sender: o.sender, env: o.env})
+			e.schedule(at, pendingDelivery{receiver: r, sender: sender, env: env})
 			// Scenario duplication: the same envelope is delivered a second
 			// time one step later, so the receiver's inbox dedup is
 			// exercised by a genuinely late duplicate. A delivery the
 			// scenario also drops stays dropped (no point queueing copies
 			// deliverDue would discard again).
 			if sc := e.linkFaults; sc != nil &&
-				sc.Duplicates(round, o.sender, r) && !sc.Drops(round, o.sender, r) {
+				sc.Duplicates(round, sender, r) && !sc.Drops(round, sender, r) {
 				e.metrics.Duplicated++
-				e.schedule(at+1, pendingDelivery{receiver: r, sender: o.sender, env: o.env})
+				e.schedule(at+1, pendingDelivery{receiver: r, sender: sender, env: env})
 			}
 		}
 	}
@@ -630,7 +739,7 @@ func uniformDelay(delay env.DelayFn, sender, n int) (int, bool) {
 // round number plus each payload's canonical key length. Payloads that
 // implement giraf.PayloadSizer (all the core algorithms') report the
 // cached size directly instead of materializing the key string.
-func envelopeBytes(env giraf.Envelope) int {
+func envelopeBytes(env *giraf.Envelope) int {
 	total := 8 // round number
 	for _, p := range env.Payloads {
 		if s, ok := p.(giraf.PayloadSizer); ok {
