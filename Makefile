@@ -90,7 +90,7 @@ perf:
 # bufio.Reader, the way the hub and the mux read their connections. FuzzCounters checks the hash-consed histories and the
 # fingerprint-keyed counter table against the string-keyed reference model. Both wire envelope targets drive the one frame codec
 # (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
-# round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and epoch peek.
+# round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and header peek.
 # FuzzSharedRoundParity runs small simulated configurations against a
 # reference run that delivers every envelope by its own Receive call.
 fuzz-smoke:
@@ -145,12 +145,14 @@ mux-smoke:
 # load-smoke is the open-loop workload plane's quick pass, run by CI on
 # every push: the workload package (generator, report) and the public
 # RunWorkload/stats-invariant tests under the race detector, then one
-# live anonload run with a process crashing in every instance, which must
-# exit 0.
+# live anonload run with a process crashing in every instance and one run
+# over the multiplexed TCP plane (every instance an epoch on one hub),
+# each of which must exit 0.
 load-smoke:
 	$(GO) test -race -count=1 ./internal/workload
 	$(GO) test -race -count=1 -run 'TestRunWorkload|TestWorkloadSpec|TestStatsInvariants|TestEnqueueAbort|TestNeverStarted|TestEventAccounting' .
 	$(GO) run ./cmd/anonload -backend live -ops 20 -rate 200 -classes es:3:1 -crash 0:2
+	$(GO) run ./cmd/anonload -backend mux -ops 20 -rate 200 -classes es:3:1
 
 # explore-smoke is the exploration plane's quick pass, run by CI on every
 # push: the exhaustive n=2 space (X1 quick), 10k randomized PCT-style

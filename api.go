@@ -1,7 +1,6 @@
 package anonconsensus
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/obstruction"
 	"anonconsensus/internal/register"
-	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/weakset"
 )
@@ -161,65 +159,6 @@ func (r *Result) Agreed() (v Value, ok bool) {
 		v, found = d.Value, true
 	}
 	return v, found
-}
-
-// BatchItem describes one instance of a RunBatch fan-out: its proposals
-// plus per-item option overrides (a different seed per item is the
-// typical use).
-type BatchItem struct {
-	Proposals []Value
-	Opts      []Option
-}
-
-// RunBatch runs independent consensus instances on the deterministic
-// simulator, fanned across a bounded worker pool, and returns their
-// results in submission order. results[i] is byte-identical to what
-// Node.Run on NewSimTransport would produce for the same proposals and
-// options, at any parallelism — instances share nothing, and ordering is restored at
-// collection. opts apply to every item (WithParallelism bounds the pool;
-// the default is GOMAXPROCS); item Opts override per instance.
-//
-// Items are validated up front: a malformed item (invalid proposals or
-// options) fails the batch before anything runs, naming the item's index.
-// Once running, every instance is attempted even when a sibling fails;
-// the first runtime error in submission order is returned alongside the
-// partial results, with the failed slots nil. ctx cancels the whole
-// batch. WithParallelism is batch-level: passing it inside an item's Opts
-// is rejected at validation.
-func RunBatch(ctx context.Context, items []BatchItem, opts ...Option) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var base options
-	if err := base.apply(opts); err != nil {
-		return nil, err
-	}
-	if err := base.validate(); err != nil {
-		return nil, err
-	}
-	cfgs := make([]sim.Config, len(items))
-	for i, item := range items {
-		o := base.clone()
-		if err := o.apply(item.Opts); err != nil {
-			return nil, fmt.Errorf("anonconsensus: batch item %d: %w", i, err)
-		}
-		if o.parallelism != base.parallelism {
-			return nil, fmt.Errorf("anonconsensus: batch item %d: WithParallelism is batch-level, not per-item", i)
-		}
-		spec, err := o.spec(fmt.Sprintf("batch-%d", i), item.Proposals)
-		if err != nil {
-			return nil, fmt.Errorf("anonconsensus: batch item %d: %w", i, err)
-		}
-		cfgs[i] = simConfig(spec)
-	}
-	simResults, err := sim.RunBatch(ctx, cfgs, sim.BatchOpts{Parallelism: base.parallelism})
-	out := make([]*Result, len(simResults))
-	for i, r := range simResults {
-		if r != nil {
-			out[i] = simResult(r)
-		}
-	}
-	return out, err
 }
 
 // ExploreMode selects the exploration plane's search strategy.

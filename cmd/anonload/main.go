@@ -10,6 +10,7 @@
 //	anonload -backend live -classes es:4:1 -ops 3                # live in-process network
 //	anonload -backend live -classes ess:5:1 -gst 4 -crash 0:2 -ops 3
 //	anonload -backend live -classes es:5:1 -ops 12 -servers 6 -admit 100:8
+//	anonload -backend mux -classes es:3:1 -ops 20 -rate 200     # TCP hub, one connection per process
 //
 // -servers is the Node's worker pool, -queue its backlog and -admit
 // rate:burst its token bucket: proposals the Node sheds are counted in the
@@ -54,7 +55,7 @@ func (c crashFlags) Set(s string) error {
 
 func main() {
 	o := options{crashes: crashFlags{}}
-	flag.StringVar(&o.backend, "backend", "sim", "node backend: sim (deterministic simulator) or live (in-process network)")
+	flag.StringVar(&o.backend, "backend", "sim", "node backend: sim (deterministic simulator), live (in-process network) or mux (TCP hub, every instance an epoch over one connection per process)")
 	flag.Int64Var(&o.seed, "seed", 1, "workload seed (fixes arrivals, class mix and adversary seeds)")
 	flag.IntVar(&o.ops, "ops", 200, "number of proposals")
 	flag.Float64Var(&o.rate, "rate", 400, "mean arrival rate, proposals/sec")
@@ -190,8 +191,10 @@ func run(w io.Writer, o options) error {
 		transport = anonconsensus.NewSimTransport()
 	case "live":
 		transport = anonconsensus.NewLiveTransport()
+	case "mux":
+		transport = anonconsensus.NewTCPMuxTransport()
 	default:
-		return fmt.Errorf("unknown backend %q (want sim or live)", o.backend)
+		return fmt.Errorf("unknown backend %q (want sim, live or mux)", o.backend)
 	}
 	nodeOpts := []anonconsensus.Option{
 		anonconsensus.WithMaxInFlight(o.servers),

@@ -177,6 +177,20 @@ func TestRunLiveServiceMode(t *testing.T) {
 	wantRow(t, totalRow(t, o), "2", "50.0")
 }
 
+// TestRunMuxServiceMode is the service shape over the multiplexed TCP
+// plane: every instance runs as its own epoch on one hub, the worker pool
+// runs them concurrently and the token bucket sheds the overflow.
+func TestRunMuxServiceMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multiplexed TCP service in -short mode")
+	}
+	// Burst 3 at a negligible refill rate: of 5 proposals arriving within
+	// a few milliseconds, 3 are admitted and 2 shed.
+	o := liveOptions("es:3:1", 2, 5)
+	o.backend, o.rate, o.admit = "mux", 1000, "0.001:3"
+	wantRow(t, totalRow(t, o), "3", "40.0")
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	bad := map[string]func(*options){
 		"unknown backend": func(o *options) { o.backend = "warp" },

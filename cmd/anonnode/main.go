@@ -18,26 +18,16 @@
 // restores fail-fast). The hub prints its robustness counters — sessions,
 // resumptions, heartbeat misses, dropped connections — when it stops.
 //
-// A third, self-contained mode exercises the multiplexed service plane:
-//
-//	anonnode -drive -n 3 -instances 20 -inflight 8 -admit 50:10
-//
-// -drive starts its own hub and runs -instances consensus instances over
-// it as concurrent epochs on persistent connections (one per process,
-// shared across all instances), with a worker pool of -inflight and an
-// optional -admit rate:burst token bucket; occupancy and admission
-// counters are printed on shutdown.
+// The multiplexed service (many instances as epochs over one connection
+// per process) is driven in one process by anonload -backend mux.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	"anonconsensus"
@@ -53,126 +43,25 @@ func main() {
 		interval  = flag.Duration("interval", 50*time.Millisecond, "round timer period")
 		timeout   = flag.Duration("timeout", 60*time.Second, "node run timeout")
 		reconnect = flag.Int("reconnect", 0, "max redials per connection outage (0 = default, -1 = fail fast)")
-		drive     = flag.Bool("drive", false, "run a self-contained multiplexed service: own hub, -instances epochs over shared connections")
-		n         = flag.Int("n", 3, "number of anonymous processes per instance (drive mode)")
-		instances = flag.Int("instances", 10, "number of consensus instances (drive mode)")
-		inflight  = flag.Int("inflight", 1, "max concurrently running instances (drive mode worker pool width)")
-		admit     = flag.String("admit", "", "admission token bucket as rate:burst (drive mode; empty = no admission control)")
 	)
 	flag.Parse()
 
-	if err := run(*hub, *listen, *connect, *propose, *env, *interval, *timeout, *reconnect,
-		*drive, *n, *instances, *inflight, *admit); err != nil {
+	if err := run(*hub, *listen, *connect, *propose, *env, *interval, *timeout, *reconnect); err != nil {
 		fmt.Fprintln(os.Stderr, "anonnode:", err)
 		os.Exit(1)
 	}
 }
 
-func run(hub bool, listen, connect string, propose int64, env string, interval, timeout time.Duration, reconnect int,
-	drive bool, n, instances, inflight int, admit string) error {
+func run(hub bool, listen, connect string, propose int64, env string, interval, timeout time.Duration, reconnect int) error {
 	switch {
 	case hub:
 		return runHub(listen)
-	case drive:
-		return runDrive(env, interval, timeout, n, instances, inflight, admit)
 	case connect != "":
 		return runNode(connect, propose, env, interval, timeout, reconnect)
 	default:
 		flag.Usage()
-		return fmt.Errorf("pass -hub to relay, -connect to join, or -drive for a self-contained multiplexed service")
+		return fmt.Errorf("pass -hub to relay or -connect to join")
 	}
-}
-
-// parseAdmit parses an -admit rate:burst flag value ("" = disabled).
-func parseAdmit(s string) (rate float64, burst int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("want rate:burst, got %q", s)
-	}
-	rate, err = strconv.ParseFloat(parts[0], 64)
-	if err != nil || rate <= 0 {
-		return 0, 0, fmt.Errorf("bad rate in %q (want a positive number)", s)
-	}
-	burst, err = strconv.Atoi(parts[1])
-	if err != nil || burst < 1 {
-		return 0, 0, fmt.Errorf("bad burst in %q (want a positive integer)", s)
-	}
-	return rate, burst, nil
-}
-
-// runDrive exercises the multiplexed TCP plane end to end in one
-// process: a Node session over NewTCPMuxTransport runs every instance as
-// its own epoch on one shared hub and n persistent connections.
-func runDrive(envName string, interval, timeout time.Duration, n, instances, inflight int, admit string) error {
-	env, err := anonconsensus.ParseEnvironment(envName)
-	if err != nil {
-		return err
-	}
-	if n < 1 || instances < 1 {
-		return fmt.Errorf("drive mode needs -n >= 1 and -instances >= 1")
-	}
-	opts := []anonconsensus.Option{
-		anonconsensus.WithEnv(env),
-		anonconsensus.WithInterval(interval),
-		anonconsensus.WithTimeout(timeout),
-	}
-	if inflight > 1 {
-		opts = append(opts, anonconsensus.WithMaxInFlight(inflight))
-	}
-	rate, burst, err := parseAdmit(admit)
-	if err != nil {
-		return fmt.Errorf("-admit: %w", err)
-	}
-	if rate > 0 {
-		opts = append(opts, anonconsensus.WithAdmission(rate, burst))
-	}
-	node, err := anonconsensus.NewNode(anonconsensus.NewTCPMuxTransport(), opts...)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-
-	fmt.Printf("driving %d instances of %d anonymous processes over the %s transport (inflight=%d, interval=%s)\n",
-		instances, n, node.Transport().Name(), inflight, interval)
-	ctx := context.Background()
-	start := time.Now()
-	var ids []string
-	for k := 0; k < instances; k++ {
-		proposals := make([]anonconsensus.Value, n)
-		for i := range proposals {
-			proposals[i] = anonconsensus.NumValue(int64(100*(k+1) + i))
-		}
-		id := fmt.Sprintf("epoch-%d", k+1)
-		if err := node.Propose(ctx, id, proposals); err != nil {
-			if errors.Is(err, anonconsensus.ErrOverloaded) {
-				fmt.Printf("== %s shed: %v ==\n", id, err)
-				continue
-			}
-			return err
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		res, err := node.Wait(ctx, id)
-		if err != nil {
-			return err
-		}
-		v, ok := res.Agreed()
-		if !ok {
-			return fmt.Errorf("%s: no consensus within %s", id, timeout)
-		}
-		fmt.Printf("== %s: consensus on %s in %s ==\n", id, v, res.Elapsed.Round(time.Millisecond))
-	}
-	elapsed := time.Since(start)
-	s := node.Stats()
-	fmt.Printf("session stats: admitted=%d rejected=%d completed=%d peak-in-flight=%d/%d queue-wait=%s events-dropped=%d (%.1f decisions/sec)\n",
-		s.Admitted, s.Rejected, s.Completed, s.PeakInFlight, s.MaxInFlight,
-		s.QueueWait.Round(time.Millisecond), s.EventsDropped,
-		float64(len(ids))/elapsed.Seconds())
-	return nil
 }
 
 func runHub(listen string) error {

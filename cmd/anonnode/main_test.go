@@ -9,52 +9,8 @@ import (
 )
 
 func TestRunRequiresMode(t *testing.T) {
-	if err := run(false, "", "", -1, "es", time.Millisecond, time.Second, 0, false, 3, 10, 1, ""); err == nil {
+	if err := run(false, "", "", -1, "es", time.Millisecond, time.Second, 0); err == nil {
 		t.Error("no mode accepted")
-	}
-}
-
-func TestDriveAdmitFlagParsing(t *testing.T) {
-	rate, burst, err := parseAdmit("50:10")
-	if err != nil || rate != 50 || burst != 10 {
-		t.Errorf("parseAdmit(50:10) = %v, %v, %v", rate, burst, err)
-	}
-	if rate, burst, err = parseAdmit(""); err != nil || rate != 0 || burst != 0 {
-		t.Errorf("empty -admit must mean disabled, got %v, %v, %v", rate, burst, err)
-	}
-	for _, bad := range []string{"50", "x:1", "1:y", ":", "-1:5", "5:0"} {
-		if _, _, err := parseAdmit(bad); err == nil {
-			t.Errorf("parseAdmit(%q) accepted", bad)
-		}
-	}
-}
-
-func TestRunDriveValidation(t *testing.T) {
-	if err := runDrive("banana", time.Millisecond, time.Second, 3, 2, 1, ""); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if err := runDrive("es", time.Millisecond, time.Second, 0, 2, 1, ""); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if err := runDrive("es", time.Millisecond, time.Second, 3, 0, 1, ""); err == nil {
-		t.Error("zero instances accepted")
-	}
-	if err := runDrive("es", time.Millisecond, time.Second, 3, 2, 1, "nope"); err == nil {
-		t.Error("malformed -admit accepted")
-	}
-}
-
-// TestRunDriveServiceMode runs the self-contained multiplexed service: a
-// pool of workers drives concurrent epochs over one hub while the token
-// bucket sheds the overflow; shed instances must not fail the run.
-func TestRunDriveServiceMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multiplexed TCP service in -short mode")
-	}
-	// Burst 3 at a negligible refill rate: of 5 instances, 3 are admitted
-	// and 2 shed, and the run still exits cleanly.
-	if err := runDrive("es", 4*time.Millisecond, 30*time.Second, 3, 5, 4, "0.001:3"); err != nil {
-		t.Errorf("drive run failed: %v", err)
 	}
 }
 

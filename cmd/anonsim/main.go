@@ -1,8 +1,8 @@
 // Command anonsim regenerates the reproduction experiments (EXPERIMENTS.md
 // tables T1–T10, figures F1–F3, the S1 scenario sweep and the X1/X2
-// exploration tables) from scratch, demos the public Node API on the
-// deterministic backend, and fronts the exploration plane (randomized
-// schedule search and counterexample replay).
+// exploration tables) from scratch, profiles one big synchronous run, and
+// fronts the exploration plane (randomized schedule search and
+// counterexample replay).
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 //	anonsim -all             run the whole suite
 //	anonsim -all -quick      shrunken grids (seconds instead of minutes)
 //	anonsim -all -parallel 4 fan trials across 4 workers (same bytes out)
-//	anonsim -session 3       run N consensus instances over one Node session
 //	anonsim -es 256 -cpuprofile cpu.out  profile one synchronous ES run
 //
 //	anonsim -explore                        randomized schedule search
@@ -27,7 +26,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +45,6 @@ type cliOpts struct {
 	expID    string
 	all      bool
 	quick    bool
-	session  int
 	parallel int
 
 	explore     bool
@@ -69,7 +66,6 @@ func main() {
 	flag.StringVar(&o.expID, "exp", "", "run a single experiment (T1..T11, F1..F3, X1, X2, S1)")
 	flag.BoolVar(&o.all, "all", false, "run the whole suite")
 	flag.BoolVar(&o.quick, "quick", false, "shrink parameter grids for a fast pass")
-	flag.IntVar(&o.session, "session", 0, "run this many consensus instances over one Node session (sim transport)")
 	flag.IntVar(&o.parallel, "parallel", 0, "workers for experiment/exploration trials (0 = all cores, 1 = sequential); output is byte-identical at any setting")
 	flag.BoolVar(&o.explore, "explore", false, "run the randomized exploration plane (PCT-style schedule search; see -n, -trials, -seed, -env, -scenarios)")
 	flag.IntVar(&o.exploreN, "n", 4, "exploration: number of processes (1..16)")
@@ -135,8 +131,6 @@ func run(o cliOpts) error {
 		return runSingleES(o.singleES)
 	case o.explore:
 		return runExplore(o)
-	case o.session > 0:
-		return runSession(o.session)
 	case o.expID != "":
 		e, ok := expt.ByID(o.expID)
 		if !ok {
@@ -152,7 +146,7 @@ func run(o cliOpts) error {
 		return nil
 	default:
 		flag.Usage()
-		return fmt.Errorf("nothing to do: pass -list, -exp, -all, -session, -explore or -replay")
+		return fmt.Errorf("nothing to do: pass -list, -exp, -all, -explore or -replay")
 	}
 }
 
@@ -233,62 +227,6 @@ func runReplay(text string) error {
 	if !rep.Verified() {
 		return fmt.Errorf("replay reproduced %d violations", len(rep.Violations))
 	}
-	return nil
-}
-
-// runSession demos the public API: one long-lived Node over the
-// deterministic sim transport, running a sequence of instances whose
-// decisions stream in as they happen.
-func runSession(instances int) error {
-	node, err := anonconsensus.NewNode(anonconsensus.NewSimTransport(),
-		anonconsensus.WithEnv(anonconsensus.EnvES),
-		anonconsensus.WithGST(6),
-		anonconsensus.WithSeed(1),
-	)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-
-	// The feed narrates; Wait is the authoritative outcome per instance.
-	ctx := context.Background()
-	ids := make([]string, instances)
-	for k := 0; k < instances; k++ {
-		proposals := []anonconsensus.Value{
-			anonconsensus.NumValue(int64(10*k + 1)),
-			anonconsensus.NumValue(int64(10*k + 2)),
-			anonconsensus.NumValue(int64(10*k + 3)),
-		}
-		ids[k] = fmt.Sprintf("instance-%d", k+1)
-		if err := node.Propose(ctx, ids[k], proposals,
-			anonconsensus.WithSeed(int64(k+1))); err != nil {
-			return err
-		}
-	}
-	printerDone := make(chan struct{})
-	go func() {
-		defer close(printerDone)
-		for ev := range node.Decisions() {
-			if ev.Kind == anonconsensus.EventDecision {
-				fmt.Printf("  %s: p%d decided %s (round %d)\n", ev.Instance, ev.Decision.Proc, ev.Decision.Value, ev.Decision.Round)
-			}
-		}
-	}()
-	for _, id := range ids {
-		res, err := node.Wait(ctx, id)
-		if err != nil {
-			return err
-		}
-		v, ok := res.Agreed()
-		if !ok {
-			return fmt.Errorf("%s: no agreement", id)
-		}
-		fmt.Printf("%s: consensus on %s in %d rounds\n", id, v, res.Rounds)
-	}
-	// Close terminates the feed; joining the printer keeps the last
-	// instance's narration from being lost at process exit.
-	node.Close()
-	<-printerDone
 	return nil
 }
 

@@ -30,12 +30,6 @@ func TestRunNothingToDo(t *testing.T) {
 	}
 }
 
-func TestRunSession(t *testing.T) {
-	if err := run(cliOpts{session: 3}); err != nil {
-		t.Fatalf("session demo failed: %v", err)
-	}
-}
-
 func TestRunSingleQuickParallel(t *testing.T) {
 	defer expt.SetParallelism(0)
 	if err := run(cliOpts{expID: "T5", quick: true, parallel: 2}); err != nil {

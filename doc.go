@@ -32,13 +32,13 @@
 // WithDuplication, WithPartition and WithCrashes dial individual
 // dimensions; RandomScenario derives a reproducible seeded adversary.
 // Fault draws are deterministic hash functions of the run seed: on the
-// deterministic simulator a scenario'd spec replays exactly and RunBatch
-// sweeps stay byte-identical at any parallelism; the live in-process
-// backend makes the same per-(round, link) decisions in real time; the
-// TCP hub — which never learns rounds or process indexes — realizes the
-// scenario physically (wall-clock rounds, accept-order connection
-// indexes, per-forward draws), so TCP fault patterns are reproducible in
-// distribution, not byte-for-byte. Loss and partitions deliberately
+// deterministic simulator a scenario'd spec replays exactly and a sim
+// Node's sweeps stay byte-identical at any WithMaxInFlight; the live
+// in-process backend makes the same per-(round, link) decisions in real
+// time, and so does the TCP hub, which reads each frame's round from its
+// header and indexes processes by connection order. The wall-clock
+// backends still time deliveries by the scheduler, so their runs are
+// reproducible in distribution, not byte-for-byte. Loss and partitions deliberately
 // break the model's reliable-broadcast assumption — exploring how the
 // algorithms degrade (split-brain blocks under a never-healing partition,
 // falling agreement rates under loss) is what the plane is for; see the

@@ -103,7 +103,6 @@ type Hub struct {
 	logEpochs []uint64
 	retired   map[uint64]bool
 	closed    bool
-	serial    int
 
 	bootNonce uint64
 
@@ -155,21 +154,21 @@ func WithForwardDelay(f func(sessionIndex int) time.Duration) HubOption {
 	return func(h *Hub) { h.delay = f }
 }
 
-// LinkFault decides whether the forward of one frame (serial numbers
-// frames in arrival order) from the from-th to the to-th session is
+// LinkFault decides whether the forward of one frame of the given round
+// (the round its header carries) from the from-th to the to-th session is
 // suppressed or doubled.
-type LinkFault func(from, to, serial int) (drop, dup bool)
+type LinkFault func(round, from, to int) (drop, dup bool)
 
 // WithForwardFault injects loss and duplication at the relay, scoped by
 // instance epoch: the hub asks f once per broadcast frame for the fault of
 // the frame's epoch (the one it already parses for RetireEpoch; nil means
-// fault-free) and consults that per receiver. Dropped frames stay in the
-// hub log — a late joiner still receives them in the replay, mirroring
-// the scenario semantics that loss hits deliveries, not the broadcast
-// itself. Crash and partition dimensions are the caller's concern (crashes
-// stop nodes, and the caller can realize a partition by dropping all
-// cross-block forwards). f runs under the hub lock: it must not block or
-// call back into the hub.
+// fault-free) and consults that per receiver with the frame's round.
+// Dropped frames stay in the hub log — a late joiner still receives them
+// in the replay, mirroring the scenario semantics that loss hits
+// deliveries, not the broadcast itself. Crash and partition dimensions
+// are the caller's concern (crashes stop nodes, and the caller can
+// realize a partition by dropping all cross-block forwards). f runs under
+// the hub lock: it must not block or call back into the hub.
 func WithForwardFault(f func(epoch uint64) LinkFault) HubOption {
 	return func(h *Hub) { h.fault = f }
 }
@@ -459,7 +458,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		conn net.Conn
 	}
 	var overwhelmed []victim
-	epoch, _ := wire.DataFrameEpoch(frame) // non-delta bytes count as epoch 0
+	epoch, round, _ := wire.DataFrameHeader(frame) // non-data bytes count as epoch 0, round 0
 	h.mu.Lock()
 	if h.retired[epoch] {
 		// A straggler from a finished instance: suppress it entirely —
@@ -470,8 +469,6 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 	}
 	h.log = append(h.log, frame)
 	h.logEpochs = append(h.logEpochs, epoch)
-	h.serial++
-	serial := h.serial
 	var fault LinkFault
 	if h.fault != nil {
 		fault = h.fault(epoch)
@@ -481,7 +478,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 			continue // the sender's own payload is already in its inbox
 		}
 		if fault != nil {
-			drop, dup := fault(from.index, s.index, serial)
+			drop, dup := fault(round, from.index, s.index)
 			if drop {
 				continue
 			}

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/env"
 	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/wire"
@@ -394,7 +396,7 @@ func TestHubForwardFaultDuplication(t *testing.T) {
 	// duplication dimension (receivers dedup by set semantics, so this is
 	// safe for the algorithms; here we assert the raw relay behavior).
 	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(uint64) LinkFault {
-		return func(from, to, serial int) (bool, bool) { return false, true }
+		return func(round, from, to int) (bool, bool) { return false, true }
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +425,7 @@ func TestHubForwardFaultLoss(t *testing.T) {
 	// frame still lands in the hub log, so a later joiner replays it —
 	// loss hits deliveries, not the broadcast itself.
 	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(uint64) LinkFault {
-		return func(from, to, serial int) (bool, bool) { return true, false }
+		return func(round, from, to int) (bool, bool) { return true, false }
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +463,7 @@ func TestHubForwardFaultScopedByEpoch(t *testing.T) {
 		if epoch != 2 {
 			return nil
 		}
-		return func(from, to, serial int) (bool, bool) { return true, false }
+		return func(round, from, to int) (bool, bool) { return true, false }
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -480,8 +482,83 @@ func TestHubForwardFaultScopedByEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch, _ := wire.DataFrameEpoch(got); epoch != 1 {
+	if epoch, _, _ := wire.DataFrameHeader(got); epoch != 1 {
 		t.Fatalf("first delivered frame carries epoch %d, want 1 (epoch 2 is dropped)", epoch)
+	}
+}
+
+// TestHubForwardFaultKeyedByRound pins the round the hub hands the fault
+// hook: it is the one the frame's header carries, so a scenario's
+// partition, loss and duplication draws pick the same forwards on the hub
+// as on the simulator and the live transport.
+func TestHubForwardFaultKeyedByRound(t *testing.T) {
+	sc := &env.Scenario{Seed: 11, LossPct: 30, DupPct: 30,
+		Partitions: []env.Partition{{From: 2, Until: 4, Cut: 1}}}
+	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(epoch uint64) LinkFault {
+		if epoch != 1 {
+			return nil
+		}
+		return func(round, from, to int) (bool, bool) {
+			return sc.Drops(round, from, to), sc.Duplicates(round, from, to)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	// Sessions are indexed in creation order: the sender is process 0.
+	sender, _ := helloClient(t, hub, wire.Hello{})
+	receivers := []net.Conn{nil}
+	for to := 1; to <= 2; to++ {
+		conn, _ := helloClient(t, hub, wire.Hello{})
+		receivers = append(receivers, conn)
+	}
+	for round := 1; round <= 6; round++ {
+		if err := wire.WriteFrame(sender, epochFrame(t, 1, round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A fault-free frame on another epoch closes each receiver's stream:
+	// the hub forwards in order, so everything before it has arrived.
+	if err := wire.WriteFrame(sender, epochFrame(t, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var dropped, doubled int
+	for to := 1; to <= 2; to++ {
+		var want, got []int
+		for round := 1; round <= 6; round++ {
+			switch {
+			case sc.Drops(round, 0, to):
+				dropped++
+			case sc.Duplicates(round, 0, to):
+				doubled++
+				want = append(want, round, round)
+			default:
+				want = append(want, round)
+			}
+		}
+		for {
+			frame, err := readData(receivers[to], 5*time.Second)
+			if err != nil {
+				t.Fatalf("receiver %d: %v", to, err)
+			}
+			epoch, round, ok := wire.DataFrameHeader(frame)
+			if !ok {
+				t.Fatalf("receiver %d: undecodable header on %q", to, frame)
+			}
+			if epoch == 2 {
+				break
+			}
+			got = append(got, round)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("receiver %d got rounds %v, want %v", to, got, want)
+		}
+	}
+	// The partition alone drops rounds 2 and 3 for both receivers; the
+	// seed must also exercise a loss draw and a duplication.
+	if dropped <= 4 || doubled == 0 {
+		t.Fatalf("seed exercises %d drops and %d duplicates; pick one with loss and duplication", dropped, doubled)
 	}
 }
 
@@ -569,7 +646,7 @@ func TestHubSessionIndexStableAcrossResume(t *testing.T) {
 	var mu sync.Mutex
 	var seen []link
 	hub, err := NewHub("127.0.0.1:0", WithForwardFault(func(uint64) LinkFault {
-		return func(from, to, serial int) (bool, bool) {
+		return func(round, from, to int) (bool, bool) {
 			mu.Lock()
 			seen = append(seen, link{from, to})
 			mu.Unlock()

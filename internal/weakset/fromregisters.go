@@ -27,9 +27,20 @@ type FromSWMR struct {
 }
 
 // NewFromSWMR builds the construction over the given per-process registers.
+// Each process needs a register of its own: one register passed for two
+// processes would let their writes overwrite each other's adds, so it
+// panics, as an empty slice does. Slots are compared by ==, so their
+// dynamic types must be comparable (pointers, as every register here is).
 func NewFromSWMR(slots []Slot) *FromSWMR {
 	if len(slots) == 0 {
 		panic("weakset.NewFromSWMR: no registers")
+	}
+	owner := make(map[Slot]int, len(slots))
+	for i, s := range slots {
+		if j, ok := owner[s]; ok {
+			panic(fmt.Sprintf("weakset.NewFromSWMR: processes %d and %d share one register", j, i))
+		}
+		owner[s] = i
 	}
 	return &FromSWMR{slots: slots}
 }

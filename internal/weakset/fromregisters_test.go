@@ -1,6 +1,8 @@
 package weakset
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -196,4 +198,17 @@ func TestFromSWMRHandleValidation(t *testing.T) {
 		}
 	}()
 	f.Handle(5)
+}
+
+// TestFromSWMRRejectsSharedRegister: Proposition 2 needs one single-writer
+// register per process. Two processes writing one register would each
+// overwrite the other's adds, so the constructor refuses the wiring.
+func TestFromSWMRRejectsSharedRegister(t *testing.T) {
+	shared := &memSlot{}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "processes 0 and 2") {
+			t.Errorf("recovered %v, want a panic naming processes 0 and 2", r)
+		}
+	}()
+	NewFromSWMR([]Slot{shared, &memSlot{}, shared})
 }

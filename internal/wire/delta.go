@@ -129,16 +129,25 @@ func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
 	return env, epoch, nil
 }
 
-// DataFrameEpoch peeks a frame's instance epoch without decoding its
-// body. ok is false when the frame is not a data frame (control frames,
-// garbage) or its epoch tag is malformed. Hubs use this to epoch-scope
-// their replay log and fault hook without paying for a full decode.
-func DataFrameEpoch(frame []byte) (epoch uint64, ok bool) {
+// DataFrameHeader peeks a frame's instance epoch and round without
+// decoding the rest of its body. ok is false (and epoch and round zero)
+// when the frame is not a data frame (control frames, garbage) or its
+// epoch or round tag is malformed. Hubs use this to epoch-scope their
+// replay log and to key link faults by round without paying for a full
+// decode.
+func DataFrameHeader(frame []byte) (epoch uint64, round int, ok bool) {
 	if len(frame) == 0 || frame[0] != epochMagic {
-		return 0, false
+		return 0, 0, false
 	}
 	ep, n := binary.Uvarint(frame[1:])
-	return ep, n > 0 && ep != 0 && ep <= MaxEpoch
+	if n <= 0 || ep == 0 || ep > MaxEpoch {
+		return 0, 0, false
+	}
+	r, m := binary.Uvarint(frame[1+n:])
+	if m <= 0 || r > MaxRound {
+		return 0, 0, false
+	}
+	return ep, int(r), true
 }
 
 // readEpoch reads and bounds a frame's epoch tag.

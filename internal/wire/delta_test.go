@@ -168,8 +168,8 @@ func TestDeltaRejectsStatelessFrames(t *testing.T) {
 	if _, _, err := DecodeDeltaEnvelopeEpoch(v1.Bytes()); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("delta decoder accepted a stateless v1 body: %v", err)
 	}
-	if _, ok := DataFrameEpoch(v1.Bytes()); ok {
-		t.Error("DataFrameEpoch accepted a stateless v1 body")
+	if _, _, ok := DataFrameHeader(v1.Bytes()); ok {
+		t.Error("DataFrameHeader accepted a stateless v1 body")
 	}
 }
 
@@ -195,8 +195,8 @@ func TestEpochEnvelopeRoundTrip(t *testing.T) {
 		if got.Round != env.Round || got.SetFingerprint != env.SetFingerprint {
 			t.Fatalf("epoch %d: envelope mangled in transit", epoch)
 		}
-		if peeked, ok := DataFrameEpoch(data); !ok || peeked != epoch {
-			t.Fatalf("DataFrameEpoch = (%d, %v), want (%d, true)", peeked, ok, epoch)
+		if peeked, round, ok := DataFrameHeader(data); !ok || peeked != epoch || round != env.Round {
+			t.Fatalf("DataFrameHeader = (%d, %d, %v), want (%d, %d, true)", peeked, round, ok, epoch, env.Round)
 		}
 	}
 }
@@ -222,14 +222,16 @@ func TestEpochEnvelopeRejects(t *testing.T) {
 		"untagged 0xD5 form":    append([]byte{0xD5}, body...),
 		"empty frame":           nil,
 		"truncated epoch tag":   {epochMagic},
+		"truncated round tag":   {epochMagic, 1},
+		"round beyond MaxRound": {epochMagic, 1, 0x81, 0x80, 0x80, 0x80, 0x80, 0x20},
 		"epoch beyond MaxEpoch": append([]byte{epochMagic, 0x81, 0x80, 0x80, 0x80, 0x80, 0x20}, body...),
 		"control frame":         EncodeHeartbeat(Heartbeat{Seq: 1}),
 	} {
 		if _, _, err := DecodeDeltaEnvelopeEpoch(frame); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: decoder returned %v, want ErrBadFrame", name, err)
 		}
-		if _, ok := DataFrameEpoch(frame); ok {
-			t.Errorf("%s: DataFrameEpoch accepted it", name)
+		if _, _, ok := DataFrameHeader(frame); ok {
+			t.Errorf("%s: DataFrameHeader accepted it", name)
 		}
 	}
 }

@@ -52,8 +52,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDeltaEnvelope: the delta decoder and the cheap epoch peek
-// must never panic and must agree on whatever they accept, and accepted
+// FuzzDecodeDeltaEnvelope: the delta decoder and the cheap header peek
+// must never panic and must agree on the epoch and round of whatever they
+// accept, and accepted
 // frames must round-trip with stable epoch, refs and fingerprints.
 func FuzzDecodeDeltaEnvelope(f *testing.F) {
 	full := giraf.Envelope{
@@ -81,9 +82,9 @@ func FuzzDecodeDeltaEnvelope(f *testing.F) {
 		if err != nil {
 			return
 		}
-		peeked, ok := DataFrameEpoch(data)
-		if !ok || peeked != epoch {
-			t.Fatalf("DataFrameEpoch = (%d, %v), decoder said epoch %d", peeked, ok, epoch)
+		peeked, round, ok := DataFrameHeader(data)
+		if !ok || peeked != epoch || round != env.Round {
+			t.Fatalf("DataFrameHeader = (%d, %d, %v), decoder said epoch %d round %d", peeked, round, ok, epoch, env.Round)
 		}
 		re, err := EncodeDeltaEnvelopeEpoch(env, epoch)
 		if err != nil {

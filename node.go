@@ -385,7 +385,7 @@ func (n *Node) buildSpec(id string, proposals []Value, opts []Option) (InstanceS
 }
 
 // spec validates a resolved option set and turns it into a validated
-// instance spec (shared by Node sessions and RunBatch).
+// instance spec.
 func (o *options) spec(id string, proposals []Value) (InstanceSpec, error) {
 	if err := o.validate(); err != nil {
 		return InstanceSpec{}, err

@@ -18,7 +18,6 @@ type options struct {
 	interval     time.Duration
 	timeout      time.Duration
 	maxRounds    int
-	parallelism  int
 	reconnect    ReconnectPolicy
 	maxInFlight  int
 	queueDepth   int
@@ -337,22 +336,6 @@ func WithAdmission(rate float64, burst int) Option {
 func WithAdmissionWait() Option {
 	return func(o *options) error {
 		o.admitWait = true
-		return nil
-	}
-}
-
-// WithParallelism bounds the worker pool RunBatch fans instances across;
-// 0 (the default) means GOMAXPROCS. Results are byte-identical at any
-// setting — the knob trades wall-clock for cores, never output; the same
-// contract holds for ExploreConfig.Parallelism on the exploration plane.
-// It is batch-level: RunBatch rejects it inside a BatchItem's Opts, and
-// Node sessions ignore it (their concurrency knob is WithMaxInFlight).
-func WithParallelism(workers int) Option {
-	return func(o *options) error {
-		if workers < 0 {
-			return fmt.Errorf("anonconsensus: negative parallelism %d", workers)
-		}
-		o.parallelism = workers
 		return nil
 	}
 }

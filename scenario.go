@@ -37,11 +37,10 @@ var ErrAllCrashed = errors.New("anonconsensus: crash schedule stops every proces
 // network). That split-brain is exactly the behavior the scenario plane
 // exists to demonstrate; see the README scenario cookbook.
 //
-// Backend fidelity: the simulator and the live transport cut exactly the
-// [0,Cut)/[Cut,n) process blocks by message round. The TCP transports cut
-// the same blocks (process i is the hub's i-th session) but the hub
-// relays opaque frames and estimates rounds by wall clock, so on TCP a
-// partition starts and heals within about a round of its bounds.
+// Every backend cuts the [0,Cut)/[Cut,n) process blocks by message round:
+// the simulator and the live transport at delivery, the TCP transports at
+// the hub (process i is the hub's i-th session), which reads each frame's
+// round from its header.
 type Partition struct {
 	// From is the first affected round (≥ 1).
 	From int
@@ -56,8 +55,8 @@ type Partition struct {
 // duplicative links are, and which partitions come and go. The zero
 // Scenario is fault-free. Fault decisions are deterministic hash functions
 // of the run seed (WithSeed), so identical specs produce identical fault
-// schedules on every backend, and batched runs are byte-identical at any
-// parallelism.
+// schedules on every backend, and a sim Node's results are byte-identical
+// at any WithMaxInFlight.
 type Scenario struct {
 	// Crashes maps process index to the round (≥ 1) at which it stops.
 	Crashes map[int]int

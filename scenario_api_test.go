@@ -221,33 +221,35 @@ func TestRandomScenarioReproducible(t *testing.T) {
 	}
 }
 
-// TestScenarioSweepBatchDeterministic pins the public RunBatch scenario
-// sweep: the same grid of scenario'd items yields byte-identical rendered
-// results at parallelism 1, 4 and NumCPU.
+// TestScenarioSweepBatchDeterministic pins a scenario sweep on one Node
+// over the sim transport: the same grid of scenario'd instances yields
+// byte-identical rendered results with 1, 4 and NumCPU instances in flight.
 func TestScenarioSweepBatchDeterministic(t *testing.T) {
-	items := func() []ac.BatchItem {
-		var out []ac.BatchItem
-		for seed := int64(0); seed < 10; seed++ {
-			out = append(out, ac.BatchItem{
-				Proposals: []ac.Value{"a", "b", "c", "d"},
-				Opts: []ac.Option{
-					ac.WithSeed(seed),
-					ac.WithLoss(int(seed % 4 * 10)),
-					ac.WithDuplication(int(seed % 3 * 20)),
-					ac.WithPartition(1, 2+int(seed%5), 2),
-				},
-			})
-		}
-		return out
-	}
-	render := func(par int) string {
-		results, err := ac.RunBatch(context.Background(), items(),
-			ac.WithEnv(ac.EnvES), ac.WithGST(8), ac.WithParallelism(par))
+	render := func(inFlight int) string {
+		node, err := ac.NewNode(ac.NewSimTransport(),
+			ac.WithEnv(ac.EnvES), ac.WithGST(8), ac.WithMaxInFlight(inFlight))
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatal(err)
+		}
+		defer node.Close()
+		ctx := context.Background()
+		for seed := int64(0); seed < 10; seed++ {
+			err := node.Propose(ctx, fmt.Sprint(seed), []ac.Value{"a", "b", "c", "d"},
+				ac.WithSeed(seed),
+				ac.WithLoss(int(seed%4*10)),
+				ac.WithDuplication(int(seed%3*20)),
+				ac.WithPartition(1, 2+int(seed%5), 2),
+			)
+			if err != nil {
+				t.Fatalf("in-flight %d: %v", inFlight, err)
+			}
 		}
 		var b strings.Builder
-		for i, r := range results {
+		for i := 0; i < 10; i++ {
+			r, err := node.Wait(ctx, fmt.Sprint(i))
+			if err != nil {
+				t.Fatalf("in-flight %d: %v", inFlight, err)
+			}
 			fmt.Fprintf(&b, "item %d rounds=%d", i, r.Rounds)
 			for _, d := range r.Decisions {
 				fmt.Fprintf(&b, " p%d=%v/%q@%d", d.Proc, d.Decided, string(d.Value), d.Round)
@@ -257,9 +259,9 @@ func TestScenarioSweepBatchDeterministic(t *testing.T) {
 		return b.String()
 	}
 	want := render(1)
-	for _, par := range []int{4, runtime.NumCPU()} {
-		if got := render(par); got != want {
-			t.Errorf("scenario sweep diverged between parallelism 1 and %d:\nwant:\n%s\ngot:\n%s", par, want, got)
+	for _, k := range []int{4, runtime.NumCPU()} {
+		if got := render(k); got != want {
+			t.Errorf("scenario sweep diverged between 1 and %d in flight:\nwant:\n%s\ngot:\n%s", k, want, got)
 		}
 	}
 }

@@ -103,8 +103,8 @@ type Transport interface {
 	// Run executes one instance to completion and reports every process's
 	// outcome. Instances are independent: transports must not leak state
 	// (messages, rounds, decisions) between Run calls. Run must be safe
-	// for concurrent use — a Node's worker pool (WithMaxInFlight) and
-	// RunBatch issue overlapping calls on one transport.
+	// for concurrent use — a Node's worker pool (WithMaxInFlight) issues
+	// overlapping calls on one transport.
 	Run(ctx context.Context, spec InstanceSpec) (*Result, error)
 	// Close releases backend resources. A closed transport rejects Run.
 	Close() error

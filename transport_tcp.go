@@ -53,20 +53,13 @@ func (p *tcpPlane) faultOf(epoch uint64) tcpnet.LinkFault {
 	return fault
 }
 
-// linkFault realizes a scenario's link dimensions at the hub. The hub
-// relays opaque frames and never learns rounds, so partitions activate by
-// wall clock (round ≈ elapsed/interval, the same approximation the GST
-// chaos uses) and the loss/duplication draws hash the frame serial instead
-// of the round — per-forward faults that are deterministic in the spec
-// seed for a fixed frame order.
-func linkFault(sc *env.Scenario, start time.Time, interval time.Duration) tcpnet.LinkFault {
-	draws := &env.Scenario{Seed: sc.Seed, LossPct: sc.LossPct, DupPct: sc.DupPct}
-	return func(from, to, serial int) (drop, dup bool) {
-		round := int(time.Since(start)/interval) + 1
-		if sc.Partitioned(round, from, to) {
-			return true, false
-		}
-		return draws.Drops(serial, from, to), draws.Duplicates(serial, from, to)
+// linkFault realizes a scenario's link dimensions at the hub, keyed by
+// the round each data frame's header carries: the hub drops and doubles
+// exactly the forwards sc.Drops and sc.Duplicates name, the same draws
+// the simulator and the live transport make.
+func linkFault(sc *env.Scenario) tcpnet.LinkFault {
+	return func(round, from, to int) (drop, dup bool) {
+		return sc.Drops(round, from, to), sc.Duplicates(round, from, to)
 	}
 }
 
@@ -154,7 +147,7 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 	}()
 	sc := spec.Scenario.toEnv(spec.Seed)
 	if sc.HasLinkFaults() {
-		p.faults.Store(epoch, linkFault(sc, start, interval))
+		p.faults.Store(epoch, linkFault(sc))
 	}
 
 	// A node failing on real infrastructure (an encode error, say) aborts
