@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"anonconsensus/internal/explore"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/obstruction"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/register"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/weakset"
@@ -100,7 +102,9 @@ type Decision struct {
 	Value Value
 	// Round is the round at which the process decided.
 	Round int
-	// Crashed reports whether the crash schedule stopped the process.
+	// Crashed reports whether the crash schedule stopped the process or,
+	// on the TCP transports, its session was lost for good (exhausted its
+	// reconnect budget), which is crash-equivalent.
 	Crashed bool
 }
 
@@ -145,20 +149,29 @@ type Result struct {
 // latter cannot happen unless the configured environment assumptions were
 // violated).
 func (r *Result) Agreed() (v Value, ok bool) {
-	var found bool
-	for _, d := range r.Decisions {
-		if d.Crashed {
-			continue
-		}
-		if !d.Decided {
-			return "", false
-		}
-		if found && d.Value != v {
-			return "", false
-		}
-		v, found = d.Value, true
+	correct := slices.DeleteFunc(outcomes(r.Decisions), func(o property.Outcome) bool { return o.Crashed })
+	if len(correct) == 0 || property.CheckTermination(correct, 0) != nil || property.CheckAgreement(correct) != nil {
+		return "", false
 	}
-	return v, found
+	return Value(correct[0].Value), true
+}
+
+// outcomes converts decisions to the property checker's form; decisions
+// is its inverse, the one place every backend's Decisions are built.
+func outcomes(ds []Decision) []property.Outcome {
+	outs := make([]property.Outcome, len(ds))
+	for i, d := range ds {
+		outs[i] = property.Outcome{Decided: d.Decided, Value: values.Value(d.Value), Round: d.Round, Crashed: d.Crashed}
+	}
+	return outs
+}
+
+func decisions(outs []property.Outcome) []Decision {
+	ds := make([]Decision, len(outs))
+	for i, o := range outs {
+		ds[i] = Decision{Proc: i, Decided: o.Decided, Value: Value(o.Value), Round: o.Round, Crashed: o.Crashed}
+	}
+	return ds
 }
 
 // ExploreMode selects the exploration plane's search strategy.

@@ -55,8 +55,8 @@
 //   - NewSimTransport: the deterministic lockstep simulator with seeded
 //     adversarial schedules, crash injection and machine-checked
 //     environment properties — the engine behind the reproduction
-//     experiments (see EXPERIMENTS.md). Identical specs give identical
-//     Results.
+//     experiments (README lists them: tables T1–T10, figures F1–F3).
+//     Identical specs give identical Results.
 //
 //   - NewTCPTransport: real TCP through an anonymous broadcast hub;
 //     frames carry no sender identity and the hub relays without
@@ -82,8 +82,9 @@
 //
 // # Verification
 //
-// TESTING.md maps the five test planes — unit, property, golden-parity,
-// exploration, and static analysis — to make targets and CI jobs. The
+// TESTING.md maps every test plane to its make targets and CI jobs. The
+// conformance matrix (TestConformance) holds every backend to the paper's
+// properties, judged by the one checker in internal/property. The
 // static-analysis plane (make lint) runs the tools/detlint determinism &
 // aliasing suite: deterministic packages are machine-checked against map
 // iteration order, wall clocks, global randomness, aliased slice/map

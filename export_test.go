@@ -5,6 +5,9 @@ import "context"
 // Test-only exports for the external test package
 // (anonconsensus_test), which cannot reach unexported identifiers.
 
+// ViolationsForTest judges decisions against the paper's properties.
+var ViolationsForTest = violations
+
 // RunOnceForTest is the suites' one-shot entry: a fresh Node over transport
 // with opts as the session options, one Run, and the node (and with it the
 // transport) closed.

@@ -19,8 +19,8 @@ import (
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/rounddriver"
-	"anonconsensus/internal/values"
 )
 
 // Config describes a live run.
@@ -86,24 +86,11 @@ type Result struct {
 
 // AllCorrectDecided reports whether every non-crashed process decided.
 func (r *Result) AllCorrectDecided() bool {
-	for _, p := range r.Procs {
-		if !p.Crashed && !p.Decided {
-			return false
-		}
-	}
-	return true
+	return property.CheckTermination(r.Outcomes(), 0) == nil
 }
 
-// Decisions returns the set of decided values.
-func (r *Result) Decisions() values.Set {
-	out := values.NewSet()
-	for _, p := range r.Procs {
-		if p.Decided {
-			out.Add(p.Decision)
-		}
-	}
-	return out
-}
+// Outcomes returns the processes' outcomes in the property checker's form.
+func (r *Result) Outcomes() []property.Outcome { return rounddriver.Outcomes(r.Procs) }
 
 // network carries the shared state of one run.
 type network struct {

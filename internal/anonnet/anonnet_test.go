@@ -10,6 +10,7 @@ import (
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 )
 
@@ -29,15 +30,9 @@ func essFactory(props []values.Value) func(int) giraf.Automaton {
 
 func requireLiveConsensus(t *testing.T, res *Result, props []values.Value) {
 	t.Helper()
-	if !res.AllCorrectDecided() {
-		t.Fatalf("not all correct processes decided: %+v", res.Procs)
-	}
-	d := res.Decisions()
-	if d.Len() > 1 {
-		t.Fatalf("agreement violated: %v", d)
-	}
-	if v, ok := d.Max(); ok && !core.ProposalSet(props).Contains(v) {
-		t.Fatalf("validity violated: decided %v", v)
+	run := property.Run{Proposals: core.ProposalSet(props), Outcomes: res.Outcomes(), Promised: true}
+	if vs := property.Check(run); len(vs) > 0 {
+		t.Fatalf("%v: %+v", vs, res.Procs)
 	}
 }
 
@@ -119,8 +114,8 @@ func TestLiveMSSafetyOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Decisions(); d.Len() > 1 {
-		t.Fatalf("agreement violated: %v", d)
+	if vs := property.Check(property.Run{Proposals: core.ProposalSet(props), Outcomes: res.Outcomes()}); len(vs) > 0 {
+		t.Fatal(vs)
 	}
 }
 
@@ -202,14 +197,11 @@ func TestLiveAsyncProfileCanBreakAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proposals := core.ProposalSet(props)
-	for _, p := range res.Procs {
-		if p.Decided && !proposals.Contains(p.Decision) {
-			t.Errorf("validity violated: decided %v", p.Decision)
-		}
+	if v := property.CheckValidity(res.Outcomes(), core.ProposalSet(props)); v != nil {
+		t.Error(v)
 	}
-	if d := res.Decisions(); d.Len() > 1 {
-		t.Logf("agreement broke under async, as the theory predicts: %v", d)
+	if v := property.CheckAgreement(res.Outcomes()); v != nil {
+		t.Logf("agreement broke under async, as the theory predicts: %v", v)
 	}
 }
 

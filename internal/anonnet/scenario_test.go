@@ -7,6 +7,7 @@ import (
 
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/env"
+	"anonconsensus/internal/property"
 )
 
 // The scenario plane on the real-time backend: the same env.Scenario the
@@ -52,7 +53,7 @@ func TestLiveScenarioTotalLossIsolatesProcesses(t *testing.T) {
 	if !res.AllCorrectDecided() {
 		t.Fatalf("isolated processes must still decide (their own value): %+v", res.Procs)
 	}
-	if d := res.Decisions(); d.Len() != 2 {
+	if d := property.Decisions(res.Outcomes()); d.Len() != 2 {
 		t.Errorf("decisions = %v, want both proposals (split ensemble)", d)
 	}
 	if res.Dropped == 0 {
@@ -79,7 +80,7 @@ func TestLiveScenarioPartitionSplitsBrain(t *testing.T) {
 	if !res.AllCorrectDecided() {
 		t.Fatalf("both blocks must decide internally: %+v", res.Procs)
 	}
-	if d := res.Decisions(); d.Len() != 2 {
+	if d := property.Decisions(res.Outcomes()); d.Len() != 2 {
 		t.Errorf("decisions = %v, want the two block values (split-brain)", d)
 	}
 }

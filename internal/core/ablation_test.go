@@ -45,9 +45,7 @@ func TestESSLiteralViolatesAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fixed.CheckAgreement(); err != nil {
-		t.Errorf("corrected ESS violates agreement on the pinned schedule: %v", err)
-	}
+	requireSafety(t, fixed, props)
 }
 
 func TestESSLiteralDeadlocksAllBot(t *testing.T) {
@@ -100,8 +98,8 @@ func TestESLiteralStaleWrittenOld(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fixed.CheckAgreement(); err != nil {
-				t.Errorf("corrected ES violates agreement on seed %d: %v", seed, err)
+			if vs := fixed.Check(ProposalSet(props), nil, false); len(vs) > 0 {
+				t.Errorf("corrected ES on seed %d: %v", seed, vs)
 			}
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anonconsensus/internal/env"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 )
@@ -12,14 +13,8 @@ import (
 // (Termination, Agreement, Validity).
 func requireConsensus(t *testing.T, res *sim.Result, proposals []values.Value) {
 	t.Helper()
-	if !res.AllCorrectDecided() {
-		t.Fatalf("termination violated: not all correct processes decided within %d rounds", res.Rounds)
-	}
-	if err := res.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckValidity(ProposalSet(proposals)); err != nil {
-		t.Fatal(err)
+	if vs := res.Check(ProposalSet(proposals), nil, true); len(vs) > 0 {
+		t.Fatal(vs)
 	}
 }
 
@@ -27,11 +22,8 @@ func requireConsensus(t *testing.T, res *sim.Result, proposals []values.Value) {
 // guaranteed to terminate).
 func requireSafety(t *testing.T, res *sim.Result, proposals []values.Value) {
 	t.Helper()
-	if err := res.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckValidity(ProposalSet(proposals)); err != nil {
-		t.Fatal(err)
+	if vs := res.Check(ProposalSet(proposals), nil, false); len(vs) > 0 {
+		t.Fatal(vs)
 	}
 }
 
@@ -166,8 +158,8 @@ func TestESAgreementNeedsMS(t *testing.T) {
 	if res.Decisions().Len() <= 1 {
 		t.Skip("schedule no longer violates agreement (engine change?); re-pin a seed")
 	}
-	if err := res.CheckValidity(ProposalSet(props)); err != nil {
-		t.Error(err) // validity still holds: decided values are proposals
+	if v := property.CheckValidity(res.Outcomes(), ProposalSet(props)); v != nil {
+		t.Error(v) // validity still holds: decided values are proposals
 	}
 }
 

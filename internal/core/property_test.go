@@ -51,9 +51,7 @@ func TestQuickESFullConsensusUnderES(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.AllCorrectDecided() &&
-			res.CheckAgreement() == nil &&
-			res.CheckValidity(ProposalSet(props)) == nil
+		return len(res.Check(ProposalSet(props), nil, true)) == 0
 	}
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -78,9 +76,7 @@ func TestQuickESSFullConsensusUnderESS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.AllCorrectDecided() &&
-			res.CheckAgreement() == nil &&
-			res.CheckValidity(ProposalSet(props)) == nil
+		return len(res.Check(ProposalSet(props), nil, true)) == 0
 	}
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(12))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -110,7 +106,7 @@ func TestQuickESSafetyUnderArbitraryMS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.CheckAgreement() == nil && res.CheckValidity(ProposalSet(props)) == nil
+		return len(res.Check(ProposalSet(props), nil, false)) == 0
 	}
 	cfg := &quick.Config{MaxCount: 250, Rand: rand.New(rand.NewSource(13))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -139,7 +135,7 @@ func TestQuickESSSafetyUnderArbitraryMS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.CheckAgreement() == nil && res.CheckValidity(ProposalSet(props)) == nil
+		return len(res.Check(ProposalSet(props), nil, false)) == 0
 	}
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(14))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -32,11 +32,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 )
@@ -454,76 +454,6 @@ func (p *schedulePolicy) Schedule(round int, senders []int, n int) env.DelayFn {
 	return func(sender, receiver int) int { return m[sender][receiver] }
 }
 
-// checkViolations runs every property check on one finished run, asserting
-// each property exactly where the model guarantees it. Validity and
-// irrevocability are unconditional — faults can only remove or repeat
-// messages, never forge proposals or un-halt a process. Agreement is
-// asserted when the run stayed inside the model while its decisions were
-// cast: the scenario must keep the reliable-broadcast assumption
-// (sc.LinkFaultFree — loss and partitions genuinely admit split-brain, as
-// the S1 sweep demonstrates) and the *executed* run must satisfy the MS
-// property through the final decision (checked from the recorded trace —
-// a static schedule can designate a source that crashed or already
-// decided, and a sourceless round is outside every environment of §2.3;
-// the paper's crash-tolerance claim quantifies only over executions where
-// the environment properties hold). Termination is asserted only when the
-// caller established that the environment guarantees it (link-fault-free
-// scenario plus a synchronous steady state, under which MS also holds from
-// the steady state on).
-func checkViolations(res *sim.Result, proposals values.Set, sc *env.Scenario, requireTermination bool) []string {
-	var out []string
-	if sc.LinkFaultFree() && res.Trace != nil {
-		if res.Trace.CheckMSThrough(res.LastDecisionRound()) == nil {
-			if err := res.CheckAgreement(); err != nil {
-				out = append(out, err.Error())
-			}
-		}
-	}
-	if err := res.CheckValidity(proposals); err != nil {
-		out = append(out, err.Error())
-	}
-	if res.Trace != nil {
-		if err := res.Trace.CheckIrrevocability(res.Statuses); err != nil {
-			out = append(out, err.Error())
-		}
-	}
-	if requireTermination && !res.AllCorrectDecided() {
-		undecided := 0
-		correct := 0
-		for _, st := range res.Statuses {
-			if st.Crashed {
-				continue
-			}
-			correct++
-			if !st.Decided {
-				undecided++
-			}
-		}
-		out = append(out, fmt.Sprintf("termination violated: %d of %d correct processes undecided after %d rounds under a synchronous steady state", undecided, correct, res.Rounds))
-	}
-	return out
-}
-
-// violationKind extracts the property name from a violation message
-// ("agreement violated: …" → "agreement"); the shrinker uses it to keep a
-// candidate only when it reproduces the *same* property breach.
-func violationKind(v string) string {
-	if i := strings.Index(v, " violated"); i >= 0 {
-		return v[:i]
-	}
-	return v
-}
-
-// firstOfKind returns the first violation of the given kind, or ok=false.
-func firstOfKind(vs []string, kind string) (string, bool) {
-	for _, v := range vs {
-		if violationKind(v) == kind {
-			return v, true
-		}
-	}
-	return "", false
-}
-
 // Run executes the exploration in the configured mode.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
@@ -612,20 +542,9 @@ func runSchedules(cfg Config, mats []matrix, maxRounds, tail int, proposals valu
 		if err != nil {
 			return err
 		}
-		report.Runs++
-		if !cfg.Scenario.Empty() {
-			report.Faulted++
-		}
-		if res.AllCorrectDecided() {
-			report.Decided++
-		}
-		vs := checkViolations(res, proposals, cfg.Scenario, false)
+		vs := report.tally(res, proposals, cfg.Scenario, false, "schedule %v crash %+v: ", mats, cp)
 		if len(vs) == 0 {
 			continue
-		}
-		for _, v := range vs {
-			report.Violations = append(report.Violations,
-				fmt.Sprintf("schedule %v crash %+v: %v", mats, cp, v))
 		}
 		if len(report.Counterexamples) < cfg.maxCounterexamples() {
 			tr := Trace{
@@ -637,7 +556,7 @@ func runSchedules(cfg Config, mats []matrix, maxRounds, tail int, proposals valu
 			}
 			if tr.validate() == nil { // e.g. proposals the trace form cannot encode
 				report.Counterexamples = append(report.Counterexamples,
-					buildCounterexample(&cfg, tr, -1, vs[0]))
+					buildCounterexample(&cfg, tr, -1, vs[0].Msg))
 			}
 		}
 	}
@@ -674,28 +593,38 @@ func cloneSchedule(mats []matrix) []matrix {
 // runReplay re-executes one trace and reports its violations.
 func runReplay(cfg Config) (*Report, error) {
 	tr := *cfg.Trace
-	report := &Report{Mode: ModeReplay, Schedules: 1, Runs: 1}
-	if !tr.Scenario.Empty() {
-		report.Faulted = 1
-	}
+	report := &Report{Mode: ModeReplay, Schedules: 1}
 	res, err := sim.Run(tr.simConfig(cfg.Automaton))
 	if err != nil {
 		return nil, err
 	}
-	if res.AllCorrectDecided() {
-		report.Decided = 1
-	}
-	report.Violations = checkViolations(res, core.ProposalSet(tr.Proposals), tr.Scenario, tr.terminationExpected())
+	report.tally(res, core.ProposalSet(tr.Proposals), tr.Scenario, tr.terminationExpected(), "")
 	return report, nil
+}
+
+// tally counts one finished run into the report and appends the violations
+// property.Check finds, each behind the formatted prefix; it returns them.
+func (r *Report) tally(res *sim.Result, proposals values.Set, sc *env.Scenario, promised bool, prefix string, args ...any) []*property.Violation {
+	r.Runs++
+	if !sc.Empty() {
+		r.Faulted++
+	}
+	if res.AllCorrectDecided() {
+		r.Decided++
+	}
+	vs := res.Check(proposals, sc, promised)
+	for _, v := range vs {
+		r.Violations = append(r.Violations, fmt.Sprintf(prefix, args...)+v.Msg)
+	}
+	return vs
 }
 
 // buildCounterexample shrinks one violating trace (unless disabled) and
 // packages it with the violation its replay reproduces.
 func buildCounterexample(cfg *Config, tr Trace, trial int, violation string) Counterexample {
 	cx := Counterexample{Trial: trial, Violation: violation, Trace: tr, ReplayViolation: violation}
-	kind := violationKind(violation)
 	if !cfg.DisableShrink {
-		cx.Trace, cx.ReplayViolation, cx.Probes = shrinkTrace(cfg, tr, kind, violation)
+		cx.Trace, cx.ReplayViolation, cx.Probes = shrinkTrace(cfg, tr, property.KindOf(violation), violation)
 	}
 	return cx
 }

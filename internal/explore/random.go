@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"anonconsensus/internal/core"
@@ -30,7 +29,7 @@ func trialSeed(seed int64, trial int) int64 {
 // model, and the agreement check would rightly refuse to judge such a run;
 // skipping keeps the sampled executions inside the model (decisions can
 // still break MS later by halting a designated source, which the
-// trace-based gate in checkViolations handles).
+// trace-based gate in property.Check handles).
 func sampleSchedule(rng *rand.Rand, n, horizon, maxDelay, depth int, sc *env.Scenario) []matrix {
 	prio := rng.Perm(n)
 	if depth > horizon {
@@ -126,23 +125,13 @@ func runRandom(cfg Config) (*Report, error) {
 		for i, res := range results {
 			trial := lo + i
 			report.Schedules++
-			report.Runs++
-			if !traces[i].Scenario.Empty() {
-				report.Faulted++
-			}
-			if res.AllCorrectDecided() {
-				report.Decided++
-			}
-			vs := checkViolations(res, proposals, traces[i].Scenario, traces[i].terminationExpected())
+			vs := report.tally(res, proposals, traces[i].Scenario, traces[i].terminationExpected(), "trial %d: ", trial)
 			if len(vs) == 0 {
 				continue
 			}
-			for _, v := range vs {
-				report.Violations = append(report.Violations, fmt.Sprintf("trial %d: %s", trial, v))
-			}
 			if len(report.Counterexamples) < cfg.maxCounterexamples() {
 				report.Counterexamples = append(report.Counterexamples,
-					buildCounterexample(&cfg, traces[i].clone(), trial, vs[0]))
+					buildCounterexample(&cfg, traces[i].clone(), trial, vs[0].Msg))
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package explore
 
 import (
+	"slices"
+
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/ordered"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/sim"
 )
 
@@ -20,7 +23,7 @@ import (
 // Probes run sequentially on the calling goroutine in a fixed order, so
 // shrinking is deterministic and the surrounding report stays byte-identical
 // at any parallelism.
-func shrinkTrace(cfg *Config, tr Trace, kind, violation string) (Trace, string, int) {
+func shrinkTrace(cfg *Config, tr Trace, kind property.Kind, violation string) (Trace, string, int) {
 	probes := 0
 	// fails replays a candidate and reports whether the original property
 	// still breaks, remembering the concrete message.
@@ -30,8 +33,11 @@ func shrinkTrace(cfg *Config, tr Trace, kind, violation string) (Trace, string, 
 		if err != nil {
 			return "", false // an unrunnable mutation is never an improvement
 		}
-		vs := checkViolations(res, core.ProposalSet(cand.Proposals), cand.Scenario, cand.terminationExpected())
-		return firstOfKind(vs, kind)
+		vs := res.Check(core.ProposalSet(cand.Proposals), cand.Scenario, cand.terminationExpected())
+		if i := slices.IndexFunc(vs, func(v *property.Violation) bool { return v.Kind == kind }); i >= 0 {
+			return vs[i].Msg, true
+		}
+		return "", false
 	}
 
 	cur := tr.clone()

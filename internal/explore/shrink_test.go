@@ -6,6 +6,7 @@ import (
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 )
 
@@ -71,19 +72,17 @@ func TestShrinkStripsIrrelevantStructure(t *testing.T) {
 	}
 }
 
-func TestViolationKind(t *testing.T) {
-	for msg, want := range map[string]string{
-		"agreement violated: decisions {a b}":   "agreement",
-		"validity violated: process 1 decided":  "validity",
-		"termination violated: 2 of 3":          "termination",
-		"irrevocability violated: process 0":    "irrevocability",
-		"something else entirely":               "something else entirely",
-		"MS violated in round 3: no sender ...": "MS",
-	} {
-		if got := violationKind(msg); got != want {
-			t.Errorf("violationKind(%q) = %q, want %q", msg, got, want)
+// violationKind and firstOfKind read a report's violation strings back
+// into props kinds.
+func violationKind(v string) property.Kind { return property.KindOf(v) }
+
+func firstOfKind(vs []string, kind property.Kind) (string, bool) {
+	for _, v := range vs {
+		if property.KindOf(v) == kind {
+			return v, true
 		}
 	}
+	return "", false
 }
 
 func TestConfigRejectsVacuousScenario(t *testing.T) {

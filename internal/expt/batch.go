@@ -2,10 +2,13 @@ package expt
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 
+	"anonconsensus/internal/core"
 	"anonconsensus/internal/sim"
+	"anonconsensus/internal/values"
 )
 
 // trialParallelism is the configured worker bound for the trial plane;
@@ -30,6 +33,15 @@ func parallelism() int {
 		return trialParallelism
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// check judges a finished run without link faults against the paper's
+// properties, Termination included, naming the run in the error.
+func check(res *sim.Result, proposals []values.Value, run string) error {
+	if vs := res.Check(core.ProposalSet(proposals), nil, true); len(vs) > 0 {
+		return fmt.Errorf("%s: %v", run, vs[0])
+	}
+	return nil
 }
 
 // runConfigs fans independent simulation configs across the shared batch

@@ -50,18 +50,16 @@ func runT1(w io.Writer, quick bool) error {
 	for _, n := range ns {
 		syncRes := results[k]
 		k++
-		if !syncRes.AllCorrectDecided() {
-			return fmt.Errorf("T1: undecided synchronous run at n=%d", n)
+		props := core.DistinctProposals(n)
+		if err := check(syncRes, props, fmt.Sprintf("T1 synchronous n=%d", n)); err != nil {
+			return err
 		}
 		var rounds, bcasts []int
 		for _, seed := range seeds {
 			res := results[k]
 			k++
-			if err := res.CheckAgreement(); err != nil {
-				return fmt.Errorf("T1 n=%d seed=%d: %w", n, seed, err)
-			}
-			if !res.AllCorrectDecided() {
-				return fmt.Errorf("T1: undecided run at n=%d seed=%d", n, seed)
+			if err := check(res, props, fmt.Sprintf("T1 n=%d seed=%d", n, seed)); err != nil {
+				return err
 			}
 			rounds = append(rounds, res.LastDecisionRound())
 			bcasts = append(bcasts, res.Metrics.Broadcasts)
@@ -100,8 +98,8 @@ func runT2(w io.Writer, quick bool) error {
 		for _, seed := range seeds {
 			res := results[k]
 			k++
-			if !res.AllCorrectDecided() {
-				return fmt.Errorf("T2: undecided run at gst=%d seed=%d", gst, seed)
+			if err := check(res, core.DistinctProposals(n), fmt.Sprintf("T2 gst=%d seed=%d", gst, seed)); err != nil {
+				return err
 			}
 			firsts = append(firsts, res.FirstDecisionRound())
 			lasts = append(lasts, res.LastDecisionRound())
@@ -155,11 +153,8 @@ func runT3(w io.Writer, quick bool) error {
 		for _, seed := range seeds {
 			res, hist := results[k], hists[k]
 			k++
-			if err := res.CheckAgreement(); err != nil {
-				return fmt.Errorf("T3 n=%d seed=%d: %w", n, seed, err)
-			}
-			if !res.AllCorrectDecided() {
-				return fmt.Errorf("T3: undecided run at n=%d seed=%d", n, seed)
+			if err := check(res, core.DistinctProposals(n), fmt.Sprintf("T3 n=%d seed=%d", n, seed)); err != nil {
+				return err
 			}
 			lasts = append(lasts, res.LastDecisionRound())
 			if l := res.LastDecisionRound(); l > maxLast {
@@ -245,8 +240,8 @@ func leaderStableTrial(n, distinct, gst, src int, seed int64) (sim.Config, func(
 		},
 	})
 	finish := func(res *sim.Result) (int, error) {
-		if !res.AllCorrectDecided() {
-			return 0, fmt.Errorf("T4: undecided ESS run (n=%d seed=%d)", n, seed)
+		if err := check(res, props, fmt.Sprintf("T4 ESS n=%d seed=%d", n, seed)); err != nil {
+			return 0, err
 		}
 		end := res.FirstDecisionRound()
 		stable := end
@@ -337,11 +332,10 @@ func runT5(w io.Writer, quick bool) error {
 		for _, seed := range seeds {
 			esRes, essRes := results[k], results[k+1]
 			k += 2
-			if !esRes.AllCorrectDecided() {
-				return fmt.Errorf("T5: undecided ES run (f=%d seed=%d)", f, seed)
-			}
-			if !essRes.AllCorrectDecided() {
-				return fmt.Errorf("T5: undecided ESS run (f=%d seed=%d)", f, seed)
+			for _, res := range []*sim.Result{esRes, essRes} {
+				if err := check(res, core.DistinctProposals(n), fmt.Sprintf("T5 f=%d seed=%d", f, seed)); err != nil {
+					return err
+				}
 			}
 			esRounds = append(esRounds, esRes.LastDecisionRound())
 			essRounds = append(essRounds, essRes.LastDecisionRound())

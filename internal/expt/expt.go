@@ -1,11 +1,7 @@
 // Package expt is the experiment harness: one entry per table (T1–T10) and
-// figure (F1–F3) of EXPERIMENTS.md, each regenerating its numbers from
+// figure (F1–F3) of the README's list, each regenerating its numbers from
 // scratch. The paper itself is a theory paper with no empirical section, so
-// these experiments quantify its theorems; the mapping from claims to
-// experiment ids lives in DESIGN.md §4.
-//
-// cmd/anonsim renders the tables; the repository-root benchmarks call the
-// same entry points so the harness is exercised both ways.
+// these experiments quantify its theorems. cmd/anonsim renders the tables.
 package expt
 
 import (

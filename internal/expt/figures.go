@@ -84,11 +84,8 @@ func runF1(w io.Writer, quick bool) error {
 	collect := func(alg string, results []*sim.Result) ([]int, error) {
 		var out []int
 		for seed, res := range results {
-			if !res.AllCorrectDecided() {
-				return nil, fmt.Errorf("F1 %s: undecided seed %d", alg, seed)
-			}
-			if err := res.CheckAgreement(); err != nil {
-				return nil, fmt.Errorf("F1 %s seed %d: %w", alg, seed, err)
+			if err := check(res, core.DistinctProposals(n), fmt.Sprintf("F1 %s seed %d", alg, seed)); err != nil {
+				return nil, err
 			}
 			out = append(out, res.LastDecisionRound())
 		}
@@ -131,8 +128,8 @@ func runF2(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	if !res.AllCorrectDecided() {
-		return fmt.Errorf("F2: run undecided")
+	if err := check(res, core.DistinctProposals(n), "F2"); err != nil {
+		return err
 	}
 	t := newTable("round", "self-considered leaders", "")
 	last := res.LastDecisionRound()

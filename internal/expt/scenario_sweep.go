@@ -6,6 +6,7 @@ import (
 
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/env"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/sim"
 )
 
@@ -81,7 +82,9 @@ func runS1(w io.Writer, quick bool) error {
 				decided++
 				lasts = append(lasts, res.LastDecisionRound())
 			}
-			if res.CheckAgreement() == nil {
+			// Ungated on purpose: the sweep measures how often loss and
+			// partitions break Agreement.
+			if property.CheckAgreement(res.Outcomes()) == nil {
 				agreed++
 			}
 			drops = append(drops, res.Metrics.Dropped)

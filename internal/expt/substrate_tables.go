@@ -9,6 +9,7 @@ import (
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/msemu"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/register"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
@@ -45,8 +46,8 @@ func runT6(w io.Writer, quick bool) error {
 		{"ESS (Alg 3, anon pseudo-leader)", results[1]},
 		{"Ω baseline (oracle IDs)", results[2]},
 	} {
-		if !row.res.AllCorrectDecided() {
-			return fmt.Errorf("T6: %s run undecided", row.name)
+		if err := check(row.res, props, "T6 "+row.name); err != nil {
+			return err
 		}
 		m := row.res.Metrics
 		perB := 0
@@ -236,15 +237,10 @@ func runT9(w io.Writer, quick bool) error {
 		if err := res.CheckMS(); err != nil {
 			msOK = err.Error()
 		}
-		seen := values.NewSet()
-		//detlint:ordered set insertion is commutative and the set renders canonically
-		for _, v := range res.Decisions {
-			seen.Add(v)
-		}
 		agree := "yes"
-		if seen.Len() > 1 {
-			agree = fmt.Sprintf("NO: %v", seen)
-		} else if seen.Len() == 0 {
+		if v := property.CheckAgreement(res.Outcomes); v != nil {
+			agree = v.Msg
+		} else if property.Decisions(res.Outcomes).Len() == 0 {
 			agree = "n/a (none decided)"
 		}
 		t.add(n, rounds, el.Round(time.Millisecond), msOK, agree)

@@ -24,6 +24,8 @@ import (
 	"sync"
 
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/ordered"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/weakset"
 )
@@ -126,8 +128,9 @@ func (c *Config) setFor(i int) weakset.WeakSet {
 type Result struct {
 	// Views holds one RoundView per (process, computed round).
 	Views []RoundView
-	// Decisions maps process index to its decision, if it decided.
-	Decisions map[int]values.Value
+	// Outcomes holds process i's decision at index i in the property
+	// checker's form; a process stopped by an error counts as crashed.
+	Outcomes []property.Outcome
 	// Errs holds per-process failures (weak-set errors, codec errors).
 	Errs []error
 }
@@ -143,7 +146,7 @@ func Run(cfg Config) (*Result, error) {
 	case cfg.MaxRounds <= 0:
 		return nil, fmt.Errorf("msemu: MaxRounds = %d", cfg.MaxRounds)
 	}
-	res := &Result{Decisions: make(map[int]values.Value)}
+	res := &Result{Outcomes: make([]property.Outcome, cfg.N)}
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
@@ -157,9 +160,7 @@ func Run(cfg Config) (*Result, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			res.Views = append(res.Views, views...)
-			if dec.Decided {
-				res.Decisions[i] = dec.Value
-			}
+			res.Outcomes[i] = property.Outcome{Decided: dec.Decided, Value: dec.Value, Crashed: err != nil}
 			if err != nil {
 				res.Errs = append(res.Errs, fmt.Errorf("process %d: %w", i, err))
 			}
@@ -219,7 +220,8 @@ func runProcess(cfg Config, id int) ([]RoundView, giraf.Decision, error) {
 // CheckMS verifies the moving-source property on the emulated run: for
 // every round in which at least one process computed, some process's own
 // round payload was present in every computing process's inbox (the
-// payload-containment form of a timely link — footnote 2 of the paper).
+// payload-containment form of a timely link — footnote 2 of the paper). The
+// error names the smallest violating round.
 func (r *Result) CheckMS() error {
 	type roundInfo struct {
 		inboxes []map[string]bool
@@ -237,7 +239,8 @@ func (r *Result) CheckMS() error {
 			ri.owns[v.OwnPayload] = true
 		}
 	}
-	for round, ri := range rounds {
+	for _, round := range ordered.Keys(rounds) {
+		ri := rounds[round]
 		found := false
 		for own := range ri.owns {
 			inAll := true

@@ -1,6 +1,7 @@
 package msemu
 
 import (
+	"strings"
 	"testing"
 
 	"anonconsensus/internal/core"
@@ -87,16 +88,8 @@ func TestEmulatedRunPreservesConsensusSafety(t *testing.T) {
 	if len(res.Errs) > 0 {
 		t.Fatalf("process errors: %v", res.Errs)
 	}
-	seen := values.NewSet()
-	proposals := core.ProposalSet(props)
-	for pid, v := range res.Decisions {
-		seen.Add(v)
-		if !proposals.Contains(v) {
-			t.Errorf("process %d decided non-proposal %v", pid, v)
-		}
-	}
-	if seen.Len() > 1 {
-		t.Errorf("agreement violated on emulated run: %v", seen)
+	if !decisionsSafe(res, props) {
+		t.Errorf("unsafe decisions on emulated run: %+v", res.Outcomes)
 	}
 	if err := res.CheckMS(); err != nil {
 		t.Fatal(err)
@@ -177,5 +170,23 @@ func TestCheckMSDetectsViolation(t *testing.T) {
 	}}
 	if err := res.CheckMS(); err == nil {
 		t.Error("violation not detected")
+	}
+}
+
+func TestCheckMSNamesSmallestViolatingRound(t *testing.T) {
+	// Rounds 2 and 5 both lack a source; the report must name round 2
+	// every time, whatever the map iteration order.
+	var views []RoundView
+	for _, round := range []int{5, 1, 2} {
+		views = append(views,
+			RoundView{Proc: 0, Round: round, Inbox: map[string]bool{"a": true, "b": round == 1}, OwnPayload: "a"},
+			RoundView{Proc: 1, Round: round, Inbox: map[string]bool{"b": true}, OwnPayload: "b"})
+	}
+	res := &Result{Views: views}
+	for i := 0; i < 50; i++ {
+		err := res.CheckMS()
+		if err == nil || !strings.Contains(err.Error(), "round 2:") {
+			t.Fatalf("check %d: %v, want round 2 named", i, err)
+		}
 	}
 }

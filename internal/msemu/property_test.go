@@ -10,6 +10,7 @@ import (
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/weakset"
 )
@@ -139,13 +140,5 @@ func TestQuickEmulationSafeUnderLoss(t *testing.T) {
 // decisionsSafe checks Agreement and Validity over whatever decisions the
 // run produced.
 func decisionsSafe(res *Result, props []values.Value) bool {
-	proposals := core.ProposalSet(props)
-	seen := values.NewSet()
-	for _, v := range res.Decisions {
-		if !proposals.Contains(v) {
-			return false
-		}
-		seen.Add(v)
-	}
-	return seen.Len() <= 1
+	return len(property.Check(property.Run{Proposals: core.ProposalSet(props), Outcomes: res.Outcomes})) == 0
 }

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"anonconsensus/internal/core"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/tcpnet"
-	"anonconsensus/internal/values"
 )
 
 // echoTarget is a TCP server that echoes whatever it receives.
@@ -254,19 +254,9 @@ func TestChaosConsensusProperty(t *testing.T) {
 					t.Fatalf("node %d: %v (schedule %+v)", i, err, sched)
 				}
 			}
-			decided := values.NewSet()
-			for i, r := range results {
-				if !r.Decided {
-					t.Fatalf("termination violated: node %d undecided after %d rounds (reconnects=%d, schedule %+v)",
-						i, r.Rounds, reconnects[i], sched)
-				}
-				decided.Add(r.Decision)
-			}
-			if decided.Len() != 1 {
-				t.Fatalf("agreement violated under chaos seed %d: %v (schedule %+v)", seed, decided, sched)
-			}
-			if v, _ := decided.Max(); !core.ProposalSet(props).Contains(v) {
-				t.Fatalf("validity violated under chaos seed %d: %v", seed, v)
+			run := property.Run{Proposals: core.ProposalSet(props), Outcomes: rounddriver.Outcomes(results), Promised: true}
+			if vs := property.Check(run); len(vs) > 0 {
+				t.Fatalf("chaos seed %d: %v (outcomes %+v, reconnects %v, schedule %+v)", seed, vs, results, reconnects, sched)
 			}
 		})
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 )
 
@@ -80,6 +81,16 @@ type Outcome struct {
 	Crashed bool
 	// Lost reports whether the run ended because Config.Lost closed.
 	Lost bool
+}
+
+// Outcomes converts outcomes to the property checker's form, the one place
+// that does; a session lost for good counts as crashed.
+func Outcomes(outs []Outcome) []property.Outcome {
+	ps := make([]property.Outcome, len(outs))
+	for i, o := range outs {
+		ps[i] = property.Outcome{Decided: o.Decided, Value: o.Decision, Round: o.DecidedRound, Crashed: o.Crashed || o.Lost}
+	}
+	return ps
 }
 
 // driver is the step machine under Run: receive and beat are the loop's

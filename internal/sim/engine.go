@@ -24,6 +24,7 @@ import (
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 )
 
@@ -125,23 +126,31 @@ type Result struct {
 
 // AllCorrectDecided reports whether every non-crashed process decided.
 func (r *Result) AllCorrectDecided() bool {
-	for _, st := range r.Statuses {
-		if !st.Crashed && !st.Decided {
-			return false
-		}
-	}
-	return true
+	return property.CheckTermination(r.Outcomes(), 0) == nil
 }
 
 // Decisions returns the set of decided values.
-func (r *Result) Decisions() values.Set {
-	out := values.NewSet()
-	for _, st := range r.Statuses {
-		if st.Decided {
-			out.Add(st.Decision)
-		}
+func (r *Result) Decisions() values.Set { return property.Decisions(r.Outcomes()) }
+
+// Outcomes converts the statuses to the property checker's form (the one
+// place a property.Outcome is built from a ProcStatus).
+func (r *Result) Outcomes() []property.Outcome {
+	outs := make([]property.Outcome, len(r.Statuses))
+	for i, st := range r.Statuses {
+		outs[i] = property.Outcome{Decided: st.Decided, Value: st.Decision, Round: st.DecidedAt, Crashed: st.Crashed}
 	}
-	return out
+	return outs
+}
+
+// Check judges the run under scenario sc with property.Check, adding the
+// trace's MS and irrevocability checks when one was recorded.
+func (r *Result) Check(proposals values.Set, sc *env.Scenario, promised bool) []*property.Violation {
+	run := property.Run{Proposals: proposals, Outcomes: r.Outcomes(), Scenario: sc, Promised: promised, Rounds: r.Rounds}
+	if r.Trace != nil {
+		run.MS = func() error { return r.Trace.CheckMSThrough(r.LastDecisionRound()) }
+		run.Irrevocable = func() error { return r.Trace.CheckIrrevocability(r.Statuses) }
+	}
+	return property.Check(run)
 }
 
 // FirstDecisionRound returns the earliest deciding step, or 0 if nobody
@@ -165,24 +174,6 @@ func (r *Result) LastDecisionRound() int {
 		}
 	}
 	return last
-}
-
-// CheckAgreement returns an error if two processes decided differently.
-func (r *Result) CheckAgreement() error {
-	if d := r.Decisions(); d.Len() > 1 {
-		return fmt.Errorf("agreement violated: decisions %v", d)
-	}
-	return nil
-}
-
-// CheckValidity returns an error if some decision is not among proposals.
-func (r *Result) CheckValidity(proposals values.Set) error {
-	for i, st := range r.Statuses {
-		if st.Decided && !proposals.Contains(st.Decision) {
-			return fmt.Errorf("validity violated: process %d decided %v, proposals %v", i, st.Decision, proposals)
-		}
-	}
-	return nil
 }
 
 // pendingDelivery is an envelope scheduled for a future step. env points

@@ -8,6 +8,7 @@ import (
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 )
 
@@ -96,8 +97,8 @@ func TestSynchronousFloodDecides(t *testing.T) {
 	if got := res.FirstDecisionRound(); got != 1 {
 		t.Errorf("first decision at round %d, want 1", got)
 	}
-	if err := res.CheckAgreement(); err != nil {
-		t.Error(err)
+	if v := property.CheckAgreement(res.Outcomes()); v != nil {
+		t.Error(v)
 	}
 }
 
@@ -259,15 +260,12 @@ func TestResultAccessorsAndChecks(t *testing.T) {
 	if res.FirstDecisionRound() == 0 || res.LastDecisionRound() < res.FirstDecisionRound() {
 		t.Errorf("decision rounds: first=%d last=%d", res.FirstDecisionRound(), res.LastDecisionRound())
 	}
-	if err := res.CheckAgreement(); err != nil {
-		t.Error(err)
+	proposals := values.NewSet(values.Num(0), values.Num(1), values.Num(2))
+	if vs := res.Check(proposals, nil, true); len(vs) != 0 {
+		t.Error(vs)
 	}
-	props := values.NewSet(values.Num(0), values.Num(1), values.Num(2))
-	if err := res.CheckValidity(props); err != nil {
-		t.Error(err)
-	}
-	if err := res.CheckValidity(values.NewSet(values.Num(99))); err == nil {
-		t.Error("CheckValidity must flag foreign decisions")
+	if vs := res.Check(values.NewSet(values.Num(99)), nil, true); len(vs) != 1 || vs[0].Kind != property.Validity {
+		t.Errorf("Check must flag foreign decisions as invalid, got %v", vs)
 	}
 }
 

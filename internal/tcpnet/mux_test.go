@@ -60,22 +60,12 @@ func runMuxInstance(t *testing.T, nodes []*MuxNode, epoch uint64, interval time.
 		}()
 	}
 	wg.Wait()
-	decided := values.NewSet()
 	for i := range nodes {
 		if errs[i] != nil {
 			t.Fatalf("epoch %d node %d: %v", epoch, i, errs[i])
 		}
-		if !results[i].Decided {
-			t.Fatalf("epoch %d node %d undecided after %d rounds", epoch, i, results[i].Rounds)
-		}
-		decided.Add(results[i].Decision)
 	}
-	if decided.Len() != 1 {
-		t.Fatalf("epoch %d: agreement violated: %v", epoch, decided)
-	}
-	if v, _ := decided.Max(); !core.ProposalSet(props).Contains(v) {
-		t.Fatalf("epoch %d: validity violated: %v", epoch, v)
-	}
+	requireConsensus(t, results, props)
 }
 
 // TestMuxManyEpochsOneConnection is the multiplexing pin: several

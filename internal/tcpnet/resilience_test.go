@@ -149,19 +149,7 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 			t.Fatalf("node %d: %v", i, err)
 		}
 	}
-	decided := values.NewSet()
-	for i, r := range results {
-		if !r.Decided {
-			t.Fatalf("node %d undecided after %d rounds (reconnects=%d)", i, r.Rounds, stats[i].Reconnects)
-		}
-		decided.Add(r.Decision)
-	}
-	if decided.Len() != 1 {
-		t.Fatalf("agreement violated across a reconnect: %v", decided)
-	}
-	if v, _ := decided.Max(); !core.ProposalSet(props).Contains(v) {
-		t.Fatalf("validity violated: %v", v)
-	}
+	requireConsensus(t, results, props)
 	if stats[1].Reconnects < 1 {
 		t.Errorf("severed node reports %d reconnects, want ≥ 1", stats[1].Reconnects)
 	}
@@ -227,17 +215,10 @@ func TestNodeSurvivesHubRestart(t *testing.T) {
 			t.Fatalf("node %d did not survive the restart: %v", i, err)
 		}
 	}
-	decided := values.NewSet()
+	requireConsensus(t, results, props)
 	reconnects := 0
-	for i, r := range results {
-		if !r.Decided {
-			t.Fatalf("node %d undecided after hub restart (%d rounds)", i, r.Rounds)
-		}
-		decided.Add(r.Decision)
+	for i := range results {
 		reconnects += stats[i].Reconnects
-	}
-	if decided.Len() != 1 {
-		t.Fatalf("agreement violated across hub restart: %v", decided)
 	}
 	if reconnects < 3 {
 		t.Errorf("total reconnects %d, want ≥ 3 (every node crossed the restart)", reconnects)
@@ -379,10 +360,8 @@ func TestHeartbeatAckKeepsSessionAlive(t *testing.T) {
 				Timeout:   30 * time.Second,
 			}
 	})
-	for i, r := range results {
-		if !r.Decided {
-			t.Fatalf("node %d undecided", i)
-		}
+	requireConsensus(t, results, props)
+	for i := range results {
 		if stats[i].HeartbeatsAcked == 0 {
 			t.Errorf("node %d acked no heartbeats under a 15ms probe schedule", i)
 		}

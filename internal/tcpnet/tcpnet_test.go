@@ -11,6 +11,7 @@ import (
 
 	"anonconsensus/internal/core"
 	"anonconsensus/internal/env"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/wire"
@@ -73,6 +74,16 @@ func runCluster(t *testing.T, n int, mk func(i int) InstanceRun, opts ...HubOpti
 	return results
 }
 
+// requireConsensus fails t unless the outcomes satisfy every property of
+// the paper, Termination included.
+func requireConsensus(t *testing.T, outs []rounddriver.Outcome, props []values.Value) {
+	t.Helper()
+	run := property.Run{Proposals: core.ProposalSet(props), Outcomes: rounddriver.Outcomes(outs), Promised: true}
+	if vs := property.Check(run); len(vs) > 0 {
+		t.Fatalf("%v: %+v", vs, outs)
+	}
+}
+
 func TestTCPConsensusES(t *testing.T) {
 	props := core.DistinctProposals(4)
 	results := runCluster(t, 4, func(i int) InstanceRun {
@@ -82,19 +93,7 @@ func TestTCPConsensusES(t *testing.T) {
 			Timeout:   30 * time.Second,
 		}
 	})
-	decided := values.NewSet()
-	for i, r := range results {
-		if !r.Decided {
-			t.Fatalf("node %d undecided after %d rounds", i, r.Rounds)
-		}
-		decided.Add(r.Decision)
-	}
-	if decided.Len() != 1 {
-		t.Fatalf("agreement violated over TCP: %v", decided)
-	}
-	if v, _ := decided.Max(); !core.ProposalSet(props).Contains(v) {
-		t.Fatalf("validity violated: %v", v)
-	}
+	requireConsensus(t, results, props)
 }
 
 func TestTCPConsensusESS(t *testing.T) {
@@ -106,16 +105,7 @@ func TestTCPConsensusESS(t *testing.T) {
 			Timeout:   40 * time.Second,
 		}
 	})
-	decided := values.NewSet()
-	for i, r := range results {
-		if !r.Decided {
-			t.Fatalf("node %d undecided", i)
-		}
-		decided.Add(r.Decision)
-	}
-	if decided.Len() != 1 {
-		t.Fatalf("agreement violated over TCP: %v", decided)
-	}
+	requireConsensus(t, results, props)
 }
 
 func TestTCPConsensusWithForwardDelays(t *testing.T) {
@@ -136,16 +126,7 @@ func TestTCPConsensusWithForwardDelays(t *testing.T) {
 			Timeout:   40 * time.Second,
 		}
 	}, WithForwardDelay(slow))
-	decided := values.NewSet()
-	for i, r := range results {
-		if !r.Decided {
-			t.Fatalf("node %d undecided", i)
-		}
-		decided.Add(r.Decision)
-	}
-	if decided.Len() != 1 {
-		t.Fatalf("agreement violated: %v", decided)
-	}
+	requireConsensus(t, results, props)
 }
 
 func TestTCPNodeValidation(t *testing.T) {
@@ -190,9 +171,8 @@ func TestTCPLateJoinerStillAgrees(t *testing.T) {
 
 	props := core.DistinctProposals(3)
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		decided = values.NewSet()
+		wg   sync.WaitGroup
+		outs = make([]rounddriver.Outcome, len(props))
 	)
 	start := func(i int, delay time.Duration) {
 		wg.Add(1)
@@ -208,21 +188,18 @@ func TestTCPLateJoinerStillAgrees(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if res.Decided {
-				mu.Lock()
-				decided.Add(res.Decision)
-				mu.Unlock()
-			}
+			outs[i] = res
 		}()
 	}
 	start(0, 0)
 	start(1, 0)
 	start(2, 30*time.Millisecond) // joins a few rounds late
 	wg.Wait()
-	if decided.Len() > 1 {
-		t.Fatalf("agreement violated with late joiner: %v", decided)
+	run := property.Run{Proposals: core.ProposalSet(props), Outcomes: rounddriver.Outcomes(outs)}
+	if vs := property.Check(run); len(vs) > 0 {
+		t.Fatalf("late joiner: %v", vs)
 	}
-	if decided.Len() == 0 {
+	if property.Decisions(run.Outcomes).Len() == 0 {
 		t.Fatal("nobody decided")
 	}
 }
@@ -337,16 +314,7 @@ func TestTCPNodeCrashSchedule(t *testing.T) {
 	if !results[0].Crashed {
 		t.Error("node 0 should report Crashed")
 	}
-	decided := values.NewSet()
-	for i, r := range results[1:] {
-		if !r.Decided {
-			t.Fatalf("survivor %d undecided after %d rounds", i+1, r.Rounds)
-		}
-		decided.Add(r.Decision)
-	}
-	if decided.Len() != 1 {
-		t.Fatalf("agreement violated among survivors: %v", decided)
-	}
+	requireConsensus(t, results, props)
 }
 
 // helloClient dials the hub as a bare session: the Hello/Welcome

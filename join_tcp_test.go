@@ -3,7 +3,6 @@ package anonconsensus_test
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -47,23 +46,21 @@ func TestJoinTCPAgreesAcrossProcesses(t *testing.T) {
 			t.Fatalf("process %d: %v", i, err)
 		}
 	}
-	agreed := decisions[0].Value
-	for i, d := range decisions[:3] {
-		if !d.Decided {
-			t.Fatalf("termination violated: process %d undecided: %+v", i, d)
-		}
-		if d.Value != agreed {
-			t.Fatalf("agreement violated: %+v", decisions)
+	// The first three must decide; the late joiner may not have yet.
+	if vs := ac.ViolationsForTest(decisions[:3], proposals, ac.Scenario{}, true); len(vs) > 0 {
+		t.Fatalf("%v: %+v", vs, decisions)
+	}
+	if vs := ac.ViolationsForTest(decisions, proposals, ac.Scenario{}, false); len(vs) > 0 {
+		t.Fatalf("with the late joiner: %v: %+v", vs, decisions)
+	}
+	for i, d := range decisions {
+		// Termination excuses a crash, but none is scheduled here.
+		if i < 3 && !d.Decided {
+			t.Errorf("process %d undecided: %+v", i, d)
 		}
 		if d.Proc != 0 {
 			t.Errorf("process %d: Proc = %d, want 0 (the process is anonymous)", i, d.Proc)
 		}
-	}
-	if !slices.Contains(proposals, agreed) {
-		t.Fatalf("validity violated: decided %q, not among the proposals", string(agreed))
-	}
-	if late := decisions[3]; late.Decided && late.Value != agreed {
-		t.Fatalf("late joiner decided %q, the others %q", string(late.Value), string(agreed))
 	}
 }
 

@@ -298,18 +298,11 @@ func TestTransportParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, ok := res.Agreed()
-			if !ok {
-				t.Fatalf("no agreement over %s: %+v", transport.Name(), res.Decisions)
+			if vs := violations(res.Decisions, spec.Proposals, spec.Scenario, true); len(vs) > 0 {
+				t.Fatalf("over %s: %v: %+v", transport.Name(), vs, res.Decisions)
 			}
-			found := false
-			for _, p := range spec.Proposals {
-				if p == v {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("validity violated over %s: decided %q", transport.Name(), v)
+			if ps := unscheduledCrashes(res.Decisions, spec.Scenario); len(ps) > 0 {
+				t.Fatalf("over %s: processes %v crashed outside the schedule: %+v", transport.Name(), ps, res.Decisions)
 			}
 		})
 	}

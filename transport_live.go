@@ -8,7 +8,6 @@ import (
 
 	"anonconsensus/internal/anonnet"
 	"anonconsensus/internal/env"
-	"anonconsensus/internal/rounddriver"
 )
 
 // liveTransport adapts the in-process goroutine runtime (internal/anonnet)
@@ -58,22 +57,5 @@ func (t *liveTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Decisions: outcomeDecisions(res.Procs), Elapsed: res.Elapsed}, nil
-}
-
-// outcomeDecisions converts the wall-clock planes' per-process outcomes
-// into the public form, process i at index i (the one place a Decision is
-// built from a rounddriver.Outcome).
-func outcomeDecisions(outs []rounddriver.Outcome) []Decision {
-	ds := make([]Decision, len(outs))
-	for i, o := range outs {
-		ds[i] = Decision{
-			Proc:    i,
-			Decided: o.Decided,
-			Value:   Value(o.Decision),
-			Round:   o.DecidedRound,
-			Crashed: o.Crashed,
-		}
-	}
-	return ds
+	return &Result{Decisions: decisions(res.Outcomes()), Elapsed: res.Elapsed}, nil
 }

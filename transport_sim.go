@@ -103,7 +103,7 @@ func (t *simTransport) Run(ctx context.Context, spec InstanceSpec) (*Result, err
 	}
 	// Convert before releasing: once the engine is back in the pool a
 	// concurrent Run may Reset it.
-	out := simResult(res)
+	out := &Result{Rounds: res.Rounds, Decisions: decisions(res.Outcomes())}
 	t.release(eng)
 	return out, nil
 }
@@ -127,20 +127,4 @@ func simConfig(spec InstanceSpec) sim.Config {
 		return core.ConfigESS(toValues(spec.Proposals), opts)
 	}
 	return core.ConfigES(toValues(spec.Proposals), opts)
-}
-
-// simResult converts a simulator result into the public form (the one
-// place a Decision is built from a sim.ProcStatus).
-func simResult(res *sim.Result) *Result {
-	out := &Result{Rounds: res.Rounds}
-	for i, st := range res.Statuses {
-		out.Decisions = append(out.Decisions, Decision{
-			Proc:    i,
-			Decided: st.Decided,
-			Value:   Value(st.Decision),
-			Round:   st.DecidedAt,
-			Crashed: st.Crashed,
-		})
-	}
-	return out
 }

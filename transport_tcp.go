@@ -193,7 +193,7 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 			return nil, fmt.Errorf("anonconsensus: %s node %d: %w", p.name, i, err)
 		}
 	}
-	return &Result{Decisions: outcomeDecisions(results), Elapsed: time.Since(start)}, nil
+	return &Result{Decisions: decisions(rounddriver.Outcomes(results)), Elapsed: time.Since(start)}, nil
 }
 
 // close detaches every slot and stops the hub. Idempotent.
@@ -403,5 +403,5 @@ func JoinTCP(ctx context.Context, hubAddr string, proposal Value, opts ...Option
 	if err := ctx.Err(); err != nil {
 		return Decision{}, fmt.Errorf("anonconsensus: tcp join cancelled: %w", err)
 	}
-	return outcomeDecisions([]rounddriver.Outcome{out})[0], nil
+	return decisions(rounddriver.Outcomes([]rounddriver.Outcome{out}))[0], nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/workload"
 )
 
@@ -262,18 +263,6 @@ func runLiveOp(ctx context.Context, node *Node, c *workload.Class, rec *workload
 	}
 	rec.Outcome = workload.OK
 	rec.LatUS = lat
-	var agreedVal Value
-	agreed, decided := true, 0
-	for _, d := range res.Decisions {
-		if !d.Decided {
-			continue
-		}
-		if decided == 0 {
-			agreedVal = d.Value
-		} else if d.Value != agreedVal {
-			agreed = false
-		}
-		decided++
-	}
-	rec.Agreed = agreed && decided > 0
+	outs := outcomes(res.Decisions)
+	rec.Agreed = property.CheckAgreement(outs) == nil && property.Decisions(outs).Len() > 0
 }
