@@ -67,7 +67,7 @@ func main() {
 	flag.IntVar(&o.queue, "queue", 64, "node queue depth")
 	flag.StringVar(&o.admit, "admit", "", "admission token bucket, rate:burst (empty = off)")
 	flag.DurationVar(&o.interval, "interval", 0,
-		"live round interval (0 = the transport's default; benchmark/README.md records Agreement violations at 2ms beats)")
+		"live round interval (0 = the transport's default)")
 	flag.Var(o.crashes, "crash", "crash schedule pid:round for every instance (repeatable)")
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {

@@ -4,10 +4,13 @@
 // Rounds therefore drift apart across processes — the part of the model the
 // deterministic simulator (package sim) does not exercise.
 //
-// A link is timely in round k when the envelope arrives before the
-// receiver's round-k timer fires; latency profiles realize the paper's
-// environments by keeping the source's links fast (a fraction of the round
-// interval) and everyone else's slow or jittery.
+// A round ends at the first timer beat after the process's add completes
+// (package rounddriver's add-then-get): the run's sequencer delivers each
+// round-k sender a mark behind the first round-k envelope, so every round
+// has a source by construction. A link is timely in round k when its
+// envelope arrives before the receiver ends round k; latency profiles
+// realize the paper's environments by keeping the source's links fast (a
+// fraction of the round interval) and everyone else's slow or jittery.
 package anonnet
 
 import (
@@ -29,8 +32,10 @@ type Config struct {
 	N int
 	// Automaton builds process i's automaton.
 	Automaton func(i int) giraf.Automaton
-	// Interval is the local round-timer period. Keep it ≥ 2ms so timely
-	// links are reliably timely under scheduler noise.
+	// Interval is the local round-timer period. It sets how fast rounds
+	// go and which latencies count as timely, not whether rounds are
+	// safe: a round ends only when its add completes (rounddriver.Mark),
+	// whatever the interval.
 	Interval time.Duration
 	// Latency is the link latency profile; it must be safe for concurrent
 	// use (internal/env's profiles are stateless hashes).
@@ -100,9 +105,10 @@ type network struct {
 	// (until the process reads or the run ends) and never a sender:
 	// broadcast only pushes onto queues.
 	in []chan giraf.Envelope
-	// queues[i] holds every envelope on its way to process i, in deadline
-	// order, and one goroutine per receiver delivers them.
+	// queues[i] holds every envelope on its way to process i, and i's
+	// marks, in deadline order; one goroutine per receiver delivers them.
 	queues []*linkQueue
+	seq    sequencer
 	ctx    context.Context
 	wg     sync.WaitGroup // delivery goroutines
 	done   chan int       // process indexes that finished (decided/crashed/cancelled)
@@ -198,7 +204,6 @@ func (nw *network) runProcess(id int) rounddriver.Outcome {
 	defer ticker.Stop()
 	cfg := rounddriver.Config{
 		Automaton:  aut,
-		Peers:      nw.cfg.N,
 		CrashAfter: crashAfter,
 		Beat:       ticker.C,
 		Inbox:      nw.in[id],
@@ -213,27 +218,64 @@ func (nw *network) runProcess(id int) rounddriver.Outcome {
 	return rounddriver.Run(nw.ctx, cfg)
 }
 
-// broadcast fans the envelope out to every peer with per-link delays.
-// Envelopes share one payload snapshot (giraf caches the round view), so
-// fan-out costs one queue entry per link, not a payload copy. Scenario
-// faults act here, at the fan-out: a dropped delivery is never queued and
-// a duplicated one is queued twice.
+// sequencer is the run's broadcast log, reduced to what add-then-get
+// needs (§5, Algorithm 5): broadcasts take effect one at a time, and each
+// round remembers when its first entry reaches every receiver.
+type sequencer struct {
+	mu sync.Mutex
+	// first[k][i] is the deadline of the first round-k broadcast at
+	// process i (its sender's own entry: the broadcast's start); nil until
+	// round k has one.
+	first [][]time.Time
+}
+
+// broadcast fans the envelope out to every peer with per-link delays and
+// completes the sender's add: its mark is queued to the sender itself at
+// the first round-k entry's deadline there, or now if that has passed.
+// The mark is queued behind that entry, so by Theorem 4 the first round-k
+// broadcast is a source of round k. Envelopes share one payload snapshot
+// (giraf caches the round view), so fan-out costs one queue entry per
+// link, not a payload copy. Scenario faults act here, at the fan-out: a
+// dropped delivery is never queued and a duplicated one is queued twice;
+// neither moves a deadline the sequencer records.
 func (nw *network) broadcast(from int, envl giraf.Envelope) {
+	sq := &nw.seq
+	sq.mu.Lock()
+	defer sq.mu.Unlock()
 	now := time.Now()
+	k := envl.Round
+	for len(sq.first) <= k {
+		sq.first = append(sq.first, nil)
+	}
+	first := sq.first[k]
+	isFirst := first == nil
+	if isFirst {
+		first = make([]time.Time, nw.cfg.N)
+		sq.first[k] = first
+		first[from] = now
+	}
 	sc := nw.cfg.Scenario
 	for to := 0; to < nw.cfg.N; to++ {
 		if to == from {
 			continue
 		}
-		if sc != nil && sc.Drops(envl.Round, from, to) {
+		at := now.Add(nw.cfg.Latency.Delay(k, from, to))
+		if isFirst {
+			first[to] = at
+		}
+		if sc != nil && sc.Drops(k, from, to) {
 			nw.dropped.Add(1)
 			continue
 		}
-		delay := nw.cfg.Latency.Delay(envl.Round, from, to)
-		nw.queues[to].push(now.Add(delay), envl)
-		if sc != nil && sc.Duplicates(envl.Round, from, to) {
+		nw.queues[to].push(at, envl)
+		if sc != nil && sc.Duplicates(k, from, to) {
 			nw.duplicated.Add(1)
-			nw.queues[to].push(now.Add(delay+nw.cfg.Interval/2), envl)
+			nw.queues[to].push(at.Add(nw.cfg.Interval/2), envl)
 		}
 	}
+	at := first[from]
+	if at.Before(now) {
+		at = now
+	}
+	nw.queues[from].push(at, rounddriver.Mark(k))
 }

@@ -9,13 +9,14 @@ import (
 )
 
 // linkQueue is the delivery queue of one receiver, shared by every link
-// into it: envelopes from all senders wait in one deadline-ordered
-// min-heap and a single goroutine (run) hands each to the receiver's inbox
-// when its deadline passes. Latency profiles vary per round and per link,
-// so a later envelope may legitimately overtake an earlier one. Equal
-// deadlines leave in push order, and one sender pushes its envelopes in
-// send order, so each link's own order is what a queue per link would
-// give.
+// into it: envelopes from all senders, and the receiver's own marks, wait
+// in one deadline-ordered min-heap and a single goroutine (run) hands each
+// to the receiver's inbox when its deadline passes. Latency profiles vary
+// per round and per link, so a later envelope may legitimately overtake
+// an earlier one. Equal deadlines leave in push order, and one sender
+// pushes its envelopes in send order, so each link's own order is what a
+// queue per link would give — and a mark never overtakes the entry whose
+// deadline it was given.
 //
 // Senders never block: push only appends to the heap. When the receiver's
 // inbox is full, run parks on the send — holding back only this receiver's

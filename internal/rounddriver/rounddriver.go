@@ -1,10 +1,11 @@
 // Package rounddriver is the one wall-clock GIRAF round loop (Algorithm 1:
-// receive, end-of-round, broadcast) that every live plane runs: the
-// in-process runtime (anonnet) and the TCP planes (tcpnet) build a Config
-// and map the Outcome; nothing else off the simulator calls Proc.Receive
-// or Proc.EndOfRound. The ES/ESS safety arguments assume every process
+// receive, end-of-round, broadcast, paced by Algorithm 5's add-then-get)
+// that every live plane runs: the in-process runtime (anonnet) and the TCP
+// planes (tcpnet) build a Config and map the Outcome; nothing else off the
+// simulator calls Proc.Receive or Proc.EndOfRound. The ES/ESS safety arguments assume every process
 // runs the loop the same way, so its policy — join grace, crash schedule,
-// round pacing, the detached rule — lives here exactly once.
+// round pacing, the detached rule — lives here exactly once. A plane's one
+// obligation beyond carrying envelopes is the mark (see Mark).
 //
 // The package reads no clock and starts no goroutine: beats, envelopes and
 // session loss reach it on channels and funcs the caller supplies, the join
@@ -21,22 +22,11 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// maxQuietBeats bounds the round-pacing gate (see driver.beat): after this
-// many consecutive beats below the inbound-envelope threshold, a round
-// runs anyway. It trades sole-survivor latency (each round then takes this
-// many beats) for a much wider starvation window before a loaded box
-// could let ES decide against a stale or solo view.
-const maxQuietBeats = 8
-
 // Config describes one process's run. Only Automaton, Beat and Send are
 // required; a nil channel or func disables its feature.
 type Config struct {
 	// Automaton is the GIRAF automaton to drive.
 	Automaton giraf.Automaton
-	// Peers is the instance's process count n, which sets the pacing gate
-	// to n−1 inbound envelopes per round. Zero or one — a caller that does
-	// not know n — keeps the minimal gate (any one envelope).
-	Peers int
 	// CrashAfter stops the process at the first beat after it executed
 	// that many end-of-rounds (simulated crash). Zero means never.
 	CrashAfter int
@@ -46,7 +36,9 @@ type Config struct {
 
 	// Beat is the local round timer (a time.Ticker's C).
 	Beat <-chan time.Time
-	// Inbox delivers resolved, full-form envelopes from peers.
+	// Inbox delivers resolved, full-form envelopes from peers and this
+	// process's own marks (see Mark), in the order the plane's log
+	// delivered them to it.
 	Inbox <-chan giraf.Envelope
 	// GraceBeats is the join grace: the first GraceBeats beats execute
 	// nothing, whatever arrives, so a process that may be joining an
@@ -57,15 +49,20 @@ type Config struct {
 	// is present from round 1. Zero, for a process whose peers all start
 	// with it, runs round 0 on the first beat.
 	GraceBeats int
-	// Lost, when non-nil, closes once the session to the broadcast
-	// primitive is gone for good; Run then returns with Outcome.Lost set.
+	// Lost, when non-nil, closes once the run's broadcast log is gone for
+	// good (the session died, or the primitive restarted without the adds
+	// that had completed); Run then returns with Outcome.Lost set.
 	Lost <-chan struct{}
-	// Attached, when non-nil, reports whether the broadcast primitive is
-	// reachable right now; beats while it is not execute nothing.
-	Attached func() bool
-	// Send broadcasts one end-of-round envelope. An error costs an
-	// asynchronous round and nothing else: the next envelope re-carries
-	// the cumulative state, and a dead session shows up on Lost.
+	// Attachment, when non-nil, names the current attachment to the
+	// broadcast primitive: 0 while it is unreachable, and otherwise a
+	// number that changes at every re-attachment. Beats while it is 0
+	// execute nothing. Nil means one attachment for the whole run.
+	Attachment func() uint64
+	// Send broadcasts one end-of-round envelope: the round's add. An add
+	// whose Send failed, or that was outstanding when the attachment
+	// changed, may never complete, so the next attached beat sends it
+	// again; a duplicate add is harmless, since inboxes deduplicate. A
+	// dead session shows up on Lost.
 	Send func(giraf.Envelope) error
 }
 
@@ -93,6 +90,17 @@ func Outcomes(outs []Outcome) []property.Outcome {
 	return ps
 }
 
+// Mark returns the mark of a round-k add: the plane's report, placed in
+// this process's own delivery stream, that its round-k envelope is in the
+// broadcast log and that every entry the log delivered to it before that
+// point is already in its inbox. A mark is an envelope that carries no
+// payload; no peer envelope is one, because a process's end-of-round
+// envelope always carries its own payload.
+func Mark(round int) giraf.Envelope { return giraf.Envelope{Round: round} }
+
+// IsMark reports whether env is a mark (see Mark).
+func IsMark(env giraf.Envelope) bool { return len(env.Payloads) == 0 && len(env.Refs) == 0 }
+
 // driver is the step machine under Run: receive and beat are the loop's
 // two events.
 type driver struct {
@@ -100,68 +108,67 @@ type driver struct {
 	proc *giraf.Proc
 	// grace is the join-grace beats still to sit out.
 	grace int
-	// need is the gate's threshold, inbound the envelopes received since
-	// the last executed round, quiet the consecutive beats the gate held.
-	need, inbound, quiet int
-	out                  Outcome
+	// add is the last end-of-round envelope broadcast, pending whether its
+	// mark is still outstanding, and on the attachment it was last sent on
+	// (0: that send failed).
+	add     giraf.Envelope
+	pending bool
+	on      uint64
+	out     Outcome
 }
 
 // newDriver returns a driver at round 0 whose first cfg.GraceBeats beats
 // execute nothing.
 func newDriver(cfg Config) *driver {
-	need := cfg.Peers - 1
-	if need < 1 {
-		need = 1
-	}
-	return &driver{
-		cfg:     cfg,
-		proc:    giraf.NewProc(cfg.Automaton),
-		grace:   cfg.GraceBeats,
-		need:    need,
-		inbound: need, // satisfied: round 0 runs on the first beat past the grace
-	}
+	return &driver{cfg: cfg, proc: giraf.NewProc(cfg.Automaton), grace: cfg.GraceBeats}
 }
 
-// receive delivers one peer envelope.
+// receive delivers one peer envelope or one of this process's marks.
 func (d *driver) receive(env giraf.Envelope) {
-	d.proc.Receive(env)
-	d.inbound++
+	if !IsMark(env) {
+		d.proc.Receive(env)
+		return
+	}
+	// A mark of an earlier round is the echo of an add sent twice.
+	if d.pending && env.Round == d.add.Round {
+		d.pending = false
+	}
 }
 
 // beat handles one timer beat and reports whether the run is over
 // (decided or crashed).
 //
-// Round pacing: on a loaded box the round timer can outpace delivery, and
-// wall-clock rounds outpacing delivery violates the ES premise the
-// automata's safety rests on — a process that runs two beats while its
-// peers' envelopes are in flight sees only its own value and can satisfy
-// the decide guard against that starved view, or let a decided subset
-// leave a straggler locked on a stale value. No plane echoes a sender's
-// own envelopes, so inbound envelopes are a true peer-traffic signal: a
-// beat only executes a round once roughly one envelope per peer arrived
-// since the previous round (each peer broadcasts once per round), with a
-// bounded silent-beat escape (maxQuietBeats) so crashed or halted peers
-// cannot stall a survivor forever. Round 1 is exempt (inbound starts
-// satisfied): nobody has broadcast yet, and the decide guards cannot fire
-// against an empty WRITTENOLD.
+// Round pacing is the paper's add-then-get (§5, Algorithm 5): the
+// end-of-round envelope of round k is the process's round-k add, and a
+// beat may end round k only once that add's mark arrived. The plane
+// delivers the mark behind every entry its log held before the add, and
+// the log's first round-k entry is among them, so by Theorem 4 the first
+// process whose add completes is a source of round k: every process that
+// ends round k has received its envelope. No count of peers enters the
+// rule, so a crashed or halted peer cannot stall a survivor, and a process
+// alone runs one round per beat. Round 0 (Initialize) has no add to wait
+// for.
 func (d *driver) beat() bool {
 	if d.grace > 0 {
 		d.grace--
 		return false // still consuming replayed / early traffic
 	}
-	if d.cfg.Attached != nil && !d.cfg.Attached() {
+	on := uint64(1)
+	if d.cfg.Attachment != nil {
+		on = d.cfg.Attachment()
+	}
+	if on == 0 {
 		// Do not execute rounds solo: a process that hears only itself
-		// cannot distinguish "alone" from "cut off", and deciding on that
-		// view would break agreement. The beat does not count as quiet
-		// either — silence while detached says nothing about the peers.
+		// cannot distinguish "alone" from "cut off". No add completes
+		// while detached anyway.
 		return false
 	}
-	if d.inbound < d.need {
-		if d.quiet++; d.quiet < maxQuietBeats {
-			return false
+	if d.pending {
+		if d.on != on {
+			d.send(on) // the add may never complete where it was sent
 		}
+		return false
 	}
-	d.inbound, d.quiet = 0, 0
 	if d.cfg.CrashAfter > 0 && d.proc.CurrentRound() >= d.cfg.CrashAfter {
 		d.out.Crashed = true
 		return true
@@ -178,9 +185,18 @@ func (d *driver) beat() bool {
 		return true
 	}
 	if ok {
-		_ = d.cfg.Send(env) // see Config.Send for why the error is dropped
+		d.add, d.pending = env, true
+		d.send(on)
 	}
 	return false
+}
+
+// send broadcasts the outstanding add on attachment on.
+func (d *driver) send(on uint64) {
+	d.on = on
+	if d.cfg.Send(d.add) != nil {
+		d.on = 0
+	}
 }
 
 // outcome returns the run's state so far.

@@ -31,21 +31,31 @@ func (s *scripted) Compute(k int, _ giraf.Inbox) (giraf.Payload, giraf.Decision)
 // harness is a driver on a scripted schedule: every event is a direct
 // method call, so a test reads as the schedule it pins.
 type harness struct {
-	t        *testing.T
-	d        *driver
-	sent     int
-	sendErr  error
-	attached bool
-	onRound  []int
+	t       *testing.T
+	d       *driver
+	sent    int
+	sendErr error
+	// attachment is what Config.Attachment reports (0: detached).
+	attachment uint64
+	onRound    []int
+	// echo, when set, delivers each successful add's mark during its Send,
+	// as a plane with no other process on it would.
+	echo bool
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
-	h := &harness{t: t, attached: true}
+	h := &harness{t: t, attachment: 1}
 	if cfg.Automaton == nil {
 		cfg.Automaton = &scripted{}
 	}
-	cfg.Attached = func() bool { return h.attached }
-	cfg.Send = func(giraf.Envelope) error { h.sent++; return h.sendErr }
+	cfg.Attachment = func() uint64 { return h.attachment }
+	cfg.Send = func(env giraf.Envelope) error {
+		h.sent++
+		if h.echo && h.sendErr == nil {
+			h.d.receive(Mark(env.Round))
+		}
+		return h.sendErr
+	}
 	cfg.OnRound = func(round int) { h.onRound = append(h.onRound, round) }
 	h.d = newDriver(cfg)
 	return h
@@ -68,6 +78,9 @@ func (h *harness) receive(n int) {
 	}
 }
 
+// mark delivers the mark of the add the driver sent last.
+func (h *harness) mark() { h.d.receive(Mark(h.d.proc.CurrentRound())) }
+
 func (h *harness) wantRounds(want int) {
 	h.t.Helper()
 	if got := h.d.outcome().Rounds; got != want {
@@ -75,22 +88,28 @@ func (h *harness) wantRounds(want int) {
 	}
 }
 
-// TestStarvationScheduleWaitsForEscape is the PR 9 regression: peers'
-// envelopes sit undelivered while the local timer keeps beating. Beats
-// with zero inbound must execute no round until the maxQuietBeats-th,
-// then exactly one — never two rounds against a starved view.
-func TestStarvationScheduleWaitsForEscape(t *testing.T) {
-	h := newHarness(t, Config{Peers: 3})
+// TestNoRoundEndsBeforeItsMark: once round 0 has run, no beat ends a round
+// before the mark of the round's add arrives — whatever else was
+// received, however many beats pass, and whatever stale mark comes in.
+// The mark then releases exactly one round.
+func TestNoRoundEndsBeforeItsMark(t *testing.T) {
+	h := newHarness(t, Config{})
 	h.beats(1)
-	h.wantRounds(1) // round 1 is exempt from the gate
-	for escape := 2; escape <= 3; escape++ {
-		h.beats(maxQuietBeats - 1)
-		h.wantRounds(escape - 1)
+	h.wantRounds(1) // round 0 has no add to wait for
+	for _, perBeat := range []int{0, 1, 20} {
+		round := h.d.proc.CurrentRound()
+		for beat := 0; beat < 64; beat++ {
+			h.receive(perBeat)
+			h.d.receive(Mark(round - 1)) // the echo of an earlier add
+			h.beats(1)
+		}
+		h.wantRounds(round)
+		h.mark()
 		h.beats(1)
-		h.wantRounds(escape)
+		h.wantRounds(round + 1)
 	}
-	if h.sent != 3 {
-		t.Fatalf("broadcast %d envelopes, want one per executed round (3)", h.sent)
+	if h.sent != 4 {
+		t.Fatalf("broadcast %d envelopes, want one per executed round (4)", h.sent)
 	}
 }
 
@@ -98,9 +117,9 @@ func TestStarvationScheduleWaitsForEscape(t *testing.T) {
 // grace, however many envelopes arrive; the first beat after it runs
 // round 1.
 func TestRoundOneWaitsForGrace(t *testing.T) {
-	h := newHarness(t, Config{Peers: 3, GraceBeats: 2 * maxQuietBeats})
+	h := newHarness(t, Config{GraceBeats: 16})
 	h.receive(5)
-	h.beats(2 * maxQuietBeats)
+	h.beats(16)
 	h.wantRounds(0)
 	h.beats(1)
 	h.wantRounds(1)
@@ -111,7 +130,7 @@ func TestRoundOneWaitsForGrace(t *testing.T) {
 // it — silence, one envelope per beat, or a replay burst.
 func TestGraceBeatsThenRoundZero(t *testing.T) {
 	for _, perBeat := range []int{0, 1, 20} {
-		h := newHarness(t, Config{Peers: 3, GraceBeats: 3})
+		h := newHarness(t, Config{GraceBeats: 3})
 		for beat := 1; beat <= 3; beat++ {
 			h.receive(perBeat)
 			h.beats(1)
@@ -126,49 +145,68 @@ func TestGraceBeatsThenRoundZero(t *testing.T) {
 	}
 }
 
-// TestNeedEnvelopesReleaseNextBeat: with n = 3 the gate wants two
-// envelopes; the second one releases the very next beat, and the release
-// resets both the envelope count and the quiet count.
-func TestNeedEnvelopesReleaseNextBeat(t *testing.T) {
-	h := newHarness(t, Config{Peers: 3})
+// TestMarkAfterEnvelopesReleasesNextBeat: a mark that arrives behind its
+// round's envelopes releases the very next beat, and the round after it
+// waits for a mark of its own.
+func TestMarkAfterEnvelopesReleasesNextBeat(t *testing.T) {
+	h := newHarness(t, Config{})
 	h.beats(1) // round 1
-	h.receive(1)
+	h.receive(2)
 	h.beats(1)
-	h.wantRounds(1) // one of two: held
-	h.receive(1)
+	h.wantRounds(1) // envelopes alone: held
+	h.mark()
 	h.beats(1)
 	h.wantRounds(2) // released
-	h.beats(maxQuietBeats - 1)
-	h.wantRounds(2) // both counts were reset: the full escape again
+	h.receive(2)
+	h.beats(1)
+	h.wantRounds(2) // round 2's add has no mark yet
+	h.mark()
 	h.beats(1)
 	h.wantRounds(3)
 }
 
-// TestUnknownPeersKeepsMinimalGate: a caller that does not know n still
-// waits for one envelope (or the escape) per round.
-func TestUnknownPeersKeepsMinimalGate(t *testing.T) {
+// TestSoloRunsOneRoundPerBeat: a process alone on its plane has its add
+// completed at once, so it runs one round per beat — no count of silent
+// peers holds it.
+func TestSoloRunsOneRoundPerBeat(t *testing.T) {
 	h := newHarness(t, Config{})
-	h.beats(2)
-	h.wantRounds(1)
-	h.receive(1)
-	h.beats(1)
-	h.wantRounds(2)
+	h.echo = true
+	for round := 1; round <= 5; round++ {
+		h.beats(1)
+		h.wantRounds(round)
+	}
 }
 
 // TestDetachedBeatsExecuteNothing: while the broadcast primitive is
-// unreachable no round runs — not even past the escape — and those beats
-// do not count as quiet once it is back.
+// unreachable no round runs and nothing is sent; an add outstanding across
+// a re-attachment is sent again on the new attachment, and its mark
+// releases the next round.
 func TestDetachedBeatsExecuteNothing(t *testing.T) {
-	h := newHarness(t, Config{Peers: 3})
-	h.beats(1) // round 1
-	h.attached = false
-	h.beats(3 * maxQuietBeats)
+	h := newHarness(t, Config{})
+	h.beats(1) // round 1, sent on attachment 1
+	h.attachment = 0
+	h.mark() // completes round 1's add before the loss
+	h.beats(8)
 	h.wantRounds(1)
-	h.attached = true
-	h.beats(maxQuietBeats - 1)
-	h.wantRounds(1)
+	if h.sent != 1 {
+		t.Fatalf("sent %d envelopes while detached, want none beyond round 1's", h.sent)
+	}
+	h.attachment = 2
+	h.beats(1)
+	h.wantRounds(2) // round 2's add goes out on attachment 2
+	h.attachment = 3
 	h.beats(1)
 	h.wantRounds(2)
+	if h.sent != 3 {
+		t.Fatalf("sent %d envelopes, want round 2's add re-sent after re-attaching (3)", h.sent)
+	}
+	h.beats(1)
+	if h.sent != 3 {
+		t.Fatalf("sent %d envelopes, want no further re-send on the same attachment", h.sent)
+	}
+	h.mark()
+	h.beats(1)
+	h.wantRounds(3)
 }
 
 // TestCrashOutcome: a crash after two rounds stops the process at the
@@ -176,9 +214,9 @@ func TestDetachedBeatsExecuteNothing(t *testing.T) {
 func TestCrashOutcome(t *testing.T) {
 	h := newHarness(t, Config{CrashAfter: 2})
 	h.beats(1)
-	h.receive(1)
+	h.mark()
 	h.beats(1)
-	h.receive(1)
+	h.mark()
 	if !h.d.beat() {
 		t.Fatal("crash schedule did not end the run")
 	}
@@ -198,8 +236,9 @@ func TestDecideOutcome(t *testing.T) {
 	h := newHarness(t, Config{Automaton: &scripted{decideAt: 2}})
 	h.beats(1) // initialize: round 0 → 1
 	h.receive(1)
+	h.mark()
 	h.beats(1) // compute round 1 → 2
-	h.receive(1)
+	h.mark()
 	if !h.d.beat() { // compute round 2: decides
 		t.Fatal("decision did not end the run")
 	}
@@ -215,19 +254,26 @@ func TestDecideOutcome(t *testing.T) {
 	}
 }
 
-// TestFailedSendDoesNotStopTheLoop: a broadcast that does not leave the
-// machine costs an asynchronous round, nothing more.
+// TestFailedSendDoesNotStopTheLoop: an add whose broadcast did not leave
+// the machine is sent again on each next beat until a send succeeds; its
+// mark then releases the round.
 func TestFailedSendDoesNotStopTheLoop(t *testing.T) {
 	h := newHarness(t, Config{})
 	h.sendErr = errors.New("connection churning")
-	for round := 1; round <= 4; round++ {
-		h.beats(1)
-		h.wantRounds(round)
-		h.receive(1)
+	h.beats(3)
+	h.wantRounds(1)
+	if h.sent != 3 {
+		t.Fatalf("send attempted %d times, want round 1's add on each of 3 beats", h.sent)
 	}
+	h.sendErr = nil
+	h.beats(1)
+	h.beats(1)
 	if h.sent != 4 {
-		t.Fatalf("send attempted %d times, want 4", h.sent)
+		t.Fatalf("send attempted %d times, want no re-send once one succeeded (4)", h.sent)
 	}
+	h.mark()
+	h.beats(1)
+	h.wantRounds(2)
 }
 
 // TestRunMapsEventsToSteps drives Run itself over unbuffered channels:
@@ -241,8 +287,10 @@ func TestRunMapsEventsToSteps(t *testing.T) {
 		beat <- time.Time{} // the one grace beat: nothing
 		beat <- time.Time{} // round 1
 		inbox <- peer
+		beat <- time.Time{} // held: round 1's add has no mark
+		inbox <- Mark(1)
 		beat <- time.Time{} // round 2
-		inbox <- peer
+		inbox <- Mark(2)
 		beat <- time.Time{} // decides
 	}()
 	sent := 0

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,7 +47,9 @@ func TestHubFanOutAllocBudget(t *testing.T) {
 		go func() { _, _ = io.Copy(byteCounter{&received}, conn) }()
 	}
 	frame := epochFrame(t, 1, 1)
-	from := &session{index: -1} // not a receiver: every session gets the burst
+	// Not a receiver: every session gets the burst. Its marks queue up
+	// undrained, with no write loop of its own.
+	from := &session{index: -1, cond: sync.NewCond(&hub.mu)}
 	perRun := int64(sessions * burst * (4 + len(frame)))
 	var want int64
 	allocs := testing.AllocsPerRun(20, func() {

@@ -33,7 +33,11 @@ import (
 //
 // A MuxNode whose reconnect budget is exhausted is dead: RunInstance
 // calls return an error wrapping ErrHubLost, which callers treat as a
-// crash of this node (for every epoch it carried), not of the hub.
+// crash of this node (for every epoch it carried), not of the hub. A
+// reconnect that lands on a restarted hub (a new wire.Welcome.Incarnation)
+// finds a log without the adds this node already completed, so every epoch
+// registered at that moment ends the same way (ErrHubRestarted); the node
+// itself lives on, and epochs registered afterwards run on the new hub.
 //
 // MuxNode is the only TCP client in the tree.
 type MuxNode struct {
@@ -49,9 +53,13 @@ type MuxNode struct {
 	writeMu  sync.Mutex
 	conn     net.Conn
 	trackers map[uint64]*giraf.DeltaTracker
+	// attachment counts the connections the session has had; with conn it
+	// makes rounddriver.Config.Attachment.
+	attachment uint64
 
-	token  uint64 // hub session token (reader-owned after DialMux)
-	cursor uint64 // data frames received on the session (reader-owned)
+	token       uint64 // hub session token (reader-owned after DialMux)
+	cursor      uint64 // data frames received on the session (reader-owned)
+	incarnation uint64 // the hub's, from its last Welcome (reader-owned)
 
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
@@ -66,9 +74,34 @@ type MuxNode struct {
 // reader goroutine. joining marks an epoch registered at DialMux, whose
 // run keeps the join grace (see joinGraceBeats).
 type muxEpoch struct {
+	id      uint64
 	inbox   chan giraf.Envelope
 	table   *giraf.ResolveTable
 	joining bool
+	// lost closes, with lostErr set first, once the epoch's broadcast log
+	// is gone: the node died or the hub restarted. ended closes once the
+	// epoch's run returned or it was unregistered, and no mark waits for
+	// room in its inbox after that. Both close under MuxNode.mu.
+	lost, ended chan struct{}
+	lostErr     error
+}
+
+// lose ends the epoch's run as Lost with err; the caller holds MuxNode.mu.
+func (ep *muxEpoch) lose(err error) {
+	if ep.lostErr == nil {
+		ep.lostErr = err
+		close(ep.lost)
+	}
+}
+
+// end releases a mark waiting for room in the inbox; the caller holds
+// MuxNode.mu.
+func (ep *muxEpoch) end() {
+	select {
+	case <-ep.ended:
+	default:
+		close(ep.ended)
+	}
 }
 
 // MuxConfig configures a MuxNode.
@@ -80,10 +113,11 @@ type MuxConfig struct {
 	Reconnect ReconnectPolicy
 }
 
-// inboxDepth is each epoch's demux buffer. A full inbox drops the frame
+// inboxDepth is each epoch's demux buffer. A full inbox drops a data frame
 // (counted in MuxStats.InboxDrops) — safe, as the model already allows
 // asynchronous rounds, and the next broadcast carries the sender's
-// cumulative state anyway.
+// cumulative state anyway. A mark is never dropped: the epoch's round
+// waits for it (see deliver).
 const inboxDepth = 1024
 
 // joinGraceBeats is the join grace, in round beats, of an epoch registered
@@ -107,8 +141,8 @@ type MuxStats struct {
 	// node has no registration for (a peer's straggler after local
 	// Unregister, or traffic for an instance this node never joined).
 	UnknownEpochFrames int
-	// InboxDrops counts frames discarded because their epoch's inbox was
-	// full.
+	// InboxDrops counts data frames discarded because their epoch's inbox
+	// was full.
 	InboxDrops int
 }
 
@@ -131,15 +165,17 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 		return nil, fmt.Errorf("tcpnet: mux: dialing hub: %w", err)
 	}
 	m := &MuxNode{
-		cfg:        cfg,
-		epochs:     make(map[uint64]*muxEpoch),
-		trackers:   make(map[uint64]*giraf.DeltaTracker),
-		conn:       conn,
-		token:      welcome.Token,
-		cursor:     welcome.ResumeFrom,
-		stop:       make(chan struct{}),
-		dead:       make(chan struct{}),
-		readerDone: make(chan struct{}),
+		cfg:         cfg,
+		epochs:      make(map[uint64]*muxEpoch),
+		trackers:    make(map[uint64]*giraf.DeltaTracker),
+		conn:        conn,
+		attachment:  1,
+		token:       welcome.Token,
+		cursor:      welcome.ResumeFrom,
+		incarnation: welcome.Incarnation,
+		stop:        make(chan struct{}),
+		dead:        make(chan struct{}),
+		readerDone:  make(chan struct{}),
 	}
 	for _, epoch := range epochs {
 		if err := m.register(epoch, true); err != nil {
@@ -174,19 +210,35 @@ func (m *MuxNode) register(epoch uint64, joining bool) error {
 	if _, dup := m.epochs[epoch]; dup {
 		return fmt.Errorf("tcpnet: mux: epoch %d already registered", epoch)
 	}
-	m.epochs[epoch] = &muxEpoch{
+	ep := newMuxEpoch(epoch, joining)
+	select {
+	case <-m.dead:
+		ep.lose(m.deadErr)
+	default:
+	}
+	m.epochs[epoch] = ep
+	return nil
+}
+
+func newMuxEpoch(id uint64, joining bool) *muxEpoch {
+	return &muxEpoch{
+		id:      id,
 		inbox:   make(chan giraf.Envelope, inboxDepth),
 		table:   giraf.NewResolveTable(),
 		joining: joining,
+		lost:    make(chan struct{}),
+		ended:   make(chan struct{}),
 	}
-	return nil
 }
 
 // Unregister closes an instance epoch: its inbox and resolve table are
 // released, and further frames for it count as unknown. Idempotent.
 func (m *MuxNode) Unregister(epoch uint64) {
 	m.mu.Lock()
-	delete(m.epochs, epoch)
+	if ep := m.epochs[epoch]; ep != nil {
+		ep.end()
+		delete(m.epochs, epoch)
+	}
 	m.mu.Unlock()
 	m.writeMu.Lock()
 	delete(m.trackers, epoch)
@@ -206,18 +258,19 @@ type InstanceRun struct {
 	// CrashAfterRounds stops the node after that many end-of-rounds
 	// (simulated crash). Zero means never.
 	CrashAfterRounds int
-	// Peers is the instance's process count n, which sets the round
-	// driver's pacing gate (rounddriver.Config.Peers). Zero or one keeps
-	// the minimal gate (any one envelope).
+	// Peers is ignored. Rounds are paced by add-then-get (package
+	// rounddriver), which needs no count of processes; the field stays so
+	// that callers which set it still compile.
 	Peers int
 }
 
 // RunInstance drives cfg.Automaton on the given registered epoch until
-// it decides, the timeout expires, or the shared session is lost — then
-// the partial Outcome (Lost set) comes back alongside an error wrapping
-// ErrHubLost. Many RunInstance calls proceed concurrently on one MuxNode,
-// one per epoch; all of them share the node's single hub connection. The
-// round loop itself is package rounddriver's.
+// it decides, the timeout expires, or the epoch's log is lost (the shared
+// session died, or the hub restarted) — then the partial Outcome (Lost
+// set) comes back alongside an error wrapping ErrHubLost. Many
+// RunInstance calls proceed concurrently on one MuxNode, one per epoch;
+// all of them share the node's single hub connection. The round loop
+// itself is package rounddriver's.
 func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun) (rounddriver.Outcome, error) {
 	if cfg.Automaton == nil {
 		return rounddriver.Outcome{}, errors.New("tcpnet: nil automaton")
@@ -244,43 +297,55 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
+	defer func() {
+		m.mu.Lock()
+		ep.end()
+		m.mu.Unlock()
+	}()
 	out := rounddriver.Run(ctx, rounddriver.Config{
 		Automaton:  cfg.Automaton,
-		Peers:      cfg.Peers,
 		CrashAfter: cfg.CrashAfterRounds,
 		Beat:       ticker.C,
 		Inbox:      ep.inbox,
 		GraceBeats: graceBeats,
-		Lost:       m.dead,
+		Lost:       ep.lost,
 		// While the shared connection is down the reader is redialing;
-		// the driver executes no round until it is back.
-		Attached: m.attached,
+		// the driver executes no round until it is back, and then sends
+		// its outstanding add again.
+		Attachment: m.attached,
 		// A failed send means the connection is churning; the reader
 		// reconnects (or declares the node dead). send dropped this
-		// epoch's tracker, so the next broadcast travels in full.
-		Send: func(env giraf.Envelope) error { return m.send(epoch, env) },
+		// epoch's tracker, so the re-sent add travels in full.
+		Send: func(env giraf.Envelope) error { return m.send(ep, env) },
 	})
 	if out.Lost {
-		return out, m.deadErr
+		return out, ep.lostErr
 	}
 	return out, nil
 }
 
 // send delta-compresses env against its epoch's uplink stream and writes
-// one epoch-tagged frame to the shared connection.
-func (m *MuxNode) send(epoch uint64, env giraf.Envelope) error {
+// one epoch-tagged frame to the shared connection. A lost epoch sends
+// nothing: after a hub restart its frames would reach a log that lacks
+// the instance's earlier adds (redial closes lost under writeMu).
+func (m *MuxNode) send(ep *muxEpoch, env giraf.Envelope) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
+	select {
+	case <-ep.lost:
+		return ErrHubLost
+	default:
+	}
 	if m.conn == nil {
 		return ErrHubLost
 	}
-	tr := m.trackers[epoch]
+	tr := m.trackers[ep.id]
 	if tr == nil {
 		tr = giraf.NewDeltaTracker()
-		m.trackers[epoch] = tr
+		m.trackers[ep.id] = tr
 	}
 	delta := tr.Shrink(env)
-	data, err := wire.EncodeDeltaEnvelopeEpoch(delta, epoch)
+	data, err := wire.EncodeDeltaEnvelopeEpoch(delta, ep.id)
 	if err != nil {
 		return err
 	}
@@ -288,7 +353,7 @@ func (m *MuxNode) send(epoch uint64, env giraf.Envelope) error {
 		// The frame may never have reached the hub: drop the tracker so
 		// the next broadcast resends full payloads on whatever stream
 		// follows.
-		delete(m.trackers, epoch)
+		delete(m.trackers, ep.id)
 		return err
 	}
 	return nil
@@ -332,7 +397,8 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 			continue
 		}
 		if kind, ok := wire.ControlKind(frame); ok {
-			if kind == wire.ControlHeartbeat {
+			switch kind {
+			case wire.ControlHeartbeat:
 				if hb, herr := wire.DecodeHeartbeat(frame); herr == nil {
 					m.writeMu.Lock()
 					ok := m.conn != nil && wire.WriteFrame(m.conn, wire.EncodeHeartbeatAck(wire.Heartbeat{Seq: hb.Seq})) == nil
@@ -341,6 +407,15 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 						m.mu.Lock()
 						m.stats.HeartbeatsAcked++
 						m.mu.Unlock()
+					}
+				}
+			case wire.ControlMark:
+				if mk, merr := wire.DecodeMark(frame); merr == nil {
+					m.mu.Lock()
+					ep := m.epochs[mk.Epoch]
+					m.mu.Unlock()
+					if ep != nil {
+						m.deliver(ep, rounddriver.Mark(mk.Round))
 					}
 				}
 			}
@@ -364,16 +439,35 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 		m.mu.Unlock()
 		// The table is reader-owned: resolve outside m.mu.
 		env, err := ep.table.Resolve(delta)
-		if err != nil {
-			continue // dangling reference (sender's frame was lost): skip
+		if err != nil || rounddriver.IsMark(env) {
+			// A dangling reference (sender's frame was lost), or a frame
+			// carrying nothing, which would read as a mark: skip.
+			continue
 		}
-		select {
-		case ep.inbox <- env:
-		default:
-			m.mu.Lock()
-			m.stats.InboxDrops++
-			m.mu.Unlock()
-		}
+		m.deliver(ep, env)
+	}
+}
+
+// deliver hands env to its epoch's inbox. A data envelope that finds the
+// inbox full is dropped and counted. A mark waits for room instead — the
+// epoch's round cannot end without it, and its run drains the inbox
+// continually — unless the run has ended or the node is closing.
+func (m *MuxNode) deliver(ep *muxEpoch, env giraf.Envelope) {
+	select {
+	case ep.inbox <- env:
+		return
+	default:
+	}
+	if !rounddriver.IsMark(env) {
+		m.mu.Lock()
+		m.stats.InboxDrops++
+		m.mu.Unlock()
+		return
+	}
+	select {
+	case ep.inbox <- env:
+	case <-ep.ended:
+	case <-m.stop:
 	}
 }
 
@@ -408,7 +502,18 @@ func (m *MuxNode) redial() (net.Conn, *bufio.Reader, error) {
 		m.token = welcome.Token
 		m.cursor = welcome.ResumeFrom
 		m.writeMu.Lock()
+		if welcome.Incarnation != m.incarnation {
+			// A restarted hub's log lacks every add this node completed:
+			// no epoch in flight can continue on it.
+			m.incarnation = welcome.Incarnation
+			m.mu.Lock()
+			for _, ep := range m.epochs {
+				ep.lose(ErrHubRestarted)
+			}
+			m.mu.Unlock()
+		}
 		m.conn = conn
+		m.attachment++
 		// References may only point at the previous frame of the same
 		// stream, and the frames in flight at the loss may be gone:
 		// every epoch restarts its delta stream from full payloads.
@@ -435,8 +540,13 @@ func (m *MuxNode) die(err error) {
 		m.conn = nil
 	}
 	m.writeMu.Unlock()
+	m.mu.Lock()
 	m.deadErr = err
 	close(m.dead)
+	for _, ep := range m.epochs {
+		ep.lose(err)
+	}
+	m.mu.Unlock()
 }
 
 // Lost reports whether the session is permanently lost (see ErrHubLost):
@@ -450,11 +560,15 @@ func (m *MuxNode) Lost() bool {
 	}
 }
 
-// attached reports whether the shared connection is currently up.
-func (m *MuxNode) attached() bool {
+// attached names the shared connection's current attachment, 0 while it
+// is down (rounddriver.Config.Attachment).
+func (m *MuxNode) attached() uint64 {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
-	return m.conn != nil
+	if m.conn == nil {
+		return 0
+	}
+	return m.attachment
 }
 
 // Stats returns a snapshot of the node's robustness counters.

@@ -55,7 +55,6 @@ func runMuxInstance(t *testing.T, nodes []*MuxNode, epoch uint64, interval time.
 				Automaton: core.NewES(props[i]),
 				Interval:  interval,
 				Timeout:   30 * time.Second,
-				Peers:     len(nodes),
 			})
 		}()
 	}
@@ -326,7 +325,6 @@ func runGraceProbe(t *testing.T, run func(ctx context.Context, i int, cfg Instan
 			results[i], errs[i] = run(ctx, i, InstanceRun{
 				Automaton: core.NewES(props[i]),
 				Interval:  graceProbeBeat,
-				Peers:     graceProbeN,
 			})
 		}()
 	}
@@ -383,5 +381,50 @@ func TestMuxDialEpochKeepsJoinGrace(t *testing.T) {
 		if out.Rounds != 0 {
 			t.Errorf("process %d executed %d rounds in 2.6 beats, want 0 (still in its %d-beat join grace)", i, out.Rounds, joinGraceBeats)
 		}
+	}
+}
+
+// TestMuxFullInboxKeepsMark: an epoch whose inbox overflowed drops data
+// frames (InboxDrops), but a mark that arrives while the inbox is still
+// full waits for room instead of being dropped, so the round it completes
+// still ends.
+func TestMuxFullInboxKeepsMark(t *testing.T) {
+	m := &MuxNode{stop: make(chan struct{})}
+	ep := newMuxEpoch(testEpoch, false)
+	peer := giraf.Envelope{Round: 1, Payloads: []giraf.Payload{core.NewES(values.Num(2)).Initialize()}}
+	marked := make(chan struct{})
+	ticker := time.NewTicker(time.Millisecond)
+	defer ticker.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out := rounddriver.Run(ctx, rounddriver.Config{
+		Automaton:  core.NewES(values.Num(1)),
+		CrashAfter: 2,
+		Beat:       ticker.C,
+		Inbox:      ep.inbox,
+		Send: func(env giraf.Envelope) error {
+			if env.Round != 1 {
+				m.deliver(ep, rounddriver.Mark(env.Round))
+				return nil
+			}
+			// The driver is inside Send, so nothing drains the inbox:
+			// overflow it, then hand the reader round 1's mark.
+			for i := 0; i <= inboxDepth; i++ {
+				m.deliver(ep, peer)
+			}
+			go func() {
+				defer close(marked)
+				m.deliver(ep, rounddriver.Mark(env.Round))
+			}()
+			time.Sleep(10 * time.Millisecond) // the reader's turn, at a full inbox
+			return nil
+		},
+	})
+	<-marked
+	if drops := m.Stats().InboxDrops; drops != 1 {
+		t.Fatalf("InboxDrops = %d, want the one envelope past inboxDepth", drops)
+	}
+	if !out.Crashed || out.Rounds != 2 {
+		t.Fatalf("outcome %+v: want round 1 ended by its mark, then the crash after round 2", out)
 	}
 }

@@ -161,44 +161,64 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 	}
 }
 
+// TestNodeSurvivesHubRestart: the hub process dies mid-run and a new hub
+// comes up on the same address. Its log lacks the adds the in-flight
+// instance had completed — a weak-set failure no node can repair — so the
+// nodes, seeing the new incarnation when they reconnect, end that instance
+// promptly as lost (crash-equivalent), and an instance registered after
+// the restart decides over the same nodes.
 func TestNodeSurvivesHubRestart(t *testing.T) {
-	// The hub process dies mid-run and a new hub comes up on the same
-	// address. Session tokens are unknown to the new hub, so nodes get
-	// fresh sessions (ResumeFrom 0) with an empty log — algorithmically a
-	// fresh anonymous network with the survivors' state intact locally —
-	// and the run still decides.
 	hub, err := NewHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := hub.Addr()
+	nodes := make([]*MuxNode, 3)
+	for i := range nodes {
+		m, err := DialMux(context.Background(), MuxConfig{
+			HubAddr: addr,
+			// Generous backoff budget: all three nodes must outlive the
+			// restart gap.
+			Reconnect: ReconnectPolicy{MaxAttempts: 20, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Seed: int64(i)},
+		}, testEpoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		nodes[i] = m
+	}
 
 	props := core.DistinctProposals(3)
 	results := make([]rounddriver.Outcome, 3)
-	stats := make([]MuxStats, 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		i := i
+	for i, m := range nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], stats[i], errs[i] = runSolo(context.Background(), MuxConfig{
-				HubAddr: addr,
-				// Generous backoff budget: all three nodes must outlive the
-				// restart gap.
-				Reconnect: ReconnectPolicy{MaxAttempts: 20, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Seed: int64(i)},
-			}, InstanceRun{
+			results[i], errs[i] = m.RunInstance(context.Background(), testEpoch, InstanceRun{
 				Automaton: core.NewES(props[i]),
-				Interval:  15 * time.Millisecond,
+				Interval:  50 * time.Millisecond,
 				Timeout:   30 * time.Second,
 			})
 		}()
 	}
-
-	// Kill the hub just as rounds begin (the join grace is 3 beats of 15ms;
-	// round 0 runs on the 4th), before anyone can have decided.
-	time.Sleep(60 * time.Millisecond)
+	// Kill the hub once every node has broadcast its round-1 envelope,
+	// a beat before anyone could compute a decision.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		hub.mu.Lock()
+		logged := len(hub.log)
+		hub.mu.Unlock()
+		if logged >= len(nodes) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hub logged %d frames, want one per node", logged)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	restarted := time.Now()
 	if err := hub.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +229,19 @@ func TestNodeSurvivesHubRestart(t *testing.T) {
 	}
 	defer hub2.Close()
 	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d did not survive the restart: %v", i, err)
-		}
+	if took := time.Since(restarted); took > 5*time.Second {
+		t.Errorf("the in-flight instance took %v to end after the restart", took)
 	}
-	requireConsensus(t, results, props)
+	for i := range nodes {
+		if !results[i].Lost || results[i].Decided || !errors.Is(errs[i], ErrHubRestarted) {
+			t.Fatalf("node %d across the restart: outcome %+v, error %v; want lost with ErrHubRestarted", i, results[i], errs[i])
+		}
+		nodes[i].Unregister(testEpoch)
+	}
+	runMuxInstance(t, nodes, testEpoch+1, 10*time.Millisecond)
 	reconnects := 0
-	for i := range results {
-		reconnects += stats[i].Reconnects
+	for _, m := range nodes {
+		reconnects += m.Stats().Reconnects
 	}
 	if reconnects < 3 {
 		t.Errorf("total reconnects %d, want ≥ 3 (every node crossed the restart)", reconnects)

@@ -49,6 +49,12 @@ import (
 // infrastructure failure of the whole run.
 var ErrHubLost = errors.New("tcpnet: hub connection lost")
 
+// ErrHubRestarted reports that a node reconnected to a restarted hub, whose
+// fresh log lacks the adds the node's in-flight epochs had completed: those
+// epochs end as lost. It wraps ErrHubLost — crash-equivalent for the
+// epochs, while the node itself carries on.
+var ErrHubRestarted = fmt.Errorf("%w: the hub restarted", ErrHubLost)
+
 // HubStats counts the hub's robustness events. All counters are
 // cumulative since the hub started.
 type HubStats struct {
@@ -79,11 +85,16 @@ type HubStats struct {
 
 // Hub is the reliable anonymous broadcast relay: every frame received on
 // one connection is forwarded to every *other* connection, in arrival
-// order, with no origin information. The hub retains a log of all frames
-// and replays it to every new session: the paper's broadcast primitive is
-// reliable to *all* correct processes, so a process that attaches late
-// must still receive everything broadcast before it arrived (late counts
-// as asynchronous, lost would break the model — see the late-joiner test).
+// order, with no origin information. The log is a weak-set (§5 of the
+// paper): a data frame is its sender's add, and the hub completes the add
+// by a wire.Mark in the sender's own stream, at the frame's log position —
+// behind every frame queued to the sender before it, so the log's first
+// frame of a round precedes every mark of that round. The hub retains a
+// log of all frames and replays it to every new session: the paper's
+// broadcast primitive is reliable to *all* correct processes, so a
+// process that attaches late must still receive everything broadcast
+// before it arrived (late counts as asynchronous, lost would break the
+// model — see the late-joiner test).
 //
 // Each session's outbound queue is a cursor into its private sent-log (a
 // subsequence of the hub log: own frames excluded, fault-dropped forwards
@@ -104,7 +115,9 @@ type Hub struct {
 	retired   map[uint64]bool
 	closed    bool
 
-	bootNonce uint64
+	// incarnation names this hub process (see wire.Welcome.Incarnation)
+	// and keeps its session tokens apart from an earlier one's.
+	incarnation uint64
 
 	stats HubStats
 
@@ -133,6 +146,10 @@ type session struct {
 	index int      // creation-order index, stable across reconnects
 	sent  [][]byte // frames queued for this session, in order
 	cur   int      // next sent index the write loop will deliver
+	// marks are this session's own adds still to be confirmed, in stream
+	// order; the write loop emits each once cur reaches its position and
+	// trims them as it goes, so they never accumulate in sent.
+	marks []queuedMark
 	cond  *sync.Cond
 
 	conn net.Conn // current attachment; nil while detached
@@ -143,6 +160,13 @@ type session struct {
 	hbSeq   uint64
 	hbAcked uint64
 	misses  int
+}
+
+// queuedMark is one pending wire.Mark: the sender's frame entered the log
+// when pos frames had been queued to the sender's own session.
+type queuedMark struct {
+	pos  int
+	mark wire.Mark
 }
 
 // HubOption configures the hub.
@@ -216,10 +240,10 @@ func NewHub(addr string, opts ...HubOption) (*Hub, error) {
 		pending:  make(map[net.Conn]struct{}),
 		retired:  make(map[uint64]bool),
 		stop:     make(chan struct{}),
-		// The boot nonce keeps tokens from colliding across hub restarts
+		// The incarnation keeps tokens from colliding across hub restarts
 		// on the same address: a node resuming into a restarted hub must
 		// never alias another node's fresh session.
-		bootNonce: uint64(time.Now().UnixNano()) << 16,
+		incarnation: uint64(time.Now().UnixNano()) << 16,
 		// A dialer writes its Hello right after connecting (dialHub), so
 		// the deadline only ever expires on something that is not a node.
 		helloDeadline: 5 * time.Second,
@@ -387,9 +411,10 @@ func (h *Hub) handshake(conn net.Conn) {
 		h.stats.Reconnects++
 		h.stats.ReplayedFrames += len(s.sent) - cur
 		welcome = wire.Welcome{
-			Token:      s.token,
-			ResumeFrom: uint64(cur),
-			Pending:    uint64(len(s.sent) - cur),
+			Token:       s.token,
+			ResumeFrom:  uint64(cur),
+			Pending:     uint64(len(s.sent) - cur),
+			Incarnation: h.incarnation,
 		}
 	} else {
 		// Fresh session (or a resume for a token this hub does not know —
@@ -401,9 +426,9 @@ func (h *Hub) handshake(conn net.Conn) {
 			cond:  sync.NewCond(&h.mu),
 		}
 		h.stats.Sessions++
-		s.token = h.bootNonce + uint64(h.stats.Sessions)
+		s.token = h.incarnation + uint64(h.stats.Sessions)
 		h.sessions[s.token] = s
-		welcome = wire.Welcome{Token: s.token, Pending: uint64(len(s.sent))}
+		welcome = wire.Welcome{Token: s.token, Pending: uint64(len(s.sent)), Incarnation: h.incarnation}
 	}
 	s.conn = conn
 	s.hwmSince = time.Time{}
@@ -451,15 +476,20 @@ func (h *Hub) readLoop(s *session, conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// broadcast logs one data frame and queues it for every other session.
+// broadcast logs one data frame, queues it for every other session, and
+// queues its sender's mark.
 func (h *Hub) broadcast(from *session, frame []byte) {
 	type victim struct {
 		s    *session
 		conn net.Conn
 	}
 	var overwhelmed []victim
-	epoch, round, _ := wire.DataFrameHeader(frame) // non-data bytes count as epoch 0, round 0
+	epoch, round, isData := wire.DataFrameHeader(frame) // non-data bytes count as epoch 0, round 0
 	h.mu.Lock()
+	if isData {
+		from.marks = append(from.marks, queuedMark{pos: len(from.sent), mark: wire.Mark{Epoch: epoch, Round: round}})
+		from.cond.Signal()
+	}
 	if h.retired[epoch] {
 		// A straggler from a finished instance: suppress it entirely —
 		// logging it would replay dead traffic to every future session.
@@ -519,13 +549,18 @@ const maxBatch = 64
 
 // writeLoop delivers a session's sent-log to its current connection,
 // advancing the shared cursor: every pending frame, up to maxBatch, under
-// one lock and in one write (see writeBatch). It exits when the connection
-// is replaced, fails, or the hub closes.
+// one lock and in one write (see writeBatch), with the session's due marks
+// in place among them. It exits when the connection is replaced, fails,
+// or the hub closes.
 func (h *Hub) writeLoop(s *session, conn net.Conn) {
 	defer h.wg.Done()
+	var (
+		batch [][]byte
+		marks []byte // the batch's encoded marks, one buffer per pass
+	)
 	for {
 		h.mu.Lock()
-		for s.conn == conn && !h.closed && s.cur >= len(s.sent) {
+		for s.conn == conn && !h.closed && s.cur >= len(s.sent) && len(s.marks) == 0 {
 			s.cond.Wait()
 		}
 		if s.conn != conn || h.closed {
@@ -535,8 +570,25 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 		// broadcast only appends, so the entries below len(s.sent) are
 		// never rewritten and the batch is read outside the lock.
 		end := min(len(s.sent), s.cur+maxBatch)
-		batch := s.sent[s.cur:end]
-		s.cur = end
+		batch, marks = batch[:0], marks[:0]
+		taken := 0
+		for {
+			for ; taken < len(s.marks) && s.marks[taken].pos <= s.cur; taken++ {
+				at := len(marks)
+				marks = wire.AppendMark(marks, s.marks[taken].mark)
+				batch = append(batch, marks[at:len(marks):len(marks)])
+			}
+			if s.cur >= end {
+				break
+			}
+			next := end
+			if taken < len(s.marks) {
+				next = min(next, s.marks[taken].pos)
+			}
+			batch = append(batch, s.sent[s.cur:next]...)
+			s.cur = next
+		}
+		s.marks = s.marks[:copy(s.marks, s.marks[taken:])]
 		if len(s.sent)-s.cur <= h.highWater {
 			s.hwmSince = time.Time{} // drained below the mark: lag forgiven
 		}
@@ -549,14 +601,18 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 }
 
 // writeBatch writes frames in order with as few writes as the forward
-// delay allows. The delay function is asked once per frame, in order, as
-// it was when every frame had its own write; a frame with a positive delay
-// is written after its own sleep, so it closes the run of frames before it,
-// which go out together first.
+// delay allows. The delay function is asked once per data frame, in order,
+// as it was when every frame had its own write; a frame with a positive
+// delay is written after its own sleep, so it closes the run of frames
+// before it, which go out together first. Marks take no delay of their
+// own: each follows the frames before it.
 func (h *Hub) writeBatch(s *session, conn net.Conn, frames [][]byte) error {
 	start := 0
 	if h.delay != nil {
-		for i := range frames {
+		for i, frame := range frames {
+			if wire.IsControlFrame(frame) {
+				continue
+			}
 			if d := h.delay(s.index); d > 0 {
 				if err := s.write(conn, frames[start:i]...); err != nil {
 					return err

@@ -227,7 +227,7 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 		}
 		defer early.Close()
 		for round := 1; round <= rounds; round++ {
-			if err := early.send(testEpoch, setEnvelope(round)); err != nil {
+			if err := early.send(early.epochs[testEpoch], setEnvelope(round)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -268,31 +268,28 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 	}
 }
 
-// TestRunNodeSilentPeersWaitForEscape pins that the plain TCP plane runs
-// under the round driver's pacing gate: a node told it has two peers, and
-// hearing from neither, executes round 1 and then holds round 2 for the
-// silent-beat escape instead of running a round per beat against its own
-// solo view.
-func TestRunNodeSilentPeersWaitForEscape(t *testing.T) {
+// TestRunNodeSoloRunsOneRoundPerBeat pins that a node alone on a hub runs
+// one round per beat: the hub completes each add at once, so nothing holds
+// it for silent peers. Three beats of join grace and the three beats of
+// its rounds 0–2 fit a nine-beat timeout; a round held for even four beats
+// would not.
+func TestRunNodeSoloRunsOneRoundPerBeat(t *testing.T) {
 	hub, err := NewHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	const interval = 20 * time.Millisecond
+	const interval = 50 * time.Millisecond
 	res, _, err := runSolo(context.Background(), MuxConfig{HubAddr: hub.Addr()}, InstanceRun{
 		Automaton: core.NewES(values.Num(1)),
 		Interval:  interval,
-		Peers:     3,
-		// Three beats of join grace, then five more: round 1 fits, the
-		// eight quiet beats before round 2 do not.
-		Timeout: 8 * interval,
+		Timeout:   9 * interval,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 1 || res.Decided {
-		t.Fatalf("silent peers: executed %d rounds (decided=%v), want exactly round 1", res.Rounds, res.Decided)
+	if !res.Decided || res.DecidedRound != 2 {
+		t.Fatalf("solo node: %+v, want a decision computing round 2", res)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // Control frames are the wire-level session plane: a reconnecting node
 // resumes a hub session (Hello/Welcome carry a session token and a replay
-// cursor) and hub-side heartbeats distinguish a slow consumer from a dead
-// one (Heartbeat/HeartbeatAck). Control frames ride the same
+// cursor), hub-side heartbeats distinguish a slow consumer from a dead
+// one (Heartbeat/HeartbeatAck), and a Mark tells a sender that its frame
+// is in the hub log. Control frames ride the same
 // length-prefixed framing as envelopes but are consumed by the endpoints
 // themselves — they are never relayed, never enter the hub log, and never
 // advance a session's replay cursor, so the anonymity argument is
@@ -39,6 +40,10 @@ const (
 	ControlHeartbeat byte = 3
 	// ControlHeartbeatAck is the node's answer to a ControlHeartbeat.
 	ControlHeartbeatAck byte = 4
+	// ControlMark is sent by the hub to a data frame's own sender, in that
+	// sender's stream right behind every frame the hub queued to it before
+	// logging the sender's: the weak-set add the frame was is complete.
+	ControlMark byte = 5
 )
 
 // Hello asks the hub for a session: fresh (Token 0) or resumed.
@@ -62,6 +67,16 @@ type Welcome struct {
 	// Pending is the number of logged frames about to be replayed —
 	// surfaced so nodes can count ReplayedFrames without guessing.
 	Pending uint64
+	// Incarnation names the hub process, drawn when it started. A node
+	// that sees it change has lost the log its earlier adds completed in.
+	Incarnation uint64
+}
+
+// Mark reports that the sender's data frame of the given epoch and round
+// entered the hub log.
+type Mark struct {
+	Epoch uint64
+	Round int
 }
 
 // Heartbeat is one hub liveness probe (or its ack, echoing Seq).
@@ -136,16 +151,37 @@ func DecodeHello(frame []byte) (Hello, error) {
 
 // EncodeWelcome serializes a Welcome frame.
 func EncodeWelcome(w Welcome) []byte {
-	return encodeControl(ControlWelcome, w.Token, w.ResumeFrom, w.Pending)
+	return encodeControl(ControlWelcome, w.Token, w.ResumeFrom, w.Pending, w.Incarnation)
 }
 
 // DecodeWelcome parses a Welcome frame.
 func DecodeWelcome(frame []byte) (Welcome, error) {
-	f, err := decodeControl(frame, ControlWelcome, 3)
+	f, err := decodeControl(frame, ControlWelcome, 4)
 	if err != nil {
 		return Welcome{}, err
 	}
-	return Welcome{Token: f[0], ResumeFrom: f[1], Pending: f[2]}, nil
+	return Welcome{Token: f[0], ResumeFrom: f[1], Pending: f[2], Incarnation: f[3]}, nil
+}
+
+// AppendMark appends a Mark frame to dst: the hub's write loop encodes
+// marks into one buffer per batch.
+func AppendMark(dst []byte, m Mark) []byte {
+	dst = append(dst, controlMagic, controlVersion, ControlMark)
+	dst = binary.AppendUvarint(dst, m.Epoch)
+	return binary.AppendUvarint(dst, uint64(m.Round))
+}
+
+// DecodeMark parses a Mark frame, bounding its epoch and round as a data
+// frame's header is bounded.
+func DecodeMark(frame []byte) (Mark, error) {
+	f, err := decodeControl(frame, ControlMark, 2)
+	if err != nil {
+		return Mark{}, err
+	}
+	if f[0] == 0 || f[0] > MaxEpoch || f[1] > MaxRound {
+		return Mark{}, fmt.Errorf("%w: mark epoch %d round %d out of range", ErrBadFrame, f[0], f[1])
+	}
+	return Mark{Epoch: f[0], Round: int(f[1])}, nil
 }
 
 // EncodeHeartbeat serializes a Heartbeat probe.

@@ -15,13 +15,22 @@ func TestControlRoundTrip(t *testing.T) {
 		t.Fatalf("hello round trip: got %+v want %+v", gotH, hello)
 	}
 
-	welcome := Welcome{Token: 7, ResumeFrom: 99, Pending: 3}
+	welcome := Welcome{Token: 7, ResumeFrom: 99, Pending: 3, Incarnation: 1 << 40}
 	gotW, err := DecodeWelcome(EncodeWelcome(welcome))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotW != welcome {
 		t.Fatalf("welcome round trip: got %+v want %+v", gotW, welcome)
+	}
+
+	mark := Mark{Epoch: 300, Round: 7}
+	gotM, err := DecodeMark(AppendMark([]byte("kept"), mark)[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotM != mark {
+		t.Fatalf("mark round trip: got %+v want %+v", gotM, mark)
 	}
 
 	hb := Heartbeat{Seq: 42}
@@ -79,6 +88,12 @@ func TestControlDecodeRejects(t *testing.T) {
 	// Not a control frame at all.
 	if _, err := DecodeHeartbeat([]byte{0x01, 0x02, 0x03}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("non-control: %v", err)
+	}
+	// A mark outside a data frame's epoch bounds.
+	for _, epoch := range []uint64{0, MaxEpoch + 1} {
+		if _, err := DecodeMark(AppendMark(nil, Mark{Epoch: epoch, Round: 1})); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("mark for epoch %d: %v", epoch, err)
+		}
 	}
 }
 

@@ -173,7 +173,6 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 				Interval:         interval,
 				Timeout:          spec.timeout(),
 				CrashAfterRounds: crashAfter,
-				Peers:            len(slots),
 			})
 			if errors.Is(err, tcpnet.ErrHubLost) {
 				err = nil
@@ -361,7 +360,9 @@ const joinEpoch = 1
 
 // JoinTCP joins the hub at hubAddr as one anonymous process proposing
 // proposal, and blocks until that process decides, the run times out, or
-// ctx is cancelled. The relevant options are WithEnv, WithInterval,
+// ctx is cancelled. If the hub restarts under it, the instance is lost —
+// the new hub's log lacks what the processes had broadcast — and JoinTCP
+// returns an error. The relevant options are WithEnv, WithInterval,
 // WithTimeout and WithReconnect; the returned Decision's Proc is always 0
 // (the process is anonymous — there is no meaningful index).
 func JoinTCP(ctx context.Context, hubAddr string, proposal Value, opts ...Option) (Decision, error) {
