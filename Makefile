@@ -138,13 +138,15 @@ chaos-smoke:
 # 0 on its first beat, a DialMux-registered one sits out its grace), the
 # hub's batched byte path (its fan-out allocation pin, batches that stay
 # whole and in order between heartbeats, no bytes lost behind a Welcome), the
+# forgetting hub (session queues trimmed behind what each node provably
+# received, resumption across a trim, retired epochs as a low-water mark), the
 # JoinTCP joiners (the one public path that keeps a join grace), and the
 # sustained-load scaling assertion — a k=8 pool must beat the sequential
 # session at least 2× on the timer-bound live backend, which holds on any
 # core count.
 mux-smoke:
 	$(GO) test -race -count=1 -run 'TestNodeStress|TestNodePool|TestNodeCloseMidFlight|TestSimPoolDeterminism|TestAdmission|TestEventDrop|TestTCPMux|TestJoinTCP|TestServiceThroughputScales' .
-	$(GO) test -race -short -count=1 -run 'TestMux|TestRetireEpoch|TestEpoch|TestHubFanOut|TestHubWriteLoop' ./internal/tcpnet ./internal/wire
+	$(GO) test -race -short -count=1 -run 'TestMux|TestRetireEpoch|TestEpoch|TestHubFanOut|TestHubWriteLoop|TestHubForgets' ./internal/tcpnet ./internal/wire
 
 # load-smoke is the open-loop workload plane's quick pass, run by CI on
 # every push: the workload package (generator, report) and the public

@@ -401,7 +401,7 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 			case wire.ControlHeartbeat:
 				if hb, herr := wire.DecodeHeartbeat(frame); herr == nil {
 					m.writeMu.Lock()
-					ok := m.conn != nil && wire.WriteFrame(m.conn, wire.EncodeHeartbeatAck(wire.Heartbeat{Seq: hb.Seq})) == nil
+					ok := m.conn != nil && wire.WriteFrame(m.conn, wire.EncodeHeartbeatAck(wire.Heartbeat{Seq: hb.Seq, Cursor: m.cursor})) == nil
 					m.writeMu.Unlock()
 					if ok {
 						m.mu.Lock()

@@ -2,6 +2,8 @@ package tcpnet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -29,25 +31,35 @@ func dialMuxCluster(t *testing.T, hub *Hub, n int) []*MuxNode {
 }
 
 // runMuxInstance registers epoch on every node, runs one consensus
-// instance over it, and asserts agreement + validity.
+// instance over it, and asserts every property of the paper.
 func runMuxInstance(t *testing.T, nodes []*MuxNode, epoch uint64, interval time.Duration) {
 	t.Helper()
 	props := core.DistinctProposals(len(nodes))
-	for i, m := range nodes {
-		if err := m.Register(epoch); err != nil {
-			t.Fatalf("epoch %d node %d: %v", epoch, i, err)
-		}
+	results, err := runEpoch(nodes, epoch, props, interval)
+	if err != nil {
+		t.Fatalf("epoch %d: %v", epoch, err)
 	}
+	requireConsensus(t, results, props)
+}
+
+// runEpoch registers epoch on every node, runs one ES instance over it
+// with a goroutine per node, and unregisters it. It reports failures as an
+// error, so it may run off the test's goroutine.
+func runEpoch(nodes []*MuxNode, epoch uint64, props []values.Value, interval time.Duration) ([]rounddriver.Outcome, error) {
 	defer func() {
 		for _, m := range nodes {
 			m.Unregister(epoch)
 		}
 	}()
+	for i, m := range nodes {
+		if err := m.Register(epoch); err != nil {
+			return nil, fmt.Errorf("node %d: %w", i, err)
+		}
+	}
 	results := make([]rounddriver.Outcome, len(nodes))
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, m := range nodes {
-		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -59,12 +71,7 @@ func runMuxInstance(t *testing.T, nodes []*MuxNode, epoch uint64, interval time.
 		}()
 	}
 	wg.Wait()
-	for i := range nodes {
-		if errs[i] != nil {
-			t.Fatalf("epoch %d node %d: %v", epoch, i, errs[i])
-		}
-	}
-	requireConsensus(t, results, props)
+	return results, errors.Join(errs...)
 }
 
 // TestMuxManyEpochsOneConnection is the multiplexing pin: several

@@ -96,11 +96,14 @@ type HubStats struct {
 // before it arrived (late counts as asynchronous, lost would break the
 // model — see the late-joiner test).
 //
-// Each session's outbound queue is a cursor into its private sent-log (a
-// subsequence of the hub log: own frames excluded, fault-dropped forwards
-// excluded, injected duplicates included). Replay on resumption is just a
-// cursor rewind, so a reconnecting node never loses a frame and never
-// re-receives one it has processed.
+// Each session's outbound queue is its private stream (a subsequence of
+// the hub log: own frames excluded, fault-dropped forwards excluded,
+// injected duplicates included), addressed by stream position. Replay on
+// resumption is a cursor rewind, so a reconnecting node never loses a
+// frame and never re-receives one it has processed. The queue keeps only
+// what the node may still ask for: the hub drops every frame below a
+// position the node has provably received — the mark its next add shows
+// it consumed, or the cursor its heartbeat ack reports.
 type Hub struct {
 	ln net.Listener
 
@@ -112,8 +115,11 @@ type Hub struct {
 	// epoch (0 for bytes that are not a data frame), so RetireEpoch can
 	// compact the replay log per epoch without decoding frames.
 	logEpochs []uint64
-	retired   map[uint64]bool
-	closed    bool
+	// The retired epochs are every epoch in [1, retiredBelow) and the few
+	// above it in retiredAbove, retired out of order.
+	retiredBelow uint64
+	retiredAbove map[uint64]struct{}
+	closed       bool
 
 	// incarnation names this hub process (see wire.Welcome.Incarnation)
 	// and keeps its session tokens apart from an earlier one's.
@@ -143,14 +149,22 @@ type Hub struct {
 // across connections.
 type session struct {
 	token uint64
-	index int      // creation-order index, stable across reconnects
-	sent  [][]byte // frames queued for this session, in order
-	cur   int      // next sent index the write loop will deliver
+	index int // creation-order index, stable across reconnects
+	// sent holds the session's stream from position base on: position p
+	// is sent[p-base]. Positions count data frames from the session's
+	// start, as the node's receive cursor does.
+	sent [][]byte
+	base int
+	cur  int // next stream position the write loop will deliver
 	// marks are this session's own adds still to be confirmed, in stream
 	// order; the write loop emits each once cur reaches its position and
 	// trims them as it goes, so they never accumulate in sent.
 	marks []queuedMark
-	cond  *sync.Cond
+	// emitted holds, per epoch, the latest round whose mark the write loop
+	// emitted and the smallest position it emitted one at (an add sent
+	// twice is marked twice, and the node may have read only the first).
+	emitted map[uint64]emittedMark
+	cond    *sync.Cond
 
 	conn net.Conn // current attachment; nil while detached
 	wmu  sync.Mutex
@@ -167,6 +181,39 @@ type session struct {
 type queuedMark struct {
 	pos  int
 	mark wire.Mark
+}
+
+// emittedMark is where a round's mark first went out (see session.emitted).
+type emittedMark struct{ round, pos int }
+
+// end is the stream position one past the session's last queued frame.
+func (s *session) end() int { return s.base + len(s.sent) }
+
+// noteEmitted records that mk goes out at the current position (see
+// emitted).
+func (s *session) noteEmitted(mk wire.Mark) {
+	if e, ok := s.emitted[mk.Epoch]; !ok || mk.Round > e.round || mk.Round == e.round && s.cur < e.pos {
+		s.emitted[mk.Epoch] = emittedMark{mk.Round, s.cur}
+	}
+}
+
+// trim forgets the frames below pos, which the node has received (it is
+// clamped to cur). The queue is compacted only once they are half of it,
+// so each frame is copied at most once on average and the array is reused.
+func (s *session) trim(pos int) {
+	pos = min(pos, s.cur)
+	if pos <= s.base || 2*(pos-s.base) < len(s.sent) {
+		return
+	}
+	n := copy(s.sent, s.sent[pos-s.base:])
+	clear(s.sent[n:])
+	s.sent, s.base = s.sent[:n], pos
+}
+
+// isRetired reports whether epoch was retired; the caller holds h.mu.
+func (h *Hub) isRetired(epoch uint64) bool {
+	_, above := h.retiredAbove[epoch]
+	return above || epoch != 0 && epoch < h.retiredBelow
 }
 
 // HubOption configures the hub.
@@ -235,11 +282,12 @@ func NewHub(addr string, opts ...HubOption) (*Hub, error) {
 		return nil, fmt.Errorf("tcpnet: hub listen: %w", err)
 	}
 	h := &Hub{
-		ln:       ln,
-		sessions: make(map[uint64]*session),
-		pending:  make(map[net.Conn]struct{}),
-		retired:  make(map[uint64]bool),
-		stop:     make(chan struct{}),
+		ln:           ln,
+		sessions:     make(map[uint64]*session),
+		pending:      make(map[net.Conn]struct{}),
+		retiredBelow: 1,
+		retiredAbove: make(map[uint64]struct{}),
+		stop:         make(chan struct{}),
 		// The incarnation keeps tokens from colliding across hub restarts
 		// on the same address: a node resuming into a restarted hub must
 		// never alias another node's fresh session.
@@ -282,22 +330,26 @@ func (h *Hub) Stats() HubStats {
 // instances rather than to everything it ever carried.
 //
 // Epoch 0 (bytes that are not a data frame) cannot be retired; calls for
-// it are no-ops. Already-established sessions keep their private sent
-// logs untouched: those are cursor-indexed (the node's replay cursor
-// counts delivered frames), so compacting them would desynchronize
-// resumption. Their retired entries have already been delivered or will
-// drain cheaply; only the hub-level log, which seeds every future
-// session, is compacted.
+// it are no-ops. Already-established sessions keep the epoch's frames in
+// their streams, which are position-addressed for resumption; those go
+// once the node has received them, like every other frame.
 func (h *Hub) RetireEpoch(epoch uint64) {
 	if epoch == 0 {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed || h.retired[epoch] {
+	if h.closed || h.isRetired(epoch) {
 		return
 	}
-	h.retired[epoch] = true
+	h.retiredAbove[epoch] = struct{}{}
+	for _, ok := h.retiredAbove[h.retiredBelow]; ok; _, ok = h.retiredAbove[h.retiredBelow] {
+		delete(h.retiredAbove, h.retiredBelow)
+		h.retiredBelow++
+	}
+	for _, s := range h.sessions {
+		delete(s.emitted, epoch)
+	}
 	h.stats.EpochsRetired++
 	kept := h.log[:0]
 	keptEpochs := h.logEpochs[:0]
@@ -401,19 +453,19 @@ func (h *Hub) handshake(conn net.Conn) {
 			s.cond.Broadcast()
 			_ = old.Close()
 		}
-		// The cursor is the peer's claim: clamp it as a uint64, before it
-		// can turn into a negative index.
-		cur := len(s.sent)
+		// The cursor is the peer's claim: clamp it to the queue as a
+		// uint64, before it can turn into a negative index.
+		cur := s.end()
 		if hello.Cursor < uint64(cur) {
-			cur = int(hello.Cursor)
+			cur = max(int(hello.Cursor), s.base)
 		}
 		s.cur = cur
 		h.stats.Reconnects++
-		h.stats.ReplayedFrames += len(s.sent) - cur
+		h.stats.ReplayedFrames += s.end() - cur
 		welcome = wire.Welcome{
 			Token:       s.token,
 			ResumeFrom:  uint64(cur),
-			Pending:     uint64(len(s.sent) - cur),
+			Pending:     uint64(s.end() - cur),
 			Incarnation: h.incarnation,
 		}
 	} else {
@@ -421,9 +473,10 @@ func (h *Hub) handshake(conn net.Conn) {
 		// e.g. issued before a restart): the whole current log is the
 		// replay, exactly as for a late joiner.
 		s = &session{
-			index: h.stats.Sessions,
-			sent:  append([][]byte(nil), h.log...),
-			cond:  sync.NewCond(&h.mu),
+			index:   h.stats.Sessions,
+			sent:    append([][]byte(nil), h.log...),
+			emitted: make(map[uint64]emittedMark),
+			cond:    sync.NewCond(&h.mu),
 		}
 		h.stats.Sessions++
 		s.token = h.incarnation + uint64(h.stats.Sessions)
@@ -467,6 +520,7 @@ func (h *Hub) readLoop(s *session, conn net.Conn, br *bufio.Reader) {
 						s.hbAcked = ack.Seq
 					}
 					s.misses = 0
+					s.trim(int(min(ack.Cursor, uint64(s.cur))))
 					h.mu.Unlock()
 				}
 			}
@@ -487,10 +541,15 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 	epoch, round, isData := wire.DataFrameHeader(frame) // non-data bytes count as epoch 0, round 0
 	h.mu.Lock()
 	if isData {
-		from.marks = append(from.marks, queuedMark{pos: len(from.sent), mark: wire.Mark{Epoch: epoch, Round: round}})
+		// A node ends a round only on its add's mark, so an add of a later
+		// round proves it read its stream up to where that mark went out.
+		if e, ok := from.emitted[epoch]; ok && round > e.round {
+			from.trim(e.pos)
+		}
+		from.marks = append(from.marks, queuedMark{pos: from.end(), mark: wire.Mark{Epoch: epoch, Round: round}})
 		from.cond.Signal()
 	}
-	if h.retired[epoch] {
+	if h.isRetired(epoch) {
 		// A straggler from a finished instance: suppress it entirely —
 		// logging it would replay dead traffic to every future session.
 		h.stats.RetiredFrames++
@@ -525,7 +584,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		// after that it is disconnected — in the crash-fault model a
 		// crashed process (which the algorithms tolerate), and for a node
 		// with a reconnect budget merely a forced reconnect with replay.
-		if s.conn != nil && len(s.sent)-s.cur > h.highWater {
+		if s.conn != nil && s.end()-s.cur > h.highWater {
 			if s.hwmSince.IsZero() {
 				s.hwmSince = time.Now()
 			} else if time.Since(s.hwmSince) > h.graceWindow {
@@ -547,7 +606,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 // frame), far below the kernel's IOV_MAX.
 const maxBatch = 64
 
-// writeLoop delivers a session's sent-log to its current connection,
+// writeLoop delivers a session's queue to its current connection,
 // advancing the shared cursor: every pending frame, up to maxBatch, under
 // one lock and in one write (see writeBatch), with the session's due marks
 // in place among them. It exits when the connection is replaced, fails,
@@ -560,22 +619,26 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 	)
 	for {
 		h.mu.Lock()
-		for s.conn == conn && !h.closed && s.cur >= len(s.sent) && len(s.marks) == 0 {
+		for s.conn == conn && !h.closed && s.cur >= s.end() && len(s.marks) == 0 {
 			s.cond.Wait()
 		}
 		if s.conn != conn || h.closed {
 			h.mu.Unlock()
 			return
 		}
-		// broadcast only appends, so the entries below len(s.sent) are
-		// never rewritten and the batch is read outside the lock.
-		end := min(len(s.sent), s.cur+maxBatch)
+		// The batch copies the frame references it takes, so it is read
+		// outside the lock while broadcast appends and trim compacts.
+		end := min(s.end(), s.cur+maxBatch)
 		batch, marks = batch[:0], marks[:0]
 		taken := 0
 		for {
 			for ; taken < len(s.marks) && s.marks[taken].pos <= s.cur; taken++ {
+				mk := s.marks[taken].mark
+				if !h.isRetired(mk.Epoch) {
+					s.noteEmitted(mk)
+				}
 				at := len(marks)
-				marks = wire.AppendMark(marks, s.marks[taken].mark)
+				marks = wire.AppendMark(marks, mk)
 				batch = append(batch, marks[at:len(marks):len(marks)])
 			}
 			if s.cur >= end {
@@ -585,11 +648,11 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 			if taken < len(s.marks) {
 				next = min(next, s.marks[taken].pos)
 			}
-			batch = append(batch, s.sent[s.cur:next]...)
+			batch = append(batch, s.sent[s.cur-s.base:next-s.base]...)
 			s.cur = next
 		}
 		s.marks = s.marks[:copy(s.marks, s.marks[taken:])]
-		if len(s.sent)-s.cur <= h.highWater {
+		if s.end()-s.cur <= h.highWater {
 			s.hwmSince = time.Time{} // drained below the mark: lag forgiven
 		}
 		h.mu.Unlock()
@@ -688,8 +751,8 @@ func (h *Hub) heartbeatLoop() {
 	}
 }
 
-// detach severs one attachment. The session stays resumable: its sent-log
-// keeps accumulating.
+// detach severs one attachment. The session stays resumable: its queue
+// keeps growing, and nothing in it is acknowledged until the node is back.
 func (h *Hub) detach(s *session, conn net.Conn) {
 	h.mu.Lock()
 	if s.conn == conn {

@@ -108,21 +108,6 @@ func TestMaxUsesCanon(t *testing.T) {
 	}
 }
 
-// TestIntern: interned values are structurally equal and stable.
-func TestIntern(t *testing.T) {
-	a := Intern(Value("hello"))
-	b := Intern(Value("hel" + "lo"))
-	if a != b {
-		t.Error("interned copies differ")
-	}
-	if Intern("") != "" {
-		t.Error("empty value must intern to itself")
-	}
-	if got := Intern(Num(123456)); got != Num(123456) {
-		t.Errorf("intern changed value: %q", got)
-	}
-}
-
 // TestHasherLengthPrefix pins the equivalence writeLengthPrefixed relies
 // on: hashing "<len>:<s>" byte by byte equals hashing the built string.
 func TestHasherLengthPrefix(t *testing.T) {

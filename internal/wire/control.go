@@ -38,7 +38,8 @@ const (
 	// ControlHeartbeat is sent by the hub; a live node answers each one
 	// with a ControlHeartbeatAck echoing the sequence number.
 	ControlHeartbeat byte = 3
-	// ControlHeartbeatAck is the node's answer to a ControlHeartbeat.
+	// ControlHeartbeatAck is the node's answer to a ControlHeartbeat,
+	// carrying its receive cursor.
 	ControlHeartbeatAck byte = 4
 	// ControlMark is sent by the hub to a data frame's own sender, in that
 	// sender's stream right behind every frame the hub queued to it before
@@ -83,6 +84,9 @@ type Mark struct {
 type Heartbeat struct {
 	// Seq orders probes within one connection; acks echo it.
 	Seq uint64
+	// Cursor, on an ack only, is the node's count of data frames received
+	// on the session: the hub may forget every frame below it.
+	Cursor uint64
 }
 
 // IsControlFrame reports whether frame is a control frame (of any kind).
@@ -197,13 +201,15 @@ func DecodeHeartbeat(frame []byte) (Heartbeat, error) {
 }
 
 // EncodeHeartbeatAck serializes a heartbeat ack.
-func EncodeHeartbeatAck(h Heartbeat) []byte { return encodeControl(ControlHeartbeatAck, h.Seq) }
+func EncodeHeartbeatAck(h Heartbeat) []byte {
+	return encodeControl(ControlHeartbeatAck, h.Seq, h.Cursor)
+}
 
 // DecodeHeartbeatAck parses a heartbeat ack.
 func DecodeHeartbeatAck(frame []byte) (Heartbeat, error) {
-	f, err := decodeControl(frame, ControlHeartbeatAck, 1)
+	f, err := decodeControl(frame, ControlHeartbeatAck, 2)
 	if err != nil {
 		return Heartbeat{}, err
 	}
-	return Heartbeat{Seq: f[0]}, nil
+	return Heartbeat{Seq: f[0], Cursor: f[1]}, nil
 }

@@ -41,12 +41,13 @@ func TestControlRoundTrip(t *testing.T) {
 	if gotB != hb {
 		t.Fatalf("heartbeat round trip: got %+v want %+v", gotB, hb)
 	}
-	gotA, err := DecodeHeartbeatAck(EncodeHeartbeatAck(hb))
+	ack := Heartbeat{Seq: 42, Cursor: 1 << 40}
+	gotA, err := DecodeHeartbeatAck(EncodeHeartbeatAck(ack))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotA != hb {
-		t.Fatalf("heartbeat ack round trip: got %+v want %+v", gotA, hb)
+	if gotA != ack {
+		t.Fatalf("heartbeat ack round trip: got %+v want %+v", gotA, ack)
 	}
 }
 

@@ -80,9 +80,7 @@ func readValue(r *bytes.Reader) (values.Value, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", fmt.Errorf("wire: truncated value: %w", err)
 	}
-	// Interning collapses the thousands of copies of each proposal value
-	// that arrive across frames onto one shared backing allocation.
-	return values.Intern(values.Value(buf)), nil
+	return values.Value(buf), nil
 }
 
 func writeSet(w *bytes.Buffer, s values.Set) {

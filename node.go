@@ -434,8 +434,8 @@ func (n *Node) worker() {
 	}
 }
 
-// runInstance executes one instance on the transport, under a context that
-// dies with either the caller's ctx or the node itself.
+// runInstance executes one instance and finishes it. The completion is
+// counted before finish releases Wait, so Stats read after Wait shows it.
 func (n *Node) runInstance(inst *instance) {
 	n.statMu.Lock()
 	n.inFlight++
@@ -446,23 +446,26 @@ func (n *Node) runInstance(inst *instance) {
 		n.queueWait += time.Since(inst.enqueued)
 	}
 	n.statMu.Unlock()
-	defer func() {
-		n.statMu.Lock()
-		n.inFlight--
-		n.completed++
-		n.statMu.Unlock()
-	}()
+	res, err := n.execute(inst)
+	n.statMu.Lock()
+	n.inFlight--
+	n.completed++
+	n.statMu.Unlock()
+	n.finish(inst, res, err)
+}
+
+// execute runs one instance on the transport, under a context that dies
+// with either the caller's ctx or the node itself.
+func (n *Node) execute(inst *instance) (*Result, error) {
 	select {
 	case <-n.life.Done():
 		// Close won the race for this queued instance: fail it with the
 		// documented shutdown error, not a context-cancellation one.
-		n.finish(inst, nil, ErrNodeClosed)
-		return
+		return nil, ErrNodeClosed
 	default:
 	}
 	if err := inst.ctx.Err(); err != nil {
-		n.finish(inst, nil, fmt.Errorf("anonconsensus: instance %q: %w", inst.spec.ID, err))
-		return
+		return nil, fmt.Errorf("anonconsensus: instance %q: %w", inst.spec.ID, err)
 	}
 	runCtx, cancel := context.WithCancel(inst.ctx)
 	unwatch := context.AfterFunc(n.life, cancel)
@@ -471,15 +474,14 @@ func (n *Node) runInstance(inst *instance) {
 	unwatch()
 	cancel()
 	if err != nil {
-		n.finish(inst, nil, fmt.Errorf("anonconsensus: instance %q: %w", inst.spec.ID, err))
-		return
+		return nil, fmt.Errorf("anonconsensus: instance %q: %w", inst.spec.ID, err)
 	}
 	for _, d := range res.Decisions {
 		if d.Decided {
 			n.emit(Event{Instance: inst.spec.ID, Kind: EventDecision, Decision: d})
 		}
 	}
-	n.finish(inst, res, nil)
+	return res, nil
 }
 
 // finish records an instance's outcome exactly once and emits its

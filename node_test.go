@@ -3,6 +3,7 @@ package anonconsensus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -394,5 +395,31 @@ func TestNodeRoundTripAllocBudget(t *testing.T) {
 	const budget = 12
 	if n := testing.AllocsPerRun(200, run); n > budget {
 		t.Errorf("Node.Run over a canned transport: %v allocs/op, budget %d", n, budget)
+	}
+}
+
+// TestNodeStatsCountCompletionBeforeWait pins that Stats is current once
+// Wait returns: the instance Wait saw finish is already counted Completed,
+// and no longer InFlight. Counting after finish left a window of a few
+// instructions; 10,000 instances (about 0.15 s) hit it in 4 of 10 runs on
+// 2 vCPUs.
+func TestNodeStatsCountCompletionBeforeWait(t *testing.T) {
+	node, err := NewNode(NewSimTransport(), WithEnv(EnvES), WithGST(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	ctx := context.Background()
+	for k := int64(1); k <= 10000; k++ {
+		id := fmt.Sprintf("i%d", k)
+		if err := node.Propose(ctx, id, props(k, k+1, k+2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := node.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if s := node.Stats(); s.Completed != k || s.InFlight != 0 {
+			t.Fatalf("after Wait #%d: Completed=%d InFlight=%d, want %d and 0", k, s.Completed, s.InFlight, k)
+		}
 	}
 }

@@ -296,15 +296,26 @@ func TestAdmissionWaitBlocks(t *testing.T) {
 	if time.Since(start) < 5*time.Millisecond {
 		t.Fatal("second proposal did not wait for a token")
 	}
-	// A cancelled ctx aborts the wait.
+	tr.release <- struct{}{}
+	tr.release <- struct{}{}
+
+	// A cancelled ctx aborts the wait. It gets a node of its own, whose
+	// bucket refills once every 10 s: with the burst spent, no token can
+	// arrive within the ctx, however late this goroutine is scheduled.
+	slow, err := NewNode(NewSimTransport(), WithAdmission(0.1, 1), WithAdmissionWait())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if err := slow.Propose(context.Background(), "a", props(1, 2)); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	err = node.Propose(ctx, "c", props(1))
+	err = slow.Propose(ctx, "c", props(1, 2))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ctx deadline error from admission wait, got %v", err)
 	}
-	tr.release <- struct{}{}
-	tr.release <- struct{}{}
 }
 
 // TestServiceOptionValidation pins the new options' eager validation.

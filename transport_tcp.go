@@ -117,6 +117,8 @@ func (p *tcpPlane) lease(ctx context.Context, spec *InstanceSpec, interval time.
 			for _, reg := range slots[:i] {
 				reg.Unregister(p.epoch)
 			}
+			// Retired unused, so the hub's retired epochs stay one low-water mark.
+			p.hub.RetireEpoch(p.epoch)
 			return nil, 0, fmt.Errorf("anonconsensus: %s node %d: %w", p.name, i, err)
 		}
 	}
