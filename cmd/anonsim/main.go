@@ -204,7 +204,7 @@ func runSingleES(n int) error {
 	m := res.Metrics
 	fmt.Printf("ES n=%d synchronous: decided in %d rounds (%s wall)\n",
 		n, res.Rounds, elapsed.Round(time.Microsecond))
-	fmt.Printf("  broadcasts=%d deliveries=%d merges-skipped=%d dropped=%d\n",
+	fmt.Printf("  broadcasts=%d deliveries=%d shared-deliveries=%d dropped=%d\n",
 		m.Broadcasts, m.Deliveries, m.MergesSkipped, m.Dropped)
 	fmt.Printf("  payload-bytes=%d max-envelope=%d\n", m.PayloadBytes, m.MaxEnvelopeBytes)
 	return nil

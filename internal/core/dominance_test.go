@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"anonconsensus/internal/env"
@@ -11,131 +9,64 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// viewLogger wraps a round-local automaton and logs the structural content
-// of every round view it computes from: the canonical payload keys in
-// iteration order. It keeps the marker, so the process still recycles a
-// round once computed; the view is taken at compute time, the last moment
-// it exists. Two runs with equal logs agreed on every round view every
-// process ever computed from.
+// viewLogger wraps an automaton and logs every round view it computes
+// from: a fingerprint of its payloads' fingerprints in iteration order,
+// which is canonical key order. The view is taken at compute time, the last
+// moment it exists for a round-local process. Two runs with equal logs
+// agreed on every round view every process ever computed from.
 type viewLogger struct {
 	giraf.Automaton
 	i   int
-	log *[]string
+	log *[]roundView
 }
 
-func (viewLogger) ReadsOnlyRound() {}
+// roundView is one logged round view.
+type roundView struct {
+	round, proc int
+	view        values.Fingerprint
+}
 
 func (v viewLogger) Compute(k int, in giraf.Inbox) (giraf.Payload, giraf.Decision) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "r%d p%d|", k, v.i)
+	var h values.Hasher
 	for _, p := range in.Round(k) {
-		b.WriteString(p.PayloadKey())
-		b.WriteByte(',')
+		if fp, ok := p.(giraf.Fingerprinted); ok {
+			h.WriteFingerprint(fp.PayloadFingerprint())
+		} else {
+			h.WriteFingerprint(values.FingerprintString(p.PayloadKey()))
+		}
 	}
-	*v.log = append(*v.log, b.String())
+	*v.log = append(*v.log, roundView{k, v.i, h.Sum()})
 	return v.Automaton.Compute(k, in)
 }
 
-// logRoundViews wraps every automaton of cfg in a viewLogger.
-func logRoundViews(cfg sim.Config) (sim.Config, *[]string) {
-	log := &[]string{}
+// localViewLogger is a viewLogger that keeps the wrapped automaton's
+// giraf.RoundLocal marker, so the process still recycles a round once
+// computed and still takes shared rounds.
+type localViewLogger struct{ viewLogger }
+
+func (localViewLogger) ReadsOnlyRound() {}
+
+// logRoundViews wraps every automaton of cfg in a view logger that keeps
+// its RoundLocal marker, or its lack of one.
+func logRoundViews(cfg sim.Config) (sim.Config, *[]roundView) {
+	log := &[]roundView{}
 	aut := cfg.Automaton
-	cfg.Automaton = func(i int) giraf.Automaton { return viewLogger{aut(i), i, log} }
+	cfg.Automaton = func(i int) giraf.Automaton {
+		a := aut(i)
+		v := viewLogger{a, i, log}
+		if _, ok := a.(giraf.RoundLocal); ok {
+			return localViewLogger{v}
+		}
+		return v
+	}
 	return cfg, log
 }
 
-// TestDominanceSkipStructurallyIdentical is the property test for the
-// dominance-aware merge skipping: for every policy/scenario combination,
-// a run with skipping enabled must produce round views structurally
-// identical — payload key for payload key, process for process, round for
-// round — to the same run with skipping disabled (every envelope merged
-// element-wise), and identical Results up to the MergesSkipped counter
-// itself. Soundness argument in PERFORMANCE.md: merges are idempotent and
-// monotone, and fingerprint equality is structural equality, so a
-// dominated envelope cannot change any round view.
-func TestDominanceSkipStructurallyIdentical(t *testing.T) {
-	n := 12
-	props := DistinctProposals(n)
-	lossy := &env.Scenario{Seed: 5, LossPct: 20}
-	duppy := &env.Scenario{Seed: 9, DupPct: 35}
-	// policy is a factory: seeded policies are stateful (their RNG stream
-	// advances across Schedule calls), so each run needs a fresh one.
-	cases := []struct {
-		name     string
-		config   func(opts RunOpts) sim.Config
-		policy   func() env.Policy
-		scenario *env.Scenario
-	}{
-		{"ES synchronous", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() env.Policy { return env.Synchronous{} }, nil},
-		{"ES under MS", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() env.Policy { return &env.MS{Seed: 21, MaxDelay: 3} }, nil},
-		{"ES under ES policy lossy", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() env.Policy { return &env.ES{GST: 10, Pre: env.MS{Seed: 4, MaxDelay: 2}} }, lossy},
-		{"ES duplicating", func(o RunOpts) sim.Config { return ConfigES(props, o) },
-			func() env.Policy { return env.Synchronous{} }, duppy},
-		{"ESS under MS", func(o RunOpts) sim.Config { return ConfigESS(props, o) },
-			func() env.Policy {
-				return &env.ESS{GST: 8, StableSource: n - 1, Pre: env.MS{Seed: 13, Alternate: true}}
-			}, nil},
-		{"ESS lossy duplicating", func(o RunOpts) sim.Config { return ConfigESS(props, o) },
-			func() env.Policy { return &env.ESS{GST: 8, StableSource: 0, Pre: env.MS{Seed: 2, MaxDelay: 2}} },
-			&env.Scenario{Seed: 1, LossPct: 10, DupPct: 25}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(forceFull bool) (*sim.Result, []string) {
-				prev := giraf.ForceFullMergeForTest(forceFull)
-				defer giraf.ForceFullMergeForTest(prev)
-				cfg, log := logRoundViews(tc.config(RunOpts{
-					Policy:    tc.policy(),
-					Scenario:  tc.scenario,
-					MaxRounds: 60,
-				}))
-				res, err := sim.Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, *log
-			}
-			skipped, skippedLog := run(false)
-			full, fullLog := run(true)
-
-			if len(skippedLog) != len(fullLog) {
-				t.Fatalf("computed views differ in number: %d vs %d", len(skippedLog), len(fullLog))
-			}
-			for i := range skippedLog {
-				if skippedLog[i] != fullLog[i] {
-					t.Fatalf("round view %d diverged:\n skip: %s\n full: %s",
-						i, skippedLog[i], fullLog[i])
-				}
-			}
-			if full.Metrics.MergesSkipped != 0 {
-				t.Errorf("forced-full run still skipped %d merges", full.Metrics.MergesSkipped)
-			}
-			// Results must agree on everything except the skip counter.
-			fm, sm := full.Metrics, skipped.Metrics
-			sm.MergesSkipped, fm.MergesSkipped = 0, 0
-			if fm != sm {
-				t.Errorf("metrics diverged:\n skip: %+v\n full: %+v", sm, fm)
-			}
-			if full.Rounds != skipped.Rounds {
-				t.Errorf("rounds diverged: %d vs %d", skipped.Rounds, full.Rounds)
-			}
-			for i := range full.Statuses {
-				if full.Statuses[i] != skipped.Statuses[i] {
-					t.Errorf("process %d status diverged:\n skip: %+v\n full: %+v",
-						i, skipped.Statuses[i], full.Statuses[i])
-				}
-			}
-		})
-	}
-}
-
-// TestDominanceSkipEngages pins that the fast path actually fires where it
-// should: a fault-free synchronous ES run converges, and from then on
-// every rebroadcast is fingerprint-identical, so a healthy fraction of
-// deliveries must skip their merges.
+// TestDominanceSkipEngages pins where MergesSkipped counts: the deliveries
+// a shared round absorbed. A fault-free synchronous ES run with two camps
+// shares its rounds once the camps' sets stop colliding, so some but not
+// all deliveries are absorbed; the same run under a partition that never
+// comes into force delivers every envelope per receiver and absorbs none.
 func TestDominanceSkipEngages(t *testing.T) {
 	props := SplitProposals(16, 2)
 	res, err := RunES(props, RunOpts{Policy: env.Synchronous{}})
@@ -146,11 +77,20 @@ func TestDominanceSkipEngages(t *testing.T) {
 		t.Fatal("run did not decide")
 	}
 	if res.Metrics.MergesSkipped == 0 {
-		t.Error("no merge was ever skipped in a converging synchronous run")
+		t.Error("no delivery was ever absorbed by a shared round in a converging synchronous run")
 	}
 	if res.Metrics.MergesSkipped >= res.Metrics.Deliveries {
-		t.Errorf("skips %d must stay below deliveries %d (skipped deliveries still count)",
+		t.Errorf("shared deliveries %d must stay below deliveries %d (the two-camp round is not shared)",
 			res.Metrics.MergesSkipped, res.Metrics.Deliveries)
+	}
+	never := &env.Scenario{Partitions: []env.Partition{{From: 1000, Until: 1001, Cut: 1}}}
+	res, err = RunES(props, RunOpts{Policy: env.Synchronous{}, Scenario: never})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllCorrectDecided() || res.Metrics.MergesSkipped != 0 {
+		t.Errorf("under a never-active partition: decided %v, shared deliveries %d, want true and 0",
+			res.AllCorrectDecided(), res.Metrics.MergesSkipped)
 	}
 }
 

@@ -75,10 +75,13 @@ func (c sharedCase) config(faults env.Scenario) sim.Config {
 }
 
 // procCounters is what a process's framework state reports after a run.
-type procCounters struct{ delivered, mergeSkips, round int }
+type procCounters struct{ delivered, round int }
 
-func runShared(t testing.TB, cfg sim.Config) (*sim.Result, []procCounters) {
+// runShared runs cfg and returns its result, every process's counters and
+// the log of every round view computed.
+func runShared(t testing.TB, cfg sim.Config) (*sim.Result, []procCounters, []roundView) {
 	t.Helper()
+	cfg, log := logRoundViews(cfg)
 	e, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,31 +90,43 @@ func runShared(t testing.TB, cfg sim.Config) (*sim.Result, []procCounters) {
 	procs := make([]procCounters, e.N())
 	for i := range procs {
 		p := e.Proc(i)
-		procs[i] = procCounters{p.Delivered(), p.MergeSkips(), p.CurrentRound()}
+		procs[i] = procCounters{p.Delivered(), p.CurrentRound()}
 	}
-	return res, procs
+	return res, procs, *log
 }
 
 // checkSharedParity compares the case's run with a reference run whose
 // queue cannot collapse: a partition that never comes into force still
 // counts as a link fault, so every delivery is scheduled per receiver and
 // merged by its own Receive call — the path without fan-out entries, hence
-// without shared rounds.
+// without shared rounds. Every round view computed must match too.
 func checkSharedParity(t testing.TB, c sharedCase) {
 	t.Helper()
 	never := env.Partition{From: c.maxRounds + 100, Until: c.maxRounds + 101, Cut: 1}
-	got, gotProcs := runShared(t, c.config(env.Scenario{}))
-	want, wantProcs := runShared(t, c.config(env.Scenario{Partitions: []env.Partition{never}}))
-	if got.Rounds != want.Rounds || got.Metrics != want.Metrics {
+	got, gotProcs, gotViews := runShared(t, c.config(env.Scenario{}))
+	want, wantProcs, wantViews := runShared(t, c.config(env.Scenario{Partitions: []env.Partition{never}}))
+	// MergesSkipped counts the deliveries shared rounds absorbed, and the
+	// reference never takes a shared round.
+	gotMetrics := got.Metrics
+	gotMetrics.MergesSkipped = want.Metrics.MergesSkipped
+	if got.Rounds != want.Rounds || gotMetrics != want.Metrics {
 		t.Fatalf("%v: rounds %d metrics %+v, per-receiver reference rounds %d metrics %+v",
 			c, got.Rounds, got.Metrics, want.Rounds, want.Metrics)
+	}
+	if len(gotViews) != len(wantViews) {
+		t.Fatalf("%v: %d round views computed, reference %d", c, len(gotViews), len(wantViews))
+	}
+	for i := range wantViews {
+		if gotViews[i] != wantViews[i] {
+			t.Fatalf("%v: round view %d\n shared    %+v\n reference %+v", c, i, gotViews[i], wantViews[i])
+		}
 	}
 	for i := range want.Statuses {
 		if got.Statuses[i] != want.Statuses[i] {
 			t.Fatalf("%v: process %d status %+v, reference %+v", c, i, got.Statuses[i], want.Statuses[i])
 		}
 		if gotProcs[i] != wantProcs[i] {
-			t.Fatalf("%v: process %d delivered/skips/round %+v, reference %+v", c, i, gotProcs[i], wantProcs[i])
+			t.Fatalf("%v: process %d delivered/round %+v, reference %+v", c, i, gotProcs[i], wantProcs[i])
 		}
 	}
 }
@@ -120,9 +135,9 @@ func checkSharedParity(t testing.TB, c sharedCase) {
 // the automata (the three round-local ones and weakset, which must keep
 // the per-receiver path), the policies, sizes, crash steps — including a
 // sender crashing at the first shared step — and runs cut short by
-// MaxRounds, a run must match its per-receiver reference in every status,
-// every Metrics field and every process's Delivered, MergeSkips and
-// CurrentRound.
+// MaxRounds, a run must match its per-receiver reference in every round
+// view computed, every status, every Metrics field but MergesSkipped and
+// every process's Delivered and CurrentRound.
 func TestSharedRoundParity(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8, 64} {
 		// The big size runs a thinner grid: an undecided n=64 run under MS

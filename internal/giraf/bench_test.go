@@ -115,20 +115,22 @@ func BenchmarkReceiveNew(b *testing.B) {
 	}
 }
 
-// BenchmarkReceiveDominated: Receive of an envelope whose set fingerprint
-// the round already holds — the steady-state delivery, skipped whole.
-func BenchmarkReceiveDominated(b *testing.B) {
+// BenchmarkReceiveDuplicate: Receive of a 64-payload envelope the round
+// already holds — the steady-state delivery, one fingerprint lookup per
+// payload and nothing added.
+func BenchmarkReceiveDuplicate(b *testing.B) {
 	p := NewProc(&staticAut{pay: benchPayloads(1<<30, 1)[0]})
 	p.EndOfRound()
 	env := Envelope{Round: 1, Payloads: benchPayloads(0, 64), SetFingerprint: values.FingerprintString("seen")}
 	p.Receive(env)
+	delivered := p.Delivered()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Receive(env)
 	}
-	if p.MergeSkips() < b.N {
-		b.Fatalf("only %d of %d deliveries took the skip path", p.MergeSkips(), b.N)
+	if p.Delivered() != delivered {
+		b.Fatalf("duplicate deliveries added %d payloads", p.Delivered()-delivered)
 	}
 }
 

@@ -183,25 +183,12 @@ type roundInbox struct {
 	dirty bool
 	// view is the cached Round(k) snapshot; nil after an insertion.
 	view []Payload
-	dom  dominance
+	// setFP is the cached fingerprint of the round's full payload set in key
+	// order; zero after an insertion.
+	setFP values.Fingerprint
 	// adopters counts the processes holding this inbox as an adopted round
 	// (see SharedRound); storage with adopters is never written again.
 	adopters int
-}
-
-// dominance is what the merge-skip check (Proc.Receive) reads of a round.
-// A round-local process keeps it for every round it has computed, after
-// the round's payloads are recycled (see Proc.retire).
-type dominance struct {
-	// envFP is the cached fingerprint of the round's full payload set in key
-	// order; zero after an insertion.
-	envFP values.Fingerprint
-	// seen[:nseen] holds the set-fingerprints of envelopes already fully
-	// merged into the round. Envelopes beyond seenCap are simply not
-	// recorded — the dominance check is an optimization, merges stay
-	// idempotent without it.
-	seen  [seenCap]values.Fingerprint
-	nseen int
 }
 
 // roundInboxHint pre-sizes the per-round storage: typical rounds hold at
@@ -213,11 +200,6 @@ const roundInboxHint = 8
 // fingerprint scan; beyond it the idx table takes over. 16 entries × 16
 // bytes is four cache lines read in order — cheaper than a probe sequence.
 const inboxScanMax = 16
-
-// seenCap bounds the per-round list of merged envelope fingerprints. At
-// steady state a round sees one or two distinct envelope sets; 8 slots
-// absorb convergence churn without growing per-round state.
-const seenCap = 8
 
 func newRoundInbox() *roundInbox {
 	return &roundInbox{
@@ -242,7 +224,7 @@ func (ri *roundInbox) recycle() {
 	ri.indexed = 0
 	ri.dirty = false
 	ri.view = nil
-	ri.dom = dominance{}
+	ri.setFP = values.Fingerprint{}
 }
 
 // slotOf is where fp's probe sequence starts, before masking to the table
@@ -305,53 +287,6 @@ func (ri *roundInbox) find(fp values.Fingerprint) (slot int, ok bool) {
 	}
 }
 
-// dominates reports whether an inbound envelope with the given non-zero
-// set-fingerprint cannot add anything to this round: either its payload
-// set is structurally identical to the stored set (fingerprint equality ⇔
-// structural equality, the canonical-form invariant), or an envelope with
-// the same set-fingerprint — hence the same payload set — was already
-// merged in full. Only the *cached* set fingerprint is consulted (it is
-// valid whenever the round was broadcast and nothing was inserted since —
-// the steady state): recomputing it here would cost a hash over the whole
-// round per delivery, turning convergence into O(n³) hashing. A stale
-// cache just means one redundant merge, which insert dedups anyway.
-func (d *dominance) dominates(setFP values.Fingerprint) bool {
-	if !d.envFP.IsZero() && d.envFP == setFP {
-		return true
-	}
-	for _, f := range d.seen[:d.nseen] {
-		if f == setFP {
-			return true
-		}
-	}
-	return false
-}
-
-// recordMerged notes that an envelope with the given set-fingerprint has
-// been merged in full, so later identical envelopes can be skipped.
-func (d *dominance) recordMerged(setFP values.Fingerprint) {
-	if setFP.IsZero() || d.nseen >= seenCap {
-		return
-	}
-	d.seen[d.nseen] = setFP
-	d.nseen++
-}
-
-// dropStale stands in for the merge of an undominated envelope into a
-// computed round whose payloads are gone: the envelope is recorded as
-// merged, and the cached set fingerprint is dropped as an insertion would
-// drop it. On the simulator that keeps MergesSkipped exactly what it would
-// be had the round kept its payloads: a cached envFP means the round still
-// holds what it broadcast, which in lockstep is the process's own payload
-// alone, so an undominated envelope always carries something new. On the
-// wall-clock planes a round may have gathered more before its broadcast;
-// there a later envelope carrying exactly the broadcast set may count as
-// a drop rather than a skip.
-func (d *dominance) dropStale(setFP values.Fingerprint) {
-	d.envFP = values.Fingerprint{}
-	d.recordMerged(setFP)
-}
-
 // insert adds a payload with the given fingerprint, keeping the key order;
 // it reports whether the payload was new. key is the payload's canonical
 // key when the caller already has it; "" makes insert fetch it, which it
@@ -377,7 +312,7 @@ func (ri *roundInbox) insert(key string, fp values.Fingerprint, pay Payload) boo
 		ri.indexed = len(ri.fps)
 	}
 	ri.view = nil
-	ri.dom.envFP = values.Fingerprint{}
+	ri.setFP = values.Fingerprint{}
 	return true
 }
 
@@ -422,15 +357,15 @@ func (ri *roundInbox) snapshot() []Payload {
 // of the full payload set in key order.
 func (ri *roundInbox) setFingerprint() values.Fingerprint {
 	ri.ensureSorted()
-	if ri.dom.envFP.IsZero() {
+	if ri.setFP.IsZero() {
 		var h values.Hasher
 		h.WriteString("E")
 		for _, fp := range ri.fps {
 			h.WriteFingerprint(fp)
 		}
-		ri.dom.envFP = h.Sum()
+		ri.setFP = h.Sum()
 	}
-	return ri.dom.envFP
+	return ri.setFP
 }
 
 // Proc is the framework state of one process: its round number, inbox
@@ -456,28 +391,19 @@ type Proc struct {
 
 	// roundLocal caches whether the automaton implements RoundLocal.
 	roundLocal bool
-	// retired[k] is the dominance state of computed round k, kept by a
-	// round-local process after it recycled the round's payloads.
-	retired []dominance
 
 	// spare holds recycled round inboxes (from Reset and retire) that
 	// future merges reuse instead of allocating.
 	spare []*roundInbox
 
 	// shared is the SharedRound union the process adopted for round
-	// sharedRound (inbox[sharedRound] points to it), nil when it holds none;
-	// sharedDom is its private dominance state for that round. The union's
-	// own dom field is unused.
+	// sharedRound (inbox[sharedRound] points to it), nil when it holds none.
 	shared      *roundInbox
 	sharedRound int
-	sharedDom   dominance
 
 	// delivered counts payload-set merges that actually added something;
 	// exposed for metrics.
 	delivered int
-	// mergeSkips counts envelopes whose element-wise merge was skipped by
-	// the dominance check (Receive); exposed for metrics.
-	mergeSkips int
 }
 
 var _ Inbox = (*Proc)(nil)
@@ -560,25 +486,6 @@ func (p *Proc) Decision() Decision { return p.decision }
 // for metrics.
 func (p *Proc) Delivered() int { return p.delivered }
 
-// MergeSkips returns the number of envelopes whose element-wise merge the
-// dominance check skipped, for metrics.
-func (p *Proc) MergeSkips() int { return p.mergeSkips }
-
-// testForceFullMerge disables the dominance-check fast path so tests can
-// compare skipped and always-merged runs element for element; see
-// ForceFullMergeForTest.
-var testForceFullMerge bool
-
-// ForceFullMergeForTest disables (on=true) or re-enables (on=false) the
-// dominance-check merge skipping globally. It exists solely for the
-// dominance property tests, which assert that skipped and unskipped runs
-// produce structurally identical round views; production code must never
-// call it. It returns the previous setting.
-func ForceFullMergeForTest(on bool) (prev bool) {
-	prev, testForceFullMerge = testForceFullMerge, on
-	return prev
-}
-
 // Receive merges a broadcast envelope into the inbox (Algorithm 1 lines
 // 13–14: M_i[k] := M_i[k] ∪ M). Envelopes arriving after the process halted
 // are ignored. The envelope must be in full form (Refs resolved by the
@@ -586,63 +493,25 @@ func ForceFullMergeForTest(on bool) (prev bool) {
 // broadcast, where every referenced payload also arrives in full in the
 // sender's earlier envelope.
 //
-// Dominance-aware skipping: when the envelope carries a non-zero
-// SetFingerprint and the round's stored set already dominates it — the
-// stored set is structurally identical (equal set-fingerprint), or an
-// envelope with the same set-fingerprint was already merged in full — the
-// element-wise merge is skipped entirely. The skip is sound because set
-// merging is idempotent and monotone and fingerprint equality is
-// structural equality, so a dominated envelope cannot add an element,
-// cannot extend Fresh, and cannot change Delivered. At steady state
-// (every process broadcasting the same converged set) this turns the
-// common-case delivery into one fingerprint comparison.
+// Receiving is idempotent: a payload the round already holds is found by
+// its fingerprint and changes nothing, so a duplicate envelope — the steady
+// state, where every process rebroadcasts the same converged set — costs
+// one fingerprint lookup per payload and no allocation.
 //
 // Stale-round skipping: a round-local process (see RoundLocal) drops an
 // envelope for a round it has already computed, since nothing reads that
-// round again. The drop comes after the dominance check, which reads the
-// round's retained dominance state, so MergesSkipped counts what it would
-// count had the envelope been merged.
+// round again.
 //
 // An envelope for a round the process adopted from a SharedRound first
 // copies that round into the process's own storage.
 func (p *Proc) Receive(env Envelope) {
-	if p.halted {
+	if p.halted || p.roundLocal && env.Round < p.round {
 		return
 	}
-	stale := p.roundLocal && env.Round < p.round
-	if p.shared != nil && !stale && env.Round == p.sharedRound {
+	if p.shared != nil && env.Round == p.sharedRound {
 		p.privatize()
 	}
-	if !env.SetFingerprint.IsZero() && !testForceFullMerge {
-		if d := p.dominanceAt(env.Round, stale); d != nil && d.dominates(env.SetFingerprint) {
-			p.mergeSkips++
-			return
-		}
-	}
-	if stale {
-		if env.Round >= 0 {
-			p.retired[env.Round].dropStale(env.SetFingerprint)
-		}
-		return
-	}
-	ri := p.merge(env.Round, env.Payloads)
-	ri.dom.recordMerged(env.SetFingerprint)
-}
-
-// dominanceAt returns the dominance state of round k, or nil when the round
-// has none: a computed round's retained state for a stale envelope, the
-// round's storage otherwise.
-func (p *Proc) dominanceAt(k int, stale bool) *dominance {
-	if stale {
-		if k < 0 {
-			return nil
-		}
-		return &p.retired[k]
-	}
-	if ri := p.roundAt(k); ri != nil {
-		return &ri.dom
-	}
-	return nil
+	p.merge(env.Round, env.Payloads)
 }
 
 // takeRoundInbox returns a cleared round inbox, reusing recycled storage
@@ -744,24 +613,19 @@ func (p *Proc) EndOfRound() (Envelope, bool) {
 }
 
 // retire recycles the storage of round k, which a round-local process has
-// just computed (round 0: initialized), keeping only its dominance state.
-// Rounds are computed in order, so retired[k] is appended here and
-// len(retired) == CurrentRound() after every end-of-round.
+// just computed (round 0: initialized).
 func (p *Proc) retire(k int) {
-	var d dominance
-	if k < len(p.inbox) && p.inbox[k] != nil {
-		ri := p.inbox[k]
-		if ri == p.shared {
-			d = p.sharedDom
-			p.release()
-		} else {
-			d = ri.dom
-			ri.recycle()
-			p.spare = append(p.spare, ri)
-		}
-		p.inbox[k] = nil
+	if k >= len(p.inbox) || p.inbox[k] == nil {
+		return
 	}
-	p.retired = append(p.retired, d)
+	ri := p.inbox[k]
+	p.inbox[k] = nil
+	if ri == p.shared {
+		p.release()
+		return
+	}
+	ri.recycle()
+	p.spare = append(p.spare, ri)
 }
 
 // LastOwnPayload returns the payload the automaton produced at the most
@@ -799,7 +663,6 @@ func (p *Proc) InboxRounds() int {
 func (p *Proc) Reset(aut Automaton) {
 	p.aut = aut
 	_, p.roundLocal = aut.(RoundLocal)
-	p.retired = p.retired[:0]
 	p.round = 0
 	clear(p.fresh)
 	p.fresh = p.fresh[:0]
@@ -807,7 +670,6 @@ func (p *Proc) Reset(aut Automaton) {
 	p.decision = Decision{}
 	p.lastOwn = nil
 	p.delivered = 0
-	p.mergeSkips = 0
 	if p.shared != nil {
 		p.inbox[p.sharedRound] = nil
 		p.release()

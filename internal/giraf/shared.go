@@ -14,12 +14,12 @@ import (
 // replaces n−1 Receive calls per receiver. Two shapes of round have an
 // outcome that is the same for every receiver and exact in every counter:
 //
-//   - uniform: every envelope carries the same set. Each one is dominated
-//     at every receiver, so a receiver only counts its skips.
-//   - distinct: the envelopes' set fingerprints are pairwise distinct.
-//     None is dominated anywhere, so the union is merged once into a sealed
-//     (sorted) inbox that each receiver adopts read-only, with Delivered and
-//     its own dominance state set to what its merges would have left.
+//   - uniform: every envelope carries the same set, the one each receiver
+//     already holds, so no merge could add anything and nothing is done.
+//   - distinct: the envelopes' set fingerprints are pairwise distinct, so
+//     the union is merged once into a sealed (sorted) inbox that each
+//     receiver adopts read-only, with Delivered grown by what its merges
+//     would have added.
 //
 // An adopted round is never written: a later Receive into it first copies
 // it into the process's own storage, and retire and Reset drop the
@@ -41,7 +41,7 @@ type SharedRound struct {
 // changes nothing and reports false, and the caller delivers envelope by
 // envelope.
 func (s *SharedRound) Deliver(k int, envs []*Envelope, receivers []*Proc) bool {
-	if len(envs) == 0 || testForceFullMerge {
+	if len(envs) == 0 {
 		return false
 	}
 	first := envs[0].SetFingerprint
@@ -68,12 +68,9 @@ func (s *SharedRound) Deliver(k int, envs []*Envelope, receivers []*Proc) bool {
 		if p.halted {
 			continue
 		}
-		// The receiver's own set must be one of the envelopes'.
-		ri := p.sharedStart(k)
-		if ri == nil {
-			return false
-		}
-		own := ri.dom.envFP
+		// The receiver's own set must be one of the envelopes'. A zero
+		// fingerprint, from a receiver not in a fresh round, is none of them.
+		own := p.sharedStart(k)
 		if uniform {
 			if own != first {
 				return false
@@ -82,17 +79,13 @@ func (s *SharedRound) Deliver(k int, envs []*Envelope, receivers []*Proc) bool {
 			return false
 		}
 	}
-	var union *roundInbox
-	if !uniform {
-		union = s.build(envs)
+	if uniform {
+		return true
 	}
+	union := s.build(envs)
 	for _, p := range receivers {
-		switch {
-		case p.halted:
-		case uniform:
-			p.mergeSkips += len(envs) - 1
-		default:
-			p.adopt(k, union, envs)
+		if !p.halted {
+			p.adopt(k, union)
 		}
 	}
 	return true
@@ -117,60 +110,39 @@ func (s *SharedRound) build(envs []*Envelope) *roundInbox {
 	return ri
 }
 
-// sharedStart returns p's storage for round k when the round is in the
-// state a timely round's delivery starts from, nil otherwise: p is
-// round-local and holds no adopted round, k is not a computed round, and
-// round k is p's own storage holding exactly the set p broadcast — its set
-// fingerprint still cached, no envelope merged into it yet.
-func (p *Proc) sharedStart(k int) *roundInbox {
-	if !p.roundLocal || p.shared != nil || k < p.round || k >= len(p.inbox) {
-		return nil
+// sharedStart returns the set fingerprint p's round k caches when the
+// round is in the state a timely round's delivery starts from, zero
+// otherwise: p is round-local and holds no adopted round, k is not a
+// computed round, and round k is p's own storage holding exactly the set p
+// broadcast, whose fingerprint any insertion since would have cleared.
+func (p *Proc) sharedStart(k int) values.Fingerprint {
+	if !p.roundLocal || p.shared != nil || k < p.round || k >= len(p.inbox) || p.inbox[k] == nil {
+		return values.Fingerprint{}
 	}
-	ri := p.inbox[k]
-	if ri == nil || ri.dom.nseen != 0 || ri.dom.envFP.IsZero() {
-		return nil
-	}
-	return ri
+	return p.inbox[k].setFP
 }
 
-// adopt makes the sealed union of envs p's round k, in place of p's own
-// storage, which holds the set p broadcast. The envelopes' set
-// fingerprints are pairwise distinct, p's own among them, so each of the
-// others would have been merged in full, in order: Delivered grows by the
-// payloads the union adds, the first seenCap of them are recorded as
-// merged, and the cached set fingerprint survives only if nothing was
-// added.
-func (p *Proc) adopt(k int, union *roundInbox, envs []*Envelope) {
+// adopt makes the sealed union of a distinct round p's round k, in place
+// of p's own storage, which holds the set p broadcast, one of the union's
+// parts: Delivered grows by the payloads the union adds.
+func (p *Proc) adopt(k int, union *roundInbox) {
 	own := p.inbox[k]
-	var d dominance
-	if len(union.pays) == len(own.pays) {
-		d.envFP = own.dom.envFP
-	}
-	for _, env := range envs {
-		if d.nseen == seenCap {
-			break
-		}
-		if fp := env.SetFingerprint; fp != own.dom.envFP {
-			d.recordMerged(fp)
-		}
-	}
 	p.delivered += len(union.pays) - len(own.pays)
 	own.recycle()
 	p.spare = append(p.spare, own)
 	p.inbox[k] = union
-	p.shared, p.sharedRound, p.sharedDom = union, k, d
+	p.shared, p.sharedRound = union, k
 	union.adopters++
 }
 
-// privatize copies the adopted round into p's own storage, carrying p's
-// dominance state for it, so the round can be written.
+// privatize copies the adopted round into p's own storage, so the round
+// can be written.
 func (p *Proc) privatize() {
 	src := p.shared
 	ri := p.takeRoundInbox()
 	ri.keys = append(ri.keys, src.keys...)
 	ri.pays = append(ri.pays, src.pays...)
 	ri.fps = append(ri.fps, src.fps...)
-	ri.dom = p.sharedDom
 	p.inbox[p.sharedRound] = ri
 	p.release()
 }
@@ -180,7 +152,6 @@ func (p *Proc) privatize() {
 func (p *Proc) release() {
 	p.shared.adopters--
 	p.shared = nil
-	p.sharedDom = dominance{}
 }
 
 // compareFP orders fingerprints (Hi, then Lo) for the distinctness test.

@@ -14,8 +14,7 @@ type localStatic struct{ staticAut }
 func (*localStatic) ReadsOnlyRound() {}
 
 // sharedSpec describes one process of a shared-round test: its own payload
-// and the payloads it already holds for round 1 when it broadcasts, which
-// arrive in an envelope without a set fingerprint, so no merge is recorded.
+// and the payloads it already received for round 1 when it broadcasts.
 type sharedSpec struct {
 	own    int64
 	extras []int64
@@ -56,17 +55,6 @@ func envPtrs(envs []Envelope) []*Envelope {
 	return out
 }
 
-// roundDom is the dominance state the merge-skip check reads for round k.
-func roundDom(p *Proc, k int) dominance {
-	if p.shared != nil && p.sharedRound == k {
-		return p.sharedDom
-	}
-	if k < p.round {
-		return p.retired[k]
-	}
-	return p.inbox[k].dom
-}
-
 // procView is everything a delivery can change in a process, as the
 // shared-round tests compare it.
 func procView(p *Proc, k int) string {
@@ -76,17 +64,16 @@ func procView(p *Proc, k int) string {
 	}
 	fps := slices.Clone(p.RoundFingerprints(k))
 	slices.SortFunc(fps, compareFP)
-	return fmt.Sprintf("delivered=%d skips=%d round=%d keys=%v fps=%v dom=%+v",
-		p.Delivered(), p.MergeSkips(), p.CurrentRound(), keys, fps, roundDom(p, k))
+	return fmt.Sprintf("delivered=%d round=%d keys=%v fps=%v",
+		p.Delivered(), p.CurrentRound(), keys, fps)
 }
 
 // TestSharedRoundMatchesReceive is SharedRound's differential test: a
 // delivered round leaves every process exactly as Receive-ing every other
-// process's envelope in order would — Delivered, MergeSkips, the round's
-// payloads and the dominance state — and so do the envelopes that follow:
-// one more into the adopted round (copy on write), then, once the round is
-// computed, late duplicates of the process's own set, of a merged set, of
-// the last envelope and of a new one.
+// process's envelope in order would — Delivered and the round's payloads —
+// and so do the envelopes that follow: one more into the adopted round
+// (copy on write), then, once the round is computed, late duplicates of the
+// process's own set, of a merged set, of the last envelope and of a new one.
 func TestSharedRoundMatchesReceive(t *testing.T) {
 	singles := func(n int) []sharedSpec {
 		specs := make([]sharedSpec, n)
@@ -96,20 +83,31 @@ func TestSharedRoundMatchesReceive(t *testing.T) {
 		return specs
 	}
 	cases := []struct {
-		name  string
-		specs []sharedSpec
+		name    string
+		specs   []sharedSpec
+		prepare func(procs []*Proc) // applied to both runs before delivery
 	}{
-		{"distinct singletons", singles(5)},
-		{"more envelopes than seenCap", singles(seenCap + 4)},
-		{"overlapping sets", []sharedSpec{{1, []int64{10}}, {2, []int64{10, 11}}, {3, nil}, {4, []int64{11}}}},
-		{"own set is the union", []sharedSpec{{1, []int64{2, 3}}, {2, nil}, {3, nil}}},
-		{"uniform", []sharedSpec{{7, nil}, {7, nil}, {7, nil}, {7, nil}}},
-		{"uniform sets", []sharedSpec{{7, []int64{8}}, {8, []int64{7}}, {7, []int64{8}}}},
+		{"distinct singletons", singles(5), nil},
+		{"twelve distinct singletons", singles(12), nil},
+		{"overlapping sets", []sharedSpec{{1, []int64{10}}, {2, []int64{10, 11}}, {3, nil}, {4, []int64{11}}}, nil},
+		{"own set is the union", []sharedSpec{{1, []int64{2, 3}}, {2, nil}, {3, nil}}, nil},
+		{"uniform", []sharedSpec{{7, nil}, {7, nil}, {7, nil}, {7, nil}}, nil},
+		{"uniform sets", []sharedSpec{{7, []int64{8}}, {8, []int64{7}}, {7, []int64{8}}}, nil},
+		// A merge that adds nothing leaves the round holding exactly the
+		// set the process broadcast, so the round is still taken.
+		{"receiver already merged a set it holds", []sharedSpec{{1, nil}, {2, nil}},
+			func(procs []*Proc) {
+				procs[0].Receive(Envelope{Round: 1, Payloads: []Payload{fpSet(1)}, SetFingerprint: values.FingerprintString("x")})
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			shared, envs := broadcastRound1(tc.specs)
 			ref, _ := broadcastRound1(tc.specs)
+			if tc.prepare != nil {
+				tc.prepare(shared)
+				tc.prepare(ref)
+			}
 			var s SharedRound
 			if !s.Deliver(1, envPtrs(envs), shared) {
 				t.Fatal("Deliver declined the round")
@@ -165,10 +163,6 @@ func TestSharedRoundDeclines(t *testing.T) {
 		{"mixed sets", []sharedSpec{{1, nil}, {1, nil}, {2, nil}}, 0, nil},
 		{"receiver already merged an envelope", []sharedSpec{{1, nil}, {2, nil}, {3, nil}}, 0,
 			func(procs []*Proc, envs []Envelope) { procs[0].Receive(envs[1]) }},
-		{"receiver already merged a set it holds", []sharedSpec{{1, nil}, {2, nil}}, 0,
-			func(procs []*Proc, envs []Envelope) {
-				procs[0].Receive(Envelope{Round: 1, Payloads: []Payload{fpSet(1)}, SetFingerprint: values.FingerprintString("x")})
-			}},
 		{"receiver's set not sent, uniform", []sharedSpec{{1, nil}, {1, nil}, {2, nil}}, 1, nil},
 		{"receiver's set not sent, distinct", []sharedSpec{{1, nil}, {2, nil}, {3, nil}}, 1, nil},
 		{"receiver not round-local", []sharedSpec{{1, nil}, {2, nil}}, 0,

@@ -107,10 +107,10 @@ type Metrics struct {
 	// Duplicated is the number of extra deliveries injected by the
 	// scenario's duplication rate (0 without a scenario).
 	Duplicated int
-	// MergesSkipped is the number of delivered envelopes whose element-wise
-	// inbox merge the dominance check skipped because the receiver's round
-	// view already dominated the envelope's set fingerprint (see
-	// PERFORMANCE.md). A skipped delivery still counts in Deliveries.
+	// MergesSkipped is the number of deliveries a shared round absorbed:
+	// made to every receiver at once by giraf.SharedRound instead of one
+	// Receive call each (see PERFORMANCE.md). They still count in
+	// Deliveries.
 	MergesSkipped int
 }
 
@@ -417,7 +417,6 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	for i, p := range e.procs {
 		st := &e.status[i]
 		st.LastRound = p.CurrentRound()
-		e.metrics.MergesSkipped += p.MergeSkips()
 		if d := p.Decision(); d.Decided {
 			st.Decided = true
 			st.Decision = d.Value
@@ -553,6 +552,7 @@ func (e *Engine) deliverShared(step int, q []pendingDelivery) ([]pendingDelivery
 		}
 	}
 	e.sharedAt = step
+	e.metrics.MergesSkipped += delivered
 	rest := q[:0]
 	for _, d := range q {
 		if d.receiver != fanOutAll || d.env.Round != step {

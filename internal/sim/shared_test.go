@@ -107,7 +107,7 @@ func TestSharedRoundPooledMatchesFresh(t *testing.T) {
 		out := fmt.Sprintf("%+v", *res)
 		for i := 0; i < e.N(); i++ {
 			p := e.Proc(i)
-			out += fmt.Sprintf(" %d/%d/%d", p.Delivered(), p.MergeSkips(), p.CurrentRound())
+			out += fmt.Sprintf(" %d/%d", p.Delivered(), p.CurrentRound())
 		}
 		return out
 	}
