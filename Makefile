@@ -119,12 +119,15 @@ scenarios-smoke:
 # reconnect / session-resumption / heartbeat / hub kill+restart /
 # Hello-only admission tests, the root-level chaos tests that cut one
 # node's link mid-run on both TCP shapes, the held-rounds sweep (every
-# link held for up to 64 beats in two rounds) and the conformance matrix
-# — all under the race detector, in short mode, well under a minute.
+# link held for up to 64 beats in two rounds), the MS sweeps (a source in
+# every round of every link-fault-free run: anonnet's ES/ESS profiles,
+# and MuxNodes on every way an epoch is opened) and the conformance
+# matrix — all under the race detector, in short mode, well under a
+# minute.
 chaos-smoke:
 	$(GO) test -race -short -count=1 ./internal/netchaos
-	$(GO) test -race -short -count=1 -run 'Reconnect|HubRestart|NeverHeals|Heartbeat|Overwhelm|Hello|NonHello' ./internal/tcpnet
-	$(GO) test -race -short -count=1 -run '^TestHeldRoundsKeepAgreement$$' ./internal/anonnet
+	$(GO) test -race -short -count=1 -run 'Reconnect|HubRestart|NeverHeals|Heartbeat|Overwhelm|Hello|NonHello|^TestMuxRunsKeepMS$$' ./internal/tcpnet
+	$(GO) test -race -short -count=1 -run '^(TestHeldRoundsKeepAgreement|TestProfilesKeepMS)$$' ./internal/anonnet
 	$(GO) test -race -short -count=1 -run 'TestTCPChaos|^TestConformance$$' .
 
 # mux-smoke is the multi-tenant service plane's quick pass, run by CI on

@@ -5,62 +5,8 @@ import (
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
-	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
 )
-
-// viewLogger wraps an automaton and logs every round view it computes
-// from: a fingerprint of its payloads' fingerprints in iteration order,
-// which is canonical key order. The view is taken at compute time, the last
-// moment it exists for a round-local process. Two runs with equal logs
-// agreed on every round view every process ever computed from.
-type viewLogger struct {
-	giraf.Automaton
-	i   int
-	log *[]roundView
-}
-
-// roundView is one logged round view.
-type roundView struct {
-	round, proc int
-	view        values.Fingerprint
-}
-
-func (v viewLogger) Compute(k int, in giraf.Inbox) (giraf.Payload, giraf.Decision) {
-	var h values.Hasher
-	for _, p := range in.Round(k) {
-		if fp, ok := p.(giraf.Fingerprinted); ok {
-			h.WriteFingerprint(fp.PayloadFingerprint())
-		} else {
-			h.WriteFingerprint(values.FingerprintString(p.PayloadKey()))
-		}
-	}
-	*v.log = append(*v.log, roundView{k, v.i, h.Sum()})
-	return v.Automaton.Compute(k, in)
-}
-
-// localViewLogger is a viewLogger that keeps the wrapped automaton's
-// giraf.RoundLocal marker, so the process still recycles a round once
-// computed and still takes shared rounds.
-type localViewLogger struct{ viewLogger }
-
-func (localViewLogger) ReadsOnlyRound() {}
-
-// logRoundViews wraps every automaton of cfg in a view logger that keeps
-// its RoundLocal marker, or its lack of one.
-func logRoundViews(cfg sim.Config) (sim.Config, *[]roundView) {
-	log := &[]roundView{}
-	aut := cfg.Automaton
-	cfg.Automaton = func(i int) giraf.Automaton {
-		a := aut(i)
-		v := viewLogger{a, i, log}
-		if _, ok := a.(giraf.RoundLocal); ok {
-			return localViewLogger{v}
-		}
-		return v
-	}
-	return cfg, log
-}
 
 // TestDominanceSkipEngages pins where MergesSkipped counts: the deliveries
 // a shared round absorbed. A fault-free synchronous ES run with two camps

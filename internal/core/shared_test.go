@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/sim"
+	"anonconsensus/internal/values"
 	"anonconsensus/internal/weakset"
 )
 
@@ -78,10 +82,11 @@ func (c sharedCase) config(faults env.Scenario) sim.Config {
 type procCounters struct{ delivered, round int }
 
 // runShared runs cfg and returns its result, every process's counters and
-// the log of every round view computed.
-func runShared(t testing.TB, cfg sim.Config) (*sim.Result, []procCounters, []roundView) {
+// the record of every round view computed.
+func runShared(t testing.TB, cfg sim.Config) (*sim.Result, []procCounters, *property.Record[values.Fingerprint]) {
 	t.Helper()
-	cfg, log := logRoundViews(cfg)
+	rec := property.NewRecorder(cfg.Automaton)
+	cfg.Automaton = rec.Automaton
 	e, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +97,7 @@ func runShared(t testing.TB, cfg sim.Config) (*sim.Result, []procCounters, []rou
 		p := e.Proc(i)
 		procs[i] = procCounters{p.Delivered(), p.CurrentRound()}
 	}
-	return res, procs, *log
+	return res, procs, &rec.Record
 }
 
 // checkSharedParity compares the case's run with a reference run whose
@@ -113,12 +118,15 @@ func checkSharedParity(t testing.TB, c sharedCase) {
 		t.Fatalf("%v: rounds %d metrics %+v, per-receiver reference rounds %d metrics %+v",
 			c, got.Rounds, got.Metrics, want.Rounds, want.Metrics)
 	}
-	if len(gotViews) != len(wantViews) {
-		t.Fatalf("%v: %d round views computed, reference %d", c, len(gotViews), len(wantViews))
-	}
-	for i := range wantViews {
-		if gotViews[i] != wantViews[i] {
-			t.Fatalf("%v: round view %d\n shared    %+v\n reference %+v", c, i, gotViews[i], wantViews[i])
+	for k := 1; k <= max(gotViews.Rounds(), wantViews.Rounds()); k++ {
+		if !slices.Equal(gotViews.Computed(k), wantViews.Computed(k)) || !slices.Equal(gotViews.Sent(k), wantViews.Sent(k)) {
+			t.Fatalf("%v: round %d computed by %v sending %v, reference %v sending %v", c, k,
+				gotViews.Computed(k), gotViews.Sent(k), wantViews.Computed(k), wantViews.Sent(k))
+		}
+		for _, p := range wantViews.Computed(k) {
+			if !maps.Equal(gotViews.Held(k, p), wantViews.Held(k, p)) {
+				t.Fatalf("%v: process %d's round-%d view\n shared    %v\n reference %v", c, p, k, gotViews.Held(k, p), wantViews.Held(k, p))
+			}
 		}
 	}
 	for i := range want.Statuses {

@@ -387,7 +387,6 @@ type Proc struct {
 	fresh    []Payload
 	halted   bool
 	decision Decision
-	lastOwn  Payload
 
 	// roundLocal caches whether the automaton implements RoundLocal.
 	roundLocal bool
@@ -602,7 +601,6 @@ func (p *Proc) EndOfRound() (Envelope, bool) {
 	// Fresh's contract allows.
 	clear(p.fresh)
 	p.fresh = p.fresh[:0]
-	p.lastOwn = pay
 	ri := p.merge(p.round+1, []Payload{pay})
 	p.round++
 	return Envelope{
@@ -627,12 +625,6 @@ func (p *Proc) retire(k int) {
 	ri.recycle()
 	p.spare = append(p.spare, ri)
 }
-
-// LastOwnPayload returns the payload the automaton produced at the most
-// recent end-of-round (the process's own round-CurrentRound message), or
-// nil before initialization. Environment checkers use it to test the
-// payload-containment form of timeliness (footnote 2 of the paper).
-func (p *Proc) LastOwnPayload() Payload { return p.lastOwn }
 
 // InboxSize returns the number of distinct payloads stored for round k,
 // for tests and metrics.
@@ -668,7 +660,6 @@ func (p *Proc) Reset(aut Automaton) {
 	p.fresh = p.fresh[:0]
 	p.halted = false
 	p.decision = Decision{}
-	p.lastOwn = nil
 	p.delivered = 0
 	if p.shared != nil {
 		p.inbox[p.sharedRound] = nil

@@ -160,18 +160,16 @@ type nilAutomaton struct{}
 func (nilAutomaton) Initialize() Payload                    { return nil }
 func (nilAutomaton) Compute(int, Inbox) (Payload, Decision) { return nil, Decision{} }
 
-func TestDeliveredAndLastOwnPayload(t *testing.T) {
+// TestDeliveredCountsOwnPayload: a process's own payload is in its own
+// round inbox, and counts as delivered.
+func TestDeliveredCountsOwnPayload(t *testing.T) {
 	p := NewProc(&echoAutomaton{v: values.Num(1)})
-	if p.LastOwnPayload() != nil {
-		t.Error("LastOwnPayload before init must be nil")
-	}
 	p.EndOfRound()
 	if p.Delivered() != 1 {
 		t.Errorf("Delivered = %d, want 1 (own payload)", p.Delivered())
 	}
-	own := p.LastOwnPayload()
-	if own == nil || own.PayloadKey() != (setPayload{values.NewSet(values.Num(1))}).PayloadKey() {
-		t.Errorf("LastOwnPayload = %v", own)
+	if own := p.Round(1); len(own) != 1 || own[0].PayloadKey() != (setPayload{values.NewSet(values.Num(1))}).PayloadKey() {
+		t.Errorf("round-1 inbox = %v, want the own payload", own)
 	}
 	p.Receive(Envelope{Round: 1, Payloads: []Payload{setPayload{values.NewSet(values.Num(7))}}})
 	if p.Delivered() != 2 {
@@ -204,7 +202,7 @@ func TestProcResetMatchesFresh(t *testing.T) {
 	driveProc(t, reused) // dirty it with a different automaton's run
 	reused.Reset(&echoAutomaton{v: values.Num(1)})
 	if reused.CurrentRound() != 0 || reused.Halted() || reused.Decision().Decided ||
-		reused.Delivered() != 0 || reused.LastOwnPayload() != nil || reused.InboxRounds() != 0 {
+		reused.Delivered() != 0 || reused.InboxRounds() != 0 {
 		t.Fatal("Reset left framework state behind")
 	}
 	if got := driveProc(t, reused); got != want {

@@ -15,16 +15,18 @@
 // The emulator runs real goroutines against any weakset.WeakSet (the
 // linearizable in-memory one, or the register-based constructions — in
 // particular over an ABD cluster, making the whole stack message-passing).
+// A property.Recorder around the automata records what each process sent
+// and held, and Theorem 4 is judged there by property.CheckMS.
 package msemu
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 
 	"anonconsensus/internal/giraf"
-	"anonconsensus/internal/ordered"
 	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 	"anonconsensus/internal/weakset"
@@ -86,18 +88,6 @@ func decodeEnvelope(c PayloadCodec, v values.Value) (giraf.Envelope, error) {
 	return env, nil
 }
 
-// RoundView is what one process had in its round-k inbox when it executed
-// compute(k), keyed by payload key — the raw material for checking the MS
-// property on the emulated environment.
-type RoundView struct {
-	Proc  int
-	Round int
-	// Inbox holds the payload keys present at compute time.
-	Inbox map[string]bool
-	// OwnPayload is the payload key this process produced for round k.
-	OwnPayload string
-}
-
 // Config describes an emulation run.
 type Config struct {
 	// N is the number of processes (goroutines).
@@ -126,8 +116,9 @@ func (c *Config) setFor(i int) weakset.WeakSet {
 
 // Result is the outcome of an emulation run.
 type Result struct {
-	// Views holds one RoundView per (process, computed round).
-	Views []RoundView
+	// MS is what every process sent and held in each round it computed,
+	// filled by a property.Recorder around Config.Automaton.
+	MS *property.Record[values.Fingerprint]
 	// Outcomes holds process i's decision at index i in the property
 	// checker's form; a process stopped by an error counts as crashed.
 	Outcomes []property.Outcome
@@ -146,7 +137,8 @@ func Run(cfg Config) (*Result, error) {
 	case cfg.MaxRounds <= 0:
 		return nil, fmt.Errorf("msemu: MaxRounds = %d", cfg.MaxRounds)
 	}
-	res := &Result{Outcomes: make([]property.Outcome, cfg.N)}
+	rec := property.NewRecorder(cfg.Automaton)
+	res := &Result{MS: &rec.Record, Outcomes: make([]property.Outcome, cfg.N)}
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
@@ -156,10 +148,9 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			views, dec, err := runProcess(cfg, i)
+			dec, err := runProcess(cfg, rec.Automaton(i), cfg.setFor(i))
 			mu.Lock()
 			defer mu.Unlock()
-			res.Views = append(res.Views, views...)
 			res.Outcomes[i] = property.Outcome{Decided: dec.Decided, Value: dec.Value, Crashed: err != nil}
 			if err != nil {
 				res.Errs = append(res.Errs, fmt.Errorf("process %d: %w", i, err))
@@ -171,36 +162,22 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // runProcess is Algorithm 5's per-process loop.
-func runProcess(cfg Config, id int) ([]RoundView, giraf.Decision, error) {
-	proc := giraf.NewProc(cfg.Automaton(id))
-	set := cfg.setFor(id)
+func runProcess(cfg Config, aut giraf.Automaton, set weakset.WeakSet) (giraf.Decision, error) {
+	proc := giraf.NewProc(aut)
 	delivered := make(map[values.Value]bool)
-	var views []RoundView
-
 	for round := 0; round <= cfg.MaxRounds; round++ {
-		// Snapshot the inbox of the round about to be computed.
-		if k := proc.CurrentRound(); k > 0 {
-			view := RoundView{Proc: id, Round: k, Inbox: make(map[string]bool)}
-			for _, p := range proc.Round(k) {
-				view.Inbox[p.PayloadKey()] = true
-			}
-			if own := proc.LastOwnPayload(); own != nil {
-				view.OwnPayload = own.PayloadKey()
-			}
-			views = append(views, view)
-		}
 		env, ok := proc.EndOfRound()
 		if !ok {
-			return views, proc.Decision(), nil // decided and halted
+			return proc.Decision(), nil // decided and halted
 		}
 		// Algorithm 5 line 5: addS(⟨m, k⟩).
 		if err := set.Add(encodeEnvelope(cfg.Codec, env)); err != nil {
-			return views, giraf.Decision{}, fmt.Errorf("weak-set add: %w", err)
+			return giraf.Decision{}, fmt.Errorf("weak-set add: %w", err)
 		}
 		// Lines 6–8: deliver every new envelope from getS.
 		snapshot, err := set.Get()
 		if err != nil {
-			return views, giraf.Decision{}, fmt.Errorf("weak-set get: %w", err)
+			return giraf.Decision{}, fmt.Errorf("weak-set get: %w", err)
 		}
 		for _, raw := range snapshot.Sorted() {
 			if delivered[raw] {
@@ -209,55 +186,13 @@ func runProcess(cfg Config, id int) ([]RoundView, giraf.Decision, error) {
 			delivered[raw] = true
 			recv, err := decodeEnvelope(cfg.Codec, raw)
 			if err != nil {
-				return views, giraf.Decision{}, err
+				return giraf.Decision{}, err
 			}
 			proc.Receive(recv)
 		}
 	}
-	return views, proc.Decision(), nil
+	return proc.Decision(), nil
 }
 
-// CheckMS verifies the moving-source property on the emulated run: for
-// every round in which at least one process computed, some process's own
-// round payload was present in every computing process's inbox (the
-// payload-containment form of a timely link — footnote 2 of the paper). The
-// error names the smallest violating round.
-func (r *Result) CheckMS() error {
-	type roundInfo struct {
-		inboxes []map[string]bool
-		owns    map[string]bool
-	}
-	rounds := make(map[int]*roundInfo)
-	for _, v := range r.Views {
-		ri := rounds[v.Round]
-		if ri == nil {
-			ri = &roundInfo{owns: make(map[string]bool)}
-			rounds[v.Round] = ri
-		}
-		ri.inboxes = append(ri.inboxes, v.Inbox)
-		if v.OwnPayload != "" {
-			ri.owns[v.OwnPayload] = true
-		}
-	}
-	for _, round := range ordered.Keys(rounds) {
-		ri := rounds[round]
-		found := false
-		for own := range ri.owns {
-			inAll := true
-			for _, inbox := range ri.inboxes {
-				if !inbox[own] {
-					inAll = false
-					break
-				}
-			}
-			if inAll {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("msemu: emulated MS violated in round %d: no payload reached every inbox", round)
-		}
-	}
-	return nil
-}
+// CheckMS judges Theorem 4 on the run: a source in every round.
+func (r *Result) CheckMS() error { return property.CheckMS(r.MS, math.MaxInt) }

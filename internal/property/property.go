@@ -1,7 +1,8 @@
 // Package property states the paper's consensus properties once, for every
 // backend: Agreement, Validity and irrevocability in every run, Termination
-// where the environment promises it. The simulator, the wall-clock planes,
-// the exploration plane and the tests all judge a run here.
+// where the environment promises it, and MS, the premise they rest on
+// (CheckMS). The simulator, the wall-clock planes, the exploration plane
+// and the tests all judge a run here.
 package property
 
 import (

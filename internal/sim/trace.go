@@ -2,9 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
-	"anonconsensus/internal/ordered"
+	"anonconsensus/internal/property"
 	"anonconsensus/internal/values"
 )
 
@@ -18,14 +19,10 @@ type Trace struct {
 	// Rounds is the number of global steps executed.
 	Rounds int
 
-	// computed[r] is the set of processes that executed compute(r).
-	computed map[int]map[int]bool
-	// timely[r][sender] is the set of receivers that got sender's round-r
-	// envelope within round r (delay 0). The sender itself is implicit: its
-	// own payload is always in its own inbox.
-	timely map[int]map[int]map[int]bool
-	// senders[r] is the set of processes that broadcast a round-r envelope.
-	senders map[int]map[int]bool
+	// ms is the run's MS record, keyed by sender index: a round-r message
+	// is held by every receiver that got it within round r (delay 0), and
+	// always by its sender.
+	ms property.Record[int]
 	// decisions[pid] is the step and value at which pid decided.
 	decisions map[int]DecisionRecord
 	// claimedSources[r] is the policy's self-reported source, if any.
@@ -43,47 +40,22 @@ type DecisionRecord struct {
 func newTrace(n int) *Trace {
 	return &Trace{
 		N:              n,
-		computed:       make(map[int]map[int]bool),
-		timely:         make(map[int]map[int]map[int]bool),
-		senders:        make(map[int]map[int]bool),
 		decisions:      make(map[int]DecisionRecord),
 		claimedSources: make(map[int]int),
 	}
 }
 
-func (t *Trace) recordComputed(pid, round int) {
-	set := t.computed[round]
-	if set == nil {
-		set = make(map[int]bool)
-		t.computed[round] = set
-	}
-	set[pid] = true
-}
+func (t *Trace) recordComputed(pid, round int) { t.ms.Compute(round, pid) }
 
 func (t *Trace) recordBroadcast(round, sender int) {
-	snd := t.senders[round]
-	if snd == nil {
-		snd = make(map[int]bool)
-		t.senders[round] = snd
-	}
-	snd[sender] = true
+	t.ms.Send(round, sender)
+	t.ms.Hold(round, sender, sender)
 }
 
 func (t *Trace) recordDelivery(round, sender, receiver, step int) {
-	if step > round {
-		return // late delivery: reliable but not timely
+	if step <= round { // timely; a later delivery is reliable but not timely
+		t.ms.Hold(round, receiver, sender)
 	}
-	perRound := t.timely[round]
-	if perRound == nil {
-		perRound = make(map[int]map[int]bool)
-		t.timely[round] = perRound
-	}
-	set := perRound[sender]
-	if set == nil {
-		set = make(map[int]bool)
-		perRound[sender] = set
-	}
-	set[receiver] = true
 }
 
 func (t *Trace) recordDecision(pid, step int, v values.Value) {
@@ -99,9 +71,7 @@ func (t *Trace) Decision(pid int) (DecisionRecord, bool) {
 func (t *Trace) recordClaimedSource(round, pid int) { t.claimedSources[round] = pid }
 
 // Computed returns the processes that executed compute(round), sorted.
-func (t *Trace) Computed(round int) []int {
-	return ordered.Keys(t.computed[round])
-}
+func (t *Trace) Computed(round int) []int { return t.ms.Computed(round) }
 
 // ClaimedSource returns the policy-claimed source for a round.
 func (t *Trace) ClaimedSource(round int) (int, bool) {
@@ -109,72 +79,20 @@ func (t *Trace) ClaimedSource(round int) (int, bool) {
 	return pid, ok
 }
 
-// TimelySources returns every sender whose round-`round` envelope reached
-// all of the given receivers timely (the sender itself always counts as
-// reached). This is the set of processes with a timely link in that round.
+// TimelySources returns the senders with a timely link in round `round`:
+// their envelope reached all of receivers timely (a sender reaches itself).
 func (t *Trace) TimelySources(round int, receivers []int) []int {
-	var out []int
-	for _, sender := range ordered.Keys(t.senders[round]) {
-		got := t.timely[round][sender]
-		ok := true
-		for _, r := range receivers {
-			if r == sender {
-				continue
-			}
-			if !got[r] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, sender)
-		}
-	}
-	return out
+	return t.ms.Sources(round, receivers)
 }
 
-// lastCheckableRound returns the last round r such that some process
-// computed r: the final partially-executed round (payloads sent, nobody
-// computed) carries no environment obligations.
-func (t *Trace) lastCheckableRound() int {
-	last := 0
-	//detlint:ordered max over keys — the result is independent of visit order
-	for r := range t.computed {
-		if r > last {
-			last = r
-		}
-	}
-	return last
-}
+// CheckMS verifies the moving-source property on the recorded run.
+func (t *Trace) CheckMS() error { return t.CheckMSThrough(math.MaxInt) }
 
-// CheckMS verifies the moving-source property on the recorded run: every
-// round that anyone computed has at least one sender with a timely link to
-// every process that computed the round.
-func (t *Trace) CheckMS() error {
-	return t.CheckMSThrough(t.lastCheckableRound())
-}
-
-// CheckMSThrough is CheckMS restricted to rounds 1..last: it verifies the
-// moving-source property held for a prefix of the run. The exploration
+// CheckMSThrough is property.CheckMS on rounds 1..last. The exploration
 // plane uses it to decide whether a run's decisions were cast inside the
-// model — Agreement is only promised while MS holds, and rounds after the
-// final decision cannot influence it, so a run whose source crashes or
-// halts later stays checkable.
-func (t *Trace) CheckMSThrough(last int) error {
-	if max := t.lastCheckableRound(); last > max {
-		last = max
-	}
-	for r := 1; r <= last; r++ {
-		receivers := t.Computed(r)
-		if len(receivers) == 0 {
-			continue
-		}
-		if len(t.TimelySources(r, receivers)) == 0 {
-			return fmt.Errorf("MS violated in round %d: no sender reached all of %v timely", r, receivers)
-		}
-	}
-	return nil
-}
+// model: Agreement is only promised while MS holds, and rounds after the
+// final decision cannot influence it.
+func (t *Trace) CheckMSThrough(last int) error { return property.CheckMS(&t.ms, last) }
 
 // CheckES verifies the eventual-synchrony property: MS everywhere, plus
 // from round gst on, every sender that is still broadcasting has a timely
@@ -183,16 +101,15 @@ func (t *Trace) CheckES(gst int) error {
 	if err := t.CheckMS(); err != nil {
 		return err
 	}
-	last := t.lastCheckableRound()
-	for r := maxInt(gst, 1); r <= last; r++ {
+	for r := max(gst, 1); r <= t.ms.Rounds(); r++ {
 		receivers := t.Computed(r)
 		if len(receivers) == 0 {
 			continue
 		}
 		timely := t.TimelySources(r, receivers)
-		// Sorted view so a violation report names the smallest offending
-		// sender, not a map-order-dependent one.
-		for _, sender := range ordered.Keys(t.senders[r]) {
+		// Senders are recorded in index order, so a violation report names
+		// the smallest offending sender.
+		for _, sender := range t.ms.Sent(r) {
 			if !slices.Contains(timely, sender) {
 				return fmt.Errorf("ES violated in round %d (≥ GST %d): sender %d not timely to all of %v", r, gst, sender, receivers)
 			}
@@ -210,9 +127,8 @@ func (t *Trace) CheckESS(gst, source int) error {
 	if err := t.CheckMS(); err != nil {
 		return err
 	}
-	last := t.lastCheckableRound()
-	for r := maxInt(gst, 1); r <= last; r++ {
-		if !t.senders[r][source] {
+	for r := max(gst, 1); r <= t.ms.Rounds(); r++ {
+		if !slices.Contains(t.ms.Sent(r), source) {
 			continue
 		}
 		receivers := t.Computed(r)
@@ -252,26 +168,13 @@ func (t *Trace) CheckIrrevocability(statuses []ProcStatus) error {
 		case st.DecidedAt != rec.Step:
 			return fmt.Errorf("irrevocability violated: process %d has decision steps %d (trace) vs %d (status)", pid, rec.Step, st.DecidedAt)
 		}
-		// Deciding at step s means the round-(s+1) envelope is never sent.
-		// Report the earliest offending round so the message is a pure
-		// function of the run (map order must not leak into reports).
-		offending := 0
-		//detlint:ordered min over keys — the earliest offending round is order-independent
-		for r, snd := range t.senders {
-			if r > rec.Step && snd[pid] && (offending == 0 || r < offending) {
-				offending = r
+		// Deciding at step s means the round-(s+1) envelope is never sent;
+		// the report names the earliest offending round.
+		for r := rec.Step + 1; r <= t.ms.Rounds(); r++ {
+			if slices.Contains(t.ms.Sent(r), pid) {
+				return fmt.Errorf("irrevocability violated: process %d broadcast a round-%d envelope after deciding at step %d", pid, r, rec.Step)
 			}
-		}
-		if offending > 0 {
-			return fmt.Errorf("irrevocability violated: process %d broadcast a round-%d envelope after deciding at step %d", pid, offending, rec.Step)
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
