@@ -137,8 +137,10 @@ chaos-smoke:
 # (token bucket + queue overflow shed as ErrOverloaded), the TCP
 # multiplexing acceptance tests (many epochs over one hub and one
 # connection per process, epoch-scoped retirement and replay, reconnect
-# resumption, and where the join grace applies: a leased epoch runs round
-# 0 on its first beat, a DialMux-registered one sits out its grace), the
+# resumption, a resumed joiner's 2049-frame replay burst reaching its
+# round driver whole (TestMuxResumeBurstReachesDriver), and where the
+# join grace applies: a leased epoch runs round 0 on its first beat, a
+# DialMux-registered one sits out its grace), the
 # hub's batched byte path (its fan-out allocation pin, batches that stay
 # whole and in order between heartbeats, no bytes lost behind a Welcome), the
 # forgetting hub (session queues trimmed behind what each node provably

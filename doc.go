@@ -48,7 +48,7 @@
 // substrates behind the one interface:
 //
 //   - NewLiveTransport: a live in-process network — one goroutine per
-//     anonymous process, channel broadcast with configurable link
+//     anonymous process, in-memory broadcast with configurable link
 //     latencies realizing ES (eventually synchronous) and ESS (eventually
 //     stable source) physically, with drifting local round timers.
 //

@@ -1,5 +1,5 @@
 // Package anonnet is the real-time runtime: anonymous processes as
-// goroutines, broadcast as channel fan-out with per-link latencies, and
+// goroutines, broadcast as a fan-out with per-link latencies, and
 // GIRAF rounds driven by local timers instead of a lockstep scheduler.
 // Rounds therefore drift apart across processes — the part of the model the
 // deterministic simulator (package sim) does not exercise.
@@ -100,18 +100,16 @@ func (r *Result) Outcomes() []property.Outcome { return rounddriver.Outcomes(r.P
 // network carries the shared state of one run.
 type network struct {
 	cfg Config
-	// in[i] is process i's inbox, sized by inboxDepth. Only queues[i]'s
-	// goroutine sends on it, so a full inbox parks that one goroutine
-	// (until the process reads or the run ends) and never a sender:
-	// broadcast only pushes onto queues.
-	in []chan giraf.Envelope
-	// queues[i] holds every envelope on its way to process i, and i's
-	// marks, in deadline order; one goroutine per receiver delivers them.
-	queues []*linkQueue
-	seq    sequencer
-	ctx    context.Context
-	wg     sync.WaitGroup // delivery goroutines
-	done   chan int       // process indexes that finished (decided/crashed/cancelled)
+	// inbox[i] is process i's inbox; only the queue's goroutine puts into
+	// it.
+	inbox []*rounddriver.Mailbox
+	// queue holds every envelope on its way, and every mark, in deadline
+	// order; one goroutine delivers them.
+	queue *linkQueue
+	seq   sequencer
+	ctx   context.Context
+	wg    sync.WaitGroup // the delivery goroutine
+	done  chan int       // process indexes that finished (decided/crashed/cancelled)
 
 	dropped    atomic.Int64
 	duplicated atomic.Int64
@@ -133,21 +131,20 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 	defer cancel()
 
 	nw := &network{
-		cfg:    cfg,
-		in:     make([]chan giraf.Envelope, cfg.N),
-		queues: make([]*linkQueue, cfg.N),
-		ctx:    ctx,
-		done:   make(chan int, cfg.N),
+		cfg:   cfg,
+		inbox: make([]*rounddriver.Mailbox, cfg.N),
+		queue: newLinkQueue(),
+		ctx:   ctx,
+		done:  make(chan int, cfg.N),
 	}
-	for i := range nw.in {
-		nw.in[i] = make(chan giraf.Envelope, inboxDepth(cfg.N))
-		nw.queues[i] = newLinkQueue()
-		nw.wg.Add(1)
-		go func() {
-			defer nw.wg.Done()
-			nw.queues[i].run(ctx, nw.in[i])
-		}()
+	for i := range nw.inbox {
+		nw.inbox[i] = rounddriver.NewMailbox()
 	}
+	nw.wg.Add(1)
+	go func() {
+		defer nw.wg.Done()
+		nw.queue.run(ctx, func(to int, env giraf.Envelope) { nw.inbox[to].Put(env) })
+	}()
 
 	start := time.Now()
 	results := make([]rounddriver.Outcome, cfg.N)
@@ -187,12 +184,6 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// inboxDepth sizes a process inbox from the process count: a few rounds of
-// envelopes from every peer, which a running process drains as they
-// arrive. A halted process stops reading; what reaches it after its inbox
-// fills waits in its delivery queue instead.
-func inboxDepth(n int) int { return max(16, 4*n) }
-
 // runProcess drives one process on the shared round loop (package
 // rounddriver) with no join grace, for the reason a leased TCP epoch has
 // none: every process of the instance starts inside Run, so nobody
@@ -206,7 +197,7 @@ func (nw *network) runProcess(id int) rounddriver.Outcome {
 		Automaton:  aut,
 		CrashAfter: crashAfter,
 		Beat:       ticker.C,
-		Inbox:      nw.in[id],
+		Inbox:      nw.inbox[id],
 		Send: func(env giraf.Envelope) error {
 			nw.broadcast(id, env)
 			return nil
@@ -254,7 +245,6 @@ func (nw *network) broadcast(from int, envl giraf.Envelope) {
 		sq.first[k] = first
 		first[from] = now
 	}
-	sc := nw.cfg.Scenario
 	for to := 0; to < nw.cfg.N; to++ {
 		if to == from {
 			continue
@@ -263,19 +253,20 @@ func (nw *network) broadcast(from int, envl giraf.Envelope) {
 		if isFirst {
 			first[to] = at
 		}
-		if sc != nil && sc.Drops(k, from, to) {
+		drop, dup := nw.cfg.Scenario.LinkFault(k, from, to)
+		if drop {
 			nw.dropped.Add(1)
 			continue
 		}
-		nw.queues[to].push(at, envl)
-		if sc != nil && sc.Duplicates(k, from, to) {
+		nw.queue.push(at, to, envl)
+		if dup {
 			nw.duplicated.Add(1)
-			nw.queues[to].push(at.Add(nw.cfg.Interval/2), envl)
+			nw.queue.push(at.Add(nw.cfg.Interval/2), to, envl)
 		}
 	}
 	at := first[from]
 	if at.Before(now) {
 		at = now
 	}
-	nw.queues[from].push(at, rounddriver.Mark(k))
+	nw.queue.push(at, from, rounddriver.Mark(k))
 }

@@ -8,19 +8,17 @@ import (
 	"anonconsensus/internal/giraf"
 )
 
-// linkQueue is the delivery queue of one receiver, shared by every link
-// into it: envelopes from all senders, and the receiver's own marks, wait
-// in one deadline-ordered min-heap and a single goroutine (run) hands each
-// to the receiver's inbox when its deadline passes. Latency profiles vary
-// per round and per link, so a later envelope may legitimately overtake
-// an earlier one. Equal deadlines leave in push order, and one sender
-// pushes its envelopes in send order, so each link's own order is what a
-// queue per link would give — and a mark never overtakes the entry whose
-// deadline it was given.
+// linkQueue is the run's delivery queue, shared by every link: envelopes
+// from all senders to all receivers, and every process's marks, wait in one
+// deadline-ordered min-heap, and a single goroutine (run) hands each to its
+// receiver when its deadline passes. Latency profiles vary per round and
+// per link, so a later envelope may legitimately overtake an earlier one.
+// Equal deadlines leave in push order, and one sender pushes its envelopes
+// in send order, so each link's own order is what a queue per link would
+// give — and a mark never overtakes the entry whose deadline it was given.
 //
-// Senders never block: push only appends to the heap. When the receiver's
-// inbox is full, run parks on the send — holding back only this receiver's
-// deliveries — until the receiver reads again or the run ends.
+// Nothing blocks: push only appends to the heap, and the receiver's
+// mailbox takes every delivery at once (rounddriver.Mailbox).
 type linkQueue struct {
 	mu   sync.Mutex
 	heap []queuedEnvelope
@@ -29,11 +27,13 @@ type linkQueue struct {
 	wake chan struct{}
 }
 
-// queuedEnvelope is one scheduled delivery; seq breaks deadline ties in
-// FIFO order so equal-latency envelopes keep their send order.
+// queuedEnvelope is one scheduled delivery to process to; seq breaks
+// deadline ties in FIFO order so equal-latency envelopes keep their send
+// order.
 type queuedEnvelope struct {
 	at  time.Time
 	seq uint64
+	to  int
 	env giraf.Envelope
 }
 
@@ -41,11 +41,11 @@ func newLinkQueue() *linkQueue {
 	return &linkQueue{wake: make(chan struct{}, 1)}
 }
 
-// push schedules env for delivery at deadline at.
-func (lq *linkQueue) push(at time.Time, env giraf.Envelope) {
+// push schedules env for delivery to process to at deadline at.
+func (lq *linkQueue) push(at time.Time, to int, env giraf.Envelope) {
 	lq.mu.Lock()
 	lq.seq++
-	lq.heap = append(lq.heap, queuedEnvelope{at: at, seq: lq.seq, env: env})
+	lq.heap = append(lq.heap, queuedEnvelope{at: at, seq: lq.seq, to: to, env: env})
 	lq.siftUp(len(lq.heap) - 1)
 	lq.mu.Unlock()
 	select {
@@ -54,25 +54,25 @@ func (lq *linkQueue) push(at time.Time, env giraf.Envelope) {
 	}
 }
 
-// popDue removes and returns the earliest envelope if its deadline is at
+// popDue removes and returns the earliest delivery if its deadline is at
 // or before now. Otherwise it returns how long until that deadline, or
 // ok=false for an empty queue.
-func (lq *linkQueue) popDue(now time.Time) (env giraf.Envelope, wait time.Duration, ok bool) {
+func (lq *linkQueue) popDue(now time.Time) (q queuedEnvelope, wait time.Duration, ok bool) {
 	lq.mu.Lock()
 	defer lq.mu.Unlock()
 	if len(lq.heap) == 0 {
-		return giraf.Envelope{}, 0, false
+		return queuedEnvelope{}, 0, false
 	}
 	if wait := lq.heap[0].at.Sub(now); wait > 0 {
-		return giraf.Envelope{}, wait, true
+		return queuedEnvelope{}, wait, true
 	}
-	env = lq.heap[0].env
+	q = lq.heap[0]
 	last := len(lq.heap) - 1
 	lq.heap[0] = lq.heap[last]
 	lq.heap[last] = queuedEnvelope{} // release the payload reference
 	lq.heap = lq.heap[:last]
 	lq.siftDown(0)
-	return env, 0, true
+	return q, 0, true
 }
 
 func (lq *linkQueue) less(i, j int) bool {
@@ -111,16 +111,15 @@ func (lq *linkQueue) siftDown(i int) {
 	}
 }
 
-// run is the receiver's delivery loop: sleep until the head deadline (or
-// a push installs an earlier one), then hand the envelope to the
-// receiver's inbox channel, parking there while the inbox is full. Reset
-// discards any expiry left over from an earlier wait (Go 1.23 timers), so
-// the timer is never drained.
-func (lq *linkQueue) run(ctx context.Context, out chan<- giraf.Envelope) {
+// run is the run's delivery loop: sleep until the head deadline (or a push
+// installs an earlier one), then hand the envelope to deliver with its
+// receiver. Reset discards any expiry left over from an earlier wait (Go
+// 1.23 timers), so the timer is never drained.
+func (lq *linkQueue) run(ctx context.Context, deliver func(to int, env giraf.Envelope)) {
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	for {
-		env, wait, ok := lq.popDue(time.Now())
+		q, wait, ok := lq.popDue(time.Now())
 		if !ok {
 			select {
 			case <-ctx.Done():
@@ -139,10 +138,6 @@ func (lq *linkQueue) run(ctx context.Context, out chan<- giraf.Envelope) {
 			}
 			continue
 		}
-		select {
-		case out <- env:
-		case <-ctx.Done():
-			return
-		}
+		deliver(q.to, q.env)
 	}
 }

@@ -3,6 +3,8 @@ package anonnet
 import (
 	"context"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +14,11 @@ import (
 	"anonconsensus/internal/giraf"
 )
 
+// toChannel is a delivery func that forwards every envelope to out.
+func toChannel(out chan<- giraf.Envelope) func(int, giraf.Envelope) {
+	return func(_ int, env giraf.Envelope) { out <- env }
+}
+
 // TestLinkQueueDeadlineOrder: deliveries come out in deadline order, with
 // a later-pushed but earlier-due envelope overtaking (per-round latency
 // profiles legitimately reorder links), and FIFO among equal deadlines.
@@ -20,12 +27,12 @@ func TestLinkQueueDeadlineOrder(t *testing.T) {
 	out := make(chan giraf.Envelope, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go lq.run(ctx, out)
+	go lq.run(ctx, toChannel(out))
 
 	now := time.Now()
-	lq.push(now.Add(60*time.Millisecond), giraf.Envelope{Round: 3})
-	lq.push(now.Add(20*time.Millisecond), giraf.Envelope{Round: 1})
-	lq.push(now.Add(40*time.Millisecond), giraf.Envelope{Round: 2})
+	lq.push(now.Add(60*time.Millisecond), 0, giraf.Envelope{Round: 3})
+	lq.push(now.Add(20*time.Millisecond), 0, giraf.Envelope{Round: 1})
+	lq.push(now.Add(40*time.Millisecond), 0, giraf.Envelope{Round: 2})
 
 	for want := 1; want <= 3; want++ {
 		select {
@@ -46,11 +53,11 @@ func TestLinkQueueEarlierDeadlinePreempts(t *testing.T) {
 	out := make(chan giraf.Envelope, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go lq.run(ctx, out)
+	go lq.run(ctx, toChannel(out))
 
-	lq.push(time.Now().Add(300*time.Millisecond), giraf.Envelope{Round: 2})
+	lq.push(time.Now().Add(300*time.Millisecond), 0, giraf.Envelope{Round: 2})
 	time.Sleep(10 * time.Millisecond) // let the runner arm its timer
-	lq.push(time.Now().Add(10*time.Millisecond), giraf.Envelope{Round: 1})
+	lq.push(time.Now().Add(10*time.Millisecond), 0, giraf.Envelope{Round: 1})
 
 	select {
 	case env := <-out:
@@ -62,24 +69,48 @@ func TestLinkQueueEarlierDeadlinePreempts(t *testing.T) {
 	}
 }
 
-// TestLinkQueueFullInboxParksOnlyDelivery: with the receiver not reading
-// and its inbox full, pushes still return at once; once it reads, every
-// envelope arrives, equal deadlines in push order — two senders' pushes
-// interleaved, so each link keeps its own order.
-func TestLinkQueueFullInboxParksOnlyDelivery(t *testing.T) {
+// TestLinkQueueKeepsEachReceiversOrder: one queue serves every receiver.
+// While its goroutine is stuck inside a delivery, pushes still return at
+// once; afterwards each receiver has every entry pushed to it, in deadline
+// order and, among equal deadlines, in push order — three senders' pushes
+// interleaved, so each link keeps its own order, and the later-due half
+// after the earlier-due half.
+func TestLinkQueueKeepsEachReceiversOrder(t *testing.T) {
+	const receivers, senders, perLink = 3, 3, 40
 	lq := newLinkQueue()
-	out := make(chan giraf.Envelope, 1)
+	stuck, release := make(chan struct{}), make(chan struct{})
+	var (
+		mu  sync.Mutex
+		got [receivers][]int
+	)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go lq.run(ctx, out)
+	go lq.run(ctx, func(to int, env giraf.Envelope) {
+		mu.Lock()
+		got[to] = append(got[to], env.Round)
+		first := len(got[to]) == 1 && to == 0
+		mu.Unlock()
+		if first {
+			close(stuck)
+			<-release
+		}
+	})
 
-	const perLink = 50
-	at := time.Now()
+	now := time.Now()
+	lq.push(now, 0, giraf.Envelope{Round: -1})
+	<-stuck
+	late := now.Add(5 * time.Millisecond) // pushed first, delivered after
 	pushed := make(chan struct{})
 	go func() {
-		for r := 1; r <= perLink; r++ {
-			for link := 0; link < 2; link++ {
-				lq.push(at, giraf.Envelope{Round: 2*r + link})
+		for r := 0; r < perLink; r++ {
+			at := now
+			if r < perLink/2 {
+				at = late
+			}
+			for from := 0; from < senders; from++ {
+				for to := 0; to < receivers; to++ {
+					lq.push(at, to, giraf.Envelope{Round: r*senders + from})
+				}
 			}
 		}
 		close(pushed)
@@ -87,26 +118,47 @@ func TestLinkQueueFullInboxParksOnlyDelivery(t *testing.T) {
 	select {
 	case <-pushed:
 	case <-time.After(2 * time.Second):
-		t.Fatal("push blocked behind a full inbox")
+		t.Fatal("push blocked behind a delivery in progress")
 	}
-	for want := 2; want < 2*perLink+2; want++ {
-		select {
-		case env := <-out:
-			if env.Round != want {
-				t.Fatalf("delivery %d: got %d, want push order", want-1, env.Round)
+	close(release)
+
+	var want []int
+	for _, half := range [][2]int{{perLink / 2, perLink}, {0, perLink / 2}} {
+		for r := half[0]; r < half[1]; r++ {
+			for from := 0; from < senders; from++ {
+				want = append(want, r*senders+from)
 			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("delivery %d never arrived", want-1)
 		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for to := 0; to < receivers; to++ {
+		wantTo := want
+		if to == 0 {
+			wantTo = append([]int{-1}, want...)
+		}
+		for {
+			mu.Lock()
+			done := len(got[to]) >= len(wantTo)
+			mu.Unlock()
+			if done || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		mu.Lock()
+		if !slices.Equal(got[to], wantTo) {
+			t.Errorf("receiver %d got %v, want %v", to, got[to], wantTo)
+		}
+		mu.Unlock()
 	}
 }
 
 // TestBroadcastGoroutinesBounded pins the delivery goroutines at one per
-// receiver, started with the run: not one per envelope per link
-// (O(rounds·n²), which held hundreds of timer goroutines in flight here),
-// and not one per link (n·(n−1)). With 6 processes ticking every 2ms
-// under a high-latency profile, the bound is n delivery goroutines + n
-// processes + a little slack.
+// run, started with it: not one per envelope per link (O(rounds·n²),
+// which held hundreds of timer goroutines in flight here), not one per
+// link (n·(n−1)), and not one per receiver (n). With 6 processes ticking
+// every 2ms under a high-latency profile, the bound is n processes + one
+// delivery goroutine + a little slack.
 func TestBroadcastGoroutinesBounded(t *testing.T) {
 	const n = 6
 	base := runtime.NumGoroutine()
@@ -133,10 +185,10 @@ func TestBroadcastGoroutinesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
-	// Budget: base + n processes + n receivers' queues + slack.
-	budget := int64(base + 2*n + 4)
+	// Budget: base + n processes + the run's delivery queue + slack.
+	budget := int64(base + n + 1 + 4)
 	if p := peak.Load(); p > budget {
-		t.Errorf("peak goroutines %d exceeds the 2n budget %d (base %d)", p, budget, base)
+		t.Errorf("peak goroutines %d exceeds the n+1 budget %d (base %d)", p, budget, base)
 	} else if p == 0 {
 		t.Error("no samples taken")
 	}

@@ -155,13 +155,24 @@ func (s *Scenario) Drops(round, from, to int) bool {
 }
 
 // Duplicates reports whether the from→to delivery of a round-`round`
-// message is delivered twice. Deterministic in (Seed, round, from, to).
-// A duplicate that would also be dropped stays dropped (Drops wins).
+// message draws a duplicate. Deterministic in (Seed, round, from, to).
+// Whether it is then delivered twice is LinkFault's call.
 func (s *Scenario) Duplicates(round, from, to int) bool {
 	if s == nil {
 		return false
 	}
 	return s.DupPct > 0 && int(hash64(s.Seed^dupSalt, round, from, to)%100) < s.DupPct
+}
+
+// LinkFault is the one fault decision for the from→to delivery of a
+// round-`round` message, on every backend: drop it when Drops says so, and
+// otherwise deliver it twice when Duplicates says so. A drop wins over a
+// duplicate.
+func (s *Scenario) LinkFault(round, from, to int) (drop, dup bool) {
+	if s.Drops(round, from, to) {
+		return true, false
+	}
+	return false, s.Duplicates(round, from, to)
 }
 
 // Validate checks the scenario against an ensemble of n processes. Pass

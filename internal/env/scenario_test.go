@@ -275,3 +275,43 @@ func TestScenarioLinkFaultFree(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkFaultAgreesWithDraws: LinkFault is Drops and Duplicates with the
+// drop winning, on a (round, from, to) grid under loss, duplication and a
+// partition. The grid must reach every outcome, including deliveries both
+// draws fire on, where the precedence decides; a nil scenario faults
+// nothing.
+func TestLinkFaultAgreesWithDraws(t *testing.T) {
+	sc := &Scenario{Seed: 7, LossPct: 30, DupPct: 40, Partitions: []Partition{{From: 3, Until: 5, Cut: 2}}}
+	const n = 4
+	var dropped, duplicated, clean, both int
+	for round := 0; round < 8; round++ {
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				drop, dup := sc.LinkFault(round, from, to)
+				drops, dups := sc.Drops(round, from, to), sc.Duplicates(round, from, to)
+				if drop != drops || dup != (dups && !drops) {
+					t.Fatalf("LinkFault(%d, %d, %d) = (%v, %v); Drops %v, Duplicates %v", round, from, to, drop, dup, drops, dups)
+				}
+				switch {
+				case drop:
+					dropped++
+				case dup:
+					duplicated++
+				default:
+					clean++
+				}
+				if drops && dups {
+					both++
+				}
+			}
+		}
+	}
+	if dropped == 0 || duplicated == 0 || clean == 0 || both == 0 {
+		t.Fatalf("grid reached %d drops, %d duplicates, %d clean, %d drop-and-duplicate draws; want each", dropped, duplicated, clean, both)
+	}
+	var none *Scenario
+	if drop, dup := none.LinkFault(1, 0, 1); drop || dup {
+		t.Fatalf("nil scenario: LinkFault = (%v, %v)", drop, dup)
+	}
+}

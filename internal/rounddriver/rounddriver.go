@@ -7,14 +7,19 @@
 // round pacing, the detached rule — lives here exactly once. A plane's one
 // obligation beyond carrying envelopes is the mark (see Mark).
 //
-// The package reads no clock and starts no goroutine: beats, envelopes and
-// session loss reach it on channels and funcs the caller supplies, the join
-// grace is a count of beats, and the core is a step machine (driver) that
-// the package's tests drive on scripted schedules.
+// Every plane hands a process its envelopes through one inbox type,
+// Mailbox, which neither blocks nor drops.
+//
+// The package reads no clock and starts no goroutine: beats and session
+// loss reach it on channels and funcs the caller supplies, envelopes in a
+// Mailbox the caller fills, the join grace is a count of beats, and the
+// core is a step machine (driver) that the package's tests drive on
+// scripted schedules.
 package rounddriver
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"anonconsensus/internal/giraf"
@@ -36,10 +41,10 @@ type Config struct {
 
 	// Beat is the local round timer (a time.Ticker's C).
 	Beat <-chan time.Time
-	// Inbox delivers resolved, full-form envelopes from peers and this
+	// Inbox holds resolved, full-form envelopes from peers and this
 	// process's own marks (see Mark), in the order the plane's log
 	// delivered them to it.
-	Inbox <-chan giraf.Envelope
+	Inbox *Mailbox
 	// GraceBeats is the join grace: the first GraceBeats beats execute
 	// nothing, whatever arrives, so a process that may be joining an
 	// instance already under way consumes the replayed and early traffic
@@ -100,6 +105,55 @@ func Mark(round int) giraf.Envelope { return giraf.Envelope{Round: round} }
 
 // IsMark reports whether env is a mark (see Mark).
 func IsMark(env giraf.Envelope) bool { return len(env.Payloads) == 0 && len(env.Refs) == 0 }
+
+// Mailbox is a process's inbox: a FIFO of envelopes with no bound, filled
+// by any number of goroutines and drained by one consumer. Put never
+// blocks and never drops. A dropped envelope would break the model's
+// reliable broadcast (a late one is only asynchrony), and a dropped mark
+// would hold its round forever; a Put that waits for room would stall the
+// plane's other receivers behind one busy process. No bound is needed: a
+// mailbox holds at most its own run's or epoch's traffic, and the plane
+// stops putting when the run ends or the epoch is unregistered.
+type Mailbox struct {
+	mu    sync.Mutex
+	queue []giraf.Envelope
+	// ready holds a signal while the queue may be non-empty.
+	ready chan struct{}
+	// spare is the buffer the consumer hands back at each Drain.
+	spare []giraf.Envelope
+}
+
+// NewMailbox returns an empty mailbox.
+func NewMailbox() *Mailbox { return &Mailbox{ready: make(chan struct{}, 1)} }
+
+// Put appends env to the mailbox.
+func (mb *Mailbox) Put(env giraf.Envelope) {
+	mb.mu.Lock()
+	mb.queue = append(mb.queue, env)
+	mb.mu.Unlock()
+	select {
+	case mb.ready <- struct{}{}:
+	default:
+	}
+}
+
+// Drain hands everything put so far to receive, in Put order. A mailbox
+// has one consumer: the Run it is configured on, or whoever reads it
+// without one. A nil mailbox holds nothing.
+func (mb *Mailbox) Drain(receive func(giraf.Envelope)) {
+	if mb == nil {
+		return
+	}
+	mb.mu.Lock()
+	batch := mb.queue
+	mb.queue = mb.spare
+	mb.mu.Unlock()
+	for i, env := range batch {
+		receive(env)
+		batch[i] = giraf.Envelope{} // release the payloads
+	}
+	mb.spare = batch[:0]
+}
 
 // driver is the step machine under Run: receive and beat are the loop's
 // two events.
@@ -208,9 +262,14 @@ func (d *driver) outcome() Outcome {
 
 // Run drives cfg.Automaton until it decides, the crash schedule stops it,
 // the session is lost, or ctx ends (which is not an error: it yields an
-// undecided Outcome).
+// undecided Outcome). It drains cfg.Inbox whenever something was put, and
+// once more before each beat, so a beat sees everything put before it.
 func Run(ctx context.Context, cfg Config) Outcome {
 	d := newDriver(cfg)
+	var ready <-chan struct{}
+	if cfg.Inbox != nil {
+		ready = cfg.Inbox.ready
+	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -219,9 +278,10 @@ func Run(ctx context.Context, cfg Config) Outcome {
 			out := d.outcome()
 			out.Lost = true
 			return out
-		case env := <-cfg.Inbox:
-			d.receive(env)
+		case <-ready:
+			cfg.Inbox.Drain(d.receive)
 		case <-cfg.Beat:
+			cfg.Inbox.Drain(d.receive)
 			if d.beat() {
 				return d.outcome()
 			}

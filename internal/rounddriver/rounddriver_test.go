@@ -3,6 +3,8 @@ package rounddriver
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -276,21 +278,22 @@ func TestFailedSendDoesNotStopTheLoop(t *testing.T) {
 	h.wantRounds(2)
 }
 
-// TestRunMapsEventsToSteps drives Run itself over unbuffered channels:
-// the feeder's sends complete only as Run takes them, so the schedule is
-// exact without a clock.
+// TestRunMapsEventsToSteps drives Run itself, beats over an unbuffered
+// channel and envelopes through the mailbox: each beat send completes only
+// as Run takes it, and Run drains the mailbox before every beat, so the
+// schedule is exact without a clock.
 func TestRunMapsEventsToSteps(t *testing.T) {
 	beat := make(chan time.Time)
-	inbox := make(chan giraf.Envelope)
+	inbox := NewMailbox()
 	peer := giraf.Envelope{Round: 1, Payloads: []giraf.Payload{pay("peer")}}
 	go func() {
 		beat <- time.Time{} // the one grace beat: nothing
 		beat <- time.Time{} // round 1
-		inbox <- peer
+		inbox.Put(peer)
 		beat <- time.Time{} // held: round 1's add has no mark
-		inbox <- Mark(1)
+		inbox.Put(Mark(1))
 		beat <- time.Time{} // round 2
-		inbox <- Mark(2)
+		inbox.Put(Mark(2))
 		beat <- time.Time{} // decides
 	}()
 	sent := 0
@@ -304,6 +307,70 @@ func TestRunMapsEventsToSteps(t *testing.T) {
 	want := Outcome{Decided: true, Decision: values.Num(7), DecidedRound: 2, Rounds: 2}
 	if out != want || sent != 2 {
 		t.Fatalf("outcome %+v after %d sends, want %+v after 2", out, sent, want)
+	}
+}
+
+// arrivals is an automaton that records, at each Compute, the payloads
+// delivered since its previous end-of-round, in arrival order.
+type arrivals struct{ seen [][]string }
+
+func (a *arrivals) Initialize() giraf.Payload { return pay("own") }
+
+func (a *arrivals) Compute(_ int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
+	var keys []string
+	for _, p := range inbox.Fresh() {
+		keys = append(keys, p.PayloadKey())
+	}
+	a.seen = append(a.seen, keys)
+	return pay("own"), giraf.Decision{}
+}
+
+// TestPutInsideSendNeitherBlocksNorReorders: a plane may fill the mailbox
+// while the driver is inside Send, the one moment nothing drains it. Far
+// more Puts than any old inbox held, the add's mark among them, all return,
+// and the next beat sees every envelope in Put order and ends the round.
+func TestPutInsideSendNeitherBlocksNorReorders(t *testing.T) {
+	const burst = 4096
+	beat := make(chan time.Time)
+	inbox := NewMailbox()
+	want := []string{"own"} // merged at the end of round 0
+	aut := &arrivals{}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	go func() {
+		for i := 0; i < 2; i++ { // round 0, then round 1
+			select {
+			case beat <- time.Time{}:
+			case <-ctx.Done():
+				return
+			}
+		}
+		cancel()
+	}()
+	out := Run(ctx, Config{
+		Automaton: aut,
+		Beat:      beat,
+		Inbox:     inbox,
+		Send: func(env giraf.Envelope) error {
+			if env.Round != 1 {
+				return nil
+			}
+			for i := 0; i < burst; i++ {
+				key := fmt.Sprintf("peer-%d", i)
+				want = append(want, key)
+				inbox.Put(giraf.Envelope{Round: env.Round, Payloads: []giraf.Payload{pay(key)}})
+				if i == burst/2 {
+					inbox.Put(Mark(env.Round))
+				}
+			}
+			return nil
+		},
+	})
+	if out.Rounds != 2 || len(aut.seen) != 1 {
+		t.Fatalf("outcome %+v after %d computes: want round 1 ended by the mark put inside Send", out, len(aut.seen))
+	}
+	if got := aut.seen[0]; !slices.Equal(got, want) {
+		t.Fatalf("round 1 received %d payloads, want its own and the %d put inside Send, in Put order", len(got), burst)
 	}
 }
 

@@ -687,12 +687,13 @@ func (e *Engine) step(step int) {
 			// Scenario duplication: the same envelope is delivered a second
 			// time one step later, so the receiver's inbox dedup is
 			// exercised by a genuinely late duplicate. A delivery the
-			// scenario also drops stays dropped (no point queueing copies
+			// scenario drops has no duplicate (no point queueing copies
 			// deliverDue would discard again).
-			if sc := e.linkFaults; sc != nil &&
-				sc.Duplicates(round, sender, r) && !sc.Drops(round, sender, r) {
-				e.metrics.Duplicated++
-				e.schedule(at+1, pendingDelivery{receiver: r, sender: sender, env: env})
+			if sc := e.linkFaults; sc != nil {
+				if _, dup := sc.LinkFault(round, sender, r); dup {
+					e.metrics.Duplicated++
+					e.schedule(at+1, pendingDelivery{receiver: r, sender: sender, env: env})
+				}
 			}
 		}
 	}

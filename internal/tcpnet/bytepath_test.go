@@ -214,14 +214,9 @@ func TestMuxReaderKeepsBytesBehindWelcome(t *testing.T) {
 	m.mu.Lock()
 	inbox := m.epochs[1].inbox
 	m.mu.Unlock()
-	for want := 1; want <= 3; want++ {
-		select {
-		case env := <-inbox:
-			if env.Round != want {
-				t.Fatalf("got round %d, want %d", env.Round, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("round %d never reached the inbox", want)
+	for i, env := range awaitInbox(t, inbox, 3) {
+		if env.Round != i+1 {
+			t.Fatalf("inbox entry %d is round %d, want %d", i, env.Round, i+1)
 		}
 	}
 	<-hellos

@@ -75,15 +75,13 @@ type MuxNode struct {
 // run keeps the join grace (see joinGraceBeats).
 type muxEpoch struct {
 	id      uint64
-	inbox   chan giraf.Envelope
+	inbox   *rounddriver.Mailbox
 	table   *giraf.ResolveTable
 	joining bool
-	// lost closes, with lostErr set first, once the epoch's broadcast log
-	// is gone: the node died or the hub restarted. ended closes once the
-	// epoch's run returned or it was unregistered, and no mark waits for
-	// room in its inbox after that. Both close under MuxNode.mu.
-	lost, ended chan struct{}
-	lostErr     error
+	// lost closes, with lostErr set first and under MuxNode.mu, once the
+	// epoch's broadcast log is gone: the node died or the hub restarted.
+	lost    chan struct{}
+	lostErr error
 }
 
 // lose ends the epoch's run as Lost with err; the caller holds MuxNode.mu.
@@ -91,16 +89,6 @@ func (ep *muxEpoch) lose(err error) {
 	if ep.lostErr == nil {
 		ep.lostErr = err
 		close(ep.lost)
-	}
-}
-
-// end releases a mark waiting for room in the inbox; the caller holds
-// MuxNode.mu.
-func (ep *muxEpoch) end() {
-	select {
-	case <-ep.ended:
-	default:
-		close(ep.ended)
 	}
 }
 
@@ -112,13 +100,6 @@ type MuxConfig struct {
 	// policy fails fast (the first loss kills every epoch).
 	Reconnect ReconnectPolicy
 }
-
-// inboxDepth is each epoch's demux buffer. A full inbox drops a data frame
-// (counted in MuxStats.InboxDrops) — safe, as the model already allows
-// asynchronous rounds, and the next broadcast carries the sender's
-// cumulative state anyway. A mark is never dropped: the epoch's round
-// waits for it (see deliver).
-const inboxDepth = 1024
 
 // joinGraceBeats is the join grace, in round beats, of an epoch registered
 // at DialMux (rounddriver.Config.GraceBeats). Such a node may be joining an
@@ -141,9 +122,6 @@ type MuxStats struct {
 	// node has no registration for (a peer's straggler after local
 	// Unregister, or traffic for an instance this node never joined).
 	UnknownEpochFrames int
-	// InboxDrops counts data frames discarded because their epoch's inbox
-	// was full.
-	InboxDrops int
 }
 
 // DialMux attaches to the hub and starts the demultiplexing reader. The
@@ -223,11 +201,10 @@ func (m *MuxNode) register(epoch uint64, joining bool) error {
 func newMuxEpoch(id uint64, joining bool) *muxEpoch {
 	return &muxEpoch{
 		id:      id,
-		inbox:   make(chan giraf.Envelope, inboxDepth),
+		inbox:   rounddriver.NewMailbox(),
 		table:   giraf.NewResolveTable(),
 		joining: joining,
 		lost:    make(chan struct{}),
-		ended:   make(chan struct{}),
 	}
 }
 
@@ -235,10 +212,7 @@ func newMuxEpoch(id uint64, joining bool) *muxEpoch {
 // released, and further frames for it count as unknown. Idempotent.
 func (m *MuxNode) Unregister(epoch uint64) {
 	m.mu.Lock()
-	if ep := m.epochs[epoch]; ep != nil {
-		ep.end()
-		delete(m.epochs, epoch)
-	}
+	delete(m.epochs, epoch)
 	m.mu.Unlock()
 	m.writeMu.Lock()
 	delete(m.trackers, epoch)
@@ -297,11 +271,6 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	defer func() {
-		m.mu.Lock()
-		ep.end()
-		m.mu.Unlock()
-	}()
 	out := rounddriver.Run(ctx, rounddriver.Config{
 		Automaton:  cfg.Automaton,
 		CrashAfter: cfg.CrashAfterRounds,
@@ -361,9 +330,10 @@ func (m *MuxNode) send(ep *muxEpoch, env giraf.Envelope) error {
 
 // readerLoop is the node's single demultiplexer: it pumps the shared
 // connection through the reader dialHub handed back with it, answers
-// heartbeats, advances the session cursor, and routes data frames to their
-// epoch's inbox. On a connection loss it owns recovery — redial, session
-// resume, tracker reset — so writers never race it for the dial.
+// heartbeats, advances the session cursor, and puts data frames and marks
+// into their epoch's inbox in stream order; a put never waits, so one busy
+// epoch holds up no other. On a connection loss it owns recovery — redial,
+// session resume, tracker reset — so writers never race it for the dial.
 func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 	defer close(m.readerDone)
 	for {
@@ -415,7 +385,7 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 					ep := m.epochs[mk.Epoch]
 					m.mu.Unlock()
 					if ep != nil {
-						m.deliver(ep, rounddriver.Mark(mk.Round))
+						ep.inbox.Put(rounddriver.Mark(mk.Round))
 					}
 				}
 			}
@@ -444,30 +414,7 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 			// carrying nothing, which would read as a mark: skip.
 			continue
 		}
-		m.deliver(ep, env)
-	}
-}
-
-// deliver hands env to its epoch's inbox. A data envelope that finds the
-// inbox full is dropped and counted. A mark waits for room instead — the
-// epoch's round cannot end without it, and its run drains the inbox
-// continually — unless the run has ended or the node is closing.
-func (m *MuxNode) deliver(ep *muxEpoch, env giraf.Envelope) {
-	select {
-	case ep.inbox <- env:
-		return
-	default:
-	}
-	if !rounddriver.IsMark(env) {
-		m.mu.Lock()
-		m.stats.InboxDrops++
-		m.mu.Unlock()
-		return
-	}
-	select {
-	case ep.inbox <- env:
-	case <-ep.ended:
-	case <-m.stop:
+		ep.inbox.Put(env)
 	}
 }
 

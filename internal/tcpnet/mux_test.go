@@ -137,14 +137,35 @@ func TestMuxSequentialEpochsReuseSession(t *testing.T) {
 }
 
 // setEnvelope builds a full-form one-payload envelope for the round.
-func setEnvelope(round int) giraf.Envelope {
-	p := core.SetPayload{Proposed: values.NewSet(values.Num(int64(round)))}
+func setEnvelope(round int) giraf.Envelope { return valueEnvelope(round, int64(round)) }
+
+// valueEnvelope is a round-`round` envelope whose one payload proposes v.
+func valueEnvelope(round int, v int64) giraf.Envelope {
+	p := core.SetPayload{Proposed: values.NewSet(values.Num(v))}
 	var h values.Hasher
 	h.WriteFingerprint(p.PayloadFingerprint())
 	return giraf.Envelope{
 		Round:          round,
 		Payloads:       []giraf.Payload{p},
 		SetFingerprint: h.Sum(),
+	}
+}
+
+// awaitInbox drains inbox, with no round driver on it, until it has taken
+// n envelopes, and returns them in arrival order.
+func awaitInbox(t *testing.T, inbox *rounddriver.Mailbox, n int) []giraf.Envelope {
+	t.Helper()
+	var got []giraf.Envelope
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		inbox.Drain(func(env giraf.Envelope) { got = append(got, env) })
+		if len(got) >= n {
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("inbox took %d of %d envelopes", len(got), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -226,20 +247,16 @@ func TestRetireEpochScopesReplay(t *testing.T) {
 	late.mu.Lock()
 	inbox := late.epochs[2].inbox
 	late.mu.Unlock()
-	for round := 1; round <= 3; round++ {
-		select {
-		case env := <-inbox:
-			if env.Round != round {
-				t.Fatalf("late joiner got round %d, want %d", env.Round, round)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("late joiner missing epoch-2 round %d from replay", round)
-		}
+	got := awaitInbox(t, inbox, 3)
+	time.Sleep(50 * time.Millisecond) // room for an unexpected extra frame
+	inbox.Drain(func(env giraf.Envelope) { got = append(got, env) })
+	if len(got) != 3 {
+		t.Fatalf("late joiner received %d frames, want epoch 2's 3", len(got))
 	}
-	select {
-	case env := <-inbox:
-		t.Fatalf("late joiner received unexpected extra frame (round %d)", env.Round)
-	case <-time.After(50 * time.Millisecond):
+	for i, env := range got {
+		if env.Round != i+1 {
+			t.Fatalf("late joiner's frame %d is round %d, want %d", i, env.Round, i+1)
+		}
 	}
 	if s := late.Stats(); s.UnknownEpochFrames != 0 {
 		// Epoch-1 frames were retired before the late joiner's session
@@ -391,47 +408,147 @@ func TestMuxDialEpochKeepsJoinGrace(t *testing.T) {
 	}
 }
 
-// TestMuxFullInboxKeepsMark: an epoch whose inbox overflowed drops data
-// frames (InboxDrops), but a mark that arrives while the inbox is still
-// full waits for room instead of being dropped, so the round it completes
-// still ends.
-func TestMuxFullInboxKeepsMark(t *testing.T) {
-	m := &MuxNode{stop: make(chan struct{})}
-	ep := newMuxEpoch(testEpoch, false)
-	peer := giraf.Envelope{Round: 1, Payloads: []giraf.Payload{core.NewES(values.Num(2)).Initialize()}}
-	marked := make(chan struct{})
-	ticker := time.NewTicker(time.Millisecond)
-	defer ticker.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out := rounddriver.Run(ctx, rounddriver.Config{
-		Automaton:  core.NewES(values.Num(1)),
-		CrashAfter: 2,
-		Beat:       ticker.C,
-		Inbox:      ep.inbox,
-		Send: func(env giraf.Envelope) error {
-			if env.Round != 1 {
-				m.deliver(ep, rounddriver.Mark(env.Round))
-				return nil
-			}
-			// The driver is inside Send, so nothing drains the inbox:
-			// overflow it, then hand the reader round 1's mark.
-			for i := 0; i <= inboxDepth; i++ {
-				m.deliver(ep, peer)
-			}
-			go func() {
-				defer close(marked)
-				m.deliver(ep, rounddriver.Mark(env.Round))
-			}()
-			time.Sleep(10 * time.Millisecond) // the reader's turn, at a full inbox
-			return nil
-		},
-	})
-	<-marked
-	if drops := m.Stats().InboxDrops; drops != 1 {
-		t.Fatalf("InboxDrops = %d, want the one envelope past inboxDepth", drops)
+// burstCounter is an automaton that never decides and proposes the same
+// value every round. Its first Compute closes entered and waits for gate,
+// so its driver drains nothing until the test opens the gate; each later
+// Compute sends, on counts, how many peer payloads its process holds for
+// round 2.
+type burstCounter struct {
+	own           core.SetPayload
+	entered, gate chan struct{}
+	counts        chan int
+}
+
+func newBurstCounter() *burstCounter {
+	return &burstCounter{
+		own:     core.SetPayload{Proposed: values.NewSet(values.Num(1 << 40))},
+		entered: make(chan struct{}),
+		gate:    make(chan struct{}),
+		counts:  make(chan int, 64),
 	}
-	if !out.Crashed || out.Rounds != 2 {
-		t.Fatalf("outcome %+v: want round 1 ended by its mark, then the crash after round 2", out)
+}
+
+func (b *burstCounter) Initialize() giraf.Payload { return b.own }
+
+func (b *burstCounter) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
+	if k == 1 {
+		close(b.entered)
+		<-b.gate
+		return b.own, giraf.Decision{}
+	}
+	peers := 0
+	for _, p := range inbox.Round(2) {
+		if p.PayloadKey() != b.own.PayloadKey() {
+			peers++
+		}
+	}
+	select {
+	case b.counts <- peers:
+	default:
+	}
+	return b.own, giraf.Decision{}
+}
+
+// sessionQueue reports the stream positions [base, end) of the hub
+// session created index-th.
+func sessionQueue(hub *Hub, index int) (base, end int) {
+	hub.mu.Lock()
+	defer hub.mu.Unlock()
+	for _, s := range hub.sessions {
+		if s.index == index {
+			return s.base, s.end()
+		}
+	}
+	return -1, -1
+}
+
+// TestMuxResumeBurstReachesDriver: a DialMux joiner whose round driver is
+// busy inside a round is severed, and resumed into a hub replay of 2049
+// frames of its epoch — twice the 1024 envelopes an epoch inbox used to
+// hold, plus one. Its reader takes the whole replay (the hub trims the
+// session queue behind the acked cursor) before the driver drains
+// anything. Every frame must then reach the driver, and the round whose
+// add's mark travels behind the replay must still end.
+func TestMuxResumeBurstReachesDriver(t *testing.T) {
+	const burst = 2049
+	hub, err := NewHub("127.0.0.1:0", WithHeartbeat(5*time.Millisecond, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	proxy := newFlakyProxy(t, hub.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	joiner, err := DialMux(ctx, MuxConfig{
+		HubAddr:   proxy.addr(),
+		Reconnect: ReconnectPolicy{MaxAttempts: 10000, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+	}, testEpoch) // session 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	peer, err := DialMux(ctx, MuxConfig{HubAddr: hub.Addr()}, testEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	aut := newBurstCounter()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := joiner.RunInstance(ctx, testEpoch, InstanceRun{Automaton: aut, Interval: time.Millisecond, Timeout: 30 * time.Second})
+		ran <- err
+	}()
+	select {
+	case <-aut.entered: // the driver is inside round 1 from here on
+	case <-ctx.Done():
+		t.Fatal("the joiner never computed round 1")
+	}
+
+	proxy.blackout()
+	for joiner.attached() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	peer.mu.Lock()
+	ep := peer.epochs[testEpoch]
+	peer.mu.Unlock()
+	for i := 0; i < burst; i++ {
+		if err := peer.send(ep, valueEnvelope(2, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		if _, end := sessionQueue(hub, 0); end == burst {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the hub never queued the burst to the joiner")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	proxy.heal()
+	for {
+		if base, _ := sessionQueue(hub, 0); base == burst {
+			break // the reader acked, so it has put, every replayed frame
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("the joiner's reader never took the replay (stats %+v)", joiner.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	close(aut.gate)
+	select {
+	case got := <-aut.counts:
+		if got != burst {
+			t.Fatalf("round 2 ended holding %d of the %d replayed frames", got, burst)
+		}
+	case err := <-ran:
+		t.Fatalf("the run ended before round 2 did: %v", err)
+	case <-ctx.Done():
+		t.Fatal("round 2 never ended: its mark did not reach the driver")
+	}
+	if s := joiner.Stats(); s.Reconnects < 1 || s.UnknownEpochFrames != 0 {
+		t.Fatalf("joiner stats %+v: want a resumption and no unknown-epoch frames", s)
 	}
 }

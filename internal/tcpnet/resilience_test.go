@@ -87,6 +87,13 @@ func (p *flakyProxy) blackout() {
 	p.sever()
 }
 
+// heal accepts dials again after a blackout.
+func (p *flakyProxy) heal() {
+	p.mu.Lock()
+	p.down = false
+	p.mu.Unlock()
+}
+
 // downFor blacks the link out for d, then heals it — long enough for
 // traffic to accumulate hub-side so the resumption has something to
 // replay.
@@ -94,9 +101,7 @@ func (p *flakyProxy) downFor(d time.Duration) {
 	p.blackout()
 	go func() {
 		time.Sleep(d)
-		p.mu.Lock()
-		p.down = false
-		p.mu.Unlock()
+		p.heal()
 	}()
 }
 

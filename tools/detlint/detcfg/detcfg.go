@@ -51,9 +51,11 @@ var deterministic = map[string]bool{
 	"ordered":  true,
 	"workload": true,
 	// rounddriver is the live planes' shared round loop, but it reads no
-	// clock and starts no goroutine itself: beats and envelopes arrive on
-	// caller-supplied channels, which is what keeps its step machine
-	// testable on scripted schedules. The contract holds it to that.
+	// clock and starts no goroutine itself: beats arrive on a
+	// caller-supplied channel and envelopes in a Mailbox the caller fills
+	// (a locked slice, with no timer and no goroutine behind it), which is
+	// what keeps its step machine testable on scripted schedules. The
+	// contract holds it to that.
 	"rounddriver": true,
 }
 

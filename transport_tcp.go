@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anonconsensus/internal/env"
 	"anonconsensus/internal/rounddriver"
 	"anonconsensus/internal/tcpnet"
 )
@@ -51,16 +50,6 @@ func (p *tcpPlane) faultOf(epoch uint64) tcpnet.LinkFault {
 	f, _ := p.faults.Load(epoch)
 	fault, _ := f.(tcpnet.LinkFault)
 	return fault
-}
-
-// linkFault realizes a scenario's link dimensions at the hub, keyed by
-// the round each data frame's header carries: the hub drops and doubles
-// exactly the forwards sc.Drops and sc.Duplicates name, the same draws
-// the simulator and the live transport make.
-func linkFault(sc *env.Scenario) tcpnet.LinkFault {
-	return func(round, from, to int) (drop, dup bool) {
-		return sc.Drops(round, from, to), sc.Duplicates(round, from, to)
-	}
 }
 
 // lease returns the plane's first n slots, registered on a fresh epoch.
@@ -149,7 +138,10 @@ func (p *tcpPlane) run(ctx context.Context, spec InstanceSpec) (*Result, error) 
 	}()
 	sc := spec.Scenario.toEnv(spec.Seed)
 	if sc.HasLinkFaults() {
-		p.faults.Store(epoch, linkFault(sc))
+		// Keyed by the round each data frame's header carries, the hub
+		// drops and doubles exactly the forwards the simulator and the
+		// live transport would.
+		p.faults.Store(epoch, tcpnet.LinkFault(sc.LinkFault))
 	}
 
 	// A node failing on real infrastructure (an encode error, say) aborts
