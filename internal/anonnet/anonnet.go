@@ -185,9 +185,7 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 }
 
 // runProcess drives one process on the shared round loop (package
-// rounddriver) with no join grace, for the reason a leased TCP epoch has
-// none: every process of the instance starts inside Run, so nobody
-// attaches late (rounddriver.Config.GraceBeats).
+// rounddriver): round 0 on its first beat, as on every plane.
 func (nw *network) runProcess(id int) rounddriver.Outcome {
 	aut := nw.cfg.Automaton(id)
 	crashAfter, _ := nw.cfg.Scenario.CrashRound(id) // 0 = never (rounds are ≥ 1)

@@ -205,9 +205,10 @@ type fixedLatency struct{ d time.Duration }
 func (f fixedLatency) Delay(round, from, to int) time.Duration { return f.d }
 
 // TestRunAllocBudget pins the bytes one n=4 ES run allocates under the
-// synchronous profile, averaged over several runs. Inboxes of 4096
-// envelopes cost about 1.2 MB a run on their own; inboxes sized from n
-// leave the whole run near 36 KB.
+// synchronous profile, averaged over several runs. Each process's inbox is
+// an unbounded rounddriver.Mailbox whose buffer grows with the traffic it
+// holds and is reused across drains; inboxes preallocated at 4096
+// envelopes would cost about 1.2 MB a run on their own.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

@@ -3,8 +3,8 @@
 // that every live plane runs: the in-process runtime (anonnet) and the TCP
 // planes (tcpnet) build a Config and map the Outcome; nothing else off the
 // simulator calls Proc.Receive or Proc.EndOfRound. The ES/ESS safety arguments assume every process
-// runs the loop the same way, so its policy — join grace, crash schedule,
-// round pacing, the detached rule — lives here exactly once. A plane's one
+// runs the loop the same way, so its policy — crash schedule, round
+// pacing, the detached rule — lives here exactly once. A plane's one
 // obligation beyond carrying envelopes is the mark (see Mark).
 //
 // Every plane hands a process its envelopes through one inbox type,
@@ -12,9 +12,8 @@
 //
 // The package reads no clock and starts no goroutine: beats and session
 // loss reach it on channels and funcs the caller supplies, envelopes in a
-// Mailbox the caller fills, the join grace is a count of beats, and the
-// core is a step machine (driver) that the package's tests drive on
-// scripted schedules.
+// Mailbox the caller fills, and the core is a step machine (driver) that
+// the package's tests drive on scripted schedules.
 package rounddriver
 
 import (
@@ -45,15 +44,6 @@ type Config struct {
 	// process's own marks (see Mark), in the order the plane's log
 	// delivered them to it.
 	Inbox *Mailbox
-	// GraceBeats is the join grace: the first GraceBeats beats execute
-	// nothing, whatever arrives, so a process that may be joining an
-	// instance already under way consumes the replayed and early traffic
-	// before round 0 (Initialize). With unknown participation it cannot
-	// tell "I am alone" from "my peers' messages are still in flight"; the
-	// grace is the pragmatic stand-in for the model's premise that all of Π
-	// is present from round 1. Zero, for a process whose peers all start
-	// with it, runs round 0 on the first beat.
-	GraceBeats int
 	// Lost, when non-nil, closes once the run's broadcast log is gone for
 	// good (the session died, or the primitive restarted without the adds
 	// that had completed); Run then returns with Outcome.Lost set.
@@ -160,8 +150,6 @@ func (mb *Mailbox) Drain(receive func(giraf.Envelope)) {
 type driver struct {
 	cfg  Config
 	proc *giraf.Proc
-	// grace is the join-grace beats still to sit out.
-	grace int
 	// add is the last end-of-round envelope broadcast, pending whether its
 	// mark is still outstanding, and on the attachment it was last sent on
 	// (0: that send failed).
@@ -171,10 +159,9 @@ type driver struct {
 	out     Outcome
 }
 
-// newDriver returns a driver at round 0 whose first cfg.GraceBeats beats
-// execute nothing.
+// newDriver returns a driver at round 0.
 func newDriver(cfg Config) *driver {
-	return &driver{cfg: cfg, proc: giraf.NewProc(cfg.Automaton), grace: cfg.GraceBeats}
+	return &driver{cfg: cfg, proc: giraf.NewProc(cfg.Automaton)}
 }
 
 // receive delivers one peer envelope or one of this process's marks.
@@ -201,12 +188,10 @@ func (d *driver) receive(env giraf.Envelope) {
 // ends round k has received its envelope. No count of peers enters the
 // rule, so a crashed or halted peer cannot stall a survivor, and a process
 // alone runs one round per beat. Round 0 (Initialize) has no add to wait
-// for.
+// for and reads no inbox, so it runs on the first attached beat: a process
+// that starts late is only a slow one, since the first round-k add is a
+// source of round k whoever added it.
 func (d *driver) beat() bool {
-	if d.grace > 0 {
-		d.grace--
-		return false // still consuming replayed / early traffic
-	}
 	on := uint64(1)
 	if d.cfg.Attachment != nil {
 		on = d.cfg.Attachment()

@@ -43,6 +43,8 @@ type harness struct {
 	// echo, when set, delivers each successful add's mark during its Send,
 	// as a plane with no other process on it would.
 	echo bool
+	// received counts the peer envelopes delivered by receive.
+	received int
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -73,10 +75,11 @@ func (h *harness) beats(n int) {
 	}
 }
 
-// receive delivers n peer envelopes.
+// receive delivers n peer envelopes, each with a payload of its own.
 func (h *harness) receive(n int) {
 	for i := 0; i < n; i++ {
-		h.d.receive(giraf.Envelope{Round: 1, Payloads: []giraf.Payload{pay("peer")}})
+		h.received++
+		h.d.receive(giraf.Envelope{Round: 1, Payloads: []giraf.Payload{pay(fmt.Sprintf("peer-%d", h.received))}})
 	}
 }
 
@@ -115,36 +118,45 @@ func TestNoRoundEndsBeforeItsMark(t *testing.T) {
 	}
 }
 
-// TestRoundOneWaitsForGrace: no beat executes anything during the join
-// grace, however many envelopes arrive; the first beat after it runs
-// round 1.
-func TestRoundOneWaitsForGrace(t *testing.T) {
-	h := newHarness(t, Config{GraceBeats: 16})
-	h.receive(5)
-	h.beats(16)
-	h.wantRounds(0)
-	h.beats(1)
-	h.wantRounds(1)
-}
-
-// TestGraceBeatsThenRoundZero: with GraceBeats 3, beats 1–3 execute
-// nothing and the 4th runs round 0 (Initialize), whatever arrives before
-// it — silence, one envelope per beat, or a replay burst.
-func TestGraceBeatsThenRoundZero(t *testing.T) {
-	for _, perBeat := range []int{0, 1, 20} {
-		h := newHarness(t, Config{GraceBeats: 3})
-		for beat := 1; beat <= 3; beat++ {
-			h.receive(perBeat)
-			h.beats(1)
-			h.wantRounds(0)
-		}
-		h.receive(perBeat)
+// TestFirstBeatRunsRoundZero: the first beat runs round 0 (Initialize)
+// alone, whatever arrived before it — silence, one envelope per beat, or a
+// replay burst — and round 1, once its add's mark is in, computes over
+// everything that arrived.
+func TestFirstBeatRunsRoundZero(t *testing.T) {
+	for _, in := range []struct {
+		name            string
+		before, perBeat int
+	}{{"silence", 0, 0}, {"one per beat", 1, 1}, {"burst", 20, 0}} {
+		aut := &roundSets{}
+		h := newHarness(t, Config{Automaton: aut})
+		h.receive(in.before)
 		h.beats(1)
 		h.wantRounds(1)
-		if h.sent != 1 || len(h.onRound) != 1 || h.onRound[0] != 0 {
-			t.Fatalf("%d envelopes per beat: sent %d, OnRound %v; want round 0 alone on beat 4", perBeat, h.sent, h.onRound)
+		if h.sent != 1 || !slices.Equal(h.onRound, []int{0}) || len(aut.sizes) != 0 {
+			t.Fatalf("%s: sent %d, OnRound %v, %d computes; want round 0 alone on beat 1", in.name, h.sent, h.onRound, len(aut.sizes))
+		}
+		for beat := 2; beat <= 4; beat++ {
+			h.receive(in.perBeat)
+			h.beats(1)
+		}
+		h.mark()
+		h.beats(1)
+		h.wantRounds(2)
+		if got, want := aut.sizes[0], 1+h.received; got != want {
+			t.Fatalf("%s: round 1 computed over %d payloads, want its own and the %d received", in.name, got, h.received)
 		}
 	}
+}
+
+// roundSets is an automaton that records, at each Compute of round k, the
+// size of the round-k set it computes over.
+type roundSets struct{ sizes []int }
+
+func (a *roundSets) Initialize() giraf.Payload { return pay("own") }
+
+func (a *roundSets) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
+	a.sizes = append(a.sizes, len(inbox.Round(k)))
+	return pay("own"), giraf.Decision{}
 }
 
 // TestMarkAfterEnvelopesReleasesNextBeat: a mark that arrives behind its
@@ -287,7 +299,6 @@ func TestRunMapsEventsToSteps(t *testing.T) {
 	inbox := NewMailbox()
 	peer := giraf.Envelope{Round: 1, Payloads: []giraf.Payload{pay("peer")}}
 	go func() {
-		beat <- time.Time{} // the one grace beat: nothing
 		beat <- time.Time{} // round 1
 		inbox.Put(peer)
 		beat <- time.Time{} // held: round 1's add has no mark
@@ -298,11 +309,10 @@ func TestRunMapsEventsToSteps(t *testing.T) {
 	}()
 	sent := 0
 	out := Run(context.Background(), Config{
-		Automaton:  &scripted{decideAt: 2},
-		Beat:       beat,
-		Inbox:      inbox,
-		GraceBeats: 1,
-		Send:       func(giraf.Envelope) error { sent++; return nil },
+		Automaton: &scripted{decideAt: 2},
+		Beat:      beat,
+		Inbox:     inbox,
+		Send:      func(giraf.Envelope) error { sent++; return nil },
 	})
 	want := Outcome{Decided: true, Decision: values.Num(7), DecidedRound: 2, Rounds: 2}
 	if out != want || sent != 2 {

@@ -28,12 +28,15 @@ func (h *Hub) footprint() hubFootprint {
 	return f
 }
 
-// forgetRun drives instances epochs, inFlight at a time, through one hub
-// and three MuxNodes at 1 ms beats, retiring each epoch when its run ends,
-// beside a fourth MuxNode that never registers an epoch or sends: it only
-// receives, and only its heartbeat acks can trim its queue. Every instance
-// must satisfy the paper's properties. It returns the largest footprint
-// sampled after each instance.
+// forgetRun drives instances epochs through one hub and three MuxNodes at
+// 1 ms beats, retiring each epoch when its run ends, beside a fourth
+// MuxNode that never registers an epoch or sends: it only receives, and
+// only its heartbeat acks can trim its queue. Epochs run in a sliding
+// window: epoch e+inFlight starts only once epoch e is retired, so every
+// epoch started lies below the oldest unretired one plus inFlight, and at
+// most inFlight-1 are retired above it. Every instance must satisfy the
+// paper's properties. It returns the largest footprint sampled after each
+// instance.
 func forgetRun(t *testing.T, instances, inFlight int) hubFootprint {
 	t.Helper()
 	hub, err := NewHub("127.0.0.1:0", WithHeartbeat(2*time.Millisecond, 1<<20))
@@ -50,19 +53,23 @@ func forgetRun(t *testing.T, instances, inFlight int) hubFootprint {
 		worst hubFootprint
 		fail  error
 	)
-	sem := make(chan struct{}, inFlight)
+	retired := make([]chan struct{}, instances+1) // retired[e] closes once epoch e retires
 	var wg sync.WaitGroup
-	for e := uint64(1); e <= uint64(instances); e++ {
-		sem <- struct{}{}
+	for e := 1; e <= instances; e++ {
+		if e > inFlight {
+			<-retired[e-inFlight]
+		}
+		retired[e] = make(chan struct{})
 		wg.Add(1)
 		go func() {
-			defer func() { <-sem; wg.Done() }()
-			results, err := runEpoch(nodes, e, props, time.Millisecond)
+			defer wg.Done()
+			results, err := runEpoch(nodes, uint64(e), props, time.Millisecond)
 			run := property.Run{Proposals: core.ProposalSet(props), Outcomes: rounddriver.Outcomes(results), Promised: true}
 			if vs := property.Check(run); err == nil && len(vs) > 0 {
 				err = fmt.Errorf("epoch %d: %v", e, vs)
 			}
-			hub.RetireEpoch(e)
+			hub.RetireEpoch(uint64(e))
+			close(retired[e])
 			f := hub.footprint()
 			mu.Lock()
 			defer mu.Unlock()
@@ -101,16 +108,17 @@ func forgetRun(t *testing.T, instances, inFlight int) hubFootprint {
 // epochs a hub has carried, every session's queue holds only what its node
 // may still ask for — trimmed behind the marks its adds prove consumed, or,
 // for a node that never sends, behind its heartbeat acks' cursors — and
-// the retired epochs collapse to a low-water mark. The same bound holds
-// at 50 and at 400 epochs; an append-only queue passes 1,000 frames
-// before 100.
+// the retired epochs collapse to a low-water mark, with fewer than the
+// window's 8 epochs retired above it at any time. The same bounds hold at
+// 50 and at 400 epochs; an append-only queue passes 1,000 frames before
+// 100.
 func TestHubForgetsDeliveredFrames(t *testing.T) {
-	const bound = 512
+	const bound, inFlight = 512, 8
 	for _, instances := range []int{50, 400} {
-		f := forgetRun(t, instances, 8)
+		f := forgetRun(t, instances, inFlight)
 		t.Logf("%d epochs: longest queue %d frames, %d retired out of order", instances, f.queue, f.retired)
-		if f.queue > bound || f.retired > 8 {
-			t.Errorf("%d epochs: longest queue %d (bound %d), retired set %d (bound 8)", instances, f.queue, bound, f.retired)
+		if f.queue > bound || f.retired >= inFlight {
+			t.Errorf("%d epochs: longest queue %d (bound %d), retired set %d (bound %d)", instances, f.queue, bound, f.retired, inFlight-1)
 		}
 	}
 }

@@ -71,13 +71,11 @@ type MuxNode struct {
 
 // muxEpoch is one registered instance stream: its demux inbox and the
 // resolve side of its delta family. The table is touched only by the
-// reader goroutine. joining marks an epoch registered at DialMux, whose
-// run keeps the join grace (see joinGraceBeats).
+// reader goroutine.
 type muxEpoch struct {
-	id      uint64
-	inbox   *rounddriver.Mailbox
-	table   *giraf.ResolveTable
-	joining bool
+	id    uint64
+	inbox *rounddriver.Mailbox
+	table *giraf.ResolveTable
 	// lost closes, with lostErr set first and under MuxNode.mu, once the
 	// epoch's broadcast log is gone: the node died or the hub restarted.
 	lost    chan struct{}
@@ -101,14 +99,6 @@ type MuxConfig struct {
 	Reconnect ReconnectPolicy
 }
 
-// joinGraceBeats is the join grace, in round beats, of an epoch registered
-// at DialMux (rounddriver.Config.GraceBeats). Such a node may be joining an
-// instance already under way, and the grace lets the hub's replay of it
-// land before round 0. An epoch opened by Register runs round 0 on its
-// first beat instead: its owner registered it on every participating node
-// before any automaton started, so nobody attaches late.
-const joinGraceBeats = 3
-
 // MuxStats counts a MuxNode's robustness events, cumulative since
 // DialMux.
 type MuxStats struct {
@@ -131,9 +121,10 @@ type MuxStats struct {
 // session's first inbound frames are the hub's log replay, and the reader
 // counts frames for unregistered epochs as unknown and drops them —
 // harmless for a pooled slot whose epochs do not exist yet, wrong for a
-// node joining an epoch already under way (late counts as asynchronous,
-// lost would break the model; see Hub). Because such an epoch may already
-// be under way, its run keeps the join grace (joinGraceBeats).
+// node attaching to an epoch already under way (late counts as
+// asynchronous, lost would break the model; see Hub). Such a node needs
+// nothing more: the replay reaches its inbox ahead of its own first mark,
+// so it is only a slow process (DESIGN.md §3 note 4).
 func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, error) {
 	if cfg.HubAddr == "" {
 		return nil, errors.New("tcpnet: mux: empty hub address")
@@ -156,7 +147,7 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 		readerDone:  make(chan struct{}),
 	}
 	for _, epoch := range epochs {
-		if err := m.register(epoch, true); err != nil {
+		if err := m.Register(epoch); err != nil {
 			_ = conn.Close()
 			return nil, err
 		}
@@ -170,13 +161,10 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 // Register opens an instance epoch (≥ 1) on this node: inbound frames
 // tagged with it will demultiplex into the epoch's inbox. Register every
 // participating node's epoch before starting any of the instance's
-// automata — frames for unregistered epochs are dropped, which is legal
-// (asynchrony) but wasteful. Under that contract nobody joins the epoch
-// late, so its run has no join grace (joinGraceBeats).
-func (m *MuxNode) Register(epoch uint64) error { return m.register(epoch, false) }
-
-// register opens an epoch; joining marks it as registered at DialMux.
-func (m *MuxNode) register(epoch uint64, joining bool) error {
+// automata: the reader drops frames for an epoch it has not registered,
+// and a lost frame, unlike a late one, breaks the model. A node attaching
+// to an epoch already under way registers it at DialMux instead.
+func (m *MuxNode) Register(epoch uint64) error {
 	if epoch == 0 {
 		return errors.New("tcpnet: mux: epochs start at 1")
 	}
@@ -188,7 +176,12 @@ func (m *MuxNode) register(epoch uint64, joining bool) error {
 	if _, dup := m.epochs[epoch]; dup {
 		return fmt.Errorf("tcpnet: mux: epoch %d already registered", epoch)
 	}
-	ep := newMuxEpoch(epoch, joining)
+	ep := &muxEpoch{
+		id:    epoch,
+		inbox: rounddriver.NewMailbox(),
+		table: giraf.NewResolveTable(),
+		lost:  make(chan struct{}),
+	}
 	select {
 	case <-m.dead:
 		ep.lose(m.deadErr)
@@ -196,16 +189,6 @@ func (m *MuxNode) register(epoch uint64, joining bool) error {
 	}
 	m.epochs[epoch] = ep
 	return nil
-}
-
-func newMuxEpoch(id uint64, joining bool) *muxEpoch {
-	return &muxEpoch{
-		id:      id,
-		inbox:   rounddriver.NewMailbox(),
-		table:   giraf.NewResolveTable(),
-		joining: joining,
-		lost:    make(chan struct{}),
-	}
 }
 
 // Unregister closes an instance epoch: its inbox and resolve table are
@@ -219,9 +202,7 @@ func (m *MuxNode) Unregister(epoch uint64) {
 	m.writeMu.Unlock()
 }
 
-// InstanceRun drives one instance over a registered epoch. Its join grace
-// is not a field: it follows from how the epoch was registered (DialMux or
-// Register).
+// InstanceRun drives one instance over a registered epoch.
 type InstanceRun struct {
 	// Automaton is the GIRAF automaton to run.
 	Automaton giraf.Automaton
@@ -265,10 +246,6 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	graceBeats := 0
-	if ep.joining {
-		graceBeats = joinGraceBeats
-	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	out := rounddriver.Run(ctx, rounddriver.Config{
@@ -276,7 +253,6 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 		CrashAfter: cfg.CrashAfterRounds,
 		Beat:       ticker.C,
 		Inbox:      ep.inbox,
-		GraceBeats: graceBeats,
 		Lost:       ep.lost,
 		// While the shared connection is down the reader is redialing;
 		// the driver executes no round until it is back, and then sends

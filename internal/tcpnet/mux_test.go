@@ -324,88 +324,74 @@ func TestMuxReconnectResumesAllEpochs(t *testing.T) {
 	}
 }
 
-// The join-grace pins' shape: three ES processes at 50ms beats whose
-// context ends 2.6 beats in, so two beats fit and the third does not.
-const (
-	graceProbeN        = 3
-	graceProbeBeat     = 50 * time.Millisecond
-	graceProbeDeadline = 13 * graceProbeBeat / 5
-)
-
-// runGraceProbe runs process i as run(ctx, i, its InstanceRun) for every
-// i < graceProbeN, under one context that ends at graceProbeDeadline.
-func runGraceProbe(t *testing.T, run func(ctx context.Context, i int, cfg InstanceRun) (rounddriver.Outcome, error)) []rounddriver.Outcome {
+// runFirstBeatProbe runs process i as run(ctx, i, its InstanceRun) for
+// three ES processes at 50ms beats, under one context that ends 2.6 beats
+// in, so two beats fit and the third does not. It fails the test unless
+// every process has executed a round by then: round 0 on the first beat.
+func runFirstBeatProbe(t *testing.T, run func(ctx context.Context, i int, cfg InstanceRun) (rounddriver.Outcome, error)) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), graceProbeDeadline)
+	const (
+		n    = 3
+		beat = 50 * time.Millisecond
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 13*beat/5)
 	defer cancel()
-	props := core.DistinctProposals(graceProbeN)
-	results := make([]rounddriver.Outcome, graceProbeN)
-	errs := make([]error, graceProbeN)
+	props := core.DistinctProposals(n)
+	results := make([]rounddriver.Outcome, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = run(ctx, i, InstanceRun{
-				Automaton: core.NewES(props[i]),
-				Interval:  graceProbeBeat,
-			})
+			results[i], errs[i] = run(ctx, i, InstanceRun{Automaton: core.NewES(props[i]), Interval: beat})
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("process %d: %v", i, err)
-		}
-	}
-	return results
-}
-
-// TestMuxRegisteredEpochHasNoJoinGrace pins that an epoch opened by
-// Register — every participating node's epoch registered before any
-// automaton starts, the way the TCP transports lease — runs round 0 on its
-// first beat: 2.6 beats in, every process has executed at least one round.
-func TestMuxRegisteredEpochHasNoJoinGrace(t *testing.T) {
-	hub, err := NewHub("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	nodes := dialMuxCluster(t, hub, graceProbeN)
-	for _, m := range nodes {
-		if err := m.Register(testEpoch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results := runGraceProbe(t, func(ctx context.Context, i int, cfg InstanceRun) (rounddriver.Outcome, error) {
-		return nodes[i].RunInstance(ctx, testEpoch, cfg)
-	})
 	for i, out := range results {
+		if errs[i] != nil {
+			t.Fatalf("process %d: %v", i, errs[i])
+		}
 		if out.Rounds < 1 {
 			t.Errorf("process %d executed %d rounds in 2.6 beats, want ≥ 1 (round 0 on the first beat)", i, out.Rounds)
 		}
 	}
 }
 
-// TestMuxDialEpochKeepsJoinGrace pins the other side: an epoch registered
-// at DialMux (runSolo, the JoinTCP path) may be joining an instance already
-// under way, so its first joinGraceBeats beats execute nothing — 2.6 beats
-// in, no process has executed a round.
-func TestMuxDialEpochKeepsJoinGrace(t *testing.T) {
+// TestMuxRegisteredEpochHasNoJoinGrace pins that an epoch opened by
+// Register — every participating node's epoch registered before any
+// automaton starts, the way the TCP transports lease — runs round 0 on its
+// first beat.
+func TestMuxRegisteredEpochHasNoJoinGrace(t *testing.T) {
 	hub, err := NewHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	results := runGraceProbe(t, func(ctx context.Context, _ int, cfg InstanceRun) (rounddriver.Outcome, error) {
+	nodes := dialMuxCluster(t, hub, 3)
+	for _, m := range nodes {
+		if err := m.Register(testEpoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runFirstBeatProbe(t, func(ctx context.Context, i int, cfg InstanceRun) (rounddriver.Outcome, error) {
+		return nodes[i].RunInstance(ctx, testEpoch, cfg)
+	})
+}
+
+// TestMuxDialEpochRunsRoundZeroOnFirstBeat pins the same for an epoch
+// registered at DialMux (runSolo, the JoinTCP path): it runs round 0 on its
+// first beat too, exactly as a Registered one does.
+func TestMuxDialEpochRunsRoundZeroOnFirstBeat(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	runFirstBeatProbe(t, func(ctx context.Context, _ int, cfg InstanceRun) (rounddriver.Outcome, error) {
 		out, _, err := runSolo(ctx, MuxConfig{HubAddr: hub.Addr()}, cfg)
 		return out, err
 	})
-	for i, out := range results {
-		if out.Rounds != 0 {
-			t.Errorf("process %d executed %d rounds in 2.6 beats, want 0 (still in its %d-beat join grace)", i, out.Rounds, joinGraceBeats)
-		}
-	}
 }
 
 // burstCounter is an automaton that never decides and proposes the same

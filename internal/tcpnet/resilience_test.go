@@ -141,11 +141,12 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 			})
 		}()
 	}
-	// Cut node 1's link just as rounds begin (the join grace is 3 beats of
-	// 10ms; round 0 runs on the 4th) and keep it down for several
-	// round-lengths so its peers' broadcasts pile up in the session log —
-	// the resumption must replay them.
-	time.Sleep(30 * time.Millisecond)
+	// Cut node 1's link just after rounds begin (round 0 runs on the first
+	// 10ms beat, round 1 ends on the second at the earliest) and keep it
+	// down for several round-lengths, so its peers' broadcasts pile up in
+	// the session log; the resumption must replay them (ReplayedFrames,
+	// below).
+	time.Sleep(15 * time.Millisecond)
 	proxy.downFor(60 * time.Millisecond)
 	wg.Wait()
 
@@ -159,7 +160,7 @@ func TestNodeReconnectResumesSession(t *testing.T) {
 		t.Errorf("severed node reports %d reconnects, want ≥ 1", stats[1].Reconnects)
 	}
 	if stats[1].ReplayedFrames == 0 {
-		t.Error("severed node reports no replayed frames; resumption should have replayed the gap")
+		t.Error("severed node reports no replayed frames; the resumption must replay its peers' broadcasts from the outage")
 	}
 	if hs := hub.Stats(); hs.Reconnects < 1 {
 		t.Errorf("hub reports %d reconnects, want ≥ 1", hs.Reconnects)
@@ -275,8 +276,8 @@ func TestNodeNeverHealsReportsHubLost(t *testing.T) {
 			Reconnect: ReconnectPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, Seed: 42},
 		}, InstanceRun{
 			Automaton: core.NewES(values.Num(7)),
-			// The long beat parks the node in its join grace, consuming
-			// (nothing): the blackout, not a solo decision, is what it
+			// The long beat holds the node's first round past the
+			// blackout: the blackout, not a solo decision, is what it
 			// experiences.
 			Interval: 5 * time.Second,
 			Timeout:  20 * time.Second,

@@ -264,9 +264,9 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 
 // TestRunNodeSoloRunsOneRoundPerBeat pins that a node alone on a hub runs
 // one round per beat: the hub completes each add at once, so nothing holds
-// it for silent peers. Three beats of join grace and the three beats of
-// its rounds 0–2 fit a nine-beat timeout; a round held for even four beats
-// would not.
+// it for silent peers. Its rounds 0–2 run on beats 1–3 and fit a
+// five-beat timeout; three beats idled before round 0, or a round held for
+// three beats, would not.
 func TestRunNodeSoloRunsOneRoundPerBeat(t *testing.T) {
 	hub, err := NewHub("127.0.0.1:0")
 	if err != nil {
@@ -277,7 +277,7 @@ func TestRunNodeSoloRunsOneRoundPerBeat(t *testing.T) {
 	res, _, err := runSolo(context.Background(), MuxConfig{HubAddr: hub.Addr()}, InstanceRun{
 		Automaton: core.NewES(values.Num(1)),
 		Interval:  interval,
-		Timeout:   9 * interval,
+		Timeout:   5 * interval,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,9 +27,9 @@ func viaProxyOnSlot1(t *testing.T, sched netchaos.Schedule) func(slot int, hubAd
 
 // cutAt is when the chaos tests' blackouts begin, measured from the
 // proxy's start, which shortly precedes the run's first beat: one beat
-// after round 0 runs on the first 12ms beat (a leased epoch has no join
-// grace), and three beats before the earliest decision of an ES instance
-// with distinct proposals, round 4 on the 5th beat.
+// after round 0 runs on the first 12ms beat, and three beats before the
+// earliest decision of an ES instance with distinct proposals, round 4 on
+// the 5th beat.
 const cutAt = 24 * time.Millisecond
 
 // TestTCPChaosSeveredNodeRecovers is the acceptance property for the
