@@ -117,16 +117,17 @@ scenarios-smoke:
 # push: the netchaos package (seeded sever/stall/half-close/blackout
 # schedules plus the chaos consensus property test), the tcpnet
 # reconnect / session-resumption / heartbeat / hub kill+restart /
-# Hello-only admission tests, the root-level chaos tests that cut one
-# node's link mid-run on both TCP shapes, the held-rounds sweep (every
-# link held for up to 64 beats in two rounds), the MS sweeps (a source in
-# every round of every link-fault-free run: anonnet's ES/ESS profiles,
-# and MuxNodes on every way an epoch is opened) and the conformance
-# matrix — all under the race detector, in short mode, well under a
-# minute.
+# Hello-only admission / released-session tests, the root-level chaos
+# tests that cut one node's link mid-run on both TCP shapes (a slot cut
+# for good is replaced, and its old session released), the held-rounds
+# sweep (every link held for up to 64 beats in two rounds), the MS
+# sweeps (a source in every round of every link-fault-free run: anonnet's
+# ES/ESS profiles, and MuxNodes on every way an epoch is opened) and the
+# conformance matrix — all under the race detector, in short mode, well
+# under a minute.
 chaos-smoke:
 	$(GO) test -race -short -count=1 ./internal/netchaos
-	$(GO) test -race -short -count=1 -run 'Reconnect|HubRestart|NeverHeals|Heartbeat|Overwhelm|Hello|NonHello|^TestMuxRunsKeepMS$$' ./internal/tcpnet
+	$(GO) test -race -short -count=1 -run 'Reconnect|HubRestart|NeverHeals|Heartbeat|Overwhelm|Hello|NonHello|Release|^TestMuxRunsKeepMS$$' ./internal/tcpnet
 	$(GO) test -race -short -count=1 -run '^(TestHeldRoundsKeepAgreement|TestProfilesKeepMS)$$' ./internal/anonnet
 	$(GO) test -race -short -count=1 -run 'TestTCPChaos|^TestConformance$$' .
 
@@ -138,17 +139,20 @@ chaos-smoke:
 # multiplexing acceptance tests (many epochs over one hub and one
 # connection per process, epoch-scoped retirement and replay, reconnect
 # resumption, a resumed joiner's 2049-frame replay burst reaching its
-# round driver whole (TestMuxResumeBurstReachesDriver), and where the
-# join grace applies: a leased epoch runs round 0 on its first beat, a
-# DialMux-registered one sits out its grace), the
-# hub's batched byte path (its fan-out allocation pin, batches that stay
-# whole and in order between heartbeats, no bytes lost behind a Welcome), the
-# forgetting hub (session queues trimmed behind what each node provably
-# received, resumption across a trim, retired epochs as a low-water mark), the
-# JoinTCP joiners (the one public path that keeps a join grace), and the
-# sustained-load scaling assertion — a k=8 pool must beat the sequential
-# session at least 2× on the timer-bound live backend, which holds on any
-# core count.
+# round driver whole (TestMuxResumeBurstReachesDriver), round 0 on the
+# first beat however an epoch is opened, a late joiner and a session
+# released mid-epoch keeping MS (TestMuxLateJoinerKeepsMS,
+# TestMuxReleasedSessionKeepsMS), and the cursor a node reports beside
+# each add (TestMuxReportsCursorBesideEachAdd)), the hub's batched byte
+# path (its fan-out allocation pin, batches that stay whole and in order
+# between heartbeats, no bytes lost behind a Welcome), the forgetting hub
+# (TestHubForgets…: session queues trimmed behind each node's reported
+# cursor, hostile reports clamped, nodes closed for good released,
+# resumption across a trim, retired epochs as a low-water mark), the
+# JoinTCP joiners (processes that may attach to an instance already under
+# way), and the sustained-load scaling assertion — a k=8 pool must beat
+# the sequential session at least 2× on the timer-bound live backend,
+# which holds on any core count.
 mux-smoke:
 	$(GO) test -race -count=1 -run 'TestNodeStress|TestNodePool|TestNodeCloseMidFlight|TestSimPoolDeterminism|TestAdmission|TestEventDrop|TestTCPMux|TestJoinTCP|TestServiceThroughputScales' .
 	$(GO) test -race -short -count=1 -run 'TestMux|TestRetireEpoch|TestEpoch|TestHubFanOut|TestHubWriteLoop|TestHubForgets' ./internal/tcpnet ./internal/wire

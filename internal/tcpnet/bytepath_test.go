@@ -115,9 +115,7 @@ func TestHubWriteLoopBatchesInOrder(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		hub.mu.Lock()
-		logged := len(hub.log)
-		hub.mu.Unlock()
+		logged := hub.logged()
 		if logged == total {
 			break
 		}

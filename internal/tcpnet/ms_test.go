@@ -127,23 +127,37 @@ func TestMuxRunsKeepMS(t *testing.T) {
 }
 
 // holdAt wraps an automaton: its Compute of round at closes entered and
-// waits for gate before computing, and its driver drains nothing meanwhile.
+// waits for gate before computing, and its driver drains nothing meanwhile;
+// once it has computed, it closes left.
 type holdAt struct {
 	giraf.Automaton
-	at            int
-	entered, gate chan struct{}
+	at                  int
+	entered, gate, left chan struct{}
 }
 
 func newHoldAt(a giraf.Automaton, at int) *holdAt {
-	return &holdAt{Automaton: a, at: at, entered: make(chan struct{}), gate: make(chan struct{})}
+	return &holdAt{Automaton: a, at: at, entered: make(chan struct{}), gate: make(chan struct{}), left: make(chan struct{})}
 }
 
 func (h *holdAt) Compute(k int, in giraf.Inbox) (giraf.Payload, giraf.Decision) {
-	if k == h.at {
-		close(h.entered)
-		<-h.gate
+	if k != h.at {
+		return h.Automaton.Compute(k, in)
 	}
+	close(h.entered)
+	<-h.gate
+	defer close(h.left)
 	return h.Automaton.Compute(k, in)
+}
+
+// openGates closes the gates of the holds not yet opened.
+func openGates(holds ...*holdAt) {
+	for _, h := range holds {
+		select {
+		case <-h.gate:
+		default:
+			close(h.gate)
+		}
+	}
 }
 
 // TestMuxLateJoinerKeepsMS: a process that dials an epoch its two peers
@@ -292,6 +306,148 @@ func runLateJoiner(ess bool, beat time.Duration) string {
 	}
 	if vs := property.Check(property.Run{Proposals: core.ProposalSet(props), Outcomes: rounddriver.Outcomes(outs), Promised: true}); len(vs) > 0 {
 		return fmt.Sprintf("%v: %+v", vs, outs)
+	}
+	return ""
+}
+
+// TestMuxReleasedSessionKeepsMS: the hub releases a node's session in the
+// middle of an epoch, and the node resumes as a fresh session — a late
+// join. Node 2 reaches the hub through a proxy. Its peers are held inside
+// round 3 and node 2 inside round 2 when its link goes down. The hub
+// detaches the session; frames of another epoch push the detached queue
+// past the high-water mark, and the hub releases it. Once node 2 has
+// computed round 2 the link heals: node 2's redial gets a fresh session,
+// whose replay is the live log, and its driver re-sends the add it had
+// outstanding. Every round each process computes has a source (MS), and
+// every property holds, Termination included, under ES and ESS.
+func TestMuxReleasedSessionKeepsMS(t *testing.T) {
+	const beat = 10 * time.Millisecond
+	for _, ess := range []bool{false, true} {
+		if msg := runReleased(t, ess, beat); msg != "" {
+			t.Errorf("ess=%v: %s", ess, msg)
+		}
+	}
+}
+
+// runReleased runs TestMuxReleasedSessionKeepsMS's schedule and returns
+// what the run broke, or "".
+func runReleased(t *testing.T, ess bool, beat time.Duration) string {
+	const (
+		released    = 2 // the hub's third session
+		fillerEpoch = testEpoch + 1
+	)
+	hub, err := NewHub("127.0.0.1:0", WithQueuePolicy(16, time.Millisecond))
+	if err != nil {
+		return err.Error()
+	}
+	defer hub.Close()
+	proxy := newFlakyProxy(t, hub.Addr())
+	ctx := context.Background()
+	var nodes [3]*MuxNode
+	for i := range nodes {
+		cfg := MuxConfig{
+			HubAddr:   hub.Addr(),
+			Reconnect: ReconnectPolicy{MaxAttempts: 10000, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		}
+		if i == released {
+			cfg.HubAddr = proxy.addr()
+		}
+		m, err := DialMux(ctx, cfg, testEpoch)
+		if err != nil {
+			return fmt.Sprintf("node %d: %v", i, err)
+		}
+		defer m.Close()
+		nodes[i] = m
+	}
+	// session reports whether the hub holds the index-th session, and
+	// whether it is attached.
+	session := func(index int) (held, attached bool) {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		for _, s := range hub.sessions {
+			if s.index == index {
+				return true, s.conn != nil
+			}
+		}
+		return false, false
+	}
+	await := func(what string, done func() bool) string {
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return what + " never happened"
+			}
+		}
+		return ""
+	}
+
+	props := core.DistinctProposals(len(nodes))
+	holds := make([]*holdAt, len(nodes))
+	rec := property.NewRecorder(func(i int) giraf.Automaton {
+		var a giraf.Automaton = core.NewES(props[i])
+		if ess {
+			a = core.NewESS(props[i])
+		}
+		at := 3
+		if i == released {
+			at = 2
+		}
+		holds[i] = newHoldAt(a, at)
+		return holds[i]
+	})
+	outs := make([]rounddriver.Outcome, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, m := range nodes {
+		aut := rec.Automaton(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = m.RunInstance(ctx, testEpoch, InstanceRun{Automaton: aut, Interval: beat, Timeout: 20 * time.Second})
+		}()
+	}
+	defer openGates(holds...) // on an early return
+	for _, h := range holds {
+		<-h.entered
+	}
+
+	proxy.blackout()
+	if msg := await("the hub detaching node 2", func() bool { _, attached := session(released); return !attached }); msg != "" {
+		return msg
+	}
+	filler := &muxEpoch{id: fillerEpoch, lost: make(chan struct{})}
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; ; i++ {
+		if held, _ := session(released); !held {
+			break
+		}
+		if time.Now().After(deadline) {
+			return "the hub never released node 2's session"
+		}
+		if err := nodes[0].send(filler, valueEnvelope(1, int64(i))); err != nil {
+			return err.Error()
+		}
+		time.Sleep(time.Millisecond)
+	}
+	openGates(holds[released])
+	<-holds[released].left // its round-3 add goes out into the dead link
+	proxy.heal()
+	if msg := await("node 2 attaching a fresh session", func() bool { _, attached := session(len(nodes)); return attached }); msg != "" {
+		return msg
+	}
+	openGates(holds...)
+	wg.Wait()
+
+	if err := errors.Join(errs...); err != nil {
+		return err.Error()
+	}
+	if err := property.CheckMS(&rec.Record, math.MaxInt); err != nil {
+		return fmt.Sprintf("%v: %+v", err, outs)
+	}
+	if vs := property.Check(property.Run{Proposals: core.ProposalSet(props), Outcomes: rounddriver.Outcomes(outs), Promised: true}); len(vs) > 0 {
+		return fmt.Sprintf("%v: %+v", vs, outs)
+	}
+	if s := nodes[released].Stats(); s.Reconnects == 0 || s.ReplayedFrames == 0 {
+		return fmt.Sprintf("node 2 stats %+v: want a reconnect with a replay", s)
 	}
 	return ""
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anonconsensus/internal/giraf"
@@ -57,8 +58,10 @@ type MuxNode struct {
 	// makes rounddriver.Config.Attachment.
 	attachment uint64
 
-	token       uint64 // hub session token (reader-owned after DialMux)
-	cursor      uint64 // data frames received on the session (reader-owned)
+	token uint64 // hub session token (reader-owned after DialMux)
+	// cursor counts the data frames received on the session; the reader
+	// advances it, and send reports it to the hub beside each add.
+	cursor      atomic.Uint64
 	incarnation uint64 // the hub's, from its last Welcome (reader-owned)
 
 	lifeCtx    context.Context
@@ -140,12 +143,12 @@ func DialMux(ctx context.Context, cfg MuxConfig, epochs ...uint64) (*MuxNode, er
 		conn:        conn,
 		attachment:  1,
 		token:       welcome.Token,
-		cursor:      welcome.ResumeFrom,
 		incarnation: welcome.Incarnation,
 		stop:        make(chan struct{}),
 		dead:        make(chan struct{}),
 		readerDone:  make(chan struct{}),
 	}
+	m.cursor.Store(welcome.ResumeFrom)
 	for _, epoch := range epochs {
 		if err := m.Register(epoch); err != nil {
 			_ = conn.Close()
@@ -270,9 +273,12 @@ func (m *MuxNode) RunInstance(ctx context.Context, epoch uint64, cfg InstanceRun
 }
 
 // send delta-compresses env against its epoch's uplink stream and writes
-// one epoch-tagged frame to the shared connection. A lost epoch sends
-// nothing: after a hub restart its frames would reach a log that lacks
-// the instance's earlier adds (redial closes lost under writeMu).
+// one epoch-tagged frame to the shared connection, in one write with a
+// report of the node's receive cursor ahead of it — a heartbeat ack with
+// Seq 0, which no probe carries: the hub forgets what the node reports
+// received. A lost epoch sends nothing: after a hub restart its frames
+// would reach a log that lacks the instance's earlier adds (redial closes
+// lost under writeMu).
 func (m *MuxNode) send(ep *muxEpoch, env giraf.Envelope) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
@@ -294,7 +300,8 @@ func (m *MuxNode) send(ep *muxEpoch, env giraf.Envelope) error {
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(m.conn, data); err != nil {
+	report := wire.EncodeHeartbeatAck(wire.Heartbeat{Cursor: m.cursor.Load()})
+	if err := wire.WriteFrame(m.conn, report, data); err != nil {
 		// The frame may never have reached the hub: drop the tracker so
 		// the next broadcast resends full payloads on whatever stream
 		// follows.
@@ -347,7 +354,7 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 			case wire.ControlHeartbeat:
 				if hb, herr := wire.DecodeHeartbeat(frame); herr == nil {
 					m.writeMu.Lock()
-					ok := m.conn != nil && wire.WriteFrame(m.conn, wire.EncodeHeartbeatAck(wire.Heartbeat{Seq: hb.Seq, Cursor: m.cursor})) == nil
+					ok := m.conn != nil && wire.WriteFrame(m.conn, wire.EncodeHeartbeatAck(wire.Heartbeat{Seq: hb.Seq, Cursor: m.cursor.Load()})) == nil
 					m.writeMu.Unlock()
 					if ok {
 						m.mu.Lock()
@@ -370,7 +377,7 @@ func (m *MuxNode) readerLoop(conn net.Conn, br *bufio.Reader) {
 		// Every data frame occupies one slot of the session stream, so the
 		// cursor advances even for frames that fail to decode (else a
 		// resumption would replay the garbage forever).
-		m.cursor++
+		m.cursor.Add(1)
 		delta, epoch, err := wire.DecodeDeltaEnvelopeEpoch(frame)
 		if err != nil {
 			continue // corrupt frame: skip (crash-fault model)
@@ -411,7 +418,7 @@ func (m *MuxNode) redial() (net.Conn, *bufio.Reader, error) {
 			return nil, nil, ErrHubLost
 		case <-wait.C:
 		}
-		conn, br, welcome, err := dialHub(m.lifeCtx, m.cfg.HubAddr, m.token, m.cursor)
+		conn, br, welcome, err := dialHub(m.lifeCtx, m.cfg.HubAddr, m.token, m.cursor.Load())
 		if err != nil {
 			lastErr = err
 			m.mu.Lock()
@@ -421,9 +428,10 @@ func (m *MuxNode) redial() (net.Conn, *bufio.Reader, error) {
 		}
 		// The hub's resume position is authoritative: the node's own
 		// cursor for a clean resumption, 0 when the session is fresh
-		// (a restarted hub no longer knows the token).
+		// (a restarted hub no longer knows the token, or the hub released
+		// the session: the node rejoins late, DESIGN.md §3 note 7).
 		m.token = welcome.Token
-		m.cursor = welcome.ResumeFrom
+		m.cursor.Store(welcome.ResumeFrom)
 		m.writeMu.Lock()
 		if welcome.Incarnation != m.incarnation {
 			// A restarted hub's log lacks every add this node completed:

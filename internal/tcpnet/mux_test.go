@@ -209,9 +209,7 @@ func TestRetireEpochScopesReplay(t *testing.T) {
 	// Wait for the hub to log all six frames before retiring.
 	deadline := time.Now().Add(5 * time.Second)
 	for hub.Stats().EpochsRetired == 0 {
-		hub.mu.Lock()
-		logged := len(hub.log)
-		hub.mu.Unlock()
+		logged := hub.logged()
 		if logged >= 6 {
 			break
 		}

@@ -213,9 +213,7 @@ func TestNodeSurvivesHubRestart(t *testing.T) {
 	// a beat before anyone could compute a decision.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		hub.mu.Lock()
-		logged := len(hub.log)
-		hub.mu.Unlock()
+		logged := hub.logged()
 		if logged >= len(nodes) {
 			break
 		}

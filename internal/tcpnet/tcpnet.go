@@ -26,7 +26,9 @@
 // attached connection and only declares a peer dead after a run of
 // missed acks; an overwhelmed consumer gets a high-water-mark grace
 // window to drain before it is disconnected (and, having a session, can
-// reconnect and resume with nothing lost).
+// reconnect and resume with nothing lost). A session that stays
+// overwhelmed while detached ends; its node, if it ever returns, joins
+// afresh.
 package tcpnet
 
 import (
@@ -35,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,7 +61,9 @@ var ErrHubRestarted = fmt.Errorf("%w: the hub restarted", ErrHubLost)
 // HubStats counts the hub's robustness events. All counters are
 // cumulative since the hub started.
 type HubStats struct {
-	// Sessions is the number of sessions ever established.
+	// Sessions is the number of sessions ever established. A released
+	// session (see Hub) is not subtracted, and its node's next Hello
+	// counts as a new one.
 	Sessions int
 	// Reconnects counts successful session resumptions.
 	Reconnects int
@@ -70,7 +75,8 @@ type HubStats struct {
 	// recovers; a dead one accumulates the miss limit and is dropped).
 	HeartbeatMisses int
 	// DroppedConns counts connections the hub itself severed (overwhelmed
-	// beyond the grace window, or heartbeat-dead).
+	// beyond the grace window, or heartbeat-dead). Releasing a detached
+	// session severs no connection and is not counted.
 	DroppedConns int
 	// OverwhelmedDrops is the subset of DroppedConns due to a full
 	// outbound queue past the high-water mark for longer than the grace
@@ -89,10 +95,10 @@ type HubStats struct {
 // paper): a data frame is its sender's add, and the hub completes the add
 // by a wire.Mark in the sender's own stream, at the frame's log position —
 // behind every frame queued to the sender before it, so the log's first
-// frame of a round precedes every mark of that round. The hub retains a
-// log of all frames and replays it to every new session: the paper's
-// broadcast primitive is reliable to *all* correct processes, so a
-// process that attaches late must still receive everything broadcast
+// frame of a round precedes every mark of that round. The hub keeps one
+// log per live epoch and replays every live log to every new session: the
+// paper's broadcast primitive is reliable to *all* correct processes, so
+// a process that attaches late must still receive everything broadcast
 // before it arrived (late counts as asynchronous, lost would break the
 // model — see the late-joiner test).
 //
@@ -100,21 +106,25 @@ type HubStats struct {
 // the hub log: own frames excluded, fault-dropped forwards excluded,
 // injected duplicates included), addressed by stream position. Replay on
 // resumption is a cursor rewind, so a reconnecting node never loses a
-// frame and never re-receives one it has processed. The queue keeps only
-// what the node may still ask for: the hub drops every frame below a
-// position the node has provably received — the mark its next add shows
-// it consumed, or the cursor its heartbeat ack reports.
+// frame and never re-receives one it has processed.
+//
+// What the hub keeps follows one rule (DESIGN.md §3 note 7): a session's
+// queue keeps what its node has not reported receiving — the cursor it
+// sends beside each add and in each heartbeat ack — and a session that
+// stays past the high-water mark for longer than the grace window ends.
+// An attached one is detached first; a detached one is released, and its
+// token's next Hello gets a fresh session, a late join like any other.
 type Hub struct {
 	ln net.Listener
 
 	mu       sync.Mutex
-	sessions map[uint64]*session   // by token; detached ones stay resumable
+	sessions map[uint64]*session   // by token; detached ones stay resumable until released
 	pending  map[net.Conn]struct{} // accepted, Hello not yet read
-	log      [][]byte
-	// logEpochs runs parallel to log: each entry is the frame's instance
-	// epoch (0 for bytes that are not a data frame), so RetireEpoch can
-	// compact the replay log per epoch without decoding frames.
-	logEpochs []uint64
+	// logs holds each live epoch's frames in arrival order (epoch 0: bytes
+	// that are not a data frame); logOrder lists those epochs in the order
+	// their first frames were logged, the order a fresh session replays.
+	logs     map[uint64][][]byte
+	logOrder []uint64
 	// The retired epochs are every epoch in [1, retiredBelow) and the few
 	// above it in retiredAbove, retired out of order.
 	retiredBelow uint64
@@ -160,16 +170,14 @@ type session struct {
 	// order; the write loop emits each once cur reaches its position and
 	// trims them as it goes, so they never accumulate in sent.
 	marks []queuedMark
-	// emitted holds, per epoch, the latest round whose mark the write loop
-	// emitted and the smallest position it emitted one at (an add sent
-	// twice is marked twice, and the node may have read only the first).
-	emitted map[uint64]emittedMark
-	cond    *sync.Cond
+	cond  *sync.Cond
 
 	conn net.Conn // current attachment; nil while detached
 	wmu  sync.Mutex
 
-	hwmSince time.Time // when the queue lag first crossed the high-water mark
+	// hwmSince is when the queue lag crossed the high-water mark, since
+	// the last attach or detach.
+	hwmSince time.Time
 
 	hbSeq   uint64
 	hbAcked uint64
@@ -183,25 +191,16 @@ type queuedMark struct {
 	mark wire.Mark
 }
 
-// emittedMark is where a round's mark first went out (see session.emitted).
-type emittedMark struct{ round, pos int }
-
 // end is the stream position one past the session's last queued frame.
 func (s *session) end() int { return s.base + len(s.sent) }
 
-// noteEmitted records that mk goes out at the current position (see
-// emitted).
-func (s *session) noteEmitted(mk wire.Mark) {
-	if e, ok := s.emitted[mk.Epoch]; !ok || mk.Round > e.round || mk.Round == e.round && s.cur < e.pos {
-		s.emitted[mk.Epoch] = emittedMark{mk.Round, s.cur}
-	}
-}
-
-// trim forgets the frames below pos, which the node has received (it is
-// clamped to cur). The queue is compacted only once they are half of it,
-// so each frame is copied at most once on average and the array is reused.
-func (s *session) trim(pos int) {
-	pos = min(pos, s.cur)
+// trim forgets the frames below the node's reported cursor. The report is
+// the peer's claim: it is clamped to cur, as a uint64, before it can turn
+// into an index past what the write loop delivered. The queue is compacted
+// only once the forgotten frames are half of it, so each frame is copied
+// at most once on average and the array is reused.
+func (s *session) trim(cursor uint64) {
+	pos := int(min(cursor, uint64(s.cur)))
 	if pos <= s.base || 2*(pos-s.base) < len(s.sent) {
 		return
 	}
@@ -262,7 +261,8 @@ func WithHeartbeat(interval time.Duration, missLimit int) HubOption {
 // highWater frames are queued undelivered, the consumer has the grace
 // window to drain below the mark before the hub disconnects it
 // (overwhelmed ⇒ crashed in the model; the node can reconnect and
-// resume, so the drop is flow control, not data loss).
+// resume, so the drop is flow control, not data loss). A detached session
+// gets the same window again and is then released (see Hub).
 func WithQueuePolicy(highWater int, grace time.Duration) HubOption {
 	return func(h *Hub) {
 		if highWater > 0 {
@@ -285,6 +285,7 @@ func NewHub(addr string, opts ...HubOption) (*Hub, error) {
 		ln:           ln,
 		sessions:     make(map[uint64]*session),
 		pending:      make(map[net.Conn]struct{}),
+		logs:         make(map[uint64][][]byte),
 		retiredBelow: 1,
 		retiredAbove: make(map[uint64]struct{}),
 		stop:         make(chan struct{}),
@@ -322,17 +323,17 @@ func (h *Hub) Stats() HubStats {
 	return h.stats
 }
 
-// RetireEpoch declares a multiplexed instance epoch finished: its frames
-// are compacted out of the hub replay log — so fresh sessions and late
-// joiners replay only live epochs — and any straggler broadcast tagged
-// with it is suppressed instead of logged. Retirement is what keeps a
-// long-lived multiplexing hub's log proportional to the *in-flight*
-// instances rather than to everything it ever carried.
+// RetireEpoch declares a multiplexed instance epoch finished: its log is
+// dropped — so fresh sessions and late joiners replay only live epochs —
+// and any straggler broadcast tagged with it is suppressed instead of
+// logged. Retirement is what keeps a long-lived multiplexing hub's log
+// proportional to the *in-flight* instances rather than to everything it
+// ever carried.
 //
 // Epoch 0 (bytes that are not a data frame) cannot be retired; calls for
 // it are no-ops. Already-established sessions keep the epoch's frames in
 // their streams, which are position-addressed for resumption; those go
-// once the node has received them, like every other frame.
+// once the node reports them received, like every other frame.
 func (h *Hub) RetireEpoch(epoch uint64) {
 	if epoch == 0 {
 		return
@@ -347,26 +348,10 @@ func (h *Hub) RetireEpoch(epoch uint64) {
 		delete(h.retiredAbove, h.retiredBelow)
 		h.retiredBelow++
 	}
-	for _, s := range h.sessions {
-		delete(s.emitted, epoch)
-	}
 	h.stats.EpochsRetired++
-	kept := h.log[:0]
-	keptEpochs := h.logEpochs[:0]
-	for i, frame := range h.log {
-		if h.logEpochs[i] == epoch {
-			h.stats.RetiredFrames++
-			continue
-		}
-		kept = append(kept, frame)
-		keptEpochs = append(keptEpochs, h.logEpochs[i])
-	}
-	// Zero the tail so retired frames are collectable.
-	for i := len(kept); i < len(h.log); i++ {
-		h.log[i] = nil
-	}
-	h.log = kept
-	h.logEpochs = keptEpochs
+	h.stats.RetiredFrames += len(h.logs[epoch])
+	delete(h.logs, epoch)
+	h.logOrder = slices.DeleteFunc(h.logOrder, func(e uint64) bool { return e == epoch })
 }
 
 // Close stops the hub and all its connections.
@@ -470,13 +455,11 @@ func (h *Hub) handshake(conn net.Conn) {
 		}
 	} else {
 		// Fresh session (or a resume for a token this hub does not know —
-		// e.g. issued before a restart): the whole current log is the
-		// replay, exactly as for a late joiner.
-		s = &session{
-			index:   h.stats.Sessions,
-			sent:    append([][]byte(nil), h.log...),
-			emitted: make(map[uint64]emittedMark),
-			cond:    sync.NewCond(&h.mu),
+		// issued before a restart, or released): every live epoch's log is
+		// the replay, exactly as for a late joiner.
+		s = &session{index: h.stats.Sessions, cond: sync.NewCond(&h.mu)}
+		for _, epoch := range h.logOrder {
+			s.sent = append(s.sent, h.logs[epoch]...)
 		}
 		h.stats.Sessions++
 		s.token = h.incarnation + uint64(h.stats.Sessions)
@@ -514,13 +497,17 @@ func (h *Hub) readLoop(s *session, conn net.Conn, br *bufio.Reader) {
 			if kind == wire.ControlHeartbeatAck {
 				if ack, err := wire.DecodeHeartbeatAck(frame); err == nil {
 					h.mu.Lock()
-					// Ignore acks from before a resumption (their seq
-					// outruns this attachment's probe counter).
-					if ack.Seq <= s.hbSeq && ack.Seq > s.hbAcked {
-						s.hbAcked = ack.Seq
+					// Seq 0 is the cursor report a node sends beside each
+					// add, not a probe's ack (probes count from 1).
+					if ack.Seq != 0 {
+						// Ignore acks from before a resumption (their seq
+						// outruns this attachment's probe counter).
+						if ack.Seq <= s.hbSeq && ack.Seq > s.hbAcked {
+							s.hbAcked = ack.Seq
+						}
+						s.misses = 0
 					}
-					s.misses = 0
-					s.trim(int(min(ack.Cursor, uint64(s.cur))))
+					s.trim(ack.Cursor)
 					h.mu.Unlock()
 				}
 			}
@@ -541,11 +528,6 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 	epoch, round, isData := wire.DataFrameHeader(frame) // non-data bytes count as epoch 0, round 0
 	h.mu.Lock()
 	if isData {
-		// A node ends a round only on its add's mark, so an add of a later
-		// round proves it read its stream up to where that mark went out.
-		if e, ok := from.emitted[epoch]; ok && round > e.round {
-			from.trim(e.pos)
-		}
 		from.marks = append(from.marks, queuedMark{pos: from.end(), mark: wire.Mark{Epoch: epoch, Round: round}})
 		from.cond.Signal()
 	}
@@ -556,8 +538,11 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		h.mu.Unlock()
 		return
 	}
-	h.log = append(h.log, frame)
-	h.logEpochs = append(h.logEpochs, epoch)
+	log, live := h.logs[epoch]
+	if !live {
+		h.logOrder = append(h.logOrder, epoch)
+	}
+	h.logs[epoch] = append(log, frame)
 	var fault LinkFault
 	if h.fault != nil {
 		fault = h.fault(epoch)
@@ -584,13 +569,19 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		// after that it is disconnected — in the crash-fault model a
 		// crashed process (which the algorithms tolerate), and for a node
 		// with a reconnect budget merely a forced reconnect with replay.
-		if s.conn != nil && s.end()-s.cur > h.highWater {
+		// Still overwhelmed a window after that, detached, the session is
+		// released: should its node return, it joins afresh and late.
+		if s.end()-s.cur > h.highWater {
 			if s.hwmSince.IsZero() {
 				s.hwmSince = time.Now()
 			} else if time.Since(s.hwmSince) > h.graceWindow {
-				h.stats.OverwhelmedDrops++
-				h.stats.DroppedConns++
-				overwhelmed = append(overwhelmed, victim{s, s.conn})
+				if s.conn == nil {
+					delete(h.sessions, s.token)
+				} else {
+					h.stats.OverwhelmedDrops++
+					h.stats.DroppedConns++
+					overwhelmed = append(overwhelmed, victim{s, s.conn})
+				}
 			}
 		}
 		s.cond.Signal()
@@ -633,12 +624,8 @@ func (h *Hub) writeLoop(s *session, conn net.Conn) {
 		taken := 0
 		for {
 			for ; taken < len(s.marks) && s.marks[taken].pos <= s.cur; taken++ {
-				mk := s.marks[taken].mark
-				if !h.isRetired(mk.Epoch) {
-					s.noteEmitted(mk)
-				}
 				at := len(marks)
-				marks = wire.AppendMark(marks, mk)
+				marks = wire.AppendMark(marks, s.marks[taken].mark)
 				batch = append(batch, marks[at:len(marks):len(marks)])
 			}
 			if s.cur >= end {
@@ -752,11 +739,14 @@ func (h *Hub) heartbeatLoop() {
 }
 
 // detach severs one attachment. The session stays resumable: its queue
-// keeps growing, and nothing in it is acknowledged until the node is back.
+// keeps growing, and nothing in it is reported received until the node is
+// back. The grace window starts again here: a session still past the
+// high-water mark a window later is released (see Hub).
 func (h *Hub) detach(s *session, conn net.Conn) {
 	h.mu.Lock()
 	if s.conn == conn {
 		s.conn = nil
+		s.hwmSince = time.Time{}
 		s.cond.Broadcast()
 	}
 	h.mu.Unlock()

@@ -235,9 +235,7 @@ func TestRunNodeLateJoinerReplayReachesInbox(t *testing.T) {
 	const logged = 2 * rounds
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		hub.mu.Lock()
-		n := len(hub.log)
-		hub.mu.Unlock()
+		n := hub.logged()
 		if n == logged {
 			break
 		}

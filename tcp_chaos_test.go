@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anonconsensus/internal/netchaos"
+	"anonconsensus/internal/tcpnet"
 )
 
 // viaProxyOnSlot1 is a dialVia that routes slot 1 through a netchaos proxy
@@ -171,9 +172,14 @@ func TestTCPChaosMuxSeveredSlotRecovers(t *testing.T) {
 // whose link never comes back exhausts its reconnect budget and is
 // crash-equivalent for the instance that carried it — and only for that
 // one. The next Run re-dials the slot, so all n processes decide again.
+// The dead slot's old session ends too: detached, and never reported
+// received, it stays past the hub's high-water mark (a small one here)
+// for a grace window, and the hub releases it, so the hub is back to n
+// sessions.
 func TestTCPChaosMuxDeadSlotReplaced(t *testing.T) {
 	tr := NewTCPMuxTransport().(*tcpMuxTransport)
 	defer tr.Close()
+	tr.plane.hubOpts = []tcpnet.HubOption{tcpnet.WithQueuePolicy(16, time.Millisecond)}
 	neverHeals := viaProxyOnSlot1(t, netchaos.Schedule{
 		{Kind: netchaos.Blackout, At: cutAt}, // Dur 0: never heals
 	})
@@ -212,6 +218,42 @@ func TestTCPChaosMuxDeadSlotReplaced(t *testing.T) {
 	}
 	if _, ok := second.Agreed(); !ok || len(unscheduledCrashes(second.Decisions, Scenario{})) > 0 {
 		t.Fatalf("the dead slot was not replaced: second run %+v", second.Decisions)
+	}
+
+	// sessions runs spec once more, with a fault hook on its epoch that
+	// drops nothing and records every session the hub forwards to: each
+	// live session, since every one of the n processes sends.
+	sessions := func() int {
+		tr.plane.mu.Lock()
+		epoch := tr.plane.epoch + 1
+		tr.plane.mu.Unlock()
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		tr.plane.faults.Store(epoch, tcpnet.LinkFault(func(_, _, to int) (bool, bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[to] = true
+			return false, false
+		}))
+		res, err := tr.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := res.Agreed(); !ok {
+			t.Fatalf("an instance after the replacement did not agree: %+v", res.Decisions)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen)
+	}
+	for runs := 1; ; runs++ {
+		got := sessions()
+		if got == len(spec.Proposals) {
+			break
+		}
+		if runs == 5 {
+			t.Fatalf("after %d more instances the hub forwards to %d sessions, want %d: the dead slot's session was never released", runs, got, len(spec.Proposals))
+		}
 	}
 	if dials != 2 {
 		t.Errorf("slot 1 dialed %d times, want 2 (first dial, one replacement)", dials)
