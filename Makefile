@@ -94,7 +94,9 @@ perf:
 # (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
 # round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and header peek.
 # FuzzSharedRoundParity runs small simulated configurations against a
-# reference run that delivers every envelope by its own Receive call.
+# reference run that delivers every envelope by its own Receive call, so it
+# also compares the late deliveries a round-local run counts against the
+# queued ones, with delay bounds that grow the delivery ring.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values

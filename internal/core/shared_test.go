@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -24,6 +25,10 @@ type sharedCase struct {
 	distinct  bool // distinct proposals; otherwise three camps
 	crashStep int  // process 0 crashes at this step; 0 means never
 	maxRounds int
+	// maxDelay bounds the policy's late delays; 0 keeps the case's default
+	// (at most 3). A bound past the engine's 8-slot delivery ring makes it
+	// grow mid-run.
+	maxDelay int
 }
 
 var (
@@ -32,8 +37,8 @@ var (
 )
 
 func (c sharedCase) String() string {
-	return fmt.Sprintf("%s/%s/n=%d/gst=%d/seed=%d/distinct=%v/crash=%d/max=%d",
-		c.aut, c.pol, c.n, c.gst, c.seed, c.distinct, c.crashStep, c.maxRounds)
+	return fmt.Sprintf("%s/%s/n=%d/gst=%d/seed=%d/distinct=%v/crash=%d/max=%d/delay=%d",
+		c.aut, c.pol, c.n, c.gst, c.seed, c.distinct, c.crashStep, c.maxRounds, c.maxDelay)
 }
 
 func (c sharedCase) policy() env.Policy {
@@ -41,13 +46,13 @@ func (c sharedCase) policy() env.Policy {
 	case "Synchronous":
 		return env.Synchronous{}
 	case "ES":
-		return &env.ES{GST: c.gst, Pre: env.MS{Seed: c.seed}}
+		return &env.ES{GST: c.gst, Pre: env.MS{Seed: c.seed, MaxDelay: c.maxDelay}}
 	case "ESS":
-		return &env.ESS{GST: c.gst, StableSource: c.n - 1, PostTimelyPct: 100, Pre: env.MS{Seed: c.seed, MaxDelay: 2}}
+		return &env.ESS{GST: c.gst, StableSource: c.n - 1, PostTimelyPct: 100, Pre: env.MS{Seed: c.seed, MaxDelay: cmp.Or(c.maxDelay, 2)}}
 	case "MS":
-		return &env.MS{Seed: c.seed, MaxDelay: 2, ExtraTimelyPct: 70}
+		return &env.MS{Seed: c.seed, MaxDelay: cmp.Or(c.maxDelay, 2), ExtraTimelyPct: 70}
 	default:
-		return &env.Async{Seed: c.seed, MaxDelay: 1}
+		return &env.Async{Seed: c.seed, MaxDelay: cmp.Or(c.maxDelay, 1)}
 	}
 }
 
@@ -142,17 +147,18 @@ func checkSharedParity(t testing.TB, c sharedCase) {
 // TestSharedRoundParity is the differential test of the shared round: over
 // the automata (the three round-local ones and weakset, which must keep
 // the per-receiver path), the policies, sizes, crash steps — including a
-// sender crashing at the first shared step — and runs cut short by
-// MaxRounds, a run must match its per-receiver reference in every round
-// view computed, every status, every Metrics field but MergesSkipped and
-// every process's Delivered and CurrentRound.
+// sender crashing at the first shared step — runs cut short by MaxRounds,
+// and late delays past the delivery ring's first window, a run must match
+// its per-receiver reference in every round view computed, every status,
+// every Metrics field but MergesSkipped and every process's Delivered and
+// CurrentRound.
 func TestSharedRoundParity(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8, 64} {
 		// The big size runs a thinner grid: an undecided n=64 run under MS
 		// or Async costs a quadratic round per step.
-		seeds, crashes, bounds := []int64{1, 2}, []int{0, 1, 2, 3}, []int{3, 30}
+		seeds, crashes, bounds, delays := []int64{1, 2}, []int{0, 1, 2, 3}, []int{3, 30}, []int{0, 20}
 		if n == 64 {
-			seeds, crashes, bounds = seeds[:1], []int{0, 2}, []int{3, 8}
+			seeds, crashes, bounds, delays = seeds[:1], []int{0, 2}, []int{3, 8}, delays[:1]
 		}
 		if testing.Short() {
 			seeds = seeds[:1]
@@ -164,10 +170,12 @@ func TestSharedRoundParity(t *testing.T) {
 						for _, distinct := range []bool{false, true} {
 							for _, crash := range crashes {
 								for _, maxRounds := range bounds {
-									checkSharedParity(t, sharedCase{
-										n: n, aut: aut, pol: pol, gst: 2, seed: seed, distinct: distinct,
-										crashStep: crash, maxRounds: maxRounds,
-									})
+									for _, maxDelay := range delays {
+										checkSharedParity(t, sharedCase{
+											n: n, aut: aut, pol: pol, gst: 2, seed: seed, distinct: distinct,
+											crashStep: crash, maxRounds: maxRounds, maxDelay: maxDelay,
+										})
+									}
 								}
 							}
 						}
@@ -179,14 +187,17 @@ func TestSharedRoundParity(t *testing.T) {
 }
 
 // FuzzSharedRoundParity decodes small configurations — size, automaton,
-// policy, GST, seed, proposal shape, crash step and run bound — and checks
-// each against the never-collapsing reference, as TestSharedRoundParity
-// does for its fixed grid.
+// policy, GST, seed, proposal shape, crash step, run bound and delay bound
+// — and checks each against the never-collapsing reference, as
+// TestSharedRoundParity does for its fixed grid. The reference queues
+// every late delivery, so a round-local run's counted late deliveries are
+// compared with queued ones too; the fourth seed's delays grow the ring.
 func FuzzSharedRoundParity(f *testing.F) {
-	f.Add(uint8(4), uint8(0), uint8(1), uint8(2), int64(1), false, uint8(2), uint8(30))
-	f.Add(uint8(12), uint8(1), uint8(2), uint8(0), int64(7), true, uint8(0), uint8(3))
-	f.Add(uint8(2), uint8(3), uint8(0), uint8(1), int64(3), false, uint8(1), uint8(5))
-	f.Fuzz(func(t *testing.T, n, aut, pol, gst uint8, seed int64, distinct bool, crash, maxRounds uint8) {
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(2), int64(1), false, uint8(2), uint8(30), uint8(0))
+	f.Add(uint8(12), uint8(1), uint8(2), uint8(0), int64(7), true, uint8(0), uint8(3), uint8(0))
+	f.Add(uint8(2), uint8(3), uint8(0), uint8(1), int64(3), false, uint8(1), uint8(5), uint8(0))
+	f.Add(uint8(6), uint8(0), uint8(3), uint8(0), int64(5), false, uint8(3), uint8(29), uint8(20))
+	f.Fuzz(func(t *testing.T, n, aut, pol, gst uint8, seed int64, distinct bool, crash, maxRounds, maxDelay uint8) {
 		checkSharedParity(t, sharedCase{
 			n:         2 + int(n)%11,
 			aut:       sharedAutomata[int(aut)%len(sharedAutomata)],
@@ -196,6 +207,7 @@ func FuzzSharedRoundParity(f *testing.F) {
 			distinct:  distinct,
 			crashStep: int(crash) % 6,
 			maxRounds: 1 + int(maxRounds)%30,
+			maxDelay:  int(maxDelay) % 25,
 		})
 	})
 }

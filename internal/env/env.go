@@ -33,19 +33,26 @@ package env
 
 import "math/rand"
 
-// rngFor derives a deterministic rand.Rand for a given policy seed and
+// sourceFor derives a deterministic source for a given policy seed and
 // stream label, so distinct policies never share streams. The stream labels
 // are part of the repository's determinism contract: fixed-seed goldens pin
-// the schedules they produce. NewRand keeps math/rand's exact stream and
-// seeds only the words a policy's few draws read.
-func rngFor(seed int64, stream string) *rand.Rand {
+// the schedules they produce. The source keeps math/rand's exact stream and
+// seeds only the words a policy's few draws read; the policies draw from it
+// directly with intn.
+func sourceFor(seed int64, stream string) *lazySource {
 	h := int64(1469598103934665603)
 	for _, b := range []byte(stream) {
 		h ^= int64(b)
 		h *= 1099511628211
 	}
-	return NewRand(seed ^ h)
+	s := new(lazySource)
+	s.Seed(seed ^ h)
+	return s
 }
+
+// rngFor is sourceFor's stream behind a *rand.Rand, for callers that draw
+// through its other methods.
+func rngFor(seed int64, stream string) *rand.Rand { return rand.New(sourceFor(seed, stream)) }
 
 func contains(xs []int, x int) bool {
 	for _, v := range xs {

@@ -1,9 +1,6 @@
 package env
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // DelayFn maps a (sender, receiver) pair to a delivery delay in rounds for
 // one specific round's envelopes. Delay 0 is a timely delivery.
@@ -118,12 +115,12 @@ type MS struct {
 	ExtraTimelyPct int
 
 	sourceLog
-	rng *rand.Rand
+	rng *lazySource
 }
 
 func (m *MS) ensureRNG() {
 	if m.rng == nil {
-		m.rng = rngFor(m.Seed, "ms-policy")
+		m.rng = sourceFor(m.Seed, "ms-policy")
 	}
 }
 
@@ -162,7 +159,7 @@ func (m *MS) Schedule(round int, senders []int, n int) DelayFn {
 	}
 	var src int
 	if m.Shuffle {
-		src = senders[m.rng.Intn(len(senders))]
+		src = senders[m.rng.intn(len(senders))]
 	} else {
 		src = senders[(round/m.period())%len(senders)]
 	}
@@ -178,10 +175,10 @@ func (m *MS) Schedule(round int, senders []int, n int) DelayFn {
 		}
 		row := delays.row(s)
 		for r := range row {
-			if m.ExtraTimelyPct > 0 && m.rng.Intn(100) < m.ExtraTimelyPct {
+			if m.ExtraTimelyPct > 0 && m.rng.intn(100) < m.ExtraTimelyPct {
 				continue
 			}
-			row[r] = int32(1 + m.rng.Intn(md))
+			row[r] = int32(1 + m.rng.intn(md))
 		}
 	}
 	return delays.delay
@@ -236,7 +233,7 @@ type ESS struct {
 	// makes the run eventually synchronous.
 	PostTimelyPct int
 
-	post *rand.Rand
+	post *lazySource
 }
 
 // Schedule implements Policy.
@@ -245,7 +242,7 @@ func (e *ESS) Schedule(round int, senders []int, n int) DelayFn {
 		return e.Pre.Schedule(round, senders, n)
 	}
 	if e.post == nil {
-		e.post = rngFor(e.Pre.Seed, "ess-post")
+		e.post = sourceFor(e.Pre.Seed, "ess-post")
 	}
 	src := e.StableSource
 	if !contains(senders, src) {
@@ -263,10 +260,10 @@ func (e *ESS) Schedule(round int, senders []int, n int) DelayFn {
 		}
 		row := delays.row(s)
 		for r := range row {
-			if e.PostTimelyPct > 0 && e.post.Intn(100) < e.PostTimelyPct {
+			if e.PostTimelyPct > 0 && e.post.intn(100) < e.PostTimelyPct {
 				continue
 			}
-			row[r] = int32(1 + e.post.Intn(md))
+			row[r] = int32(1 + e.post.intn(md))
 		}
 	}
 	return delays.delay
@@ -286,13 +283,13 @@ type Async struct {
 	MinDelay int // defaults to 0
 	MaxDelay int // defaults to 3
 
-	rng *rand.Rand
+	rng *lazySource
 }
 
 // Schedule implements Policy.
 func (a *Async) Schedule(round int, senders []int, n int) DelayFn {
 	if a.rng == nil {
-		a.rng = rngFor(a.Seed, "async-policy")
+		a.rng = sourceFor(a.Seed, "async-policy")
 	}
 	lo := a.MinDelay
 	hi := a.MaxDelay
@@ -306,7 +303,7 @@ func (a *Async) Schedule(round int, senders []int, n int) DelayFn {
 	for _, s := range senders {
 		row := delays.row(s)
 		for r := range row {
-			row[r] = int32(lo + a.rng.Intn(hi-lo+1))
+			row[r] = int32(lo + a.rng.intn(hi-lo+1))
 		}
 	}
 	return delays.delay

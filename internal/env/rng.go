@@ -1,6 +1,9 @@
 package env
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // NewRand returns a *rand.Rand whose stream is exactly that of
 // rand.New(rand.NewSource(seed)), every draw through every method, but
@@ -173,4 +176,23 @@ func (s *lazySource) seedingStep() uint64 {
 	x := s.word(s.feed) + s.word(s.tap)
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// intn is rand.New(s).Intn(n), draw for draw, for 0 < n ≤ 2³¹−1: math/rand's
+// Int31n — a mask for a power of two, else the rejection loop over Int31 —
+// without the interface call per draw. A policy draws n·n delays a round.
+func (s *lazySource) intn(n int) int {
+	if n <= 0 || n > math.MaxInt32 {
+		panic("env: intn argument out of range")
+	}
+	n32 := int32(n)
+	if n32&(n32-1) == 0 {
+		return int(int32(s.Int63()>>32) & (n32 - 1))
+	}
+	limit := int32(1<<31 - 1 - (1<<31)%uint32(n32))
+	v := int32(s.Int63() >> 32)
+	for v > limit {
+		v = int32(s.Int63() >> 32)
+	}
+	return int(v % n32)
 }

@@ -191,6 +191,14 @@ type pendingDelivery struct {
 	env      *giraf.Envelope
 }
 
+// dueSlot is one step's ring slot: the deliveries queued for the step and
+// the number of late deliveries counted for it instead (see
+// Engine.countLate).
+type dueSlot struct {
+	q    []pendingDelivery
+	late int
+}
+
 // fanOutAll is the pendingDelivery.receiver sentinel for a collapsed
 // uniform-delay broadcast entry: one entry, pointing at the one envelope,
 // stands for the sender's n-1 deliveries.
@@ -210,15 +218,15 @@ type Engine struct {
 	procs  []*giraf.Proc
 	auts   []giraf.Automaton
 	status []ProcStatus
-	// due is a ring of delivery queues indexed by absolute step modulo
+	// due is a ring of delivery slots indexed by absolute step modulo
 	// len(due): slot at%len(due) holds exactly the deliveries scheduled
 	// for step `at`. The invariant — every scheduled step lies in
 	// (cur, cur+len(due)] where cur is the step currently executing — holds
 	// because a policy's maximum delay bounds how far ahead an envelope can
 	// be scheduled; schedule grows the ring when a delay exceeds the
-	// window. Slot slices are truncated, not freed, on consumption, so
+	// window. Slot queues are truncated, not freed, on consumption, so
 	// steady-state scheduling allocates nothing.
-	due [][]pendingDelivery
+	due []dueSlot
 	// stepNum is the global step currently executing (cur above).
 	stepNum int
 	metrics Metrics
@@ -238,6 +246,14 @@ type Engine struct {
 	// one and linkFaults is nil, nil otherwise: a declared round's
 	// broadcasts collapse without probing the DelayFn per receiver.
 	uniform env.UniformReporter
+	// countLate is set when a late delivery (delay ≥ 1) can have no effect
+	// but its count: the run has no link faults and no trace, and every
+	// automaton is giraf.RoundLocal. A round-local process drops an envelope
+	// for a round it has computed, and by the step a late envelope arrives
+	// every live receiver has computed its round or halted. Such a delivery
+	// is then counted in its arrival step's slot instead of queued, and
+	// deliverDue adds the count to Metrics.Deliveries.
+	countLate bool
 	// outs and senders are step's scratch buffers (the envelopes broadcast
 	// and their senders, in process order), reused across steps.
 	outs    []giraf.Envelope
@@ -295,10 +311,10 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	clear(e.status)
 	if e.due == nil {
-		e.due = make([][]pendingDelivery, dueRingHint)
+		e.due = make([]dueSlot, dueRingHint)
 	} else {
 		for i := range e.due {
-			e.due[i] = truncatePending(e.due[i])
+			e.due[i] = dueSlot{q: truncatePending(e.due[i].q)}
 		}
 	}
 	if cap(e.crash) >= cfg.N {
@@ -321,6 +337,12 @@ func (e *Engine) Reset(cfg Config) error {
 	if u, ok := cfg.Policy.(env.UniformReporter); ok && e.linkFaults == nil {
 		e.uniform = u
 	}
+	e.countLate = e.linkFaults == nil && !cfg.RecordTrace
+	for _, a := range e.auts {
+		if _, local := a.(giraf.RoundLocal); !local {
+			e.countLate = false
+		}
+	}
 	e.stepNum = 0
 	e.sharedAt = 0
 	e.metrics = Metrics{}
@@ -342,14 +364,19 @@ func truncatePending(s []pendingDelivery) []pendingDelivery {
 	return s[:0]
 }
 
-// schedule queues a delivery for absolute step at, growing the ring when
+// slot returns the ring slot of absolute step at, growing the ring when
 // the delay reaches beyond the current window.
-func (e *Engine) schedule(at int, d pendingDelivery) {
+func (e *Engine) slot(at int) *dueSlot {
 	if at-e.stepNum > len(e.due) {
 		e.growRing(at)
 	}
-	slot := at % len(e.due)
-	e.due[slot] = append(e.due[slot], d)
+	return &e.due[at%len(e.due)]
+}
+
+// schedule queues a delivery for absolute step at.
+func (e *Engine) schedule(at int, d pendingDelivery) {
+	s := e.slot(at)
+	s.q = append(s.q, d)
 }
 
 // growRing widens the delivery window to cover step at, re-placing queued
@@ -361,10 +388,10 @@ func (e *Engine) growRing(at int) {
 	for at-e.stepNum > newLen {
 		newLen *= 2
 	}
-	next := make([][]pendingDelivery, newLen)
-	for i, q := range e.due {
+	next := make([]dueSlot, newLen)
+	for i, s := range e.due {
 		step := e.stepNum + 1 + ((i-(e.stepNum+1))%oldLen+oldLen)%oldLen
-		next[step%newLen] = q
+		next[step%newLen] = s
 	}
 	e.due = next
 }
@@ -441,16 +468,18 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	}, nil
 }
 
-// deliverDue merges all envelopes scheduled for this step into receivers
-// and recycles the ring slot for step+len(due).
+// deliverDue counts the late deliveries counted for this step, merges all
+// envelopes queued for it into receivers, and recycles the ring slot for
+// step+len(due).
 func (e *Engine) deliverDue(step int) {
-	slot := step % len(e.due)
-	q := e.due[slot]
-	if len(q) == 0 {
+	s := &e.due[step%len(e.due)]
+	e.metrics.Deliveries += s.late
+	s.late = 0
+	if len(s.q) == 0 {
 		return
 	}
-	e.deliver(step, q)
-	e.due[slot] = truncatePending(q)
+	e.deliver(step, s.q)
+	s.q = truncatePending(s.q)
 }
 
 // deliver performs one step's deliveries. A timely round goes to every
@@ -670,6 +699,10 @@ func (e *Engine) step(step int) {
 				if d < 0 {
 					panic(fmt.Sprintf("sim: policy returned negative delay %d", d))
 				}
+				if d > 0 && e.countLate {
+					e.slot(round + d).late += e.liveReceivers(round+d, sender)
+					continue
+				}
 				e.schedule(round+d, pendingDelivery{receiver: fanOutAll, sender: sender, env: env})
 				continue
 			}
@@ -683,6 +716,12 @@ func (e *Engine) step(step int) {
 				panic(fmt.Sprintf("sim: policy returned negative delay %d", d))
 			}
 			at := round + d
+			if d > 0 && e.countLate {
+				if at < e.crash[r] {
+					e.slot(at).late++
+				}
+				continue
+			}
 			e.schedule(at, pendingDelivery{receiver: r, sender: sender, env: env})
 			// Scenario duplication: the same envelope is delivered a second
 			// time one step later, so the receiver's inbox dedup is
@@ -704,6 +743,18 @@ func (e *Engine) step(step int) {
 			}
 		}
 	}
+}
+
+// liveReceivers is the number of processes other than sender that are
+// live at step at: the deliveries a fan-out entry arriving then would make.
+func (e *Engine) liveReceivers(at, sender int) int {
+	live := 0
+	for r, cs := range e.crash {
+		if r != sender && at < cs {
+			live++
+		}
+	}
+	return live
 }
 
 // uniformDelay reports whether delay assigns every receiver of sender the

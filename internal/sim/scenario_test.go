@@ -148,7 +148,7 @@ func TestCrashOnlyScenarioKeepsFanOutCollapse(t *testing.T) {
 			e.stepNum = step
 			e.deliverDue(step)
 			e.step(step)
-			for _, d := range e.due[(step+1)%len(e.due)] {
+			for _, d := range e.due[(step+1)%len(e.due)].q {
 				if d.receiver == fanOutAll {
 					collapsed[step]++
 				} else {

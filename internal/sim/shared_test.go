@@ -34,6 +34,51 @@ func TestSharedRoundEngages(t *testing.T) {
 	}
 }
 
+// TestLateDeliveriesCounted pins where late deliveries are counted instead
+// of queued: in an ES n=64 run stable from round 2, the plain run queues no
+// per-receiver delivery (each late one of the pre-GST round is a count in
+// its arrival step's slot), while the same run recording a trace, or with
+// a partition that never comes into force (a link fault all the same),
+// queues them. The three runs report the same Metrics but MergesSkipped,
+// which counts only the shared rounds the partitioned run never takes.
+func TestLateDeliveriesCounted(t *testing.T) {
+	run := func(trace bool, sc *env.Scenario) (sim.Metrics, int) {
+		t.Helper()
+		cfg := core.ConfigES(core.DistinctProposals(64), core.RunOpts{Policy: &env.ES{GST: 2, Pre: env.MS{Seed: 1}}, Scenario: sc})
+		cfg.RecordTrace = trace
+		queued := 0
+		cfg.OnRound = func(_ int, e *sim.Engine) { queued = max(queued, sim.QueuedPerReceiver(e)) }
+		res, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllCorrectDecided() {
+			t.Fatal("ES n=64 GST-2 run did not decide")
+		}
+		m := res.Metrics
+		m.MergesSkipped = 0
+		return m, queued
+	}
+	plain, queued := run(false, nil)
+	if queued != 0 {
+		t.Errorf("plain run queued %d per-receiver deliveries, want every late one counted", queued)
+	}
+	never := &env.Scenario{Partitions: []env.Partition{{From: 1000, Until: 1001, Cut: 1}}}
+	for _, c := range []struct {
+		name  string
+		trace bool
+		sc    *env.Scenario
+	}{{"traced", true, nil}, {"partitioned", false, never}} {
+		m, queued := run(c.trace, c.sc)
+		if queued == 0 {
+			t.Errorf("%s run queued no per-receiver delivery, want its late deliveries queued", c.name)
+		}
+		if m != plain {
+			t.Errorf("%s run metrics %+v, plain run %+v (MergesSkipped excused)", c.name, m, plain)
+		}
+	}
+}
+
 // raceEnabled is set by race_test.go: the race detector's instrumentation
 // allocates, so the allocation pin skips under -race.
 var raceEnabled bool

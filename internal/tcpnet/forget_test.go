@@ -346,7 +346,10 @@ func TestHubForgetsClampsResumeBelowBase(t *testing.T) {
 // more trim nothing and panic nothing, and the victim then reads every
 // frame and its marks in order; once all ten are delivered, a report of
 // 2^64−1 trims exactly those. A report is no heartbeat ack either: it
-// leaves the hub's miss counts and the acked probe as they were.
+// leaves the hub's miss counts and the acked probe as they were. The
+// report one past the end comes first: a trim that indexed the queue by it
+// would panic under the hub's lock, and the panic must crash the test
+// binary, not hang the hub.
 func TestHubForgetsClampsHostileReport(t *testing.T) {
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
@@ -376,7 +379,7 @@ func TestHubForgetsClampsHostileReport(t *testing.T) {
 
 	// Each batch of reports is fenced by an add read behind it: once the
 	// add is logged, the reports were handled.
-	for round, reports := range [][]uint64{{8}, {11, 1 << 63, math.MaxUint64}} {
+	for round, reports := range [][]uint64{{11, 1 << 63, math.MaxUint64}, {8}} {
 		for _, cursor := range reports {
 			victim.report(cursor)
 		}

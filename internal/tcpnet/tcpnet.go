@@ -496,19 +496,7 @@ func (h *Hub) readLoop(s *session, conn net.Conn, br *bufio.Reader) {
 		if kind, ok := wire.ControlKind(frame); ok {
 			if kind == wire.ControlHeartbeatAck {
 				if ack, err := wire.DecodeHeartbeatAck(frame); err == nil {
-					h.mu.Lock()
-					// Seq 0 is the cursor report a node sends beside each
-					// add, not a probe's ack (probes count from 1).
-					if ack.Seq != 0 {
-						// Ignore acks from before a resumption (their seq
-						// outruns this attachment's probe counter).
-						if ack.Seq <= s.hbSeq && ack.Seq > s.hbAcked {
-							s.hbAcked = ack.Seq
-						}
-						s.misses = 0
-					}
-					s.trim(ack.Cursor)
-					h.mu.Unlock()
+					h.noteAck(s, ack)
 				}
 			}
 			continue // control frames are never relayed
@@ -517,16 +505,46 @@ func (h *Hub) readLoop(s *session, conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// broadcast logs one data frame, queues it for every other session, and
-// queues its sender's mark.
-func (h *Hub) broadcast(from *session, frame []byte) {
-	type victim struct {
-		s    *session
-		conn net.Conn
+// noteAck applies a heartbeat ack or cursor report from s's node. It
+// releases h.mu by defer, as relay does: a panic under the lock must reach
+// readLoop's deferred detach with the lock free, or detach would block on
+// it and the hub would hang instead of crashing.
+func (h *Hub) noteAck(s *session, ack wire.Heartbeat) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// Seq 0 is the cursor report a node sends beside each add, not a
+	// probe's ack (probes count from 1).
+	if ack.Seq != 0 {
+		// Ignore acks from before a resumption (their seq outruns this
+		// attachment's probe counter).
+		if ack.Seq <= s.hbSeq && ack.Seq > s.hbAcked {
+			s.hbAcked = ack.Seq
+		}
+		s.misses = 0
 	}
-	var overwhelmed []victim
+	s.trim(ack.Cursor)
+}
+
+// victim is a session's attachment that relay found overwhelmed.
+type victim struct {
+	s    *session
+	conn net.Conn
+}
+
+// broadcast relays one data frame and then detaches the attachments it
+// overwhelmed, outside h.mu.
+func (h *Hub) broadcast(from *session, frame []byte) {
+	for _, v := range h.relay(from, frame) {
+		h.detach(v.s, v.conn)
+	}
+}
+
+// relay logs one data frame, queues it for every other session, and
+// queues its sender's mark. It returns the attachments to detach.
+func (h *Hub) relay(from *session, frame []byte) (overwhelmed []victim) {
 	epoch, round, isData := wire.DataFrameHeader(frame) // non-data bytes count as epoch 0, round 0
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if isData {
 		from.marks = append(from.marks, queuedMark{pos: from.end(), mark: wire.Mark{Epoch: epoch, Round: round}})
 		from.cond.Signal()
@@ -535,8 +553,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		// A straggler from a finished instance: suppress it entirely —
 		// logging it would replay dead traffic to every future session.
 		h.stats.RetiredFrames++
-		h.mu.Unlock()
-		return
+		return nil
 	}
 	log, live := h.logs[epoch]
 	if !live {
@@ -586,10 +603,7 @@ func (h *Hub) broadcast(from *session, frame []byte) {
 		}
 		s.cond.Signal()
 	}
-	h.mu.Unlock()
-	for _, v := range overwhelmed {
-		h.detach(v.s, v.conn)
-	}
+	return overwhelmed
 }
 
 // maxBatch caps the frames one writeLoop pass takes off its session's
