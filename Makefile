@@ -90,7 +90,8 @@ perf:
 # every push so codec and framing regressions surface before a long fuzz
 # campaign would. FuzzReadFrames reads frame streams through a 16-byte
 # bufio.Reader, the way the hub and the mux read their connections. FuzzCounters checks the hash-consed histories and the
-# fingerprint-keyed counter table against the string-keyed reference model. Both wire envelope targets drive the one frame codec
+# fingerprint-keyed counter table against the string-keyed reference model,
+# and FuzzSetOps the sorted-slice value sets against a map-based one. Both wire envelope targets drive the one frame codec
 # (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
 # round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and header peek.
 # FuzzSharedRoundParity runs small simulated configurations against a
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzCounters$$' -fuzztime $(FUZZTIME) ./internal/values
+	$(GO) test -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeltaEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/wire

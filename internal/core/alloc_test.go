@@ -12,9 +12,10 @@ import (
 // consensus run (every global step: compute, clone, broadcast, deliver,
 // dedup) so the canonical-form refactor can't silently regress. The
 // ceiling carries ~35% headroom over the measured value at the time of
-// writing (~370 allocs for this config, down from ~660 before the
-// flat-state engine and ~2400 pre-canonical-form); alloc counts for a
-// fixed deterministic run are stable across machines.
+// writing (172 allocs for this config, down from 234 before value sets
+// became immutable sorted slices, ~660 before the flat-state engine and
+// ~2400 pre-canonical-form); alloc counts for a fixed deterministic run
+// are stable across machines.
 func TestSimStepAllocBudget(t *testing.T) {
 	props := DistinctProposals(4)
 	run := func() {
@@ -24,7 +25,7 @@ func TestSimStepAllocBudget(t *testing.T) {
 		}
 	}
 	run() // settle any process-global lazy state (intern shards etc.)
-	const ceiling = 500
+	const ceiling = 232
 	if n := testing.AllocsPerRun(10, run); n > ceiling {
 		t.Errorf("full ES n=4 synchronous run: %v allocs, budget %d", n, ceiling)
 	}
@@ -35,8 +36,9 @@ func TestSimStepAllocBudget(t *testing.T) {
 // the sim transport's pool does. Late round-1 envelopes are dropped, round
 // storage is recycled as it is computed, and the run-shared memo answers
 // the uniform round without a sort. The ceiling carries the ~35% headroom
-// of the pin above over the 3272 allocs measured at the time of writing
-// (3649 before the stale-round drop and the membership-confirmed memo).
+// of the pin above over the 1618 allocs measured at the time of writing
+// (2898 before value sets became immutable sorted slices, 3649 before the
+// stale-round drop and the membership-confirmed memo).
 func TestBigNRunAllocBudget(t *testing.T) {
 	props := DistinctProposals(64)
 	cfg := func() sim.Config {
@@ -59,7 +61,7 @@ func TestBigNRunAllocBudget(t *testing.T) {
 	for warm := 0; warm < 4; warm++ {
 		run()
 	}
-	const ceiling = 4400
+	const ceiling = 2180
 	if n := testing.AllocsPerRun(10, run); n > ceiling {
 		t.Errorf("ES n=64 GST-2 run on a reused engine: %v allocs, budget %d", n, ceiling)
 	}
@@ -71,8 +73,9 @@ func TestBigNRunAllocBudget(t *testing.T) {
 // by fingerprint with a cached canonical form, payloads share the state
 // they carry instead of cloning it, and the run-shared memo merges and
 // bumps each uniform round once. The ceiling carries the ~35% headroom of
-// the pins above over the 1597 allocs measured at the time of writing
-// (11,449 before, against ES's 924).
+// the pins above over the 1068 allocs measured at the time of writing,
+// against ES's 542 (1448 before value sets became immutable sorted slices;
+// 11,449 before the tables above, against ES's 924).
 func TestESSRunAllocBudget(t *testing.T) {
 	props := DistinctProposals(16)
 	allocs := func(run func([]values.Value, RunOpts) (*sim.Result, error)) float64 {
@@ -86,7 +89,7 @@ func TestESSRunAllocBudget(t *testing.T) {
 		return testing.AllocsPerRun(5, once)
 	}
 	ess, es := allocs(RunESS), allocs(RunES)
-	const ceiling = 2150
+	const ceiling = 1440
 	if ess > ceiling {
 		t.Errorf("synchronous ESS n=16 run: %v allocs, budget %d", ess, ceiling)
 	}

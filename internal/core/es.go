@@ -100,12 +100,9 @@ func (a *ES) Initialize() giraf.Payload {
 
 // Compute implements giraf.Automaton (Algorithm 2 lines 5–15).
 //
-// The state sets (WRITTEN, WRITTENOLD, PROPOSED) are only ever reassigned,
-// never mutated in place, and inbox payload sets are immutable by the
-// framework contract — so the steady-state fast path below may alias them
-// freely instead of cloning. The aliasing is behavior-identical to the
-// clone-everything version; it only removes copies of sets nobody will
-// write to.
+// Sets are immutable values, so the state sets (WRITTEN, WRITTENOLD,
+// PROPOSED) share storage with the inbox payloads and the memoized
+// aggregates, and the payload returned shares PROPOSED's.
 func (a *ES) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
 	// Lines 6–7: WRITTEN := ∩_{m ∈ M_i[k]} m and the inbox union for
 	// PROPOSED. Both are pure functions of the round's payload set, so
@@ -140,15 +137,10 @@ func (a *ES) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
 		}
 	}
 	a.written = w
-	// The union is owned (or immutably shared), so when PROPOSED adds
-	// nothing to it — always the case in round 1, where our own inbox
-	// payload carries VAL, and in the converged case — it is aliased rather
-	// than cloned again.
-	if a.proposed.SubsetOf(u) {
-		a.proposed = u
-	} else {
-		a.proposed = u.Union(a.proposed)
-	}
+	// When PROPOSED adds nothing to the union — always the case in round
+	// 1, where our own inbox payload carries VAL, and in the converged
+	// case — PROPOSED becomes the union itself.
+	a.proposed = u.Union(a.proposed)
 
 	if k%2 == 0 {
 		// Line 9: if PROPOSED = WRITTENOLD = {VAL} then decide.
@@ -306,8 +298,8 @@ func allSetsEqual(sets []values.Set) bool {
 // Val returns the current estimate (for metrics and tests).
 func (a *ES) Val() values.Value { return a.val }
 
-// Proposed returns a copy of the current PROPOSED set (for tests).
-func (a *ES) Proposed() values.Set { return a.proposed.Clone() }
+// Proposed returns the current PROPOSED set (for tests).
+func (a *ES) Proposed() values.Set { return a.proposed }
 
-// Written returns a copy of the last computed WRITTEN set (for tests).
-func (a *ES) Written() values.Set { return a.written.Clone() }
+// Written returns the last computed WRITTEN set (for tests).
+func (a *ES) Written() values.Set { return a.written }

@@ -232,13 +232,9 @@ func (a *ESS) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) 
 	}
 	// Line 6: WRITTEN := ∩ m.PROPOSED.
 	a.written = agg.written
-	// Line 7: PROPOSED := (∪ m.PROPOSED) ∪ PROPOSED, aliasing the union
-	// when PROPOSED adds nothing to it.
-	if a.proposed.SubsetOf(agg.union) {
-		a.proposed = agg.union
-	} else {
-		a.proposed = agg.union.Union(a.proposed)
-	}
+	// Line 7: PROPOSED := (∪ m.PROPOSED) ∪ PROPOSED, the union itself when
+	// PROPOSED adds nothing to it.
+	a.proposed = agg.union.Union(a.proposed)
 	// Lines 8–9.
 	a.counters = agg.counters
 
@@ -298,11 +294,11 @@ func (a *ESS) LeaderNow() bool { return a.counters.IsMaximal(a.history) }
 // Counters returns a copy of the counter table (for tests and metrics).
 func (a *ESS) Counters() values.Counters { return a.counters.Clone() }
 
-// Proposed returns a copy of the current PROPOSED set (for tests).
-func (a *ESS) Proposed() values.Set { return a.proposed.Clone() }
+// Proposed returns the current PROPOSED set (for tests).
+func (a *ESS) Proposed() values.Set { return a.proposed }
 
-// Written returns a copy of the last line-6 WRITTEN set (for tests).
-func (a *ESS) Written() values.Set { return a.written.Clone() }
+// Written returns the last line-6 WRITTEN set (for tests).
+func (a *ESS) Written() values.Set { return a.written }
 
-// WrittenOld returns a copy of WRITTENOLD (for tests).
-func (a *ESS) WrittenOld() values.Set { return a.writtenOld.Clone() }
+// WrittenOld returns WRITTENOLD (for tests).
+func (a *ESS) WrittenOld() values.Set { return a.writtenOld }

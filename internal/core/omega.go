@@ -90,8 +90,8 @@ func (a *OmegaConsensus) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf
 		}
 	}
 	// Every round, as in ES/ESS: WRITTENOLD^k = WRITTEN^(k−1).
-	a.writtenOld = a.written.Clone()
-	return SetPayload{Proposed: a.proposed.Clone()}, giraf.Decision{}
+	a.writtenOld = a.written
+	return SetPayload{Proposed: a.proposed}, giraf.Decision{}
 }
 
 // Val returns the current estimate.

@@ -96,4 +96,4 @@ type wsMemory struct {
 }
 
 func (m *wsMemory) Add(v values.Value) error { m.set.Add(v); return nil }
-func (m *wsMemory) Get() (values.Set, error) { return m.set.Clone(), nil }
+func (m *wsMemory) Get() (values.Set, error) { return m.set, nil }

@@ -41,7 +41,7 @@ func (a *floodAutomaton) Compute(k int, in giraf.Inbox) (giraf.Payload, giraf.De
 		max, _ := a.seen.Max()
 		return nil, giraf.Decision{Decided: true, Value: max}
 	}
-	return floodPayload{a.seen.Clone()}, giraf.Decision{}
+	return floodPayload{a.seen}, giraf.Decision{}
 }
 
 func floodFactory(quorum int) func(i int) giraf.Automaton {

@@ -55,45 +55,48 @@ func TestFingerprintEquality(t *testing.T) {
 	}
 }
 
-// TestCanonInvalidation: mutation through any alias invalidates the cached
-// canonical form; clones are independent.
+// TestCanonInvalidation pins value semantics: a copy of a set is
+// independent. Add and AddAll on a copy rebind the copy and leave the
+// original's Key, Fingerprint and membership as they were, also when the
+// original's summary was computed before the copy was taken; and the
+// copy's own summary follows its new members.
 func TestCanonInvalidation(t *testing.T) {
 	s := NewSet(Num(1))
-	k1 := s.Key()
-	alias := s // plain copy shares storage and cache
-	alias.Add(Num(2))
-	if s.Key() == k1 {
-		t.Error("mutation through alias did not invalidate the original's cached key")
+	key, fp := s.Key(), s.Fingerprint()
+	c := s
+	c.Add(Num(2))
+	d := s
+	d.AddAll(NewSet(Num(3)))
+	if s.Key() != key || s.Fingerprint() != fp || s.Len() != 1 || s.Contains(Num(2)) || s.Contains(Num(3)) {
+		t.Errorf("Add on a copy changed the original: %v, key %q", s, s.Key())
 	}
-	if !s.Contains(Num(2)) {
-		t.Error("alias mutation not visible (map aliasing broken)")
+	if !c.Equal(NewSet(Num(1), Num(2))) || c.Key() != NewSet(Num(1), Num(2)).Key() || c.Fingerprint() == fp {
+		t.Errorf("copy after Add is %v with key %q", c, c.Key())
 	}
-
-	c := s.Clone()
-	key := s.Key()
-	c.Add(Num(3))
-	if s.Key() != key {
-		t.Error("clone mutation leaked into original's cache")
-	}
-	if c.Key() == key {
-		t.Error("clone's cache not invalidated by its own mutation")
+	if !d.Equal(NewSet(Num(1), Num(3))) || d.Fingerprint() == fp {
+		t.Errorf("copy after AddAll is %v", d)
 	}
 
-	w := s.Without(Num(1))
-	if w.Key() == s.Key() {
-		t.Error("Without did not invalidate the derived set's cache")
+	w := c.Without(Num(1))
+	if !w.Equal(NewSet(Num(2))) || w.Key() == c.Key() || !c.Contains(Num(1)) {
+		t.Errorf("Without: %v from %v", w, c)
 	}
 }
 
-// TestCanonZeroSet: the zero Set supports reads and lazy allocation.
+// TestCanonZeroSet: the zero Set is the empty set, reads allocate
+// nothing, and Add on a copy of it leaves it empty.
 func TestCanonZeroSet(t *testing.T) {
 	var s Set
-	if s.Key() != "S" || s.EncodedSize() != 1 || !s.IsEmpty() {
+	if s.Key() != "S" || s.EncodedSize() != 1 || !s.IsEmpty() || s.Fingerprint() != FingerprintString("S") {
 		t.Errorf("zero set canonical form wrong: key %q size %d", s.Key(), s.EncodedSize())
 	}
-	s.Add(Num(7))
-	if s.Key() == "S" || s.Len() != 1 {
-		t.Error("Add on zero set did not take effect")
+	if n := testing.AllocsPerRun(100, func() { _, _ = s.Key(), s.Fingerprint(); _, _ = s.Max() }); n != 0 {
+		t.Errorf("reads of the zero set: %v allocs/op, want 0", n)
+	}
+	c := s
+	c.Add(Num(7))
+	if c.Key() == "S" || c.Len() != 1 || !s.IsEmpty() || s.Key() != "S" {
+		t.Errorf("Add on a copy of the zero set: copy %v, original %v", c, s)
 	}
 }
 

@@ -19,14 +19,14 @@ func EncodeSet(s Set) Value {
 	return Value(b.String())
 }
 
-// DecodeSet unpacks a Value produced by EncodeSet.
+// DecodeSet unpacks a Value produced by EncodeSet, or any listing of a set.
 func DecodeSet(v Value) (Set, error) {
 	s := string(v)
 	if !strings.HasPrefix(s, "set!") {
 		return Set{}, fmt.Errorf("values: %q is not an encoded set", s)
 	}
 	rest := s[len("set!"):]
-	out := NewSet()
+	var vs []Value
 	for len(rest) > 0 {
 		colon := strings.IndexByte(rest, ':')
 		if colon < 0 {
@@ -36,10 +36,10 @@ func DecodeSet(v Value) (Set, error) {
 		if err != nil || n < 0 || colon+1+n > len(rest) {
 			return Set{}, fmt.Errorf("values: corrupt set encoding %q", s)
 		}
-		out.Add(Value(rest[colon+1 : colon+1+n]))
+		vs = append(vs, Value(rest[colon+1:colon+1+n]))
 		rest = rest[colon+1+n:]
 	}
-	return out, nil
+	return NewSet(vs...), nil
 }
 
 // EncodePair packs (rank, v) into a single Value whose string order is

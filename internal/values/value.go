@@ -1,13 +1,13 @@
 // Package values provides the value domain shared by all algorithms in this
 // repository: totally ordered proposal values, the special value ⊥ (Bot),
-// canonical value sets, proposal histories ordered by the prefix relation,
-// and history counters (the data structure behind the paper's pseudo leader
-// election, Algorithm 3).
+// immutable value sets kept in their canonical (ascending) order, proposal
+// histories ordered by the prefix relation, and history counters (the data
+// structure behind the paper's pseudo leader election, Algorithm 3).
 //
 // All types in this package have a canonical string encoding (the *key*)
-// used for set membership and payload deduplication. Anonymity makes this
-// essential: two processes that broadcast identical payloads are
-// indistinguishable, so payload equality must be purely structural.
+// and its fingerprint, used for payload identity and deduplication.
+// Anonymity makes this essential: two processes that broadcast identical
+// payloads are indistinguishable, so payload equality must be structural.
 package values
 
 import (

@@ -70,7 +70,7 @@ var _ WeakSet = (*SWMRHandle)(nil)
 func (h *SWMRHandle) Add(v values.Value) error {
 	h.mu.Lock()
 	h.own.Add(v)
-	snapshot := h.own.Clone()
+	snapshot := h.own
 	h.mu.Unlock()
 	if err := h.f.slots[h.id].Write(values.EncodeSet(snapshot)); err != nil {
 		return fmt.Errorf("weakset: writing own register: %w", err)

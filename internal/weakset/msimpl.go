@@ -75,7 +75,7 @@ func (p *MSProc) EnqueueAdd(v values.Value) {
 
 // Snapshot is the get operation (Algorithm 4 lines 5–6): it returns the
 // current PROPOSED set.
-func (p *MSProc) Snapshot() values.Set { return p.proposed.Clone() }
+func (p *MSProc) Snapshot() values.Set { return p.proposed }
 
 // Records returns the add records (shared slice; read-only).
 //
@@ -90,7 +90,7 @@ func (p *MSProc) idle() bool { return !p.block && len(p.queue) == 0 }
 
 // Initialize implements giraf.Automaton (Algorithm 4 lines 1–4).
 func (p *MSProc) Initialize() giraf.Payload {
-	return setPayload{proposed: p.proposed.Clone()}
+	return setPayload{proposed: p.proposed}
 }
 
 // Compute implements giraf.Automaton (Algorithm 4 lines 13–17).
@@ -138,5 +138,5 @@ func (p *MSProc) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decisio
 		p.block = true
 	}
 	// Line 17: return PROPOSED.
-	return setPayload{proposed: p.proposed.Clone()}, giraf.Decision{}
+	return setPayload{proposed: p.proposed}, giraf.Decision{}
 }

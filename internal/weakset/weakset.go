@@ -64,7 +64,7 @@ func (m *Memory) Add(v values.Value) error {
 func (m *Memory) Get() (values.Set, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.set.Clone(), nil
+	return m.set, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -126,17 +126,17 @@ func decodeControl(frame []byte, kind byte, nFields int) ([]uint64, error) {
 	if got != kind {
 		return nil, fmt.Errorf("%w: control kind %d, want %d", ErrBadFrame, got, kind)
 	}
-	r := bytes.NewReader(frame[3:])
+	d := decoder{b: frame[3:]}
 	fields := make([]uint64, nFields)
 	for i := range fields {
-		n, err := binary.ReadUvarint(r)
+		n, err := d.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated control field %d: %v", ErrBadFrame, i, err)
 		}
 		fields[i] = n
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after control frame", ErrBadFrame, r.Len())
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after control frame", ErrBadFrame, len(d.b))
 	}
 	return fields, nil
 }

@@ -37,20 +37,17 @@ func writeFingerprint(w *bytes.Buffer, fp values.Fingerprint) {
 	w.Write(buf[:])
 }
 
-// readFingerprint reads a fingerprint straight out of body, the slice r
-// reads, and advances r past it: no scratch buffer to move to the heap.
-func readFingerprint(body []byte, r *bytes.Reader) (values.Fingerprint, error) {
-	if r.Len() < 16 {
-		return values.Fingerprint{}, fmt.Errorf("%w: truncated fingerprint: %d bytes left", ErrBadFrame, r.Len())
+// readFingerprint reads a fingerprint straight out of the body.
+func readFingerprint(d *decoder) (values.Fingerprint, error) {
+	if len(d.b) < 16 {
+		return values.Fingerprint{}, fmt.Errorf("%w: truncated fingerprint: %d bytes left", ErrBadFrame, len(d.b))
 	}
-	b := body[len(body)-r.Len():]
-	if _, err := r.Seek(16, io.SeekCurrent); err != nil {
-		return values.Fingerprint{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	fp := values.Fingerprint{
+		Hi: binary.BigEndian.Uint64(d.b[:8]),
+		Lo: binary.BigEndian.Uint64(d.b[8:16]),
 	}
-	return values.Fingerprint{
-		Hi: binary.BigEndian.Uint64(b[:8]),
-		Lo: binary.BigEndian.Uint64(b[8:16]),
-	}, nil
+	d.b = d.b[16:]
+	return fp, nil
 }
 
 // EncodeDeltaEnvelopeEpoch serializes an envelope already in delta form
@@ -87,44 +84,52 @@ func DecodeDeltaEnvelopeEpoch(data []byte) (giraf.Envelope, uint64, error) {
 	if len(data) == 0 || data[0] != epochMagic {
 		return giraf.Envelope{}, 0, fmt.Errorf("%w: not a delta envelope", ErrBadFrame)
 	}
-	body := data[1:]
-	r := bytes.NewReader(body)
-	epoch, err := readEpoch(r)
+	d := decoder{b: data[1:]}
+	epoch, err := readEpoch(&d)
 	if err != nil {
 		return giraf.Envelope{}, 0, err
 	}
-	round, err := readRound(r)
+	round, err := readRound(&d)
 	if err != nil {
 		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	env := giraf.Envelope{Round: int(round)}
-	if env.SetFingerprint, err = readFingerprint(body, r); err != nil {
+	if env.SetFingerprint, err = readFingerprint(&d); err != nil {
 		return giraf.Envelope{}, 0, err
 	}
-	nRefs, err := readUvarint(r)
+	nRefs, err := readUvarint(&d)
 	if err != nil {
 		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
+	if nRefs > 0 {
+		// A reference takes 16 bytes, so the body bounds the capacity
+		// whatever count the frame claims.
+		env.Refs = make([]values.Fingerprint, 0, min(nRefs, uint64(len(d.b)/16)))
+	}
 	for i := uint64(0); i < nRefs; i++ {
-		fp, err := readFingerprint(body, r)
+		fp, err := readFingerprint(&d)
 		if err != nil {
 			return giraf.Envelope{}, 0, err
 		}
 		env.Refs = append(env.Refs, fp)
 	}
-	nNew, err := readUvarint(r)
+	nNew, err := readUvarint(&d)
 	if err != nil {
 		return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
+	if nNew > 0 {
+		// A payload takes at least its tag and a count.
+		env.Payloads = make([]giraf.Payload, 0, min(nNew, uint64(len(d.b)/2)))
+	}
 	for i := uint64(0); i < nNew; i++ {
-		p, err := decodePayload(r)
+		p, err := decodePayload(&d)
 		if err != nil {
 			return giraf.Envelope{}, 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		env.Payloads = append(env.Payloads, p)
 	}
-	if r.Len() != 0 {
-		return giraf.Envelope{}, 0, fmt.Errorf("%w: %d trailing bytes after delta envelope", ErrBadFrame, r.Len())
+	if len(d.b) != 0 {
+		return giraf.Envelope{}, 0, fmt.Errorf("%w: %d trailing bytes after delta envelope", ErrBadFrame, len(d.b))
 	}
 	return env, epoch, nil
 }
@@ -151,8 +156,8 @@ func DataFrameHeader(frame []byte) (epoch uint64, round int, ok bool) {
 }
 
 // readEpoch reads and bounds a frame's epoch tag.
-func readEpoch(r *bytes.Reader) (uint64, error) {
-	epoch, err := binary.ReadUvarint(r)
+func readEpoch(d *decoder) (uint64, error) {
+	epoch, err := d.uvarint()
 	if err != nil {
 		return 0, fmt.Errorf("%w: truncated epoch: %v", ErrBadFrame, err)
 	}

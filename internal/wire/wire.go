@@ -12,6 +12,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -38,9 +39,29 @@ const MaxElement = 1 << 20
 // would silently deafen every receiver. 2^40 rounds is ~70 years at 2ms.
 const MaxRound = 1 << 40
 
+// decoder reads a frame body front to back. It is the unread rest of the
+// body and nothing else, so a decode keeps it on the stack, and each value
+// is copied once, straight out of the body.
+type decoder struct{ b []byte }
+
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
+
+// uvarint reads one uvarint, unbounded.
+func (d *decoder) uvarint() (uint64, error) {
+	n, k := binary.Uvarint(d.b)
+	switch {
+	case k == 0:
+		return 0, io.ErrUnexpectedEOF
+	case k < 0:
+		return 0, errVarintOverflow
+	}
+	d.b = d.b[k:]
+	return n, nil
+}
+
 // readRound decodes a round number (uvarint bounded by MaxRound).
-func readRound(r *bytes.Reader) (uint64, error) {
-	n, err := binary.ReadUvarint(r)
+func readRound(d *decoder) (uint64, error) {
+	n, err := d.uvarint()
 	if err != nil {
 		return 0, fmt.Errorf("wire: truncated round: %w", err)
 	}
@@ -55,8 +76,8 @@ func writeUvarint(w *bytes.Buffer, n uint64) {
 	w.Write(buf[:binary.PutUvarint(buf[:], n)])
 }
 
-func readUvarint(r *bytes.Reader) (uint64, error) {
-	n, err := binary.ReadUvarint(r)
+func readUvarint(d *decoder) (uint64, error) {
+	n, err := d.uvarint()
 	if err != nil {
 		return 0, fmt.Errorf("wire: truncated varint: %w", err)
 	}
@@ -71,16 +92,17 @@ func writeValue(w *bytes.Buffer, v values.Value) {
 	w.WriteString(string(v))
 }
 
-func readValue(r *bytes.Reader) (values.Value, error) {
-	n, err := readUvarint(r)
+func readValue(d *decoder) (values.Value, error) {
+	n, err := readUvarint(d)
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("wire: truncated value: %w", err)
+	if n > uint64(len(d.b)) {
+		return "", fmt.Errorf("wire: truncated value: %w", io.ErrUnexpectedEOF)
 	}
-	return values.Value(buf), nil
+	v := values.Value(d.b[:n])
+	d.b = d.b[n:]
+	return v, nil
 }
 
 func writeSet(w *bytes.Buffer, s values.Set) {
@@ -91,20 +113,24 @@ func writeSet(w *bytes.Buffer, s values.Set) {
 	}
 }
 
-func readSet(r *bytes.Reader) (values.Set, error) {
-	n, err := readUvarint(r)
+// readSet decodes a set. The values are collected first and the set built
+// once, by NewSet, so a frame that lists them out of order or repeated
+// still yields the canonical set.
+func readSet(d *decoder) (values.Set, error) {
+	n, err := readUvarint(d)
 	if err != nil {
 		return values.Set{}, err
 	}
-	out := values.NewSet()
+	var buf [16]values.Value
+	vs := buf[:0]
 	for i := uint64(0); i < n; i++ {
-		v, err := readValue(r)
+		v, err := readValue(d)
 		if err != nil {
 			return values.Set{}, err
 		}
-		out.Add(v)
+		vs = append(vs, v)
 	}
-	return out, nil
+	return values.NewSet(vs...), nil
 }
 
 func writeHistory(w *bytes.Buffer, h values.History) {
@@ -114,14 +140,14 @@ func writeHistory(w *bytes.Buffer, h values.History) {
 	}
 }
 
-func readHistory(r *bytes.Reader) (values.History, error) {
-	n, err := readUvarint(r)
+func readHistory(d *decoder) (values.History, error) {
+	n, err := readUvarint(d)
 	if err != nil {
 		return values.History{}, err
 	}
 	var out values.History
 	for i := uint64(0); i < n; i++ {
-		v, err := readValue(r)
+		v, err := readValue(d)
 		if err != nil {
 			return values.History{}, err
 		}
@@ -139,18 +165,18 @@ func writeCounters(w *bytes.Buffer, c values.Counters) {
 	}
 }
 
-func readCounters(r *bytes.Reader) (values.Counters, error) {
-	n, err := readUvarint(r)
+func readCounters(d *decoder) (values.Counters, error) {
+	n, err := readUvarint(d)
 	if err != nil {
 		return values.Counters{}, err
 	}
 	out := values.NewCounters()
 	for i := uint64(0); i < n; i++ {
-		h, err := readHistory(r)
+		h, err := readHistory(d)
 		if err != nil {
 			return values.Counters{}, err
 		}
-		cnt, err := readUvarint(r)
+		cnt, err := readUvarint(d)
 		if err != nil {
 			return values.Counters{}, err
 		}
@@ -176,28 +202,29 @@ func encodePayload(w *bytes.Buffer, p giraf.Payload) error {
 	return nil
 }
 
-func decodePayload(r *bytes.Reader) (giraf.Payload, error) {
-	tag, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("wire: truncated payload tag: %w", err)
+func decodePayload(d *decoder) (giraf.Payload, error) {
+	if len(d.b) == 0 {
+		return nil, fmt.Errorf("wire: truncated payload tag: %w", io.ErrUnexpectedEOF)
 	}
+	tag := d.b[0]
+	d.b = d.b[1:]
 	switch tag {
 	case tagSetPayload:
-		s, err := readSet(r)
+		s, err := readSet(d)
 		if err != nil {
 			return nil, err
 		}
 		return core.SetPayload{Proposed: s}, nil
 	case tagESSPayload:
-		s, err := readSet(r)
+		s, err := readSet(d)
 		if err != nil {
 			return nil, err
 		}
-		h, err := readHistory(r)
+		h, err := readHistory(d)
 		if err != nil {
 			return nil, err
 		}
-		c, err := readCounters(r)
+		c, err := readCounters(d)
 		if err != nil {
 			return nil, err
 		}

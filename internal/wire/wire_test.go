@@ -150,6 +150,47 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	}
 }
 
+// TestDecodeCanonicalizesSets feeds set payloads whose values a hostile or
+// foreign encoder listed out of order or repeated. Each must decode to the
+// canonical set: the same members, key and fingerprint as NewSet gives.
+func TestDecodeCanonicalizesSets(t *testing.T) {
+	empty, err := encodeEnv(giraf.Envelope{Round: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, listed := range [][]values.Value{
+		{"b", "a"},
+		{"b", "a", "b"},
+		{"c", "c", "c"},
+		{values.Num(3), values.Bot, values.Num(1), values.Num(2), values.Num(1)},
+	} {
+		// The empty envelope ends with its payload count, 0: count one
+		// payload instead and append it.
+		var w bytes.Buffer
+		w.Write(empty[:len(empty)-1])
+		w.WriteByte(1)
+		w.WriteByte(tagSetPayload)
+		writeUvarint(&w, uint64(len(listed)))
+		for _, v := range listed {
+			writeValue(&w, v)
+		}
+		env, err := decodeEnv(w.Bytes())
+		if err != nil {
+			t.Fatalf("%q: %v", listed, err)
+		}
+		got := env.Payloads[0].(core.SetPayload).Proposed
+		want := values.NewSet(listed...)
+		if got.Len() != want.Len() || got.Key() != want.Key() || got.Fingerprint() != want.Fingerprint() || !got.Equal(want) {
+			t.Errorf("%q decoded to %v (key %q), want %v (key %q)", listed, got, got.Key(), want, want.Key())
+		}
+		for _, v := range listed {
+			if !got.Contains(v) {
+				t.Errorf("%q decoded to %v, which does not contain %q", listed, got, v)
+			}
+		}
+	}
+}
+
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	data, err := encodeEnv(giraf.Envelope{Round: 1})
 	if err != nil {
