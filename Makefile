@@ -13,7 +13,7 @@ FUZZTIME  ?= 10s
 STATICCHECK_MOD ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: test race flake build vet lint lint-external bench bench-harness perf fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke load-smoke
+.PHONY: test race flake build vet lint lint-external bench bench-harness perf fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke load-smoke loc
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,17 @@ flake:
 		echo "flake: $$pkg: $$pass/$$((pass+fail)) test runs passed (count=$(FLAKE_COUNT))"; \
 		grep '^--- FAIL' <<<"$$out" | cut -d' ' -f3 | sort | uniq -c || true; \
 	done; exit $$status
+
+# loc prints the Go line counts that ROADMAP.md and CHANGES.md quote: every
+# Go file in the tree, the non-test ones, and the non-test ones outside
+# benchmark/ and tools/ (the library and its commands), which is the figure
+# a simplicity change is judged by.
+LOC_FILES := find . \( -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go' -print
+loc:
+	@all=$$($(LOC_FILES) | xargs cat | wc -l); \
+	src=$$($(LOC_FILES) | grep -v '_test\.go$$' | xargs cat | wc -l); \
+	lib=$$($(LOC_FILES) | grep -v '_test\.go$$' | grep -v '^\./\(benchmark\|tools\)/' | xargs cat | wc -l); \
+	echo "Go lines: $$all in all, $$src non-test, $$lib non-test outside benchmark/ and tools/"
 
 # bench-harness vets and tests the repo benchmark (benchmark/, its own
 # module compiled against internal/...): a change to a package the harness

@@ -34,11 +34,12 @@ func TestSimStepAllocBudget(t *testing.T) {
 // TestBigNRunAllocBudget pins the allocation cost of the big-n path: one
 // whole ES n=64 run, stable from round 2, on an engine re-armed per run as
 // the sim transport's pool does. Late round-1 envelopes are dropped, round
-// storage is recycled as it is computed, and the run-shared memo answers
-// the uniform round without a sort. The ceiling carries the ~35% headroom
-// of the pin above over the 1618 allocs measured at the time of writing
-// (2898 before value sets became immutable sorted slices, 3649 before the
-// stale-round drop and the membership-confirmed memo).
+// storage is recycled as it is computed, and each timely round's
+// aggregates are computed once, by its first adopter. The ceiling carries
+// the ~35% headroom of the pin above over the 1618 allocs measured when it
+// was set (1615 once the aggregates moved from a run-shared memo onto the
+// shared round; 2898 before value sets became immutable sorted slices,
+// 3649 before the stale-round drop and the memo).
 func TestBigNRunAllocBudget(t *testing.T) {
 	props := DistinctProposals(64)
 	cfg := func() sim.Config {
@@ -71,11 +72,12 @@ func TestBigNRunAllocBudget(t *testing.T) {
 // synchronous ESS n=16 run may allocate at most three times what the same
 // ES run does. Histories are hash-consed chains, counter tables are keyed
 // by fingerprint with a cached canonical form, payloads share the state
-// they carry instead of cloning it, and the run-shared memo merges and
-// bumps each uniform round once. The ceiling carries the ~35% headroom of
-// the pins above over the 1068 allocs measured at the time of writing,
-// against ES's 542 (1448 before value sets became immutable sorted slices;
-// 11,449 before the tables above, against ES's 924).
+// they carry instead of cloning it, and each timely round merges and
+// bumps once, in the aggregate its shared round carries. The ceiling
+// carries the ~35% headroom of the pins above over the 1068 allocs
+// measured when it was set, against ES's 542 (1448 before value sets
+// became immutable sorted slices; 11,449 before the tables above, against
+// ES's 924).
 func TestESSRunAllocBudget(t *testing.T) {
 	props := DistinctProposals(16)
 	allocs := func(run func([]values.Value, RunOpts) (*sim.Result, error)) float64 {

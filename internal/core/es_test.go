@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anonconsensus/internal/env"
+	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/property"
 	"anonconsensus/internal/sim"
 	"anonconsensus/internal/values"
@@ -257,5 +258,38 @@ func TestESPayloadKeyDistinguishesSets(t *testing.T) {
 	c := SetPayload{values.NewSet(values.Num(1))}
 	if a.PayloadKey() != c.PayloadKey() {
 		t.Error("equal payloads must collapse (anonymity)")
+	}
+}
+
+// fixedInbox is one round's payloads for a direct Compute call.
+type fixedInbox []giraf.Payload
+
+func (in fixedInbox) Round(int) []giraf.Payload { return in }
+func (fixedInbox) Fresh() []giraf.Payload       { return nil }
+func (fixedInbox) CurrentRound() int            { return 1 }
+
+// foreignPayload is a payload of another algorithm family.
+type foreignPayload string
+
+func (f foreignPayload) PayloadKey() string { return "foreign:" + string(f) }
+
+// TestESIgnoresForeignPayloads: payloads of another algorithm family in a
+// round (a shared hub replaying another run's frames) take no part in
+// WRITTEN or PROPOSED.
+func TestESIgnoresForeignPayloads(t *testing.T) {
+	set := func(vs ...int64) giraf.Payload {
+		elems := make([]values.Value, len(vs))
+		for i, v := range vs {
+			elems[i] = values.Num(v)
+		}
+		return SetPayload{Proposed: values.NewSet(elems...)}
+	}
+	a := NewES(values.Num(1))
+	a.Compute(1, fixedInbox{set(1, 3), set(3, 4), foreignPayload("x")})
+	if want := values.NewSet(values.Num(3)); !a.Written().Equal(want) {
+		t.Errorf("WRITTEN = %v, want %v", a.Written(), want)
+	}
+	if want := values.NewSet(values.Num(1), values.Num(3), values.Num(4)); !a.Proposed().Equal(want) {
+		t.Errorf("PROPOSED = %v, want %v", a.Proposed(), want)
 	}
 }

@@ -103,10 +103,6 @@ type ESS struct {
 	ctrs  []values.Counters
 	hists []values.History
 
-	// memo, when non-nil, is shared by every automaton of one run (see
-	// ConfigESS) and caches lines 6–9's aggregates by inbox fingerprint.
-	memo *roundMemo
-
 	// wasLeader records the outcome of the last leader check (line 15),
 	// for the convergence experiments (T4, F2).
 	wasLeader bool
@@ -193,11 +189,20 @@ func (a *ESS) Initialize() giraf.Payload {
 	return MakeESSPayload(values.NewSet(a.val), a.history, a.counters)
 }
 
+// essAgg is what a round's payload set alone determines for Algorithm 3:
+// WRITTEN (line 6), the union of line 7 and the counter table after lines
+// 8–9.
+type essAgg struct {
+	written  values.Set
+	union    values.Set
+	counters values.Counters
+}
+
 // aggregate computes lines 6–9's pure functions of the round's payload
 // set: WRITTEN, the union of the PROPOSED sets, and the counter table after
 // the merge and the bumps. Inbox order is canonical, so the bumps are
 // deterministic.
-func (a *ESS) aggregate(msgs []giraf.Payload) roundAgg {
+func (a *ESS) aggregate(msgs []giraf.Payload) essAgg {
 	a.sets, a.ctrs, a.hists = a.sets[:0], a.ctrs[:0], a.hists[:0]
 	for _, m := range msgs {
 		// Foreign-family payloads (a shared hub replaying another run) are
@@ -208,7 +213,7 @@ func (a *ESS) aggregate(msgs []giraf.Payload) roundAgg {
 			a.hists = append(a.hists, p.History)
 		}
 	}
-	agg := roundAgg{
+	agg := essAgg{
 		written:  values.IntersectAll(a.sets), // line 6
 		union:    values.UnionAll(a.sets),     // line 7's ∪ m.PROPOSED
 		counters: values.MinMerge(a.ctrs),     // line 8
@@ -222,14 +227,9 @@ func (a *ESS) aggregate(msgs []giraf.Payload) roundAgg {
 
 // Compute implements giraf.Automaton (Algorithm 3 lines 5–22).
 func (a *ESS) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.Decision) {
-	// Lines 6–9 depend on the round's payload set alone, so across the
-	// processes of one run that see identical inboxes the first computes
-	// them and its peers take the memoized result (see ES.Compute).
-	agg, ok := a.memo.lookup(k, inbox)
-	if !ok {
-		agg = a.aggregate(inbox.Round(k))
-		a.memo.store(k, inbox, agg)
-	}
+	// Lines 6–9 depend on the round's payload set alone, so they are
+	// computed once per shared round (see roundAggregate).
+	agg := roundAggregate(k, inbox, a.aggregate)
 	// Line 6: WRITTEN := ∩ m.PROPOSED.
 	a.written = agg.written
 	// Line 7: PROPOSED := (∪ m.PROPOSED) ∪ PROPOSED, the union itself when

@@ -60,30 +60,17 @@ func (o RunOpts) config(n int, aut func(i int) giraf.Automaton) sim.Config {
 // that fan grid points over sim.RunBatch instead of running inline. The
 // config's Policy (and OnRound closure, if any) belong to this one run.
 // RunOpts.Ctx is NOT carried into the config — cancellation of a batched
-// run is the batch runner's ctx argument's concern.
+// run is the batch runner's ctx argument's concern. Processes that adopt
+// one shared round compute its aggregates once (see roundAggregate).
 func ConfigES(proposals []values.Value, opts RunOpts) sim.Config {
-	// One memo per config = per run (configs are single-run, like their
-	// Policy): processes with identical round inboxes — every process, in
-	// a uniform-delivery round — share one aggregate computation instead
-	// of each re-deriving the same intersection and union.
-	memo := &roundMemo{n: len(proposals)}
-	return opts.config(len(proposals), func(i int) giraf.Automaton {
-		a := NewES(proposals[i])
-		a.memo = memo
-		return a
-	})
+	return opts.config(len(proposals), func(i int) giraf.Automaton { return NewES(proposals[i]) })
 }
 
-// ConfigESS is ConfigES for Algorithm 3. The run-shared memo also carries
-// the counter table after lines 8–9, so a uniform round merges and bumps
-// once, not once per process.
+// ConfigESS is ConfigES for Algorithm 3. A shared round's aggregate also
+// carries the counter table after lines 8–9, so a timely round merges and
+// bumps once, not once per process.
 func ConfigESS(proposals []values.Value, opts RunOpts) sim.Config {
-	memo := &roundMemo{n: len(proposals)}
-	return opts.config(len(proposals), func(i int) giraf.Automaton {
-		a := NewESS(proposals[i])
-		a.memo = memo
-		return a
-	})
+	return opts.config(len(proposals), func(i int) giraf.Automaton { return NewESS(proposals[i]) })
 }
 
 // ConfigOmega is ConfigES for the Ω baseline. The oracle factory receives

@@ -189,6 +189,8 @@ type roundInbox struct {
 	// adopters counts the processes holding this inbox as an adopted round
 	// (see SharedRound); storage with adopters is never written again.
 	adopters int
+	// agg is the adopters' shared cell (see Proc.SharedAggregate).
+	agg any
 }
 
 // roundInboxHint pre-sizes the per-round storage: typical rounds hold at
@@ -225,6 +227,7 @@ func (ri *roundInbox) recycle() {
 	ri.dirty = false
 	ri.view = nil
 	ri.setFP = values.Fingerprint{}
+	ri.agg = nil
 }
 
 // slotOf is where fp's probe sequence starts, before masking to the table
@@ -445,20 +448,18 @@ func (p *Proc) Round(k int) []Payload {
 	return ri.snapshot()
 }
 
-// RoundFingerprints returns the fingerprints of round k's payloads,
-// pairwise distinct and in no particular order, or nil when the round is
-// empty. Two rounds hold structurally identical payload sets iff they have
-// the same fingerprints (the canonical-form invariant), which lets
-// automata memoize pure functions of a round's contents across processes
-// without sorting or hashing the round. The slice aliases framework state:
-// it is valid until the next Receive/EndOfRound and must not be mutated.
-func (p *Proc) RoundFingerprints(k int) []values.Fingerprint {
-	ri := p.roundAt(k)
-	if ri == nil {
+// SharedAggregate returns the cell round k carries for what its adopters
+// compute from it, when p adopted round k from a SharedRound, and nil
+// otherwise. The cell starts empty in every round a SharedRound builds,
+// and only automata write it. An adopted round is sealed, and its adopters
+// compute it one after another (the simulator's lockstep), so a pure
+// function of Round(k) that the first adopter stores there holds for every
+// later one.
+func (p *Proc) SharedAggregate(k int) *any {
+	if p.shared == nil || p.sharedRound != k {
 		return nil
 	}
-	//detlint:aliased read-only view consumed within Compute; a copy would cost an alloc per process per round on the memo's hit path
-	return ri.fps
+	return &p.shared.agg
 }
 
 // Fresh implements Inbox: payloads added to any round's set since the last

@@ -62,7 +62,10 @@ func procView(p *Proc, k int) string {
 	for _, pay := range p.Round(k) {
 		keys = append(keys, pay.PayloadKey())
 	}
-	fps := slices.Clone(p.RoundFingerprints(k))
+	var fps []values.Fingerprint
+	if ri := p.roundAt(k); ri != nil {
+		fps = slices.Clone(ri.fps)
+	}
 	slices.SortFunc(fps, compareFP)
 	return fmt.Sprintf("delivered=%d round=%d keys=%v fps=%v",
 		p.Delivered(), p.CurrentRound(), keys, fps)
@@ -256,5 +259,68 @@ func TestSharedStorageNeverRecycled(t *testing.T) {
 	procs[2].Reset(procs[2].aut)
 	if union.adopters != 0 || slices.Contains(procs[2].spare, union) {
 		t.Errorf("after the last holder's Reset: adopters %d, on a spare list %v", union.adopters, slices.Contains(procs[2].spare, union))
+	}
+}
+
+// TestSharedAggregateCell: every adopter of one round gets the same cell;
+// a process gets none for a round it did not adopt, for another round
+// number, or once it copied the round into its own storage; and a
+// SharedRound that rebuilds its storage for a later round starts the cell
+// empty.
+func TestSharedAggregateCell(t *testing.T) {
+	procs, envs := broadcastRound1([]sharedSpec{{1, nil}, {2, nil}, {3, nil}})
+	if cell := procs[0].SharedAggregate(1); cell != nil {
+		t.Fatal("a cell before any round was adopted")
+	}
+	var s SharedRound
+	if !s.Deliver(1, envPtrs(envs), procs) {
+		t.Fatal("Deliver declined the round")
+	}
+	cell := procs[0].SharedAggregate(1)
+	if cell == nil || *cell != nil {
+		t.Fatalf("first adopter's cell %v, want an empty one", cell)
+	}
+	*cell = "aggregate"
+	for i, p := range procs {
+		if got := p.SharedAggregate(1); got != cell {
+			t.Errorf("process %d's cell %p, want the first adopter's %p", i, got, cell)
+		}
+		for _, k := range []int{0, 2} {
+			if p.SharedAggregate(k) != nil {
+				t.Errorf("process %d adopted round 1 but has a cell for round %d", i, k)
+			}
+		}
+	}
+	procs[0].Receive(Envelope{Round: 1, Payloads: []Payload{fpSet(9)}, SetFingerprint: values.FingerprintString("9")})
+	if procs[0].SharedAggregate(1) != nil {
+		t.Error("a cell after the round was copied into the process's own storage")
+	}
+	if got := procs[1].SharedAggregate(1); got != cell || *got != "aggregate" {
+		t.Error("another adopter lost the cell or its value")
+	}
+
+	uniform, envsU := broadcastRound1([]sharedSpec{{7, nil}, {7, nil}})
+	if !s.Deliver(1, envPtrs(envsU), uniform) {
+		t.Fatal("Deliver declined the uniform round")
+	}
+	if uniform[0].SharedAggregate(1) != nil {
+		t.Error("a cell for a uniform round, which nobody adopts")
+	}
+
+	for _, p := range procs[1:] {
+		p.EndOfRound()
+	}
+	union := s.ri
+	again, envs2 := broadcastRound1([]sharedSpec{{4, nil}, {5, nil}})
+	if !s.Deliver(1, envPtrs(envs2), again) {
+		t.Fatal("Deliver declined the second round")
+	}
+	if s.ri != union {
+		t.Fatal("the second round did not reuse the released storage")
+	}
+	if got := again[0].SharedAggregate(1); got == nil {
+		t.Error("no cell for the rebuilt round")
+	} else if *got != nil {
+		t.Errorf("the rebuilt round's cell holds %v, want it empty", *got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 func EncodeSet(s Set) Value {
 	var b strings.Builder
 	b.WriteString("set!")
-	for _, v := range s.Sorted() {
+	for _, v := range s.elems() {
 		encodeString(&b, string(v))
 	}
 	return Value(b.String())

@@ -1,6 +1,7 @@
 package values
 
 import (
+	"iter"
 	"slices"
 	"strings"
 	"sync"
@@ -274,6 +275,9 @@ func (s Set) Max() (Value, bool) {
 // Sorted returns the values in ascending order, in a slice that is the
 // caller's to keep.
 func (s Set) Sorted() []Value { return slices.Clone(s.elems()) }
+
+// All yields the values in ascending order without copying them.
+func (s Set) All() iter.Seq[Value] { return slices.Values(s.elems()) }
 
 // summary returns the canonical summary, computing the fingerprint and
 // encoded size on first use, and the key too when withKey is set.

@@ -167,6 +167,9 @@ func FuzzSetOps(f *testing.F) {
 				if got, want := s.Sorted(), m.sorted(); !slices.Equal(got, want) {
 					t.Fatalf("set %d: Sorted %q, model %q", i, got, want)
 				}
+				if got, want := slices.Collect(s.All()), m.sorted(); !slices.Equal(got, want) {
+					t.Fatalf("set %d: All yields %q, model %q", i, got, want)
+				}
 				for _, v := range setDomain {
 					if s.Contains(v) != m[v] || s.IsExactly(v) != (len(m) == 1 && m[v]) {
 						t.Fatalf("set %d = %v: Contains(%q) %v IsExactly %v, model %v", i, s, v, s.Contains(v), s.IsExactly(v), m.sorted())

@@ -106,9 +106,8 @@ func readValue(d *decoder) (values.Value, error) {
 }
 
 func writeSet(w *bytes.Buffer, s values.Set) {
-	sorted := s.Sorted()
-	writeUvarint(w, uint64(len(sorted)))
-	for _, v := range sorted {
+	writeUvarint(w, uint64(s.Len()))
+	for v := range s.All() {
 		writeValue(w, v)
 	}
 }
