@@ -50,16 +50,19 @@ race:
 # package and a non-zero exit if any run of any package failed. A flake
 # is a bug with a root cause, not noise to retry past. The root package's
 # conformance matrix (every backend against the paper's properties) runs
-# the same way, so a matrix flake shows up as its pass rate.
+# the same way, so a matrix flake shows up as its pass rate. Each
+# package's `go test -json` stream is kept under $(FLAKE_DIR), and
+# tools/flakelog prints the whole log of every failed run, so a one-off
+# failure leaves its message.
 FLAKE_COUNT ?= 20
 FLAKE_PKGS  ?= ./internal/msemu ./internal/anonnet ./internal/tcpnet ./internal/netchaos ./internal/rounddriver
+FLAKE_DIR   ?= .bench_build/flake
 flake:
-	@status=0; for pkg in $(FLAKE_PKGS) '. -run ^TestConformance$$'; do \
-		out=$$($(GO) test -count=$(FLAKE_COUNT) -v $$pkg 2>&1) || status=1; \
-		pass=$$(grep -c '^--- PASS' <<<"$$out" || true); \
-		fail=$$(grep -c '^--- FAIL' <<<"$$out" || true); \
-		echo "flake: $$pkg: $$pass/$$((pass+fail)) test runs passed (count=$(FLAKE_COUNT))"; \
-		grep '^--- FAIL' <<<"$$out" | cut -d' ' -f3 | sort | uniq -c || true; \
+	@mkdir -p $(FLAKE_DIR); $(GO) build -o $(FLAKE_DIR)/flakelog ./tools/flakelog; \
+	status=0; for pkg in $(FLAKE_PKGS) '. -run ^TestConformance$$'; do \
+		log=$(FLAKE_DIR)/$$(cut -d' ' -f1 <<<"$$pkg" | tr -c 'a-zA-Z0-9\n' '_').json; \
+		$(GO) test -count=$(FLAKE_COUNT) -json $$pkg > $$log 2>&1 || status=1; \
+		$(FLAKE_DIR)/flakelog -pkg "$$pkg" -count $(FLAKE_COUNT) < $$log || status=1; \
 	done; exit $$status
 
 # loc prints the Go line counts that ROADMAP.md and CHANGES.md quote: every
@@ -88,14 +91,23 @@ bench-harness:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
-# perf regenerates every number PERFORMANCE.md quotes: the whole repo
+# perf regenerates the recording PERFORMANCE.md quotes: the whole repo
 # benchmark with five interleaved run sets (header with commit, Go version,
 # CPU and nproc; the end-to-end runs; the layer probes at full length; one
 # traced run per workload), then the recording compared with itself, which
-# prints each workload's medians and IQRs. About a quarter of an hour.
+# prints each workload's medians and IQRs. It writes the header, the
+# comparison and the layer probes, verbatim, between PERFORMANCE.md's
+# "make perf" markers. About a quarter of an hour.
+PERF_DIR := .bench_build
 perf:
-	bash benchmark/run.sh -sets 5 -out .bench_build/perf.json
-	bash benchmark/run.sh -compare .bench_build/perf.json .bench_build/perf.json
+	bash benchmark/run.sh -sets 5 -out $(PERF_DIR)/perf.json | tee $(PERF_DIR)/perf-suite.txt
+	bash benchmark/run.sh -compare $(PERF_DIR)/perf.json $(PERF_DIR)/perf.json | tee $(PERF_DIR)/perf-compare.txt
+	{ echo '```'; head -1 $(PERF_DIR)/perf-suite.txt; echo; cat $(PERF_DIR)/perf-compare.txt; echo; \
+	  sed -n '/^layer probes$$/,/^$$/p' $(PERF_DIR)/perf-suite.txt | sed '$$d'; echo '```'; } > $(PERF_DIR)/perf-block.txt
+	awk -v block=$(PERF_DIR)/perf-block.txt \
+	  '/^<!-- make perf: end -->/ { while ((getline l < block) > 0) print l; skip = 0 } !skip { print } /^<!-- make perf: begin -->/ { skip = 1 }' \
+	  PERFORMANCE.md > $(PERF_DIR)/PERFORMANCE.md
+	mv $(PERF_DIR)/PERFORMANCE.md PERFORMANCE.md
 
 # fuzz-smoke gives each native fuzz target a short budget; CI runs it on
 # every push so codec and framing regressions surface before a long fuzz
@@ -109,6 +121,8 @@ perf:
 # reference run that delivers every envelope by its own Receive call, so it
 # also compares the late deliveries a round-local run counts against the
 # queued ones, with delay bounds that grow the delivery ring.
+# FuzzPayloadContract checks the payload contract on random ES, ESS and Ω
+# payloads: fingerprint, encoded size and order agree with the key.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values
@@ -121,6 +135,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME) ./internal/env
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime $(FUZZTIME) ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedRoundParity$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadContract$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # scenarios-smoke renders the S1 scenario sweep on the shrunken grid: a
 # fast end-to-end pass over the fault plane (loss, duplication, partitions,

@@ -24,9 +24,9 @@ func TestRepoLintClean(t *testing.T) {
 }
 
 // TestSuiteNames pins the analyzer roster: TESTING.md documents these
-// five by name.
+// six by name.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"maporder", "wallclock", "globalrand", "retalias", "goescape"}
+	want := []string{"maporder", "wallclock", "globalrand", "retalias", "goescape", "setequal"}
 	got := suite.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -12,10 +12,11 @@ import (
 // consensus run (every global step: compute, clone, broadcast, deliver,
 // dedup) so the canonical-form refactor can't silently regress. The
 // ceiling carries ~35% headroom over the measured value at the time of
-// writing (172 allocs for this config, down from 234 before value sets
-// became immutable sorted slices, ~660 before the flat-state engine and
-// ~2400 pre-canonical-form); alloc counts for a fixed deterministic run
-// are stable across machines.
+// writing (130 allocs for this config, down from 172 before a set boxed
+// into a payload stopped allocating and round inboxes stopped keeping key
+// strings, 234 before value sets became immutable sorted slices, ~660
+// before the flat-state engine and ~2400 pre-canonical-form); alloc counts
+// for a fixed deterministic run are stable across machines.
 func TestSimStepAllocBudget(t *testing.T) {
 	props := DistinctProposals(4)
 	run := func() {
@@ -25,7 +26,7 @@ func TestSimStepAllocBudget(t *testing.T) {
 		}
 	}
 	run() // settle any process-global lazy state (intern shards etc.)
-	const ceiling = 232
+	const ceiling = 176
 	if n := testing.AllocsPerRun(10, run); n > ceiling {
 		t.Errorf("full ES n=4 synchronous run: %v allocs, budget %d", n, ceiling)
 	}
@@ -36,10 +37,12 @@ func TestSimStepAllocBudget(t *testing.T) {
 // the sim transport's pool does. Late round-1 envelopes are dropped, round
 // storage is recycled as it is computed, and each timely round's
 // aggregates are computed once, by its first adopter. The ceiling carries
-// the ~35% headroom of the pin above over the 1618 allocs measured when it
-// was set (1615 once the aggregates moved from a run-shared memo onto the
-// shared round; 2898 before value sets became immutable sorted slices,
-// 3649 before the stale-round drop and the memo).
+// the ~35% headroom of the pin above over the 977 allocs measured when it
+// was set (1615 before a set boxed into a payload stopped allocating and
+// round inboxes stopped keeping key strings, 1618 before the aggregates
+// moved from a run-shared memo onto the shared round; 2898 before value
+// sets became immutable sorted slices, 3649 before the stale-round drop
+// and the memo).
 func TestBigNRunAllocBudget(t *testing.T) {
 	props := DistinctProposals(64)
 	cfg := func() sim.Config {
@@ -62,7 +65,7 @@ func TestBigNRunAllocBudget(t *testing.T) {
 	for warm := 0; warm < 4; warm++ {
 		run()
 	}
-	const ceiling = 2180
+	const ceiling = 1319
 	if n := testing.AllocsPerRun(10, run); n > ceiling {
 		t.Errorf("ES n=64 GST-2 run on a reused engine: %v allocs, budget %d", n, ceiling)
 	}
@@ -70,13 +73,15 @@ func TestBigNRunAllocBudget(t *testing.T) {
 
 // TestESSRunAllocBudget pins Algorithm 3 at Algorithm 2's cost: one whole
 // synchronous ESS n=16 run may allocate at most three times what the same
-// ES run does. Histories are hash-consed chains, counter tables are keyed
-// by fingerprint with a cached canonical form, payloads share the state
-// they carry instead of cloning it, and each timely round merges and
-// bumps once, in the aggregate its shared round carries. The ceiling
-// carries the ~35% headroom of the pins above over the 1068 allocs
-// measured when it was set, against ES's 542 (1448 before value sets
-// became immutable sorted slices; 11,449 before the tables above, against
+// ES run does. Histories are hash-consed chains, counter tables are
+// immutable sorted slices built once per aggregate, payloads share the
+// state they carry instead of cloning it and hash their fingerprint from
+// it without building a key, and each timely round merges and bumps once,
+// in the aggregate its shared round carries. The ceiling carries the ~35%
+// headroom of the pins above over the 529 allocs measured when it was set,
+// against ES's 392 (1068 against 542 while payloads built key strings and
+// tables were fingerprint-keyed maps; 1448 before value sets became
+// immutable sorted slices; 11,449 before hash-consed histories, against
 // ES's 924).
 func TestESSRunAllocBudget(t *testing.T) {
 	props := DistinctProposals(16)
@@ -91,7 +96,7 @@ func TestESSRunAllocBudget(t *testing.T) {
 		return testing.AllocsPerRun(5, once)
 	}
 	ess, es := allocs(RunESS), allocs(RunES)
-	const ceiling = 1440
+	const ceiling = 714
 	if ess > ceiling {
 		t.Errorf("synchronous ESS n=16 run: %v allocs, budget %d", ess, ceiling)
 	}

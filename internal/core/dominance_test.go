@@ -51,11 +51,7 @@ func TestPayloadEncodedSizeContract(t *testing.T) {
 		MakeESSPayload(set, values.History{}, values.Counters{}),
 	}
 	for _, p := range payloads {
-		s, ok := p.(giraf.PayloadSizer)
-		if !ok {
-			t.Fatalf("%T does not implement PayloadSizer", p)
-		}
-		if got, want := s.PayloadEncodedSize(), len(p.PayloadKey()); got != want {
+		if got, want := p.PayloadEncodedSize(), len(p.PayloadKey()); got != want {
 			t.Errorf("%T: PayloadEncodedSize() = %d, len(PayloadKey()) = %d", p, got, want)
 		}
 	}

@@ -7,28 +7,32 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// SetPayload is the wire payload of Algorithm 2 (and Algorithm 4): the
-// broadcast PROPOSED set. Its canonical key and fingerprint are cached
-// inside the set itself, so framework-side identity checks are O(1).
+// SetPayload is the wire payload of Algorithm 2 (and the Ω baseline): the
+// broadcast PROPOSED set, whose key is the set's. Its fingerprint and size
+// are cached inside the set itself, so framework-side identity checks are
+// O(1).
 type SetPayload struct {
 	Proposed values.Set
 }
 
-var (
-	_ giraf.Payload       = SetPayload{}
-	_ giraf.Fingerprinted = SetPayload{}
-	_ giraf.PayloadSizer  = SetPayload{}
-)
+var _ giraf.Payload = SetPayload{}
 
 // PayloadKey implements giraf.Payload.
 func (p SetPayload) PayloadKey() string { return p.Proposed.Key() }
 
-// PayloadFingerprint implements giraf.Fingerprinted.
+// PayloadFingerprint implements giraf.Payload.
 func (p SetPayload) PayloadFingerprint() values.Fingerprint { return p.Proposed.Fingerprint() }
 
-// PayloadEncodedSize implements giraf.PayloadSizer via the set's cached
-// encoded size — the key string is never built just to be measured.
+// PayloadEncodedSize implements giraf.Payload.
 func (p SetPayload) PayloadEncodedSize() int { return p.Proposed.EncodedSize() }
+
+// ComparePayload implements giraf.Payload.
+func (p SetPayload) ComparePayload(q giraf.Payload) int {
+	if o, ok := q.(SetPayload); ok {
+		return p.Proposed.Compare(o.Proposed)
+	}
+	return giraf.CompareKeys(p, q)
+}
 
 // String implements fmt.Stringer.
 func (p SetPayload) String() string { return p.Proposed.String() }

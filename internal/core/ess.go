@@ -2,84 +2,83 @@ package core
 
 import (
 	"fmt"
-	"strings"
-	"sync/atomic"
 
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/values"
 )
 
 // ESSPayload is the wire payload of Algorithm 3: ⟨PROPOSED, HISTORY, C⟩.
+// Its key is the three parts' keys joined by '|'; its fingerprint, size and
+// order are computed from the parts without building it.
 //
-// Build instances with MakeESSPayload where possible: it attaches a cache
-// cell so the canonical key and fingerprint are computed once per payload
-// instead of once per identity check. A zero/literal ESSPayload still
-// works — it just recomputes on every call.
+// Build instances with MakeESSPayload where possible: it computes the
+// fingerprint once, at construction. A zero/literal ESSPayload still
+// works — it just hashes its parts on every call.
 type ESSPayload struct {
 	Proposed values.Set
 	History  values.History
 	Counters values.Counters
 
-	canon *essCanon
+	fp values.Fingerprint // the key's; zero in a literal
 }
 
-// essCanon caches the canonical form of one (immutable) payload. The
-// atomic pointer makes concurrent lazy fills race-free; all fills compute
-// the same value.
-type essCanon struct {
-	form atomic.Pointer[essForm]
-}
+var _ giraf.Payload = ESSPayload{}
 
-type essForm struct {
-	key string
-	fp  values.Fingerprint
-}
-
-var (
-	_ giraf.Payload       = ESSPayload{}
-	_ giraf.Fingerprinted = ESSPayload{}
-	_ giraf.PayloadSizer  = ESSPayload{}
-)
-
-// MakeESSPayload builds a payload with a canonical-form cache attached.
+// MakeESSPayload builds a payload with its fingerprint computed.
 func MakeESSPayload(proposed values.Set, history values.History, counters values.Counters) ESSPayload {
-	return ESSPayload{Proposed: proposed, History: history, Counters: counters, canon: &essCanon{}}
+	p := ESSPayload{Proposed: proposed, History: history, Counters: counters}
+	p.fp = p.fingerprint()
+	return p
 }
 
-// form returns the cached canonical form, computing it on a miss.
-func (p ESSPayload) form() *essForm {
-	if p.canon != nil {
-		if f := p.canon.form.Load(); f != nil {
-			return f
-		}
-	}
-	ps, hs, cs := p.Proposed.Key(), p.History.Key(), p.Counters.Key()
-	var b strings.Builder
-	b.Grow(len(ps) + len(hs) + len(cs) + 2)
-	b.WriteString(ps)
-	b.WriteByte('|')
-	b.WriteString(hs)
-	b.WriteByte('|')
-	b.WriteString(cs)
-	f := &essForm{key: b.String()}
-	f.fp = values.FingerprintString(f.key)
-	if p.canon != nil {
-		p.canon.form.Store(f)
-	}
-	return f
+// fingerprint hashes the key's bytes, streamed from the three parts.
+func (p ESSPayload) fingerprint() values.Fingerprint {
+	var h values.Hasher
+	p.Proposed.WriteKey(&h)
+	_ = h.WriteByte('|')
+	p.History.WriteKey(&h)
+	_ = h.WriteByte('|')
+	p.Counters.WriteKey(&h)
+	return h.Sum()
 }
 
 // PayloadKey implements giraf.Payload: the canonical encoding of all three
 // components. Two anonymous processes in identical states broadcast
 // identical payloads and collapse to one inbox element.
-func (p ESSPayload) PayloadKey() string { return p.form().key }
+func (p ESSPayload) PayloadKey() string {
+	return p.Proposed.Key() + "|" + p.History.Key() + "|" + p.Counters.Key()
+}
 
-// PayloadFingerprint implements giraf.Fingerprinted.
-func (p ESSPayload) PayloadFingerprint() values.Fingerprint { return p.form().fp }
+// PayloadFingerprint implements giraf.Payload.
+func (p ESSPayload) PayloadFingerprint() values.Fingerprint {
+	if p.fp.IsZero() {
+		return p.fingerprint()
+	}
+	return p.fp
+}
 
-// PayloadEncodedSize implements giraf.PayloadSizer: the cached canonical
-// key's length (the form is computed at most once per payload).
-func (p ESSPayload) PayloadEncodedSize() int { return len(p.form().key) }
+// PayloadEncodedSize implements giraf.Payload: the parts' sizes and the
+// two separators.
+func (p ESSPayload) PayloadEncodedSize() int {
+	return p.Proposed.EncodedSize() + 1 + p.History.EncodedSize() + 1 + p.Counters.EncodedSize()
+}
+
+// ComparePayload implements giraf.Payload part by part. The set and the
+// history are each followed by '|' in the key, so a proper prefix of the
+// other's sorts after it there (CompareDelimited); the table ends the key.
+func (p ESSPayload) ComparePayload(q giraf.Payload) int {
+	o, ok := q.(ESSPayload)
+	if !ok {
+		return giraf.CompareKeys(p, q)
+	}
+	if c := p.Proposed.CompareDelimited(o.Proposed); c != 0 {
+		return c
+	}
+	if c := p.History.CompareDelimited(o.History); c != 0 {
+		return c
+	}
+	return p.Counters.Compare(o.Counters)
+}
 
 // String implements fmt.Stringer.
 func (p ESSPayload) String() string {
@@ -213,16 +212,13 @@ func (a *ESS) aggregate(msgs []giraf.Payload) essAgg {
 			a.hists = append(a.hists, p.History)
 		}
 	}
-	agg := essAgg{
-		written:  values.IntersectAll(a.sets), // line 6
-		union:    values.UnionAll(a.sets),     // line 7's ∪ m.PROPOSED
-		counters: values.MinMerge(a.ctrs),     // line 8
+	return essAgg{
+		written: values.IntersectAll(a.sets), // line 6
+		union:   values.UnionAll(a.sets),     // line 7's ∪ m.PROPOSED
+		// Lines 8–9: C := min-merge of the m.C, then ∀m,
+		// C[m.HISTORY] := 1 + max{C[H] | H prefix of m.HISTORY}.
+		counters: values.MinMergeBump(a.ctrs, a.hists),
 	}
-	// Line 9: ∀m, C[m.HISTORY] := 1 + max{C[H] | H prefix of m.HISTORY}.
-	for _, h := range a.hists {
-		agg.counters.Bump(h)
-	}
-	return agg
 }
 
 // Compute implements giraf.Automaton (Algorithm 3 lines 5–22).
@@ -291,8 +287,9 @@ func (a *ESS) IsLeader() bool { return a.wasLeader }
 // it to sample the leader set per round (T4, F2).
 func (a *ESS) LeaderNow() bool { return a.counters.IsMaximal(a.history) }
 
-// Counters returns a copy of the counter table (for tests and metrics).
-func (a *ESS) Counters() values.Counters { return a.counters.Clone() }
+// Counters returns the counter table (for tests and metrics). Tables are
+// immutable, so the caller's copy is its own.
+func (a *ESS) Counters() values.Counters { return a.counters }
 
 // Proposed returns the current PROPOSED set (for tests).
 func (a *ESS) Proposed() values.Set { return a.proposed }

@@ -7,6 +7,7 @@ import (
 	"anonconsensus/internal/env"
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/sim"
+	"anonconsensus/internal/values"
 )
 
 // driveRounds feeds a scripted heard-set sequence to a fresh candidate and
@@ -196,6 +197,11 @@ func (s stubInbox) CurrentRound() int      { return s.round }
 type junkPayload struct{}
 
 func (junkPayload) PayloadKey() string { return "junk!" }
+func (p junkPayload) PayloadFingerprint() values.Fingerprint {
+	return values.FingerprintString(p.PayloadKey())
+}
+func (p junkPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
+func (p junkPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
 
 func TestOmegaTrackerMinMergeTable(t *testing.T) {
 	// Direct Compute calls pin the min-merge semantics: a counter survives

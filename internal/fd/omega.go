@@ -7,6 +7,7 @@ import (
 
 	"anonconsensus/internal/giraf"
 	"anonconsensus/internal/ordered"
+	"anonconsensus/internal/values"
 )
 
 // HeartbeatPayload is the wire payload of the ID-based Ω tracker: the
@@ -22,6 +23,8 @@ type HeartbeatPayload struct {
 var _ giraf.Payload = HeartbeatPayload{}
 
 // PayloadKey implements giraf.Payload with a canonical counts encoding.
+// The ID-based baseline identifies its payloads by this key: fingerprint,
+// size and order are the key's.
 func (p HeartbeatPayload) PayloadKey() string {
 	ids := ordered.Keys(p.Counts)
 	var b strings.Builder
@@ -31,6 +34,17 @@ func (p HeartbeatPayload) PayloadKey() string {
 	}
 	return b.String()
 }
+
+// PayloadFingerprint implements giraf.Payload.
+func (p HeartbeatPayload) PayloadFingerprint() values.Fingerprint {
+	return values.FingerprintString(p.PayloadKey())
+}
+
+// PayloadEncodedSize implements giraf.Payload.
+func (p HeartbeatPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
+
+// ComparePayload implements giraf.Payload.
+func (p HeartbeatPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
 
 // OmegaTracker implements Ω by gossiped heartbeat counting in a *known*
 // network, mirroring Algorithm 3's pseudo leader election with IDs in

@@ -15,20 +15,13 @@ import (
 // algorithms broadcast), warmed before timing, so the numbers are inbox
 // work, not hashing.
 
-// fpPayload is a value-set payload that serves its cached fingerprint, as
-// core.SetPayload does.
-type fpPayload struct{ s values.Set }
-
-func (p fpPayload) PayloadKey() string                     { return p.s.Key() }
-func (p fpPayload) PayloadFingerprint() values.Fingerprint { return p.s.Fingerprint() }
-
 // benchPayloads returns count distinct payloads numbered from `from`, in a
 // seeded shuffled order (arrival order is not key order in a real run),
 // with key and fingerprint caches warm.
 func benchPayloads(from, count int) []Payload {
 	out := make([]Payload, count)
 	for i := range out {
-		p := fpPayload{values.NewSet(values.Num(int64(from + i)))}
+		p := setPayload{values.NewSet(values.Num(int64(from + i)))}
 		p.PayloadKey()
 		p.PayloadFingerprint()
 		out[i] = p

@@ -2,7 +2,7 @@ package giraf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"anonconsensus/internal/values"
 )
@@ -43,7 +43,7 @@ func (t *DeltaTracker) Shrink(env Envelope) Envelope {
 	next := t.next
 	clear(next)
 	for _, pay := range env.Payloads {
-		_, fp := payloadCanon(pay)
+		fp := pay.PayloadFingerprint()
 		next[fp] = struct{}{}
 		if _, ok := t.prev[fp]; ok {
 			out.Refs = append(out.Refs, fp)
@@ -99,8 +99,7 @@ func NewResolveTable() *ResolveTable {
 // Observe records a payload so later references to it resolve (and
 // refreshes its retention window).
 func (rt *ResolveTable) Observe(pay Payload) {
-	_, fp := payloadCanon(pay)
-	rt.observe(fp, pay)
+	rt.observe(pay.PayloadFingerprint(), pay)
 }
 
 func (rt *ResolveTable) observe(fp values.Fingerprint, pay Payload) {
@@ -121,7 +120,7 @@ func (rt *ResolveTable) Resolve(env Envelope) (Envelope, error) {
 		rt.Observe(pay)
 	}
 	out := Envelope{Round: env.Round, SetFingerprint: env.SetFingerprint}
-	if len(env.Refs) == 0 && isSorted(env.Payloads) {
+	if len(env.Refs) == 0 && slices.IsSortedFunc(env.Payloads, comparePayloads) {
 		out.Payloads = env.Payloads
 		rt.endFrame()
 		return out, nil
@@ -137,7 +136,7 @@ func (rt *ResolveTable) Resolve(env Envelope) (Envelope, error) {
 		rt.observe(fp, e.pay) // referenced payloads stay retained
 		full = append(full, e.pay)
 	}
-	sort.Slice(full, func(i, j int) bool { return full[i].PayloadKey() < full[j].PayloadKey() })
+	slices.SortFunc(full, comparePayloads)
 	out.Payloads = full
 	rt.endFrame()
 	return out, nil
@@ -160,12 +159,4 @@ func (rt *ResolveTable) endFrame() {
 	}
 }
 
-// isSorted reports whether payloads are already in canonical key order.
-func isSorted(pays []Payload) bool {
-	for i := 1; i < len(pays); i++ {
-		if pays[i-1].PayloadKey() > pays[i].PayloadKey() {
-			return false
-		}
-	}
-	return true
-}
+func comparePayloads(p, q Payload) int { return p.ComparePayload(q) }

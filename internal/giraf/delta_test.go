@@ -86,8 +86,7 @@ func TestDeltaWindowResendsAfterAbsence(t *testing.T) {
 // referenced payloads stay resolvable indefinitely.
 func TestResolveTableEvictsOutsideWindow(t *testing.T) {
 	hot, cold := sp(values.Num(1)), sp(values.Num(2))
-	_, hotFP := payloadCanon(hot)
-	_, coldFP := payloadCanon(cold)
+	hotFP, coldFP := hot.PayloadFingerprint(), cold.PayloadFingerprint()
 	rt := NewResolveTable()
 	if _, err := rt.Resolve(Envelope{Round: 1, Payloads: []Payload{hot, cold}}); err != nil {
 		t.Fatal(err)

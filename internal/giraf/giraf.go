@@ -15,10 +15,12 @@
 // payloads contribute a single element — processes are indistinguishable by
 // construction.
 //
-// Identity is canonical-form based (see PERFORMANCE.md): every payload has
-// a canonical key and a 128-bit fingerprint of that key, fingerprint
-// equality is structural equality, and payloads are immutable once returned
-// by an automaton. Inboxes deduplicate on fingerprints and keep an
+// Identity is canonical-form based (see DESIGN.md): every payload has a
+// canonical key, defined by its parts, and a 128-bit fingerprint of that
+// key; fingerprint equality is structural equality, and payloads are
+// immutable once returned by an automaton. Payloads report the key's
+// fingerprint, length and order from their parts, so the round path never
+// builds a key. Inboxes deduplicate on fingerprints and keep an
 // incrementally sorted round view, so neither membership tests nor
 // Round(k) ever re-sort or re-encode. Envelopes additionally carry a
 // fingerprint of their whole payload set — the set-level identity the
@@ -29,34 +31,36 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"anonconsensus/internal/values"
 )
 
-// Payload is one automaton-produced message. Implementations must provide a
-// canonical key: two payloads are the same set element iff their keys are
-// equal. Payloads must be treated as immutable once returned by an
-// automaton.
+// Payload is one automaton-produced message, immutable once returned by an
+// automaton. Its canonical key is its identity: two payloads are the same
+// set element iff their keys are equal. The framework reads the key only
+// through what the other three methods report from the payload's parts,
+// and each must agree with the key exactly:
+//
+//	PayloadFingerprint() == values.FingerprintString(PayloadKey())
+//	PayloadEncodedSize() == len(PayloadKey())
+//	sign(ComparePayload(q)) == strings.Compare(PayloadKey(), q.PayloadKey())
+//
+// A payload compares with one of another type by their keys (CompareKeys).
 type Payload interface {
-	// PayloadKey returns the canonical structural encoding of the payload.
+	// PayloadKey returns the canonical key as text, for tests and messages.
 	PayloadKey() string
-}
-
-// Fingerprinted is an optional Payload extension for types that can
-// produce their canonical fingerprint without the framework hashing the
-// key string — typically because they cache it (values.Set does). The
-// contract: PayloadFingerprint() == values.FingerprintString(PayloadKey()).
-type Fingerprinted interface {
+	// PayloadFingerprint returns the key's fingerprint.
 	PayloadFingerprint() values.Fingerprint
+	// PayloadEncodedSize returns the key's length in bytes.
+	PayloadEncodedSize() int
+	// ComparePayload orders the payload and q as their keys order.
+	ComparePayload(q Payload) int
 }
 
-// PayloadSizer is an optional Payload extension for types that can report
-// the canonical encoding's length without materializing the key string —
-// typically by reusing a cached encoded size (values.Set caches one). The
-// contract: PayloadEncodedSize() == len(PayloadKey()).
-type PayloadSizer interface {
-	PayloadEncodedSize() int
-}
+// CompareKeys orders p and q by their keys: the order of payloads of
+// different types, and of types that identify themselves by their key.
+func CompareKeys(p, q Payload) int { return strings.Compare(p.PayloadKey(), q.PayloadKey()) }
 
 // RoundLocal is an optional Automaton extension for automata whose
 // Compute(k) reads nothing of the inbox but Round(k) — Algorithms 2 and 3
@@ -73,19 +77,6 @@ type PayloadSizer interface {
 type RoundLocal interface {
 	// ReadsOnlyRound is a marker; the framework never calls it.
 	ReadsOnlyRound()
-}
-
-// payloadCanon returns the fingerprint of p and, only when computing the
-// fingerprint had to build it, the canonical key ("" otherwise). A payload
-// that caches its fingerprint is identified without materializing its key:
-// membership is decided on the fingerprint alone, and a duplicate — most
-// payloads of most deliveries — never needs the key at all.
-func payloadCanon(p Payload) (string, values.Fingerprint) {
-	if f, ok := p.(Fingerprinted); ok {
-		return "", f.PayloadFingerprint()
-	}
-	k := p.PayloadKey()
-	return k, values.FingerprintString(k)
 }
 
 // Decision is the outcome of a Compute step.
@@ -156,7 +147,7 @@ type Envelope struct {
 }
 
 // roundInbox is the per-round storage: fingerprint-addressed membership
-// plus an incrementally maintained canonical-key-sorted view. Membership is
+// plus an incrementally maintained view in key order. Membership is
 // a linear scan over the flat fingerprint slice while the round is small
 // (the overwhelmingly common case: anonymous rounds hold one payload per
 // equivalence class); once the round outgrows the scan threshold an
@@ -174,10 +165,9 @@ type roundInbox struct {
 	// comparing full fingerprints.
 	idx     []uint32
 	indexed int
-	keys    []string             // canonical keys, parallel to pays; ascending once settled
-	pays    []Payload            // payloads, parallel to keys
+	pays    []Payload            // payloads, in key order once settled
 	fps     []values.Fingerprint // payload fingerprints, parallel to pays
-	// dirty marks that an append broke ascending key order; the order
+	// dirty marks that an append broke key order; the order
 	// consumers (snapshot, setFingerprint) re-establish it lazily, so a
 	// burst of insertions costs one sort instead of a memmove each.
 	dirty bool
@@ -205,7 +195,6 @@ const inboxScanMax = 16
 
 func newRoundInbox() *roundInbox {
 	return &roundInbox{
-		keys: make([]string, 0, roundInboxHint),
 		pays: make([]Payload, 0, roundInboxHint),
 		fps:  make([]values.Fingerprint, 0, roundInboxHint),
 	}
@@ -217,10 +206,8 @@ func newRoundInbox() *roundInbox {
 // never written without growing len first. The index table is not cleared
 // here — most rounds never grow into it; reindex clears it on first use.
 func (ri *roundInbox) recycle() {
-	clear(ri.keys)
 	clear(ri.pays) // drop payload refs so reuse doesn't pin them
 	clear(ri.fps)
-	ri.keys = ri.keys[:0]
 	ri.pays = ri.pays[:0]
 	ri.fps = ri.fps[:0]
 	ri.indexed = 0
@@ -290,22 +277,15 @@ func (ri *roundInbox) find(fp values.Fingerprint) (slot int, ok bool) {
 	}
 }
 
-// insert adds a payload with the given fingerprint, keeping the key order;
-// it reports whether the payload was new. key is the payload's canonical
-// key when the caller already has it; "" makes insert fetch it, which it
-// does only for a payload that is new.
-func (ri *roundInbox) insert(key string, fp values.Fingerprint, pay Payload) bool {
+// insert adds pay, whose fingerprint is fp, and reports whether it was new.
+func (ri *roundInbox) insert(fp values.Fingerprint, pay Payload) bool {
 	slot, ok := ri.find(fp)
 	if ok {
 		return false
 	}
-	if key == "" {
-		key = pay.PayloadKey()
-	}
-	if n := len(ri.keys); n > 0 && key < ri.keys[n-1] {
+	if n := len(ri.pays); n > 0 && pay.ComparePayload(ri.pays[n-1]) < 0 {
 		ri.dirty = true
 	}
-	ri.keys = append(ri.keys, key)
 	ri.pays = append(ri.pays, pay)
 	ri.fps = append(ri.fps, fp)
 	// The index follows while its table has room; otherwise it is left
@@ -319,24 +299,22 @@ func (ri *roundInbox) insert(key string, fp values.Fingerprint, pay Payload) boo
 	return true
 }
 
-// inboxByKey sorts the three parallel payload slices by canonical key.
-// Keys are pairwise distinct (key equality ⇔ fingerprint equality, and
-// equal fingerprints are deduplicated on insert), so the order — hence
-// every snapshot and set fingerprint — is unique regardless of arrival
-// order.
+// inboxByKey sorts the two parallel payload slices in key order. Keys are
+// pairwise distinct (key equality ⇔ fingerprint equality, and equal
+// fingerprints are deduplicated on insert), so the order — hence every
+// snapshot and set fingerprint — is unique regardless of arrival order.
 type inboxByKey struct{ ri *roundInbox }
 
-func (s inboxByKey) Len() int           { return len(s.ri.keys) }
-func (s inboxByKey) Less(i, j int) bool { return s.ri.keys[i] < s.ri.keys[j] }
+func (s inboxByKey) Len() int           { return len(s.ri.pays) }
+func (s inboxByKey) Less(i, j int) bool { return s.ri.pays[i].ComparePayload(s.ri.pays[j]) < 0 }
 func (s inboxByKey) Swap(i, j int) {
 	ri := s.ri
-	ri.keys[i], ri.keys[j] = ri.keys[j], ri.keys[i]
 	ri.pays[i], ri.pays[j] = ri.pays[j], ri.pays[i]
 	ri.fps[i], ri.fps[j] = ri.fps[j], ri.fps[i]
 }
 
-// ensureSorted re-establishes ascending key order after appends. The sort
-// permutes fps, so the positions idx holds are stale afterwards.
+// ensureSorted re-establishes key order after appends. The sort permutes
+// fps, so the positions idx holds are stale afterwards.
 func (ri *roundInbox) ensureSorted() {
 	if ri.dirty {
 		sort.Sort(inboxByKey{ri})
@@ -438,8 +416,8 @@ func (p *Proc) roundAt(k int) *roundInbox {
 	return nil
 }
 
-// Round implements Inbox. The slice is a cached snapshot in canonical key
-// order; callers must not mutate it.
+// Round implements Inbox. The slice is a cached snapshot in key order;
+// callers must not mutate it.
 func (p *Proc) Round(k int) []Payload {
 	ri := p.roundAt(k)
 	if ri == nil || len(ri.pays) == 0 {
@@ -560,8 +538,7 @@ func (p *Proc) ensureRound(k int) *roundInbox {
 func (p *Proc) merge(round int, payloads []Payload) *roundInbox {
 	ri := p.ensureRound(round)
 	for _, pay := range payloads {
-		key, fp := payloadCanon(pay)
-		if ri.insert(key, fp, pay) {
+		if ri.insert(pay.PayloadFingerprint(), pay) {
 			p.fresh = append(p.fresh, pay)
 			p.delivered++
 		}

@@ -7,10 +7,19 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// setPayload is a minimal payload for framework tests: a plain value set.
+// setPayload is a minimal payload for framework tests: a plain value set,
+// identified by the set's own canonical form as core.SetPayload is.
 type setPayload struct{ s values.Set }
 
-func (p setPayload) PayloadKey() string { return p.s.Key() }
+func (p setPayload) PayloadKey() string                     { return p.s.Key() }
+func (p setPayload) PayloadFingerprint() values.Fingerprint { return p.s.Fingerprint() }
+func (p setPayload) PayloadEncodedSize() int                { return p.s.EncodedSize() }
+func (p setPayload) ComparePayload(q Payload) int {
+	if o, ok := q.(setPayload); ok {
+		return p.s.Compare(o.s)
+	}
+	return CompareKeys(p, q)
+}
 
 // echoAutomaton broadcasts its value every round and decides at a fixed
 // round, recording what it saw.

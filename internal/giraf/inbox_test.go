@@ -14,6 +14,11 @@ import (
 type keyPayload string
 
 func (p keyPayload) PayloadKey() string { return string(p) }
+func (p keyPayload) PayloadFingerprint() values.Fingerprint {
+	return values.FingerprintString(string(p))
+}
+func (p keyPayload) PayloadEncodedSize() int      { return len(p) }
+func (p keyPayload) ComparePayload(q Payload) int { return CompareKeys(p, q) }
 
 // inboxModel drives one roundInbox beside a reference map and checks after
 // every step that the two agree.
@@ -24,15 +29,10 @@ type inboxModel struct {
 	stored []values.Fingerprint // ref's keys in insertion order, to pick duplicates from
 }
 
-// insert offers fp through the lazy-key path or with the key in hand, and
-// checks the verdict against the reference.
-func (m *inboxModel) insert(fp values.Fingerprint, withKey bool) {
+// insert offers fp and checks the verdict against the reference.
+func (m *inboxModel) insert(fp values.Fingerprint) {
 	m.t.Helper()
-	key := ""
-	if withKey {
-		key = fp.String()
-	}
-	isNew := m.ri.insert(key, fp, keyPayload(fp.String()))
+	isNew := m.ri.insert(fp, keyPayload(fp.String()))
 	if isNew == m.ref[fp] {
 		m.t.Fatalf("insert(%v) reported new=%v with %d stored, reference says present=%v", fp, isNew, len(m.stored), m.ref[fp])
 	}
@@ -40,8 +40,8 @@ func (m *inboxModel) insert(fp values.Fingerprint, withKey bool) {
 		m.ref[fp] = true
 		m.stored = append(m.stored, fp)
 	}
-	if len(m.ri.fps) != len(m.ref) || len(m.ri.keys) != len(m.ref) || len(m.ri.pays) != len(m.ref) {
-		m.t.Fatalf("inbox holds %d/%d/%d fps/keys/pays, reference %d", len(m.ri.fps), len(m.ri.keys), len(m.ri.pays), len(m.ref))
+	if len(m.ri.fps) != len(m.ref) || len(m.ri.pays) != len(m.ref) {
+		m.t.Fatalf("inbox holds %d/%d fps/pays, reference %d", len(m.ri.fps), len(m.ri.pays), len(m.ref))
 	}
 }
 
@@ -62,8 +62,8 @@ func (m *inboxModel) snapshot() {
 		if p.PayloadKey() != want[i] {
 			m.t.Fatalf("snapshot[%d] = %s, want %s", i, p.PayloadKey(), want[i])
 		}
-		if m.ri.keys[i] != want[i] || m.ri.fps[i].String() != want[i] {
-			m.t.Fatalf("parallel slices diverged at %d: key %s, fp %v, want %s", i, m.ri.keys[i], m.ri.fps[i], want[i])
+		if m.ri.fps[i].String() != want[i] {
+			m.t.Fatalf("parallel slices diverged at %d: fp %v, want %s", i, m.ri.fps[i], want[i])
 		}
 	}
 }
@@ -111,9 +111,9 @@ func TestRoundInboxAgainstModel(t *testing.T) {
 			for len(m.ref) < target {
 				switch op := rng.Intn(20); {
 				case op < 10:
-					m.insert(randomFP(rng), op%2 == 0)
+					m.insert(randomFP(rng))
 				case op < 16 && len(m.stored) > 0:
-					m.insert(m.stored[rng.Intn(len(m.stored))], op%2 == 0)
+					m.insert(m.stored[rng.Intn(len(m.stored))])
 				case op == 16:
 					m.snapshot()
 				case op == 17:
@@ -128,7 +128,7 @@ func TestRoundInboxAgainstModel(t *testing.T) {
 			m.snapshot()
 			m.lookups([]values.Fingerprint{randomFP(rng)})
 			for _, fp := range m.stored { // everything is a duplicate now
-				m.insert(fp, false)
+				m.insert(fp)
 			}
 			if life == 0 && len(tables) < 3 {
 				t.Fatalf("seed %d: a cold inbox grown to %d saw table sizes %v, want at least two doublings", seed, target, tables)
@@ -160,7 +160,7 @@ func TestRoundInboxHostileSlots(t *testing.T) {
 	}
 	m := &inboxModel{t: t, ri: newRoundInbox(), ref: map[values.Fingerprint]bool{}}
 	for len(m.ref) < 96 {
-		m.insert(clash(), len(m.ref)%2 == 0)
+		m.insert(clash())
 		if len(m.ref)%24 == 0 {
 			m.snapshot()
 		}
@@ -176,7 +176,7 @@ func TestRoundInboxHostileSlots(t *testing.T) {
 	}
 	m.lookups([]values.Fingerprint{clash(), clash(), randomFP(rng)})
 	for _, fp := range m.stored {
-		m.insert(fp, false)
+		m.insert(fp)
 	}
 	m.snapshot()
 }

@@ -102,8 +102,7 @@ func (s *SharedRound) build(envs []*Envelope) *roundInbox {
 	ri := s.ri
 	for _, env := range envs {
 		for _, pay := range env.Payloads {
-			key, fp := payloadCanon(pay)
-			ri.insert(key, fp, pay)
+			ri.insert(pay.PayloadFingerprint(), pay)
 		}
 	}
 	ri.snapshot()
@@ -140,7 +139,6 @@ func (p *Proc) adopt(k int, union *roundInbox) {
 func (p *Proc) privatize() {
 	src := p.shared
 	ri := p.takeRoundInbox()
-	ri.keys = append(ri.keys, src.keys...)
 	ri.pays = append(ri.pays, src.pays...)
 	ri.fps = append(ri.fps, src.fps...)
 	p.inbox[p.sharedRound] = ri

@@ -25,7 +25,7 @@ func fpSet(vs ...int64) Payload {
 	for i, v := range vs {
 		elems[i] = values.Num(v)
 	}
-	return fpPayload{values.NewSet(elems...)}
+	return setPayload{values.NewSet(elems...)}
 }
 
 // broadcastRound1 builds one process per spec, in round 1 with its round-1

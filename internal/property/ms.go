@@ -127,13 +127,6 @@ func (r *Recorder) Automaton(i int) giraf.Automaton {
 	return w
 }
 
-func payloadID(p giraf.Payload) values.Fingerprint {
-	if fp, ok := p.(giraf.Fingerprinted); ok {
-		return fp.PayloadFingerprint()
-	}
-	return values.FingerprintString(p.PayloadKey())
-}
-
 type recorded struct {
 	giraf.Automaton
 	proc int
@@ -144,7 +137,7 @@ func (w recorded) Initialize() giraf.Payload {
 	pay := w.Automaton.Initialize()
 	w.r.mu.Lock()
 	defer w.r.mu.Unlock()
-	w.r.Record.Send(1, payloadID(pay))
+	w.r.Record.Send(1, pay.PayloadFingerprint())
 	return pay
 }
 
@@ -154,10 +147,10 @@ func (w recorded) Compute(k int, in giraf.Inbox) (giraf.Payload, giraf.Decision)
 	defer w.r.mu.Unlock()
 	w.r.Record.Compute(k, w.proc)
 	for _, p := range in.Round(k) {
-		w.r.Record.Hold(k, w.proc, payloadID(p))
+		w.r.Record.Hold(k, w.proc, p.PayloadFingerprint())
 	}
 	if !dec.Decided { // a deciding process halts: pay is never sent
-		w.r.Record.Send(k+1, payloadID(pay))
+		w.r.Record.Send(k+1, pay.PayloadFingerprint())
 	}
 	return pay, dec
 }

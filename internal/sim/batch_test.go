@@ -24,6 +24,11 @@ type batchAutomaton struct {
 type valPayload struct{ v values.Value }
 
 func (p valPayload) PayloadKey() string { return "v:" + string(p.v) }
+func (p valPayload) PayloadFingerprint() values.Fingerprint {
+	return values.FingerprintString(p.PayloadKey())
+}
+func (p valPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
+func (p valPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
 
 func (a *batchAutomaton) Initialize() giraf.Payload {
 	a.best = a.v

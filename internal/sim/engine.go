@@ -779,17 +779,11 @@ func uniformDelay(delay env.DelayFn, sender, n int) (int, bool) {
 }
 
 // envelopeBytes is the canonical-encoding size of one envelope: 8 bytes of
-// round number plus each payload's canonical key length. Payloads that
-// implement giraf.PayloadSizer (all the core algorithms') report the
-// cached size directly instead of materializing the key string.
+// round number plus each payload's canonical key length.
 func envelopeBytes(env *giraf.Envelope) int {
 	total := 8 // round number
 	for _, p := range env.Payloads {
-		if s, ok := p.(giraf.PayloadSizer); ok {
-			total += s.PayloadEncodedSize()
-		} else {
-			total += len(p.PayloadKey())
-		}
+		total += p.PayloadEncodedSize()
 	}
 	return total
 }

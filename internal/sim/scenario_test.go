@@ -28,6 +28,11 @@ type countingAut struct {
 type countPayload struct{ v values.Value }
 
 func (p countPayload) PayloadKey() string { return "c:" + string(p.v) }
+func (p countPayload) PayloadFingerprint() values.Fingerprint {
+	return values.FingerprintString(p.PayloadKey())
+}
+func (p countPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
+func (p countPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
 
 func (a *countingAut) Initialize() giraf.Payload { return countPayload{a.val} }
 

@@ -42,7 +42,8 @@ func TestEncodedSizeNeedsNoKey(t *testing.T) {
 // TestHistoryCountersAllocsWarm pins the Algorithm 3 tables' hot paths:
 // Append is one node, a settled history's Key and every read of a settled
 // counter table cost nothing, and Bump looks prefixes up without building
-// a key.
+// a key: it allocates only the new immutable table, its header and its
+// entries.
 func TestHistoryCountersAllocsWarm(t *testing.T) {
 	h := NewHistory(Num(1))
 	for i := 0; i < 16; i++ {
@@ -64,7 +65,13 @@ func TestHistoryCountersAllocsWarm(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Counters reads on settled table: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Bump(h) }); n != 0 {
-		t.Errorf("Counters.Bump of a stored history: %v allocs/op, want 0", n)
+	if raceEnabled {
+		return // under -race, sync.Pool drops a share of what is put back
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Bump(h) }); n != 2 {
+		t.Errorf("Counters.Bump of a stored history: %v allocs/op, want 2", n)
 	}
 }
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool

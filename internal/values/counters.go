@@ -1,10 +1,13 @@
 package values
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -18,14 +21,14 @@ import (
 // is 0 are not stored, so two Counters with equal keys represent the same
 // abstract function H ↦ C[H].
 //
-// The table is keyed by history fingerprint and carries a lazily computed
-// canonical form — the entries in key order, the maximal counter and the
-// key string — which is invalidated on mutation and carried
-// by clones, as Set's is. Aliased copies (plain assignment) share both the
-// entry map and the cache.
+// A table is immutable and a value, as a Set is: it points to its entries,
+// ascending by history key, with the maximal counter and the encoded size
+// kept beside them; the key is built only when asked for. MinMergeBump
+// builds the table of lines 8–9 in one pass, and Bump and Set rebind their
+// receiver to a new table, so a copy taken before them keeps its counters.
+// The zero value is the empty table.
 type Counters struct {
-	m map[Fingerprint]counterEntry
-	c *ctrCtl
+	t *ctrTable
 }
 
 type counterEntry struct {
@@ -33,190 +36,384 @@ type counterEntry struct {
 	n    int
 }
 
-// ctrCtl is the cache cell shared by all aliases of one table. The
-// canonical form is published via an atomic pointer so concurrent readers
-// of an immutable table can fill it without a data race; mutation stores
-// nil.
-type ctrCtl struct {
-	canon atomic.Pointer[canonCounters]
-}
-
-// canonCounters is an immutable canonical-form snapshot.
-type canonCounters struct {
-	sorted []counterEntry // by history key
-	max    int
-	key    string
+// ctrTable is one non-empty table's contents.
+type ctrTable struct {
+	entries []counterEntry // ascending by history key, every n > 0
+	max     int
+	size    int // len(key)
+	key     atomic.Pointer[string]
 }
 
 // NewCounters returns an empty counter table (all counters 0).
-func NewCounters() Counters {
-	return Counters{m: make(map[Fingerprint]counterEntry), c: &ctrCtl{}}
+func NewCounters() Counters { return Counters{} }
+
+// CountersOf returns the table with C[hs[i]] = ns[i] for every i: a later
+// pair for a history replaces an earlier one, and counts ≤ 0 are dropped.
+// It exists for wire codecs, which must take pairs in any order.
+func CountersOf(hs []History, ns []int) Counters {
+	b := getBuilder()
+	defer b.put()
+	for i, h := range hs {
+		b.set(h, ns[i])
+	}
+	return b.build()
+}
+
+func (c Counters) entries() []counterEntry {
+	if c.t == nil {
+		return nil
+	}
+	return c.t.entries
 }
 
 // Get returns C[h], which is 0 for histories never heard of.
-func (c Counters) Get(h History) int { return c.m[h.Fingerprint()].n }
+func (c Counters) Get(h History) int {
+	e := c.entries()
+	i, ok := slices.BinarySearchFunc(e, h, func(e counterEntry, h History) int { return e.hist.Compare(h) })
+	if !ok {
+		return 0
+	}
+	return e[i].n
+}
 
 // Len returns the number of histories with a non-zero counter.
-func (c Counters) Len() int { return len(c.m) }
+func (c Counters) Len() int { return len(c.entries()) }
 
-// set stores C[h] = n, dropping the entry when n <= 0 to keep the
-// representation canonical.
-func (c *Counters) set(h History, n int) {
-	if c.m == nil {
-		*c = NewCounters()
-	}
-	if n <= 0 {
-		delete(c.m, h.Fingerprint())
-	} else {
-		c.m[h.Fingerprint()] = counterEntry{hist: h, n: n}
-	}
-	c.c.canon.Store(nil)
+// Set stores C[h] = n, rebinding c; n ≤ 0 drops the entry. Algorithm 3
+// itself only ever changes counters through MinMergeBump.
+func (c *Counters) Set(h History, n int) {
+	b := getBuilder()
+	defer b.put()
+	b.work = append(b.work, c.entries()...)
+	b.head = len(b.work)
+	b.set(h, n)
+	*c = b.build()
 }
 
-// Set stores C[h] = n directly. It exists for wire codecs and tests;
-// Algorithm 3 itself only ever mutates counters through MinMerge and Bump.
-func (c *Counters) Set(h History, n int) { c.set(h, n) }
-
-// Clone returns an independent copy of c, carrying its canonical form.
-func (c Counters) Clone() Counters {
-	out := Counters{m: make(map[Fingerprint]counterEntry, len(c.m)), c: &ctrCtl{}}
-	//detlint:ordered map copy; the resulting table is visit-order-independent
-	for k, e := range c.m {
-		out.m[k] = e
-	}
-	if c.c != nil {
-		out.c.canon.Store(c.c.canon.Load())
-	}
-	return out
-}
+// Bump implements Algorithm 3 line 9 for one received history h, rebinding
+// c: C[h] := 1 + max{ C[H] | H is a (non-strict) prefix of h }.
+func (c *Counters) Bump(h History) { *c = MinMergeBump([]Counters{*c}, []History{h}) }
 
 // MinMerge implements Algorithm 3 line 8: ∀H, C[H] := min_{m∈M} m.C[H].
 // Since absent histories count as 0, only histories present in *every*
 // message survive with a positive counter.
-func MinMerge(msgs []Counters) Counters {
-	out := NewCounters()
+func MinMerge(msgs []Counters) Counters { return MinMergeBump(msgs, nil) }
+
+// MinMergeBump implements Algorithm 3 lines 8–9 in one pass: the min-merge
+// of msgs, then a bump of each of hs in order. Each bump looks up the
+// history's prefixes, the empty one included, instead of scanning the
+// table. It returns a table of msgs itself when the merge keeps it whole
+// and hs is empty.
+func MinMergeBump(msgs []Counters, hs []History) Counters {
+	b := getBuilder()
+	defer b.put()
+	base, whole := b.minMerge(msgs)
+	if whole && len(hs) == 0 {
+		return base
+	}
+	for _, h := range hs {
+		b.bump(h)
+	}
+	return b.build()
+}
+
+// ctrBuilder is the working table a new one is built in: work[:head] holds
+// the entries kept from merged tables, still ascending, and work[head:] the
+// histories added since, in the order they came. Lookups scan work while it
+// is small; past builderScanMax entries, at indexes every entry's position.
+// Builders are pooled and cleared after each use, so they pin no histories.
+type ctrBuilder struct {
+	work    []counterEntry
+	head    int
+	at      map[Fingerprint]int
+	indexed bool
+	cursors []int
+}
+
+// builderScanMax is the working table size up to which a lookup is a scan.
+const builderScanMax = 16
+
+var builders = sync.Pool{New: func() any { return &ctrBuilder{at: make(map[Fingerprint]int)} }}
+
+func getBuilder() *ctrBuilder { return builders.Get().(*ctrBuilder) }
+
+func (b *ctrBuilder) put() {
+	clear(b.work)
+	b.work, b.head, b.cursors = b.work[:0], 0, b.cursors[:0]
+	if b.indexed {
+		clear(b.at)
+		b.indexed = false
+	}
+	builders.Put(b)
+}
+
+// minMerge fills work[:head] with the min-merge of msgs, walking the
+// smallest table and, in step with it, each of the others: all are in the
+// same order. It returns that table and whether the merge kept it whole.
+func (b *ctrBuilder) minMerge(msgs []Counters) (Counters, bool) {
 	if len(msgs) == 0 {
-		return out
+		return Counters{}, true
 	}
-	//detlint:ordered per-key min across msgs; entries are independent, so the merged table is visit-order-independent
-	for k, e := range msgs[0].m {
-		minN := e.n
-		for _, m := range msgs[1:] {
-			other, ok := m.m[k]
-			if !ok {
-				minN = 0
-				break
+	base := msgs[0]
+	for _, m := range msgs[1:] {
+		if m.Len() < base.Len() {
+			base = m
+		}
+	}
+	whole := true
+	for range msgs {
+		b.cursors = append(b.cursors, 0)
+	}
+	for _, e := range base.entries() {
+		n := e.n
+		for j, m := range msgs {
+			if m.t == base.t || n == 0 {
+				continue
 			}
-			minN = min(minN, other.n)
+			es, k := m.t.entries, b.cursors[j]
+			c := 1
+			for ; k < len(es); k++ {
+				if c = es[k].hist.Compare(e.hist); c >= 0 {
+					break
+				}
+			}
+			b.cursors[j] = k
+			if c == 0 {
+				n = min(n, es[k].n)
+			} else {
+				n = 0
+			}
 		}
-		if minN > 0 {
-			out.m[k] = counterEntry{hist: e.hist, n: minN}
+		if n > 0 {
+			b.work = append(b.work, counterEntry{hist: e.hist, n: n})
 		}
+		whole = whole && n == e.n
 	}
-	return out
+	b.head = len(b.work)
+	return base, whole
 }
 
-// Bump implements Algorithm 3 line 9 for one received history h:
-// C[h] := 1 + max{ C[H] | H is a (non-strict) prefix of h }. It looks up
-// each of h's prefixes, the empty one included, instead of scanning the
-// table.
-func (c *Counters) Bump(h History) {
-	best := c.m[emptyHistoryFP].n
+// find returns the position of the history with fingerprint fp in work.
+func (b *ctrBuilder) find(fp Fingerprint) (int, bool) {
+	if !b.indexed && len(b.work) <= builderScanMax {
+		for i, e := range b.work {
+			if e.hist.Fingerprint() == fp {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	if !b.indexed {
+		for i, e := range b.work {
+			b.at[e.hist.Fingerprint()] = i
+		}
+		b.indexed = true
+	}
+	i, ok := b.at[fp]
+	return i, ok
+}
+
+// lookup returns the working counter of the history with fingerprint fp.
+func (b *ctrBuilder) lookup(fp Fingerprint) int {
+	if i, ok := b.find(fp); ok {
+		return b.work[i].n
+	}
+	return 0
+}
+
+// set stores C[h] = n in the working table; a count ≤ 0 is dropped by build.
+func (b *ctrBuilder) set(h History, n int) {
+	fp := h.Fingerprint()
+	if i, ok := b.find(fp); ok {
+		b.work[i].n = n
+	} else if n > 0 {
+		if b.indexed {
+			b.at[fp] = len(b.work)
+		}
+		b.work = append(b.work, counterEntry{hist: h, n: n})
+	}
+}
+
+// bump is Algorithm 3 line 9 for h on the working table.
+func (b *ctrBuilder) bump(h History) {
+	best := b.lookup(emptyHistoryFP)
 	for n := h.n; n != nil; n = n.parent {
-		best = max(best, c.m[n.fp].n)
+		best = max(best, b.lookup(n.fp))
 	}
-	c.set(h, 1+best)
+	b.set(h, 1+best)
 }
 
-// canon returns the canonical form, computing it on a miss.
-func (c Counters) canon() *canonCounters {
-	if c.c != nil {
-		if cc := c.c.canon.Load(); cc != nil {
-			return cc
+// build returns the working table as an immutable one: the added histories
+// sorted and merged into the kept ones, dropped counts left out.
+func (b *ctrBuilder) build() Counters {
+	head, tail := b.work[:b.head], b.work[b.head:]
+	slices.SortFunc(tail, func(x, y counterEntry) int { return x.hist.Compare(y.hist) })
+	live := 0
+	for _, e := range b.work {
+		if e.n > 0 {
+			live++
 		}
 	}
-	sorted := make([]counterEntry, 0, len(c.m))
-	cc := &canonCounters{}
-	//detlint:ordered collected entries are canonically sorted by history key on the next line
-	for _, e := range c.m {
-		sorted = append(sorted, e)
-		cc.max = max(cc.max, e.n)
+	if live == 0 {
+		return Counters{}
 	}
-	slices.SortFunc(sorted, func(a, b counterEntry) int { return strings.Compare(a.hist.Key(), b.hist.Key()) })
-	cc.sorted = sorted
-	size := len("C")
-	for _, e := range sorted {
-		hs := e.hist.EncodedSize()
-		size += decDigits(hs) + 1 + hs + len("=;") + decDigits(e.n)
+	t := &ctrTable{entries: make([]counterEntry, 0, live), size: len("C")}
+	add := func(e counterEntry) {
+		if e.n > 0 {
+			t.entries = append(t.entries, e)
+			t.max = max(t.max, e.n)
+			hs := e.hist.EncodedSize()
+			t.size += decDigits(hs) + 1 + hs + len("=;") + decDigits(e.n)
+		}
 	}
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteString("C")
-	var num [20]byte
-	for _, e := range sorted {
-		encodeString(&b, e.hist.Key())
-		b.WriteByte('=')
-		b.Write(strconv.AppendInt(num[:0], int64(e.n), 10))
-		b.WriteByte(';')
+	for len(head) > 0 && len(tail) > 0 {
+		if head[0].hist.Compare(tail[0].hist) < 0 {
+			add(head[0])
+			head = head[1:]
+		} else {
+			add(tail[0])
+			tail = tail[1:]
+		}
 	}
-	cc.key = b.String()
-	if c.c != nil {
-		c.c.canon.Store(cc)
+	for _, e := range head {
+		add(e)
 	}
-	return cc
+	for _, e := range tail {
+		add(e)
+	}
+	return Counters{t: t}
 }
 
 // IsMaximal reports whether C[h] ≥ C[H] for all H — the leader predicate of
 // Algorithm 3 line 15 and Definition "leader(k)". With an empty table every
 // history is trivially maximal.
-func (c Counters) IsMaximal(h History) bool { return c.Get(h) >= c.canon().max }
+func (c Counters) IsMaximal(h History) bool {
+	if c.t == nil {
+		return true
+	}
+	return c.Get(h) >= c.t.max
+}
 
 // MaxEntries returns the histories whose counter is maximal, in canonical
 // (key) order, together with the maximal counter value. For an empty table
 // it returns (nil, 0).
 func (c Counters) MaxEntries() ([]History, int) {
-	cc := c.canon()
-	if cc.max == 0 {
+	if c.t == nil {
 		return nil, 0
 	}
 	var out []History
-	for _, e := range cc.sorted {
-		if e.n == cc.max {
+	for _, e := range c.t.entries {
+		if e.n == c.t.max {
 			out = append(out, e.hist)
 		}
 	}
-	return out, cc.max
+	return out, c.t.max
 }
 
 // Histories returns all stored histories in canonical order.
 func (c Counters) Histories() []History {
-	cc := c.canon()
-	out := make([]History, len(cc.sorted))
-	for i, e := range cc.sorted {
-		out[i] = e.hist
+	out := make([]History, 0, c.Len())
+	for h := range c.All() {
+		out = append(out, h)
 	}
 	return out
 }
 
-// Key returns the canonical encoding of the table. Two tables have equal
-// keys iff they represent the same abstract counter function.
-func (c Counters) Key() string { return c.canon().key }
+// All yields every stored history and its counter in canonical order.
+func (c Counters) All() iter.Seq2[History, int] {
+	return func(yield func(History, int) bool) {
+		for _, e := range c.entries() {
+			if !yield(e.hist, e.n) {
+				return
+			}
+		}
+	}
+}
 
-// Fingerprint returns the canonical key's fingerprint. It hashes the cached
-// key on every call: ESS payloads fingerprint their whole key, so nothing
-// on the hot path needs the table's own.
-func (c Counters) Fingerprint() Fingerprint { return FingerprintString(c.Key()) }
+// Compare orders c and d as their keys do, strings.Compare(c.Key(),
+// d.Key()), without building either key. An entry's part of the key is
+// "<len>:<history key>=<n>;", so entries compare by their histories' key
+// lengths first, then by the histories, then by the counts.
+func (c Counters) Compare(d Counters) int {
+	if c.t == d.t {
+		return 0
+	}
+	a, b := c.entries(), d.entries()
+	for i := range min(len(a), len(b)) {
+		x, y := a[i], b[i]
+		if !x.hist.Equal(y.hist) {
+			if xs, ys := x.hist.EncodedSize(), y.hist.EncodedSize(); xs != ys {
+				return compareDecimal(xs, ys)
+			}
+			return x.hist.Compare(y.hist)
+		}
+		if x.n != y.n {
+			return compareDecimal(x.n, y.n)
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// WriteKey folds the table's key into h without building it.
+func (c Counters) WriteKey(h *Hasher) {
+	_ = h.WriteByte('C')
+	for _, e := range c.entries() {
+		h.writeDecimal(e.hist.EncodedSize())
+		_ = h.WriteByte(':')
+		e.hist.WriteKey(h)
+		_ = h.WriteByte('=')
+		h.writeDecimal(e.n)
+		_ = h.WriteByte(';')
+	}
+}
+
+// Key returns the canonical encoding of the table, built on first use. Two
+// tables have equal keys iff they represent the same abstract counter
+// function.
+func (c Counters) Key() string {
+	if c.t == nil {
+		return "C"
+	}
+	if k := c.t.key.Load(); k != nil {
+		return *k
+	}
+	var b strings.Builder
+	b.Grow(c.t.size)
+	b.WriteString("C")
+	var num [20]byte
+	for _, e := range c.t.entries {
+		encodeString(&b, e.hist.Key())
+		b.WriteByte('=')
+		b.Write(strconv.AppendInt(num[:0], int64(e.n), 10))
+		b.WriteByte(';')
+	}
+	k := b.String()
+	c.t.key.Store(&k)
+	return k
+}
+
+// Fingerprint returns the canonical key's fingerprint, hashed from the
+// entries: c.Fingerprint() == FingerprintString(c.Key()).
+func (c Counters) Fingerprint() Fingerprint {
+	var h Hasher
+	c.WriteKey(&h)
+	return h.Sum()
+}
 
 // String implements fmt.Stringer.
 func (c Counters) String() string {
-	cc := c.canon()
-	parts := make([]string, 0, len(cc.sorted))
-	for _, e := range cc.sorted {
-		parts = append(parts, fmt.Sprintf("%s→%d", e.hist, e.n))
+	parts := make([]string, 0, c.Len())
+	for h, n := range c.All() {
+		parts = append(parts, fmt.Sprintf("%s→%d", h, n))
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
 // EncodedSize returns the canonical encoding length in bytes; used for
 // message-size accounting (experiment T6).
-func (c Counters) EncodedSize() int { return len(c.Key()) }
+func (c Counters) EncodedSize() int {
+	if c.t == nil {
+		return len("C")
+	}
+	return c.t.size
+}

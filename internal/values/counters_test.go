@@ -63,10 +63,10 @@ func TestMinMerge(t *testing.T) {
 	h2 := NewHistory(Num(2))
 
 	a := NewCounters()
-	a.set(h1, 5)
-	a.set(h2, 3)
+	a.Set(h1, 5)
+	a.Set(h2, 3)
 	b := NewCounters()
-	b.set(h1, 2) // h2 absent in b → min is 0 → dropped
+	b.Set(h1, 2) // h2 absent in b → min is 0 → dropped
 
 	m := MinMerge([]Counters{a, b})
 	if got := m.Get(h1); got != 2 {
@@ -92,8 +92,8 @@ func TestIsMaximal(t *testing.T) {
 	h1 := NewHistory(Num(1))
 	h2 := NewHistory(Num(2))
 	c := NewCounters()
-	c.set(h1, 4)
-	c.set(h2, 2)
+	c.Set(h1, 4)
+	c.Set(h2, 2)
 
 	if !c.IsMaximal(h1) {
 		t.Error("h1 (counter 4) must be maximal")
@@ -113,8 +113,8 @@ func TestMaxEntries(t *testing.T) {
 	h1 := NewHistory(Num(1))
 	h2 := NewHistory(Num(2))
 	c := NewCounters()
-	c.set(h1, 4)
-	c.set(h2, 4)
+	c.Set(h1, 4)
+	c.Set(h2, 4)
 	hs, n := c.MaxEntries()
 	if n != 4 || len(hs) != 2 {
 		t.Fatalf("MaxEntries = %v,%d", hs, n)
@@ -128,15 +128,15 @@ func TestCountersKeyCanonical(t *testing.T) {
 	h1 := NewHistory(Num(1))
 	h2 := NewHistory(Num(2))
 	a := NewCounters()
-	a.set(h1, 1)
-	a.set(h2, 2)
+	a.Set(h1, 1)
+	a.Set(h2, 2)
 	b := NewCounters()
-	b.set(h2, 2)
-	b.set(h1, 1)
+	b.Set(h2, 2)
+	b.Set(h1, 1)
 	if a.Key() != b.Key() {
 		t.Error("insertion order must not affect the key")
 	}
-	b.set(h1, 3)
+	b.Set(h1, 3)
 	if a.Key() == b.Key() {
 		t.Error("different counters must differ in key")
 	}
@@ -145,17 +145,22 @@ func TestCountersKeyCanonical(t *testing.T) {
 func TestCountersZeroEntriesDropped(t *testing.T) {
 	h := NewHistory(Num(1))
 	a := NewCounters()
-	a.set(h, 1)
-	a.set(h, 0)
+	a.Set(h, 1)
+	a.Set(h, 0)
 	if a.Len() != 0 || a.Key() != NewCounters().Key() {
 		t.Error("counter set to 0 must leave table canonical-empty")
 	}
 }
 
+// Clone returns c. A table is immutable, so a copy is independent of later
+// Bump and Set calls on either; Clone is kept for the tests, FuzzCounters
+// among them, that were written against the mutable table.
+func (c Counters) Clone() Counters { return c }
+
 func TestCountersCloneIndependent(t *testing.T) {
 	h := NewHistory(Num(1))
 	a := NewCounters()
-	a.set(h, 2)
+	a.Set(h, 2)
 	b := a.Clone()
 	b.Bump(h)
 	if a.Get(h) != 2 {
@@ -169,7 +174,7 @@ func TestMinMergePointwiseLEQ(t *testing.T) {
 		c := NewCounters()
 		for i := 0; i+1 < len(bs); i += 2 {
 			h := randHistory(bs[i : i+1])
-			c.set(h, int(bs[i+1]%5)+1)
+			c.Set(h, int(bs[i+1]%5)+1)
 		}
 		return c
 	}

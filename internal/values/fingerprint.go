@@ -73,6 +73,18 @@ func (h *Hasher) WriteString(s string) {
 	h.hi, h.lo = hi, lo
 }
 
+// writeBytes folds b into the hash, as WriteString folds a string.
+func (h *Hasher) writeBytes(b []byte) {
+	h.ensure()
+	hi, lo := h.hi, h.lo
+	for _, c := range b {
+		lo ^= uint64(c)
+		carry, newLo := bits.Mul64(lo, fnvPrimeLo)
+		hi, lo = carry+hi*fnvPrimeLo+lo*fnvPrimeHi, newLo
+	}
+	h.hi, h.lo = hi, lo
+}
+
 // WriteByte folds one byte into the hash. The error is always nil; the
 // signature matches io.ByteWriter.
 func (h *Hasher) WriteByte(b byte) error {
@@ -93,21 +105,22 @@ func (h *Hasher) WriteFingerprint(f Fingerprint) {
 		buf[i] = byte(f.Hi >> (56 - 8*i))
 		buf[8+i] = byte(f.Lo >> (56 - 8*i))
 	}
-	h.ensure()
-	for _, b := range buf {
-		_ = h.WriteByte(b)
-	}
+	h.writeBytes(buf[:])
 }
 
 // writeLengthPrefixed folds the canonical length-prefixed encoding of s
 // ("<len>:<s>", exactly what encodeString appends to key strings) into the
 // hash, so hashing elements directly matches hashing the built key string.
 func (h *Hasher) writeLengthPrefixed(s string) {
+	h.writeDecimal(len(s))
+	_ = h.WriteByte(':')
+	h.WriteString(s)
+}
+
+// writeDecimal folds the decimal form of v ≥ 0 into the hash.
+func (h *Hasher) writeDecimal(v int) {
 	var buf [20]byte
-	n := len(buf)
-	buf[n-1] = ':'
-	i := n - 1
-	v := len(s)
+	i := len(buf)
 	for {
 		i--
 		buf[i] = byte('0' + v%10)
@@ -116,10 +129,7 @@ func (h *Hasher) writeLengthPrefixed(s string) {
 			break
 		}
 	}
-	for ; i < n; i++ {
-		_ = h.WriteByte(buf[i])
-	}
-	h.WriteString(s)
+	h.writeBytes(buf[i:])
 }
 
 // Sum returns the current fingerprint.

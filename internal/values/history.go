@@ -1,6 +1,7 @@
 package values
 
 import (
+	"cmp"
 	"strings"
 	"sync/atomic"
 )
@@ -93,6 +94,43 @@ func (h History) IsPrefixOf(g History) bool {
 		return false
 	}
 	return h.Equal(g.prefix(h.Len()))
+}
+
+// Compare orders h and g as their keys do, strings.Compare(h.Key(),
+// g.Key()), without building either key.
+func (h History) Compare(g History) int { return h.compare(g, false) }
+
+// CompareDelimited orders h and g as their keys do when each key is
+// followed by '|', as in an ESS payload's key: a proper prefix of the other
+// history then sorts after it.
+func (h History) CompareDelimited(g History) int { return h.compare(g, true) }
+
+// compare cuts both chains to the shorter length and walks them down in
+// step to where they meet: the last pair of nodes that differ holds the
+// first entries that do. Chains that meet at once are a prefix pair.
+func (h History) compare(g History, delim bool) int {
+	a, b := h.prefix(g.Len()).n, g.prefix(h.Len()).n
+	var da, db *histNode
+	for a != b && a.fp != b.fp {
+		da, db = a, b
+		a, b = a.parent, b.parent
+	}
+	if da != nil {
+		return compareEncoded(string(da.last), string(db.last))
+	}
+	return delimited(cmp.Compare(h.Len(), g.Len()), delim)
+}
+
+// WriteKey folds the history's key into hs without building it.
+func (h History) WriteKey(hs *Hasher) { h.n.writeKey(hs) }
+
+func (n *histNode) writeKey(hs *Hasher) {
+	if n == nil {
+		_ = hs.WriteByte('H')
+		return
+	}
+	n.parent.writeKey(hs)
+	hs.writeLengthPrefixed(string(n.last))
 }
 
 // Values returns the entries, oldest first, in a fresh slice.

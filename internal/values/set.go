@@ -1,6 +1,7 @@
 package values
 
 import (
+	"cmp"
 	"iter"
 	"slices"
 	"strings"
@@ -19,9 +20,9 @@ import (
 // fingerprint, encoded size and key are computed on first use and kept
 // with the data: Key, Fingerprint, EncodedSize and Equal are then O(1).
 //
-// Sets are not comparable with ==, which would compare storage: use Equal.
+// Compare sets with Equal, never with ==, which compares storage: detlint's
+// setequal rule rejects == and != on a Set and on anything holding one.
 type Set struct {
-	_ [0]func()
 	d *setData
 }
 
@@ -294,10 +295,9 @@ func (s Set) summary(withKey bool) *canonForm {
 		*next = *c
 	} else {
 		var h Hasher
-		h.WriteString("S")
+		s.WriteKey(&h)
 		next.encSize = 1
 		for _, v := range s.d.elems {
-			h.writeLengthPrefixed(string(v))
 			next.encSize += decDigits(len(v)) + 1 + len(v)
 		}
 		next.fp = h.Sum()
@@ -313,6 +313,36 @@ func (s Set) summary(withKey bool) *canonForm {
 	}
 	s.d.canon.Store(next)
 	return next
+}
+
+// Compare orders s and t as their keys do, strings.Compare(s.Key(),
+// t.Key()), without building either key.
+func (s Set) Compare(t Set) int { return s.compare(t, false) }
+
+// CompareDelimited orders s and t as their keys do when each key is
+// followed by '|', as in an ESS payload's key: a set whose elements are a
+// proper prefix of the other's then sorts after it.
+func (s Set) CompareDelimited(t Set) int { return s.compare(t, true) }
+
+func (s Set) compare(t Set, delim bool) int {
+	if s.d == t.d {
+		return 0
+	}
+	a, b := s.elems(), t.elems()
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return compareEncoded(string(a[i]), string(b[i]))
+		}
+	}
+	return delimited(cmp.Compare(len(a), len(b)), delim)
+}
+
+// WriteKey folds the set's key into h without building it.
+func (s Set) WriteKey(h *Hasher) {
+	_ = h.WriteByte('S')
+	for _, v := range s.elems() {
+		h.writeLengthPrefixed(string(v))
+	}
 }
 
 // Key returns the canonical encoding of the set. Two sets have equal keys

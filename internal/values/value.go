@@ -11,6 +11,7 @@
 package values
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -76,4 +77,36 @@ func encodeString(b *strings.Builder, s string) {
 	b.Write(strconv.AppendInt(buf[:0], int64(len(s)), 10))
 	b.WriteByte(':')
 	b.WriteString(s)
+}
+
+// compareEncoded orders a and b as their encodings "<len>:<s>" do. The
+// encoding is prefix-free, so two keys that agree up to a pair of
+// differing encodings are ordered by that pair, whatever follows it.
+func compareEncoded(a, b string) int {
+	if len(a) == len(b) {
+		return strings.Compare(a, b)
+	}
+	return compareDecimal(len(a), len(b))
+}
+
+// compareDecimal orders two distinct non-negative integers as their decimal
+// forms do inside a key, where each is followed by a byte that sorts after
+// every digit (':', ';'): so a form that is a proper prefix of the other
+// sorts after it ("1:" > "10:").
+func compareDecimal(a, b int) int {
+	var x, y [21]byte
+	return bytes.Compare(append(strconv.AppendInt(x[:0], int64(a), 10), ':'),
+		append(strconv.AppendInt(y[:0], int64(b), 10), ':'))
+}
+
+// delimited turns the order of two keys that are equal up to the end of
+// the shorter, c = cmp.Compare(shorter, longer) in length, into their
+// order when each key is followed by a byte that sorts after every digit,
+// as a part of a composite key is followed by '|': the shorter then sorts
+// after the longer, whose next byte is a digit.
+func delimited(c int, yes bool) int {
+	if yes {
+		return -c
+	}
+	return c
 }

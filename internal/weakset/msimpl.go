@@ -5,21 +5,24 @@ import (
 	"anonconsensus/internal/values"
 )
 
-// setPayload is Algorithm 4's wire payload: the PROPOSED set. Key and
-// fingerprint are cached in the set's canonical form.
+// setPayload is Algorithm 4's wire payload: the PROPOSED set, whose key is
+// the set's. Fingerprint and size are cached in the set's canonical form.
 type setPayload struct{ proposed values.Set }
 
-var (
-	_ giraf.Payload       = setPayload{}
-	_ giraf.Fingerprinted = setPayload{}
-	_ giraf.PayloadSizer  = setPayload{}
-)
+var _ giraf.Payload = setPayload{}
 
 func (p setPayload) PayloadKey() string { return p.proposed.Key() }
 
 func (p setPayload) PayloadFingerprint() values.Fingerprint { return p.proposed.Fingerprint() }
 
 func (p setPayload) PayloadEncodedSize() int { return p.proposed.EncodedSize() }
+
+func (p setPayload) ComparePayload(q giraf.Payload) int {
+	if o, ok := q.(setPayload); ok {
+		return p.proposed.Compare(o.proposed)
+	}
+	return giraf.CompareKeys(p, q)
+}
 
 // AddRecord is the completed lifetime of one add operation, in rounds.
 type AddRecord struct {

@@ -156,20 +156,23 @@ func readHistory(d *decoder) (values.History, error) {
 }
 
 func writeCounters(w *bytes.Buffer, c values.Counters) {
-	hs := c.Histories()
-	writeUvarint(w, uint64(len(hs)))
-	for _, h := range hs {
+	writeUvarint(w, uint64(c.Len()))
+	for h, n := range c.All() {
 		writeHistory(w, h)
-		writeUvarint(w, uint64(c.Get(h)))
+		writeUvarint(w, uint64(n))
 	}
 }
 
+// readCounters decodes a counter table. The pairs are collected first and
+// the table built once, by CountersOf, so a frame that lists them out of
+// order, repeated or with zero counts still yields the canonical table.
 func readCounters(d *decoder) (values.Counters, error) {
 	n, err := readUvarint(d)
 	if err != nil {
 		return values.Counters{}, err
 	}
-	out := values.NewCounters()
+	var hs []values.History
+	var ns []int
 	for i := uint64(0); i < n; i++ {
 		h, err := readHistory(d)
 		if err != nil {
@@ -179,9 +182,9 @@ func readCounters(d *decoder) (values.Counters, error) {
 		if err != nil {
 			return values.Counters{}, err
 		}
-		out.Set(h, int(cnt))
+		hs, ns = append(hs, h), append(ns, int(cnt))
 	}
-	return out, nil
+	return values.CountersOf(hs, ns), nil
 }
 
 // encodePayload appends one tagged payload.

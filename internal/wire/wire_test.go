@@ -210,6 +210,11 @@ func TestEncodeRejectsUnknownPayload(t *testing.T) {
 type bogusPayload struct{}
 
 func (bogusPayload) PayloadKey() string { return "bogus" }
+func (p bogusPayload) PayloadFingerprint() values.Fingerprint {
+	return values.FingerprintString(p.PayloadKey())
+}
+func (p bogusPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
+func (p bogusPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer

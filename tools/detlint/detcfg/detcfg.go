@@ -23,7 +23,8 @@
 //	for _, v := range m { total += v }
 //
 // Keywords: "ordered" (maporder), "wallclock" (wallclock), "globalrand"
-// (globalrand), "aliased" (retalias), "goroutine" (goescape).
+// (globalrand), "aliased" (retalias), "goroutine" (goescape), "setequal"
+// (setequal).
 package detcfg
 
 import (

@@ -8,6 +8,7 @@ import (
 	"anonconsensus/tools/detlint/goescape"
 	"anonconsensus/tools/detlint/maporder"
 	"anonconsensus/tools/detlint/retalias"
+	"anonconsensus/tools/detlint/setequal"
 	"anonconsensus/tools/detlint/wallclock"
 )
 
@@ -19,5 +20,6 @@ func Analyzers() []*analysis.Analyzer {
 		globalrand.Analyzer,
 		retalias.Analyzer,
 		goescape.Analyzer,
+		setequal.Analyzer,
 	}
 }
