@@ -15,12 +15,12 @@
 // payloads contribute a single element — processes are indistinguishable by
 // construction.
 //
-// Identity is canonical-form based (see DESIGN.md): every payload has a
-// canonical key, defined by its parts, and a 128-bit fingerprint of that
-// key; fingerprint equality is structural equality, and payloads are
-// immutable once returned by an automaton. Payloads report the key's
-// fingerprint, length and order from their parts, so the round path never
-// builds a key. Inboxes deduplicate on fingerprints and keep an
+// Identity is canonical-form based (see PERFORMANCE.md, and DESIGN.md §3
+// note 8 for the order): every payload has a canonical key, defined by
+// its parts, and a 128-bit fingerprint of that key; fingerprint equality
+// is structural equality, and payloads are immutable once returned by an
+// automaton. Payloads report the key's fingerprint, length and order from
+// their parts, so the round path never builds a key. Inboxes deduplicate on fingerprints and keep an
 // incrementally sorted round view, so neither membership tests nor
 // Round(k) ever re-sort or re-encode. Envelopes additionally carry a
 // fingerprint of their whole payload set — the set-level identity the

@@ -51,7 +51,7 @@ func NewCounters() Counters { return Counters{} }
 // pair for a history replaces an earlier one, and counts ≤ 0 are dropped.
 // It exists for wire codecs, which must take pairs in any order.
 func CountersOf(hs []History, ns []int) Counters {
-	b := getBuilder()
+	b := builders.Get().(*ctrBuilder)
 	defer b.put()
 	for i, h := range hs {
 		b.set(h, ns[i])
@@ -66,14 +66,16 @@ func (c Counters) entries() []counterEntry {
 	return c.t.entries
 }
 
+// byHistory orders a table's entries by history key.
+func byHistory(e counterEntry, h History) int { return e.hist.Compare(h) }
+
 // Get returns C[h], which is 0 for histories never heard of.
 func (c Counters) Get(h History) int {
 	e := c.entries()
-	i, ok := slices.BinarySearchFunc(e, h, func(e counterEntry, h History) int { return e.hist.Compare(h) })
-	if !ok {
-		return 0
+	if i, ok := slices.BinarySearchFunc(e, h, byHistory); ok {
+		return e[i].n
 	}
-	return e[i].n
+	return 0
 }
 
 // Len returns the number of histories with a non-zero counter.
@@ -82,10 +84,9 @@ func (c Counters) Len() int { return len(c.entries()) }
 // Set stores C[h] = n, rebinding c; n ≤ 0 drops the entry. Algorithm 3
 // itself only ever changes counters through MinMergeBump.
 func (c *Counters) Set(h History, n int) {
-	b := getBuilder()
+	b := builders.Get().(*ctrBuilder)
 	defer b.put()
-	b.work = append(b.work, c.entries()...)
-	b.head = len(b.work)
+	b.work, b.head = append(b.work, c.entries()...), c.Len()
 	b.set(h, n)
 	*c = b.build()
 }
@@ -100,70 +101,62 @@ func (c *Counters) Bump(h History) { *c = MinMergeBump([]Counters{*c}, []History
 func MinMerge(msgs []Counters) Counters { return MinMergeBump(msgs, nil) }
 
 // MinMergeBump implements Algorithm 3 lines 8–9 in one pass: the min-merge
-// of msgs, then a bump of each of hs in order. Each bump looks up the
+// of msgs, then a bump of each of hs in order, which looks up the
 // history's prefixes, the empty one included, instead of scanning the
 // table. It returns a table of msgs itself when the merge keeps it whole
 // and hs is empty.
 func MinMergeBump(msgs []Counters, hs []History) Counters {
-	b := getBuilder()
+	b := builders.Get().(*ctrBuilder)
 	defer b.put()
 	base, whole := b.minMerge(msgs)
 	if whole && len(hs) == 0 {
 		return base
 	}
 	for _, h := range hs {
-		b.bump(h)
+		best := b.get(emptyHistoryFP)
+		for n := h.n; n != nil; n = n.parent {
+			best = max(best, b.get(n.fp))
+		}
+		b.set(h, 1+best)
 	}
 	return b.build()
 }
 
 // ctrBuilder is the working table a new one is built in: work[:head] holds
 // the entries kept from merged tables, still ascending, and work[head:] the
-// histories added since, in the order they came. Lookups scan work while it
-// is small; past builderScanMax entries, at indexes every entry's position.
-// Builders are pooled and cleared after each use, so they pin no histories.
+// histories added since; at holds every entry's position once a lookup
+// needs it. Builders are pooled and cleared after use, so they pin no
+// histories.
 type ctrBuilder struct {
 	work    []counterEntry
 	head    int
 	at      map[Fingerprint]int
-	indexed bool
 	cursors []int
 }
 
-// builderScanMax is the working table size up to which a lookup is a scan.
-const builderScanMax = 16
-
 var builders = sync.Pool{New: func() any { return &ctrBuilder{at: make(map[Fingerprint]int)} }}
-
-func getBuilder() *ctrBuilder { return builders.Get().(*ctrBuilder) }
 
 func (b *ctrBuilder) put() {
 	clear(b.work)
-	b.work, b.head, b.cursors = b.work[:0], 0, b.cursors[:0]
-	if b.indexed {
+	if len(b.at) > 0 {
 		clear(b.at)
-		b.indexed = false
 	}
+	b.work, b.head, b.cursors = b.work[:0], 0, b.cursors[:0]
 	builders.Put(b)
 }
 
-// minMerge fills work[:head] with the min-merge of msgs, walking the
-// smallest table and, in step with it, each of the others: all are in the
-// same order. It returns that table and whether the merge kept it whole.
+// minMerge fills work with the min-merge of msgs, walking the smallest
+// table and each of the others in step, since all are in one order. It
+// returns that table and whether the merge kept it whole.
 func (b *ctrBuilder) minMerge(msgs []Counters) (Counters, bool) {
-	if len(msgs) == 0 {
-		return Counters{}, true
-	}
-	base := msgs[0]
-	for _, m := range msgs[1:] {
-		if m.Len() < base.Len() {
+	var base Counters
+	for i, m := range msgs {
+		if i == 0 || m.Len() < base.Len() {
 			base = m
 		}
-	}
-	whole := true
-	for range msgs {
 		b.cursors = append(b.cursors, 0)
 	}
+	whole := true
 	for _, e := range base.entries() {
 		n := e.n
 		for j, m := range msgs {
@@ -171,14 +164,10 @@ func (b *ctrBuilder) minMerge(msgs []Counters) (Counters, bool) {
 				continue
 			}
 			es, k := m.t.entries, b.cursors[j]
-			c := 1
-			for ; k < len(es); k++ {
-				if c = es[k].hist.Compare(e.hist); c >= 0 {
-					break
-				}
+			for k < len(es) && es[k].hist.Compare(e.hist) < 0 {
+				k++
 			}
-			b.cursors[j] = k
-			if c == 0 {
+			if b.cursors[j] = k; k < len(es) && es[k].hist.Equal(e.hist) {
 				n = min(n, es[k].n)
 			} else {
 				n = 0
@@ -193,93 +182,54 @@ func (b *ctrBuilder) minMerge(msgs []Counters) (Counters, bool) {
 	return base, whole
 }
 
-// find returns the position of the history with fingerprint fp in work.
+// find returns the position in work of the history with fingerprint fp.
 func (b *ctrBuilder) find(fp Fingerprint) (int, bool) {
-	if !b.indexed && len(b.work) <= builderScanMax {
-		for i, e := range b.work {
-			if e.hist.Fingerprint() == fp {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	if !b.indexed {
+	if len(b.at) < len(b.work) {
 		for i, e := range b.work {
 			b.at[e.hist.Fingerprint()] = i
 		}
-		b.indexed = true
 	}
 	i, ok := b.at[fp]
 	return i, ok
 }
 
-// lookup returns the working counter of the history with fingerprint fp.
-func (b *ctrBuilder) lookup(fp Fingerprint) int {
+// get returns the working counter of the history with fingerprint fp.
+func (b *ctrBuilder) get(fp Fingerprint) int {
 	if i, ok := b.find(fp); ok {
 		return b.work[i].n
 	}
 	return 0
 }
 
-// set stores C[h] = n in the working table; a count ≤ 0 is dropped by build.
+// set stores C[h] = n in the working table; build drops counts ≤ 0.
 func (b *ctrBuilder) set(h History, n int) {
-	fp := h.Fingerprint()
-	if i, ok := b.find(fp); ok {
+	if i, ok := b.find(h.Fingerprint()); ok {
 		b.work[i].n = n
 	} else if n > 0 {
-		if b.indexed {
-			b.at[fp] = len(b.work)
-		}
+		b.at[h.Fingerprint()] = len(b.work)
 		b.work = append(b.work, counterEntry{hist: h, n: n})
 	}
 }
 
-// bump is Algorithm 3 line 9 for h on the working table.
-func (b *ctrBuilder) bump(h History) {
-	best := b.lookup(emptyHistoryFP)
-	for n := h.n; n != nil; n = n.parent {
-		best = max(best, b.lookup(n.fp))
-	}
-	b.set(h, 1+best)
-}
-
-// build returns the working table as an immutable one: the added histories
-// sorted and merged into the kept ones, dropped counts left out.
+// build returns the working table as an immutable one: the kept entries
+// in their order, each added history inserted at its place.
 func (b *ctrBuilder) build() Counters {
-	head, tail := b.work[:b.head], b.work[b.head:]
-	slices.SortFunc(tail, func(x, y counterEntry) int { return x.hist.Compare(y.hist) })
-	live := 0
-	for _, e := range b.work {
-		if e.n > 0 {
-			live++
+	t := &ctrTable{entries: make([]counterEntry, 0, len(b.work)), size: len("C")}
+	for i, e := range b.work {
+		if e.n <= 0 {
+			continue
 		}
+		at := len(t.entries)
+		if i >= b.head {
+			at, _ = slices.BinarySearchFunc(t.entries, e.hist, byHistory)
+		}
+		t.entries = slices.Insert(t.entries, at, e)
+		t.max = max(t.max, e.n)
+		hs := e.hist.EncodedSize()
+		t.size += decDigits(hs) + 1 + hs + len("=;") + decDigits(e.n)
 	}
-	if live == 0 {
+	if len(t.entries) == 0 {
 		return Counters{}
-	}
-	t := &ctrTable{entries: make([]counterEntry, 0, live), size: len("C")}
-	add := func(e counterEntry) {
-		if e.n > 0 {
-			t.entries = append(t.entries, e)
-			t.max = max(t.max, e.n)
-			hs := e.hist.EncodedSize()
-			t.size += decDigits(hs) + 1 + hs + len("=;") + decDigits(e.n)
-		}
-	}
-	for len(head) > 0 && len(tail) > 0 {
-		if head[0].hist.Compare(tail[0].hist) < 0 {
-			add(head[0])
-			head = head[1:]
-		} else {
-			add(tail[0])
-			tail = tail[1:]
-		}
-	}
-	for _, e := range head {
-		add(e)
-	}
-	for _, e := range tail {
-		add(e)
 	}
 	return Counters{t: t}
 }
@@ -287,12 +237,7 @@ func (b *ctrBuilder) build() Counters {
 // IsMaximal reports whether C[h] ≥ C[H] for all H — the leader predicate of
 // Algorithm 3 line 15 and Definition "leader(k)". With an empty table every
 // history is trivially maximal.
-func (c Counters) IsMaximal(h History) bool {
-	if c.t == nil {
-		return true
-	}
-	return c.Get(h) >= c.t.max
-}
+func (c Counters) IsMaximal(h History) bool { return c.t == nil || c.Get(h) >= c.t.max }
 
 // MaxEntries returns the histories whose counter is maximal, in canonical
 // (key) order, together with the maximal counter value. For an empty table
@@ -313,8 +258,8 @@ func (c Counters) MaxEntries() ([]History, int) {
 // Histories returns all stored histories in canonical order.
 func (c Counters) Histories() []History {
 	out := make([]History, 0, c.Len())
-	for h := range c.All() {
-		out = append(out, h)
+	for _, e := range c.entries() {
+		out = append(out, e.hist)
 	}
 	return out
 }

@@ -73,18 +73,6 @@ func (h *Hasher) WriteString(s string) {
 	h.hi, h.lo = hi, lo
 }
 
-// writeBytes folds b into the hash, as WriteString folds a string.
-func (h *Hasher) writeBytes(b []byte) {
-	h.ensure()
-	hi, lo := h.hi, h.lo
-	for _, c := range b {
-		lo ^= uint64(c)
-		carry, newLo := bits.Mul64(lo, fnvPrimeLo)
-		hi, lo = carry+hi*fnvPrimeLo+lo*fnvPrimeHi, newLo
-	}
-	h.hi, h.lo = hi, lo
-}
-
 // WriteByte folds one byte into the hash. The error is always nil; the
 // signature matches io.ByteWriter.
 func (h *Hasher) WriteByte(b byte) error {
@@ -105,7 +93,10 @@ func (h *Hasher) WriteFingerprint(f Fingerprint) {
 		buf[i] = byte(f.Hi >> (56 - 8*i))
 		buf[8+i] = byte(f.Lo >> (56 - 8*i))
 	}
-	h.writeBytes(buf[:])
+	h.ensure()
+	for _, b := range buf {
+		_ = h.WriteByte(b)
+	}
 }
 
 // writeLengthPrefixed folds the canonical length-prefixed encoding of s
@@ -129,7 +120,9 @@ func (h *Hasher) writeDecimal(v int) {
 			break
 		}
 	}
-	h.writeBytes(buf[i:])
+	for _, c := range buf[i:] {
+		_ = h.WriteByte(c)
+	}
 }
 
 // Sum returns the current fingerprint.

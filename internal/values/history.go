@@ -118,7 +118,10 @@ func (h History) compare(g History, delim bool) int {
 	if da != nil {
 		return compareEncoded(string(da.last), string(db.last))
 	}
-	return delimited(cmp.Compare(h.Len(), g.Len()), delim)
+	if delim { // as in Set.compare
+		return cmp.Compare(g.Len(), h.Len())
+	}
+	return cmp.Compare(h.Len(), g.Len())
 }
 
 // WriteKey folds the history's key into hs without building it.

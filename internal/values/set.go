@@ -334,7 +334,12 @@ func (s Set) compare(t Set, delim bool) int {
 			return compareEncoded(string(a[i]), string(b[i]))
 		}
 	}
-	return delimited(cmp.Compare(len(a), len(b)), delim)
+	// One element list is a prefix of the other. Followed by '|', the
+	// shorter key sorts after the longer, whose next byte is a digit.
+	if delim {
+		return cmp.Compare(len(b), len(a))
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // WriteKey folds the set's key into h without building it.

@@ -98,15 +98,3 @@ func compareDecimal(a, b int) int {
 	return bytes.Compare(append(strconv.AppendInt(x[:0], int64(a), 10), ':'),
 		append(strconv.AppendInt(y[:0], int64(b), 10), ':'))
 }
-
-// delimited turns the order of two keys that are equal up to the end of
-// the shorter, c = cmp.Compare(shorter, longer) in length, into their
-// order when each key is followed by a byte that sorts after every digit,
-// as a part of a composite key is followed by '|': the shorter then sorts
-// after the longer, whose next byte is a digit.
-func delimited(c int, yes bool) int {
-	if yes {
-		return -c
-	}
-	return c
-}
