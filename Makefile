@@ -113,7 +113,7 @@ perf:
 # every push so codec and framing regressions surface before a long fuzz
 # campaign would. FuzzReadFrames reads frame streams through a 16-byte
 # bufio.Reader, the way the hub and the mux read their connections. FuzzCounters checks the hash-consed histories and the
-# fingerprint-keyed counter table against the string-keyed reference model,
+# immutable sorted counter table against the string-keyed reference model,
 # and FuzzSetOps the sorted-slice value sets against a map-based one. Both wire envelope targets drive the one frame codec
 # (DecodeDeltaEnvelopeEpoch): FuzzDecodeEnvelope pins the payload codec's
 # round-trip, FuzzDecodeDeltaEnvelope the refs, fingerprints and header peek.

@@ -120,7 +120,7 @@ func (rt *ResolveTable) Resolve(env Envelope) (Envelope, error) {
 		rt.Observe(pay)
 	}
 	out := Envelope{Round: env.Round, SetFingerprint: env.SetFingerprint}
-	if len(env.Refs) == 0 && slices.IsSortedFunc(env.Payloads, comparePayloads) {
+	if len(env.Refs) == 0 && slices.IsSortedFunc(env.Payloads, Payload.ComparePayload) {
 		out.Payloads = env.Payloads
 		rt.endFrame()
 		return out, nil
@@ -136,7 +136,7 @@ func (rt *ResolveTable) Resolve(env Envelope) (Envelope, error) {
 		rt.observe(fp, e.pay) // referenced payloads stay retained
 		full = append(full, e.pay)
 	}
-	slices.SortFunc(full, comparePayloads)
+	slices.SortFunc(full, Payload.ComparePayload)
 	out.Payloads = full
 	rt.endFrame()
 	return out, nil
@@ -158,5 +158,3 @@ func (rt *ResolveTable) endFrame() {
 		rt.aging = append(rt.aging[:0], rt.aging[i:]...)
 	}
 }
-
-func comparePayloads(p, q Payload) int { return p.ComparePayload(q) }

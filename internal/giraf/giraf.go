@@ -20,11 +20,12 @@
 // its parts, and a 128-bit fingerprint of that key; fingerprint equality
 // is structural equality, and payloads are immutable once returned by an
 // automaton. Payloads report the key's fingerprint, length and order from
-// their parts, so the round path never builds a key. Inboxes deduplicate on fingerprints and keep an
-// incrementally sorted round view, so neither membership tests nor
-// Round(k) ever re-sort or re-encode. Envelopes additionally carry a
-// fingerprint of their whole payload set — the set-level identity the
-// delta wire format is built on (see DeltaTracker and package wire).
+// their parts, so the round path never builds a key. Inboxes deduplicate
+// on fingerprints and keep an incrementally sorted round view, so neither
+// membership tests nor Round(k) ever re-sort or re-encode. Envelopes
+// additionally carry a fingerprint of their whole payload set — the
+// set-level identity the delta wire format is built on (see DeltaTracker
+// and package wire).
 package giraf
 
 import (
