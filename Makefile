@@ -100,6 +100,7 @@ bench:
 # "make perf" markers. About a quarter of an hour.
 PERF_DIR := .bench_build
 perf:
+	mkdir -p $(PERF_DIR)
 	bash benchmark/run.sh -sets 5 -out $(PERF_DIR)/perf.json | tee $(PERF_DIR)/perf-suite.txt
 	bash benchmark/run.sh -compare $(PERF_DIR)/perf.json $(PERF_DIR)/perf.json | tee $(PERF_DIR)/perf-compare.txt
 	{ echo '```'; head -1 $(PERF_DIR)/perf-suite.txt; echo; cat $(PERF_DIR)/perf-compare.txt; echo; \

@@ -119,12 +119,8 @@ func FuzzPayloadContract(f *testing.F) {
 			if p.PayloadEncodedSize() != len(key) {
 				t.Fatalf("payload %d (%T %q): size %d, key length %d", i, p, key, p.PayloadEncodedSize(), len(key))
 			}
-			for j, q := range pays {
-				if got, want := cmp.Compare(p.ComparePayload(q), 0), strings.Compare(key, q.PayloadKey()); got != want {
-					t.Fatalf("payloads %d, %d: Compare %d, keys %q and %q compare %d", i, j, got, key, q.PayloadKey(), want)
-				}
-			}
 		}
+		checkCompare(t, "payload", pays, giraf.Payload.ComparePayload, giraf.Payload.PayloadKey)
 		checkCompare(t, "history", hists, values.History.Compare, values.History.Key)
 		checkCompare(t, "set", sets, values.Set.Compare, values.Set.Key)
 		checkCompare(t, "table", tables, values.Counters.Compare, values.Counters.Key)
@@ -134,10 +130,14 @@ func FuzzPayloadContract(f *testing.F) {
 // checkCompare checks that compare orders every pair of xs as their keys.
 func checkCompare[T any](t *testing.T, what string, xs []T, compare func(T, T) int, key func(T) string) {
 	t.Helper()
+	keys := make([]string, len(xs))
+	for i, x := range xs {
+		keys[i] = key(x)
+	}
 	for i, x := range xs {
 		for j, y := range xs {
-			if got, want := cmp.Compare(compare(x, y), 0), strings.Compare(key(x), key(y)); got != want {
-				t.Fatalf("%s %d, %d: Compare %d, keys %q and %q compare %d", what, i, j, got, key(x), key(y), want)
+			if got, want := cmp.Compare(compare(x, y), 0), strings.Compare(keys[i], keys[j]); got != want {
+				t.Fatalf("%s %d, %d (%T, %T): Compare %d, keys %q and %q compare %d", what, i, j, x, y, got, keys[i], keys[j], want)
 			}
 		}
 	}
