@@ -77,12 +77,12 @@ func TestBigNRunAllocBudget(t *testing.T) {
 // immutable sorted slices built once per aggregate, payloads share the
 // state they carry instead of cloning it and hash their fingerprint from
 // it without building a key, and each timely round merges and bumps once,
-// in the aggregate its shared round carries. The ceiling carries the ~35%
-// headroom of the pins above over the 529 allocs measured when it was set,
-// against ES's 392 (1068 against 542 while payloads built key strings and
-// tables were fingerprint-keyed maps; 1448 before value sets became
-// immutable sorted slices; 11,449 before hash-consed histories, against
-// ES's 924).
+// in the aggregate its shared round carries, in a builder each automaton
+// keeps. The ceiling carries the ~35% headroom of the pins above over the
+// 553 allocs measured when it was set, against ES's 393 (1068 against 542
+// while payloads built key strings and tables were fingerprint-keyed maps;
+// 1448 before value sets became immutable sorted slices; 11,449 before
+// hash-consed histories, against ES's 924).
 func TestESSRunAllocBudget(t *testing.T) {
 	props := DistinctProposals(16)
 	allocs := func(run func([]values.Value, RunOpts) (*sim.Result, error)) float64 {
@@ -96,7 +96,7 @@ func TestESSRunAllocBudget(t *testing.T) {
 		return testing.AllocsPerRun(5, once)
 	}
 	ess, es := allocs(RunESS), allocs(RunES)
-	const ceiling = 714
+	const ceiling = 747
 	if ess > ceiling {
 		t.Errorf("synchronous ESS n=16 run: %v allocs, budget %d", ess, ceiling)
 	}

@@ -96,11 +96,13 @@ type ESS struct {
 	writtenOld values.Set
 	proposed   values.Set
 
-	// sets, ctrs and hists are the round-k messages' components, Compute's
-	// scratch buffers reused across rounds.
+	// sets, ctrs and hists are the round-k messages' components and ctrb
+	// the table lines 8–9 are built in: Compute's scratch, reused across
+	// rounds.
 	sets  []values.Set
 	ctrs  []values.Counters
 	hists []values.History
+	ctrb  values.CountersBuilder
 
 	// wasLeader records the outcome of the last leader check (line 15),
 	// for the convergence experiments (T4, F2).
@@ -217,7 +219,7 @@ func (a *ESS) aggregate(msgs []giraf.Payload) essAgg {
 		union:   values.UnionAll(a.sets),     // line 7's ∪ m.PROPOSED
 		// Lines 8–9: C := min-merge of the m.C, then ∀m,
 		// C[m.HISTORY] := 1 + max{C[H] | H prefix of m.HISTORY}.
-		counters: values.MinMergeBump(a.ctrs, a.hists),
+		counters: a.ctrb.MinMergeBump(a.ctrs, a.hists),
 	}
 }
 

@@ -18,6 +18,17 @@ import (
 type HeartbeatPayload struct {
 	ID     int
 	Counts map[int]int
+	// key is PayloadKey, built once for each payload the tracker sends,
+	// since its fingerprint, size and order all read it; a literal has
+	// none and builds it on each call.
+	key string
+}
+
+// heartbeat returns the payload with its key built.
+func heartbeat(id int, counts map[int]int) HeartbeatPayload {
+	p := HeartbeatPayload{ID: id, Counts: counts}
+	p.key = p.PayloadKey()
+	return p
 }
 
 var _ giraf.Payload = HeartbeatPayload{}
@@ -26,6 +37,9 @@ var _ giraf.Payload = HeartbeatPayload{}
 // The ID-based baseline identifies its payloads by this key: fingerprint,
 // size and order are the key's.
 func (p HeartbeatPayload) PayloadKey() string {
+	if p.key != "" {
+		return p.key
+	}
 	ids := ordered.Keys(p.Counts)
 	var b strings.Builder
 	fmt.Fprintf(&b, "hb!%d!", p.ID)
@@ -54,7 +68,7 @@ func (p HeartbeatPayload) ComparePayload(q giraf.Payload) int { return giraf.Com
 // message arrived timely this round. An eventual stable source's counter
 // grows by one per round everywhere while every other counter is capped by
 // its victim's slowest link, so the argmax (ties to the smaller ID)
-// stabilizes on the source. Compare values.Counters.{MinMerge,Bump}.
+// stabilizes on the source. Compare values.CountersBuilder.MinMergeBump.
 type OmegaTracker struct {
 	id     int
 	counts map[int]int
@@ -69,7 +83,7 @@ func NewOmegaTracker(id int) *OmegaTracker {
 
 // Initialize implements giraf.Automaton.
 func (o *OmegaTracker) Initialize() giraf.Payload {
-	return HeartbeatPayload{ID: o.id, Counts: map[int]int{}}
+	return heartbeat(o.id, map[int]int{})
 }
 
 // Compute implements giraf.Automaton. It never decides.
@@ -107,7 +121,7 @@ func (o *OmegaTracker) Compute(k int, inbox giraf.Inbox) (giraf.Payload, giraf.D
 		}
 	}
 	o.counts = merged
-	return HeartbeatPayload{ID: o.id, Counts: maps.Clone(merged)}, giraf.Decision{}
+	return heartbeat(o.id, maps.Clone(merged)), giraf.Decision{}
 }
 
 // Leader returns the current leader estimate: maximal count, ties to the

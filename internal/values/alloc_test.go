@@ -65,13 +65,7 @@ func TestHistoryCountersAllocsWarm(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Counters reads on settled table: %v allocs/op, want 0", n)
 	}
-	if raceEnabled {
-		return // under -race, sync.Pool drops a share of what is put back
-	}
 	if n := testing.AllocsPerRun(100, func() { c.Bump(h) }); n != 2 {
 		t.Errorf("Counters.Bump of a stored history: %v allocs/op, want 2", n)
 	}
 }
-
-// raceEnabled is set by race_test.go.
-var raceEnabled bool

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -23,10 +22,10 @@ import (
 //
 // A table is immutable and a value, as a Set is: it points to its entries,
 // ascending by history key, with the maximal counter and the encoded size
-// kept beside them; the key is built only when asked for. MinMergeBump
-// builds the table of lines 8–9 in one pass, and Bump and Set rebind their
-// receiver to a new table, so a copy taken before them keeps its counters.
-// The zero value is the empty table.
+// kept beside them; the key is built only when asked for. A
+// CountersBuilder builds the table of lines 8–9 in one pass, and Bump and
+// Set rebind their receiver to a new table, so a copy taken before them
+// keeps its counters. The zero value is the empty table.
 type Counters struct {
 	t *ctrTable
 }
@@ -51,12 +50,34 @@ func NewCounters() Counters { return Counters{} }
 // pair for a history replaces an earlier one, and counts ≤ 0 are dropped.
 // It exists for wire codecs, which must take pairs in any order.
 func CountersOf(hs []History, ns []int) Counters {
-	b := builders.Get().(*ctrBuilder)
-	defer b.put()
+	e := make([]counterEntry, len(hs))
 	for i, h := range hs {
-		b.set(h, ns[i])
+		e[i] = counterEntry{hist: h, n: ns[i]}
 	}
-	return b.build()
+	slices.SortStableFunc(e, func(x, y counterEntry) int { return x.hist.Compare(y.hist) })
+	kept := e[:0]
+	for i, x := range e {
+		if x.n > 0 && (i+1 == len(e) || !e[i+1].hist.Equal(x.hist)) {
+			kept = append(kept, x)
+		}
+	}
+	clear(e[len(kept):])
+	return tableOf(kept)
+}
+
+// tableOf returns the table of entries, which must be ascending by history
+// key with every count positive; the table keeps the slice.
+func tableOf(entries []counterEntry) Counters {
+	if len(entries) == 0 {
+		return Counters{}
+	}
+	t := &ctrTable{entries: entries, size: len("C")}
+	for _, e := range entries {
+		t.max = max(t.max, e.n)
+		hs := e.hist.EncodedSize()
+		t.size += decDigits(hs) + 1 + hs + len("=;") + decDigits(e.n)
+	}
+	return Counters{t: t}
 }
 
 func (c Counters) entries() []counterEntry {
@@ -81,33 +102,55 @@ func (c Counters) Get(h History) int {
 // Len returns the number of histories with a non-zero counter.
 func (c Counters) Len() int { return len(c.entries()) }
 
-// Set stores C[h] = n, rebinding c; n ≤ 0 drops the entry. Algorithm 3
-// itself only ever changes counters through MinMergeBump.
+// Set stores C[h] = n, rebinding c to a copy of its table; n ≤ 0 drops the
+// entry. Algorithm 3 itself only ever changes counters through
+// CountersBuilder.MinMergeBump.
 func (c *Counters) Set(h History, n int) {
-	b := builders.Get().(*ctrBuilder)
-	defer b.put()
-	b.work, b.head = append(b.work, c.entries()...), c.Len()
-	b.set(h, n)
-	*c = b.build()
+	e := c.entries()
+	i, found := slices.BinarySearchFunc(e, h, byHistory)
+	rest := e[i:]
+	if found {
+		rest = rest[1:]
+	}
+	out := append(make([]counterEntry, 0, len(e)+1), e[:i]...)
+	if n > 0 {
+		out = append(out, counterEntry{hist: h, n: n})
+	}
+	*c = tableOf(append(out, rest...))
 }
 
 // Bump implements Algorithm 3 line 9 for one received history h, rebinding
 // c: C[h] := 1 + max{ C[H] | H is a (non-strict) prefix of h }.
-func (c *Counters) Bump(h History) { *c = MinMergeBump([]Counters{*c}, []History{h}) }
+func (c *Counters) Bump(h History) {
+	best := c.Get(History{})
+	for n := h.n; n != nil; n = n.parent {
+		best = max(best, c.Get(History{n: n}))
+	}
+	c.Set(h, 1+best)
+}
 
-// MinMerge implements Algorithm 3 line 8: ∀H, C[H] := min_{m∈M} m.C[H].
-// Since absent histories count as 0, only histories present in *every*
-// message survive with a positive counter.
-func MinMerge(msgs []Counters) Counters { return MinMergeBump(msgs, nil) }
+// CountersBuilder is the working table MinMergeBump builds a new one in,
+// kept by its caller so that its storage serves round after round: work[:head]
+// holds the entries kept from merged tables, still ascending, and
+// work[head:] the histories added since; at holds every entry's position
+// once a lookup needs it. A builder is cleared after each build, so it pins
+// no histories. The zero value is ready to use; a builder is not safe for
+// concurrent use.
+type CountersBuilder struct {
+	work    []counterEntry
+	head    int
+	at      map[Fingerprint]int
+	cursors []int
+}
 
 // MinMergeBump implements Algorithm 3 lines 8–9 in one pass: the min-merge
-// of msgs, then a bump of each of hs in order, which looks up the
-// history's prefixes, the empty one included, instead of scanning the
-// table. It returns a table of msgs itself when the merge keeps it whole
-// and hs is empty.
-func MinMergeBump(msgs []Counters, hs []History) Counters {
-	b := builders.Get().(*ctrBuilder)
-	defer b.put()
+// of msgs (∀H, C[H] := min_{m∈M} m.C[H], so only histories present in
+// every message keep a positive counter), then a bump of each of hs in
+// order, which looks up the history's prefixes, the empty one included,
+// instead of scanning the table. It returns a table of msgs itself when
+// the merge keeps it whole and hs is empty.
+func (b *CountersBuilder) MinMergeBump(msgs []Counters, hs []History) Counters {
+	defer b.reset()
 	base, whole := b.minMerge(msgs)
 	if whole && len(hs) == 0 {
 		return base
@@ -122,33 +165,16 @@ func MinMergeBump(msgs []Counters, hs []History) Counters {
 	return b.build()
 }
 
-// ctrBuilder is the working table a new one is built in: work[:head] holds
-// the entries kept from merged tables, still ascending, and work[head:] the
-// histories added since; at holds every entry's position once a lookup
-// needs it. Builders are pooled and cleared after use, so they pin no
-// histories.
-type ctrBuilder struct {
-	work    []counterEntry
-	head    int
-	at      map[Fingerprint]int
-	cursors []int
-}
-
-var builders = sync.Pool{New: func() any { return &ctrBuilder{at: make(map[Fingerprint]int)} }}
-
-func (b *ctrBuilder) put() {
+func (b *CountersBuilder) reset() {
 	clear(b.work)
-	if len(b.at) > 0 {
-		clear(b.at)
-	}
+	clear(b.at)
 	b.work, b.head, b.cursors = b.work[:0], 0, b.cursors[:0]
-	builders.Put(b)
 }
 
 // minMerge fills work with the min-merge of msgs, walking the smallest
 // table and each of the others in step, since all are in one order. It
 // returns that table and whether the merge kept it whole.
-func (b *ctrBuilder) minMerge(msgs []Counters) (Counters, bool) {
+func (b *CountersBuilder) minMerge(msgs []Counters) (Counters, bool) {
 	var base Counters
 	for i, m := range msgs {
 		if i == 0 || m.Len() < base.Len() {
@@ -183,7 +209,10 @@ func (b *ctrBuilder) minMerge(msgs []Counters) (Counters, bool) {
 }
 
 // find returns the position in work of the history with fingerprint fp.
-func (b *ctrBuilder) find(fp Fingerprint) (int, bool) {
+func (b *CountersBuilder) find(fp Fingerprint) (int, bool) {
+	if b.at == nil {
+		b.at = make(map[Fingerprint]int)
+	}
 	if len(b.at) < len(b.work) {
 		for i, e := range b.work {
 			b.at[e.hist.Fingerprint()] = i
@@ -194,18 +223,18 @@ func (b *ctrBuilder) find(fp Fingerprint) (int, bool) {
 }
 
 // get returns the working counter of the history with fingerprint fp.
-func (b *ctrBuilder) get(fp Fingerprint) int {
+func (b *CountersBuilder) get(fp Fingerprint) int {
 	if i, ok := b.find(fp); ok {
 		return b.work[i].n
 	}
 	return 0
 }
 
-// set stores C[h] = n in the working table; build drops counts ≤ 0.
-func (b *ctrBuilder) set(h History, n int) {
+// set stores C[h] = n > 0 in the working table.
+func (b *CountersBuilder) set(h History, n int) {
 	if i, ok := b.find(h.Fingerprint()); ok {
 		b.work[i].n = n
-	} else if n > 0 {
+	} else {
 		b.at[h.Fingerprint()] = len(b.work)
 		b.work = append(b.work, counterEntry{hist: h, n: n})
 	}
@@ -213,25 +242,16 @@ func (b *ctrBuilder) set(h History, n int) {
 
 // build returns the working table as an immutable one: the kept entries
 // in their order, each added history inserted at its place.
-func (b *ctrBuilder) build() Counters {
-	t := &ctrTable{entries: make([]counterEntry, 0, len(b.work)), size: len("C")}
-	for i, e := range b.work {
-		if e.n <= 0 {
-			continue
-		}
-		at := len(t.entries)
+func (b *CountersBuilder) build() Counters {
+	e := make([]counterEntry, 0, len(b.work))
+	for i, x := range b.work {
+		at := len(e)
 		if i >= b.head {
-			at, _ = slices.BinarySearchFunc(t.entries, e.hist, byHistory)
+			at, _ = slices.BinarySearchFunc(e, x.hist, byHistory)
 		}
-		t.entries = slices.Insert(t.entries, at, e)
-		t.max = max(t.max, e.n)
-		hs := e.hist.EncodedSize()
-		t.size += decDigits(hs) + 1 + hs + len("=;") + decDigits(e.n)
+		e = slices.Insert(e, at, x)
 	}
-	if len(t.entries) == 0 {
-		return Counters{}
-	}
-	return Counters{t: t}
+	return tableOf(e)
 }
 
 // IsMaximal reports whether C[h] ≥ C[H] for all H — the leader predicate of
@@ -253,15 +273,6 @@ func (c Counters) MaxEntries() ([]History, int) {
 		}
 	}
 	return out, c.t.max
-}
-
-// Histories returns all stored histories in canonical order.
-func (c Counters) Histories() []History {
-	out := make([]History, 0, c.Len())
-	for _, e := range c.entries() {
-		out = append(out, e.hist)
-	}
-	return out
 }
 
 // All yields every stored history and its counter in canonical order.

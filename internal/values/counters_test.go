@@ -152,10 +152,39 @@ func TestCountersZeroEntriesDropped(t *testing.T) {
 	}
 }
 
+func TestCountersOfTakesPairsInAnyOrder(t *testing.T) {
+	h1, h2 := NewHistory(Num(1)), NewHistory(Num(2))
+	h3 := h1.Append(Num(10))
+	got := CountersOf([]History{h3, h2, h1, h2, h3, h1}, []int{4, 1, 2, 0, 5, 3})
+	want := NewCounters()
+	want.Set(h1, 3)
+	want.Set(h3, 5)
+	if got.Key() != want.Key() || got.Compare(want) != 0 {
+		t.Errorf("CountersOf = %v, want %v: the last pair per history, zero dropped", got, want)
+	}
+}
+
 // Clone returns c. A table is immutable, so a copy is independent of later
 // Bump and Set calls on either; Clone is kept for the tests, FuzzCounters
 // among them, that were written against the mutable table.
 func (c Counters) Clone() Counters { return c }
+
+// MinMerge is Algorithm 3 line 8 alone, ∀H, C[H] := min_{m∈M} m.C[H]: a
+// MinMergeBump with no bumps, for the tests, FuzzCounters among them.
+func MinMerge(msgs []Counters) Counters {
+	var b CountersBuilder
+	return b.MinMergeBump(msgs, nil)
+}
+
+// Histories returns the stored histories in canonical order, for
+// FuzzCounters.
+func (c Counters) Histories() []History {
+	var out []History
+	for h := range c.All() {
+		out = append(out, h)
+	}
+	return out
+}
 
 func TestCountersCloneIndependent(t *testing.T) {
 	h := NewHistory(Num(1))
@@ -181,8 +210,8 @@ func TestMinMergePointwiseLEQ(t *testing.T) {
 	f := func(x, y []byte) bool {
 		a, b := build(x), build(y)
 		m := MinMerge([]Counters{a, b})
-		for _, h := range m.Histories() {
-			if m.Get(h) > a.Get(h) || m.Get(h) > b.Get(h) {
+		for h, n := range m.All() {
+			if n > a.Get(h) || n > b.Get(h) {
 				return false
 			}
 		}
