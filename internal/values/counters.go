@@ -130,12 +130,12 @@ func (c *Counters) Bump(h History) {
 }
 
 // CountersBuilder is the working table MinMergeBump builds a new one in,
-// kept by its caller so that its storage serves round after round: work[:head]
-// holds the entries kept from merged tables, still ascending, and
-// work[head:] the histories added since; at holds every entry's position
-// once a lookup needs it. A builder is cleared after each build, so it pins
-// no histories. The zero value is ready to use; a builder is not safe for
-// concurrent use.
+// kept by its caller so that its storage serves round after round:
+// work[:head] holds the entries kept from merged tables, still ascending,
+// and work[head:] the histories added since; at holds every entry's
+// position once a lookup needs it. A builder is cleared after each build,
+// so it pins no histories. The zero value is ready to use; a builder is not
+// safe for concurrent use.
 type CountersBuilder struct {
 	work    []counterEntry
 	head    int
