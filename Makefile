@@ -49,8 +49,9 @@ race:
 # the scheduler — run FLAKE_COUNT times each, with one pass-rate line per
 # package and a non-zero exit if any run of any package failed. A flake
 # is a bug with a root cause, not noise to retry past. The root package's
-# conformance matrix (every backend against the paper's properties) runs
-# the same way, so a matrix flake shows up as its pass rate. Each
+# conformance matrix (every backend against the paper's properties) and
+# its TCP chaos tests (a node's link cut mid-run on both TCP shapes) run
+# the same way, so a flake there shows up as its pass rate. Each
 # package's `go test -json` stream is kept under $(FLAKE_DIR), and
 # tools/flakelog prints the whole log of every failed run, so a one-off
 # failure leaves its message.
@@ -59,8 +60,8 @@ FLAKE_PKGS  ?= ./internal/msemu ./internal/anonnet ./internal/tcpnet ./internal/
 FLAKE_DIR   ?= .bench_build/flake
 flake:
 	@mkdir -p $(FLAKE_DIR); $(GO) build -o $(FLAKE_DIR)/flakelog ./tools/flakelog; \
-	status=0; for pkg in $(FLAKE_PKGS) '. -run ^TestConformance$$'; do \
-		log=$(FLAKE_DIR)/$$(cut -d' ' -f1 <<<"$$pkg" | tr -c 'a-zA-Z0-9\n' '_').json; \
+	status=0; for pkg in $(FLAKE_PKGS) '. -run ^TestConformance$$' '. -run ^TestTCPChaos'; do \
+		log=$(FLAKE_DIR)/$$(tr -c 'a-zA-Z0-9\n' '_' <<<"$$pkg").json; \
 		$(GO) test -count=$(FLAKE_COUNT) -json $$pkg > $$log 2>&1 || status=1; \
 		$(FLAKE_DIR)/flakelog -pkg "$$pkg" -count $(FLAKE_COUNT) < $$log || status=1; \
 	done; exit $$status
@@ -123,7 +124,7 @@ perf:
 # also compares the late deliveries a round-local run counts against the
 # queued ones, with delay bounds that grow the delivery ring.
 # FuzzPayloadContract checks the payload contract on random ES, ESS and Ω
-# payloads: fingerprint, encoded size and order agree with the key.
+# payloads and their parts: fingerprint and encoded size agree with the key.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values

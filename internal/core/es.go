@@ -26,14 +26,6 @@ func (p SetPayload) PayloadFingerprint() values.Fingerprint { return p.Proposed.
 // PayloadEncodedSize implements giraf.Payload.
 func (p SetPayload) PayloadEncodedSize() int { return p.Proposed.EncodedSize() }
 
-// ComparePayload implements giraf.Payload.
-func (p SetPayload) ComparePayload(q giraf.Payload) int {
-	if o, ok := q.(SetPayload); ok {
-		return p.Proposed.Compare(o.Proposed)
-	}
-	return giraf.CompareKeys(p, q)
-}
-
 // String implements fmt.Stringer.
 func (p SetPayload) String() string { return p.Proposed.String() }
 

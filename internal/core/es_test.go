@@ -275,8 +275,7 @@ func (f foreignPayload) PayloadKey() string { return "foreign:" + string(f) }
 func (p foreignPayload) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(p.PayloadKey())
 }
-func (p foreignPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
-func (p foreignPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
+func (p foreignPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
 
 // TestESIgnoresForeignPayloads: payloads of another algorithm family in a
 // round (a shared hub replaying another run's frames) take no part in

@@ -8,8 +8,8 @@ import (
 )
 
 // ESSPayload is the wire payload of Algorithm 3: ⟨PROPOSED, HISTORY, C⟩.
-// Its key is the three parts' keys joined by '|'; its fingerprint, size and
-// order are computed from the parts without building it.
+// Its key is the three parts' keys joined by '|'; its fingerprint and size
+// are computed from the parts without building it.
 //
 // Build instances with MakeESSPayload where possible: it computes the
 // fingerprint once, at construction. A zero/literal ESSPayload still
@@ -61,23 +61,6 @@ func (p ESSPayload) PayloadFingerprint() values.Fingerprint {
 // two separators.
 func (p ESSPayload) PayloadEncodedSize() int {
 	return p.Proposed.EncodedSize() + 1 + p.History.EncodedSize() + 1 + p.Counters.EncodedSize()
-}
-
-// ComparePayload implements giraf.Payload part by part. The set and the
-// history are each followed by '|' in the key, so a proper prefix of the
-// other's sorts after it there (CompareDelimited); the table ends the key.
-func (p ESSPayload) ComparePayload(q giraf.Payload) int {
-	o, ok := q.(ESSPayload)
-	if !ok {
-		return giraf.CompareKeys(p, q)
-	}
-	if c := p.Proposed.CompareDelimited(o.Proposed); c != 0 {
-		return c
-	}
-	if c := p.History.CompareDelimited(o.History); c != 0 {
-		return c
-	}
-	return p.Counters.Compare(o.Counters)
 }
 
 // String implements fmt.Stringer.
@@ -201,8 +184,9 @@ type essAgg struct {
 
 // aggregate computes lines 6–9's pure functions of the round's payload
 // set: WRITTEN, the union of the PROPOSED sets, and the counter table after
-// the merge and the bumps. Inbox order is canonical, so the bumps are
-// deterministic.
+// the merge and the bumps. The round's histories all have length k, so
+// the bumps commute and the inbox order does not matter (DESIGN.md §3
+// note 8).
 func (a *ESS) aggregate(msgs []giraf.Payload) essAgg {
 	a.sets, a.ctrs, a.hists = a.sets[:0], a.ctrs[:0], a.hists[:0]
 	for _, m := range msgs {

@@ -200,8 +200,7 @@ func (junkPayload) PayloadKey() string { return "junk!" }
 func (p junkPayload) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(p.PayloadKey())
 }
-func (p junkPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
-func (p junkPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
+func (p junkPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
 
 func TestOmegaTrackerMinMergeTable(t *testing.T) {
 	// Direct Compute calls pin the min-merge semantics: a counter survives

@@ -19,8 +19,8 @@ type HeartbeatPayload struct {
 	ID     int
 	Counts map[int]int
 	// key is PayloadKey, built once for each payload the tracker sends,
-	// since its fingerprint, size and order all read it; a literal has
-	// none and builds it on each call.
+	// since its fingerprint and size both read it; a literal has none and
+	// builds it on each call.
 	key string
 }
 
@@ -34,8 +34,8 @@ func heartbeat(id int, counts map[int]int) HeartbeatPayload {
 var _ giraf.Payload = HeartbeatPayload{}
 
 // PayloadKey implements giraf.Payload with a canonical counts encoding.
-// The ID-based baseline identifies its payloads by this key: fingerprint,
-// size and order are the key's.
+// The ID-based baseline identifies its payloads by this key: fingerprint
+// and size are the key's.
 func (p HeartbeatPayload) PayloadKey() string {
 	if p.key != "" {
 		return p.key
@@ -56,9 +56,6 @@ func (p HeartbeatPayload) PayloadFingerprint() values.Fingerprint {
 
 // PayloadEncodedSize implements giraf.Payload.
 func (p HeartbeatPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
-
-// ComparePayload implements giraf.Payload.
-func (p HeartbeatPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
 
 // OmegaTracker implements Ω by gossiped heartbeat counting in a *known*
 // network, mirroring Algorithm 3's pseudo leader election with IDs in

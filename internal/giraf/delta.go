@@ -112,7 +112,7 @@ func (rt *ResolveTable) Len() int { return len(rt.byFP) }
 
 // Resolve returns the full form of env: new payloads are observed, refs
 // are looked up (refreshing their retention), and the payload list is
-// restored to canonical key order (the order EndOfRound broadcasts), so
+// restored to fingerprint order (the order EndOfRound broadcasts), so
 // the resolved envelope is structurally identical to the sender's full
 // envelope. It returns an error naming the first unresolvable reference.
 func (rt *ResolveTable) Resolve(env Envelope) (Envelope, error) {
@@ -120,7 +120,7 @@ func (rt *ResolveTable) Resolve(env Envelope) (Envelope, error) {
 		rt.Observe(pay)
 	}
 	out := Envelope{Round: env.Round, SetFingerprint: env.SetFingerprint}
-	if len(env.Refs) == 0 && slices.IsSortedFunc(env.Payloads, Payload.ComparePayload) {
+	if len(env.Refs) == 0 && slices.IsSortedFunc(env.Payloads, byFingerprint) {
 		out.Payloads = env.Payloads
 		rt.endFrame()
 		return out, nil
@@ -136,7 +136,7 @@ func (rt *ResolveTable) Resolve(env Envelope) (Envelope, error) {
 		rt.observe(fp, e.pay) // referenced payloads stay retained
 		full = append(full, e.pay)
 	}
-	slices.SortFunc(full, Payload.ComparePayload)
+	slices.SortFunc(full, byFingerprint)
 	out.Payloads = full
 	rt.endFrame()
 	return out, nil

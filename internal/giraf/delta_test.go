@@ -1,6 +1,7 @@
 package giraf
 
 import (
+	"slices"
 	"testing"
 
 	"anonconsensus/internal/values"
@@ -18,8 +19,29 @@ func keysOf(pays []Payload) []string {
 	return out
 }
 
+// byFP returns pays sorted by fingerprint, the order of a round.
+func byFP(pays ...Payload) []Payload {
+	out := slices.Clone(pays)
+	slices.SortFunc(out, byFingerprint)
+	return out
+}
+
+// checkFPOrder fails unless pays are strictly ascending by fingerprint: the
+// order every process reads a round in, whatever the arrival order.
+func checkFPOrder(t *testing.T, what string, pays []Payload) {
+	t.Helper()
+	for i := 1; i < len(pays); i++ {
+		if pays[i-1].PayloadFingerprint().Compare(pays[i].PayloadFingerprint()) >= 0 {
+			t.Fatalf("%s not in fingerprint order: %q", what, keysOf(pays))
+		}
+	}
+}
+
 func TestDeltaShrinkAndResolve(t *testing.T) {
-	a, b, c := sp(values.Num(1)), sp(values.Num(2)), sp(values.Num(1), values.Num(2))
+	// a, b, c ascend by fingerprint, so c, the one payload the second
+	// envelope carries in full, arrives before the refs but sorts after them.
+	ps := byFP(sp(values.Num(1)), sp(values.Num(2)), sp(values.Num(1), values.Num(2)))
+	a, b, c := ps[0], ps[1], ps[2]
 	tracker := NewDeltaTracker()
 	table := NewResolveTable()
 
@@ -50,12 +72,9 @@ func TestDeltaShrinkAndResolve(t *testing.T) {
 	if len(r2.Payloads) != 3 {
 		t.Fatalf("resolved second envelope has %d payloads, want 3", len(r2.Payloads))
 	}
-	// Resolution restores canonical key order — identical to the full form.
-	got := keysOf(r2.Payloads)
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("resolved payloads not in canonical order: %q", got)
-		}
+	// Resolution restores fingerprint order — identical to the full form.
+	if got, want := keysOf(r2.Payloads), keysOf(env2.Payloads); !slices.Equal(got, want) {
+		t.Fatalf("resolved payloads %q, want the full envelope's %q", got, want)
 	}
 }
 
@@ -145,16 +164,19 @@ func TestDuplicateEnvelopeIdempotent(t *testing.T) {
 }
 
 // TestRoundViewIncrementalOrder: insertions in arbitrary order always read
-// back in canonical key order, and the cached view is refreshed on growth.
+// back in fingerprint order, and the cached view is refreshed on growth.
 func TestRoundViewIncrementalOrder(t *testing.T) {
 	p := NewProc(&staticAut{pay: sp(values.Num(0))})
-	p.Receive(Envelope{Round: 1, Payloads: []Payload{sp(values.Num(5))}})
-	p.Receive(Envelope{Round: 1, Payloads: []Payload{sp(values.Num(1))}})
+	// Descending by fingerprint: each arrival sorts before the ones held.
+	in := byFP(sp(values.Num(5)), sp(values.Num(1)), sp(values.Num(3)))
+	slices.Reverse(in)
+	p.Receive(Envelope{Round: 1, Payloads: in[:1]})
+	p.Receive(Envelope{Round: 1, Payloads: in[1:2]})
 	first := p.Round(1)
 	if len(first) != 2 {
 		t.Fatalf("round view has %d payloads", len(first))
 	}
-	p.Receive(Envelope{Round: 1, Payloads: []Payload{sp(values.Num(3))}})
+	p.Receive(Envelope{Round: 1, Payloads: in[2:]})
 	second := p.Round(1)
 	if len(second) != 3 {
 		t.Fatalf("round view did not grow: %d", len(second))
@@ -162,12 +184,7 @@ func TestRoundViewIncrementalOrder(t *testing.T) {
 	if len(first) != 2 {
 		t.Fatal("previously returned snapshot mutated by later insertion")
 	}
-	got := keysOf(second)
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("round view out of canonical order: %q", got)
-		}
-	}
+	checkFPOrder(t, "round view", second)
 }
 
 // staticAut is a trivial automaton for inbox-level tests.

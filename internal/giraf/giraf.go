@@ -15,14 +15,15 @@
 // payloads contribute a single element — processes are indistinguishable by
 // construction.
 //
-// Identity is canonical-form based (see PERFORMANCE.md, and DESIGN.md §3
-// note 8 for the order): every payload has a canonical key, defined by
-// its parts, and a 128-bit fingerprint of that key; fingerprint equality
-// is structural equality, and payloads are immutable once returned by an
-// automaton. Payloads report the key's fingerprint, length and order from
-// their parts, so the round path never builds a key. Inboxes deduplicate
-// on fingerprints and keep an incrementally sorted round view, so neither
-// membership tests nor Round(k) ever re-sort or re-encode. Envelopes
+// Identity is canonical-form based (see PERFORMANCE.md): every payload has
+// a canonical key, defined by its parts, and a 128-bit fingerprint of that
+// key; fingerprint equality is structural equality, and payloads are
+// immutable once returned by an automaton. Payloads report the key's
+// fingerprint and length from their parts, so the round path never builds
+// a key. Inboxes deduplicate on fingerprints and keep the round in
+// fingerprint order, the order every process reads it in (DESIGN.md §3
+// note 8 says why any one order serves), so neither membership tests nor
+// Round(k) ever re-sort or re-encode. Envelopes
 // additionally carry a fingerprint of their whole payload set — the
 // set-level identity the delta wire format is built on (see DeltaTracker
 // and package wire).
@@ -32,7 +33,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"anonconsensus/internal/values"
 )
@@ -40,14 +40,13 @@ import (
 // Payload is one automaton-produced message, immutable once returned by an
 // automaton. Its canonical key is its identity: two payloads are the same
 // set element iff their keys are equal. The framework reads the key only
-// through what the other three methods report from the payload's parts,
-// and each must agree with the key exactly:
+// through what the other two methods report from the payload's parts, and
+// each must agree with the key exactly:
 //
 //	PayloadFingerprint() == values.FingerprintString(PayloadKey())
 //	PayloadEncodedSize() == len(PayloadKey())
-//	sign(ComparePayload(q)) == strings.Compare(PayloadKey(), q.PayloadKey())
 //
-// A payload compares with one of another type by their keys (CompareKeys).
+// The fingerprint also orders a round's payloads (Inbox.Round).
 type Payload interface {
 	// PayloadKey returns the canonical key as text, for tests and messages.
 	PayloadKey() string
@@ -55,13 +54,10 @@ type Payload interface {
 	PayloadFingerprint() values.Fingerprint
 	// PayloadEncodedSize returns the key's length in bytes.
 	PayloadEncodedSize() int
-	// ComparePayload orders the payload and q as their keys order.
-	ComparePayload(q Payload) int
 }
 
-// CompareKeys orders p and q by their keys: the order of payloads of
-// different types, and of types that identify themselves by their key.
-func CompareKeys(p, q Payload) int { return strings.Compare(p.PayloadKey(), q.PayloadKey()) }
+// byFingerprint orders payloads by fingerprint, the order of a round.
+func byFingerprint(p, q Payload) int { return p.PayloadFingerprint().Compare(q.PayloadFingerprint()) }
 
 // RoundLocal is an optional Automaton extension for automata whose
 // Compute(k) reads nothing of the inbox but Round(k) — Algorithms 2 and 3
@@ -92,7 +88,7 @@ type Decision struct {
 // receives (the M_i array of Algorithm 1).
 type Inbox interface {
 	// Round returns the deduplicated payload set received for round k, in
-	// canonical (key) order so automata iterate deterministically. The
+	// fingerprint order so automata iterate deterministically. The
 	// returned slice is shared and must not be mutated or retained across
 	// framework calls.
 	Round(k int) []Payload
@@ -134,7 +130,7 @@ type Automaton interface {
 //     to full form before reaching Proc.Receive.
 //
 // SetFingerprint, when non-zero, fingerprints the entire payload set (in
-// canonical order), identical across the full and delta forms of the same
+// fingerprint order), identical across the full and delta forms of the same
 // envelope: the set-level identity used on the wire.
 type Envelope struct {
 	Round    int
@@ -148,7 +144,7 @@ type Envelope struct {
 }
 
 // roundInbox is the per-round storage: fingerprint-addressed membership
-// plus an incrementally maintained view in key order. Membership is
+// plus an incrementally maintained view in fingerprint order. Membership is
 // a linear scan over the flat fingerprint slice while the round is small
 // (the overwhelmingly common case: anonymous rounds hold one payload per
 // equivalence class); once the round outgrows the scan threshold an
@@ -166,16 +162,16 @@ type roundInbox struct {
 	// comparing full fingerprints.
 	idx     []uint32
 	indexed int
-	pays    []Payload            // payloads, in key order once settled
+	pays    []Payload            // payloads, ascending by fps once settled
 	fps     []values.Fingerprint // payload fingerprints, parallel to pays
-	// dirty marks that an append broke key order; the order
+	// dirty marks that an append broke fingerprint order; the order
 	// consumers (snapshot, setFingerprint) re-establish it lazily, so a
 	// burst of insertions costs one sort instead of a memmove each.
 	dirty bool
 	// view is the cached Round(k) snapshot; nil after an insertion.
 	view []Payload
-	// setFP is the cached fingerprint of the round's full payload set in key
-	// order; zero after an insertion.
+	// setFP is the cached fingerprint of the round's full payload set in
+	// fingerprint order; zero after an insertion.
 	setFP values.Fingerprint
 	// adopters counts the processes holding this inbox as an adopted round
 	// (see SharedRound); storage with adopters is never written again.
@@ -284,7 +280,7 @@ func (ri *roundInbox) insert(fp values.Fingerprint, pay Payload) bool {
 	if ok {
 		return false
 	}
-	if n := len(ri.pays); n > 0 && pay.ComparePayload(ri.pays[n-1]) < 0 {
+	if n := len(ri.fps); n > 0 && fp.Compare(ri.fps[n-1]) < 0 {
 		ri.dirty = true
 	}
 	ri.pays = append(ri.pays, pay)
@@ -300,32 +296,32 @@ func (ri *roundInbox) insert(fp values.Fingerprint, pay Payload) bool {
 	return true
 }
 
-// inboxByKey sorts the two parallel payload slices in key order. Keys are
-// pairwise distinct (key equality ⇔ fingerprint equality, and equal
-// fingerprints are deduplicated on insert), so the order — hence every
-// snapshot and set fingerprint — is unique regardless of arrival order.
-type inboxByKey struct{ ri *roundInbox }
+// inboxByFP sorts the two parallel payload slices in fingerprint order.
+// Fingerprints are pairwise distinct (equal ones are deduplicated on
+// insert), so the order — hence every snapshot and set fingerprint — is
+// unique regardless of arrival order.
+type inboxByFP struct{ ri *roundInbox }
 
-func (s inboxByKey) Len() int           { return len(s.ri.pays) }
-func (s inboxByKey) Less(i, j int) bool { return s.ri.pays[i].ComparePayload(s.ri.pays[j]) < 0 }
-func (s inboxByKey) Swap(i, j int) {
+func (s inboxByFP) Len() int           { return len(s.ri.fps) }
+func (s inboxByFP) Less(i, j int) bool { return s.ri.fps[i].Compare(s.ri.fps[j]) < 0 }
+func (s inboxByFP) Swap(i, j int) {
 	ri := s.ri
 	ri.pays[i], ri.pays[j] = ri.pays[j], ri.pays[i]
 	ri.fps[i], ri.fps[j] = ri.fps[j], ri.fps[i]
 }
 
-// ensureSorted re-establishes key order after appends. The sort permutes
-// fps, so the positions idx holds are stale afterwards.
+// ensureSorted re-establishes fingerprint order after appends. The sort
+// permutes fps, so the positions idx holds are stale afterwards.
 func (ri *roundInbox) ensureSorted() {
 	if ri.dirty {
-		sort.Sort(inboxByKey{ri})
+		sort.Sort(inboxByFP{ri})
 		ri.dirty = false
 		ri.indexed = 0
 	}
 }
 
-// snapshot returns (building and caching if needed) the payloads in key
-// order as a slice that stays valid across later insertions.
+// snapshot returns (building and caching if needed) the payloads in
+// fingerprint order as a slice that stays valid across later insertions.
 func (ri *roundInbox) snapshot() []Payload {
 	ri.ensureSorted()
 	if ri.view == nil {
@@ -336,7 +332,7 @@ func (ri *roundInbox) snapshot() []Payload {
 }
 
 // setFingerprint returns (computing and caching if needed) the fingerprint
-// of the full payload set in key order.
+// of the full payload set in fingerprint order.
 func (ri *roundInbox) setFingerprint() values.Fingerprint {
 	ri.ensureSorted()
 	if ri.setFP.IsZero() {
@@ -417,8 +413,8 @@ func (p *Proc) roundAt(k int) *roundInbox {
 	return nil
 }
 
-// Round implements Inbox. The slice is a cached snapshot in key order;
-// callers must not mutate it.
+// Round implements Inbox. The slice is a cached snapshot in fingerprint
+// order; callers must not mutate it.
 func (p *Proc) Round(k int) []Payload {
 	ri := p.roundAt(k)
 	if ri == nil || len(ri.pays) == 0 {

@@ -2,6 +2,7 @@ package giraf
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"anonconsensus/internal/values"
@@ -14,12 +15,6 @@ type setPayload struct{ s values.Set }
 func (p setPayload) PayloadKey() string                     { return p.s.Key() }
 func (p setPayload) PayloadFingerprint() values.Fingerprint { return p.s.Fingerprint() }
 func (p setPayload) PayloadEncodedSize() int                { return p.s.EncodedSize() }
-func (p setPayload) ComparePayload(q Payload) int {
-	if o, ok := q.(setPayload); ok {
-		return p.s.Compare(o.s)
-	}
-	return CompareKeys(p, q)
-}
 
 // echoAutomaton broadcasts its value every round and decides at a fixed
 // round, recording what it saw.
@@ -140,18 +135,15 @@ func TestFreshResetPerRound(t *testing.T) {
 func TestRoundPayloadsDeterministicOrder(t *testing.T) {
 	p := NewProc(&echoAutomaton{v: values.Num(5)})
 	p.EndOfRound()
-	a := setPayload{values.NewSet(values.Num(1))}
-	b := setPayload{values.NewSet(values.Num(2))}
-	p.Receive(Envelope{Round: 1, Payloads: []Payload{b, a}})
+	// Arriving in descending fingerprint order.
+	in := byFP(setPayload{values.NewSet(values.Num(1))}, setPayload{values.NewSet(values.Num(2))})
+	slices.Reverse(in)
+	p.Receive(Envelope{Round: 1, Payloads: in})
 	got := p.Round(1)
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].PayloadKey() >= got[i].PayloadKey() {
-			t.Fatal("Round must return payloads in canonical key order")
-		}
-	}
+	checkFPOrder(t, "Round(1)", got)
 }
 
 func TestNilPayloadPanics(t *testing.T) {

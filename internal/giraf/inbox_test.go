@@ -2,7 +2,7 @@ package giraf
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"anonconsensus/internal/values"
@@ -17,8 +17,7 @@ func (p keyPayload) PayloadKey() string { return string(p) }
 func (p keyPayload) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(string(p))
 }
-func (p keyPayload) PayloadEncodedSize() int      { return len(p) }
-func (p keyPayload) ComparePayload(q Payload) int { return CompareKeys(p, q) }
+func (p keyPayload) PayloadEncodedSize() int { return len(p) }
 
 // inboxModel drives one roundInbox beside a reference map and checks after
 // every step that the two agree.
@@ -46,24 +45,22 @@ func (m *inboxModel) insert(fp values.Fingerprint) {
 }
 
 // snapshot forces the sort and checks the view: every stored payload once,
-// in ascending key order, the parallel slices still parallel.
+// ascending by the fingerprint it was inserted with, the parallel slices
+// still parallel.
 func (m *inboxModel) snapshot() {
 	m.t.Helper()
 	view := m.ri.snapshot()
-	want := make([]string, 0, len(m.ref))
-	for _, fp := range m.stored {
-		want = append(want, fp.String())
-	}
-	sort.Strings(want)
+	want := slices.Clone(m.stored)
+	slices.SortFunc(want, values.Fingerprint.Compare)
 	if len(view) != len(want) {
 		m.t.Fatalf("snapshot has %d payloads, reference %d", len(view), len(want))
 	}
 	for i, p := range view {
-		if p.PayloadKey() != want[i] {
-			m.t.Fatalf("snapshot[%d] = %s, want %s", i, p.PayloadKey(), want[i])
+		if p.PayloadKey() != want[i].String() {
+			m.t.Fatalf("snapshot[%d] = %s, want %v", i, p.PayloadKey(), want[i])
 		}
-		if m.ri.fps[i].String() != want[i] {
-			m.t.Fatalf("parallel slices diverged at %d: fp %v, want %s", i, m.ri.fps[i], want[i])
+		if m.ri.fps[i] != want[i] {
+			m.t.Fatalf("parallel slices diverged at %d: fp %v, want %v", i, m.ri.fps[i], want[i])
 		}
 	}
 }
@@ -206,13 +203,5 @@ func TestProcMergeAcrossIndexThreshold(t *testing.T) {
 	if got := p.InboxSize(1); got != 161 {
 		t.Fatalf("round 1 holds %d payloads, want 161", got)
 	}
-	keys := keysOf(p.Round(1))
-	if !sort.StringsAreSorted(keys) {
-		t.Fatal("Round(1) is not in key order")
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			t.Fatalf("Round(1) holds %q twice", keys[i])
-		}
-	}
+	checkFPOrder(t, "Round(1)", p.Round(1)) // strictly: no payload twice
 }

@@ -1,7 +1,6 @@
 package giraf
 
 import (
-	"cmp"
 	"slices"
 
 	"anonconsensus/internal/values"
@@ -57,7 +56,7 @@ func (s *SharedRound) Deliver(k int, envs []*Envelope, receivers []*Proc) bool {
 	}
 	s.sorted = sorted
 	if !uniform {
-		slices.SortFunc(sorted, compareFP)
+		slices.SortFunc(sorted, values.Fingerprint.Compare)
 		for i := 1; i < len(sorted); i++ {
 			if sorted[i] == sorted[i-1] {
 				return false
@@ -75,7 +74,7 @@ func (s *SharedRound) Deliver(k int, envs []*Envelope, receivers []*Proc) bool {
 			if own != first {
 				return false
 			}
-		} else if _, found := slices.BinarySearchFunc(sorted, own, compareFP); !found {
+		} else if _, found := slices.BinarySearchFunc(sorted, own, values.Fingerprint.Compare); !found {
 			return false
 		}
 	}
@@ -150,12 +149,4 @@ func (p *Proc) privatize() {
 func (p *Proc) release() {
 	p.shared.adopters--
 	p.shared = nil
-}
-
-// compareFP orders fingerprints (Hi, then Lo) for the distinctness test.
-func compareFP(a, b values.Fingerprint) int {
-	if c := cmp.Compare(a.Hi, b.Hi); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Lo, b.Lo)
 }

@@ -66,7 +66,7 @@ func procView(p *Proc, k int) string {
 	if ri := p.roundAt(k); ri != nil {
 		fps = slices.Clone(ri.fps)
 	}
-	slices.SortFunc(fps, compareFP)
+	slices.SortFunc(fps, values.Fingerprint.Compare)
 	return fmt.Sprintf("delivered=%d round=%d keys=%v fps=%v",
 		p.Delivered(), p.CurrentRound(), keys, fps)
 }

@@ -131,8 +131,7 @@ func (c count) PayloadKey() string { return strconv.Itoa(int(c)) }
 func (p count) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(p.PayloadKey())
 }
-func (p count) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
-func (p count) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
+func (p count) PayloadEncodedSize() int { return len(p.PayloadKey()) }
 
 func (c counter) Initialize() giraf.Payload { return count(c.id) }
 

@@ -18,7 +18,6 @@ type pay string
 func (p pay) PayloadKey() string                     { return string(p) }
 func (p pay) PayloadFingerprint() values.Fingerprint { return values.FingerprintString(p.PayloadKey()) }
 func (p pay) PayloadEncodedSize() int                { return len(p.PayloadKey()) }
-func (p pay) ComparePayload(q giraf.Payload) int     { return giraf.CompareKeys(p, q) }
 
 // scripted is an automaton that decides value 7 when computing round
 // decideAt (never, when zero).

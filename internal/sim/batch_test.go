@@ -27,8 +27,7 @@ func (p valPayload) PayloadKey() string { return "v:" + string(p.v) }
 func (p valPayload) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(p.PayloadKey())
 }
-func (p valPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
-func (p valPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
+func (p valPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
 
 func (a *batchAutomaton) Initialize() giraf.Payload {
 	a.best = a.v

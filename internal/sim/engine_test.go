@@ -19,8 +19,7 @@ func (p floodPayload) PayloadKey() string { return p.s.Key() }
 func (p floodPayload) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(p.PayloadKey())
 }
-func (p floodPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
-func (p floodPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
+func (p floodPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
 
 // floodAutomaton gossips the union of everything it has seen and decides
 // once it has seen `quorum` distinct values (or never, when quorum is 0).

@@ -31,8 +31,7 @@ func (p countPayload) PayloadKey() string { return "c:" + string(p.v) }
 func (p countPayload) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(p.PayloadKey())
 }
-func (p countPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
-func (p countPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
+func (p countPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
 
 func (a *countingAut) Initialize() giraf.Payload { return countPayload{a.val} }
 

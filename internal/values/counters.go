@@ -1,7 +1,6 @@
 package values
 
 import (
-	"cmp"
 	"fmt"
 	"iter"
 	"slices"
@@ -21,8 +20,8 @@ import (
 // abstract function H ↦ C[H].
 //
 // A table is immutable and a value, as a Set is: it points to its entries,
-// ascending by history key, with the maximal counter and the encoded size
-// kept beside them; the key is built only when asked for. A
+// ascending by history fingerprint, with the maximal counter and the
+// encoded size kept beside them; the key is built only when asked for. A
 // CountersBuilder builds the table of lines 8–9 in one pass, and Bump and
 // Set rebind their receiver to a new table, so a copy taken before them
 // keeps its counters. The zero value is the empty table.
@@ -37,7 +36,7 @@ type counterEntry struct {
 
 // ctrTable is one non-empty table's contents.
 type ctrTable struct {
-	entries []counterEntry // ascending by history key, every n > 0
+	entries []counterEntry // ascending by history fingerprint, every n > 0
 	max     int
 	size    int // len(key)
 	key     atomic.Pointer[string]
@@ -54,7 +53,7 @@ func CountersOf(hs []History, ns []int) Counters {
 	for i, h := range hs {
 		e[i] = counterEntry{hist: h, n: ns[i]}
 	}
-	slices.SortStableFunc(e, func(x, y counterEntry) int { return x.hist.Compare(y.hist) })
+	slices.SortStableFunc(e, func(x, y counterEntry) int { return byHistory(x, y.hist.Fingerprint()) })
 	kept := e[:0]
 	for i, x := range e {
 		if x.n > 0 && (i+1 == len(e) || !e[i+1].hist.Equal(x.hist)) {
@@ -66,7 +65,7 @@ func CountersOf(hs []History, ns []int) Counters {
 }
 
 // tableOf returns the table of entries, which must be ascending by history
-// key with every count positive; the table keeps the slice.
+// fingerprint with every count positive; the table keeps the slice.
 func tableOf(entries []counterEntry) Counters {
 	if len(entries) == 0 {
 		return Counters{}
@@ -87,13 +86,13 @@ func (c Counters) entries() []counterEntry {
 	return c.t.entries
 }
 
-// byHistory orders a table's entries by history key.
-func byHistory(e counterEntry, h History) int { return e.hist.Compare(h) }
+// byHistory orders a table's entry against the history with fingerprint fp.
+func byHistory(e counterEntry, fp Fingerprint) int { return e.hist.Fingerprint().Compare(fp) }
 
 // Get returns C[h], which is 0 for histories never heard of.
 func (c Counters) Get(h History) int {
 	e := c.entries()
-	if i, ok := slices.BinarySearchFunc(e, h, byHistory); ok {
+	if i, ok := slices.BinarySearchFunc(e, h.Fingerprint(), byHistory); ok {
 		return e[i].n
 	}
 	return 0
@@ -107,7 +106,7 @@ func (c Counters) Len() int { return len(c.entries()) }
 // CountersBuilder.MinMergeBump.
 func (c *Counters) Set(h History, n int) {
 	e := c.entries()
-	i, found := slices.BinarySearchFunc(e, h, byHistory)
+	i, found := slices.BinarySearchFunc(e, h.Fingerprint(), byHistory)
 	rest := e[i:]
 	if found {
 		rest = rest[1:]
@@ -147,7 +146,8 @@ type CountersBuilder struct {
 // of msgs (∀H, C[H] := min_{m∈M} m.C[H], so only histories present in
 // every message keep a positive counter), then a bump of each of hs in
 // order, which looks up the history's prefixes, the empty one included,
-// instead of scanning the table. It returns a table of msgs itself when
+// instead of scanning the table. Bumps of histories of one length, as one
+// round's are, commute. It returns a table of msgs itself when
 // the merge keeps it whole and hs is empty.
 func (b *CountersBuilder) MinMergeBump(msgs []Counters, hs []History) Counters {
 	defer b.reset()
@@ -184,13 +184,13 @@ func (b *CountersBuilder) minMerge(msgs []Counters) (Counters, bool) {
 	}
 	whole := true
 	for _, e := range base.entries() {
-		n := e.n
+		n, fp := e.n, e.hist.Fingerprint()
 		for j, m := range msgs {
 			if m.t == base.t || n == 0 {
 				continue
 			}
 			es, k := m.t.entries, b.cursors[j]
-			for k < len(es) && es[k].hist.Compare(e.hist) < 0 {
+			for k < len(es) && byHistory(es[k], fp) < 0 {
 				k++
 			}
 			if b.cursors[j] = k; k < len(es) && es[k].hist.Equal(e.hist) {
@@ -247,7 +247,7 @@ func (b *CountersBuilder) build() Counters {
 	for i, x := range b.work {
 		at := len(e)
 		if i >= b.head {
-			at, _ = slices.BinarySearchFunc(e, x.hist, byHistory)
+			at, _ = slices.BinarySearchFunc(e, x.hist.Fingerprint(), byHistory)
 		}
 		e = slices.Insert(e, at, x)
 	}
@@ -259,8 +259,8 @@ func (b *CountersBuilder) build() Counters {
 // history is trivially maximal.
 func (c Counters) IsMaximal(h History) bool { return c.t == nil || c.Get(h) >= c.t.max }
 
-// MaxEntries returns the histories whose counter is maximal, in canonical
-// (key) order, together with the maximal counter value. For an empty table
+// MaxEntries returns the histories whose counter is maximal, in the table's
+// order, together with the maximal counter value. For an empty table
 // it returns (nil, 0).
 func (c Counters) MaxEntries() ([]History, int) {
 	if c.t == nil {
@@ -275,7 +275,7 @@ func (c Counters) MaxEntries() ([]History, int) {
 	return out, c.t.max
 }
 
-// All yields every stored history and its counter in canonical order.
+// All yields every stored history and its counter in the table's order.
 func (c Counters) All() iter.Seq2[History, int] {
 	return func(yield func(History, int) bool) {
 		for _, e := range c.entries() {
@@ -284,30 +284,6 @@ func (c Counters) All() iter.Seq2[History, int] {
 			}
 		}
 	}
-}
-
-// Compare orders c and d as their keys do, strings.Compare(c.Key(),
-// d.Key()), without building either key. An entry's part of the key is
-// "<len>:<history key>=<n>;", so entries compare by their histories' key
-// lengths first, then by the histories, then by the counts.
-func (c Counters) Compare(d Counters) int {
-	if c.t == d.t {
-		return 0
-	}
-	a, b := c.entries(), d.entries()
-	for i := range min(len(a), len(b)) {
-		x, y := a[i], b[i]
-		if !x.hist.Equal(y.hist) {
-			if xs, ys := x.hist.EncodedSize(), y.hist.EncodedSize(); xs != ys {
-				return compareDecimal(xs, ys)
-			}
-			return x.hist.Compare(y.hist)
-		}
-		if x.n != y.n {
-			return compareDecimal(x.n, y.n)
-		}
-	}
-	return cmp.Compare(len(a), len(b))
 }
 
 // WriteKey folds the table's key into h without building it.

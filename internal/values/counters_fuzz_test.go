@@ -2,6 +2,7 @@ package values
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,7 +118,7 @@ func (c refCounters) maxEntries() ([]string, int) {
 		return nil, 0
 	}
 	var keys []string
-	for _, k := range ordered.Keys(c) {
+	for _, k := range c.order() {
 		if c[k].n == best {
 			keys = append(keys, k)
 		}
@@ -125,10 +126,18 @@ func (c refCounters) maxEntries() ([]string, int) {
 	return keys, best
 }
 
+// order returns the table's history keys in the order a table lists its
+// entries: ascending by the history's fingerprint.
+func (c refCounters) order() []string {
+	keys := ordered.Keys(c)
+	slices.SortFunc(keys, func(a, b string) int { return FingerprintString(a).Compare(FingerprintString(b)) })
+	return keys
+}
+
 func (c refCounters) key() string {
 	var b strings.Builder
 	b.WriteString("C")
-	for _, k := range ordered.Keys(c) {
+	for _, k := range c.order() {
 		encodeString(&b, k)
 		fmt.Fprintf(&b, "=%d;", c[k].n)
 	}
@@ -144,7 +153,7 @@ func historyKeys(hs []History) []string {
 }
 
 // FuzzCounters drives the hash-consed History and the fingerprint-keyed
-// Counters through random Append/Bump/MinMerge/Set/Clone sequences beside
+// Counters through random Append/Bump/MinMergeBump/Set/Clone sequences beside
 // the string-keyed reference model, and after every operation checks that
 // the two agree on every read: Get, IsMaximal, MaxEntries, Histories, Key,
 // EncodedSize, Fingerprint == FingerprintString(Key), and for histories
@@ -154,6 +163,10 @@ func FuzzCounters(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 0, 0, 2, 0, 3, 4, 1, 1, 0, 2, 2, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 1, 1, 1, 1, 2, 2, 3, 0, 0, 0, 2, 1, 3})
 	f.Add([]byte("801109000801011")) // MinMerge of tables whose counters differ
+	// The histories [0] and [1] bumped into the empty table by one
+	// MinMergeBump in each order: the table must list them in fingerprint
+	// order, not in bump order.
+	f.Add([]byte{0, 0, 1, 3, 6, 0, 2, 1, 3, 6, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		hists := []History{{}, NewHistory(Num(0))}
 		refs := []refHistory{{}, {Num(0)}}
@@ -184,16 +197,25 @@ func FuzzCounters(f *testing.F) {
 				t, i, n := next()%len(tables), next()%len(hists), next()%5
 				tables[t].Set(hists[i], n)
 				models[t].set(refs[i], n)
-			case 3: // MinMerge of up to three tables
-				k := 1 + next()%3
+			case 3: // MinMergeBump of up to three tables and up to two histories
+				b := next()
+				k, nb := 1+b%3, b/3%3
 				var ins []Counters
 				var mins []refCounters
 				for j := 0; j < k; j++ {
 					t := next() % len(tables)
 					ins, mins = append(ins, tables[t]), append(mins, models[t])
 				}
-				tables = append(tables, MinMerge(ins))
-				models = append(models, refMinMerge(mins))
+				var hs []History
+				merged := refMinMerge(mins)
+				for range nb {
+					i := next() % len(hists)
+					hs = append(hs, hists[i])
+					merged.bump(refs[i])
+				}
+				var cb CountersBuilder
+				tables = append(tables, cb.MinMergeBump(ins, hs))
+				models = append(models, merged)
 			case 4: // Clone
 				t := next() % len(tables)
 				tables = append(tables, tables[t].Clone())
@@ -224,7 +246,7 @@ func FuzzCounters(f *testing.F) {
 				if c.Fingerprint() != FingerprintString(c.Key()) {
 					t.Fatalf("table %d: fingerprint is not its key's", ti)
 				}
-				if got, want := strings.Join(historyKeys(c.Histories()), ","), strings.Join(ordered.Keys(m), ","); got != want {
+				if got, want := strings.Join(historyKeys(c.Histories()), ","), strings.Join(m.order(), ","); got != want {
 					t.Fatalf("table %d: Histories %s, model %s", ti, got, want)
 				}
 				gotMax, gotN := c.MaxEntries()

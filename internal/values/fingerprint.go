@@ -1,6 +1,7 @@
 package values
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 )
@@ -22,13 +23,14 @@ type Fingerprint struct {
 // IsZero reports whether f is the absent sentinel.
 func (f Fingerprint) IsZero() bool { return f.Hi == 0 && f.Lo == 0 }
 
-// Less orders fingerprints lexicographically (Hi, then Lo); used only to
-// keep fingerprint-keyed listings deterministic, never for protocol logic.
-func (f Fingerprint) Less(g Fingerprint) bool {
-	if f.Hi != g.Hi {
-		return f.Hi < g.Hi
+// Compare orders fingerprints as 128-bit numbers (Hi, then Lo). It is the
+// one canonical order of payloads in a round and of entries in a counter
+// table: arbitrary, but the same in every process.
+func (f Fingerprint) Compare(g Fingerprint) int {
+	if c := cmp.Compare(f.Hi, g.Hi); c != 0 {
+		return c
 	}
-	return f.Lo < g.Lo
+	return cmp.Compare(f.Lo, g.Lo)
 }
 
 // String implements fmt.Stringer: fixed-width hex.

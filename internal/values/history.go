@@ -1,7 +1,6 @@
 package values
 
 import (
-	"cmp"
 	"strings"
 	"sync/atomic"
 )
@@ -94,34 +93,6 @@ func (h History) IsPrefixOf(g History) bool {
 		return false
 	}
 	return h.Equal(g.prefix(h.Len()))
-}
-
-// Compare orders h and g as their keys do, strings.Compare(h.Key(),
-// g.Key()), without building either key.
-func (h History) Compare(g History) int { return h.compare(g, false) }
-
-// CompareDelimited orders h and g as their keys do when each key is
-// followed by '|', as in an ESS payload's key: a proper prefix of the other
-// history then sorts after it.
-func (h History) CompareDelimited(g History) int { return h.compare(g, true) }
-
-// compare cuts both chains to the shorter length and walks them down in
-// step to where they meet: the last pair of nodes that differ holds the
-// first entries that do. Chains that meet at once are a prefix pair.
-func (h History) compare(g History, delim bool) int {
-	a, b := h.prefix(g.Len()).n, g.prefix(h.Len()).n
-	var da, db *histNode
-	for a != b && a.fp != b.fp {
-		da, db = a, b
-		a, b = a.parent, b.parent
-	}
-	if da != nil {
-		return compareEncoded(string(da.last), string(db.last))
-	}
-	if delim { // as in Set.compare
-		return cmp.Compare(g.Len(), h.Len())
-	}
-	return cmp.Compare(h.Len(), g.Len())
 }
 
 // WriteKey folds the history's key into hs without building it.

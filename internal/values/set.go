@@ -1,7 +1,6 @@
 package values
 
 import (
-	"cmp"
 	"iter"
 	"slices"
 	"strings"
@@ -313,33 +312,6 @@ func (s Set) summary(withKey bool) *canonForm {
 	}
 	s.d.canon.Store(next)
 	return next
-}
-
-// Compare orders s and t as their keys do, strings.Compare(s.Key(),
-// t.Key()), without building either key.
-func (s Set) Compare(t Set) int { return s.compare(t, false) }
-
-// CompareDelimited orders s and t as their keys do when each key is
-// followed by '|', as in an ESS payload's key: a set whose elements are a
-// proper prefix of the other's then sorts after it.
-func (s Set) CompareDelimited(t Set) int { return s.compare(t, true) }
-
-func (s Set) compare(t Set, delim bool) int {
-	if s.d == t.d {
-		return 0
-	}
-	a, b := s.elems(), t.elems()
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
-			return compareEncoded(string(a[i]), string(b[i]))
-		}
-	}
-	// One element list is a prefix of the other. Followed by '|', the
-	// shorter key sorts after the longer, whose next byte is a digit.
-	if delim {
-		return cmp.Compare(len(b), len(a))
-	}
-	return cmp.Compare(len(a), len(b))
 }
 
 // WriteKey folds the set's key into h without building it.

@@ -8,10 +8,12 @@
 // and its fingerprint, used for payload identity and deduplication.
 // Anonymity makes this essential: two processes that broadcast identical
 // payloads are indistinguishable, so payload equality must be structural.
+// Fingerprints are also the one order where an order is needed: a counter
+// table lists its entries ascending by history fingerprint, as a round
+// inbox lists its payloads by theirs.
 package values
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -77,24 +79,4 @@ func encodeString(b *strings.Builder, s string) {
 	b.Write(strconv.AppendInt(buf[:0], int64(len(s)), 10))
 	b.WriteByte(':')
 	b.WriteString(s)
-}
-
-// compareEncoded orders a and b as their encodings "<len>:<s>" do. The
-// encoding is prefix-free, so two keys that agree up to a pair of
-// differing encodings are ordered by that pair, whatever follows it.
-func compareEncoded(a, b string) int {
-	if len(a) == len(b) {
-		return strings.Compare(a, b)
-	}
-	return compareDecimal(len(a), len(b))
-}
-
-// compareDecimal orders two distinct non-negative integers as their decimal
-// forms do inside a key, where each is followed by a byte that sorts after
-// every digit (':', ';'): so a form that is a proper prefix of the other
-// sorts after it ("1:" > "10:").
-func compareDecimal(a, b int) int {
-	var x, y [21]byte
-	return bytes.Compare(append(strconv.AppendInt(x[:0], int64(a), 10), ':'),
-		append(strconv.AppendInt(y[:0], int64(b), 10), ':'))
 }

@@ -17,13 +17,6 @@ func (p setPayload) PayloadFingerprint() values.Fingerprint { return p.proposed.
 
 func (p setPayload) PayloadEncodedSize() int { return p.proposed.EncodedSize() }
 
-func (p setPayload) ComparePayload(q giraf.Payload) int {
-	if o, ok := q.(setPayload); ok {
-		return p.proposed.Compare(o.proposed)
-	}
-	return giraf.CompareKeys(p, q)
-}
-
 // AddRecord is the completed lifetime of one add operation, in rounds.
 type AddRecord struct {
 	Value values.Value

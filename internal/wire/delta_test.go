@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"anonconsensus/internal/core"
@@ -12,8 +13,12 @@ import (
 	"anonconsensus/internal/values"
 )
 
+// fullEnvelope returns the full envelope of sets as EndOfRound builds it:
+// the payloads in fingerprint order.
 func fullEnvelope(round int, sets ...values.Set) giraf.Envelope {
 	env := giraf.Envelope{Round: round}
+	sets = slices.Clone(sets)
+	slices.SortFunc(sets, func(a, b values.Set) int { return a.Fingerprint().Compare(b.Fingerprint()) })
 	var h values.Hasher
 	for _, s := range sets {
 		p := core.SetPayload{Proposed: s}
@@ -45,11 +50,16 @@ func readEnvelope(r io.Reader, table *giraf.ResolveTable) (giraf.Envelope, error
 
 // TestEnvelopeStreamRoundTrip drives a writer/reader pair over an
 // in-memory stream: every envelope must come back structurally identical
-// (same round, same payload keys in the same canonical order) even when
+// (same round, same payload keys in the same fingerprint order) even when
 // later frames are pure references.
 func TestEnvelopeStreamRoundTrip(t *testing.T) {
-	s1 := values.NewSet(values.Num(1))
-	s2 := values.NewSet(values.Num(1), values.Num(2))
+	s1 := values.NewSet(values.Num(1), values.Num(2))
+	s2 := values.NewSet(values.Num(1))
+	// Round 2 carries s2 in full ahead of the ref to s1, so its resolved
+	// order differs from its arrival order only if s1 sorts first.
+	if s1.Fingerprint().Compare(s2.Fingerprint()) > 0 {
+		t.Fatal("s1 must sort before s2")
+	}
 	envs := []giraf.Envelope{
 		fullEnvelope(1, s1),
 		fullEnvelope(2, s1, s2),

@@ -213,8 +213,7 @@ func (bogusPayload) PayloadKey() string { return "bogus" }
 func (p bogusPayload) PayloadFingerprint() values.Fingerprint {
 	return values.FingerprintString(p.PayloadKey())
 }
-func (p bogusPayload) PayloadEncodedSize() int            { return len(p.PayloadKey()) }
-func (p bogusPayload) ComparePayload(q giraf.Payload) int { return giraf.CompareKeys(p, q) }
+func (p bogusPayload) PayloadEncodedSize() int { return len(p.PayloadKey()) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
