@@ -125,6 +125,8 @@ perf:
 # queued ones, with delay bounds that grow the delivery ring.
 # FuzzPayloadContract checks the payload contract on random ES, ESS and Ω
 # payloads and their parts: fingerprint and encoded size agree with the key.
+# FuzzPolicyRows checks the policies' row draw against math/rand's Intn,
+# draw for draw, inside and after the lazy-seeding phase.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetCodec$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCodec$$' -fuzztime $(FUZZTIME) ./internal/values
@@ -135,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME) ./internal/env
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicyRows$$' -fuzztime $(FUZZTIME) ./internal/env
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime $(FUZZTIME) ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedRoundParity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPayloadContract$$' -fuzztime $(FUZZTIME) ./internal/core

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"anonconsensus/internal/env"
@@ -211,23 +212,25 @@ func TestESSUndecidedOnAlternatingMS(t *testing.T) {
 
 func TestESSHistoryGrowsOnePerRound(t *testing.T) {
 	props := DistinctProposals(3)
-	var h values.History
+	var bad []string
 	_, err := RunESS(props, RunOpts{
 		Policy:    env.Synchronous{},
 		MaxRounds: 10,
 		OnRound: func(r int, e *sim.Engine) {
 			if a, ok := e.Automaton(0).(*ESS); ok && !e.Proc(0).Halted() {
-				h = a.History()
 				// After computing round r the history has 1 (initial) + r
 				// appended values.
-				if h.Len() != r+1 {
-					panic("history length mismatch")
+				if got := a.History().Len(); got != r+1 {
+					bad = append(bad, fmt.Sprintf("round %d: history length %d, want %d", r, got, r+1))
 				}
 			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, msg := range bad {
+		t.Error(msg)
 	}
 }
 

@@ -17,8 +17,9 @@ var updateDelayGolden = flag.Bool("update", false, "rewrite testdata/policy_dela
 // matrices these policies had before they became flat arrays. A policy
 // consumes its RNG in (sender, receiver) order, one ExtraTimelyPct /
 // PostTimelyPct draw before each delay draw and none for the source's row,
-// so any reordering of the draws shows up here as a changed digest.
-// Non-broadcasting senders are read too: they must keep reading 0.
+// so any reordering of the draws shows up here as a changed digest. The
+// rows are asked for in sender order, as the engine asks; a
+// non-broadcasting sender's row is asked for by no one and reads 0.
 //
 // Regenerate intentionally with: go test ./internal/env -run TestPolicyDelayGolden -update
 func TestPolicyDelayGolden(t *testing.T) {
@@ -84,10 +85,9 @@ func policyDelayReport() string {
 							senders = append(senders, i)
 						}
 					}
-					delay := p.Schedule(round, senders, n)
-					for s := 0; s < n; s++ {
-						for r := 0; r < n; r++ {
-							fmt.Fprintf(h, "%d,", delay(s, r))
+					for _, row := range rowsOf(p.Schedule(round, senders, n), senders, n) {
+						for _, d := range row {
+							fmt.Fprintf(h, "%d,", d)
 						}
 					}
 				}
@@ -96,4 +96,17 @@ func policyDelayReport() string {
 		}
 	}
 	return b.String()
+}
+
+// rowsOf reads one round's delays as the engine does, every sender's row
+// once in the order of senders, into an n×n matrix whose other rows are 0.
+func rowsOf(d Delays, senders []int, n int) [][]int32 {
+	m := make([][]int32, n)
+	for s := range m {
+		m[s] = make([]int32, n)
+	}
+	for _, s := range senders {
+		d.Row(s, m[s])
+	}
+	return m
 }

@@ -8,10 +8,11 @@
 // simulator and internal/anonnet carried wall-clock latency profiles with
 // the same MS/ES/ESS logic re-derived. This package owns both realizations:
 //
-//   - Policy (with DelayFn and SourceReporter) is the round-granularity
-//     contract the deterministic simulator schedules deliveries with;
-//     Synchronous, MS, ES, ESS, Async, AlternatingMS and Scripted implement
-//     the paper's environments plus the adversarial and hand-scripted ones.
+//   - Policy (with Delays and SourceReporter) is the round-granularity
+//     contract the deterministic simulator schedules deliveries with: a
+//     round's delays are read one sender row at a time. Synchronous, MS,
+//     ES, ESS, Async, AlternatingMS and Scripted implement the paper's
+//     environments plus the adversarial and hand-scripted ones.
 //
 //   - LatencyModel is the wall-clock contract of the real-time runtimes
 //     (anonnet, and by analogy tcpnet); Sync, MSProfile, ESProfile,
@@ -38,7 +39,7 @@ import "math/rand"
 // are part of the repository's determinism contract: fixed-seed goldens pin
 // the schedules they produce. The source keeps math/rand's exact stream and
 // seeds only the words a policy's few draws read; the policies draw from it
-// directly with intn.
+// directly with intn and fillRow.
 func sourceFor(seed int64, stream string) *lazySource {
 	h := int64(1469598103934665603)
 	for _, b := range []byte(stream) {

@@ -110,8 +110,8 @@ func TestPolicyScheduleEquivalence(t *testing.T) {
 	a := &MS{Seed: 9, MaxDelay: 4}
 	b := &MS{Seed: 9, MaxDelay: 4}
 	for round := 1; round <= 40; round++ {
-		da := a.Schedule(round, senders, n)
-		db := b.Schedule(round, senders, n)
+		da := rowsOf(a.Schedule(round, senders, n), senders, n)
+		db := rowsOf(b.Schedule(round, senders, n), senders, n)
 		srcA, ok := a.Source(round)
 		if !ok {
 			t.Fatalf("round %d: no source noted", round)
@@ -121,7 +121,7 @@ func TestPolicyScheduleEquivalence(t *testing.T) {
 		}
 		for from := 0; from < n; from++ {
 			for to := 0; to < n; to++ {
-				x, y := da(from, to), db(from, to)
+				x, y := da[from][to], db[from][to]
 				if x != y {
 					t.Fatalf("round %d (%d,%d): same seed diverged (%d vs %d)", round, from, to, x, y)
 				}

@@ -1,6 +1,7 @@
 package env
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -38,5 +39,52 @@ func FuzzScenario(f *testing.F) {
 		_ = s.Drops(1, 0, 1)
 		_ = s.Duplicates(1, 0, 1)
 		_ = s.Partitioned(1, 0, 1)
+	})
+}
+
+// FuzzPolicyRows pins lazySource.fillRow, the policies' row draw, to
+// rand.New(rand.NewSource(seed)).Intn draw for draw: for each receiver, the
+// timely draw Intn(100) < pct when pct > 0, else base + Intn(span). It
+// starts after skip draws, inside the lazy-seeding phase (the first 607
+// draws) or after it, draws several rows, and checks that the source goes
+// on with the reference's stream. span covers every branch of Int31n: 1, a
+// power of two, 3, 2³⁰+1 (rejects about half) and 2³¹−1.
+func FuzzPolicyRows(f *testing.F) {
+	spans := []int{1, 2, 1 << 30, 3, 100, 1<<30 + 1, 1<<31 - 1}
+	for i := range spans {
+		for _, skip := range []uint16{0, 600, 700} {
+			f.Add(int64(i+1), skip, uint8(i), uint8(0), uint8(1), uint16(64), uint8(3))
+			f.Add(int64(-i), skip, uint8(i), uint8(30), uint8(0), uint16(200), uint8(4))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, skip uint16, spanSel, pct, base uint8, rowLen uint16, rows uint8) {
+		span := spans[int(spanSel)%len(spans)]
+		if spanSel >= uint8(len(spans)) {
+			span = 1 + int(spanSel)
+		}
+		p, b := int(pct)%101, int(base)%10
+		want := rand.New(rand.NewSource(seed))
+		got := new(lazySource)
+		got.Seed(seed)
+		for i := 0; i < int(skip)%1500; i++ {
+			want.Int63()
+			got.Int63()
+		}
+		row := make([]int32, int(rowLen)%512)
+		for k := 0; k < 1+int(rows)%4; k++ {
+			got.fillRow(row, p, b, span)
+			for r, g := range row {
+				w := 0
+				if p == 0 || want.Intn(100) >= p {
+					w = b + want.Intn(span)
+				}
+				if int(g) != w {
+					t.Fatalf("seed %d skip %d span %d pct %d base %d: row %d receiver %d = %d, want %d", seed, skip, span, p, b, k, r, g, w)
+				}
+			}
+		}
+		if w, g := want.Int63(), got.Int63(); w != g {
+			t.Fatalf("seed %d: after the rows Int63 = %d, want %d", seed, g, w)
+		}
 	})
 }

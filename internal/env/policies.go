@@ -2,17 +2,29 @@ package env
 
 import "fmt"
 
-// DelayFn maps a (sender, receiver) pair to a delivery delay in rounds for
-// one specific round's envelopes. Delay 0 is a timely delivery.
-type DelayFn func(sender, receiver int) int
+// Delays is one round's schedule, read a sender row at a time: Row fills
+// sender's delay to every receiver, indexed by receiver, into the caller's
+// row of length n. Delay 0 is a timely delivery, d > 0 arrives d rounds
+// late. The sender's own entry is filled like any other and ignored.
+//
+// A seeded policy draws a row when it is asked for, so the caller asks for
+// every sender's row exactly once, in the order of the senders it passed
+// to Schedule, before the next Schedule call. The draw order — senders as
+// given, receivers ascending, the timely draw before the delay draw,
+// nothing for the source's row — is part of the determinism contract
+// (TestPolicyDelayGolden).
+type Delays interface {
+	Row(sender int, row []int32)
+}
 
 // Policy is an environment: it decides, per round, how late each envelope
 // arrives. Schedule is called once per global round with the processes that
-// actually broadcast a round-`round` envelope (alive and not halted).
+// actually broadcast a round-`round` envelope (alive and not halted); the
+// Delays it returns is valid until the next call.
 //
 // Policies are stateful and single-run; build a fresh policy per run.
 type Policy interface {
-	Schedule(round int, senders []int, n int) DelayFn
+	Schedule(round int, senders []int, n int) Delays
 }
 
 // SourceReporter is implemented by policies that designate a per-round
@@ -25,8 +37,8 @@ type SourceReporter interface {
 // UniformReporter is implemented by policies that know, without probing
 // every link, that a round gives every (sender, receiver) pair the same
 // delay; the engine then schedules each broadcast once for all of its
-// receivers. UniformDelay is consulted after Schedule(round, …) and must
-// agree with the DelayFn that call returned.
+// receivers and reads no row. UniformDelay is consulted after
+// Schedule(round, …) and must agree with the rows that call returned.
 type UniformReporter interface {
 	UniformDelay(round int) (delay int, ok bool)
 }
@@ -49,38 +61,31 @@ func (s *sourceLog) Source(round int) (int, bool) {
 	return pid, ok
 }
 
-// delayMatrix is one round's pre-drawn delays, row-major by sender: n×n
-// int32s in one allocation. Rows of processes that did not broadcast stay
-// zero. Pre-drawing keeps DelayFn pure, so the engine may probe a pair
-// twice.
-type delayMatrix struct {
-	n int
-	d []int32
-}
-
-func newDelayMatrix(n int) delayMatrix {
-	return delayMatrix{n: n, d: make([]int32, n*n)}
-}
-
-// row returns sender s's delays, indexed by receiver.
-func (m delayMatrix) row(s int) []int32 { return m.d[s*m.n : (s+1)*m.n] }
-
-// delay is the matrix as a DelayFn.
-func (m delayMatrix) delay(sender, receiver int) int {
-	return int(m.d[sender*m.n+receiver])
+// oneLateRow is the row of a round whose source is timely and every other
+// envelope exactly one round late.
+func oneLateRow(sender, src int, row []int32) {
+	d := int32(1)
+	if sender == src {
+		d = 0
+	}
+	for r := range row {
+		row[r] = d
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Synchronous
 
 // Synchronous delivers everything timely: every process is a source in
-// every round. It trivially satisfies MS, ES and ESS.
+// every round. It trivially satisfies MS, ES and ESS. It is also its own
+// rounds' Delays, and any policy's all-timely round.
 type Synchronous struct{}
 
 // Schedule implements Policy.
-func (Synchronous) Schedule(round int, senders []int, n int) DelayFn {
-	return func(sender, receiver int) int { return 0 }
-}
+func (Synchronous) Schedule(round int, senders []int, n int) Delays { return Synchronous{} }
+
+// Row implements Delays: every delay is 0.
+func (Synchronous) Row(_ int, row []int32) { clear(row) }
 
 // UniformDelay implements UniformReporter: every round is timely.
 func (Synchronous) UniformDelay(int) (int, bool) { return 0, true }
@@ -116,6 +121,7 @@ type MS struct {
 
 	sourceLog
 	rng *lazySource
+	src int // the source of the round Schedule last set up
 }
 
 func (m *MS) ensureRNG() {
@@ -138,50 +144,39 @@ func (m *MS) period() int {
 	return m.RotationPeriod
 }
 
-// Schedule implements Policy.
-func (m *MS) Schedule(round int, senders []int, n int) DelayFn {
+// Schedule implements Policy. The round's rows are m's own (Row).
+func (m *MS) Schedule(round int, senders []int, n int) Delays {
 	m.ensureRNG()
 	if len(senders) == 0 {
-		return func(int, int) int { return 0 }
+		return Synchronous{}
 	}
-	if m.Alternate {
-		src := senders[0]
+	switch {
+	case m.Alternate:
+		m.src = senders[0]
 		if round%2 == 0 {
-			src = senders[len(senders)-1]
+			m.src = senders[len(senders)-1]
 		}
-		m.note(round, src)
-		return func(sender, receiver int) int {
-			if sender == src {
-				return 0
-			}
-			return 1
-		}
+	case m.Shuffle:
+		m.src = senders[m.rng.intn(len(senders))]
+	default:
+		m.src = senders[(round/m.period())%len(senders)]
 	}
-	var src int
-	if m.Shuffle {
-		src = senders[m.rng.intn(len(senders))]
-	} else {
-		src = senders[(round/m.period())%len(senders)]
+	m.note(round, m.src)
+	return m
+}
+
+// Row implements Delays for the round Schedule last set up: the source's
+// row is timely and draws nothing; every other row draws, per receiver,
+// the ExtraTimelyPct draw and then the delay.
+func (m *MS) Row(sender int, row []int32) {
+	switch {
+	case m.Alternate:
+		oneLateRow(sender, m.src, row)
+	case sender == m.src:
+		clear(row)
+	default:
+		m.rng.fillRow(row, m.ExtraTimelyPct, 1, m.maxDelay())
 	}
-	m.note(round, src)
-	md := m.maxDelay()
-	// The draw order — senders as given, receivers ascending, the timely
-	// draw before the delay draw, nothing for the source's row — is part of
-	// the determinism contract (TestPolicyDelayGolden).
-	delays := newDelayMatrix(n)
-	for _, s := range senders {
-		if s == src {
-			continue
-		}
-		row := delays.row(s)
-		for r := range row {
-			if m.ExtraTimelyPct > 0 && m.rng.intn(100) < m.ExtraTimelyPct {
-				continue
-			}
-			row[r] = int32(1 + m.rng.intn(md))
-		}
-	}
-	return delays.delay
 }
 
 // ---------------------------------------------------------------------------
@@ -198,10 +193,10 @@ type ES struct {
 }
 
 // Schedule implements Policy.
-func (e *ES) Schedule(round int, senders []int, n int) DelayFn {
+func (e *ES) Schedule(round int, senders []int, n int) Delays {
 	if round >= e.GST {
 		e.Pre.note(round, pickAny(senders))
-		return func(int, int) int { return 0 }
+		return Synchronous{}
 	}
 	return e.Pre.Schedule(round, senders, n)
 }
@@ -234,39 +229,37 @@ type ESS struct {
 	PostTimelyPct int
 
 	post *lazySource
+	src  int // the source of the post-GST round Schedule last set up
 }
 
-// Schedule implements Policy.
-func (e *ESS) Schedule(round int, senders []int, n int) DelayFn {
+// Schedule implements Policy: Pre's rounds before GST, e's own (Row) from
+// GST on.
+func (e *ESS) Schedule(round int, senders []int, n int) Delays {
 	if round < e.GST {
 		return e.Pre.Schedule(round, senders, n)
 	}
 	if e.post == nil {
 		e.post = sourceFor(e.Pre.Seed, "ess-post")
 	}
-	src := e.StableSource
-	if !contains(senders, src) {
+	e.src = e.StableSource
+	if !contains(senders, e.src) {
 		// The designated source stopped broadcasting (crashed or decided);
 		// keep the run alive with some source so remaining processes can
 		// finish. The checker flags this round if it matters.
-		src = pickAny(senders)
+		e.src = pickAny(senders)
 	}
-	e.Pre.note(round, src)
-	md := e.Pre.maxDelay()
-	delays := newDelayMatrix(n) // drawn in MS.Schedule's order
-	for _, s := range senders {
-		if s == src {
-			continue
-		}
-		row := delays.row(s)
-		for r := range row {
-			if e.PostTimelyPct > 0 && e.post.intn(100) < e.PostTimelyPct {
-				continue
-			}
-			row[r] = int32(1 + e.post.intn(md))
-		}
+	e.Pre.note(round, e.src)
+	return e
+}
+
+// Row implements Delays for the post-GST round Schedule last set up, in
+// MS.Row's draw order over e's own stream.
+func (e *ESS) Row(sender int, row []int32) {
+	if sender == e.src {
+		clear(row)
+		return
 	}
-	return delays.delay
+	e.post.fillRow(row, e.PostTimelyPct, 1, e.Pre.maxDelay())
 }
 
 // Source implements SourceReporter.
@@ -286,27 +279,30 @@ type Async struct {
 	rng *lazySource
 }
 
-// Schedule implements Policy.
-func (a *Async) Schedule(round int, senders []int, n int) DelayFn {
-	if a.rng == nil {
-		a.rng = sourceFor(a.Seed, "async-policy")
-	}
-	lo := a.MinDelay
-	hi := a.MaxDelay
+func (a *Async) bounds() (lo, hi int) {
+	lo, hi = a.MinDelay, a.MaxDelay
 	if hi <= 0 {
 		hi = 3
 	}
 	if lo > hi {
 		panic(fmt.Sprintf("env: Async MinDelay %d > MaxDelay %d", lo, hi))
 	}
-	delays := newDelayMatrix(n)
-	for _, s := range senders {
-		row := delays.row(s)
-		for r := range row {
-			row[r] = int32(lo + a.rng.intn(hi-lo+1))
-		}
+	return lo, hi
+}
+
+// Schedule implements Policy. The round's rows are a's own (Row).
+func (a *Async) Schedule(round int, senders []int, n int) Delays {
+	if a.rng == nil {
+		a.rng = sourceFor(a.Seed, "async-policy")
 	}
-	return delays.delay
+	a.bounds()
+	return a
+}
+
+// Row implements Delays: one draw per receiver.
+func (a *Async) Row(_ int, row []int32) {
+	lo, hi := a.bounds()
+	a.rng.fillRow(row, 0, lo, hi-lo+1)
 }
 
 // ---------------------------------------------------------------------------
@@ -323,31 +319,30 @@ type AlternatingMS struct {
 	A, B int
 	sourceLog
 	defaulted bool
+	src       int // the source of the round Schedule last set up
 }
 
-// Schedule implements Policy.
-func (p *AlternatingMS) Schedule(round int, senders []int, n int) DelayFn {
+// Schedule implements Policy. The round's rows are p's own (Row).
+func (p *AlternatingMS) Schedule(round int, senders []int, n int) Delays {
 	if !p.defaulted {
 		if p.A == 0 && p.B == 0 {
 			p.B = n - 1
 		}
 		p.defaulted = true
 	}
-	src := p.A
+	p.src = p.A
 	if round%2 == 0 {
-		src = p.B
+		p.src = p.B
 	}
-	if !contains(senders, src) {
-		src = pickAny(senders)
+	if !contains(senders, p.src) {
+		p.src = pickAny(senders)
 	}
-	p.note(round, src)
-	return func(sender, receiver int) int {
-		if sender == src {
-			return 0
-		}
-		return 1
-	}
+	p.note(round, p.src)
+	return p
 }
+
+// Row implements Delays: the source is timely, everything else one late.
+func (p *AlternatingMS) Row(sender int, row []int32) { oneLateRow(sender, p.src, row) }
 
 // ---------------------------------------------------------------------------
 // Fixed-matrix policy (for hand-built schedules in tests)
@@ -357,17 +352,24 @@ func (p *AlternatingMS) Schedule(round int, senders []int, n int) DelayFn {
 type Scripted struct {
 	Delays  map[int]map[int]map[int]int
 	Default int
+
+	cur map[int]map[int]int // Delays[round] of the round Schedule last set up
 }
 
-// Schedule implements Policy.
-func (s *Scripted) Schedule(round int, senders []int, n int) DelayFn {
-	perRound := s.Delays[round]
-	return func(sender, receiver int) int {
-		if row, ok := perRound[sender]; ok {
-			if d, ok := row[receiver]; ok {
-				return d
-			}
+// Schedule implements Policy. The round's rows are s's own (Row).
+func (s *Scripted) Schedule(round int, senders []int, n int) Delays {
+	s.cur = s.Delays[round]
+	return s
+}
+
+// Row implements Delays from the script.
+func (s *Scripted) Row(sender int, row []int32) {
+	script := s.cur[sender]
+	for r := range row {
+		d, ok := script[r]
+		if !ok {
+			d = s.Default
 		}
-		return s.Default
+		row[r] = int32(d)
 	}
 }

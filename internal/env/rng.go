@@ -178,21 +178,92 @@ func (s *lazySource) seedingStep() uint64 {
 	return uint64(x)
 }
 
-// intn is rand.New(s).Intn(n), draw for draw, for 0 < n ≤ 2³¹−1: math/rand's
-// Int31n — a mask for a power of two, else the rejection loop over Int31 —
-// without the interface call per draw. A policy draws n·n delays a round.
-func (s *lazySource) intn(n int) int {
+// int31n is math/rand's Int31n reduction for one n: a mask for a power of
+// two, else the rejection loop over Int31 with limit as its largest
+// accepted value. A row of draws computes it once.
+type int31n struct {
+	n, limit int32
+	pow2     bool
+}
+
+func newInt31n(n int) int31n {
 	if n <= 0 || n > math.MaxInt32 {
 		panic("env: intn argument out of range")
 	}
 	n32 := int32(n)
-	if n32&(n32-1) == 0 {
-		return int(int32(s.Int63()>>32) & (n32 - 1))
-	}
-	limit := int32(1<<31 - 1 - (1<<31)%uint32(n32))
+	return int31n{n: n32, limit: int32(1<<31 - 1 - (1<<31)%uint32(n32)), pow2: n32&(n32-1) == 0}
+}
+
+// intn is rand.New(s).Intn(n), draw for draw, for 0 < n ≤ 2³¹−1, without
+// the interface call per draw.
+func (s *lazySource) intn(n int) int {
+	b := newInt31n(n)
 	v := int32(s.Int63() >> 32)
-	for v > limit {
+	if b.pow2 {
+		return int(v & (b.n - 1))
+	}
+	for v > b.limit {
 		v = int32(s.Int63() >> 32)
 	}
-	return int(v % n32)
+	return int(v % b.n)
+}
+
+// fillRow draws one policy row, receivers ascending: when pct > 0 a timely
+// draw intn(100) < pct leaves row[r] = 0, otherwise row[r] = base +
+// intn(span). The draws are exactly those intn calls. Once every word is
+// seeded the loop runs the generator step on local indices, and the delay
+// draw's limit and divisor are computed once per row.
+func (s *lazySource) fillRow(row []int32, pct, base, span int) {
+	r := 0
+	for ; r < len(row) && s.unseeded > 0; r++ {
+		if pct > 0 && s.intn(100) < pct {
+			row[r] = 0
+			continue
+		}
+		row[r] = int32(base + s.intn(span))
+	}
+	const timelyLimit = 1<<31 - 1 - (1<<31)%100 // newInt31n(100).limit
+	delay := newInt31n(span)
+	pct32, base32 := int32(pct), int32(base)
+	vec, tap, feed := &s.vec, s.tap, s.feed
+	var v int32
+	for ; r < len(row); r++ {
+		if pct > 0 {
+			tap, feed, v = next31(vec, tap, feed)
+			for v > timelyLimit {
+				tap, feed, v = next31(vec, tap, feed)
+			}
+			if v%100 < pct32 {
+				row[r] = 0
+				continue
+			}
+		}
+		tap, feed, v = next31(vec, tap, feed)
+		if delay.pow2 {
+			v &= delay.n - 1
+		} else {
+			for v > delay.limit {
+				tap, feed, v = next31(vec, tap, feed)
+			}
+			v %= delay.n
+		}
+		row[r] = base32 + v
+	}
+	s.tap, s.feed = tap, feed
+}
+
+// next31 is step on a fully seeded vec with the indices passed in and
+// out, returning the step's Int63()>>32.
+func next31(vec *[rngLen]int64, tap, feed int) (int, int, int32) {
+	tap--
+	if tap < 0 {
+		tap += rngLen
+	}
+	feed--
+	if feed < 0 {
+		feed += rngLen
+	}
+	x := vec[feed] + vec[tap]
+	vec[feed] = x
+	return tap, feed, int32(x & rngMask >> 32)
 }

@@ -19,7 +19,7 @@ func TestUniformDelayAgreesWithSchedule(t *testing.T) {
 	} {
 		u := tc.pol.(UniformReporter)
 		for round := 1; round <= 8; round++ {
-			delay := tc.pol.Schedule(round, senders, n)
+			delays := rowsOf(tc.pol.Schedule(round, senders, n), senders, n)
 			d0, ok := u.UniformDelay(round)
 			if ok != (round >= tc.first) {
 				t.Errorf("%s round %d: declared uniform = %v, want %v", tc.name, round, ok, round >= tc.first)
@@ -29,8 +29,8 @@ func TestUniformDelayAgreesWithSchedule(t *testing.T) {
 			}
 			for s := 0; s < n; s++ {
 				for r := 0; r < n; r++ {
-					if s != r && delay(s, r) != d0 {
-						t.Errorf("%s round %d: delay(%d,%d) = %d, declared %d", tc.name, round, s, r, delay(s, r), d0)
+					if s != r && int(delays[s][r]) != d0 {
+						t.Errorf("%s round %d: delay(%d,%d) = %d, declared %d", tc.name, round, s, r, delays[s][r], d0)
 					}
 				}
 			}

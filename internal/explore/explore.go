@@ -438,20 +438,28 @@ func enumerateMatrices(n int) []matrix {
 type schedulePolicy struct {
 	matrices   []matrix
 	syncSteady bool
+	cur        matrix // the matrix of the round Schedule last set up
 }
 
 var _ env.Policy = (*schedulePolicy)(nil)
 
-func (p *schedulePolicy) Schedule(round int, senders []int, n int) env.DelayFn {
+func (p *schedulePolicy) Schedule(round int, senders []int, n int) env.Delays {
 	idx := round - 1
 	if idx >= len(p.matrices) {
 		if p.syncSteady {
-			return func(sender, receiver int) int { return 0 }
+			return env.Synchronous{}
 		}
 		idx = len(p.matrices) - 1
 	}
-	m := p.matrices[idx]
-	return func(sender, receiver int) int { return m[sender][receiver] }
+	p.cur = p.matrices[idx]
+	return p
+}
+
+// Row implements env.Delays from the round's matrix.
+func (p *schedulePolicy) Row(sender int, row []int32) {
+	for r, d := range p.cur[sender] {
+		row[r] = int32(d)
+	}
 }
 
 // Run executes the exploration in the configured mode.

@@ -244,16 +244,22 @@ type Engine struct {
 	linkFaults *env.Scenario
 	// uniform is the policy's declaration of uniform rounds when it makes
 	// one and linkFaults is nil, nil otherwise: a declared round's
-	// broadcasts collapse without probing the DelayFn per receiver.
+	// broadcasts collapse without reading a row.
 	uniform env.UniformReporter
 	// countLate is set when a late delivery (delay ≥ 1) can have no effect
 	// but its count: the run has no link faults and no trace, and every
 	// automaton is giraf.RoundLocal. A round-local process drops an envelope
 	// for a round it has computed, and by the step a late envelope arrives
 	// every live receiver has computed its round or halted. Such a delivery
-	// is then counted in its arrival step's slot instead of queued, and
-	// deliverDue adds the count to Metrics.Deliveries.
+	// is then counted instead of queued: step counts its late deliveries
+	// per delay in late, adds each count to its arrival step's slot once,
+	// and deliverDue adds the slot's count to Metrics.Deliveries.
 	countLate bool
+	// row is the sender row step reads the policy's delays into (length
+	// N); late is step's histogram of late deliveries by delay, zero
+	// between steps.
+	row  []int32
+	late []int
 	// outs and senders are step's scratch buffers (the envelopes broadcast
 	// and their senders, in process order), reused across steps.
 	outs    []giraf.Envelope
@@ -322,6 +328,7 @@ func (e *Engine) Reset(cfg Config) error {
 	} else {
 		e.crash = make([]int, cfg.N)
 	}
+	e.row = slices.Grow(e.row[:0], cfg.N)[:cfg.N]
 	for i := range e.crash {
 		cs, ok := cfg.Scenario.CrashRound(i)
 		if !ok {
@@ -668,11 +675,12 @@ func (e *Engine) step(step int) {
 	envs := slices.Clone(outs)
 	clear(outs)
 	round := envs[0].Round // == step+1 for all senders (lockstep)
-	delay := e.cfg.Policy.Schedule(round, senders, e.cfg.N)
+	delays := e.cfg.Policy.Schedule(round, senders, e.cfg.N)
 	d0, declared := 0, false
 	if e.uniform != nil {
 		d0, declared = e.uniform.UniformDelay(round)
 	}
+	row := e.row
 	for i, sender := range senders {
 		env := &envs[i]
 		if e.trace != nil {
@@ -684,41 +692,44 @@ func (e *Engine) step(step int) {
 		if size > e.metrics.MaxEnvelopeBytes {
 			e.metrics.MaxEnvelopeBytes = size
 		}
+		// Every sender's row is asked for once, in sender order, as the
+		// policies' draw order requires; a round the policy declares uniform
+		// (Synchronous, ES from GST on) reads none.
+		if !declared {
+			delays.Row(sender, row)
+		}
 		// Fan-out collapse: in runs without link faults, if every receiver of
 		// this sender has the same delay, schedule one fanOutAll entry
-		// instead of n-1 per-receiver ones. A round the policy declares
-		// uniform (Synchronous, ES from GST on) needs no probe; otherwise the
-		// DelayFn is probed per receiver — it is pure per round (policies
-		// pre-draw their delay matrices), so probing it twice is safe.
+		// instead of n-1 per-receiver ones.
 		if e.linkFaults == nil && e.cfg.N > 1 {
 			d, uniform := d0, declared
 			if !uniform {
-				d, uniform = uniformDelay(delay, sender, e.cfg.N)
+				d, uniform = uniformRow(row, sender)
 			}
 			if uniform {
 				if d < 0 {
 					panic(fmt.Sprintf("sim: policy returned negative delay %d", d))
 				}
 				if d > 0 && e.countLate {
-					e.slot(round + d).late += e.liveReceivers(round+d, sender)
+					e.countLateAt(d, e.liveReceivers(round+d, sender))
 					continue
 				}
 				e.schedule(round+d, pendingDelivery{receiver: fanOutAll, sender: sender, env: env})
 				continue
 			}
 		}
-		for r := 0; r < e.cfg.N; r++ {
+		for r, d32 := range row {
 			if r == sender {
 				continue // own payload is already in own inbox (Alg. 1 line 10)
 			}
-			d := delay(sender, r)
+			d := int(d32)
 			if d < 0 {
 				panic(fmt.Sprintf("sim: policy returned negative delay %d", d))
 			}
 			at := round + d
 			if d > 0 && e.countLate {
 				if at < e.crash[r] {
-					e.slot(at).late++
+					e.countLateAt(d, 1)
 				}
 				continue
 			}
@@ -734,6 +745,13 @@ func (e *Engine) step(step int) {
 					e.schedule(at+1, pendingDelivery{receiver: r, sender: sender, env: env})
 				}
 			}
+		}
+	}
+	// The step's late counts go to their arrival slots once per delay.
+	for d, c := range e.late {
+		if c > 0 {
+			e.slot(round + d).late += c
+			e.late[d] = 0
 		}
 	}
 	if e.trace != nil {
@@ -757,25 +775,27 @@ func (e *Engine) liveReceivers(at, sender int) int {
 	return live
 }
 
-// uniformDelay reports whether delay assigns every receiver of sender the
-// same delay, returning that delay. With fewer than two receivers there is
-// nothing to deliver and the caller's guard keeps this unreached for n<=1.
-func uniformDelay(delay env.DelayFn, sender, n int) (int, bool) {
-	d0 := -1
-	for r := 0; r < n; r++ {
-		if r == sender {
-			continue
-		}
-		d := delay(sender, r)
-		if d0 < 0 {
-			d0 = d
-			continue
-		}
-		if d != d0 {
+// countLateAt adds c late deliveries of delay d to the step's histogram.
+func (e *Engine) countLateAt(d, c int) {
+	if d >= len(e.late) {
+		e.late = append(e.late, make([]int, d+1-len(e.late))...)
+	}
+	e.late[d] += c
+}
+
+// uniformRow reports whether row gives every receiver but sender the same
+// delay, returning that delay. The caller keeps it unreached for n <= 1.
+func uniformRow(row []int32, sender int) (int, bool) {
+	d0 := row[0]
+	if sender == 0 {
+		d0 = row[1]
+	}
+	for r, d := range row {
+		if d != d0 && r != sender {
 			return 0, false
 		}
 	}
-	return d0, true
+	return int(d0), true
 }
 
 // envelopeBytes is the canonical-encoding size of one envelope: 8 bytes of

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"anonconsensus/internal/env"
@@ -468,5 +470,59 @@ func TestFanOutCollapsePreservesMetrics(t *testing.T) {
 	// env.Synchronous is ES with GST 0: every delivery timely from round 1 on.
 	if err := traced.Trace.CheckES(0); err != nil {
 		t.Errorf("fan-out expansion broke the synchronous delivery pattern: %v", err)
+	}
+}
+
+// rowLog is an ES policy that records, per round, the senders Schedule was
+// given and the senders whose rows were asked for.
+type rowLog struct {
+	pol            *env.ES
+	senders, asked map[int][]int
+	round          int
+	delays         env.Delays
+}
+
+func (p *rowLog) Schedule(round int, senders []int, n int) env.Delays {
+	p.round, p.delays = round, p.pol.Schedule(round, senders, n)
+	p.senders[round] = slices.Clone(senders)
+	return p
+}
+
+func (p *rowLog) Row(sender int, row []int32) {
+	p.asked[p.round] = append(p.asked[p.round], sender)
+	p.delays.Row(sender, row)
+}
+
+func (p *rowLog) UniformDelay(round int) (int, bool) { return p.pol.UniformDelay(round) }
+
+// TestEngineAsksRowsInSenderOrder pins the engine's half of env.Delays: a
+// policy draws a row when it is asked for, so the engine asks for every
+// sender's row exactly once, in the order of the senders it gave Schedule,
+// and for none in a round the policy declares uniform. Crashes thin the
+// senders out before GST.
+func TestEngineAsksRowsInSenderOrder(t *testing.T) {
+	const n, gst = 7, 5
+	p := &rowLog{pol: &env.ES{GST: gst, Pre: env.MS{Seed: 3}}, senders: map[int][]int{}, asked: map[int][]int{}}
+	_, err := Run(Config{
+		N:         n,
+		Automaton: floodFactory(0),
+		Policy:    p,
+		Scenario:  &env.Scenario{Crashes: map[int]int{2: 2, 5: 3}},
+		MaxRounds: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.senders) == 0 {
+		t.Fatal("Schedule never called")
+	}
+	for _, round := range slices.Sorted(maps.Keys(p.senders)) {
+		want := p.senders[round]
+		if round >= gst {
+			want = nil
+		}
+		if got := p.asked[round]; !slices.Equal(got, want) {
+			t.Errorf("round %d: rows asked for %v, want %v", round, got, want)
+		}
 	}
 }

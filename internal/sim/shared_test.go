@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"anonconsensus/internal/core"
@@ -174,5 +175,49 @@ func TestSharedRoundPooledMatchesFresh(t *testing.T) {
 		if want := outcome(fresh); got != want {
 			t.Fatalf("run %d: pooled engine\n %s\nfresh engine\n %s", i, got, want)
 		}
+	}
+}
+
+// TestPooledRunBytesBudget pins the bytes a warm pooled ES n=256 run
+// stable from round 2 allocates: the sim transport's pooled engine on the
+// repo benchmark's sim_bign instance. Its one pre-GST round is read a
+// sender row at a time into the engine's one n-length row; an n×n delay
+// matrix per round (256 KB at n=256, about 521 KB a run with it) breaks
+// the budget.
+func TestPooledRunBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, runs, budget = 256, 10, 384 << 10
+	props := core.DistinctProposals(n)
+	cfg := func(seed int64) sim.Config {
+		return core.ConfigES(props, core.RunOpts{Policy: &env.ES{GST: 2, Pre: env.MS{Seed: seed}}})
+	}
+	eng, err := sim.New(cfg(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) {
+		if err := eng.Reset(cfg(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if !eng.Run().AllCorrectDecided() {
+			t.Fatalf("ES n=%d GST-2 run (seed %d) did not decide", n, seed)
+		}
+	}
+	// Warm the pooled storage, as TestSharedRoundAllocBudget does.
+	for warm := 0; warm < 4; warm++ {
+		run(0)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= runs; i++ {
+		run(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per run", per)
+	if per > budget {
+		t.Errorf("pooled ES n=%d GST-2 run: %d bytes, budget %d", n, per, budget)
 	}
 }
