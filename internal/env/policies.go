@@ -295,7 +295,7 @@ func (a *Async) Schedule(round int, senders []int, n int) Delays {
 	if a.rng == nil {
 		a.rng = sourceFor(a.Seed, "async-policy")
 	}
-	a.bounds()
+	a.bounds() // rejects MinDelay > MaxDelay before any row is read
 	return a
 }
 

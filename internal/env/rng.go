@@ -156,17 +156,25 @@ func (s *lazySource) Int63() int64 {
 
 // step is math/rand's step, once every word is seeded.
 func (s *lazySource) step() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
-	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	var x int64
+	s.tap, s.feed, x = advance(&s.vec, s.tap, s.feed)
 	return uint64(x)
+}
+
+// advance is step on a fully seeded vec with the indices passed in and
+// out, so a loop can keep them in locals.
+func advance(vec *[rngLen]int64, tap, feed int) (int, int, int64) {
+	tap--
+	if tap < 0 {
+		tap += rngLen
+	}
+	feed--
+	if feed < 0 {
+		feed += rngLen
+	}
+	x := vec[feed] + vec[tap]
+	vec[feed] = x
+	return tap, feed, x
 }
 
 // seedingStep is the step while some words are still unseeded.
@@ -252,18 +260,8 @@ func (s *lazySource) fillRow(row []int32, pct, base, span int) {
 	s.tap, s.feed = tap, feed
 }
 
-// next31 is step on a fully seeded vec with the indices passed in and
-// out, returning the step's Int63()>>32.
+// next31 is advance returning the step's Int63()>>32.
 func next31(vec *[rngLen]int64, tap, feed int) (int, int, int32) {
-	tap--
-	if tap < 0 {
-		tap += rngLen
-	}
-	feed--
-	if feed < 0 {
-		feed += rngLen
-	}
-	x := vec[feed] + vec[tap]
-	vec[feed] = x
+	tap, feed, x := advance(vec, tap, feed)
 	return tap, feed, int32(x & rngMask >> 32)
 }
